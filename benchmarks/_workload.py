@@ -7,7 +7,7 @@ efficiency tables (6.1 peak / 6.2 off-peak) and the ablations share this
 workload.
 
 This module also owns :func:`write_bench_json`, the one sanctioned way
-a benchmark emits its machine-readable twin under ``benchmarks/out/``
+a benchmark emits its machine-readable twin into the artifact directory
 (``tools/bench_compare.py`` diffs two such files to gate regressions).
 Benchmarks that never call it still get a JSON artifact: the conftest
 session hook converts their pytest-benchmark stats on exit.
@@ -29,11 +29,14 @@ from repro.hifun.attributes import Derived
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 
-#: Artifact directory; REPRO_BENCH_OUT redirects it so a CI candidate
-#: run can land in a scratch directory and be diffed (with
-#: ``tools/bench_compare.py``) against the checked-in baselines.
+#: Artifact directory.  The default is an untracked scratch directory,
+#: so running the benches (tier-1 collects them) never rewrites the
+#: checked-in baselines under ``benchmarks/out/``; only ``make
+#: bench-refresh`` points REPRO_BENCH_OUT there.  A candidate run in the
+#: scratch directory is diffed against the baselines with
+#: ``tools/bench_compare.py``.
 OUT_DIR = os.environ.get(
-    "REPRO_BENCH_OUT", os.path.join(os.path.dirname(__file__), "out"))
+    "REPRO_BENCH_OUT", os.path.join(os.path.dirname(__file__), ".scratch"))
 
 #: Benchmark names that already wrote their JSON explicitly this
 #: session; the conftest auto-emit hook skips these so a hand-crafted
@@ -53,7 +56,7 @@ def write_bench_json(
     engine: Optional[str] = None,
     out_dir: Optional[str] = None,
 ) -> str:
-    """Write ``benchmarks/out/<name>.json`` and return its path.
+    """Write ``<artifact directory>/<name>.json`` and return its path.
 
     ``ops`` maps operation label → median milliseconds.  ``params``
     records whatever identifies the workload (sizes, seeds) and

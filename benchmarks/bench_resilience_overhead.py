@@ -5,11 +5,15 @@ wrapper: on a healthy endpoint (no faults injected, no retries fired)
 the deadline/retry/circuit-breaker plumbing must add **< 5 %** to the
 cost of the same workload on a bare :class:`~repro.endpoint.LocalEndpoint`.
 Timing takes the minimum over several batches, so scheduler noise does
-not masquerade as overhead.
+not masquerade as overhead — and the bar itself is enforced only under
+``-m smoke`` (``make bench-smoke``); the tier-1 run keeps the logic
+assertions (no retries, no failures, circuit closed).
 """
 
 import gc
 import time
+
+import pytest
 
 from repro.datasets import products_graph
 from repro.endpoint import LocalEndpoint, ResilientEndpoint, RetryPolicy
@@ -59,7 +63,8 @@ def run_comparison():
     return bare_time, wrapped_time, wrapped
 
 
-def test_resilient_wrapper_overhead(benchmark, artifact_writer):
+@pytest.mark.smoke
+def test_resilient_wrapper_overhead(benchmark, artifact_writer, wall_clock_bar):
     bare_time, wrapped_time, wrapped = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1
     )
@@ -83,6 +88,5 @@ def test_resilient_wrapper_overhead(benchmark, artifact_writer):
     assert report["circuit_state"] == "closed"
     assert all(s.ok and s.attempts == 1 for s in wrapped.history)
     # The acceptance bar: < 5 % wrapper overhead on a healthy endpoint.
-    assert overhead < 0.05, (
-        f"resilience wrapper added {overhead * 100:.1f} % overhead"
-    )
+    wall_clock_bar(overhead < 0.05,
+                   f"resilience wrapper added {overhead * 100:.1f} % overhead")

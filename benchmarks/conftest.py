@@ -1,24 +1,30 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the dissertation and
-writes the rendered artifact under ``benchmarks/out/`` (also echoed to
-stdout), so a plain ``pytest benchmarks/ --benchmark-only`` leaves the
-full set of reproduced tables/figures on disk.
+writes the rendered artifact into the artifact directory (also echoed
+to stdout): the untracked ``benchmarks/.scratch/`` by default, the
+checked-in baselines under ``benchmarks/out/`` only via ``make
+bench-refresh`` (see ``_workload.OUT_DIR``).
 
 Every benchmark module additionally leaves a machine-readable
-``benchmarks/out/<name>.json`` twin: modules with structured results
-call :func:`_workload.write_bench_json` themselves; for the rest, the
+``<name>.json`` twin there: modules with structured results call
+:func:`_workload.write_bench_json` themselves; for the rest, the
 session-finish hook below converts their pytest-benchmark stats.  The
 JSON artifacts are what ``tools/bench_compare.py`` diffs to catch
 performance regressions between runs.
+
+The ``overhead < 5 %`` bars of the resilience wrapper and of strict
+mode are enforced only in a dedicated benchmark run — see
+:func:`wall_clock_bar`; the tier-1 run keeps those benches' logic
+assertions.
 """
 
 import os
 
 import pytest
+from _pytest.mark.expression import Expression
 
-OUT_DIR = os.environ.get(
-    "REPRO_BENCH_OUT", os.path.join(os.path.dirname(__file__), "out"))
+from _workload import OUT_DIR
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -64,6 +70,36 @@ def artifact_writer():
         return path
 
     return write
+
+
+def _selects_smoke(markexpr: str) -> bool:
+    """Does this ``-m`` expression pick tests *for* bearing the smoke
+    marker — true of a smoke-only test, false of an unmarked one?"""
+    if not markexpr:
+        return False
+    expression = Expression.compile(markexpr)
+    return (expression.evaluate(lambda name, **_: name == "smoke")
+            and not expression.evaluate(lambda name, **_: False))
+
+
+@pytest.fixture
+def wall_clock_bar(request):
+    """``check(ok, message)``: assert a timing bar — in a dedicated
+    benchmark run only: one whose ``-m`` selects this smoke-marked test
+    for its marker (``make bench-smoke``), or a ``--benchmark-only``
+    one (``make bench``, ``make bench-refresh``).  In the plain tier-1
+    run a ratio of two short timings taken amid the whole suite is
+    noise; it must not gate correctness."""
+    config = request.config
+    enforced = request.node.get_closest_marker("smoke") is not None and (
+        _selects_smoke(config.getoption("markexpr"))
+        or config.getoption("benchmark_only", False))
+
+    def check(ok: bool, message: str) -> None:
+        if enforced:
+            assert ok, message
+
+    return check
 
 
 def format_table(headers, rows) -> str:

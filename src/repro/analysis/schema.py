@@ -136,20 +136,6 @@ def infer_schema(graph: Graph) -> SchemaInfo:
     return info
 
 
-def revalidate_schema_cache(graph: Graph) -> None:
-    """Re-stamp the cached schema for the graph's current generation.
-
-    Only for callers that *know* every mutation since the cache entry was
-    stored has been undone (the temp-class materialize/remove round-trip
-    of the analytics pipeline is the one such case): the content is back
-    to what was inferred, so the old SchemaInfo is still exact and a full
-    re-inference would be pure waste on the strict-mode hot path.
-    """
-    cached: Optional[Tuple[int, SchemaInfo]] = getattr(graph, _CACHE_ATTR, None)
-    if cached is not None:
-        setattr(graph, _CACHE_ATTR, (graph.generation, cached[1]))
-
-
 def _class_ids_of(graph: Graph, ident: int, type_pi: Optional[int]) -> Set[int]:
     if type_pi is None:
         return set()

@@ -48,6 +48,15 @@ class CacheStats:
         total = self.requests
         return self.hits / total if total else 0.0
 
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        """The counters of two caches serving one purpose, summed
+        (reported under this one's name)."""
+        return CacheStats(
+            self.name, self.size + other.size, self.maxsize + other.maxsize,
+            self.hits + other.hits, self.misses + other.misses,
+            self.evictions + other.evictions,
+            self.invalidations + other.invalidations)
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,

@@ -71,13 +71,24 @@ class LocalEndpoint:
         self.graph = graph
         self.history: List[QueryStats] = []
 
-    def query(self, text: str):
-        """Evaluate a query; timing is recorded in :attr:`history`."""
-        started = time.perf_counter()
-        result = sparql_query(self.graph, text)
-        elapsed = time.perf_counter() - started
+    def query(self, text: str, overlay=None):
+        """Evaluate a query; timing is recorded in :attr:`history`.
+
+        ``overlay`` — a read-only view of the endpoint's graph
+        (:class:`repro.rdf.overlay.ExtensionView`) — is evaluated in
+        the graph's place: the session-private extension a query rooted
+        at ``rdf:type :temp`` ranges over.  Every endpoint of this
+        package forwards it unchanged.
+        """
+        result, elapsed = self._evaluate(text, overlay)
         self.history.append(QueryStats(elapsed, 0.0, result_rows(result)))
         return result
+
+    def _evaluate(self, text: str, overlay):
+        """``(result, engine seconds)`` of one in-process evaluation."""
+        started = time.perf_counter()
+        result = sparql_query(self.graph if overlay is None else overlay, text)
+        return result, time.perf_counter() - started
 
     @property
     def last(self) -> Optional[QueryStats]:
@@ -135,10 +146,8 @@ class RemoteEndpointSimulator(LocalEndpoint):
         self.sleep = sleep
         self._rng = random.Random(seed)
 
-    def query(self, text: str):
-        started = time.perf_counter()
-        result = sparql_query(self.graph, text)
-        engine = time.perf_counter() - started
+    def query(self, text: str, overlay=None):
+        result, engine = self._evaluate(text, overlay)
         rows = result_rows(result)
         network = self.model.sample(self._rng, rows)
         if self.sleep:

@@ -143,11 +143,11 @@ class FlakyEndpointSimulator(RemoteEndpointSimulator):
         self._fault_rng = random.Random(seed ^ _FAULT_SEED_SALT)
         self.injected: List[str] = []
 
-    def query(self, text: str):
+    def query(self, text: str, overlay=None):
         kind = self.faults.draw(self._fault_rng)
         self.injected.append(kind or "ok")
         if kind is None:
-            return super().query(text)
+            return super().query(text, overlay=overlay)
         if kind == "timeout":
             stall = self.faults.timeout_stall
             self.history.append(QueryStats(0.0, stall, 0, outcome="timeout"))
@@ -170,13 +170,7 @@ class FlakyEndpointSimulator(RemoteEndpointSimulator):
                 "429 too many requests (injected)",
                 retry_after=self.faults.retry_after, elapsed=network)
         # "truncated": the query runs, but the transfer dies part-way.
-        import time as _time
-
-        started = _time.perf_counter()
-        from repro.sparql import query as sparql_query
-
-        result = sparql_query(self.graph, text)
-        engine = _time.perf_counter() - started
+        result, engine = self._evaluate(text, overlay)
         partial = self._truncate(result)
         kept = result_rows(partial) if partial is not None else 0
         network = self.model.sample(self._rng, kept)

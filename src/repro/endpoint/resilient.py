@@ -183,11 +183,12 @@ class ResilientEndpoint:
             self.clock += seconds
 
     # ------------------------------------------------------------------
-    def query(self, text: str, timeout=_UNSET):
+    def query(self, text: str, timeout=_UNSET, overlay=None):
         """Run one logical query through deadline/retry/breaker.
 
         ``timeout`` overrides the endpoint-wide deadline for this query
-        (``None`` disables it).  Raises the last typed
+        (``None`` disables it); ``overlay`` is handed to the inner
+        endpoint on every attempt.  Raises the last typed
         :class:`EndpointError` once attempts or budget are exhausted,
         or :class:`CircuitOpenError` without touching the wire when the
         circuit is open.
@@ -210,7 +211,7 @@ class ResilientEndpoint:
         while attempts < self.retry.max_attempts:
             attempts += 1
             try:
-                result = self.inner.query(text)
+                result = self.inner.query(text, overlay=overlay)
             except EndpointError as exc:
                 error = exc
                 elapsed = exc.elapsed

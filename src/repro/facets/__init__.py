@@ -43,7 +43,7 @@ from repro.facets.intentions import (
 )
 from repro.facets.session import EmptyTransitionError, FacetedSession
 from repro.facets.analytics import AnswerFrame, FacetedAnalyticsSession
-from repro.facets.sparql_backend import SparqlFacetEngine, temp_extension
+from repro.facets.sparql_backend import SparqlFacetEngine
 from repro.facets.resilient import DegradationEvent, ResilientFacetedSession
 from repro.facets.planner import (
     InexpressibleQueryError,
@@ -71,7 +71,6 @@ __all__ = [
     "AnswerFrame",
     "FacetedAnalyticsSession",
     "SparqlFacetEngine",
-    "temp_extension",
     "FacetError",
     "FacetListing",
     "DegradationEvent",

@@ -19,19 +19,21 @@ GUI actions of Fig. 5.1 (right):
   over it — subsequent restrictions are HAVING clauses over the original
   data, giving nested analytic queries of unlimited depth.
 
-Execution follows Table 5.1: the current extension is materialized under
-a temporary class ``temp``, the HIFUN query synthesized from the button
-state is translated to SPARQL rooted at ``temp``, and the query is
-evaluated (locally or against a simulated endpoint).
+Execution follows Table 5.1: the HIFUN query synthesized from the button
+state is translated to SPARQL rooted at a temporary class ``temp``, and
+evaluated (locally or against a simulated endpoint) over a read-only
+view of the graph in which exactly the current extension has that type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.caching import CacheStats
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import Namespace, RDF
+from repro.rdf.namespace import RDF
+from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.hifun.attributes import (
     Attribute,
@@ -45,14 +47,14 @@ from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
 from repro.facets.model import PropertyRef
 from repro.facets.session import FacetedSession
+# APP: the namespace of machinery terms (the temporary class of Table 5.1
+# and the answer-frame vocabulary of §5.3.3).
+from repro.facets.sparql_backend import APP, TEMP
 from repro.sparql import query as sparql_query
 
-#: Namespace of machinery terms (the temporary class of Table 5.1 and the
-#: answer-frame vocabulary of §5.3.3).
-APP = Namespace("http://www.ics.forth.gr/rdf-analytics#")
-
-#: The temporary class under which the current extension is materialized.
-TEMP_CLASS = APP.temp
+#: The temporary class the current extension is typed under during a run
+#: — the one the session's extension view populates.
+TEMP_CLASS = TEMP
 
 
 class AnalyticsStateError(RuntimeError):
@@ -278,10 +280,10 @@ class FacetedAnalyticsSession(FacetedSession):
         self._with_count = False
         #: strict-mode memo: (schema, (query, root_class), report)
         self._analysis_memo = None
-        #: (generation, extension, sorted terms, parallel ids) — the
-        #: native engines' evaluation domain, reused across runs of the
-        #: same state so repeated analytics skip the sort + re-encode.
-        self._domain_memo = None
+        #: the latest extension view, and the result-cache counters of
+        #: the views it replaced (cache_stats reports their sum).
+        self._view: Optional[ExtensionView] = None
+        self._retired_views = CacheStats("sparql-results", 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # Button state
@@ -413,8 +415,7 @@ class FacetedAnalyticsSession(FacetedSession):
                       root_class: Optional[IRI] = None) -> None:
         """Strict-mode gate: when the session was opened with
         ``analyze=True``, reject ill-typed queries *before* any
-        evaluation or temp-class materialization; warnings are emitted
-        but never block."""
+        evaluation; warnings are emitted but never block."""
         if not self.analyze:
             return
         import warnings
@@ -440,7 +441,7 @@ class FacetedAnalyticsSession(FacetedSession):
     def hifun_query_with_restrictions(self):
         """The state intention folded into the HIFUN query (§5.5).
 
-        Instead of materializing the extension under ``temp``, the
+        Instead of rooting the query at the ``temp`` class, the
         state's conditions become HIFUN grouping restrictions — the
         query then runs self-contained against the original graph
         (Example 1–4 of §5.1 are written in exactly this form).
@@ -501,27 +502,54 @@ class FacetedAnalyticsSession(FacetedSession):
     def _analysis_domain(self):
         """The native engines' evaluation domain: the extension sorted
         by term sort key with its parallel encoded-id column, memoized
-        per (generation, state) — exactly the ``items``/``items_ids``
-        contract of :func:`repro.hifun.evaluator.evaluate_hifun`."""
-        graph = self.graph
-        generation = graph.generation
-        extension = self.extension
-        memo = self._domain_memo
-        if (memo is not None and memo[0] == generation
-                and memo[1] is extension):
-            return memo[2], memo[3]
-        terms = sorted(extension, key=lambda t: t.sort_key())
-        ids = [graph.encode_term(t) for t in terms]
-        self._domain_memo = (generation, extension, terms, ids)
-        return terms, ids
+        per (generation, state) so repeated analytics skip the sort +
+        re-encode — exactly the ``items``/``items_ids`` contract of
+        :func:`repro.hifun.evaluator.evaluate_hifun`."""
+        def build():
+            terms = sorted(self.extension, key=lambda t: t.sort_key())
+            return terms, [self.graph.encode_term(t) for t in terms]
+
+        return self._per_state("domain", build)
+
+    def _extension_view(self) -> ExtensionView:
+        """The graph with the current extension typed under the
+        temporary class of Table 5.1 — virtually: the view the SPARQL
+        pipeline is evaluated over, so that a read writes nothing.
+
+        The view owns the SPARQL result cache of its state, so a
+        repeated run is a hit while another session — or another state
+        of this one — with the same query text can never be served it.
+        """
+        def build():
+            if self._view is not None:
+                self._retired_views += replace(
+                    self._view.sparql_cache.stats(), size=0, maxsize=0)
+            self._view = ExtensionView(self.graph, TEMP, self.extension)
+            return self._view
+
+        return self._per_state("view", build)
+
+    def cache_stats(self) -> Dict[str, CacheStats]:
+        """As the base session's, with the result caches of the
+        session's extension views — where the pipeline's answers live —
+        folded into ``"sparql"``: hits, misses, evictions and
+        invalidations accumulate over every view the session built;
+        size and capacity are those of the live caches (the store's
+        plus the latest view's)."""
+        stats = super().cache_stats()
+        stats["sparql"] += self._retired_views
+        if self._view is not None:
+            stats["sparql"] += self._view.sparql_cache.stats()
+        return stats
 
     def run(self, engine: str = "sparql", endpoint=None) -> AnswerFrame:
         """Execute the analytic query over the current state's extension.
 
         ``engine``:
 
-        * ``"sparql"`` — translate + evaluate with the extension under
-          the ``temp`` class (Table 5.1; the default pipeline);
+        * ``"sparql"`` — translate + evaluate over the session's
+          extension view, in which the extension is the ``temp`` class
+          (Table 5.1; the default pipeline);
         * ``"native"`` — the in-process HIFUN evaluator under the
           session-default execution strategy (``REPRO_ENGINE``);
         * ``"columnar"`` / ``"row"`` — the native evaluator with the
@@ -533,21 +561,22 @@ class FacetedAnalyticsSession(FacetedSession):
         ``endpoint`` routes the SPARQL evaluation of the ``"sparql"``
         and ``"restrictions"`` engines through an endpoint object (e.g.
         a :class:`~repro.endpoint.ResilientEndpoint`) instead of the
-        in-process engine; its typed errors propagate to the caller,
-        but the temp-class materialization is exception-safe — a failed
-        query never leaves ``rdf:type :temp`` triples in the graph.
+        in-process engine; its typed errors propagate to the caller.
+        No engine writes to the graph: a run — failed or not — leaves
+        its generation, and every cache stamped with it, as they were.
         """
-        evaluate = endpoint.query if endpoint is not None else (
-            lambda text: sparql_query(self.graph, text))
+        if endpoint is not None:
+            evaluate = endpoint.query
+        else:
+            def evaluate(text, overlay=None):
+                return sparql_query(
+                    self.graph if overlay is None else overlay, text)
         if engine == "restrictions":
             restricted, root_class = self.hifun_query_with_restrictions()
             self._static_check(restricted, root_class)
             translation = translate(restricted, root_class=root_class)
-            result = evaluate(translation.text)
-            columns = translation.answer_columns
-            rows = [tuple(row.get(c) for c in columns) for row in result]
-            rows.sort(key=_row_sort_key)
-            return AnswerFrame(columns, rows, restricted, translation)
+            return _translated_frame(
+                evaluate(translation.text), restricted, translation)
         query = self.hifun_query()
         self._static_check(query)
         if engine in ("native", "columnar", "row"):
@@ -567,15 +596,17 @@ class FacetedAnalyticsSession(FacetedSession):
             return AnswerFrame(columns, answer.rows(), query, None)
         if engine != "sparql":
             raise ValueError(f"unknown engine {engine!r}")
-        from repro.facets.sparql_backend import temp_extension
-
         translation = translate(query, root_class=TEMP_CLASS)
-        with temp_extension(self.graph, self.extension, TEMP_CLASS):
-            result = evaluate(translation.text)
-        columns = translation.answer_columns
-        rows = [tuple(row.get(c) for c in columns) for row in result]
-        rows.sort(key=_row_sort_key)
-        return AnswerFrame(columns, rows, query, translation)
+        result = evaluate(translation.text, overlay=self._extension_view())
+        return _translated_frame(result, query, translation)
+
+
+def _translated_frame(result, query: HifunQuery,
+                      translation: Translation) -> AnswerFrame:
+    columns = translation.answer_columns
+    rows = [tuple(row.get(c) for c in columns) for row in result]
+    rows.sort(key=_row_sort_key)
+    return AnswerFrame(columns, rows, query, translation)
 
 
 def _row_sort_key(row: Tuple[Optional[Term], ...]):

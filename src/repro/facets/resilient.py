@@ -169,7 +169,7 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         schema = self.schema
 
         def compute():
-            counts = self._engine.class_counts(self.extension)
+            counts = self._engine.class_counts(self._extension_view())
 
             def build(cls: IRI) -> Optional[ClassMarker]:
                 count = counts.get(cls, 0)
@@ -209,7 +209,7 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         """
         return self._remote(
             "properties", "applicable_properties",
-            lambda: self._engine.applicable_properties(self.extension),
+            lambda: self._engine.applicable_properties(self._extension_view()),
             fallback=lambda exc: [],
             mark_stale=lambda refs: list(refs),
         )
@@ -227,7 +227,7 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         op = ("facet", path)
         label = "facet " + "/".join(step.name for step in path)
         try:
-            value = self._engine.facet(self.extension, path)
+            value = self._engine.facet(self._extension_view(), path)
         except EndpointError as exc:
             cached = self._cache.get(op, _MISSING)
             if cached is not _MISSING:

@@ -92,22 +92,20 @@ class FacetedSession:
         # Generation-stamped cache for facet counts / class markers /
         # applicable properties / the individuals pool: keyed on
         # (operation, extension, ...), stamped with the graph generation,
-        # so any mutation — including temp-class materialization and
-        # AF-loads — invalidates, and *back* navigation re-serves earlier
-        # states for free.  Built before the initial state, which already
-        # wants the memoized individuals.
+        # so any mutation invalidates, and *back* navigation re-serves
+        # earlier states for free.  Built before the initial state, which
+        # already wants the memoized individuals.
         self._facet_cache = GenerationCache(maxsize=512, name="facet-counts")
         # Generation-stamped memo for the individuals pool.  A private
         # slot, not a _facet_cache entry: the facet cache's invariant is
         # "only fresh *facet* values, nothing else" — tests assert it
         # stays empty when every count degrades.
         self._individuals_memo: Optional[Tuple[int, FrozenSet[Term]]] = None
-        # The sharded plane's scan input: the extension in id space
-        # (literals dropped), memoized per (generation, state).  The
-        # shard kernels consume ids, so a sharded session re-encodes the
-        # extension once per state instead of once per scan — at the
-        # million-triple scale the re-encode dominates the scan itself.
-        self._ext_ids_memo: Optional[Tuple[int, FrozenSet[Term], FrozenSet[int]]] = None
+        # Derived forms of the current extension (its id-space encoding;
+        # subclasses add theirs), memoized per (generation, state):
+        # _per_state.
+        self._state_memo: Tuple[int, Optional[FrozenSet[Term]], Dict[str, object]] = (
+            -1, None, {})
         if results is not None:
             seeds = frozenset(results)
             intention = Intention(seeds=tuple(sorted(seeds, key=lambda t: t.sort_key())))
@@ -141,30 +139,37 @@ class FacetedSession:
         self._individuals_memo = (generation, individuals)
         return individuals
 
+    def _per_state(self, name: str, build):
+        """``build()``, memoized under ``name`` per (generation, state).
+
+        Dictionary ids are append-only, so within one generation a
+        derived form of the extension can only be recomputed to the same
+        answer; a new state carries a new extension frozenset (compared
+        by identity — states reuse their frozensets), and any mutation
+        invalidates conservatively.
+        """
+        generation, extension = self.graph.generation, self.extension
+        memo = self._state_memo
+        if memo[0] != generation or memo[1] is not extension:
+            memo = self._state_memo = (generation, extension, {})
+        derived = memo[2]
+        if name not in derived:
+            derived[name] = build()
+        return derived[name]
+
     def _extension_ids(self) -> FrozenSet[int]:
         """The current extension in id space with literals dropped —
-        the shard kernels' scan input.
+        the shard kernels' scan input.  At the million-triple scale the
+        re-encode dominates the scan itself, hence once per state."""
+        def build():
+            decode = self.graph.decode_id
+            return frozenset(
+                eid
+                for eid in self.graph.encode_terms(self.extension)
+                if not isinstance(decode(eid), Literal)
+            )
 
-        Memoized per (generation, state): dictionary ids are
-        append-only, so within one generation the encoding can only be
-        recomputed to the same answer; a new state carries a new
-        extension frozenset (compared by identity — states reuse their
-        frozensets), and any mutation invalidates conservatively.
-        """
-        graph = self.graph
-        generation = graph.generation
-        extension = self.extension
-        memo = self._ext_ids_memo
-        if memo is not None and memo[0] == generation and memo[1] is extension:
-            return memo[2]
-        decode = graph.decode_id
-        ids = frozenset(
-            eid
-            for eid in graph.encode_terms(extension)
-            if not isinstance(decode(eid), Literal)
-        )
-        self._ext_ids_memo = (generation, extension, ids)
-        return ids
+        return self._per_state("ids", build)
 
     # ------------------------------------------------------------------
     # State access

@@ -17,23 +17,25 @@ temporary class ``temp``:
 
 :class:`SparqlFacetEngine` implements exactly that: every model
 operation issues a generated SPARQL query against an endpoint — no
-direct index access.  It exists (a) as the *alternative implementation*
-the dissertation discusses (Fig. 8.3), usable against any remote SPARQL
-endpoint, and (b) as the cross-check that the native engine implements
-the same semantics (the test suite runs both and compares).
+direct index access.  The queries are the table's, verbatim; what makes
+``?x rdf:type :temp`` true is not a write into the user's graph but a
+read-only :class:`~repro.rdf.overlay.ExtensionView` of it, passed to
+the endpoint as the query's ``overlay``.  The engine exists (a) as the
+*alternative implementation* the dissertation discusses (Fig. 8.3), and
+(b) as the cross-check that the native engine implements the same
+semantics (the test suite runs both and compares).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.overlay import ExtensionView
+from repro.rdf.terms import IRI, Term
 from repro.endpoint import LocalEndpoint
 from repro.facets.model import (
-    ClassMarker,
     Path,
     PropertyFacet,
     PropertyRef,
@@ -43,80 +45,30 @@ from repro.facets.model import (
 APP = Namespace("http://www.ics.forth.gr/rdf-analytics#")
 TEMP = APP.temp
 
-
-@contextmanager
-def temp_extension(graph: Graph, extension: Iterable[Term], cls: IRI = TEMP):
-    """Materialize ``extension`` under the temporary class, guaranteed
-    clean.
-
-    The dissertation's temp-class device (Table 5.1) writes
-    ``rdf:type :temp`` triples into the *user's* graph, so a query
-    failure mid-batch must not leave them behind.  This context manager
-    is the only sanctioned way to use the device: whatever happens
-    inside the block — including a partial materialization, when
-    ``graph.add`` itself dies half-way — every triple that was added is
-    removed on exit.
-    """
-    from repro.analysis.schema import revalidate_schema_cache
-
-    start = graph.generation
-    added: List[tuple] = []
-    try:
-        for item in extension:
-            if isinstance(item, Literal):
-                continue
-            triple = (item, RDF.type, cls)
-            if triple not in graph:
-                graph.add(*triple)
-                added.append(triple)
-        yield added
-    finally:
-        for triple in added:
-            graph.remove(*triple)
-        # Every add/remove bumps the generation by exactly one, so this
-        # equality proves the round-trip was the only mutation — the
-        # graph content is back to what it was, and any schema inferred
-        # for it is still exact.  Without this, strict mode would
-        # re-infer the schema on every single run().
-        if graph.generation == start + 2 * len(added):
-            revalidate_schema_cache(graph)
+#: An operation's extension: the members, or a ready view of them
+#: (a session passes its memoized one, whose result cache then carries
+#: over from call to call).
+Extension = Union[Iterable[Term], ExtensionView]
 
 
 class SparqlFacetEngine:
     """Facet computation by SPARQL queries only (Table 5.2).
 
-    The engine owns an endpoint over the (closed) graph.  The current
-    extension is materialized under the ``temp`` class before each batch
-    of queries and removed afterwards (the dissertation's temporary
-    class device, Table 5.1).
+    The engine owns an endpoint over the (closed) graph.  Each
+    operation evaluates its queries over a view of the graph in which
+    the current extension is typed under the ``temp`` class (Table
+    5.1); the graph itself is never written.
     """
 
     def __init__(self, graph: Graph, endpoint: Optional[LocalEndpoint] = None):
         self.graph = graph
         self.endpoint = endpoint if endpoint is not None else LocalEndpoint(graph)
 
-    # ------------------------------------------------------------------
-    # The temp-class device
-    # ------------------------------------------------------------------
-    def temp(self, extension: Iterable[Term]):
-        """The temp-class device as a context manager (exception-safe)."""
-        return temp_extension(self.graph, extension)
-
-    def _materialize(self, extension: Iterable[Term]) -> List[tuple]:
-        """Bare materialization — prefer :meth:`temp`, which cannot leak."""
-        added = []
-        for item in extension:
-            if isinstance(item, Literal):
-                continue
-            triple = (item, RDF.type, TEMP)
-            if triple not in self.graph:
-                self.graph.add(*triple)
-                added.append(triple)
-        return added
-
-    def _clear(self, added: List[tuple]) -> None:
-        for triple in added:
-            self.graph.remove(*triple)
+    def view(self, extension: Extension) -> ExtensionView:
+        """The graph with ``extension`` typed under ``temp``."""
+        if isinstance(extension, ExtensionView):
+            return extension
+        return ExtensionView(self.graph, TEMP, extension)
 
     # ------------------------------------------------------------------
     # Table 5.1 notations as SPARQL text
@@ -200,38 +152,38 @@ class SparqlFacetEngine:
         result = self.endpoint.query(self.q_instances(cls))
         return {row["x"] for row in result}
 
-    def extension_of_temp(self, extension: Iterable[Term]) -> Set[Term]:
-        with self.temp(extension):
-            result = self.endpoint.query(self.q_extension())
-            return {row["x"] for row in result}
+    def extension_of_temp(self, extension: Extension) -> Set[Term]:
+        result = self.endpoint.query(
+            self.q_extension(), overlay=self.view(extension))
+        return {row["x"] for row in result}
 
-    def joins(self, extension: Iterable[Term], path: Path) -> Set[Term]:
-        with self.temp(extension):
-            result = self.endpoint.query(self.q_joins(path))
-            return {row.get("v" + str(len(path))) for row in result}
+    def joins(self, extension: Extension, path: Path) -> Set[Term]:
+        result = self.endpoint.query(
+            self.q_joins(path), overlay=self.view(extension))
+        return {row.get("v" + str(len(path))) for row in result}
 
-    def restrict(self, extension: Iterable[Term], path: Path, value: Term) -> Set[Term]:
-        with self.temp(extension):
-            result = self.endpoint.query(self.q_restrict_value(path, value))
-            return {row["x"] for row in result}
+    def restrict(self, extension: Extension, path: Path, value: Term) -> Set[Term]:
+        result = self.endpoint.query(
+            self.q_restrict_value(path, value), overlay=self.view(extension))
+        return {row["x"] for row in result}
 
-    def restrict_to_class(self, extension: Iterable[Term], cls: IRI) -> Set[Term]:
-        with self.temp(extension):
-            result = self.endpoint.query(self.q_restrict_class(cls))
-            return {row["x"] for row in result}
+    def restrict_to_class(self, extension: Extension, cls: IRI) -> Set[Term]:
+        result = self.endpoint.query(
+            self.q_restrict_class(cls), overlay=self.view(extension))
+        return {row["x"] for row in result}
 
-    def class_counts(self, extension: Iterable[Term]) -> Dict[IRI, int]:
-        with self.temp(extension):
-            result = self.endpoint.query(self.q_class_counts())
-            counts: Dict[IRI, int] = {}
-            for row in result:
-                cls = row["cls"]
-                if cls == TEMP or not isinstance(cls, IRI):
-                    continue
-                counts[cls] = int(row.value("count"))
-            return counts
+    def class_counts(self, extension: Extension) -> Dict[IRI, int]:
+        result = self.endpoint.query(
+            self.q_class_counts(), overlay=self.view(extension))
+        counts: Dict[IRI, int] = {}
+        for row in result:
+            cls = row["cls"]
+            if cls == TEMP or not isinstance(cls, IRI):
+                continue
+            counts[cls] = int(row.value("count"))
+        return counts
 
-    def facet(self, extension: Iterable[Term], path: Path) -> PropertyFacet:
+    def facet(self, extension: Extension, path: Path) -> PropertyFacet:
         """A property facet with counts, via one grouped SPARQL query.
 
         Note the count semantics: for multi-step paths the native engine
@@ -239,12 +191,8 @@ class SparqlFacetEngine:
         grouped query can only count extension objects; both coincide
         for single-step facets (the common case in the UI's left frame).
         """
-        with self.temp(extension):
-            return self._facet_in_temp(path)
-
-    def _facet_in_temp(self, path: Path) -> PropertyFacet:
-        """The two facet queries; assumes ``temp`` is already materialized."""
-        result = self.endpoint.query(self.q_value_counts(path))
+        view = self.view(extension)
+        result = self.endpoint.query(self.q_value_counts(path), overlay=view)
         values = []
         total_query = (
             f"SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE "
@@ -254,17 +202,17 @@ class SparqlFacetEngine:
         for row in result.sorted_rows():
             value = row.get("v" + str(len(path)))
             values.append(ValueMarker(value, int(row.value("count"))))
-        total = self.endpoint.query(total_query)
+        total = self.endpoint.query(total_query, overlay=view)
         count = int(total[0].value("n")) if len(total) else 0
         return PropertyFacet(path=tuple(path), count=count, values=tuple(values))
 
-    def _properties_in_temp(self) -> List[PropertyRef]:
-        """Applicable properties; assumes ``temp`` is already materialized."""
+    def applicable_properties(self, extension: Extension) -> List[PropertyRef]:
         from repro.rdf.namespace import RDFS
 
         schema = {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain,
                   RDFS.range}
-        result = self.endpoint.query(self.q_properties())
+        result = self.endpoint.query(
+            self.q_properties(), overlay=self.view(extension))
         return sorted(
             (
                 PropertyRef(row["p"])
@@ -274,22 +222,16 @@ class SparqlFacetEngine:
             key=lambda r: r.prop.sort_key(),
         )
 
-    def applicable_properties(self, extension: Iterable[Term]) -> List[PropertyRef]:
-        with self.temp(extension):
-            return self._properties_in_temp()
+    def all_facets(self, extension: Extension) -> List[PropertyFacet]:
+        """Every applicable property's facet over ONE view.
 
-    def all_facets(self, extension: Iterable[Term]) -> List[PropertyFacet]:
-        """Every applicable property's facet under ONE temp-class
-        materialization.
-
-        The per-facet API re-materializes the extension for every facet
-        (2 mutation rounds per property); batching the whole left-frame
-        listing into a single ``temp`` block costs exactly one round no
-        matter how many properties there are — the SPARQL-side analogue
-        of the native session's shared-scan ``all_facets``."""
-        extension = list(extension)
-        with self.temp(extension):
-            return [
-                self._facet_in_temp((ref,))
-                for ref in self._properties_in_temp()
-            ]
+        The whole left-frame listing — property discovery plus two
+        queries per property — shares a single view of the extension
+        (built once, however many properties there are): the
+        SPARQL-side analogue of the native session's shared-scan
+        ``all_facets``."""
+        view = self.view(extension)
+        return [
+            self.facet(view, (ref,))
+            for ref in self.applicable_properties(view)
+        ]

@@ -170,7 +170,7 @@ class AnalysisContext:
         """The SPARQL translation of ``query`` rooted at this context.
 
         Only available for class-rooted contexts (an explicit item set
-        needs the temp-class device of the analytics session instead).
+        needs the analytics session's temp-class view instead).
         """
         from repro.hifun.translator import translate as _translate
 

@@ -11,6 +11,8 @@ parts of the RDF stack that RDF-Analytics needs:
 * :mod:`repro.rdf.graph` — an in-memory, dictionary-encoded triple store
   with SPO/POS/OSP indexes, incremental cardinality statistics and
   pattern matching.
+* :mod:`repro.rdf.overlay` — a read-only view of a store plus one
+  session's virtual ``rdf:type :temp`` triples (:class:`ExtensionView`).
 * :mod:`repro.rdf.rdfs` — RDFS closure (subClassOf, subPropertyOf, domain,
   range) and class/property hierarchies.
 * :mod:`repro.rdf.sharding` — the hash-partitioned, fan-out-capable
@@ -31,6 +33,7 @@ from repro.rdf.terms import (
 from repro.rdf.namespace import Namespace, OWL, RDF, RDFS, XSD, EX
 from repro.rdf.dictionary import PassthroughDictionary, TermDictionary
 from repro.rdf.graph import Graph
+from repro.rdf.overlay import ExtensionView
 from repro.rdf.rdfs import RDFSClosure, SchemaView
 from repro.rdf.sharding import ShardedGraph
 
@@ -46,6 +49,7 @@ __all__ = [
     "XSD",
     "OWL",
     "EX",
+    "ExtensionView",
     "Graph",
     "PassthroughDictionary",
     "RDFSClosure",

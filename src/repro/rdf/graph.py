@@ -309,8 +309,8 @@ class Graph:
         """Remove one triple; returns ``True`` if it was present.
 
         Emptied index slots are pruned eagerly, so add → remove cycles
-        (e.g. the temp-class device materializing extensions) leave the
-        index maps exactly as they were — no unbounded slot growth.
+        (an update batch loaded and withdrawn again) leave the index
+        maps exactly as they were — no unbounded slot growth.
         """
         lookup = self._dict.lookup
         si, pi, oi = lookup(s), lookup(p), lookup(o)

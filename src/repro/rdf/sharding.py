@@ -217,8 +217,8 @@ class ShardedGraph(Graph):
             shard.pred_count[pi] = remaining
         else:
             # Pruned eagerly, exactly like the index slots: add → remove
-            # round trips (the temp-class device) leave per-shard stats
-            # byte-identical to never having added.
+            # round trips leave per-shard stats byte-identical to never
+            # having added.
             del shard.pred_count[pi]
         self._size -= 1
         remaining = self._pred_count[pi] - 1

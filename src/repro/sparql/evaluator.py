@@ -206,6 +206,15 @@ def _slot_value(slot, solution: Solution):
 
 def _match_pattern(pattern: ast.TriplePattern, solutions: List[Solution],
                    graph: Graph) -> List[Solution]:
+    # An extension view (repro.rdf.overlay) is asked once per pattern
+    # whether the constant predicate/object can meet its virtual triples
+    # at all; if not, every per-solution lookup below runs on its base.
+    narrow = getattr(graph, "store_for", None)
+    if narrow is not None:
+        graph = narrow(
+            None if isinstance(pattern.p, ast.Var) else pattern.p,
+            None if isinstance(pattern.o, ast.Var) else pattern.o,
+        )
     out: List[Solution] = []
     slots = (pattern.s, pattern.p, pattern.o)
     for solution in solutions:
@@ -832,32 +841,33 @@ def query(graph: Graph, text: str, use_cache: bool = True):
     Returns a :class:`SelectResult` for SELECT, a :class:`bool` for ASK,
     and a :class:`Graph` for CONSTRUCT.
 
-    SELECT and ASK answers are cached on the graph, stamped with the
-    graph's mutation generation: any add/remove (including temp-class
-    materialization) bumps the generation and silently invalidates
-    every prior entry, so a stale answer can never be served.  A cache
-    hit returns a fresh :class:`SelectResult` wrapper over the shared
-    (treat-as-immutable) rows.  CONSTRUCT answers are mutable graphs
-    and are never cached.  ``use_cache=False`` bypasses the cache for
-    both lookup and store (used by benchmarks measuring the engine).
+    ``graph`` is a store or a read-only view of one
+    (:class:`repro.rdf.overlay.ExtensionView`).  SELECT and ASK answers
+    are cached on that object — a view carries its own cache, so two
+    extensions never share an answer — stamped with the store's
+    mutation generation: any add/remove bumps the generation and
+    silently invalidates every prior entry, so a stale answer can never
+    be served.  A cache hit returns a fresh :class:`SelectResult`
+    wrapper over the shared (treat-as-immutable) rows.  CONSTRUCT
+    answers are mutable graphs and are never cached.
+    ``use_cache=False`` bypasses the cache for both lookup and store
+    (used by benchmarks measuring the engine).
     """
     cache = getattr(graph, "sparql_cache", None) if use_cache else None
-    if cache is None:
-        try:
-            return evaluate(parse_query(text), graph)
-        except SparqlEvalError as exc:
-            raise _position_eval_error(exc, text) from None
     generation = graph.generation
-    cached = cache.get(text, generation, default=None)
-    if cached is not None:
-        kind, payload = cached
-        if kind == "select":
-            return SelectResult(payload.variables, list(payload.rows))
-        return payload  # ASK boolean
+    if cache is not None:
+        cached = cache.get(text, generation, default=None)
+        if cached is not None:
+            kind, payload = cached
+            if kind == "select":
+                return SelectResult(payload.variables, list(payload.rows))
+            return payload  # ASK boolean
     try:
         result = evaluate(parse_query(text), graph)
     except SparqlEvalError as exc:
         raise _position_eval_error(exc, text) from None
+    if cache is None:
+        return result
     if isinstance(result, SelectResult):
         # Snapshot the row list: the caller owns `result` and may
         # mutate its list in place, which must not reach the cache.

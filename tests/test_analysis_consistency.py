@@ -60,9 +60,8 @@ def test_translation_examples_suite_is_clean():
 SECTION_5_1_SESSIONS = ("example_1", "example_2", "example_3", "example_4")
 
 
-@pytest.mark.parametrize("which", SECTION_5_1_SESSIONS)
-def test_section_5_1_examples_are_clean(which):
-    """The §5.1 interactive walkthroughs, analyzed before they run."""
+def section_5_1_session(which):
+    """One of the §5.1 interactive walkthroughs, up to its G/Σ presses."""
     s = FacetedAnalyticsSession(products_graph())
     s.select_class(EX.Laptop)
     if which in ("example_1", "example_2", "example_3"):
@@ -86,6 +85,13 @@ def test_section_5_1_examples_are_clean(which):
         s.group_by((EX.manufacturer,))
         s.group_by((EX.releaseDate,), derived="YEAR")
         s.measure((EX.price,), "AVG")
+    return s
+
+
+@pytest.mark.parametrize("which", SECTION_5_1_SESSIONS)
+def test_section_5_1_examples_are_clean(which):
+    """The §5.1 interactive walkthroughs, analyzed before they run."""
+    s = section_5_1_session(which)
     report = s.analyze_query()
     assert report.clean, f"{which}: {report.render()}"
     assert s.run() is not None, "the analyzed session must still execute"

@@ -10,7 +10,7 @@ from repro.caching import MISSING, GenerationCache, LRUCache
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.facets.model import PropertyRef
 from repro.facets.resilient import ResilientFacetedSession
-from repro.facets.sparql_backend import temp_extension
+from repro.rdf.overlay import ExtensionView
 from repro.rdf import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
@@ -138,16 +138,29 @@ class TestQueryResultCache:
         stats = graph.sparql_cache.stats()
         assert stats.hits == 0 and stats.size == 0
 
-    def test_temp_class_materialization_invalidates(self, graph):
+    def test_view_answers_live_on_the_view(self, graph):
+        """An answer over an extension view depends on its members, so
+        it is cached on the view — never on the graph, where another
+        extension asking the same text would be served it."""
         temp_q = (
             "SELECT (COUNT(?x) AS ?n) WHERE { ?x "
             f"<{RDF.type.value}> <{EX.temp.value}> }}"
         )
+        two = ExtensionView(graph, EX.temp, [EX.a, EX.b])
+        one = ExtensionView(graph, EX.temp, [EX.a])
         assert query(graph, temp_q)[0].value("n") == 0
-        with temp_extension(graph, [EX.a, EX.b], EX.temp):
-            assert query(graph, temp_q)[0].value("n") == 2
+        assert query(two, temp_q)[0].value("n") == 2
+        assert query(one, temp_q)[0].value("n") == 1
+        assert query(two, temp_q)[0].value("n") == 2
         assert query(graph, temp_q)[0].value("n") == 0
-        assert graph.sparql_cache.stats().hits == 0
+        assert two.sparql_cache.stats().hits == 1
+        assert one.sparql_cache.stats().hits == 0
+        assert graph.sparql_cache.stats().hits == 1
+        # The view's entries carry the store's generation like any other.
+        graph.add(EX.c, RDF.type, EX.Thing)
+        assert query(two, temp_q)[0].value("n") == 2
+        stats = two.sparql_cache.stats()
+        assert (stats.hits, stats.invalidations) == (1, 1)
 
 
 def _count(session, prop):
@@ -216,12 +229,12 @@ class _KillableEndpoint:
         self._inner = LocalEndpoint(graph)
         self.alive = True
 
-    def query(self, text):
+    def query(self, text, overlay=None):
         from repro.endpoint import EndpointUnavailable
 
         if not self.alive:
             raise EndpointUnavailable("503 service unavailable")
-        return self._inner.query(text)
+        return self._inner.query(text, overlay=overlay)
 
 
 class TestDegradedNeverCachedFresh:

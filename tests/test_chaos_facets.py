@@ -39,6 +39,11 @@ def temp_residue(graph):
     return list(graph.triples(None, RDF.type, TEMP))
 
 
+def fingerprint(graph):
+    """What a read must leave exactly as it found it."""
+    return graph.generation, len(graph), graph.predicate_counts()
+
+
 def drive(session, seed, transitions=TRANSITIONS):
     """Drive a scripted interaction: pick random clickable markers.
 
@@ -236,7 +241,30 @@ class TestDegradation:
 
 
 class TestTempClassHygiene:
-    """Satellite: the temp-class device must never leak, even mid-failure."""
+    """The temp class lives in a view, never in the graph: a read —
+    failed mid-batch or not — writes nothing."""
+
+    def test_mid_batch_fault_leaves_the_store_untouched(self):
+        """A listing is 1 + 2·N queries over one view; a flaky endpoint
+        (no retries) kills it somewhere in the middle on most seeds."""
+        from repro.endpoint import FlakyEndpointSimulator
+
+        graph = FacetedAnalyticsSession(products_graph()).graph
+        extension = FacetedAnalyticsSession(graph, closed=True).extension
+        before = fingerprint(graph)
+        died_mid_batch = 0
+        for seed in range(12):
+            endpoint = FlakyEndpointSimulator(
+                graph, faults=FaultModel.uniform(0.3), seed=seed)
+            engine = SparqlFacetEngine(graph, endpoint)
+            try:
+                engine.all_facets(extension)
+            except EndpointError:
+                if len(endpoint.injected) > 1:  # after ≥ 1 good query
+                    died_mid_batch += 1
+            assert fingerprint(graph) == before
+            assert not temp_residue(graph)
+        assert died_mid_batch
 
     def test_engine_failure_leaves_graph_clean(self):
         graph = products_graph()
@@ -259,10 +287,12 @@ class TestTempClassHygiene:
         refs = _native_refs(graph)
         session.group_by((refs[0],))
         session.measure((refs[1],), "COUNT")
+        before = fingerprint(session.graph)
         with pytest.raises(EndpointError):
             session.run("sparql")
         assert not temp_residue(graph)
         assert not temp_residue(session.graph)
+        assert fingerprint(session.graph) == before
 
     def test_resilient_run_matches_native_when_healthy(self):
         graph = products_graph()
@@ -302,11 +332,11 @@ class FailAfter:
     def kill(self):
         self.remaining = 0
 
-    def query(self, text):
+    def query(self, text, overlay=None):
         if self.remaining <= 0:
             raise EndpointUnavailable("503 service unavailable")
         self.remaining -= 1
-        return self._inner.query(text)
+        return self._inner.query(text, overlay=overlay)
 
 
 class FailFacetCounts(FailAfter):
@@ -315,10 +345,10 @@ class FailFacetCounts(FailAfter):
     def __init__(self, graph):
         super().__init__(graph, healthy_queries=10 ** 9)
 
-    def query(self, text):
+    def query(self, text, overlay=None):
         if "COUNT" in text or "GROUP BY" in text:
             raise EndpointUnavailable("503 on aggregate query")
-        return super().query(text)
+        return super().query(text, overlay=overlay)
 
 
 class TestWrapperComposition:

@@ -57,7 +57,7 @@ class ScriptedEndpoint:
     def last(self):
         return self.history[-1] if self.history else None
 
-    def query(self, text):
+    def query(self, text, overlay=None):
         self.calls += 1
         item = self.script.pop(0) if self.script else "ok"
         if isinstance(item, Exception):
@@ -307,7 +307,7 @@ class TestRetry:
             def __init__(self):
                 self.calls = 0
 
-            def query(self, text):
+            def query(self, text, overlay=None):
                 self.calls += 1
                 raise ValueError("malformed query")
 

@@ -7,7 +7,8 @@ the one-scan-per-facet path.  The curated example suites already pin
 both on the dissertation's graphs; this module pins them on seeded
 *random* graphs — multi-valued properties, missing values, dangling
 makers, literal-typed measures — across every query shape the language
-has, plus the temp-class round-trip and ``analyze=True`` strict mode.
+has, plus the read-only SPARQL run beside each engine and ``analyze=True``
+strict mode.
 """
 
 import datetime
@@ -17,7 +18,6 @@ import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
-from repro.facets.sparql_backend import temp_extension
 from repro.hifun import (
     Attribute,
     HifunQuery,
@@ -197,24 +197,22 @@ def test_engine_choice_is_cache_neutral():
 
 
 @pytest.mark.parametrize("engine", ["row", "columnar"])
-def test_temp_class_round_trip_under_engine(engine):
-    """Evaluating while a temp class is materialized gives the same
-    answer under both engines, and the materialization round-trips the
-    graph exactly (generation algebra: +1 per add, +1 per remove)."""
+def test_sparql_run_beside_engine_is_read_only(engine):
+    """A run on the SPARQL path between two native runs changes nothing
+    the native engines depend on: same generation, size and statistics,
+    the memoized evaluation domain survives, and all three runs agree."""
     graph = random_graph(3)
-    extension = [EX[f"item{i}"] for i in range(10)]
-    before = graph.generation
-    baseline = evaluate_hifun(graph, HifunQuery(maker, price, "AVG"),
-                              root_class=EX.Widget, engine=engine)
-    with temp_extension(graph, extension) as added:
-        assert len(added) == 10
-        inside = evaluate_hifun(graph, HifunQuery(maker, price, "AVG"),
-                                root_class=EX.Widget, engine=engine)
-        assert inside.rows() == baseline.rows()
-    assert graph.generation == before + 2 * len(added)
-    after = evaluate_hifun(graph, HifunQuery(maker, price, "AVG"),
-                           root_class=EX.Widget, engine=engine)
-    assert after.rows() == baseline.rows()
+    session = FacetedAnalyticsSession(graph, closed=True)
+    session.select_class(EX.Widget)
+    session.group_by((EX.maker,))
+    session.measure((EX.price,), "AVG")
+    baseline = session.run(engine)
+    domain = session._analysis_domain()
+    before = (graph.generation, len(graph), graph.predicate_counts())
+    assert session.run("sparql").rows == baseline.rows
+    assert (graph.generation, len(graph), graph.predicate_counts()) == before
+    assert session.run(engine).rows == baseline.rows
+    assert session._analysis_domain() is domain
 
 
 @pytest.mark.parametrize("engine", ["row", "columnar"])

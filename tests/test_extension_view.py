@@ -1,0 +1,268 @@
+"""The session-private extension overlay: reads that write nothing.
+
+Two contracts.  (1) :class:`~repro.rdf.overlay.ExtensionView` is
+indistinguishable — through every accessor the SPARQL evaluator uses,
+and to the join planner — from a copy of the store with the
+``rdf:type :temp`` triples really added, on the flat store and on every
+shard count.  (2) Because the pipeline now evaluates over that view, a
+``run("sparql")`` or a :class:`SparqlFacetEngine` operation leaves the
+store's generation, size and statistics alone, so the caches stamped
+with them hit — per session, never across extensions.
+"""
+
+import itertools
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.datasets import invoices_graph, products_graph
+from repro.facets import FacetedAnalyticsSession
+from repro.facets.sparql_backend import TEMP, SparqlFacetEngine
+from repro.hifun.translator import translate
+from repro.rdf.graph import Graph
+from repro.rdf.namespace import EX, RDF
+from repro.rdf.overlay import ExtensionView, ReadOnlyViewError
+from repro.rdf.sharding import ShardedGraph
+from repro.rdf.terms import BNode, Literal
+from repro.sparql import ast, parse_query
+from repro.sparql.evaluator import _pattern_selectivity, plan_block
+
+from tests.test_analysis_consistency import (
+    SECTION_5_1_SESSIONS,
+    _load_bench,
+    section_5_1_session,
+)
+from tests.test_chaos_facets import fingerprint
+
+# -- view ≡ materialized copy ------------------------------------------
+_NODES = [EX.term(f"n{i}") for i in range(6)] + [BNode("b0")]
+_CLASSES = [EX.Thing, EX.Other, TEMP]
+_LITERALS = [Literal.of(1), Literal.of("one")]
+_UNSEEN = EX.neverInterned
+_PREDICATES = [EX.p, EX.q, RDF.type]
+
+_triples = st.lists(st.one_of(
+    st.tuples(st.sampled_from(_NODES), st.sampled_from([EX.p, EX.q]),
+              st.sampled_from(_NODES + _LITERALS)),
+    # typing triples — some of them already under the temporary class
+    st.tuples(st.sampled_from(_NODES), st.just(RDF.type),
+              st.sampled_from(_CLASSES)),
+), max_size=25)
+_members = st.sets(st.sampled_from(_NODES + _LITERALS + [_UNSEEN]))
+
+_PROBES = list(itertools.product(
+    [None, _UNSEEN] + _NODES,
+    [None, EX.unusedPredicate] + _PREDICATES,
+    [None, _NODES[1], _LITERALS[0]] + _CLASSES,
+))
+
+
+def _stores(triples):
+    flat = Graph(triples)
+    yield flat
+    for shards in (1, 2, 4):
+        yield ShardedGraph.from_graph(flat, shards=shards)
+
+
+def _ordered(terms):
+    return sorted(terms, key=lambda t: t.sort_key())
+
+
+@given(_triples, _members)
+@settings(max_examples=40, deadline=None)
+def test_view_equals_materialized_copy(triples, members):
+    for base in _stores(triples):
+        real = base.copy()
+        real.add_all((m, RDF.type, TEMP) for m in members
+                     if not isinstance(m, Literal))
+        size, generation = len(base), base.generation
+        view = ExtensionView(base, TEMP, members)
+
+        assert len(view) == len(real)
+        assert view.generation == generation
+        assert view.all_subjects() == real.all_subjects()
+        assert view.all_objects() == real.all_objects()
+        for s, p, o in _PROBES:
+            # sorted lists, not sets: a member the base already types
+            # under the class must not come back twice
+            assert (sorted(view.triples(s, p, o), key=_triple_key)
+                    == sorted(real.triples(s, p, o), key=_triple_key))
+            assert view.count(s, p, o) == real.count(s, p, o)
+            if None not in (s, p, o):
+                assert ((s, p, o) in view) == ((s, p, o) in real)
+            if s is None:
+                assert (_ordered(view.subjects(p, o))
+                        == _ordered(real.subjects(p, o)))
+            if o is None:
+                assert (_ordered(view.objects(s, p))
+                        == _ordered(real.objects(s, p)))
+        assert (len(base), base.generation) == (size, generation)
+
+
+def _triple_key(t):
+    return tuple(term.sort_key() for term in t)
+
+
+def test_view_refuses_writes_with_a_typed_error():
+    graph = Graph([(EX.a, EX.p, EX.b)])
+    view = ExtensionView(graph, TEMP, [EX.a])
+    with pytest.raises(ReadOnlyViewError):
+        view.add(EX.a, EX.p, EX.c)
+    with pytest.raises(ReadOnlyViewError):
+        view.remove(EX.a, EX.p, EX.b)
+    assert len(graph) == 1 and graph.generation == 1
+
+
+# -- the join planner cannot tell the difference -------------------------
+def _triple_patterns(group):
+    for child in group.children:
+        if isinstance(child, ast.TriplePattern):
+            yield child
+        elif isinstance(child, ast.GroupPattern):
+            yield from _triple_patterns(child)
+        elif isinstance(child, (ast.Optional_, ast.Minus)):
+            yield from _triple_patterns(child.pattern)
+        elif isinstance(child, ast.Union):
+            yield from _triple_patterns(child.left)
+            yield from _triple_patterns(child.right)
+        elif isinstance(child, ast.SubSelect):
+            yield from _triple_patterns(child.query.where)
+
+
+def _assert_same_plan(text, base, extension):
+    real = base.copy()
+    real.add_all((x, RDF.type, TEMP) for x in extension)
+    view = ExtensionView(base, TEMP, extension)
+    block = list(_triple_patterns(parse_query(text).where))
+    assert any(tp.o == TEMP for tp in block)
+    for bound in (set(), {"x"}):
+        for tp in block:
+            assert (_pattern_selectivity(tp, bound, view)
+                    == _pattern_selectivity(tp, bound, real))
+        assert plan_block(block, bound, view) == plan_block(block, bound, real)
+
+
+def test_plan_order_on_section_4_2_translations():
+    graph = invoices_graph()
+    invoices = set(graph.subjects(RDF.type, EX.Invoice))
+    for _name, query in _load_bench("bench_translation_examples").EXAMPLES:
+        _assert_same_plan(translate(query, root_class=TEMP).text,
+                          graph, invoices)
+
+
+@pytest.mark.parametrize("which", SECTION_5_1_SESSIONS)
+def test_plan_order_on_section_5_1_translations(which):
+    session = section_5_1_session(which)
+    _assert_same_plan(session.translation().text, session.graph,
+                      session.extension)
+
+
+# -- reads are read-only, so the caches hit -------------------------------
+def _pressed(graph, *clicks):
+    session = FacetedAnalyticsSession(graph, closed=True)
+    session.select_class(EX.Laptop)
+    for path, value in clicks:
+        session.select_value(path, value)
+    session.group_by((EX.manufacturer,))
+    session.measure((EX.price,), "AVG")
+    return session
+
+
+@pytest.fixture
+def closed_products():
+    return FacetedAnalyticsSession(products_graph()).graph
+
+
+def test_run_and_every_engine_op_leave_the_store_alone(closed_products):
+    graph = closed_products
+    before = fingerprint(graph)
+    session = _pressed(graph)
+    assert session.run("sparql").rows == session.run("native").rows
+    assert fingerprint(graph) == before
+
+    engine = SparqlFacetEngine(graph)
+    extension = session.extension
+    path = (session.applicable_properties()[0],)
+    for operation in (
+        lambda: engine.extension_of_temp(extension),
+        lambda: engine.joins(extension, path),
+        lambda: engine.restrict(extension, path, EX.DELL),
+        lambda: engine.restrict_to_class(extension, EX.Laptop),
+        lambda: engine.class_counts(extension),
+        lambda: engine.facet(extension, path),
+        lambda: engine.applicable_properties(extension),
+        lambda: engine.all_facets(extension),
+    ):
+        operation()
+        assert fingerprint(graph) == before
+
+
+def test_repeated_run_and_listing_are_cache_hits(closed_products):
+    session = _pressed(closed_products)
+    listing = session.all_facets()
+    first = session.run("sparql")
+    stats = session.cache_stats()
+    assert (stats["sparql"].hits, stats["sparql"].misses) == (0, 1)
+
+    assert session.run("sparql").rows == first.rows
+    assert session.all_facets() == listing
+    after = session.cache_stats()
+    assert (after["sparql"].hits, after["sparql"].misses) == (1, 1)
+    assert after["facets"].hits == stats["facets"].hits + 1
+    assert after["facets"].invalidations == after["sparql"].invalidations == 0
+
+
+def test_result_cache_counters_survive_state_changes(closed_products):
+    """Each state gets a fresh view; the counters reported for the
+    session are those of every view it built, so they never fall."""
+    session = _pressed(closed_products)
+    session.run("sparql")
+    session.run("sparql")
+    session.select_value((EX.manufacturer,), EX.DELL)
+    kept = session.cache_stats()["sparql"]
+    assert (kept.hits, kept.misses) == (1, 1)
+    session.run("sparql")
+    session.back()
+    session.run("sparql")
+    stats = session.cache_stats()["sparql"]
+    assert (stats.hits, stats.misses) == (1, 3)
+    assert stats.size == 1  # the live view's one answer
+    assert stats.maxsize == (closed_products.sparql_cache.maxsize
+                             + session._extension_view().sparql_cache.maxsize)
+    # A session that never ran the pipeline reports the store's cache.
+    assert (FacetedAnalyticsSession(closed_products, closed=True)
+            .cache_stats()["sparql"]) == closed_products.sparql_cache.stats()
+
+
+def test_a_write_between_two_runs_makes_both_caches_miss(closed_products):
+    graph = closed_products
+    session = _pressed(graph)
+    session.all_facets()
+    first = session.run("sparql")
+    graph.add(EX.laptopX, RDF.type, EX.Laptop)  # not in this extension
+    before = session.cache_stats()
+    assert session.run("sparql").rows == first.rows
+    session.all_facets()
+    after = session.cache_stats()
+    assert after["sparql"].hits == before["sparql"].hits == 0
+    assert after["facets"].hits == before["facets"].hits
+    assert after["facets"].invalidations == before["facets"].invalidations + 1
+
+
+def test_interleaved_sessions_never_share_an_answer(closed_products):
+    """Same button state, hence byte-identical query text, on one graph
+    — but different extensions: each session gets its own answer."""
+    graph = closed_products
+    dell = _pressed(graph, ((EX.manufacturer,), EX.DELL))
+    everyone = _pressed(graph)
+    assert dell.translation().text == everyone.translation().text
+    assert dell.extension < everyone.extension
+    expected = {id(s): s.run("native").rows for s in (dell, everyone)}
+    assert expected[id(dell)] != expected[id(everyone)]
+    for session in (dell, everyone, dell, everyone, everyone, dell):
+        assert session.run("sparql").rows == expected[id(session)]
+    assert graph.sparql_cache.stats().size == 0
+    for session in (dell, everyone):
+        stats = session.cache_stats()["sparql"]
+        assert (stats.hits, stats.misses) == (2, 1)

@@ -184,11 +184,19 @@ class TestIndexPruning:
         assert pi not in g._pos
         assert pi not in g.osp_ids(bi).get(ai, set())
 
-    def test_temp_extension_device_leaves_no_residue(self, products):
-        from repro.facets.sparql_backend import temp_extension
+    def test_sparql_facet_engine_never_touches_the_indexes(self, products):
+        """The temp-class queries run over a view: the store's index
+        maps, statistics, dictionary size and generation are untouched
+        — also for members the dictionary has never seen."""
+        from repro.facets.sparql_backend import SparqlFacetEngine
 
         before = _index_snapshot(products)
-        subjects = list(products.all_subjects())[:10]
-        with temp_extension(products, subjects):
-            pass
+        generation, terms = products.generation, len(products.dictionary)
+        subjects = list(products.all_subjects())[:10] + [EX.neverInterned]
+        engine = SparqlFacetEngine(products)
+        assert engine.extension_of_temp(subjects) == set(subjects)
+        engine.class_counts(subjects)
+        engine.all_facets(subjects)
         assert _index_snapshot(products) == before
+        assert products.generation == generation
+        assert len(products.dictionary) == terms

@@ -17,7 +17,6 @@ import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
-from repro.facets.sparql_backend import temp_extension
 from repro.hifun import Attribute, HifunQuery, compose
 from repro.hifun.evaluator import evaluate_hifun, evaluate_hifun_row
 from repro.rdf.graph import Graph
@@ -179,14 +178,18 @@ class TestShardStatsExactness:
         assert store.generation == generation + 3 * 2 * len(subjects)
 
     @pytest.mark.parametrize("shards", (2, 4, 7))
-    def test_temp_extension_leaves_no_shard_residue(self, shards):
+    def test_sparql_run_never_touches_a_shard(self, shards):
         store = ShardedGraph.from_graph(seeded_graph(), shards=shards)
+        session = FacetedAnalyticsSession(store, closed=True)
+        session.select_class(EX.Widget)
+        session.group_by((EX.maker,))
+        session.measure((EX.price,), "AVG")
         before = shard_stats_snapshot(store)
-        with temp_extension(store, [EX[f"item{i}"] for i in range(10)]):
-            pass
+        generation = store.generation
+        frame = session.run("sparql")
+        assert frame.rows == session.run("native").rows
         assert shard_stats_snapshot(store) == before
-        for shard in store.shards:
-            assert all(n > 0 for n in shard.pred_count.values())
+        assert store.generation == generation
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_removing_a_predicate_prunes_every_shard(self, shards):
@@ -332,6 +335,30 @@ class TestExecutorModes:
             flat_session = FacetedSession(flat)
             flat_session.select_class(EX.Widget)
             assert after == flat_session.all_facets()
+        finally:
+            store.close()
+
+
+    def test_sparql_run_keeps_the_pool(self, monkeypatch):
+        """A run on the SPARQL path is a read: the fork pool built for
+        the listing before it still serves the listing after it."""
+        monkeypatch.setenv(PARALLEL_ENV, "process")
+        store = ShardedGraph.from_graph(seeded_graph(seed=13), shards=2)
+        try:
+            executor = store.executor()
+            if not executor.active():  # pragma: no cover
+                pytest.skip("fork start method unavailable")
+            session = FacetedAnalyticsSession(store, closed=True)
+            session.select_class(EX.Widget)
+            listing = session.all_facets()
+            pool = executor._pool
+            assert pool is not None
+            session.group_by((EX.maker,))
+            session.count_items()
+            session.run("sparql")
+            session.select_range((EX.price,), ">=", Literal.of(100))
+            assert session.all_facets() != listing
+            assert executor._pool is pool
         finally:
             store.close()
 
