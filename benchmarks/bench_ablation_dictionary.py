@@ -9,8 +9,6 @@ layout on the *same* code path, and measures the interaction-critical
 workload both ways — asserting identical answers first.
 """
 
-import time
-
 import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
@@ -21,12 +19,12 @@ from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.sparql import query as sparql
 
-from conftest import format_table
+from conftest import format_table, min_alternating
 
 pytestmark = pytest.mark.smoke
 
 SIZE = 800
-ROUNDS = 3
+REPETITIONS = 5
 
 JOIN_QUERY = """
 SELECT ?l ?c WHERE {
@@ -78,23 +76,14 @@ WORKLOADS = [
 ]
 
 
-def best_of(fn, graph):
-    best = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        fn(graph)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def run_ablation():
     encoded, passthrough = build_graphs()
     rows = []
     for label, fn in WORKLOADS:
         # Identical answers first — the ablation twin is semantics-free.
         assert fn(encoded) == fn(passthrough), label
-        fast = best_of(fn, encoded)
-        slow = best_of(fn, passthrough)
+        fast, slow = min_alternating(
+            [lambda: fn(encoded), lambda: fn(passthrough)], REPETITIONS)
         rows.append((label, fast, slow))
     return rows
 
@@ -108,7 +97,8 @@ def test_dictionary_ablation(benchmark, artifact_writer):
     ]
     text = (
         "Ablation: dictionary-encoded ids vs. term-keyed indexes "
-        f"(design choice 5; {SIZE} laptops, best of {ROUNDS})\n"
+        f"(design choice 5; {SIZE} laptops, min of {REPETITIONS} "
+        "alternating repetitions)\n"
         "Graph(encoded=False) selects the PassthroughDictionary — the\n"
         "same code path with the terms themselves as 'ids'.\n\n"
     )

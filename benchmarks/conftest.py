@@ -20,6 +20,7 @@ assertions.
 """
 
 import os
+import time
 
 import pytest
 from _pytest.mark.expression import Expression
@@ -100,6 +101,20 @@ def wall_clock_bar(request):
             assert ok, message
 
     return check
+
+
+def min_alternating(sides, repetitions=5):
+    """Best wall-clock seconds of each zero-argument callable in
+    ``sides`` over ``repetitions`` rounds in which the sides take turns,
+    so a load spike on the host hits every side instead of skewing
+    their ratio — what a hard ``a <= b * k`` assert in tier-1 needs."""
+    best = [float("inf")] * len(sides)
+    for _ in range(repetitions):
+        for index, side in enumerate(sides):
+            started = time.perf_counter()
+            side()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best
 
 
 def format_table(headers, rows) -> str:

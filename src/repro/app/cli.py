@@ -235,8 +235,8 @@ class AnalyticsShell:
             for t in self.session.objects(limit)
         ]
         suffix = (
-            "" if len(self.session.extension) <= limit
-            else f" ... ({len(self.session.extension)} total)"
+            "" if len(self.session.state) <= limit
+            else f" ... ({len(self.session.state)} total)"
         )
         return ", ".join(labels) + suffix
 
@@ -245,7 +245,7 @@ class AnalyticsShell:
             raise ShellError("usage: select <class>")
         cls = self._resolve_class(args[0])
         state = self.session.select_class(cls)
-        return f"{cls.local_name()}: {len(state.extension)} objects"
+        return f"{cls.local_name()}: {len(state)} objects"
 
     def _cmd_value(self, args: List[str]) -> str:
         if len(args) != 2:
@@ -253,7 +253,7 @@ class AnalyticsShell:
         path = self._resolve_path(args[0])
         value = self._resolve_value(path, args[1])
         state = self.session.select_value(path, value)
-        return f"{state.description}: {len(state.extension)} objects"
+        return f"{state.description}: {len(state)} objects"
 
     def _cmd_expand(self, args: List[str]) -> str:
         if len(args) != 1:
@@ -268,7 +268,7 @@ class AnalyticsShell:
         path = self._resolve_path(args[0])
         literal = self._parse_literal(args[2])
         state = self.session.select_range(path, args[1], literal)
-        return f"{state.description}: {len(state.extension)} objects"
+        return f"{state.description}: {len(state)} objects"
 
     def _cmd_group(self, args: List[str]) -> str:
         if not args:
@@ -358,7 +358,7 @@ class AnalyticsShell:
         if len(args) != 1:
             raise ShellError("usage: pivot <p1/p2/...>")
         state = self.session.pivot_to(self._resolve_path(args[0]))
-        return f"{state.description}: {len(state.extension)} objects"
+        return f"{state.description}: {len(state)} objects"
 
     _FCO_FACTORIES = {
         "value": 1, "exists": 1, "count": 1, "asfeatures": 1,
@@ -456,7 +456,7 @@ class AnalyticsShell:
 
     def _cmd_back(self, args: List[str]) -> str:
         state = self.session.back()
-        return f"back to '{state.description}': {len(state.extension)} objects"
+        return f"back to '{state.description}': {len(state)} objects"
 
     def _cmd_health(self, args: List[str]) -> str:
         """health — cache counters, plus resilience counters when the

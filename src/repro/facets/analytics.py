@@ -28,6 +28,7 @@ view of the graph in which exactly the current extension has that type.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.caching import CacheStats
@@ -502,12 +503,19 @@ class FacetedAnalyticsSession(FacetedSession):
     def _analysis_domain(self):
         """The native engines' evaluation domain: the extension sorted
         by term sort key with its parallel encoded-id column, memoized
-        per (generation, state) so repeated analytics skip the sort +
-        re-encode — exactly the ``items``/``items_ids`` contract of
-        :func:`repro.hifun.evaluator.evaluate_hifun`."""
+        per (generation, state) so repeated analytics skip the sort —
+        exactly the ``items``/``items_ids`` contract of
+        :func:`repro.hifun.evaluator.evaluate_hifun`.  Built from the
+        state's ids; a member the graph never interned (a ``results=``
+        seed) has id ``None``."""
         def build():
-            terms = sorted(self.extension, key=lambda t: t.sort_key())
-            return terms, [self.graph.encode_term(t) for t in terms]
+            state = self.state
+            if state.unknown:
+                terms = sorted(state.extension, key=lambda t: t.sort_key())
+                return terms, [self.graph.encode_term(t) for t in terms]
+            decode = self.graph.decode_id
+            ids = sorted(state.ids, key=lambda i: decode(i).sort_key())
+            return [decode(i) for i in ids], ids
 
         return self._per_state("domain", build)
 
@@ -524,7 +532,10 @@ class FacetedAnalyticsSession(FacetedSession):
             if self._view is not None:
                 self._retired_views += replace(
                     self._view.sparql_cache.stats(), size=0, maxsize=0)
-            self._view = ExtensionView(self.graph, TEMP, self.extension)
+            state = self.state
+            self._view = ExtensionView(
+                self.graph, TEMP,
+                chain(map(self.graph.decode_id, state.ids), state.unknown))
             return self._view
 
         return self._per_state("view", build)

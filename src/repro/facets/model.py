@@ -15,10 +15,11 @@ Implements the formal machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Literal, Term
 from repro.facets.intentions import Intention
@@ -69,12 +70,17 @@ def restrict(graph: Graph, extension: Iterable[Term], p: PropertyRef,
 
 def restrict_to_class(graph: Graph, extension: Iterable[Term], cls: IRI) -> Set[Term]:
     """``Restrict(E, c)`` — the elements of E that are instances of c."""
+    return graph.decode_ids(
+        graph.encode_terms(extension) & _instance_ids(graph, cls))
+
+
+def _instance_ids(graph: Graph, cls: IRI) -> AbstractSet[int]:
+    """``inst(c)`` in id space: the ``rdf:type`` POS row of ``cls``."""
     type_id = graph.encode_term(RDF.type)
     cls_id = graph.encode_term(cls)
     if type_id is None or cls_id is None:
-        return set()
-    instance_ids = graph.subjects_ids(type_id, cls_id)
-    return graph.decode_ids(graph.encode_terms(extension) & instance_ids)
+        return EMPTY_IDS
+    return graph.subjects_ids(type_id, cls_id)
 
 
 def joins(graph: Graph, extension: Iterable[Term], p: PropertyRef) -> Set[Term]:
@@ -128,6 +134,40 @@ def _path_joins_ids(graph: Graph, extension_ids: Set[int],
         frontier = _joins_ids(graph, frontier, step)
         markers.append(frontier)
     return markers
+
+
+def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
+                          path: Path, value_ids: Iterable[int]) -> AbstractSet[int]:
+    """Eq. 5.1 in id space, walked *backwards*: the members of
+    ``extension_ids`` from which ``path`` reaches one of ``value_ids``.
+
+    Per step, last to first, the sources of the current targets are the
+    union of their POS rows (of their SPO rows for an inverse step,
+    whose literal sources are dropped as :func:`_joins_ids` drops
+    them); the extension enters once, as an intersection at the first
+    step.  No forward marker set is built and no member is probed —
+    the result equals :func:`restrict_by_path`'s, which stays the
+    formal definition and the tests' oracle.
+    """
+    decode = graph.decode_id
+    targets: AbstractSet[int] = frozenset(value_ids)
+    for index in range(len(path) - 1, -1, -1):
+        step = path[index]
+        prop_id = graph.encode_term(step.prop)
+        if prop_id is None or not targets:
+            return EMPTY_IDS
+        if step.inverse:
+            rows = (graph.objects_ids(t, prop_id) for t in targets)
+        else:
+            rows = (graph.subjects_ids(prop_id, t) for t in targets)
+        sources = frozenset().union(*rows)
+        if index == 0:
+            sources = sources & extension_ids
+        if step.inverse:
+            sources = frozenset(
+                n for n in sources if not isinstance(decode(n), Literal))
+        targets = sources
+    return targets
 
 
 def path_joins(graph: Graph, extension: Iterable[Term], path: Path) -> List[Set[Term]]:
@@ -289,20 +329,47 @@ class FacetError:
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
 class State:
     """An interaction state: extension + intention (§5.2.1).
 
-    States are immutable; the session builds new states on each
-    transition and keeps the history for *back* navigation.
+    The extension lives in id space for the whole life of the state:
+    ``ids`` is the frozen set of its members' dictionary ids — what
+    every transition, count and cache key works on — and ``unknown``
+    holds the members the graph never interned (seeds of a ``results=``
+    session; they match nothing but still count).  :attr:`extension`
+    decodes to Terms on first use.
+
+    A state's members never change; the session builds new states on
+    each transition and keeps the history for *back* navigation.
     """
 
-    extension: FrozenSet[Term]
-    intention: Intention
-    description: str = "initial"
+    __slots__ = ("ids", "unknown", "intention", "description", "listing",
+                 "_graph", "_extension")
+
+    def __init__(self, graph: Graph, ids: FrozenSet[int], intention: Intention,
+                 description: str = "initial",
+                 unknown: FrozenSet[Term] = frozenset()):
+        self.ids = ids
+        self.unknown = unknown
+        self.intention = intention
+        self.description = description
+        #: The session's memo of this state's facet listings in id
+        #: space (see ``FacetedSession.all_facets``) — what a child
+        #: state's listing is derived from.
+        self.listing: dict = {}
+        self._graph = graph
+        self._extension: Optional[FrozenSet[Term]] = None
+
+    @property
+    def extension(self) -> FrozenSet[Term]:
+        """The members as Terms (decoded once, on first use)."""
+        if self._extension is None:
+            self._extension = frozenset(
+                chain(map(self._graph.decode_id, self.ids), self.unknown))
+        return self._extension
 
     def __len__(self) -> int:
-        return len(self.extension)
+        return len(self.ids) + len(self.unknown)
 
     def __repr__(self):
-        return f"<State '{self.description}' |Ext|={len(self.extension)}>"
+        return f"<State '{self.description}' |Ext|={len(self)}>"

@@ -283,8 +283,8 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
     # ------------------------------------------------------------------
     # Transitions: native state machinery + virtual think time
     # ------------------------------------------------------------------
-    def _push(self, extension, intention, description):
-        state = super()._push(extension, intention, description)
+    def _push(self, ids, intention, description):
+        state = super()._push(ids, intention, description)
         self.endpoint.advance(self.think_seconds)
         return state
 

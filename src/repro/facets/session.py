@@ -30,7 +30,17 @@ methods below are shared and never depend on the endpoint.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.caching import CacheStats, GenerationCache
 from repro.rdf.graph import Graph
@@ -51,13 +61,19 @@ from repro.facets.model import (
     PropertyRef,
     State,
     ValueMarker,
+    _instance_ids,
+    _joins_ids,
     _path_joins_ids,
-    joins,
-    path_joins,
-    restrict,
-    restrict_by_path,
-    restrict_to_class,
+    _restrict_by_path_ids,
 )
+from repro.sparql.errors import ExpressionError
+from repro.sparql.functions import comparison
+
+#: One facet's rows in id space: the property id, the value ids in
+#: marker order, and whether the rows are pairwise disjoint on the
+#: extension (no member has two values) — then they are on every subset
+#: of it, where the having-the-property count is the sum of the counts.
+_FacetRows = Tuple[int, Tuple[int, ...], bool]
 
 
 class EmptyTransitionError(ValueError):
@@ -90,86 +106,59 @@ class FacetedSession:
         self.schema = SchemaView(graph, closed=closed)
         self.graph = self.schema.graph
         # Generation-stamped cache for facet counts / class markers /
-        # applicable properties / the individuals pool: keyed on
-        # (operation, extension, ...), stamped with the graph generation,
-        # so any mutation invalidates, and *back* navigation re-serves
-        # earlier states for free.  Built before the initial state, which
-        # already wants the memoized individuals.
+        # applicable properties: keyed on (operation, extension ids,
+        # ...), stamped with the graph generation, so any mutation
+        # invalidates, and *back* navigation re-serves earlier states
+        # for free.
         self._facet_cache = GenerationCache(maxsize=512, name="facet-counts")
-        # Generation-stamped memo for the individuals pool.  A private
-        # slot, not a _facet_cache entry: the facet cache's invariant is
-        # "only fresh *facet* values, nothing else" — tests assert it
-        # stays empty when every count degrades.
-        self._individuals_memo: Optional[Tuple[int, FrozenSet[Term]]] = None
-        # Derived forms of the current extension (its id-space encoding;
-        # subclasses add theirs), memoized per (generation, state):
-        # _per_state.
-        self._state_memo: Tuple[int, Optional[FrozenSet[Term]], Dict[str, object]] = (
+        # Derived forms of the current extension (subclasses add
+        # theirs), memoized per (generation, state): _per_state.
+        self._state_memo: Tuple[int, Optional[FrozenSet[int]], Dict[str, object]] = (
             -1, None, {})
+        graph = self.graph
         if results is not None:
             seeds = frozenset(results)
             intention = Intention(seeds=tuple(sorted(seeds, key=lambda t: t.sort_key())))
-            initial = State(seeds, intention, "results")
+            ids = frozenset(graph.encode_terms(seeds))
+            unknown = frozenset(
+                t for t in seeds if graph.encode_term(t) is None
+            ) if len(ids) < len(seeds) else frozenset()
+            initial = State(graph, ids, intention, "results", unknown)
         else:
-            initial = State(self._individuals(), Intention(), "initial")
+            initial = State(graph, self._individual_ids(), Intention())
         self._history: List[State] = [initial]
 
-    def _individuals(self) -> FrozenSet[Term]:
-        """Every typed subject that is not a class or a property.
-
-        Computed at the id level — the subject sets of the ``rdf:type``
-        POS row, minus the subjects typed as classes or properties — and
-        memoized per graph generation (restart-from-scratch transitions
-        and AF reloads re-ask for this constantly)."""
+    def _individual_ids(self) -> FrozenSet[int]:
+        """Every typed subject that is not a class or a property, in id
+        space: the union of the subject sets of the ``rdf:type`` POS
+        row, minus the subjects typed as classes or properties."""
         graph = self.graph
-        generation = graph.generation
-        memo = self._individuals_memo
-        if memo is not None and memo[0] == generation:
-            return memo[1]
-        subject_ids: Set[int] = set()
         type_id = graph.encode_term(RDF.type)
-        if type_id is not None:
-            for ids in graph.pos_ids(type_id).values():
-                subject_ids |= ids
-            for special in (RDFS.Class, RDF.Property):
-                special_id = graph.encode_term(special)
-                if special_id is not None:
-                    subject_ids -= graph.subjects_ids(type_id, special_id)
-        individuals = frozenset(graph.decode_ids(subject_ids))
-        self._individuals_memo = (generation, individuals)
-        return individuals
+        if type_id is None:
+            return frozenset()
+        subject_ids = set().union(*graph.pos_ids(type_id).values())
+        for special in (RDFS.Class, RDF.Property):
+            special_id = graph.encode_term(special)
+            if special_id is not None:
+                subject_ids -= graph.subjects_ids(type_id, special_id)
+        return frozenset(subject_ids)
 
     def _per_state(self, name: str, build):
         """``build()``, memoized under ``name`` per (generation, state).
 
         Dictionary ids are append-only, so within one generation a
         derived form of the extension can only be recomputed to the same
-        answer; a new state carries a new extension frozenset (compared
-        by identity — states reuse their frozensets), and any mutation
-        invalidates conservatively.
+        answer; a new state carries a new id set (compared by identity),
+        and any mutation invalidates conservatively.
         """
-        generation, extension = self.graph.generation, self.extension
+        generation, ids = self.graph.generation, self.state.ids
         memo = self._state_memo
-        if memo[0] != generation or memo[1] is not extension:
-            memo = self._state_memo = (generation, extension, {})
+        if memo[0] != generation or memo[1] is not ids:
+            memo = self._state_memo = (generation, ids, {})
         derived = memo[2]
         if name not in derived:
             derived[name] = build()
         return derived[name]
-
-    def _extension_ids(self) -> FrozenSet[int]:
-        """The current extension in id space with literals dropped —
-        the shard kernels' scan input.  At the million-triple scale the
-        re-encode dominates the scan itself, hence once per state."""
-        def build():
-            decode = self.graph.decode_id
-            return frozenset(
-                eid
-                for eid in self.graph.encode_terms(self.extension)
-                if not isinstance(decode(eid), Literal)
-            )
-
-        return self._per_state("ids", build)
 
     # ------------------------------------------------------------------
     # State access
@@ -207,13 +196,13 @@ class FacetedSession:
             self._history.pop()
         return self.state
 
-    def _push(self, extension: Set[Term], intention: Intention,
+    def _push(self, ids: AbstractSet[int], intention: Intention,
               description: str) -> State:
-        if not extension:
+        if not ids:
             raise EmptyTransitionError(
                 f"transition '{description}' would produce an empty result"
             )
-        state = State(frozenset(extension), intention, description)
+        state = State(self.graph, frozenset(ids), intention, description)
         self._history.append(state)
         return state
 
@@ -224,25 +213,20 @@ class FacetedSession:
         """Top-level class markers; ``expanded`` unfolds the hierarchy
         (reflexive-transitive reduction, Fig. 5.4 b).
 
-        Counts are id-level intersections of the (once-encoded)
-        extension with the POS index rows of ``rdf:type``; results are
-        served from the generation-stamped cache on repeat.
+        Counts are intersections of the extension's id set with the
+        POS index rows of ``rdf:type``; results are served from the
+        generation-stamped cache on repeat.
         """
-        key = ("classes", self.extension, expanded)
+        extension_ids = self.state.ids
+        key = ("classes", extension_ids, expanded)
         generation = self.graph.generation
         cached = self._facet_cache.get(key, generation, default=None)
         if cached is not None:
             return list(cached)
         graph = self.graph
-        extension_ids = graph.encode_terms(self.extension)
-        type_id = graph.encode_term(RDF.type)
 
         def build(cls: IRI, depth: bool) -> Optional[ClassMarker]:
-            cls_id = graph.encode_term(cls)
-            count = 0
-            if type_id is not None and cls_id is not None:
-                instances = graph.subjects_ids(type_id, cls_id)
-                count = len(extension_ids & instances)
+            count = len(extension_ids & _instance_ids(graph, cls))
             if not count:
                 return None
             children: Tuple[ClassMarker, ...] = ()
@@ -268,9 +252,9 @@ class FacetedSession:
 
     def select_class(self, cls: IRI) -> State:
         """Click a class marker: extension becomes ``Restrict(E, c)``."""
-        extension = restrict_to_class(self.graph, self.extension, cls)
+        ids = self.state.ids & _instance_ids(self.graph, cls)
         intention = self.state.intention.with_class(cls)
-        return self._push(extension, intention, f"class {cls.local_name()}")
+        return self._push(ids, intention, f"class {cls.local_name()}")
 
     # ------------------------------------------------------------------
     # Property-based transitions (§5.4.4)
@@ -286,7 +270,8 @@ class FacetedSession:
         the extension at the id level and decodes each distinct
         predicate once; repeats come from the generation-stamped cache.
         """
-        key = ("props", self.extension, include_inverse)
+        extension_ids = self.state.ids
+        key = ("props", extension_ids, include_inverse)
         generation = self.graph.generation
         cached = self._facet_cache.get(key, generation, default=None)
         if cached is not None:
@@ -295,7 +280,7 @@ class FacetedSession:
         decode = graph.decode_id
         forward_ids: Set[int] = set()
         inverse_ids: Set[int] = set()
-        for eid in graph.encode_terms(self.extension):
+        for eid in extension_ids:
             forward_ids.update(graph.spo_ids(eid).keys())
             if include_inverse and not isinstance(decode(eid), Literal):
                 for preds in graph.osp_ids(eid).values():
@@ -319,22 +304,94 @@ class FacetedSession:
         return self.all_facets(include_inverse)
 
     def all_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
-        """Every applicable property's facet from ONE shared scan.
+        """Every applicable property's facet, from the nearest listed
+        ancestor when there is one and from ONE shared scan otherwise.
 
-        Computing the left frame facet-by-facet walks the extension once
-        per property (N scans); this pivots property-major over the POS
-        index instead: for each predicate, every value row is one set
-        intersection ``extension ∩ subjects`` — the count of that value
-        marker — executed at C speed, with the union of the intersections
-        giving the having-the-property count.  The per-property results
-        are identical to :meth:`facet` (the equivalence tests assert it)
-        and are seeded into the generation-stamped cache under the same
-        keys, so subsequent single-facet and listing requests are O(1)."""
-        key = ("all-facets", self.extension, include_inverse)
+        Every click restricts the current extension, so a state's
+        non-empty ``(property, value)`` rows are among those of any
+        state in the history whose id set is a superset.  When such a
+        state was listed in this generation, only the rows of *its*
+        listing are re-counted (:meth:`_recount`); otherwise the whole
+        POS index is scanned (:meth:`_scan`).  Either way the
+        per-property results are identical to :meth:`facet` (the
+        equivalence tests assert it) and are seeded into the
+        generation-stamped cache under the same keys, so subsequent
+        single-facet and listing requests are O(1)."""
+        state = self.state
+        key = ("all-facets", state.ids, include_inverse)
         generation = self.graph.generation
         cached = self._facet_cache.get(key, generation, default=None)
         if cached is not None:
             return list(cached)
+        ids = state.ids
+        if include_inverse:
+            # A literal member is the source of no inverse edge (as in
+            # _compute_facet); forward rows hold no literal subject.
+            decode = self.graph.decode_id
+            ids = frozenset(
+                i for i in ids if not isinstance(decode(i), Literal))
+        for ancestor in reversed(self._history):
+            listed = ancestor.listing.get(include_inverse)
+            if (listed is not None and listed[0] == generation
+                    and ancestor.ids >= state.ids):
+                facets, rows = self._recount(ids, listed[1], listed[2])
+                break
+        else:
+            facets, rows = self._scan(ids, include_inverse)
+        state.listing[include_inverse] = (generation, facets, rows)
+        for facet in facets:
+            self._facet_cache.put(("facet", state.ids, facet.path),
+                                  generation, facet)
+        self._facet_cache.put(
+            ("props", state.ids, include_inverse),
+            generation, tuple(facet.prop for facet in facets),
+        )
+        self._facet_cache.put(key, generation, facets)
+        return list(facets)
+
+    def _recount(
+        self, ids: FrozenSet[int], listed: Tuple[PropertyFacet, ...],
+        listed_rows: Tuple[_FacetRows, ...],
+    ) -> Tuple[Tuple[PropertyFacet, ...], Tuple[_FacetRows, ...]]:
+        """The listing of ``ids`` out of a superset's: one intersection
+        ``ids ∩ row`` per listed marker, in the listing's order — the
+        markers that stay non-empty are the new listing, already sorted
+        and already decoded."""
+        subjects_ids, objects_ids = self.graph.subjects_ids, self.graph.objects_ids
+        facets: List[PropertyFacet] = []
+        rows: List[_FacetRows] = []
+        for facet, (prop_id, value_ids, disjoint) in zip(listed, listed_rows):
+            inverse = facet.prop.inverse
+            markers: List[ValueMarker] = []
+            kept: List[int] = []
+            total = 0
+            havers: Set[int] = set()
+            for marker, value_id in zip(facet.values, value_ids):
+                members = ids & (objects_ids(value_id, prop_id) if inverse
+                                 else subjects_ids(prop_id, value_id))
+                if members:
+                    count = len(members)
+                    markers.append(marker if count == marker.count
+                                   else ValueMarker(marker.value, count))
+                    kept.append(value_id)
+                    total += count
+                    if not disjoint:
+                        havers |= members
+            if markers:
+                having = total if disjoint else len(havers)
+                facets.append(PropertyFacet(
+                    path=facet.path, count=having, values=tuple(markers)))
+                rows.append((prop_id, tuple(kept), having == total))
+        return tuple(facets), tuple(rows)
+
+    def _scan(
+        self, ids: FrozenSet[int], include_inverse: bool,
+    ) -> Tuple[Tuple[PropertyFacet, ...], Tuple[_FacetRows, ...]]:
+        """The listing of ``ids`` from one property-major pass over the
+        POS index: for each predicate, every value row is one set
+        intersection ``ids ∩ subjects`` — the count of that value
+        marker — executed at C speed, with the union of the
+        intersections giving the having-the-property count."""
         graph = self.graph
         decode = graph.decode_id
         schema_ids = {
@@ -348,21 +405,12 @@ class FacetedSession:
         having: Dict[Tuple[int, bool], int]
         if graph.num_shards > 1:
             # The sharded plane: per-shard kernels over the POS slices
-            # (fanned out across workers when the executor is active),
-            # fed the memoized id-space extension.  Merged counters are
-            # byte-identical to the flat scan below — the shard
-            # invariance tests pin it.
+            # (fanned out across workers when the executor is active).
+            # Merged counters are byte-identical to the flat scan below
+            # — the shard invariance tests pin it.
             counters, having = graph.facet_counts(
-                self._extension_ids(), schema_ids, include_inverse)
+                ids, schema_ids, include_inverse)
         else:
-            # Literal members contribute to no facet (they have no
-            # forward edges, and _compute_facet skips them for inverse
-            # ones too).
-            ext_set = {
-                eid
-                for eid in graph.encode_terms(self.extension)
-                if not isinstance(decode(eid), Literal)
-            }
             counters = {}
             having = {}
             for pid in graph.all_predicate_ids():
@@ -372,7 +420,7 @@ class FacetedSession:
                 counter: Dict[int, int] = {}
                 havers: Set[int] = set()
                 for value_id, subjects in rows.items():
-                    members = ext_set & subjects
+                    members = ids & subjects
                     if members:
                         counter[value_id] = len(members)
                         havers |= members
@@ -383,7 +431,7 @@ class FacetedSession:
                     counter = {}
                     with_property = 0
                     for value_id, subjects in rows.items():
-                        if value_id in ext_set:
+                        if value_id in ids:
                             with_property += 1
                             for sid in subjects:
                                 counter[sid] = counter.get(sid, 0) + 1
@@ -391,7 +439,8 @@ class FacetedSession:
                         counters[(pid, True)] = counter
                         having[(pid, True)] = with_property
         # Decode each property once, drop non-IRI predicates, order like
-        # applicable_properties, and materialize the facets.
+        # applicable_properties, and materialize the facets — keeping
+        # each facet's value ids in marker order for the descendants.
         refs: List[Tuple[PropertyRef, Tuple[int, bool]]] = []
         for slot in counters:
             prop = decode(slot[0])
@@ -399,23 +448,18 @@ class FacetedSession:
                 refs.append((PropertyRef(prop, inverse=slot[1]), slot))
         refs.sort(key=lambda pair: (pair[0].prop.sort_key(), pair[0].inverse))
         facets: List[PropertyFacet] = []
+        facet_rows: List[_FacetRows] = []
         for ref, slot in refs:
-            markers = [
-                ValueMarker(decode(vid), count)
-                for vid, count in counters[slot].items()
-            ]
-            markers.sort(key=lambda marker: marker.value.sort_key())
-            facet = PropertyFacet(
-                path=(ref,), count=having[slot], values=tuple(markers))
-            facets.append(facet)
-            self._facet_cache.put(("facet", self.extension, (ref,)),
-                                  generation, facet)
-        self._facet_cache.put(
-            ("props", self.extension, include_inverse),
-            generation, tuple(ref for ref, _ in refs),
-        )
-        self._facet_cache.put(key, generation, tuple(facets))
-        return facets
+            counter = counters[slot]
+            values = sorted(((decode(vid), vid) for vid in counter),
+                            key=lambda pair: pair[0].sort_key())
+            facets.append(PropertyFacet(
+                path=(ref,), count=having[slot],
+                values=tuple(ValueMarker(value, counter[vid])
+                             for value, vid in values)))
+            facet_rows.append((slot[0], tuple(vid for _, vid in values),
+                               having[slot] == sum(counter.values())))
+        return tuple(facets), tuple(facet_rows)
 
     def facet(self, path) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).
@@ -429,7 +473,7 @@ class FacetedSession:
         requests are served from the generation-stamped cache.
         """
         path = self._normalize_path(path)
-        key = ("facet", self.extension, path)
+        key = ("facet", self.state.ids, path)
         generation = self.graph.generation
         cached = self._facet_cache.get(key, generation, default=None)
         if cached is not None:
@@ -440,7 +484,7 @@ class FacetedSession:
 
     def _compute_facet(self, path: Path) -> PropertyFacet:
         graph = self.graph
-        extension_ids = graph.encode_terms(self.extension)
+        extension_ids = self.state.ids
         previous = (
             extension_ids if len(path) == 1
             else _path_joins_ids(graph, extension_ids, path[:-1])[-1]
@@ -525,46 +569,54 @@ class FacetedSession:
     def select_value(self, path, value: Term) -> State:
         """Click a value marker at the end of ``path`` (Eq. 5.1)."""
         path = self._normalize_path(path)
-        extension = restrict_by_path(self.graph, self.extension, path, value)
+        ids = _restrict_by_path_ids(
+            self.graph, self.state.ids, path, self.graph.encode_terms((value,)))
         intention = self.state.intention.with_condition(
             PathValueCondition(path, value)
         )
         label = value.local_name() if isinstance(value, IRI) else str(value)
         description = f"{'/'.join(s.name for s in path)} = {label}"
-        return self._push(extension, intention, description)
+        return self._push(ids, intention, description)
 
     def select_values(self, path, values: Iterable[Term]) -> State:
         """Click several values of the same facet (disjunctive selection)."""
         path = self._normalize_path(path)
         values = set(values)
-        extension: Set[Term] = set()
-        for value in values:
-            extension |= restrict_by_path(self.graph, self.extension, path, value)
+        ids = _restrict_by_path_ids(
+            self.graph, self.state.ids, path, self.graph.encode_terms(values))
         intention = self.state.intention.with_condition(
             PathValueSetCondition(path, tuple(sorted(values, key=lambda t: t.sort_key())))
         )
         description = f"{'/'.join(s.name for s in path)} in {{{len(values)} values}}"
-        return self._push(extension, intention, description)
+        return self._push(ids, intention, description)
 
     def select_range(self, path, comparator: str, value: Literal) -> State:
         """Apply a range filter on a (numeric/date) facet (Example 3)."""
         path = self._normalize_path(path)
-        marker_sets = path_joins(self.graph, self.extension, path)
-        matching = {
-            v
-            for v in marker_sets[-1]
-            if _literal_passes(v, comparator, value)
-        }
-        extension = (
-            restrict_by_path(self.graph, self.extension, path, matching)
-            if matching
-            else set()
-        )
+        graph = self.graph
+        # Every value the last step can end at — its POS row keys, a
+        # superset of the path's marker set that the restriction cuts
+        # back to it — tested against the bound (parsed once; a pair
+        # SPARQL cannot compare does not pass).
+        last = path[-1]
+        prop_id = graph.encode_term(last.prop)
+        rows = graph.pos_ids(prop_id) if prop_id is not None else {}
+        candidates = frozenset().union(*rows.values()) if last.inverse else rows
+        passes = comparison(comparator, value)
+        decode = graph.decode_id
+        matching: List[int] = []
+        for value_id in candidates:
+            try:
+                if passes(decode(value_id)):
+                    matching.append(value_id)
+            except ExpressionError:
+                pass
+        ids = _restrict_by_path_ids(graph, self.state.ids, path, matching)
         intention = self.state.intention.with_condition(
             PathRangeCondition(path, comparator, value)
         )
         description = f"{'/'.join(s.name for s in path)} {comparator} {value}"
-        return self._push(extension, intention, description)
+        return self._push(ids, intention, description)
 
     def pivot_to(self, path) -> State:
         """Switch entity type (§5.2.1 differentiator iii): the new
@@ -572,12 +624,12 @@ class FacetedSession:
         laptops to *their manufacturers* and keep exploring from there.
         """
         path = self._normalize_path(path)
-        extension: Set[Term] = set(self.extension)
+        ids: AbstractSet[int] = self.state.ids
         for step in path:
-            extension = joins(self.graph, extension, step)
+            ids = _joins_ids(self.graph, ids, step)
         intention = self.state.intention.with_pivot(path)
         description = "pivot to " + "/".join(s.name for s in path)
-        return self._push(extension, intention, description)
+        return self._push(ids, intention, description)
 
     def select_interval(self, path, low: Literal, high: Literal) -> State:
         """Apply a closed interval filter (``low ≤ value ≤ high``)."""
@@ -606,13 +658,3 @@ class FacetedSession:
         if isinstance(step, IRI):
             return PropertyRef(step)
         raise TypeError(f"cannot use {step!r} as a property path step")
-
-
-def _literal_passes(term: Term, comparator: str, value: Literal) -> bool:
-    from repro.sparql.errors import ExpressionError
-    from repro.sparql.functions import compare
-
-    try:
-        return compare(comparator, term, value)
-    except ExpressionError:
-        return False

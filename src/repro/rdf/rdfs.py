@@ -139,10 +139,15 @@ class SchemaView:
     # -- classes -------------------------------------------------------
     def classes(self) -> Set[Term]:
         """All classes: declared, used in typing, or in subclass axioms."""
-        result: Set[Term] = set(self.graph.subjects(_TYPE, _CLASS))
-        result.update(self.graph.objects(None, _TYPE))
-        result.update(self.graph.subjects(_SUBCLASS, None))
-        result.update(self.graph.objects(None, _SUBCLASS))
+        graph = self.graph
+        result: Set[Term] = set(graph.subjects(_TYPE, _CLASS))
+        # The classes used in typing are the keys of the rdf:type POS
+        # row — read without decoding a single type triple.
+        type_id = graph.encode_term(_TYPE)
+        if type_id is not None:
+            result.update(graph.decode_ids(graph.pos_ids(type_id).keys()))
+        result.update(graph.subjects(_SUBCLASS, None))
+        result.update(graph.objects(None, _SUBCLASS))
         result.discard(_CLASS)
         result.discard(_PROPERTY)
         return {c for c in result if isinstance(c, IRI)}

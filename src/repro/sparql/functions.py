@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import operator
 import re
 from decimal import Decimal
 from typing import Callable, Dict, List, Optional
@@ -81,24 +82,29 @@ def wrap_number(value) -> Literal:
 def _comparable_pair(a: Term, b: Term):
     """Native value pair for an order comparison, or raise ExpressionError."""
     if isinstance(a, Literal) and isinstance(b, Literal):
-        va, vb = a.to_python(), b.to_python()
-        if isinstance(va, bool) or isinstance(vb, bool):
-            if isinstance(va, bool) and isinstance(vb, bool):
-                return va, vb
-            raise ExpressionError("boolean compared with non-boolean")
-        if isinstance(va, (int, float, Decimal)) and isinstance(vb, (int, float, Decimal)):
-            return float(va), float(vb)
-        if isinstance(va, _dt.datetime) and isinstance(vb, _dt.datetime):
-            return _naive(va), _naive(vb)
-        if isinstance(va, _dt.datetime) and isinstance(vb, _dt.date):
-            return _naive(va), _dt.datetime.combine(vb, _dt.time())
-        if isinstance(va, _dt.date) and isinstance(vb, _dt.datetime):
-            return _dt.datetime.combine(va, _dt.time()), _naive(vb)
-        if isinstance(va, _dt.date) and isinstance(vb, _dt.date):
-            return va, vb
-        if isinstance(va, str) and isinstance(vb, str):
-            return va, vb
+        return _comparable_values(a.to_python(), b.to_python())
     raise ExpressionError(f"cannot order-compare {a!r} and {b!r}")
+
+
+def _comparable_values(va, vb):
+    """:func:`_comparable_pair` on the literals' native values."""
+    if isinstance(va, bool) or isinstance(vb, bool):
+        if isinstance(va, bool) and isinstance(vb, bool):
+            return va, vb
+        raise ExpressionError("boolean compared with non-boolean")
+    if isinstance(va, (int, float, Decimal)) and isinstance(vb, (int, float, Decimal)):
+        return float(va), float(vb)
+    if isinstance(va, _dt.datetime) and isinstance(vb, _dt.datetime):
+        return _naive(va), _naive(vb)
+    if isinstance(va, _dt.datetime) and isinstance(vb, _dt.date):
+        return _naive(va), _dt.datetime.combine(vb, _dt.time())
+    if isinstance(va, _dt.date) and isinstance(vb, _dt.datetime):
+        return _dt.datetime.combine(va, _dt.time()), _naive(vb)
+    if isinstance(va, _dt.date) and isinstance(vb, _dt.date):
+        return va, vb
+    if isinstance(va, str) and isinstance(vb, str):
+        return va, vb
+    raise ExpressionError(f"cannot order-compare {va!r} and {vb!r}")
 
 
 def _naive(value: _dt.datetime) -> _dt.datetime:
@@ -118,21 +124,38 @@ def equals(a: Term, b: Term) -> bool:
     return False
 
 
+_ORDER_TESTS = {"<": operator.lt, ">": operator.gt,
+                "<=": operator.le, ">=": operator.ge}
+
+
 def compare(op: str, a: Term, b: Term) -> bool:
     if op == "=":
         return equals(a, b)
     if op == "!=":
         return not equals(a, b)
     va, vb = _comparable_pair(a, b)
-    if op == "<":
-        return va < vb
-    if op == ">":
-        return va > vb
-    if op == "<=":
-        return va <= vb
-    if op == ">=":
-        return va >= vb
-    raise ExpressionError(f"unknown comparison operator {op!r}")
+    test = _ORDER_TESTS.get(op)
+    if test is None:
+        raise ExpressionError(f"unknown comparison operator {op!r}")
+    return test(va, vb)
+
+
+def comparison(op: str, b: Term) -> Callable[[Term], bool]:
+    """``lambda a: compare(op, a, b)`` with ``b`` parsed once — for
+    testing many terms against one bound.  Verdicts and errors are
+    :func:`compare`'s, raised when the predicate is called."""
+    test = _ORDER_TESTS.get(op)
+    if test is None or not isinstance(b, Literal):
+        return lambda a: compare(op, a, b)
+    vb = b.to_python()
+
+    def passes(a: Term) -> bool:
+        if not isinstance(a, Literal):
+            raise ExpressionError(f"cannot order-compare {a!r} and {b!r}")
+        va, wb = _comparable_values(a.to_python(), vb)
+        return test(va, wb)
+
+    return passes
 
 
 def arithmetic(op: str, a: Term, b: Term) -> Literal:

@@ -1,0 +1,418 @@
+"""Id-space session states: every click is set algebra on the indexes,
+and a child state's listing is derived from its nearest listed ancestor.
+
+Two contracts, on random ragged graphs over the flat store, 2 and 4
+shards and ``Graph(encoded=False)``.  (1) Every transition yields the
+extension the Term-level §5.3.1 operations (``restrict_by_path`` /
+``restrict_to_class`` / ``joins`` — the formal definitions, kept as the
+oracle) give, and raises ``EmptyTransitionError`` exactly when theirs is
+empty.  (2) A listing derived from an ancestor's equals the full scan of
+a fresh session and the per-path ``facet()``, and an ancestor's order is
+never used across a mutation or for a state that is not its subset.
+"""
+
+import datetime
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.app import AnalyticsShell
+from repro.datasets import products_graph
+from repro.facets import FacetedAnalyticsSession, FacetedSession
+from repro.facets.model import (
+    PropertyRef,
+    joins,
+    path_joins,
+    restrict_by_path,
+    restrict_to_class,
+)
+from repro.facets.session import EmptyTransitionError
+from repro.rdf.graph import Graph
+from repro.rdf.namespace import EX, RDF, RDFS
+from repro.rdf.rdfs import SchemaView
+from repro.rdf.sharding import ShardedGraph
+from repro.rdf.terms import XSD_GYEAR, BNode, Literal
+from repro.sparql.errors import ExpressionError
+from repro.sparql.functions import compare, comparison
+
+_NODES = [EX.term(f"n{i}") for i in range(5)] + [BNode("b0")]
+_CLASSES = [EX.Thing, EX.Other]
+_NUMBERS = [Literal.of(n) for n in (1, 2, 3, 5)]
+_LITERALS = _NUMBERS + [Literal.of("one"), Literal.of(2.5)]
+_UNSEEN = [EX.neverInterned, Literal.of("never interned")]
+_STEPS = [PropertyRef(p, inverse) for p in (EX.p, EX.q, EX.r)
+          for inverse in (False, True)] + [PropertyRef(EX.unused)]
+
+# Ragged: any node may miss a property or have several values of it.
+_triples = st.lists(st.one_of(
+    st.tuples(st.sampled_from(_NODES), st.sampled_from([EX.p, EX.q]),
+              st.sampled_from(_NODES)),
+    st.tuples(st.sampled_from(_NODES), st.sampled_from([EX.q, EX.r]),
+              st.sampled_from(_LITERALS)),
+    st.tuples(st.sampled_from(_NODES), st.just(RDF.type),
+              st.sampled_from(_CLASSES)),
+), min_size=8, max_size=40)
+_COMPARATORS = ["<", "<=", ">", ">=", "=", "!=", "~"]
+_seeds = st.one_of(
+    st.none(), st.sets(st.sampled_from(_NODES + _LITERALS + _UNSEEN), min_size=1))
+
+
+@st.composite
+def _scripts(draw):
+    """``(triples, seeds, actions)`` with every action drawn against the
+    state it applies to: paths mostly follow steps that lead somewhere
+    and clicked values mostly come from the markers the path ends at
+    (so transitions land), sometimes from anywhere (so some would empty
+    the extension)."""
+    triples = draw(_triples)
+    seeds = draw(_seeds)
+    graph = Graph(triples)
+    extension = set(FacetedSession(graph, results=seeds, closed=True).extension)
+    history, actions = [extension], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(
+            ["class", "value", "values", "range", "interval", "pivot", "back"]))
+        if kind == "back":
+            action = ("back",)
+        elif kind == "class":
+            action = (kind, draw(st.sampled_from(_CLASSES + [EX.NoSuchClass])))
+        else:
+            path, markers = [], history[-1]
+            for _ in range(draw(st.integers(1, 3))):
+                live = [s for s in _STEPS if joins(graph, markers, s)]
+                path.append(draw(st.sampled_from(live + live + _STEPS)))
+                markers = joins(graph, markers, path[-1])
+            path = tuple(path)
+            value = st.sampled_from(
+                4 * sorted(markers, key=lambda t: t.sort_key())
+                + _NODES + _LITERALS + _UNSEEN)
+            if kind == "value":
+                action = (kind, path, draw(value))
+            elif kind == "values":
+                action = (kind, path, draw(st.sets(value, max_size=3)))
+            elif kind == "range":
+                action = (kind, path, draw(st.sampled_from(_COMPARATORS)),
+                          draw(st.sampled_from(_LITERALS)))
+            elif kind == "interval":
+                action = (kind, path, draw(st.sampled_from(_NUMBERS)),
+                          draw(st.sampled_from(_NUMBERS)))
+            else:
+                action = (kind, path)
+        actions.append(action)
+        if kind == "back":
+            if len(history) > 1:
+                history.pop()
+        else:
+            pushed = _oracle(graph, history[-1], action)
+            if all(pushed):
+                history.extend(pushed)
+    return triples, seeds, actions
+
+
+def _stores(triples):
+    flat = Graph(triples)
+    yield flat
+    for shards in (2, 4):
+        yield ShardedGraph.from_graph(flat, shards=shards)
+    yield Graph(triples, encoded=False)
+
+
+def _range_oracle(graph, extension, path, comparator, bound):
+    def passes(term):
+        try:
+            return compare(comparator, term, bound)
+        except ExpressionError:
+            return False
+
+    matching = {v for v in path_joins(graph, extension, path)[-1] if passes(v)}
+    return restrict_by_path(graph, extension, path, matching) if matching else set()
+
+
+def _oracle(graph, extension, action):
+    """The extension(s) the Term-level operations give for ``action``:
+    one per state the transition pushes."""
+    kind = action[0]
+    if kind == "class":
+        return [restrict_to_class(graph, extension, action[1])]
+    if kind == "value":
+        return [restrict_by_path(graph, extension, action[1], action[2])]
+    if kind == "values":
+        out = set()
+        for value in action[2]:
+            out |= restrict_by_path(graph, extension, action[1], value)
+        return [out]
+    if kind == "range":
+        return [_range_oracle(graph, extension, *action[1:])]
+    if kind == "interval":
+        low = _range_oracle(graph, extension, action[1], ">=", action[2])
+        return [low, _range_oracle(graph, low, action[1], "<=", action[3])]
+    assert kind == "pivot"
+    for step in action[1]:
+        extension = joins(graph, extension, step)
+    return [extension]
+
+
+def _apply(session, action):
+    kind = action[0]
+    return {
+        "class": session.select_class, "value": session.select_value,
+        "values": session.select_values, "range": session.select_range,
+        "interval": session.select_interval, "pivot": session.pivot_to,
+    }[kind](*action[1:])
+
+
+# -- (1) transitions ≡ the Term-level oracle ------------------------------
+@given(_scripts())
+@settings(max_examples=150, deadline=None)
+def test_every_transition_equals_the_term_level_oracle(script):
+    triples, seeds, actions = script
+    for graph in _stores(triples):
+        session = FacetedSession(graph, results=seeds, closed=True)
+        if seeds is not None:
+            assert session.extension == seeds
+            assert len(session.state) == len(session.objects()) == len(seeds)
+        for action in actions:
+            before = session.history()
+            if action[0] == "back":
+                session.back()
+                assert session.history() == (before[:-1] or before)
+                continue
+            expected = _oracle(graph, before[-1].extension, action)
+            if all(expected):
+                state = _apply(session, action)
+                assert state is session.state
+                assert state.extension == expected[-1]
+                assert len(state) == len(expected[-1])
+                assert len(session.history()) == len(before) + len(expected)
+            else:
+                with pytest.raises(EmptyTransitionError):
+                    _apply(session, action)
+                assert session.history() == before
+
+
+# -- (2) derived listings ≡ full scan ≡ per-path facet() -------------------
+def _spy_recount(session):
+    """Count the listings ``session`` derives from an ancestor."""
+    calls = []
+    recount = session._recount
+
+    def spy(*args):
+        calls.append(args)
+        return recount(*args)
+
+    session._recount = spy
+    return calls
+
+
+def _assert_listing(session, include_inverse):
+    """The session's listing equals a fresh session's full scan and its
+    per-path facets; returns it."""
+    graph = session.graph
+    got = session.all_facets(include_inverse)
+    fresh = FacetedSession(graph, results=session.extension, closed=True)
+    assert not _spy_recount(fresh) and got == fresh.all_facets(include_inverse)
+    single = FacetedSession(graph, results=session.extension, closed=True)
+    assert got == [single.facet(facet.path) for facet in got]
+    assert [f.prop for f in got] == single.applicable_properties(include_inverse)
+    return got
+
+
+@given(_scripts(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_derived_listing_equals_full_scan_and_per_path_facets(
+        script, include_inverse):
+    triples, seeds, actions = script
+    for graph in _stores(triples):
+        session = FacetedSession(graph, results=seeds, closed=True)
+        derived = _spy_recount(session)
+        _assert_listing(session, include_inverse)
+        listed = {session.state.ids}
+        for action in actions:
+            if action[0] == "back":
+                session.back()
+            else:
+                try:
+                    _apply(session, action)
+                except EmptyTransitionError:
+                    continue
+            # The one rule: an id set listed before is a cache hit; else
+            # a listed superset in the history is derived from; else the
+            # full scan runs.
+            ids = session.state.ids
+            expected = len(derived) + int(ids not in listed and any(
+                include_inverse in a.listing and a.ids >= ids
+                for a in session.history()[:-1]))
+            _assert_listing(session, include_inverse)
+            assert len(derived) == expected
+            listed.add(ids)
+        # every state on the way back is a cache hit or a derivation,
+        # and equal to the full scan either way
+        while len(session.history()) > 1:
+            session.back()
+            _assert_listing(session, include_inverse)
+
+
+def test_interval_child_derives_from_the_listed_grandparent():
+    session = FacetedSession(products_graph())
+    session.select_class(EX.Laptop)
+    session.all_facets()
+    derived = _spy_recount(session)
+    session.select_interval(EX.price, Literal.of(850), Literal.of(950))
+    parent, grandparent = session.history()[-2], session.history()[-3]
+    assert not parent.listing and grandparent.listing
+    _assert_listing(session, False)
+    # derived from the grandparent's facets, not from the unlisted parent
+    assert [args[1] for args in derived] == [grandparent.listing[False][1]]
+
+
+def test_back_then_another_click_derives_again():
+    session = FacetedSession(products_graph())
+    session.select_class(EX.Laptop)
+    session.all_facets()
+    session.select_value(EX.manufacturer, EX.DELL)
+    _assert_listing(session, False)
+    session.back()
+    derived = _spy_recount(session)
+    session.select_range(EX.USBPorts, ">=", Literal.of(3))
+    _assert_listing(session, False)
+    assert len(derived) == 1
+
+
+def test_pivot_is_no_subset_so_nothing_is_reused():
+    session = FacetedSession(products_graph())
+    session.select_class(EX.Laptop)
+    session.all_facets()
+    derived = _spy_recount(session)
+    session.pivot_to(EX.manufacturer)
+    assert not session.history()[-2].ids >= session.state.ids
+    _assert_listing(session, False)
+    assert not derived
+    # ... while a click *below* the pivot derives from the pivot state
+    session.select_value(EX.origin, EX.US)
+    _assert_listing(session, False)
+    assert len(derived) == 1
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_mutation_retires_the_ancestors_order(shards):
+    graph = products_graph()
+    if shards > 1:
+        graph = ShardedGraph.from_graph(graph, shards=shards)
+    session = FacetedSession(graph)
+    session.select_class(EX.Laptop)
+    listed = session.all_facets()
+    session.select_value(EX.manufacturer, EX.DELL)
+    derived = _spy_recount(session)
+    # a value the ancestor's listing has never seen, on a child member
+    member = sorted(session.extension, key=lambda t: t.sort_key())[0]
+    assert session.graph.add(member, EX.price, Literal.of(123456))
+    facets = _assert_listing(session, False)
+    assert not derived
+    price = next(f for f in facets if f.prop.prop == EX.price)
+    assert price.value_for(Literal.of(123456)).count == 1
+    # the ancestor itself is re-scanned too, and differs from its old self
+    session.back()
+    assert _assert_listing(session, False) != listed
+
+
+# -- what a state decodes, and when ----------------------------------------
+def test_transitions_and_status_lines_never_decode_the_extension():
+    shell = AnalyticsShell(products_graph())
+    assert "3 objects" in shell.execute("select laptop")
+    assert "objects" in shell.execute("filter price >= 800")
+    assert "objects" in shell.execute("value manufacturer DELL")
+    assert "objects" in shell.execute("back")
+    shell.execute("classes")
+    shell.execute("facets")
+    for state in shell.session.history():
+        assert state._extension is None
+        assert str(len(state)) in repr(state)
+    assert len(shell.session.extension) == len(shell.session.state)
+    assert shell.session.state._extension is shell.session.extension
+
+
+def test_state_memos_are_keyed_by_the_id_set():
+    session = FacetedAnalyticsSession(products_graph())
+    assert not hasattr(session, "_extension_ids")
+    session.select_class(EX.Laptop)
+    domain = session._analysis_domain()
+    assert session._analysis_domain() is domain
+    assert session._state_memo[1] is session.state.ids
+    terms, ids = domain
+    assert terms == session.objects()
+    assert ids == [session.graph.encode_term(t) for t in terms]
+
+
+# -- results= sessions whose seeds the graph never interned ----------------
+@pytest.mark.parametrize("shards", [1, 2])
+def test_unknown_seeds_count_and_run_as_before(shards):
+    graph = products_graph()
+    if shards > 1:
+        graph = ShardedGraph.from_graph(graph, shards=shards)
+    seeds = [EX.laptop1, EX.laptop2, EX.laptop3, EX.neverInterned,
+             Literal.of("stray"), Literal.of(2)]
+    session = FacetedAnalyticsSession(graph, results=seeds)
+    assert session.extension == frozenset(seeds)
+    assert len(session.state) == len(session.objects()) == 6
+    assert EX.neverInterned in session.state.unknown
+    terms, ids = session._analysis_domain()
+    assert terms == session.objects()
+    assert ids == [session.graph.encode_term(t) for t in terms]
+    assert ids.count(None) == len(session.state.unknown)
+
+    # the frames of the parent commit: the native engines count every
+    # seed, the SPARQL pipeline the four that can be typed (non-literals)
+    session.count_items()
+    for engine, count in (("native", 6), ("columnar", 6), ("row", 6),
+                          ("sparql", 4)):
+        assert session.run(engine).rows == [(Literal.of(count),)]
+    session.group_by(EX.manufacturer)
+    session.measure(EX.price, "AVG")
+    session.with_count()
+    expected = [(EX.DELL, Literal.of(950.0), Literal.of(2)),
+                (EX.Lenovo, Literal.of(820.0), Literal.of(1))]
+    for engine in ("native", "columnar", "row", "sparql"):
+        assert session.run(engine).rows == expected
+
+    # a click drops what matches nothing
+    state = session.select_class(EX.Laptop)
+    assert not state.unknown and len(state) == 3
+
+
+# -- the satellites' own equivalences --------------------------------------
+@given(_triples)
+@settings(max_examples=40, deadline=None)
+def test_classes_read_from_the_type_row_keys_on_every_store(triples):
+    triples = triples + [(EX.Thing, RDFS.subClassOf, EX.Top),
+                         (EX.Declared, RDF.type, RDFS.Class)]
+    flat = Graph(triples)
+    used = {o for _, _, o in flat.triples(None, RDF.type, None)}
+    expected = (used | {EX.Thing, EX.Top, EX.Declared}) - {RDFS.Class}
+    for graph in _stores(triples):
+        view = SchemaView(graph, closed=True)
+        assert view.classes() == expected
+        assert view.maximal_classes() == sorted(
+            expected - {EX.Thing}, key=lambda t: t.sort_key())
+    assert SchemaView(Graph(), closed=True).classes() == set()
+
+
+_TERMS = _LITERALS + [
+    Literal.of(True), Literal.of(datetime.date(2021, 6, 10)),
+    Literal.of(datetime.datetime(2021, 6, 10, 12)), Literal("2021", XSD_GYEAR),
+    Literal("x", "http://example.org/unknown-datatype"), EX.n0, BNode("b0")]
+
+
+@pytest.mark.parametrize("op", _COMPARATORS)
+def test_comparison_is_compare_with_the_bound_parsed_once(op):
+    def verdict(fn, *args):
+        try:
+            return fn(*args)
+        except ExpressionError:
+            return ExpressionError
+
+    for bound in _TERMS:
+        passes = comparison(op, bound)
+        for term in _TERMS:
+            assert verdict(passes, term) == verdict(compare, op, term, bound), (
+                term, op, bound)
