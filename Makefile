@@ -50,7 +50,6 @@ bench-refresh:
 bench-smoke:
 	PYTHONPATH=src REPRO_BENCH_SIZES=100 pytest benchmarks/bench_engine_micro.py \
 		benchmarks/bench_scalability_facets.py \
-		benchmarks/bench_ablation_dictionary.py \
 		benchmarks/bench_ablation_sharding.py \
 		benchmarks/bench_resilience_overhead.py \
 		benchmarks/bench_analysis_overhead.py \

@@ -1,11 +1,11 @@
-"""Ablation — the PR-4 columnar batch engine vs. its row-engine twin.
+"""Ablation — the columnar batch engine vs. the row reference engine.
 
 Two measurements per dataset size, each with a built-in equality check
 (the speedup is meaningless if the answers differ):
 
 * **analytic run** — a representative slice of the Q1–Q10 workload
-  evaluated with ``engine="row"`` (item-at-a-time reference) and
-  ``engine="columnar"`` (whole-extension frontier joins, memoized
+  evaluated by ``evaluate_hifun_row`` (item-at-a-time reference) and
+  ``evaluate_hifun`` (whole-extension frontier joins, memoized
   successor columns);
 * **property facets** — the left-frame listing computed the old way
   (one ``_compute_facet`` scan of the extension per applicable
@@ -26,6 +26,7 @@ import pytest
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedSession
 from repro.hifun import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.namespace import EX
 
 from _workload import WORKLOAD, write_bench_json
@@ -59,17 +60,17 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
 def _measure_analytic(graph):
     queries = [q for qid, _, q in WORKLOAD if qid in ANALYTIC_QIDS]
 
-    def run(engine):
+    def run(evaluate):
         return [
-            evaluate_hifun(graph, query, root_class=EX.Laptop, engine=engine)
-            for query in queries
+            evaluate(graph, query, root_class=EX.Laptop) for query in queries
         ]
 
-    row_answers = run("row")
-    columnar_answers = run("columnar")
+    row_answers = run(evaluate_hifun_row)
+    columnar_answers = run(evaluate_hifun)
     for row_answer, columnar_answer in zip(row_answers, columnar_answers):
         assert row_answer.rows() == columnar_answer.rows()
-    return _best_of(lambda: run("row")), _best_of(lambda: run("columnar"))
+    return (_best_of(lambda: run(evaluate_hifun_row)),
+            _best_of(lambda: run(evaluate_hifun)))
 
 
 def _measure_facets(graph):

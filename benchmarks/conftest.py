@@ -36,7 +36,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     from _workload import _WRITTEN, write_bench_json
 
-    engine = os.environ.get("REPRO_ENGINE", "default")
     by_module = {}
     for meta in bench_session.benchmarks:
         if meta.has_error or not meta.stats.data:
@@ -54,8 +53,9 @@ def pytest_sessionfinish(session, exitstatus):
     for stem, ops in sorted(by_module.items()):
         if stem in _WRITTEN or not ops:
             continue
+        # "default": the stamp of the checked-in baselines these diff against.
         write_bench_json(stem, ops, params={"source": f"bench_{stem}.py"},
-                         engine=engine)
+                         engine="default")
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ matched against IRI local names case-insensitively):
 ``similar``            browse: the most similar resources
 ``analyze``            static-check the analytic query + its SPARQL
 ``run [engine]``       execute the analytic query; prints the answer
-                       (engine ∈ sparql,native,columnar,row,restrictions)
+                       (engine ∈ sparql,native,row,restrictions)
 ``explore``            load the last answer as a new dataset
 ``sparql``             show the SPARQL of the current analytic query
 ``intent``             show the current state's intention
@@ -414,7 +414,7 @@ class AnalyticsShell:
         return f"{report.render()}\n[{summary}]"
 
     def _cmd_run(self, args: List[str]) -> str:
-        engines = ("sparql", "native", "columnar", "row", "restrictions")
+        engines = ("sparql", "native", "row", "restrictions")
         engine = args[0] if args else "sparql"
         if engine not in engines:
             raise ShellError(
@@ -534,8 +534,8 @@ def build_shell(argv=None) -> AnalyticsShell:
                         "analytic queries before execution")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="partition the store into N subject-hash "
-                        "shards (parallel scans on multi-core hosts; "
-                        "results are identical at any shard count)")
+                        "shards (results are identical at any shard "
+                        "count)")
     args = parser.parse_args(argv)
     if not 0.0 <= args.fault_rate <= 1.0:
         parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")

@@ -43,7 +43,8 @@ from repro.hifun.attributes import (
     compose_path,
     pair,
 )
-from repro.hifun.evaluator import evaluate_hifun
+from repro.hifun.columnar import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
 from repro.facets.model import PropertyRef
@@ -505,7 +506,7 @@ class FacetedAnalyticsSession(FacetedSession):
         by term sort key with its parallel encoded-id column, memoized
         per (generation, state) so repeated analytics skip the sort —
         exactly the ``items``/``items_ids`` contract of
-        :func:`repro.hifun.evaluator.evaluate_hifun`.  Built from the
+        :func:`repro.hifun.columnar.evaluate_hifun`.  Built from the
         state's ids; a member the graph never interned (a ``results=``
         seed) has id ``None``."""
         def build():
@@ -561,11 +562,10 @@ class FacetedAnalyticsSession(FacetedSession):
         * ``"sparql"`` — translate + evaluate over the session's
           extension view, in which the extension is the ``temp`` class
           (Table 5.1; the default pipeline);
-        * ``"native"`` — the in-process HIFUN evaluator under the
-          session-default execution strategy (``REPRO_ENGINE``);
-        * ``"columnar"`` / ``"row"`` — the native evaluator with the
-          execution strategy forced (batch frontier joins vs. the
-          item-at-a-time ablation twin; identical answers);
+        * ``"native"`` — the in-process batch HIFUN evaluator
+          (:func:`repro.hifun.columnar.evaluate_hifun`);
+        * ``"row"`` — the item-at-a-time reference evaluator the batch
+          one is verified against (identical answers);
         * ``"restrictions"`` — fold the intention into HIFUN
           restrictions (§5.5) and run the self-contained translation.
 
@@ -590,12 +590,14 @@ class FacetedAnalyticsSession(FacetedSession):
                 evaluate(translation.text), restricted, translation)
         query = self.hifun_query()
         self._static_check(query)
-        if engine in ("native", "columnar", "row"):
-            hifun_engine = None if engine == "native" else engine
+        if engine in ("native", "row"):
             domain_terms, domain_ids = self._analysis_domain()
-            answer = evaluate_hifun(self.graph, query, items=domain_terms,
-                                    engine=hifun_engine,
-                                    items_ids=domain_ids)
+            if engine == "row":
+                answer = evaluate_hifun_row(self.graph, query,
+                                            items=domain_terms)
+            else:
+                answer = evaluate_hifun(self.graph, query, items=domain_terms,
+                                        items_ids=domain_ids)
             columns = [g.label for g in self._groups]
             columns += [
                 f"{op.lower()}"

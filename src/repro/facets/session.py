@@ -388,10 +388,7 @@ class FacetedSession:
         self, ids: FrozenSet[int], include_inverse: bool,
     ) -> Tuple[Tuple[PropertyFacet, ...], Tuple[_FacetRows, ...]]:
         """The listing of ``ids`` from one property-major pass over the
-        POS index: for each predicate, every value row is one set
-        intersection ``ids ∩ subjects`` — the count of that value
-        marker — executed at C speed, with the union of the
-        intersections giving the having-the-property count."""
+        POS index (:meth:`repro.rdf.graph.Graph.facet_counts`)."""
         graph = self.graph
         decode = graph.decode_id
         schema_ids = {
@@ -399,45 +396,7 @@ class FacetedSession:
             for pid in (graph.encode_term(p) for p in self._SCHEMA_PROPS)
             if pid is not None
         }
-        # (prop_id, inverse) → value_id → count, plus the per-property
-        # count of extension members having the property at all.
-        counters: Dict[Tuple[int, bool], Dict[int, int]]
-        having: Dict[Tuple[int, bool], int]
-        if graph.num_shards > 1:
-            # The sharded plane: per-shard kernels over the POS slices
-            # (fanned out across workers when the executor is active).
-            # Merged counters are byte-identical to the flat scan below
-            # — the shard invariance tests pin it.
-            counters, having = graph.facet_counts(
-                ids, schema_ids, include_inverse)
-        else:
-            counters = {}
-            having = {}
-            for pid in graph.all_predicate_ids():
-                if pid in schema_ids:
-                    continue
-                rows = graph.pos_ids(pid)
-                counter: Dict[int, int] = {}
-                havers: Set[int] = set()
-                for value_id, subjects in rows.items():
-                    members = ids & subjects
-                    if members:
-                        counter[value_id] = len(members)
-                        havers |= members
-                if counter:
-                    counters[(pid, False)] = counter
-                    having[(pid, False)] = len(havers)
-                if include_inverse:
-                    counter = {}
-                    with_property = 0
-                    for value_id, subjects in rows.items():
-                        if value_id in ids:
-                            with_property += 1
-                            for sid in subjects:
-                                counter[sid] = counter.get(sid, 0) + 1
-                    if counter:
-                        counters[(pid, True)] = counter
-                        having[(pid, True)] = with_property
+        counters, having = graph.facet_counts(ids, schema_ids, include_inverse)
         # Decode each property once, drop non-IRI predicates, order like
         # applicable_properties, and materialize the facets — keeping
         # each facet's value ids in marker order for the descendants.

@@ -146,10 +146,6 @@ class _Evaluation:
             elif isinstance(step, Attribute):
                 if mode == ID_MODE:
                     prop_id = self._prop_id(step.prop)
-                    # On a sharded graph with an active executor this
-                    # warms the successor memo for the whole frontier in
-                    # one fan-out; everywhere else it is a no-op.
-                    engine.prefetch(dst, prop_id, step.inverse)
                     src, dst = engine.follow(src, dst, prop_id, step.inverse)
                 else:
                     new_src, new_dst = [], []
@@ -240,18 +236,28 @@ def _sorted_domain(graph: Graph, items: Optional[Iterable[Term]],
     return [decode(ident) for ident in ids], list(ids)
 
 
-def evaluate_hifun_columnar(
+def evaluate_hifun(
     graph: Graph,
     query: HifunQuery,
     items: Optional[Iterable[Term]] = None,
     root_class: Optional[IRI] = None,
     items_ids: Optional[Sequence[Optional[int]]] = None,
 ) -> AnswerFunction:
-    """Evaluate a HIFUN query with the columnar batch engine.
+    """Evaluate a HIFUN query natively over ``graph``.
 
-    Same signature and — by construction and by test — same result as
-    :func:`repro.hifun.evaluator.evaluate_hifun_row` (``items_ids`` is
-    the pre-encoded domain fast path; see :func:`_sorted_domain`).
+    ``items`` fixes the analysis root ``D`` explicitly; otherwise, if
+    ``root_class`` is given its instances are used; otherwise all
+    subjects having every involved attribute participate (mirroring the
+    translation, where unmatched items simply produce no rows).
+
+    ``items_ids`` is the fast path for repeated evaluations over the
+    same root (the analytics session memoizes it per state): the
+    encoded-id column parallel to ``items``, which must then already be
+    deduplicated and sorted by term sort key (see
+    :func:`_sorted_domain`).
+
+    By construction and by test, the answer is the one
+    :func:`repro.hifun.evaluator.evaluate_hifun_row` gives.
     """
     domain_terms, domain_ids = _sorted_domain(graph, items, root_class,
                                               items_ids)
@@ -342,4 +348,4 @@ def evaluate_hifun_columnar(
     return answer
 
 
-__all__ = ["evaluate_hifun_columnar"]
+__all__ = ["evaluate_hifun"]

@@ -162,7 +162,7 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     def evaluate(self, query) -> "AnswerFunction":
         """Evaluate a HIFUN query over this context's root ``D``."""
-        from repro.hifun.evaluator import evaluate_hifun
+        from repro.hifun.columnar import evaluate_hifun
 
         return evaluate_hifun(self.graph, query, items=self.items)
 

@@ -1,17 +1,19 @@
 """Native evaluation of HIFUN queries: group → measure → reduce (§2.5).
 
-This evaluator executes a :class:`~repro.hifun.query.HifunQuery` directly
-over an RDF graph, following the three-step semantics of the language:
+:func:`evaluate_hifun_row` executes a
+:class:`~repro.hifun.query.HifunQuery` directly over an RDF graph,
+following the three-step semantics of the language:
 
 1. **Grouping** — partition the items by their grouping-function value;
 2. **Measuring** — within each group, extract the measuring value of
    every item;
 3. **Reduction** — aggregate the measured values of each group.
 
-It exists for two reasons: it is the reference implementation against
-which the SPARQL translation is validated (Proposition 2 — the tests
-assert both evaluations agree on every query), and it powers ablation
-benchmarks comparing native vs. translated evaluation.
+It is the reference implementation: the SPARQL translation is validated
+against it (Proposition 2 — the tests assert both evaluations agree on
+every query), and so is the batch engine that answers in production,
+:func:`repro.hifun.columnar.evaluate_hifun`, with which it shares the
+answer type and the reduction step defined here.
 
 The multiplicity semantics match SPARQL joins: when an attribute is
 multi-valued, an item contributes one group/measure combination per
@@ -21,8 +23,7 @@ value assignment (the translation produces exactly those rows).
 from __future__ import annotations
 
 import datetime as _dt
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term
@@ -157,57 +158,12 @@ class AnswerFunction:
         return f"<AnswerFunction groups={len(self._data)} ops={self.operations}>"
 
 
-#: Environment override for the default evaluation engine.
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: The engine used when neither the call nor the environment picks one.
-DEFAULT_ENGINE = "columnar"
-
-
-def evaluate_hifun(graph: Graph, query: HifunQuery, items: Optional[Iterable[Term]] = None,
-                   root_class: Optional[IRI] = None,
-                   engine: Optional[str] = None,
-                   items_ids: Optional[Sequence[Optional[int]]] = None) -> AnswerFunction:
-    """Evaluate a HIFUN query natively over ``graph``.
-
-    ``items`` fixes the analysis root ``D`` explicitly; otherwise, if
-    ``root_class`` is given its instances are used; otherwise all
-    subjects having every involved attribute participate (mirroring the
-    translation, where unmatched items simply produce no rows).
-
-    ``items_ids`` is the batch engine's fast path for repeated
-    evaluations over the same root (the analytics session memoizes it
-    per state): the encoded-id column parallel to ``items``, which must
-    then already be deduplicated and sorted by term sort key.  The row
-    engine ignores it (it re-derives its own domain), so both engines
-    keep producing identical answers either way.
-
-    ``engine`` selects the execution strategy: ``"columnar"`` (the
-    batch frontier-join engine, the default) or ``"row"`` (the
-    item-at-a-time reference engine, kept as the ablation twin).  When
-    ``None``, the ``REPRO_ENGINE`` environment variable decides, falling
-    back to :data:`DEFAULT_ENGINE`.  Both engines produce byte-identical
-    answers — the equivalence suite asserts it.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, DEFAULT_ENGINE)
-    if engine == "row":
-        return evaluate_hifun_row(graph, query, items, root_class)
-    if engine == "columnar":
-        from repro.hifun.columnar import evaluate_hifun_columnar
-
-        return evaluate_hifun_columnar(graph, query, items, root_class,
-                                       items_ids=items_ids)
-    raise ValueError(
-        f"unknown HIFUN engine {engine!r}; expected 'row' or 'columnar'"
-    )
-
-
 def evaluate_hifun_row(graph: Graph, query: HifunQuery,
                        items: Optional[Iterable[Term]] = None,
                        root_class: Optional[IRI] = None) -> AnswerFunction:
-    """The item-at-a-time reference evaluation (the ablation twin of
-    :func:`repro.hifun.columnar.evaluate_hifun_columnar`)."""
+    """The item-at-a-time reference evaluation: same arguments and —
+    by test — same answer as the batch engine,
+    :func:`repro.hifun.columnar.evaluate_hifun`."""
     from repro.rdf.namespace import RDF
 
     if items is not None:

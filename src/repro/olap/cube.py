@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import AttributeExpr, pair
-from repro.hifun.evaluator import AnswerFunction, evaluate_hifun
+from repro.hifun.columnar import evaluate_hifun
+from repro.hifun.evaluator import AnswerFunction
 from repro.hifun.query import HifunQuery, Restriction
 
 

@@ -15,8 +15,8 @@ parts of the RDF stack that RDF-Analytics needs:
   session's virtual ``rdf:type :temp`` triples (:class:`ExtensionView`).
 * :mod:`repro.rdf.rdfs` — RDFS closure (subClassOf, subPropertyOf, domain,
   range) and class/property hierarchies.
-* :mod:`repro.rdf.sharding` — the hash-partitioned, fan-out-capable
-  twin of the store (:class:`ShardedGraph`) for the scale-out plane.
+* :mod:`repro.rdf.sharding` — the hash-partitioned store
+  (:class:`ShardedGraph`): N plain ``Graph`` slices behind one surface.
 * :mod:`repro.rdf.turtle` / :mod:`repro.rdf.ntriples` — parsers and
   serializers for the Turtle subset used by the bundled datasets.
 * :mod:`repro.rdf.bulkload` — streaming bulk loaders feeding (sharded)
@@ -31,7 +31,7 @@ from repro.rdf.terms import (
     Triple,
 )
 from repro.rdf.namespace import Namespace, OWL, RDF, RDFS, XSD, EX
-from repro.rdf.dictionary import PassthroughDictionary, TermDictionary
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.rdfs import RDFSClosure, SchemaView
@@ -51,7 +51,6 @@ __all__ = [
     "EX",
     "ExtensionView",
     "Graph",
-    "PassthroughDictionary",
     "RDFSClosure",
     "SchemaView",
     "ShardedGraph",

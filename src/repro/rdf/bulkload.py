@@ -106,15 +106,7 @@ def load_ntriples(
                 if add(s, p, o):
                     report.triples_added += 1
         except NTriplesError as exc:
-            line = getattr(exc.__cause__, "line", None)
-            # parse_lines prefixes "line N:" — recover N for the report.
-            text = str(exc)
-            if line is None and text.startswith("line "):
-                try:
-                    line = int(text[5:].split(":", 1)[0])
-                except ValueError:
-                    line = None
-            raise BulkLoadError(text, line=line) from exc
+            raise BulkLoadError(str(exc), line=exc.line) from exc
     finally:
         if own_handle:
             handle.close()

@@ -19,23 +19,10 @@ exactly like the row engine's per-item evaluation — item-major, sorted
 within each step — so order-sensitive aggregates (SAMPLE,
 GROUP_CONCAT) agree byte-for-byte between the engines.
 
-Columns are plain Python lists *in process*: they must also carry the
-identity encoding's Term "ids" (``Graph(encoded=False)``), and CPython
-list append/iteration beats typed ``array`` boxing on the hot path.
-Measured at 1–2 M ids (CPython 3.x, this container): appending 1 M ids
-costs ~33 ms into a list vs ~84 ms into an ``array('q')``, and a
-follow-shaped pipeline (append origins + extend successor tuples) runs
-~66 ms with lists vs ~89 ms with arrays — every id crossing into an
-array is boxed/unboxed, so arrays only lose ground while the data
-stays in one interpreter.  The trade inverts at a *process boundary*:
-pickling 1 M ids costs ~5.7 ms from an ``array('q')`` vs ~15.8 ms from
-a list (3× — the array ships as one contiguous buffer), and
-array→array extends copy memory instead of objects.  Hence the hybrid:
-:data:`COMPACT` column mode (``ColumnEngine(graph, compact=True)`` or
-:func:`pack_ids`) builds ``array('q')`` columns for payloads that are
-about to cross to shard workers, and everything in-process stays a
-list.
-
+Columns are plain Python lists: CPython list append/iteration beats
+typed ``array`` boxing while the data stays in one interpreter
+(appending 1 M ids costs ~33 ms into a list vs ~84 ms into an
+``array('q')``), and nothing here crosses a process boundary.
 
 :class:`ColumnEngine` carries the per-evaluation memos (sorted
 successor lists, term sort keys, restriction verdicts); the
@@ -46,7 +33,6 @@ for callers that do not need to share memos across steps.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
@@ -54,36 +40,8 @@ from repro.rdf.terms import Term
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import compare
 
-#: A column is a flat list of node ids (ints under the term dictionary,
-#: Terms under the identity encoding) or of origin indexes.  Compact
-#: columns are ``array('q')`` buffers of the same ids (transport mode).
+#: A column is a flat list of node ids or of origin indexes.
 Column = List
-
-#: The typecode of compact id columns: signed 64-bit, room for any
-#: dense dictionary id.
-ID_TYPECODE = "q"
-
-#: Marker for the compact (array-backed) column mode.
-COMPACT = "compact"
-
-
-def new_column(values: Iterable = (), compact: bool = False) -> Column:
-    """A fresh column — a list, or an ``array('q')`` when ``compact``.
-
-    Both shapes share the ``append`` / ``extend`` / iteration protocol,
-    so the traversal code below is mode-agnostic; only *construction*
-    picks the layout.
-    """
-    if compact:
-        return array(ID_TYPECODE, values)
-    return list(values)
-
-
-def pack_ids(ids: Iterable[int]) -> array:
-    """An ``array('q')`` copy of an id collection, for crossing a
-    process boundary: pickling the contiguous buffer is ~3× faster than
-    pickling the equivalent list/set (measured at 1 M ids)."""
-    return array(ID_TYPECODE, ids)
 
 
 class ColumnEngine:
@@ -94,17 +52,10 @@ class ColumnEngine:
     and are only valid while the graph is not mutated.
     """
 
-    __slots__ = ("graph", "decode", "compact", "_succ", "_sort_keys",
-                 "_verdicts")
+    __slots__ = ("graph", "decode", "_succ", "_sort_keys", "_verdicts")
 
-    def __init__(self, graph: Graph, compact: bool = False):
-        if compact and not graph.encoded:
-            raise ValueError(
-                "compact (array-backed) columns need int ids; "
-                "Graph(encoded=False) columns carry Terms")
+    def __init__(self, graph: Graph):
         self.graph = graph
-        #: ``array('q')`` output columns (transport mode) vs plain lists.
-        self.compact = compact
         #: Bound id → canonical Term decoder (list indexing).
         self.decode: Callable = graph.decode_id
         # (prop_id, inverse) → {node_id: tuple of successor ids, sorted}
@@ -155,31 +106,6 @@ class ColumnEngine:
             memo[node_id] = cached
         return cached
 
-    def prefetch(self, nodes: Sequence, prop_id: Optional[int],
-                 inverse: bool = False, min_batch: int = 32) -> None:
-        """Warm the successor memo for a whole frontier at once.
-
-        On a :class:`~repro.rdf.sharding.ShardedGraph` with an active
-        parallel executor this fans the batch out across shard workers
-        (the memo entries that come back are byte-identical to the
-        one-by-one path, so :meth:`follow` stays order-exact); on every
-        other graph — or below ``min_batch`` distinct unmemoized nodes,
-        where a fan-out round-trip costs more than the probes — it is a
-        no-op and :meth:`follow` computes lazily as before.
-        """
-        if prop_id is None:
-            return
-        fanout = getattr(self.graph, "prefetch_successors", None)
-        if fanout is None:
-            return
-        memo = self._succ.get((prop_id, inverse))
-        if memo is None:
-            memo = self._succ[(prop_id, inverse)] = {}
-        missing = {node for node in nodes if node not in memo}
-        if len(missing) < min_batch:
-            return
-        memo.update(fanout(missing, prop_id, inverse, self.sort_key))
-
     def follow(self, src: Sequence, dst: Sequence, prop_id: Optional[int],
                inverse: bool = False) -> Tuple[Column, Column]:
         """Expand a whole frontier through one property step.
@@ -190,8 +116,8 @@ class ColumnEngine:
         A ``prop_id`` of ``None`` (property never seen by the graph)
         yields the empty frontier.
         """
-        out_src: Column = new_column(compact=self.compact)
-        out_dst: Column = new_column(compact=self.compact)
+        out_src: Column = []
+        out_dst: Column = []
         if prop_id is None or not dst:
             return out_src, out_dst
         successors = self.successors
@@ -227,8 +153,8 @@ class ColumnEngine:
     def filter_column(self, src: Sequence, dst: Sequence, comparator: str,
                       value: Term) -> Tuple[Column, Column]:
         """Keep the column entries whose value satisfies the restriction."""
-        out_src: Column = new_column(compact=self.compact)
-        out_dst: Column = new_column(compact=self.compact)
+        out_src: Column = []
+        out_dst: Column = []
         passes = self.passes
         for origin, node in zip(src, dst):
             if passes(node, comparator, value):
@@ -285,13 +211,9 @@ def filter_literals(graph: Graph, col: Sequence, comparator: str,
 
 
 __all__ = [
-    "COMPACT",
     "Column",
     "ColumnEngine",
-    "ID_TYPECODE",
     "filter_literals",
     "follow",
-    "new_column",
-    "pack_ids",
     "types_of",
 ]

@@ -17,12 +17,6 @@ Ids are append-only — removing a triple never frees its terms' ids.
 That is the standard trade-off of dictionary-encoded stores (the
 dictionary grows with the *vocabulary*, not with churn); the index
 slots themselves are pruned eagerly on removal.
-
-:class:`PassthroughDictionary` is the ablation twin: it "encodes" every
-term to itself, which turns the store back into the seed's term-keyed
-layout while keeping a single code path.  ``Graph(encoded=False)``
-selects it; ``benchmarks/bench_ablation_dictionary.py`` quantifies the
-difference.
 """
 
 from __future__ import annotations
@@ -94,51 +88,4 @@ class TermDictionary:
         return f"<TermDictionary with {len(self._terms)} terms>"
 
 
-class PassthroughDictionary:
-    """The identity "encoding" — ids *are* the terms (ablation mode).
-
-    Keeps the exact public surface of :class:`TermDictionary` so the
-    store runs unmodified with term-keyed indexes, reproducing the
-    pre-dictionary layout for before/after measurements.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def encode(term: Term) -> Term:
-        return term
-
-    @staticmethod
-    def lookup(term: Term) -> Term:
-        return term
-
-    @staticmethod
-    def canonical(term: Term) -> Term:
-        return term
-
-    @staticmethod
-    def decode(ident: Term) -> Term:
-        return ident
-
-    @staticmethod
-    def decode_all(ids: Iterable[Term]) -> Set[Term]:
-        return set(ids)
-
-    @staticmethod
-    def decode_list(ids: Iterable[Term]) -> List[Term]:
-        return list(ids)
-
-    def clone(self) -> "PassthroughDictionary":
-        return self
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, term: Term) -> bool:
-        return False
-
-    def __repr__(self):
-        return "<PassthroughDictionary (ablation mode)>"
-
-
-__all__ = ["TermDictionary", "PassthroughDictionary"]
+__all__ = ["TermDictionary"]

@@ -25,191 +25,47 @@ Pattern matching uses ``None`` as a wildcard::
     g.triples(None, RDF.type, EX.Laptop)   # all laptops
     g.objects(item, EX.price)              # prices of one item
 
-``Graph(encoded=False)`` keeps the whole machinery but swaps the
-dictionary for the identity encoding — the seed's term-keyed layout —
-for the ablation benchmark.
-
-:mod:`repro.rdf.sharding` provides :class:`~repro.rdf.sharding.
-ShardedGraph`, the scale-out twin: the same public surface, but the
-three indexes are hash-partitioned by subject id into N independent
-slices so scans can fan out across shards (and, on multi-core hosts,
-across worker processes).  The pattern-matching core is shared — see
-:func:`_match_pattern` — so both layouts answer every triple pattern
-through identical code.
+Both directions of every lookup, and both halves of every mutation,
+have an id-level form (:meth:`Graph._add_ids`, :meth:`Graph.facet_counts`,
+the ``*_ids`` accessors) that the term-level API is a thin boundary
+over.  :class:`~repro.rdf.sharding.ShardedGraph` composes N plain
+``Graph`` slices through exactly those forms, so there is one index
+implementation whatever the layout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.caching import GenerationCache
-from repro.rdf.dictionary import PassthroughDictionary, TermDictionary
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
 
 #: Shared empty id set returned by the ``*_ids`` accessors on absence.
 EMPTY_IDS: frozenset = frozenset()
 
 
-def _index_add(spo, pos, osp, si, pi, oi) -> bool:
-    """Insert one encoded triple into a (spo, pos, osp) index slice.
-
-    Returns ``True`` if the triple was not already present.  Shared by
-    :meth:`Graph.add` and the per-shard inserts of
-    :class:`repro.rdf.sharding.ShardedGraph`, so both layouts maintain
-    their nested maps through identical code.
-    """
-    po = spo.get(si)
-    if po is None:
-        po = spo[si] = {}
-    objects = po.get(pi)
-    if objects is None:
-        objects = po[pi] = set()
-    if oi in objects:
-        return False
-    objects.add(oi)
-    os_ = pos.get(pi)
-    if os_ is None:
-        os_ = pos[pi] = {}
-    subjects = os_.get(oi)
-    if subjects is None:
-        subjects = os_[oi] = set()
-    subjects.add(si)
-    sp = osp.get(oi)
-    if sp is None:
-        sp = osp[oi] = {}
-    preds = sp.get(si)
-    if preds is None:
-        preds = sp[si] = set()
-    preds.add(pi)
-    return True
-
-
-def _index_remove(spo, pos, osp, si, pi, oi) -> bool:
-    """Remove one encoded triple from a (spo, pos, osp) index slice,
-    pruning emptied slots eagerly.  Returns ``True`` if it was present.
-    """
-    po = spo.get(si)
-    if po is None:
-        return False
-    objects = po.get(pi)
-    if objects is None or oi not in objects:
-        return False
-    objects.remove(oi)
-    if not objects:
-        del po[pi]
-        if not po:
-            del spo[si]
-    os_ = pos[pi]
-    subjects = os_[oi]
-    subjects.remove(si)
-    if not subjects:
-        del os_[oi]
-        if not os_:
-            del pos[pi]
-    sp = osp[oi]
-    preds = sp[si]
-    preds.remove(pi)
-    if not preds:
-        del sp[si]
-        if not sp:
-            del osp[oi]
-    return True
-
-
-def _match_pattern(lookup, decode, spo, pos, osp, s, p, o) -> Iterator[Triple]:
-    """Yield all triples of one (spo, pos, osp) index triple matching the
-    pattern (``None`` = wildcard).
-
-    This is the pattern-dispatch core of :meth:`Graph.triples`, factored
-    out so a sharded store can run it per shard slice: ``lookup`` /
-    ``decode`` are the dictionary's term ↔ id functions and the three
-    maps are *one* store slice's nested indexes.  Yielded terms are the
-    canonical (interned) instances.
-    """
-    if s is not None:
-        si = lookup(s)
-        if si is None:
-            return
-        po = spo.get(si)
-        if po is None:
-            return
-        if p is not None:
-            pi = lookup(p)
-            objects = po.get(pi) if pi is not None else None
-            if objects is None:
-                return
-            if o is not None:
-                oi = lookup(o)
-                if oi is not None and oi in objects:
-                    yield (s, p, o)
-                return
-            for oi in objects:
-                yield (s, p, decode(oi))
-            return
-        if o is not None:
-            oi = lookup(o)
-            if oi is None:
-                return
-            for pi, objects in po.items():
-                if oi in objects:
-                    yield (s, decode(pi), o)
-            return
-        for pi, objects in po.items():
-            pred = decode(pi)
-            for oi in objects:
-                yield (s, pred, decode(oi))
-        return
-    if p is not None:
-        pi = lookup(p)
-        if pi is None:
-            return
-        os_ = pos.get(pi)
-        if os_ is None:
-            return
-        if o is not None:
-            oi = lookup(o)
-            if oi is None:
-                return
-            for si in os_.get(oi, EMPTY_IDS):
-                yield (decode(si), p, o)
-            return
-        for oi, subjects in os_.items():
-            obj = decode(oi)
-            for si in subjects:
-                yield (decode(si), p, obj)
-        return
-    if o is not None:
-        oi = lookup(o)
-        if oi is None:
-            return
-        sp = osp.get(oi)
-        if sp is None:
-            return
-        for si, preds in sp.items():
-            subj = decode(si)
-            for pi in preds:
-                yield (subj, decode(pi), o)
-        return
-    for si, po in spo.items():
-        subj = decode(si)
-        for pi, objects in po.items():
-            pred = decode(pi)
-            for oi in objects:
-                yield (subj, pred, decode(oi))
+#: ``(counters, having)`` of one facet scan: per ``(property id,
+#: inverse)`` slot, the count of every value id, and the number of
+#: extension members having the property at all.
+FacetCounts = Tuple[Dict[Tuple[int, bool], Dict[int, int]],
+                    Dict[Tuple[int, bool], int]]
 
 
 class Graph:
     """A mutable set of RDF triples with SPO/POS/OSP indexes."""
 
-    #: Number of hash partitions; 1 for the plain store.  Subclasses
-    #: that partition (see :mod:`repro.rdf.sharding`) override this per
-    #: instance, letting engines branch on layout without isinstance.
-    num_shards = 1
-
-    def __init__(self, triples: Optional[Iterable[Triple]] = None,
-                 encoded: bool = True):
-        self._dict = TermDictionary() if encoded else PassthroughDictionary()
-        self.encoded = encoded
+    def __init__(self, triples: Optional[Iterable[Triple]] = None):
+        self._dict = TermDictionary()
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
@@ -289,12 +145,37 @@ class Graph:
         """Add a triple; returns ``True`` if it was not already present."""
         s, p, o = triple(s, p, o)
         encode = self._dict.encode
-        si, pi, oi = encode(s), encode(p), encode(o)
-        if not _index_add(self._spo, self._pos, self._osp, si, pi, oi):
+        return self._add_ids(encode(s), encode(p), encode(o))
+
+    def _add_ids(self, si: int, pi: int, oi: int) -> bool:
+        """Insert one encoded triple into the three indexes."""
+        spo = self._spo
+        po = spo.get(si)
+        if po is None:
+            po = spo[si] = {}
+        objects = po.get(pi)
+        if objects is None:
+            objects = po[pi] = set()
+        if oi in objects:
             return False
-        self._size += 1
-        self._pred_count[pi] = self._pred_count.get(pi, 0) + 1
-        self.generation += 1
+        objects.add(oi)
+        pos = self._pos
+        os_ = pos.get(pi)
+        if os_ is None:
+            os_ = pos[pi] = {}
+        subjects = os_.get(oi)
+        if subjects is None:
+            subjects = os_[oi] = set()
+        subjects.add(si)
+        osp = self._osp
+        sp = osp.get(oi)
+        if sp is None:
+            sp = osp[oi] = {}
+        preds = sp.get(si)
+        if preds is None:
+            preds = sp[si] = set()
+        preds.add(pi)
+        self._mutated(pi, 1)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -316,16 +197,50 @@ class Graph:
         si, pi, oi = lookup(s), lookup(p), lookup(o)
         if si is None or pi is None or oi is None:
             return False
-        if not _index_remove(self._spo, self._pos, self._osp, si, pi, oi):
+        return self._remove_ids(si, pi, oi)
+
+    def _remove_ids(self, si: int, pi: int, oi: int) -> bool:
+        """Remove one encoded triple from the three indexes."""
+        spo, pos, osp = self._spo, self._pos, self._osp
+        po = spo.get(si)
+        if po is None:
             return False
-        self._size -= 1
-        remaining = self._pred_count[pi] - 1
+        objects = po.get(pi)
+        if objects is None or oi not in objects:
+            return False
+        objects.remove(oi)
+        if not objects:
+            del po[pi]
+            if not po:
+                del spo[si]
+        os_ = pos[pi]
+        subjects = os_[oi]
+        subjects.remove(si)
+        if not subjects:
+            del os_[oi]
+            if not os_:
+                del pos[pi]
+        sp = osp[oi]
+        preds = sp[si]
+        preds.remove(pi)
+        if not preds:
+            del sp[si]
+            if not sp:
+                del osp[oi]
+        self._mutated(pi, -1)
+        return True
+
+    def _mutated(self, pi: int, delta: int) -> None:
+        """Account for one triple of predicate ``pi`` added (+1) or
+        removed (-1): size, per-predicate count (pruned at zero, like
+        the index slots) and generation."""
+        self._size += delta
+        remaining = self._pred_count.get(pi, 0) + delta
         if remaining:
             self._pred_count[pi] = remaining
         else:
             del self._pred_count[pi]
         self.generation += 1
-        return True
 
     def new_bnode(self) -> BNode:
         """Mint a blank node with a label unique within this graph."""
@@ -346,10 +261,78 @@ class Graph:
         Yielded terms are the canonical (interned) instances, so
         consumers may compare them by identity first.
         """
-        return _match_pattern(
-            self._dict.lookup, self._dict.decode,
-            self._spo, self._pos, self._osp, s, p, o,
-        )
+        lookup = self._dict.lookup
+        decode = self._dict.decode
+        if s is not None:
+            si = lookup(s)
+            if si is None:
+                return
+            po = self._spo.get(si)
+            if po is None:
+                return
+            if p is not None:
+                pi = lookup(p)
+                objects = po.get(pi) if pi is not None else None
+                if objects is None:
+                    return
+                if o is not None:
+                    oi = lookup(o)
+                    if oi is not None and oi in objects:
+                        yield (s, p, o)
+                    return
+                for oi in objects:
+                    yield (s, p, decode(oi))
+                return
+            if o is not None:
+                oi = lookup(o)
+                if oi is None:
+                    return
+                for pi, objects in po.items():
+                    if oi in objects:
+                        yield (s, decode(pi), o)
+                return
+            for pi, objects in po.items():
+                pred = decode(pi)
+                for oi in objects:
+                    yield (s, pred, decode(oi))
+            return
+        if p is not None:
+            pi = lookup(p)
+            if pi is None:
+                return
+            os_ = self._pos.get(pi)
+            if os_ is None:
+                return
+            if o is not None:
+                oi = lookup(o)
+                if oi is None:
+                    return
+                for si in os_.get(oi, EMPTY_IDS):
+                    yield (decode(si), p, o)
+                return
+            for oi, subjects in os_.items():
+                obj = decode(oi)
+                for si in subjects:
+                    yield (decode(si), p, obj)
+            return
+        if o is not None:
+            oi = lookup(o)
+            if oi is None:
+                return
+            sp = self._osp.get(oi)
+            if sp is None:
+                return
+            for si, preds in sp.items():
+                subj = decode(si)
+                for pi in preds:
+                    yield (subj, decode(pi), o)
+            return
+        for si, po in self._spo.items():
+            subj = decode(si)
+            for pi, objects in po.items():
+                pred = decode(pi)
+                for oi in objects:
+                    yield (subj, pred, decode(oi))
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = t
@@ -396,6 +379,48 @@ class Graph:
         decode = self._dict.decode
         return {decode(pi): n for pi, n in self._pred_count.items()}
 
+    def facet_counts(self, ids: FrozenSet[int], schema_ids: AbstractSet[int],
+                     include_inverse: bool = False) -> FacetCounts:
+        """The value counts of every property over the extension ``ids``,
+        from one property-major pass over the POS index.
+
+        For each predicate outside ``schema_ids``, every value row is
+        one set intersection ``ids ∩ subjects`` — the count of that
+        value marker — executed at C speed, and the union of the
+        intersections gives the having-the-property count.  With
+        ``include_inverse`` the same rows are read the other way: the
+        subjects reached from the members of ``ids`` that occur as
+        values, and how many members do (``ids`` must then hold no
+        literal — a literal is the source of no edge).
+        """
+        counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
+        having: Dict[Tuple[int, bool], int] = {}
+        for pid, rows in self._pos.items():
+            if pid in schema_ids:
+                continue
+            counter: Dict[int, int] = {}
+            havers: Set[int] = set()
+            for value_id, subjects in rows.items():
+                members = ids & subjects
+                if members:
+                    counter[value_id] = len(members)
+                    havers |= members
+            if counter:
+                counters[(pid, False)] = counter
+                having[(pid, False)] = len(havers)
+            if include_inverse:
+                counter = {}
+                with_property = 0
+                for value_id, subjects in rows.items():
+                    if value_id in ids:
+                        with_property += 1
+                        for sid in subjects:
+                            counter[sid] = counter.get(sid, 0) + 1
+                if counter:
+                    counters[(pid, True)] = counter
+                    having[(pid, True)] = with_property
+        return counters, having
+
     # ------------------------------------------------------------------
     # Single-slot accessors
     # ------------------------------------------------------------------
@@ -434,7 +459,7 @@ class Graph:
     # Whole-graph views
     # ------------------------------------------------------------------
     def all_subjects(self) -> Set[Term]:
-        return self._dict.decode_all(self._spo.keys())
+        return self._dict.decode_all(self.all_subject_ids())
 
     def all_subject_ids(self):
         """The encoded subject ids as a live view (treat as read-only) —
@@ -442,7 +467,7 @@ class Graph:
         return self._spo.keys()
 
     def all_predicates(self) -> Set[Term]:
-        return self._dict.decode_all(self._pos.keys())
+        return self._dict.decode_all(self.all_predicate_ids())
 
     def all_predicate_ids(self):
         """The encoded predicate ids as a live view (treat as read-only)
@@ -494,7 +519,7 @@ class Graph:
         graphs (copies, differences, schema closures — which start from
         ``source.copy()``) keep the concrete store class.
         """
-        return type(self)(triples, encoded=self.encoded)
+        return type(self)(triples)
 
     def copy(self) -> "Graph":
         return self._new_like(self.triples())

@@ -16,7 +16,12 @@ from repro.rdf.terms import BNode, IRI, Literal, Triple, XSD_STRING
 
 
 class NTriplesError(ValueError):
-    """Raised when a line cannot be parsed as an N-Triples statement."""
+    """Raised when a line cannot be parsed as an N-Triples statement;
+    carries the 1-based ``line`` when the raiser knows it."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message)
+        self.line = line
 
 
 _IRI_RE = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
@@ -102,7 +107,8 @@ def parse_lines(lines: Iterable[str], strict: bool = True,
             yield line_no, parse_line(line)
         except NTriplesError as exc:
             if strict:
-                raise NTriplesError(f"line {line_no}: {exc}") from exc
+                raise NTriplesError(f"line {line_no}: {exc}",
+                                    line=line_no) from exc
             if on_skip is not None:
                 on_skip(line_no, str(exc))
 

@@ -202,4 +202,3 @@ def test_smoke_sharding_ablation_asserts_equivalence(tmp_path):
     for timing in results[30].values():
         assert timing["facets_s"] > 0
         assert timing["analytic_s"] > 0
-        assert timing["parallel"] in (True, False)

@@ -92,6 +92,13 @@ class TestLoadNTriples:
             load_ntriples(path)
         assert excinfo.value.line == 6
         assert "line 6" in str(excinfo.value)
+        # The number is the parser's datum, not text recovered from the
+        # message — a malformed line may itself begin with "line 7:".
+        doc = GOOD_NT.splitlines()[:2] + ["line 7: not a statement"]
+        with pytest.raises(BulkLoadError) as excinfo:
+            load_ntriples(doc)
+        assert excinfo.value.line == 3
+        assert excinfo.value.__cause__.line == 3
 
     def test_non_strict_collects_skips(self):
         graph, report = load_ntriples(BAD_LINE_5.splitlines(), strict=False)

@@ -27,7 +27,8 @@ from repro.hifun import (
     pair,
 )
 from repro.hifun.attributes import Derived
-from repro.hifun.evaluator import evaluate_hifun, evaluate_hifun_row
+from repro.hifun.columnar import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.sharding import ShardedGraph
@@ -106,8 +107,7 @@ def test_hifun_answers_identical_on_random_graphs(seed):
         query = build()
         root = None if "inverse" in label else EX.Widget
         row = evaluate_hifun_row(graph, query, root_class=root)
-        columnar = evaluate_hifun(graph, query, root_class=root,
-                                  engine="columnar")
+        columnar = evaluate_hifun(graph, query, root_class=root)
         assert row.rows() == columnar.rows(), f"{label} differs at seed {seed}"
         assert row.keys() == columnar.keys(), label
         assert row.operations == columnar.operations, label
@@ -123,7 +123,7 @@ def test_explicit_items_domain_identical(seed):
     for query in (HifunQuery(None, None, "COUNT"),
                   HifunQuery(maker, price, "AVG")):
         row = evaluate_hifun_row(graph, query, items=items)
-        columnar = evaluate_hifun(graph, query, items=items, engine="columnar")
+        columnar = evaluate_hifun(graph, query, items=items)
         assert row.rows() == columnar.rows()
 
 
@@ -151,11 +151,11 @@ def test_sharded_store_hifun_answers_identical(shards):
             query = build()
             root = None if "inverse" in label else EX.Widget
             row = evaluate_hifun_row(graph, query, root_class=root)
-            for engine in ("row", "columnar"):
-                answer = evaluate_hifun(store, query, root_class=root,
-                                        engine=engine)
+            for evaluate in (evaluate_hifun_row, evaluate_hifun):
+                answer = evaluate(store, query, root_class=root)
                 assert row.rows() == answer.rows(), (
-                    f"{label} differs at seed {seed}, {shards} shards ({engine})")
+                    f"{label} differs at seed {seed}, {shards} shards "
+                    f"({evaluate.__name__})")
                 assert row.keys() == answer.keys(), label
 
 
@@ -176,6 +176,31 @@ def test_sharded_store_facets_identical(shards):
                 == flat.applicable_properties(include_inverse))
 
 
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_sharded_store_facet_counts_identical(shards):
+    """The one scan kernel, merged over the slices, returns the flat
+    store's counters and having-counts exactly — forward and inverse,
+    on the whole class, a subset, and an extension holding values
+    (makers: the sources of inverse edges, shared across slices)."""
+    for seed in (0, 3, 5):
+        graph = random_graph(seed)
+        store = ShardedGraph.from_graph(graph, shards=shards)
+        type_id = graph.encode_term(RDF.type)
+        widgets = frozenset(graph.subjects_ids(
+            type_id, graph.encode_term(EX.Widget)))
+        makers = frozenset(graph.encode_terms(
+            EX[f"maker{i}"] for i in range(5)))
+        extensions = (widgets, frozenset(sorted(widgets)[::3]),
+                      makers | frozenset(sorted(widgets)[:4]), frozenset())
+        for ids in extensions:
+            for schema_ids in (frozenset(), frozenset({type_id})):
+                for include_inverse in (False, True):
+                    assert (store.facet_counts(ids, schema_ids, include_inverse)
+                            == graph.facet_counts(ids, schema_ids,
+                                                  include_inverse)), (
+                        seed, sorted(ids), include_inverse)
+
+
 def test_engine_choice_is_cache_neutral():
     """Running the analytic query under either engine leaves the same
     facet-cache shape — engines touch the graph, never the cache."""
@@ -191,12 +216,12 @@ def test_engine_choice_is_cache_neutral():
         return frame.rows, stats.size, stats.hits
 
     rows_row, size_row, hits_row = stats_after("row")
-    rows_col, size_col, hits_col = stats_after("columnar")
+    rows_col, size_col, hits_col = stats_after("native")
     assert rows_row == rows_col
     assert (size_row, hits_row) == (size_col, hits_col)
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar"])
+@pytest.mark.parametrize("engine", ["row", "native"])
 def test_sparql_run_beside_engine_is_read_only(engine):
     """A run on the SPARQL path between two native runs changes nothing
     the native engines depend on: same generation, size and statistics,
@@ -215,7 +240,7 @@ def test_sparql_run_beside_engine_is_read_only(engine):
     assert session._analysis_domain() is domain
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar"])
+@pytest.mark.parametrize("engine", ["row", "native"])
 def test_strict_mode_identical_across_engines(engine, products):
     """``analyze=True`` rejects the same ill-typed query before either
     engine runs, and accepts the same well-typed one."""
@@ -230,16 +255,3 @@ def test_strict_mode_identical_across_engines(engine, products):
     session.measure((EX.price,), "AVG")
     frame = session.run(engine)
     assert len(frame.rows) > 0
-
-
-def test_env_override_selects_engine(monkeypatch):
-    graph = random_graph(1)
-    query = HifunQuery(maker, None, "COUNT")
-    expected = evaluate_hifun_row(graph, query, root_class=EX.Widget).rows()
-    for value in ("row", "columnar"):
-        monkeypatch.setenv("REPRO_ENGINE", value)
-        assert evaluate_hifun(
-            graph, query, root_class=EX.Widget).rows() == expected
-    monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-    with pytest.raises(ValueError):
-        evaluate_hifun(graph, query, root_class=EX.Widget)

@@ -1,11 +1,10 @@
 """Id-space session states: every click is set algebra on the indexes,
 and a child state's listing is derived from its nearest listed ancestor.
 
-Two contracts, on random ragged graphs over the flat store, 2 and 4
-shards and ``Graph(encoded=False)``.  (1) Every transition yields the
-extension the Term-level §5.3.1 operations (``restrict_by_path`` /
-``restrict_to_class`` / ``joins`` — the formal definitions, kept as the
-oracle) give, and raises ``EmptyTransitionError`` exactly when theirs is
+Two contracts, on random ragged graphs over the flat store and 2 and 4
+shards.  (1) Every transition yields the extension the Term-level
+§5.3.1 operations (``restrict_by_path`` / ``restrict_to_class`` /
+``joins`` — the formal definitions, kept as the oracle) give, and raises ``EmptyTransitionError`` exactly when theirs is
 empty.  (2) A listing derived from an ancestor's equals the full scan of
 a fresh session and the per-path ``facet()``, and an ancestor's order is
 never used across a mutation or for a state that is not its subset.
@@ -115,7 +114,6 @@ def _stores(triples):
     yield flat
     for shards in (2, 4):
         yield ShardedGraph.from_graph(flat, shards=shards)
-    yield Graph(triples, encoded=False)
 
 
 def _range_oracle(graph, extension, path, comparator, bound):
@@ -364,15 +362,14 @@ def test_unknown_seeds_count_and_run_as_before(shards):
     # the frames of the parent commit: the native engines count every
     # seed, the SPARQL pipeline the four that can be typed (non-literals)
     session.count_items()
-    for engine, count in (("native", 6), ("columnar", 6), ("row", 6),
-                          ("sparql", 4)):
+    for engine, count in (("native", 6), ("row", 6), ("sparql", 4)):
         assert session.run(engine).rows == [(Literal.of(count),)]
     session.group_by(EX.manufacturer)
     session.measure(EX.price, "AVG")
     session.with_count()
     expected = [(EX.DELL, Literal.of(950.0), Literal.of(2)),
                 (EX.Lenovo, Literal.of(820.0), Literal.of(1))]
-    for engine in ("native", "columnar", "row", "sparql"):
+    for engine in ("native", "row", "sparql"):
         assert session.run(engine).rows == expected
 
     # a click drops what matches nothing

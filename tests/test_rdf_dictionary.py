@@ -1,10 +1,10 @@
 """Tests of the dictionary-encoded store: interning, O(1) cardinality
-statistics, the passthrough ablation twin, and the index-pruning
-regression (add → remove cycles must leave the index maps unchanged)."""
+statistics, and the index-pruning regression (add → remove cycles must
+leave the index maps unchanged)."""
 
 import pytest
 
-from repro.rdf import Graph, PassthroughDictionary, TermDictionary
+from repro.rdf import Graph, TermDictionary
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import BNode, IRI, Literal
 
@@ -48,20 +48,6 @@ class TestTermDictionary:
         assert d.encode(Literal.of(5)) != d.encode(Literal("5"))
 
 
-class TestPassthroughDictionary:
-    def test_identity_encoding(self):
-        d = PassthroughDictionary()
-        term = EX.a
-        assert d.encode(term) is term
-        assert d.decode(term) is term
-        assert d.lookup(term) is term
-        assert len(d) == 0
-
-    def test_graph_ablation_flag_selects_it(self):
-        assert isinstance(Graph(encoded=False).dictionary, PassthroughDictionary)
-        assert isinstance(Graph().dictionary, TermDictionary)
-
-
 TRIPLES = [
     (EX.a, RDF.type, EX.Laptop),
     (EX.b, RDF.type, EX.Laptop),
@@ -71,34 +57,36 @@ TRIPLES = [
 ]
 
 
-@pytest.mark.parametrize("encoded", [True, False])
-class TestEncodedVsPassthrough:
-    """The encoded store and its ablation twin are observably identical."""
+class TestEncodedStore:
+    """The store answers in terms whatever it keeps inside."""
 
-    def test_triples_and_membership(self, encoded):
-        g = Graph(TRIPLES, encoded=encoded)
+    def test_triples_and_membership(self):
+        g = Graph(TRIPLES)
         assert set(g) == set(TRIPLES)
         assert (EX.a, EX.price, Literal.of(700)) in g
         assert (EX.a, EX.price, Literal.of(800)) not in g
 
-    def test_pattern_queries(self, encoded):
-        g = Graph(TRIPLES, encoded=encoded)
+    def test_pattern_queries(self):
+        g = Graph(TRIPLES)
         assert set(g.subjects(RDF.type, EX.Laptop)) == {EX.a, EX.b}
         assert set(g.objects(EX.a, EX.price)) == {Literal.of(700)}
         assert set(g.predicates(EX.a, None)) == {RDF.type, EX.price, EX.madeBy}
 
-    def test_counts(self, encoded):
-        g = Graph(TRIPLES, encoded=encoded)
+    def test_counts(self):
+        g = Graph(TRIPLES)
         assert g.count() == 5
         assert g.count(None, RDF.type, None) == 2
         assert g.count(None, RDF.type, EX.Laptop) == 2
         assert g.count(EX.a, EX.price, None) == 1
         assert g.count(None, EX.nope, None) == 0
 
-    def test_copy_preserves_encoding(self, encoded):
-        g = Graph(TRIPLES, encoded=encoded).copy()
-        assert g.encoded is encoded
-        assert set(g) == set(TRIPLES)
+    def test_copy_is_an_equal_independent_store(self):
+        g = Graph(TRIPLES)
+        twin = g.copy()
+        assert isinstance(twin.dictionary, TermDictionary)
+        assert set(twin) == set(TRIPLES)
+        twin.add(EX.c, RDF.type, EX.Laptop)
+        assert len(g) == 5
 
 
 class TestCardinalityStats:

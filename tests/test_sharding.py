@@ -5,12 +5,12 @@ The contract under test is the one DESIGN.md states: a
 the flat store through every read API — pattern matching, the id-level
 accessors the engines consume, cardinality stats — and through every
 analytic surface (``all_facets``, HIFUN under both engines), at any
-shard count, in both the sequential and the forced-process executor
-modes.  Mutation keeps the per-shard stats exactly as tight as the
-flat store's (the PR-2 pruning guarantees, here crossed with shards).
+shard count.  The shards are plain ``Graph`` slices sharing the parent's
+dictionary, so their state is checked through the public ``Graph`` API:
+mutation keeps every slice exactly as tight as a never-touched one (the
+PR-2 pruning guarantees, here crossed with shards).
 """
 
-import copy
 import random
 
 import pytest
@@ -18,14 +18,11 @@ import pytest
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.hifun import Attribute, HifunQuery, compose
-from repro.hifun.evaluator import evaluate_hifun, evaluate_hifun_row
+from repro.hifun.columnar import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
-from repro.rdf.sharding import (
-    PARALLEL_ENV,
-    ShardedGraph,
-    shard_of,
-)
+from repro.rdf.sharding import ShardedGraph
 from repro.rdf.terms import Literal
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -53,12 +50,12 @@ def seeded_graph(seed: int = 11, items: int = 40) -> Graph:
 
 
 def rollup(store: ShardedGraph):
-    """Recompute the global stats from the shard slices, brute force."""
-    size = sum(shard.size for shard in store.shards)
+    """Recompute the global stats from the slices, brute force."""
+    size = sum(len(piece) for piece in store.shards)
     pred_count = {}
-    for shard in store.shards:
-        for pid, n in shard.pred_count.items():
-            pred_count[pid] = pred_count.get(pid, 0) + n
+    for piece in store.shards:
+        for pred, n in piece.predicate_counts().items():
+            pred_count[pred] = pred_count.get(pred, 0) + n
     return size, pred_count
 
 
@@ -70,15 +67,15 @@ class TestPartitioning:
         assert store.num_shards == shards
         assert len(store) == len(graph)
         assert set(store) == set(graph)
-        for index, shard in enumerate(store.shards):
-            for si in shard.spo:
-                assert shard_of(si, shards) == index
-        # Shard sizes partition the triple count, and every non-empty
-        # shard's subjects are disjoint from every other's.
+        for index, piece in enumerate(store.shards):
+            for si in piece.all_subject_ids():
+                assert si % shards == index
+        # Slice sizes partition the triple count, and every non-empty
+        # slice's subjects are disjoint from every other's.
         assert sum(store.shard_sizes()) == len(store)
         seen = set()
-        for shard in store.shards:
-            subjects = set(shard.spo)
+        for piece in store.shards:
+            subjects = piece.all_subjects()
             assert not (subjects & seen)
             seen |= subjects
 
@@ -87,14 +84,32 @@ class TestPartitioning:
         store = ShardedGraph.from_graph(seeded_graph(), shards=shards)
         size, pred_count = rollup(store)
         assert size == len(store)
-        assert pred_count == store._pred_count
+        assert pred_count == store.predicate_counts()
         assert store.predicate_counts() == seeded_graph().predicate_counts()
 
-    def test_rejects_identity_encoding_and_bad_shard_counts(self):
-        with pytest.raises(ValueError):
-            ShardedGraph(encoded=False)
+    def test_rejects_bad_shard_counts(self):
         with pytest.raises(ValueError):
             ShardedGraph(shards=0)
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_slices_share_the_parents_dictionary(self, shards):
+        """An id means the same term in every slice: the slices intern
+        into the parent's dictionary, whether the store was repartitioned
+        from a flat one or grown triple by triple."""
+        graph = seeded_graph()
+        repartitioned = ShardedGraph.from_graph(graph, shards=shards)
+        grown = ShardedGraph(shards=shards)
+        for store in (repartitioned, grown):
+            store.add(EX.fresh, EX.maker, EX.maker0)
+            store.add(EX.maker0, EX.partner, EX.fresh)
+            for piece in store.shards:
+                assert piece.dictionary is store.dictionary
+            fresh_id = store.encode_term(EX.fresh)
+            assert all(piece.encode_term(EX.fresh) == fresh_id
+                       for piece in store.shards)
+            assert sum(len(piece) for piece in store.shards) == len(store)
+        assert repartitioned.dictionary is not graph.dictionary
+        assert graph.encode_term(EX.fresh) is None
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_pattern_matching_identical(self, shards):
@@ -149,23 +164,29 @@ class TestPartitioning:
         assert filtered.num_shards == shards
 
 
-def shard_stats_snapshot(store: ShardedGraph):
-    return [
-        (copy.deepcopy(shard.spo), copy.deepcopy(shard.pos),
-         copy.deepcopy(shard.osp), dict(shard.pred_count), shard.size)
-        for shard in store.shards
-    ]
+def untouched_slices(store: ShardedGraph):
+    """Every slice as a fresh ``Graph`` holding the same triples — what
+    a slice must still equal, stats included, after a round trip."""
+    return [Graph(piece.triples()) for piece in store.shards]
+
+
+def assert_slices_equal(store: ShardedGraph, expected) -> None:
+    for piece, fresh in zip(store.shards, expected):
+        assert piece == fresh
+        assert len(piece) == len(fresh)
+        assert piece.predicate_counts() == fresh.predicate_counts()
+        assert piece.all_terms() == fresh.all_terms()
 
 
 class TestShardStatsExactness:
     """PR-2's pruning guarantees, crossed with the shard axis: add →
-    remove cycles restore every shard slice exactly, and the per-shard
-    stats never hold zero or stale entries."""
+    remove cycles leave every slice equal to a never-touched one, and
+    the per-slice stats never hold zero or stale entries."""
 
     @pytest.mark.parametrize("shards", (2, 4, 7))
     def test_add_remove_cycle_restores_every_shard(self, shards):
         store = ShardedGraph.from_graph(seeded_graph(), shards=shards)
-        before = shard_stats_snapshot(store)
+        before = untouched_slices(store)
         generation = store.generation
         subjects = [EX[f"item{i}"] for i in range(12)]
         for cycle in range(3):
@@ -173,7 +194,7 @@ class TestShardStatsExactness:
                 assert store.add(s, RDF.type, EX.temp)
             for s in subjects:
                 assert store.remove(s, RDF.type, EX.temp)
-            assert shard_stats_snapshot(store) == before
+            assert_slices_equal(store, before)
         # Generation algebra: +1 per add, +1 per remove, per cycle.
         assert store.generation == generation + 3 * 2 * len(subjects)
 
@@ -184,11 +205,11 @@ class TestShardStatsExactness:
         session.select_class(EX.Widget)
         session.group_by((EX.maker,))
         session.measure((EX.price,), "AVG")
-        before = shard_stats_snapshot(store)
+        before = untouched_slices(store)
         generation = store.generation
         frame = session.run("sparql")
         assert frame.rows == session.run("native").rows
-        assert shard_stats_snapshot(store) == before
+        assert_slices_equal(store, before)
         assert store.generation == generation
 
     @pytest.mark.parametrize("shards", (2, 4))
@@ -199,18 +220,19 @@ class TestShardStatsExactness:
             assert store.remove(s, p, o)
         assert store.count(None, EX.price, None) == 0
         assert EX.price not in store.predicate_counts()
-        for shard in store.shards:
-            assert price_id not in shard.pred_count
-            assert price_id not in shard.pos
+        for piece in store.shards:
+            assert EX.price not in piece.predicate_counts()
+            assert price_id not in piece.all_predicate_ids()
 
     def test_removing_everything_empties_every_shard(self):
         store = ShardedGraph.from_graph(seeded_graph(items=10), shards=4)
         for s, p, o in list(store):
             store.remove(s, p, o)
         assert len(store) == 0
-        for shard in store.shards:
-            assert shard.spo == {} and shard.pos == {} and shard.osp == {}
-            assert shard.pred_count == {} and shard.size == 0
+        for piece in store.shards:
+            assert piece == Graph() and len(piece) == 0
+            assert piece.predicate_counts() == {}
+            assert piece.all_terms() == set()
 
 
 class TestAnalyticInvariance:
@@ -236,8 +258,7 @@ class TestAnalyticInvariance:
             Attribute(EX.price), ("AVG", "COUNT"))
         reference = evaluate_hifun_row(graph, query, root_class=EX.Widget)
         store = ShardedGraph.from_graph(graph, shards=shards)
-        answer = evaluate_hifun(store, query, root_class=EX.Widget,
-                                engine="columnar")
+        answer = evaluate_hifun(store, query, root_class=EX.Widget)
         assert answer.rows() == reference.rows()
 
     @pytest.mark.parametrize("shards", (1, 4))
@@ -255,112 +276,7 @@ class TestAnalyticInvariance:
         for who in (session, flat):
             who.group_by((EX.manufacturer,))
             who.measure((EX.price,), "AVG")
-        assert session.run("columnar").rows == flat.run("row").rows
-
-
-class TestExecutorModes:
-    def test_sequential_env_disables_fanout(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_ENV, "sequential")
-        store = ShardedGraph.from_graph(seeded_graph(), shards=4)
-        assert not store.executor().active()
-        store.close()
-
-    def test_small_graphs_fall_back_in_auto_mode(self, monkeypatch):
-        monkeypatch.delenv(PARALLEL_ENV, raising=False)
-        store = ShardedGraph.from_graph(seeded_graph(), shards=4)
-        # Far below PARALLEL_MIN_TRIPLES: auto mode never forks.
-        assert not store.executor().active()
-        store.close()
-
-    def test_invalid_mode_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_ENV, "turbo")
-        store = ShardedGraph.from_graph(seeded_graph(), shards=4)
-        with pytest.raises(ValueError):
-            store.executor().active()
-        store.close()
-
-    def test_forced_process_mode_matches_sequential(self, monkeypatch):
-        """The fork-pool fan-out path must return exactly what the
-        in-process shard-by-shard path returns, for facet counts and
-        for both directions of the successor prefetch."""
-        graph = seeded_graph(seed=31)
-        store = ShardedGraph.from_graph(graph, shards=4)
-        session = FacetedSession(store)
-        session.select_class(EX.Widget)
-        expected_facets = [session.all_facets(inv) for inv in (False, True)]
-
-        monkeypatch.setenv(PARALLEL_ENV, "process")
-        forced = ShardedGraph.from_graph(graph, shards=4)
-        try:
-            if not forced.executor().active():  # pragma: no cover
-                pytest.skip("fork start method unavailable")
-            forced_session = FacetedSession(forced)
-            forced_session.select_class(EX.Widget)
-            assert [forced_session.all_facets(inv)
-                    for inv in (False, True)] == expected_facets
-
-            maker_id = forced.encode_term(EX.maker)
-            nodes = sorted(forced.all_subject_ids())
-            sort_key = lambda i: forced.decode_id(i).sort_key()  # noqa: E731
-            for inverse in (False, True):
-                fanned = forced.prefetch_successors(
-                    nodes, maker_id, inverse, sort_key)
-                for node in nodes:
-                    expected = (
-                        store.subjects_ids(maker_id, node) if inverse
-                        else store.objects_ids(node, maker_id))
-                    assert fanned[node] == tuple(
-                        sorted(expected, key=sort_key)), (node, inverse)
-        finally:
-            forced.close()
-            store.close()
-
-    def test_mutation_invalidates_the_pool(self, monkeypatch):
-        """A fork snapshot is stale after any mutation; the executor
-        must rebuild and serve post-mutation answers."""
-        monkeypatch.setenv(PARALLEL_ENV, "process")
-        store = ShardedGraph.from_graph(seeded_graph(seed=13), shards=2)
-        try:
-            if not store.executor().active():  # pragma: no cover
-                pytest.skip("fork start method unavailable")
-            session = FacetedSession(store)
-            session.select_class(EX.Widget)
-            before = session.all_facets()
-            store.add(EX.item0, EX.ports, Literal.of(99))
-            session = FacetedSession(store)
-            session.select_class(EX.Widget)
-            after = session.all_facets()
-            assert before != after
-            flat = Graph(store.triples())
-            flat_session = FacetedSession(flat)
-            flat_session.select_class(EX.Widget)
-            assert after == flat_session.all_facets()
-        finally:
-            store.close()
-
-
-    def test_sparql_run_keeps_the_pool(self, monkeypatch):
-        """A run on the SPARQL path is a read: the fork pool built for
-        the listing before it still serves the listing after it."""
-        monkeypatch.setenv(PARALLEL_ENV, "process")
-        store = ShardedGraph.from_graph(seeded_graph(seed=13), shards=2)
-        try:
-            executor = store.executor()
-            if not executor.active():  # pragma: no cover
-                pytest.skip("fork start method unavailable")
-            session = FacetedAnalyticsSession(store, closed=True)
-            session.select_class(EX.Widget)
-            listing = session.all_facets()
-            pool = executor._pool
-            assert pool is not None
-            session.group_by((EX.maker,))
-            session.count_items()
-            session.run("sparql")
-            session.select_range((EX.price,), ">=", Literal.of(100))
-            assert session.all_facets() != listing
-            assert executor._pool is pool
-        finally:
-            store.close()
+        assert session.run("native").rows == flat.run("row").rows
 
 
 class TestCLI:

@@ -2,6 +2,7 @@
 the fallback checker must pass over the shipped sources and must still
 catch the defect classes it claims to."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,21 @@ def test_typecheck_gate_passes_on_target_packages():
         "src/repro/rdf", "src/repro/hifun", "src/repro/analysis",
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_no_module_under_src_reads_the_environment():
+    """The library has no ``REPRO_*`` switch: behaviour is a function of
+    arguments, never of ``os.environ`` / ``os.getenv``."""
+    readers = ("environ", "environb", "getenv", "getenvb")
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append(f"{path.relative_to(REPO)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.relative_to(REPO)}:{node.lineno}"
+                          for alias in node.names if alias.name in readers]
+    assert not found, found
 
 
 def test_lint_detects_planted_defects(tmp_path):
