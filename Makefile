@@ -8,25 +8,13 @@ install:
 test:
 	pytest tests/
 
-# Static analysis gates.  Both prefer the real tools (configured in
-# pyproject.toml) and fall back to the hermetic stdlib checker in
-# tools/static_check.py when ruff/mypy are not installed — nothing can
-# be pip-installed in the CI container.
+# Static analysis gates: the stdlib checker in tools/static_check.py,
+# with the arguments tests/test_static_gates.py runs it with in tier-1.
 lint:
-	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tools benchmarks; \
-	else \
-		echo "ruff not found; using tools/static_check.py fallback"; \
-		python tools/static_check.py --lint src/repro tools benchmarks; \
-	fi
+	python tools/static_check.py --lint src/repro tools benchmarks
 
 typecheck:
-	@if command -v mypy >/dev/null 2>&1; then \
-		mypy; \
-	else \
-		echo "mypy not found; using tools/static_check.py fallback"; \
-		python tools/static_check.py --typecheck src/repro/rdf src/repro/hifun src/repro/analysis; \
-	fi
+	python tools/static_check.py --typecheck src/repro/rdf src/repro/hifun src/repro/analysis
 
 # The default verify path: lint + typecheck + the full test suite.
 check: lint typecheck test

@@ -1,20 +1,18 @@
 """Ablation — the columnar batch engine vs. the row reference engine.
 
-Two measurements per dataset size, each with a built-in equality check
-(the speedup is meaningless if the answers differ):
+One measurement per dataset size, with a built-in equality check (the
+speedup is meaningless if the answers differ): a representative slice of
+the Q1–Q10 workload evaluated by ``evaluate_hifun_row`` (item-at-a-time
+reference) and ``evaluate_hifun`` (whole-extension frontier joins,
+memoized successor columns).
 
-* **analytic run** — a representative slice of the Q1–Q10 workload
-  evaluated by ``evaluate_hifun_row`` (item-at-a-time reference) and
-  ``evaluate_hifun`` (whole-extension frontier joins, memoized
-  successor columns);
-* **property facets** — the left-frame listing computed the old way
-  (one ``_compute_facet`` scan of the extension per applicable
-  property) and by the shared-scan ``all_facets`` (one scan, N
-  counters).
+The listing half this bench once had — one member-by-member scan per
+property against the shared scan — compared two loops of which one
+remains; its verdict is frozen in EXPERIMENTS.md (*Frozen verdicts*).
 
 Sizes come from ``REPRO_BENCH_SIZES`` (``make bench-smoke`` sets 100);
 the default sweep ends at the dissertation's 1600-laptop scale, where
-the acceptance bar is ≥2× on facets and ≥1.5× on the analytic run.
+the acceptance bar is ≥1.5× on the analytic run.
 """
 
 import gc
@@ -24,7 +22,6 @@ import time
 import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
-from repro.facets import FacetedSession
 from repro.hifun import evaluate_hifun
 from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.namespace import EX
@@ -73,42 +70,14 @@ def _measure_analytic(graph):
             _best_of(lambda: run(evaluate_hifun)))
 
 
-def _measure_facets(graph):
-    session = FacetedSession(graph)
-    session.select_class(EX.Laptop)
-
-    def per_facet():
-        # The pre-batch left-frame listing: discover the applicable
-        # properties, then one extension scan per facet.
-        session._facet_cache.clear()
-        return [
-            session._compute_facet((ref,))
-            for ref in session.applicable_properties()
-        ]
-
-    def shared_scan():
-        session._facet_cache.clear()
-        return session.all_facets()
-
-    assert per_facet() == shared_scan()
-    return _best_of(per_facet), _best_of(shared_scan)
-
-
 def run_ablation(sizes=SIZES):
-    """Per size: row/columnar analytic seconds and per-facet/shared-scan
-    facet seconds — the importable core, reused by the tier-1 smoke
-    test in ``tests/test_bench_tools.py``."""
+    """Per size: row/columnar analytic seconds — the importable core,
+    reused by the tier-1 smoke test in ``tests/test_bench_tools.py``."""
     results = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=17))
         row_s, col_s = _measure_analytic(graph)
-        facet_s, shared_s = _measure_facets(graph)
-        results[size] = {
-            "analytic_row": row_s,
-            "analytic_columnar": col_s,
-            "facets_per_facet": facet_s,
-            "facets_shared_scan": shared_s,
-        }
+        results[size] = {"analytic_row": row_s, "analytic_columnar": col_s}
     return results
 
 
@@ -120,32 +89,24 @@ def test_ablation_columnar(benchmark, artifact_writer):
     for size, timing in results.items():
         analytic_speedup = timing["analytic_row"] / max(
             timing["analytic_columnar"], 1e-9)
-        facet_speedup = timing["facets_per_facet"] / max(
-            timing["facets_shared_scan"], 1e-9)
         body.append((
             size,
             f"{timing['analytic_row'] * 1000:.1f} ms",
             f"{timing['analytic_columnar'] * 1000:.1f} ms",
             f"{analytic_speedup:.1f}x",
-            f"{timing['facets_per_facet'] * 1000:.1f} ms",
-            f"{timing['facets_shared_scan'] * 1000:.1f} ms",
-            f"{facet_speedup:.1f}x",
         ))
         for label, seconds in timing.items():
             ops[f"{label}_{size}"] = seconds * 1000.0
 
-    text = "Ablation: row vs columnar HIFUN + per-facet vs shared-scan counts\n"
+    text = "Ablation: row vs columnar HIFUN\n"
     text += format_table(
-        ["laptops", "analytic row", "analytic columnar", "speedup",
-         "facets per-facet", "facets shared-scan", "speedup"],
-        body,
-    )
+        ["laptops", "analytic row", "analytic columnar", "speedup"], body)
     artifact_writer("ablation_columnar.txt", text)
     write_bench_json(
         "ablation_columnar", ops,
         params={"sizes": list(results), "workload": list(ANALYTIC_QIDS),
                 "repeats": REPEATS, "seed": 17},
-        engine="row|columnar|shared-scan",
+        engine="row|columnar",
     )
 
     # The batch engine must win, and win *more* at the large end; exact
@@ -155,9 +116,7 @@ def test_ablation_columnar(benchmark, artifact_writer):
     largest = max(results)
     timing = results[largest]
     assert timing["analytic_columnar"] < timing["analytic_row"]
-    assert timing["facets_shared_scan"] < timing["facets_per_facet"]
     if largest >= 1600:
-        # Measured ≥2.2× / ≥1.85× on an idle machine; the floors leave
-        # room for CI load noise without letting a real regression by.
-        assert timing["facets_per_facet"] / timing["facets_shared_scan"] >= 1.7
+        # Measured ≥1.85× on an idle machine; the floor leaves room for
+        # CI load noise without letting a real regression by.
         assert timing["analytic_row"] / timing["analytic_columnar"] >= 1.3

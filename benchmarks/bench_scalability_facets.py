@@ -21,12 +21,12 @@ import time
 import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
-from repro.facets import FacetedAnalyticsSession
+from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.rdf.namespace import EX
 from repro.rdf.sharding import ShardedGraph
 
 from _workload import write_bench_json
-from conftest import format_table
+from conftest import cold_listings, format_table
 
 pytestmark = pytest.mark.smoke
 
@@ -93,9 +93,9 @@ def test_scalability(benchmark, artifact_writer):
 
 def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
     """Median ``all_facets`` seconds per (size, shard count) — the
-    shard axis of the scalability curve.  The facet cache and the
-    state's own listing are cleared every round so the id-level scan is
-    measured, not a cache hit or a recount of the last round's rows."""
+    shard axis of the scalability curve.  Every round lists on a fresh
+    session, so the id-level scan is measured, not a revisit or a
+    recount of the last round's rows."""
     curve = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
@@ -104,14 +104,8 @@ def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
             store = ShardedGraph.from_graph(graph, shards=shards)
             session = FacetedAnalyticsSession(store)
             session.select_class(EX.Laptop)
-            samples = []
-            for _ in range(rounds):
-                gc.collect()
-                session._facet_cache.clear()
-                session.state.listing.clear()
-                started = time.perf_counter()
-                session.all_facets()
-                samples.append(time.perf_counter() - started)
+            _, samples = cold_listings(
+                session.graph, session.extension, rounds)
             per_shards[shards] = statistics.median(samples)
         curve[size] = per_shards
     return curve
@@ -150,27 +144,28 @@ def test_scalability_shard_curve(benchmark, artifact_writer):
 def test_facet_computation_speed(benchmark):
     """Micro-benchmark: property facets over a 400-laptop graph.
 
-    Clears the session's facet cache each round, so what is measured is
-    the id-level computation, not a cache hit.
+    Every round lists on a fresh session, so what is measured is the
+    id-level computation, not a revisit.
     """
     graph = synthetic_graph(SyntheticConfig(laptops=400, seed=21))
     session = FacetedAnalyticsSession(graph)
     session.select_class(EX.Laptop)
+    closed, extension = session.graph, session.extension
 
-    def compute():
-        session._facet_cache.clear()
-        return session.property_facets()
+    def fresh():
+        return (FacetedSession(closed, results=extension, closed=True),), {}
 
-    facets = benchmark(compute)
+    facets = benchmark.pedantic(
+        lambda session: session.property_facets(), setup=fresh, rounds=30)
     assert len(facets) >= 5
 
 
 def test_facet_cache_hit_speed(benchmark):
-    """The same listing served from the generation-stamped cache."""
+    """The same listing served again from the state it was made on."""
     graph = synthetic_graph(SyntheticConfig(laptops=400, seed=21))
     session = FacetedAnalyticsSession(graph)
     session.select_class(EX.Laptop)
     session.property_facets()  # populate
     facets = benchmark(session.property_facets)
     assert len(facets) >= 5
-    assert session._facet_cache.stats().hits > 0
+    assert session.cache_stats()["facets"].hits > 0

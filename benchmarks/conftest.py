@@ -19,11 +19,14 @@ mode are enforced only in a dedicated benchmark run — see
 assertions.
 """
 
+import gc
 import os
 import time
 
 import pytest
 from _pytest.mark.expression import Expression
+
+from repro.facets import FacetedSession
 
 from _workload import OUT_DIR
 
@@ -115,6 +118,21 @@ def min_alternating(sides, repetitions=5):
             side()
             best[index] = min(best[index], time.perf_counter() - started)
     return best
+
+
+def cold_listings(graph, extension, rounds, include_inverse=False):
+    """``(listing, [seconds per round])`` of ``all_facets`` over
+    ``extension`` on the closed ``graph``, every round on a fresh
+    session — so the scan is what is timed: nothing a state remembers
+    can serve it."""
+    samples = []
+    for _ in range(rounds):
+        session = FacetedSession(graph, results=extension, closed=True)
+        gc.collect()
+        started = time.perf_counter()
+        listing = session.all_facets(include_inverse)
+        samples.append(time.perf_counter() - started)
+    return listing, samples
 
 
 def format_table(headers, rows) -> str:

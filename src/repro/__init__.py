@@ -67,8 +67,12 @@ __all__ = [
 def load_graph(path: str):
     """Load an RDF graph from a file, dispatching on the extension.
 
-    ``.ttl`` → Turtle, ``.nt`` → N-Triples, ``.csv`` → the statistical
-    CSV import of system 1b (headers become properties).
+    ``.ttl`` → Turtle and ``.nt`` → N-Triples through
+    :func:`repro.rdf.bulkload.load_file` (N-Triples is streamed, and a
+    malformed line raises :class:`~repro.rdf.bulkload.BulkLoadError`
+    carrying its ``line``); ``.csv`` → the statistical CSV import of
+    system 1b (headers become properties); anything else is read as
+    Turtle.
     """
     lowered = path.lower()
     if lowered.endswith(".csv"):
@@ -76,11 +80,10 @@ def load_graph(path: str):
 
         with open(path, encoding="utf-8") as handle:
             return graph_from_csv(handle.read())
-    if lowered.endswith(".nt"):
-        from repro.rdf import ntriples
+    if lowered.endswith((".nt", ".ttl")):
+        from repro.rdf.bulkload import load_file
 
-        with open(path, encoding="utf-8") as handle:
-            return ntriples.parse_into(handle.read())
+        return load_file(path)[0]
     from repro.rdf import turtle
 
     return turtle.parse_file(path)

@@ -511,13 +511,15 @@ def build_shell(argv=None) -> AnalyticsShell:
     """
     import argparse
 
+    from repro import load_graph
     from repro.datasets import products_graph
-    from repro.rdf.turtle import parse_file
 
     parser = argparse.ArgumentParser(
         prog="repro.app", description="RDF-Analytics interactive shell")
     parser.add_argument("file", nargs="?", default=None,
-                        help="Turtle file to load (default: bundled products KG)")
+                        help="file to load: Turtle (.ttl, or any other "
+                        "suffix), N-Triples (.nt) or a statistical CSV "
+                        "(.csv); default: the bundled products KG")
     parser.add_argument("--network", choices=("local", "offpeak", "peak"),
                         default="local",
                         help="simulate a remote endpoint with this latency model")
@@ -542,7 +544,7 @@ def build_shell(argv=None) -> AnalyticsShell:
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
 
-    graph = parse_file(args.file) if args.file else products_graph()
+    graph = load_graph(args.file) if args.file else products_graph()
     if args.shards > 1:
         from repro.rdf.sharding import ShardedGraph
 
@@ -590,7 +592,7 @@ def build_shell(argv=None) -> AnalyticsShell:
 
 
 def main() -> None:  # pragma: no cover - interactive entry point
-    """Interactive REPL over the bundled products KG (or a Turtle file)."""
+    """Interactive REPL over the bundled products KG (or a file)."""
     shell = build_shell()
     print("RDF-Analytics shell — 'help' lists the commands.")
     while shell.running:

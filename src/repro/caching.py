@@ -9,12 +9,14 @@ Two cache flavours back the engine's interactive latencies:
   of a :class:`repro.rdf.Graph` bumps ``Graph.generation``, so a stale
   entry can never be served: a lookup with a newer generation is a miss
   (counted as an *invalidation*) and evicts the dead entry.  This backs
-  the SPARQL result cache and the facet-count caches of
-  :class:`repro.facets.session.FacetedSession`.
+  the SPARQL result caches: the store's and each extension view's.
 
 Both expose :meth:`stats` returning a :class:`CacheStats` snapshot;
 sessions aggregate those through ``cache_stats()`` and the CLI shows
-them in ``health``.
+them in ``health``.  A session's facet counts are in neither: they are
+remembered, with the same generation stamp, on the state they were
+derived from (:meth:`repro.facets.session.FacetedSession._per_state`),
+and reported in the same :class:`CacheStats` shape.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class LRUCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def reset_stats(self) -> None:
-        self._hits = self._misses = 0
-        self._evictions = self._invalidations = 0
 
     def stats(self) -> CacheStats:
         return CacheStats(

@@ -35,7 +35,7 @@ from repro.caching import CacheStats
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.overlay import ExtensionView
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
     Attribute,
     AttributeExpr,
@@ -53,6 +53,7 @@ from repro.facets.session import FacetedSession
 # and the answer-frame vocabulary of §5.3.3).
 from repro.facets.sparql_backend import APP, TEMP
 from repro.sparql import query as sparql_query
+from repro.sparql.functions import wrap_number
 
 #: The temporary class the current extension is typed under during a run
 #: — the one the session's extension view populates.
@@ -209,7 +210,6 @@ class AnswerFrame:
         for row in self.rows:
             key = tuple(row[i] for i in kept_group_indexes)
             buckets.setdefault(key, []).append(row)
-        from repro.sparql.functions import wrap_number
 
         def merge(op: str, values):
             numbers = [v.to_python() for v in values if v is not None]
@@ -252,9 +252,7 @@ class AnswerFrame:
                 if total is not None and count is not None and float(
                     count.to_python()
                 ):
-                    from repro.sparql.functions import wrap_number as _wrap
-
-                    agg_values["AVG"] = _wrap(
+                    agg_values["AVG"] = wrap_number(
                         float(total.to_python()) / float(count.to_python())
                     )
             merged += [agg_values[op] for op, _ in agg_info]
@@ -282,9 +280,8 @@ class FacetedAnalyticsSession(FacetedSession):
         self._with_count = False
         #: strict-mode memo: (schema, (query, root_class), report)
         self._analysis_memo = None
-        #: the latest extension view, and the result-cache counters of
-        #: the views it replaced (cache_stats reports their sum).
-        self._view: Optional[ExtensionView] = None
+        #: the result-cache counters of the extension views that are
+        #: gone (cache_stats adds those of the live states' views).
         self._retired_views = CacheStats("sparql-results", 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
@@ -350,7 +347,6 @@ class FacetedAnalyticsSession(FacetedSession):
         (``p.values.AsFeatures``).
         """
         from repro.hifun.features import apply_feature
-        from repro.facets.model import PropertyRef
 
         derived = apply_feature(self.graph, self.extension, operator)
         predicates = sorted(derived.all_predicates(), key=lambda t: t.sort_key())
@@ -503,8 +499,8 @@ class FacetedAnalyticsSession(FacetedSession):
 
     def _analysis_domain(self):
         """The native engines' evaluation domain: the extension sorted
-        by term sort key with its parallel encoded-id column, memoized
-        per (generation, state) so repeated analytics skip the sort —
+        by term sort key with its parallel encoded-id column, remembered
+        on the state so repeated analytics skip the sort —
         exactly the ``items``/``items_ids`` contract of
         :func:`repro.hifun.columnar.evaluate_hifun`.  Built from the
         state's ids; a member the graph never interned (a ``results=``
@@ -525,21 +521,35 @@ class FacetedAnalyticsSession(FacetedSession):
         temporary class of Table 5.1 — virtually: the view the SPARQL
         pipeline is evaluated over, so that a read writes nothing.
 
-        The view owns the SPARQL result cache of its state, so a
-        repeated run is a hit while another session — or another state
-        of this one — with the same query text can never be served it.
+        The view owns the SPARQL result cache of its state and is
+        remembered on it, so a repeated run is a hit — also after
+        coming *back* to the state — while another session, or another
+        state of this one, with the same query text can never be served
+        it.
         """
         def build():
-            if self._view is not None:
-                self._retired_views += replace(
-                    self._view.sparql_cache.stats(), size=0, maxsize=0)
             state = self.state
-            self._view = ExtensionView(
+            self._retire_view(state)
+            return ExtensionView(
                 self.graph, TEMP,
                 chain(map(self.graph.decode_id, state.ids), state.unknown))
-            return self._view
 
         return self._per_state("view", build)
+
+    def _retire_view(self, state) -> None:
+        """Move the result-cache counters of ``state``'s view, if it has
+        one, into the running sum — called when the state leaves the
+        history or its stale view is replaced, so that what
+        :meth:`cache_stats` reports never falls."""
+        entry = state._memo.pop("view", None)
+        if entry is not None:
+            self._retired_views += replace(
+                entry[1].sparql_cache.stats(), size=0, maxsize=0)
+
+    def back(self):
+        if len(self._history) > 1:
+            self._retire_view(self.state)
+        return super().back()
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         """As the base session's, with the result caches of the
@@ -547,11 +557,13 @@ class FacetedAnalyticsSession(FacetedSession):
         folded into ``"sparql"``: hits, misses, evictions and
         invalidations accumulate over every view the session built;
         size and capacity are those of the live caches (the store's
-        plus the latest view's)."""
+        plus those of the views of the states in the history)."""
         stats = super().cache_stats()
         stats["sparql"] += self._retired_views
-        if self._view is not None:
-            stats["sparql"] += self._view.sparql_cache.stats()
+        for state in self._history:
+            entry = state._memo.get("view")
+            if entry is not None:
+                stats["sparql"] += entry[1].sparql_cache.stats()
         return stats
 
     def run(self, engine: str = "sparql", endpoint=None) -> AnswerFrame:

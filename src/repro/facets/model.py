@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
@@ -340,11 +340,14 @@ class State:
     decodes to Terms on first use.
 
     A state's members never change; the session builds new states on
-    each transition and keeps the history for *back* navigation.
+    each transition and keeps the history for *back* navigation.  What
+    the session derives from a state it remembers on the state itself
+    (``FacetedSession._per_state``), so a state that leaves the history
+    takes everything derived from it along.
     """
 
-    __slots__ = ("ids", "unknown", "intention", "description", "listing",
-                 "_graph", "_extension")
+    __slots__ = ("ids", "unknown", "intention", "description",
+                 "_graph", "_extension", "_memo")
 
     def __init__(self, graph: Graph, ids: FrozenSet[int], intention: Intention,
                  description: str = "initial",
@@ -353,12 +356,10 @@ class State:
         self.unknown = unknown
         self.intention = intention
         self.description = description
-        #: The session's memo of this state's facet listings in id
-        #: space (see ``FacetedSession.all_facets``) — what a child
-        #: state's listing is derived from.
-        self.listing: dict = {}
         self._graph = graph
         self._extension: Optional[FrozenSet[Term]] = None
+        #: The session's memo: key → ``(generation, value, counted)``.
+        self._memo: Dict[object, Tuple[int, object, bool]] = {}
 
     @property
     def extension(self) -> FrozenSet[Term]:

@@ -30,10 +30,10 @@ with the state unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Term
+from repro.rdf.terms import Term
 from repro.endpoint import (
     CircuitBreakerPolicy,
     EndpointError,
@@ -166,32 +166,10 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
     # ------------------------------------------------------------------
     def class_markers(self, expanded: bool = False) -> List[ClassMarker]:
         """Class markers via one grouped count query (Table 5.2)."""
-        schema = self.schema
-
         def compute():
             counts = self._engine.class_counts(self._extension_view())
-
-            def build(cls: IRI) -> Optional[ClassMarker]:
-                count = counts.get(cls, 0)
-                if count <= 0:
-                    return None
-                children: Tuple[ClassMarker, ...] = ()
-                if expanded:
-                    kids = []
-                    for sub in sorted(schema.subclasses(cls, direct=True),
-                                      key=lambda t: t.sort_key()):
-                        marker = build(sub)
-                        if marker is not None:
-                            kids.append(marker)
-                    children = tuple(kids)
-                return ClassMarker(cls, count, children)
-
-            markers = []
-            for cls in schema.maximal_classes():
-                marker = build(cls)
-                if marker is not None:
-                    markers.append(marker)
-            return markers
+            return list(self._class_tree(
+                lambda cls: counts.get(cls, 0), expanded))
 
         return self._remote(
             ("classes", expanded), "class_markers", compute,
@@ -218,30 +196,27 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         """One facet with counts via the engine (2 queries); degrades to
         the last successful facet for the same path, flagged stale."""
         path = self._normalize_path(path)
-        facet, _error = self._facet_or_error(path)
-        if facet is not None:
-            return facet
-        return PropertyFacet(path=path, count=0, values=(), approximate=True)
+        return self._remote_facet(path, lambda exc: PropertyFacet(
+            path=path, count=0, values=(), approximate=True))
 
-    def _facet_or_error(self, path):
-        op = ("facet", path)
-        label = "facet " + "/".join(step.name for step in path)
-        try:
-            value = self._engine.facet(self._extension_view(), path)
-        except EndpointError as exc:
-            cached = self._cache.get(op, _MISSING)
-            if cached is not _MISSING:
-                self.incidents.append(DegradationEvent(label, exc, stale=True))
-                return replace(cached, approximate=True), None
-            self.incidents.append(DegradationEvent(label, exc, stale=False))
-            return None, exc
-        self._cache[op] = value
-        return value, None
+    def _remote_facet(self, path, fallback):
+        """The facet at ``path`` through :meth:`_remote`; ``fallback``
+        says what a facet that never succeeded degrades to."""
+        return self._remote(
+            ("facet", path), "facet " + "/".join(step.name for step in path),
+            lambda: self._engine.facet(self._extension_view(), path),
+            fallback=fallback,
+            mark_stale=lambda facet: replace(facet, approximate=True),
+        )
 
-    def property_facets(self, include_inverse: bool = False) -> FacetListing:
-        """The left-frame facet listing, possibly partial.
+    def all_facets(self, include_inverse: bool = False) -> FacetListing:
+        """The left-frame facet listing (:meth:`property_facets` is
+        this), possibly partial.
 
-        Facets whose count query failed are served stale (flagged
+        The native shared scan reads the local indexes, which an
+        endpoint-backed session must not do — counts here come from the
+        (fallible) endpoint one facet at a time, so each facet keeps its
+        *individual* degradation story: served stale (flagged
         ``approximate``) when a previous value exists, and otherwise
         reported in the listing's ``errors`` — the interaction never
         crashes over a lost facet.
@@ -257,28 +232,10 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         facets: List[PropertyFacet] = []
         errors: List[FacetError] = []
         for ref in refs:
-            facet, error = self._facet_or_error((ref,))
-            if facet is not None:
-                facets.append(facet)
-            else:
-                errors.append(FacetError(f"by {ref.name}", error))
+            facet = self._remote_facet(
+                (ref,), lambda exc: FacetError(f"by {ref.name}", exc))
+            (errors if isinstance(facet, FacetError) else facets).append(facet)
         return FacetListing(tuple(facets), tuple(errors))
-
-    def all_facets(self, include_inverse: bool = False) -> FacetListing:
-        """The batch listing, endpoint-backed.
-
-        The native shared-scan fast path reads the local indexes, which
-        an endpoint-backed session must not do — counts here come from
-        the (fallible) endpoint one facet at a time so each facet keeps
-        its *individual* degradation story (stale serve or listing
-        error).  Semantics are therefore exactly
-        :meth:`property_facets`."""
-        return self.property_facets(include_inverse)
-
-    def expand_path(self, path, next_prop) -> PropertyFacet:
-        path = self._normalize_path(path)
-        step = self._normalize_step(next_prop)
-        return self.facet(path + (step,))
 
     # ------------------------------------------------------------------
     # Transitions: native state machinery + virtual think time

@@ -20,10 +20,18 @@ The session works on the RDFS closure of the input graph, so subclass /
 subproperty semantics are honoured (§5.2.1).
 
 The facet computations here are *native* (direct index access, always
-consistent).  When counts must instead come from a remote — and hence
+consistent).  What they derive from a state is remembered on that
+state, stamped with the graph generation it was derived under
+(:meth:`FacetedSession._per_state`): a state revisited by *back* finds
+its markers, listings and facets again, any mutation of the graph
+retires them, and a state that leaves the history takes them along.
+Counting itself happens in one place, the store's
+:meth:`~repro.rdf.graph.Graph.facet_counts`: a listing asks it for every
+property of the extension, a single facet for the last step of its
+path.  When counts must instead come from a remote — and hence
 fallible — SPARQL endpoint, use
 :class:`repro.facets.resilient.ResilientFacetedSession`, which overrides
-``class_markers`` / ``property_facets`` / ``facet`` to query through the
+``class_markers`` / ``all_facets`` / ``facet`` to query through the
 resilience layer and degrade gracefully on failure; the transition
 methods below are shared and never depend on the endpoint.
 """
@@ -32,23 +40,22 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
-from repro.caching import CacheStats, GenerationCache
+from repro.caching import CacheStats
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.rdfs import SchemaView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.facets.intentions import (
-    ClassCondition,
     Intention,
     PathRangeCondition,
     PathValueCondition,
@@ -105,16 +112,9 @@ class FacetedSession:
         self.analyze = analyze
         self.schema = SchemaView(graph, closed=closed)
         self.graph = self.schema.graph
-        # Generation-stamped cache for facet counts / class markers /
-        # applicable properties: keyed on (operation, extension ids,
-        # ...), stamped with the graph generation, so any mutation
-        # invalidates, and *back* navigation re-serves earlier states
-        # for free.
-        self._facet_cache = GenerationCache(maxsize=512, name="facet-counts")
-        # Derived forms of the current extension (subclasses add
-        # theirs), memoized per (generation, state): _per_state.
-        self._state_memo: Tuple[int, Optional[FrozenSet[int]], Dict[str, object]] = (
-            -1, None, {})
+        # How the count operations' lookups on their state went
+        # (cache_stats); the values live on the states: _per_state.
+        self._lookups = {"hits": 0, "misses": 0, "invalidations": 0}
         graph = self.graph
         if results is not None:
             seeds = frozenset(results)
@@ -143,22 +143,38 @@ class FacetedSession:
                 subject_ids -= graph.subjects_ids(type_id, special_id)
         return frozenset(subject_ids)
 
-    def _per_state(self, name: str, build):
-        """``build()``, memoized under ``name`` per (generation, state).
+    def _recall(self, state: State, key):
+        """What ``state`` holds under ``key`` if it was derived in the
+        graph's current generation, else ``None``.  Counts as nothing:
+        this is how the session looks into an ancestor."""
+        entry = state._memo.get(key)
+        if entry is not None and entry[0] == self.graph.generation:
+            return entry[1]
+        return None
 
-        Dictionary ids are append-only, so within one generation a
-        derived form of the extension can only be recomputed to the same
-        answer; a new state carries a new id set (compared by identity),
-        and any mutation invalidates conservatively.
+    def _per_state(self, key, build: Callable[[], object], counted: bool = False):
+        """``build()``, remembered on the current state under ``key``
+        with the generation it was derived under.
+
+        Dictionary ids are append-only, so within one generation what a
+        state gives can only be recomputed to the same answer; any
+        mutation invalidates conservatively.  ``counted`` marks the
+        count operations (class markers, applicable properties,
+        listings, single facets), whose lookups :meth:`cache_stats`
+        reports: a value of this generation found here is a hit,
+        anything else a miss — and an invalidation when a value of an
+        older generation was found.
         """
-        generation, ids = self.graph.generation, self.state.ids
-        memo = self._state_memo
-        if memo[0] != generation or memo[1] is not ids:
-            memo = self._state_memo = (generation, ids, {})
-        derived = memo[2]
-        if name not in derived:
-            derived[name] = build()
-        return derived[name]
+        memo, generation = self.state._memo, self.graph.generation
+        entry = memo.get(key)
+        fresh = entry is not None and entry[0] == generation
+        if counted:
+            self._lookups["hits" if fresh else "misses"] += 1
+            if entry is not None and not fresh:
+                self._lookups["invalidations"] += 1
+        if not fresh:
+            entry = memo[key] = (generation, build(), counted)
+        return entry[1]
 
     # ------------------------------------------------------------------
     # State access
@@ -180,12 +196,19 @@ class FacetedSession:
         return list(self._history)
 
     def cache_stats(self) -> Dict[str, CacheStats]:
-        """Hit/miss/eviction counters for every cache the session touches:
-        facet counts, SPARQL result cache, and the parse cache."""
+        """Hit/miss/eviction counters for everything the session is
+        served from: the counts remembered on its states (as many as the
+        live history holds; nothing is ever evicted), the SPARQL result
+        cache, and the parse cache."""
         from repro.sparql import parse_cache_stats
 
+        size = sum(entry[2] for state in self._history
+                   for entry in state._memo.values())
+        lookups = self._lookups
         return {
-            "facets": self._facet_cache.stats(),
+            "facets": CacheStats(
+                "facet-counts", size, size, lookups["hits"], lookups["misses"],
+                0, lookups["invalidations"]),
             "sparql": self.graph.sparql_cache.stats(),
             "parse": parse_cache_stats(),
         }
@@ -214,41 +237,33 @@ class FacetedSession:
         (reflexive-transitive reduction, Fig. 5.4 b).
 
         Counts are intersections of the extension's id set with the
-        POS index rows of ``rdf:type``; results are served from the
-        generation-stamped cache on repeat.
+        POS index rows of ``rdf:type``, taken for the classes the tree
+        visits; a repeat on the same state is served from its memo.
         """
-        extension_ids = self.state.ids
-        key = ("classes", extension_ids, expanded)
-        generation = self.graph.generation
-        cached = self._facet_cache.get(key, generation, default=None)
-        if cached is not None:
-            return list(cached)
-        graph = self.graph
+        ids, graph = self.state.ids, self.graph
+        return list(self._per_state(
+            ("classes", expanded),
+            lambda: self._class_tree(
+                lambda cls: len(ids & _instance_ids(graph, cls)), expanded),
+            counted=True))
 
-        def build(cls: IRI, depth: bool) -> Optional[ClassMarker]:
-            count = len(extension_ids & _instance_ids(graph, cls))
-            if not count:
-                return None
-            children: Tuple[ClassMarker, ...] = ()
-            if depth:
-                kids = []
-                for sub in sorted(
-                    self.schema.subclasses(cls, direct=True),
-                    key=lambda t: t.sort_key(),
-                ):
-                    marker = build(sub, depth)
-                    if marker is not None:
-                        kids.append(marker)
-                children = tuple(kids)
-            return ClassMarker(cls, count, children)
+    def _class_tree(self, count_of: Callable[[IRI], int],
+                    expanded: bool) -> Tuple[ClassMarker, ...]:
+        """The markers of the maximal classes — with their subclass
+        trees when ``expanded`` — counted by ``count_of``; a class
+        without members is left out, its subclasses unvisited."""
+        def build(classes: Iterable[IRI]) -> Tuple[ClassMarker, ...]:
+            markers = []
+            for cls in classes:
+                count = count_of(cls)
+                if count > 0:
+                    children = build(sorted(
+                        self.schema.subclasses(cls, direct=True),
+                        key=lambda t: t.sort_key())) if expanded else ()
+                    markers.append(ClassMarker(cls, count, children))
+            return tuple(markers)
 
-        markers = []
-        for cls in self.schema.maximal_classes():
-            marker = build(cls, expanded)
-            if marker is not None:
-                markers.append(marker)
-        self._facet_cache.put(key, generation, tuple(markers))
-        return markers
+        return build(self.schema.maximal_classes())
 
     def select_class(self, cls: IRI) -> State:
         """Click a class marker: extension becomes ``Restrict(E, c)``."""
@@ -266,16 +281,21 @@ class FacetedSession:
     def applicable_properties(self, include_inverse: bool = False) -> List[PropertyRef]:
         """Properties with at least one value on the current extension.
 
-        Discovery walks the SPO (and, for inverses, OSP) index rows of
-        the extension at the id level and decodes each distinct
-        predicate once; repeats come from the generation-stamped cache.
+        They are those of the state's listing when it has one.
+        Otherwise discovery walks the SPO (and, for inverses, OSP) index
+        rows of the extension at the id level and decodes each distinct
+        predicate once — cheaper than a listing nobody asked for.
         """
+        listed = self._recall(self.state, ("listing", include_inverse))
+        if listed is not None:
+            self._lookups["hits"] += 1
+            return [facet.prop for facet in listed[0]]
+        return list(self._per_state(
+            ("props", include_inverse),
+            lambda: self._discover_properties(include_inverse), counted=True))
+
+    def _discover_properties(self, include_inverse: bool) -> Tuple[PropertyRef, ...]:
         extension_ids = self.state.ids
-        key = ("props", extension_ids, include_inverse)
-        generation = self.graph.generation
-        cached = self._facet_cache.get(key, generation, default=None)
-        if cached is not None:
-            return list(cached)
         graph = self.graph
         decode = graph.decode_id
         forward_ids: Set[int] = set()
@@ -291,9 +311,7 @@ class FacetedSession:
                 p = decode(pid)
                 if p not in self._SCHEMA_PROPS and isinstance(p, IRI):
                     found.add(PropertyRef(p, inverse=inverse))
-        refs = sorted(found, key=lambda r: (r.prop.sort_key(), r.inverse))
-        self._facet_cache.put(key, generation, tuple(refs))
-        return refs
+        return tuple(sorted(found, key=lambda r: (r.prop.sort_key(), r.inverse)))
 
     def property_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
         """One facet per applicable property, with value markers+counts.
@@ -312,42 +330,31 @@ class FacetedSession:
         state in the history whose id set is a superset.  When such a
         state was listed in this generation, only the rows of *its*
         listing are re-counted (:meth:`_recount`); otherwise the whole
-        POS index is scanned (:meth:`_scan`).  Either way the
-        per-property results are identical to :meth:`facet` (the
-        equivalence tests assert it) and are seeded into the
-        generation-stamped cache under the same keys, so subsequent
-        single-facet and listing requests are O(1)."""
-        state = self.state
-        key = ("all-facets", state.ids, include_inverse)
-        generation = self.graph.generation
-        cached = self._facet_cache.get(key, generation, default=None)
-        if cached is not None:
-            return list(cached)
-        ids = state.ids
-        if include_inverse:
-            # A literal member is the source of no inverse edge (as in
-            # _compute_facet); forward rows hold no literal subject.
-            decode = self.graph.decode_id
-            ids = frozenset(
-                i for i in ids if not isinstance(decode(i), Literal))
-        for ancestor in reversed(self._history):
-            listed = ancestor.listing.get(include_inverse)
-            if (listed is not None and listed[0] == generation
-                    and ancestor.ids >= state.ids):
-                facets, rows = self._recount(ids, listed[1], listed[2])
-                break
-        else:
-            facets, rows = self._scan(ids, include_inverse)
-        state.listing[include_inverse] = (generation, facets, rows)
-        for facet in facets:
-            self._facet_cache.put(("facet", state.ids, facet.path),
-                                  generation, facet)
-        self._facet_cache.put(
-            ("props", state.ids, include_inverse),
-            generation, tuple(facet.prop for facet in facets),
-        )
-        self._facet_cache.put(key, generation, facets)
-        return list(facets)
+        POS index is scanned (:meth:`_scan`).  Either way the listing is
+        remembered on the state with its rows in id space — what
+        :meth:`facet`, :meth:`applicable_properties` and the descendants
+        then read — and each entry is identical to :meth:`facet`'s (the
+        equivalence tests assert it)."""
+        def build():
+            state = self.state
+            ids = state.ids
+            if include_inverse:
+                # forward rows hold no literal subject anyway
+                ids = self._edge_sources(ids)
+            for ancestor in reversed(self._history):
+                listed = self._recall(ancestor, ("listing", include_inverse))
+                if listed is not None and ancestor.ids >= state.ids:
+                    return self._recount(ids, *listed)
+            return self._scan(ids, include_inverse)
+
+        return list(self._per_state(
+            ("listing", include_inverse), build, counted=True)[0])
+
+    def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
+        """``ids`` without the literals: a literal is the source of no
+        inverse edge (it would match the values of a POS row)."""
+        decode = self.graph.decode_id
+        return frozenset(i for i in ids if not isinstance(decode(i), Literal))
 
     def _recount(
         self, ids: FrozenSet[int], listed: Tuple[PropertyFacet, ...],
@@ -391,12 +398,11 @@ class FacetedSession:
         POS index (:meth:`repro.rdf.graph.Graph.facet_counts`)."""
         graph = self.graph
         decode = graph.decode_id
-        schema_ids = {
-            pid
-            for pid in (graph.encode_term(p) for p in self._SCHEMA_PROPS)
-            if pid is not None
-        }
-        counters, having = graph.facet_counts(ids, schema_ids, include_inverse)
+        schema_ids = {graph.encode_term(p) for p in self._SCHEMA_PROPS}
+        directions = (False, True) if include_inverse else (False,)
+        counters, having = graph.facet_counts(ids, [
+            (pid, inverse) for pid in graph.all_predicate_ids()
+            if pid not in schema_ids for inverse in directions])
         # Decode each property once, drop non-IRI predicates, order like
         # applicable_properties, and materialize the facets — keeping
         # each facet's value ids in marker order for the descendants.
@@ -409,70 +415,61 @@ class FacetedSession:
         facets: List[PropertyFacet] = []
         facet_rows: List[_FacetRows] = []
         for ref, slot in refs:
-            counter = counters[slot]
-            values = sorted(((decode(vid), vid) for vid in counter),
-                            key=lambda pair: pair[0].sort_key())
-            facets.append(PropertyFacet(
-                path=(ref,), count=having[slot],
-                values=tuple(ValueMarker(value, counter[vid])
-                             for value, vid in values)))
-            facet_rows.append((slot[0], tuple(vid for _, vid in values),
-                               having[slot] == sum(counter.values())))
+            facet, value_ids = self._materialize(
+                (ref,), counters[slot], having[slot])
+            facets.append(facet)
+            facet_rows.append((slot[0], value_ids,
+                               facet.count == sum(counters[slot].values())))
         return tuple(facets), tuple(facet_rows)
+
+    def _materialize(self, path: Path, counter: Dict[int, int],
+                     having: int) -> Tuple[PropertyFacet, Tuple[int, ...]]:
+        """The facet at ``path`` out of the kernel's counts — each value
+        decoded once, markers in value order — and the value ids in
+        that order."""
+        decode = self.graph.decode_id
+        values = sorted(((decode(vid), vid) for vid in counter),
+                        key=lambda pair: pair[0].sort_key())
+        facet = PropertyFacet(
+            path=path, count=having,
+            values=tuple(ValueMarker(value, counter[vid])
+                         for value, vid in values))
+        return facet, tuple(vid for _, vid in values)
 
     def facet(self, path) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).
 
-        Value counts are computed in a single pass over the previous
-        marker set's edges (grouped join) rather than one ``Restrict``
-        per value — the same O(edges) cost regardless of how many
-        distinct values the facet has (DESIGN.md design choice 4).
-        The pass runs entirely on int ids against the live index sets
-        and decodes each distinct value once; identical (state, path)
-        requests are served from the generation-stamped cache.
+        A direct facet is read off the state's listing when it has one.
+        Otherwise the *last* step of the path is counted by the store's
+        scan kernel over the marker set that precedes it (the extension
+        itself for a direct facet): one pass over that property's POS
+        rows, whatever the number of distinct values (DESIGN.md design
+        choice 4), remembered on the state for identical requests.
         """
         path = self._normalize_path(path)
-        key = ("facet", self.state.ids, path)
-        generation = self.graph.generation
-        cached = self._facet_cache.get(key, generation, default=None)
-        if cached is not None:
-            return cached
-        facet = self._compute_facet(path)
-        self._facet_cache.put(key, generation, facet)
-        return facet
+        if len(path) == 1:
+            for include_inverse in (False, True):
+                listed = self._recall(self.state, ("listing", include_inverse))
+                for facet in listed[0] if listed is not None else ():
+                    if facet.path == path:
+                        self._lookups["hits"] += 1
+                        return facet
+        return self._per_state(
+            ("facet", path), lambda: self._count_last_step(path), counted=True)
 
-    def _compute_facet(self, path: Path) -> PropertyFacet:
+    def _count_last_step(self, path: Path) -> PropertyFacet:
         graph = self.graph
-        extension_ids = self.state.ids
-        previous = (
-            extension_ids if len(path) == 1
-            else _path_joins_ids(graph, extension_ids, path[:-1])[-1]
-        )
+        ids: AbstractSet[int] = self.state.ids
+        if len(path) > 1:
+            ids = _path_joins_ids(graph, ids, path[:-1])[-1]
         step = path[-1]
-        prop_id = graph.encode_term(step.prop)
-        decode = graph.decode_id
-        counters: Dict[int, int] = {}
-        having_property = 0
-        if prop_id is not None:
-            neighbours = (
-                (lambda n: graph.subjects_ids(prop_id, n)) if step.inverse
-                else (lambda n: graph.objects_ids(n, prop_id))
-            )
-            for node_id in previous:
-                targets = neighbours(node_id)
-                if not targets or isinstance(decode(node_id), Literal):
-                    continue
-                having_property += 1
-                for value_id in targets:
-                    counters[value_id] = counters.get(value_id, 0) + 1
-        values = tuple(
-            ValueMarker(value, count)
-            for value, count in sorted(
-                ((decode(vid), n) for vid, n in counters.items()),
-                key=lambda pair: pair[0].sort_key(),
-            )
-        )
-        return PropertyFacet(path=path, count=having_property, values=values)
+        if step.inverse:
+            ids = self._edge_sources(ids)
+        # (a property the graph never saw has id None, and no POS rows)
+        slot = (graph.encode_term(step.prop), step.inverse)
+        counters, having = graph.facet_counts(ids, (slot,))
+        return self._materialize(
+            path, counters.get(slot, {}), having.get(slot, 0))[0]
 
     def expand_path(self, path, next_prop) -> PropertyFacet:
         """Path expansion (Fig. 5.5 b): extend ``path`` with one more

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rdf.columns import Column, ColumnEngine
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
     Attribute,
     AttributeExpr,
@@ -44,7 +44,12 @@ from repro.hifun.attributes import (
     Pairing,
     paths_of,
 )
-from repro.hifun.evaluator import AnswerFunction, _reduce_groups, _value_passes
+from repro.hifun.evaluator import (
+    AnswerFunction,
+    _reduce_groups,
+    _step_values,
+    _value_passes,
+)
 from repro.hifun.query import HifunQuery, Restriction
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import BUILTINS
@@ -52,16 +57,6 @@ from repro.sparql.functions import BUILTINS
 #: Column value kinds: dictionary ids until a derived step, Terms after.
 ID_MODE = "id"
 TERM_MODE = "term"
-
-
-def _term_step(graph: Graph, node: Term, step: Attribute) -> List[Term]:
-    """One Attribute step on a raw Term (term-mode fallback) — the exact
-    semantics of the row engine's ``_step_values``."""
-    if step.inverse:
-        return sorted(graph.subjects(step.prop, node), key=lambda t: t.sort_key())
-    if isinstance(node, Literal):
-        return []
-    return sorted(graph.objects(node, step.prop), key=lambda t: t.sort_key())
 
 
 class _Evaluation:
@@ -150,7 +145,7 @@ class _Evaluation:
                 else:
                     new_src, new_dst = [], []
                     for origin, node in zip(src, dst):
-                        for value in _term_step(self.graph, node, step):
+                        for value in _step_values(self.graph, node, step):
                             new_src.append(origin)
                             new_dst.append(value)
                     src, dst = new_src, new_dst

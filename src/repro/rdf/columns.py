@@ -25,15 +25,12 @@ typed ``array`` boxing while the data stays in one interpreter
 ``array('q')``), and nothing here crosses a process boundary.
 
 :class:`ColumnEngine` carries the per-evaluation memos (sorted
-successor lists, term sort keys, restriction verdicts); the
-module-level :func:`follow`, :func:`types_of` and
-:func:`filter_literals` are thin one-shot wrappers over a fresh engine
-for callers that do not need to share memos across steps.
+successor lists, term sort keys, restriction verdicts).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
@@ -150,18 +147,6 @@ class ColumnEngine:
             memo[ident] = verdict
         return verdict
 
-    def filter_column(self, src: Sequence, dst: Sequence, comparator: str,
-                      value: Term) -> Tuple[Column, Column]:
-        """Keep the column entries whose value satisfies the restriction."""
-        out_src: Column = []
-        out_dst: Column = []
-        passes = self.passes
-        for origin, node in zip(src, dst):
-            if passes(node, comparator, value):
-                out_src.append(origin)
-                out_dst.append(node)
-        return out_src, out_dst
-
     def decode_column(self, dst: Sequence) -> List[Term]:
         """Late-decode a value column to canonical terms (one list-index
         lookup per entry; the dictionary guarantees canonical objects)."""
@@ -169,51 +154,7 @@ class ColumnEngine:
         return [decode(ident) for ident in dst]
 
 
-# ---------------------------------------------------------------------------
-# One-shot convenience wrappers (the public primitive surface)
-# ---------------------------------------------------------------------------
-def follow(graph: Graph, src_ids: Sequence, prop_id: Optional[int],
-           inverse: bool = False) -> Tuple[Column, Column]:
-    """Bulk one-step traversal: expand every id in ``src_ids`` through
-    ``prop_id`` (object direction; ``inverse=True`` walks OSP-wards via
-    the POS index).  Returns parallel ``(src_index_col, dst_id_col)``
-    columns — ``src_index_col[k]`` is the *position* in ``src_ids`` the
-    value ``dst_id_col[k]`` was reached from."""
-    engine = ColumnEngine(graph)
-    return engine.follow(list(range(len(src_ids))), src_ids, prop_id, inverse)
-
-
-def types_of(graph: Graph, ids: Iterable) -> Dict[int, FrozenSet[int]]:
-    """The ``rdf:type`` id sets of many nodes in one SPO-index sweep."""
-    from repro.rdf.namespace import RDF
-
-    type_id = graph.encode_term(RDF.type)
-    out: Dict[int, FrozenSet[int]] = {}
-    if type_id is None:
-        return {ident: frozenset() for ident in ids}
-    for ident in ids:
-        out[ident] = frozenset(graph.objects_ids(ident, type_id))
-    return out
-
-
-def filter_literals(graph: Graph, col: Sequence, comparator: str,
-                    value: Term) -> Column:
-    """The positions of ``col`` whose decoded term satisfies the
-    restriction ``comparator value`` (type errors fail, per SPARQL).
-    Verdicts are computed once per distinct id."""
-    engine = ColumnEngine(graph)
-    out: Column = []
-    passes = engine.passes
-    for position, ident in enumerate(col):
-        if passes(ident, comparator, value):
-            out.append(position)
-    return out
-
-
 __all__ = [
     "Column",
     "ColumnEngine",
-    "filter_literals",
-    "follow",
-    "types_of",
 ]

@@ -59,11 +59,6 @@ class TermDictionary:
         decode = self.decode
         return {decode(ident) for ident in ids}
 
-    def decode_list(self, ids: Iterable[int]) -> List[Term]:
-        """Decode ids preserving order/multiplicity (column boundaries)."""
-        decode = self.decode
-        return [decode(ident) for ident in ids]
-
     def clone(self) -> "TermDictionary":
         """An independent copy with identical term ↔ id assignments.
 

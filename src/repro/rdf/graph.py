@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Collection,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     Optional,
@@ -379,46 +379,46 @@ class Graph:
         decode = self._dict.decode
         return {decode(pi): n for pi, n in self._pred_count.items()}
 
-    def facet_counts(self, ids: FrozenSet[int], schema_ids: AbstractSet[int],
-                     include_inverse: bool = False) -> FacetCounts:
-        """The value counts of every property over the extension ``ids``,
-        from one property-major pass over the POS index.
+    def facet_counts(self, ids: AbstractSet[int],
+                     slots: Collection[Tuple[int, bool]]) -> FacetCounts:
+        """The value counts over the extension ``ids`` of every
+        ``(property id, inverse)`` slot in ``slots``, each from one pass
+        over the property's POS rows; a slot without a value on ``ids``
+        is left out.
 
-        For each predicate outside ``schema_ids``, every value row is
-        one set intersection ``ids ∩ subjects`` — the count of that
-        value marker — executed at C speed, and the union of the
-        intersections gives the having-the-property count.  With
-        ``include_inverse`` the same rows are read the other way: the
-        subjects reached from the members of ``ids`` that occur as
-        values, and how many members do (``ids`` must then hold no
-        literal — a literal is the source of no edge).
+        Forward, every value row is one set intersection ``ids ∩
+        subjects`` — the count of that value marker — executed at C
+        speed, and the union of the intersections gives the
+        having-the-property count.  An inverse slot reads the same rows
+        the other way: the subjects reached from the members of ``ids``
+        that occur as values, and how many members do (``ids`` must then
+        hold no literal — a literal is the source of no edge).
         """
         counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
         having: Dict[Tuple[int, bool], int] = {}
-        for pid, rows in self._pos.items():
-            if pid in schema_ids:
+        for slot in slots:
+            rows = self._pos.get(slot[0])
+            if rows is None:
                 continue
             counter: Dict[int, int] = {}
-            havers: Set[int] = set()
-            for value_id, subjects in rows.items():
-                members = ids & subjects
-                if members:
-                    counter[value_id] = len(members)
-                    havers |= members
-            if counter:
-                counters[(pid, False)] = counter
-                having[(pid, False)] = len(havers)
-            if include_inverse:
-                counter = {}
+            if slot[1]:
                 with_property = 0
                 for value_id, subjects in rows.items():
                     if value_id in ids:
                         with_property += 1
                         for sid in subjects:
                             counter[sid] = counter.get(sid, 0) + 1
-                if counter:
-                    counters[(pid, True)] = counter
-                    having[(pid, True)] = with_property
+            else:
+                havers: Set[int] = set()
+                for value_id, subjects in rows.items():
+                    members = ids & subjects
+                    if members:
+                        counter[value_id] = len(members)
+                        havers |= members
+                with_property = len(havers)
+            if counter:
+                counters[slot] = counter
+                having[slot] = with_property
         return counters, having
 
     # ------------------------------------------------------------------

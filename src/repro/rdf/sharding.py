@@ -35,8 +35,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import (
     AbstractSet,
+    Collection,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -229,8 +229,8 @@ class ShardedGraph(Graph):
     # ------------------------------------------------------------------
     # The facet scan: every slice's counts, merged
     # ------------------------------------------------------------------
-    def facet_counts(self, ids: FrozenSet[int], schema_ids: AbstractSet[int],
-                     include_inverse: bool = False) -> FacetCounts:
+    def facet_counts(self, ids: AbstractSet[int],
+                     slots: Collection[Tuple[int, bool]]) -> FacetCounts:
         """:meth:`Graph.facet_counts` of every slice, merged into what
         the flat store returns: forward counters and having-counts add
         up (a member is the subject of rows in one slice only); inverse
@@ -241,8 +241,7 @@ class ShardedGraph(Graph):
         counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
         having: Dict[Tuple[int, bool], int] = {}
         for piece in self._slices:
-            part_counters, part_having = piece.facet_counts(
-                ids, schema_ids, include_inverse)
+            part_counters, part_having = piece.facet_counts(ids, slots)
             for slot, counter in part_counters.items():
                 target = counters.get(slot)
                 if target is None:

@@ -456,10 +456,6 @@ def _eval_group(group: ast.GroupPattern, solutions: List[Solution],
             current = _eval_subselect(child.query, current, graph)
         else:
             raise SparqlEvalError(f"unknown pattern node {type(child).__name__}")
-        if not current and not filters:
-            # Short-circuit: nothing can extend an empty solution set,
-            # except UNION of an empty branch which was handled above.
-            pass
     current = flush_triples(current)
     ctx = _ExprContext(graph)
     for flt in filters:

@@ -170,10 +170,10 @@ def _count(session, prop):
 class TestFacetCountCache:
     def test_repeat_served_from_cache(self, session):
         first = session.property_facets()
-        hits_before = session._facet_cache.stats().hits
+        hits_before = session.cache_stats()["facets"].hits
         second = session.property_facets()
         assert [f.count for f in first] == [f.count for f in second]
-        assert session._facet_cache.stats().hits > hits_before
+        assert session.cache_stats()["facets"].hits == hits_before + 1
 
     def test_add_remove_invalidates_counts(self):
         g = Graph()
@@ -186,7 +186,8 @@ class TestFacetCountCache:
         assert _count(session, EX.color) == 2  # not the stale 1
         session.graph.remove(EX.b, EX.color, Literal.of("blue"))
         assert _count(session, EX.color) == 1
-        assert session._facet_cache.stats().invalidations >= 2
+        stats = session.cache_stats()["facets"]
+        assert (stats.hits, stats.misses, stats.invalidations) == (0, 3, 2)
 
     def test_class_markers_invalidate_on_mutation(self, products):
         session = FacetedSession(products)
@@ -215,7 +216,7 @@ class TestFacetCountCache:
         session.count_items()
         frame = session.run()
         explored = frame.explore()
-        assert explored._facet_cache.stats().size == 0
+        assert explored.cache_stats()["facets"].size == 0
         for facet in explored.property_facets():
             assert facet.count > 0
 
@@ -251,10 +252,10 @@ class TestDegradedNeverCachedFresh:
             products, endpoint_factory=factory, retry=None)
         listing = session.property_facets()
         assert session.incidents  # everything degraded
-        # Degraded listings/facets never enter the generation-stamped
-        # fresh cache (the resilient overrides keep their own stale
+        # Degraded listings/facets never enter the counts remembered
+        # on the state (the resilient overrides keep their own stale
         # store, flagged approximate / surfaced as errors).
-        assert session._facet_cache.stats().size == 0
+        assert session.cache_stats()["facets"].size == 0
         for facet in listing:
             assert facet.approximate or facet.count == 0
 
@@ -275,4 +276,4 @@ class TestDegradedNeverCachedFresh:
         degraded = session.facet((ref,))
         assert degraded.approximate
         assert degraded.count == good.count  # served stale, flagged
-        assert session._facet_cache.stats().size == 0
+        assert session.cache_stats()["facets"].size == 0

@@ -2,8 +2,9 @@
 
 The columnar batch engine (``repro/hifun/columnar.py``) promises
 *byte-identical* answers to the item-at-a-time reference engine, and
-the shared-scan ``all_facets`` promises the same per-property facets as
-the one-scan-per-facet path.  The curated example suites already pin
+the shared-scan ``all_facets`` promises, per property, the facet a
+single ``facet(path)`` counts (``tests/test_idspace_session.py`` holds
+both to the formal definition).  The curated example suites already pin
 both on the dissertation's graphs; this module pins them on seeded
 *random* graphs — multi-valued properties, missing values, dangling
 makers, literal-typed measures — across every query shape the language
@@ -18,6 +19,7 @@ import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
+from repro.facets.model import PropertyRef
 from repro.hifun import (
     Attribute,
     HifunQuery,
@@ -133,11 +135,17 @@ def test_all_facets_matches_per_facet_scan(seed):
     session = FacetedSession(graph)
     session.select_class(EX.Widget)
     for include_inverse in (False, True):
+        # one facet at a time on a state that was never listed ...
+        unlisted = FacetedSession(graph)
+        unlisted.select_class(EX.Widget)
         batch = session.all_facets(include_inverse)
         refs = [facet.path[0] for facet in batch]
         assert refs == session.applicable_properties(include_inverse)
+        assert refs == unlisted.applicable_properties(include_inverse)
         for facet in batch:
-            assert facet == session._compute_facet(facet.path), facet.path
+            # ... and read off the listing: both are the listing's entry
+            assert facet == unlisted.facet(facet.path), facet.path
+            assert facet == session.facet(facet.path), facet.path
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -174,6 +182,24 @@ def test_sharded_store_facets_identical(shards):
                 == flat.all_facets(include_inverse)), include_inverse
         assert (sharded.applicable_properties(include_inverse)
                 == flat.applicable_properties(include_inverse))
+    # multi-step paths: the prefix walked, the last step counted by the
+    # merged kernel — forward, inverse, and from a marker set of makers
+    # (values shared across slices)
+    maker, origin = PropertyRef(EX.maker), PropertyRef(EX.origin)
+    paths = [(maker, origin), (maker, PropertyRef(EX.maker, True)),
+             (maker, origin, PropertyRef(EX.origin, True)),
+             (maker, PropertyRef(EX.maker, True), PropertyRef(EX.price))]
+    for path in paths:
+        assert sharded.facet(path) == flat.facet(path), path
+        assert flat.facet(path).values, path
+    # a child state: its listings are derived from the parent's
+    for session in (flat, sharded):
+        session.select_value(EX.maker, EX.maker1)
+    for include_inverse in (False, True):
+        assert (sharded.all_facets(include_inverse)
+                == flat.all_facets(include_inverse)), include_inverse
+    for path in paths:
+        assert sharded.facet(path) == flat.facet(path), path
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -192,13 +218,23 @@ def test_sharded_store_facet_counts_identical(shards):
             EX[f"maker{i}"] for i in range(5)))
         extensions = (widgets, frozenset(sorted(widgets)[::3]),
                       makers | frozenset(sorted(widgets)[:4]), frozenset())
+        pids = sorted(graph.all_predicate_ids())
         for ids in extensions:
-            for schema_ids in (frozenset(), frozenset({type_id})):
-                for include_inverse in (False, True):
-                    assert (store.facet_counts(ids, schema_ids, include_inverse)
-                            == graph.facet_counts(ids, schema_ids,
-                                                  include_inverse)), (
-                        seed, sorted(ids), include_inverse)
+            for skipped in (frozenset(), frozenset({type_id})):
+                for directions in ((False,), (False, True)):
+                    slots = [(pid, inverse) for pid in pids
+                             if pid not in skipped for inverse in directions]
+                    counters, having = graph.facet_counts(ids, slots)
+                    assert store.facet_counts(ids, slots) == (counters, having), (
+                        seed, sorted(ids), directions)
+                    # one slot at a time: that slot's share of the scan
+                    # (None: a property the dictionary never saw)
+                    for slot in slots + [(None, False), (None, True)]:
+                        expected = (
+                            {slot: counters[slot]} if slot in counters else {},
+                            {slot: having[slot]} if slot in having else {})
+                        assert graph.facet_counts(ids, (slot,)) == expected
+                        assert store.facet_counts(ids, (slot,)) == expected
 
 
 def test_engine_choice_is_cache_neutral():

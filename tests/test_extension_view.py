@@ -214,19 +214,24 @@ def test_repeated_run_and_listing_are_cache_hits(closed_products):
 
 
 def test_result_cache_counters_survive_state_changes(closed_products):
-    """Each state gets a fresh view; the counters reported for the
-    session are those of every view it built, so they never fall."""
+    """Each state has its own view and finds it again after ``back()``,
+    answers included; the counters reported for the session are those
+    of every view it built — the popped state's too — so they never
+    fall."""
     session = _pressed(closed_products)
     session.run("sparql")
     session.run("sparql")
+    view = session._extension_view()
     session.select_value((EX.manufacturer,), EX.DELL)
     kept = session.cache_stats()["sparql"]
     assert (kept.hits, kept.misses) == (1, 1)
     session.run("sparql")
+    assert session._extension_view() is not view
     session.back()
+    assert session._extension_view() is view
     session.run("sparql")
     stats = session.cache_stats()["sparql"]
-    assert (stats.hits, stats.misses) == (1, 3)
+    assert (stats.hits, stats.misses) == (2, 2)
     assert stats.size == 1  # the live view's one answer
     assert stats.maxsize == (closed_products.sparql_cache.maxsize
                              + session._extension_view().sparql_cache.maxsize)

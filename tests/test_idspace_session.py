@@ -1,28 +1,35 @@
 """Id-space session states: every click is set algebra on the indexes,
 and a child state's listing is derived from its nearest listed ancestor.
 
-Two contracts, on random ragged graphs over the flat store and 2 and 4
-shards.  (1) Every transition yields the extension the Term-level
+Three contracts, on random ragged graphs over the flat store and 2 and
+4 shards.  (1) Every transition yields the extension the Term-level
 §5.3.1 operations (``restrict_by_path`` / ``restrict_to_class`` /
 ``joins`` — the formal definitions, kept as the oracle) give, and raises ``EmptyTransitionError`` exactly when theirs is
 empty.  (2) A listing derived from an ancestor's equals the full scan of
 a fresh session and the per-path ``facet()``, and an ancestor's order is
 never used across a mutation or for a state that is not its subset.
+(3) ``facet(path)`` is the facet those operations define, asked before
+or after the listing.  What a session derives from a state lives on the
+state: it is found again after ``back()``, retired by a mutation, and
+gone with a state that leaves the history.
 """
 
 import datetime
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.app import AnalyticsShell
 from repro.datasets import products_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.facets.model import (
+    PropertyFacet,
     PropertyRef,
+    ValueMarker,
     joins,
     path_joins,
+    restrict,
     restrict_by_path,
     restrict_to_class,
 )
@@ -225,7 +232,23 @@ def test_derived_listing_equals_full_scan_and_per_path_facets(
         session = FacetedSession(graph, results=seeds, closed=True)
         derived = _spy_recount(session)
         _assert_listing(session, include_inverse)
-        listed = {session.state.ids}
+        listed = {session.state}
+
+        def check_the_one_rule():
+            # A state listed before is a hit; else a listed superset in
+            # the history is derived from; else the full scan runs.
+            state = session.state
+            expected = len(derived) + int(state not in listed and any(
+                a in listed and a.ids >= state.ids
+                for a in session.history()[:-1]))
+            before = session.cache_stats()["facets"]
+            _assert_listing(session, include_inverse)
+            after = session.cache_stats()["facets"]
+            assert len(derived) == expected
+            assert (after.hits - before.hits, after.misses - before.misses) == (
+                (1, 0) if state in listed else (0, 1))
+            listed.add(state)
+
         for action in actions:
             if action[0] == "back":
                 session.back()
@@ -234,34 +257,26 @@ def test_derived_listing_equals_full_scan_and_per_path_facets(
                     _apply(session, action)
                 except EmptyTransitionError:
                     continue
-            # The one rule: an id set listed before is a cache hit; else
-            # a listed superset in the history is derived from; else the
-            # full scan runs.
-            ids = session.state.ids
-            expected = len(derived) + int(ids not in listed and any(
-                include_inverse in a.listing and a.ids >= ids
-                for a in session.history()[:-1]))
-            _assert_listing(session, include_inverse)
-            assert len(derived) == expected
-            listed.add(ids)
-        # every state on the way back is a cache hit or a derivation,
-        # and equal to the full scan either way
+            check_the_one_rule()
+        # the same on the way back (where only the first state of an
+        # interval was never listed), equal to the full scan either way
         while len(session.history()) > 1:
             session.back()
-            _assert_listing(session, include_inverse)
+            check_the_one_rule()
 
 
 def test_interval_child_derives_from_the_listed_grandparent():
     session = FacetedSession(products_graph())
     session.select_class(EX.Laptop)
-    session.all_facets()
+    listed = session.all_facets()
     derived = _spy_recount(session)
     session.select_interval(EX.price, Literal.of(850), Literal.of(950))
-    parent, grandparent = session.history()[-2], session.history()[-3]
-    assert not parent.listing and grandparent.listing
+    assert len(session.history()) == 4  # the interval pushed two states
     _assert_listing(session, False)
-    # derived from the grandparent's facets, not from the unlisted parent
-    assert [args[1] for args in derived] == [grandparent.listing[False][1]]
+    # derived from the grandparent's facets: the parent (the state the
+    # lower bound pushed) was never listed and holds nothing
+    assert [list(args[1]) for args in derived] == [listed]
+    assert session.cache_stats()["facets"].size == 2
 
 
 def test_back_then_another_click_derives_again():
@@ -314,6 +329,66 @@ def test_a_mutation_retires_the_ancestors_order(shards):
     assert _assert_listing(session, False) != listed
 
 
+# -- (3) facet(path) ≡ the formal definition -------------------------------
+def _formal_facet(graph, extension, path):
+    """The facet at ``path`` by the Term-level operations: over the
+    marker set ``M_{k-1}`` that precedes the last step (``path_joins``),
+    a marker per value of ``Joins(M_{k-1}, p)`` counting
+    ``Restrict(M_{k-1}, p : v)``, and the members of ``M_{k-1}`` that
+    have the property at all."""
+    previous = (extension if len(path) == 1
+                else path_joins(graph, extension, path[:-1])[-1])
+    step = path[-1]
+    values = sorted(joins(graph, previous, step), key=lambda t: t.sort_key())
+    return PropertyFacet(
+        path=path,
+        count=sum(1 for member in previous if joins(graph, [member], step)),
+        values=tuple(ValueMarker(v, len(restrict(graph, previous, step, v)))
+                     for v in values))
+
+
+_P, _Q, _R = (PropertyRef(p) for p in (EX.p, EX.q, EX.r))
+_RAGGED = [(EX.n0, EX.p, EX.n1), (EX.n0, EX.q, EX.n2), (EX.n1, EX.q, EX.n2),
+           (EX.n1, EX.q, Literal.of(2)), (EX.n3, EX.q, Literal.of(2)),
+           (EX.n3, EX.r, Literal.of(2)), (EX.n2, EX.r, Literal.of("one")),
+           (EX.n4, EX.r, Literal.of(2))]
+
+
+@given(_triples, _seeds,
+       st.lists(st.sampled_from(_STEPS), min_size=1, max_size=3).map(tuple),
+       st.booleans())
+# M_1 = {n2, "2"^^int} holds a literal before the inverse step: only n2
+# may be a source (r⁻¹ from the literal 2 would reach n3 and n4)
+@example(_RAGGED, None, (_Q, PropertyRef(EX.r, True)), True)
+@example(_RAGGED, {EX.n3, Literal.of(2)}, (PropertyRef(EX.r, True),), True)
+# a property the graph never saw, as the last step and in the prefix
+@example(_RAGGED, None, (_Q, PropertyRef(EX.unused)), False)
+@example(_RAGGED, None, (PropertyRef(EX.unused, True), _Q), False)
+@example(_RAGGED, None, (_P, _Q, _R), False)
+@settings(max_examples=100, deadline=None)
+def test_facet_is_the_formal_definition_before_and_after_the_listing(
+        triples, seeds, path, include_inverse):
+    for graph in _stores(triples):
+        session = FacetedSession(graph, results=seeds, closed=True)
+        expected = _formal_facet(graph, session.extension, path)
+        assert session.facet(path) == expected   # counted on demand
+        listing = session.all_facets(include_inverse)
+        assert session.facet(path) == expected   # found on the state again
+        late = FacetedSession(graph, results=seeds, closed=True)
+        assert late.all_facets(include_inverse) == listing
+        assert late.facet(path) == expected      # first asked after the listing
+        if len(path) == 1:
+            # ... where a direct facet is the listing's own entry
+            listable = expected.values and (include_inverse or not path[0].inverse)
+            assert [f for f in listing if f.path == path] == (
+                [expected] if listable else [])
+            if listable:
+                assert late.facet(path) is next(
+                    f for f in late.all_facets(include_inverse) if f.path == path)
+        for entry in listing:
+            assert entry == _formal_facet(graph, session.extension, entry.path)
+
+
 # -- what a state decodes, and when ----------------------------------------
 def test_transitions_and_status_lines_never_decode_the_extension():
     shell = AnalyticsShell(products_graph())
@@ -336,10 +411,102 @@ def test_state_memos_are_keyed_by_the_id_set():
     session.select_class(EX.Laptop)
     domain = session._analysis_domain()
     assert session._analysis_domain() is domain
-    assert session._state_memo[1] is session.state.ids
     terms, ids = domain
     assert terms == session.objects()
     assert ids == [session.graph.encode_term(t) for t in terms]
+    # another state has its own, in its own order
+    session.select_value(EX.manufacturer, EX.DELL)
+    assert session._analysis_domain()[0] == session.objects() != terms
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_back_finds_the_domain_and_the_view_again_and_a_write_rebuilds_both(shards):
+    graph = products_graph()
+    if shards > 1:
+        graph = ShardedGraph.from_graph(graph, shards=shards)
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Laptop)
+    session.count_items()
+    domain, view = session._analysis_domain(), session._extension_view()
+    rows = session.run("sparql").rows
+
+    session.select_value(EX.manufacturer, EX.DELL)
+    assert session._analysis_domain() is not domain
+    assert session._extension_view() is not view
+    assert session.run("sparql").rows != rows
+    session.back()
+    assert session._analysis_domain() is domain
+    assert session._extension_view() is view
+    before = session.cache_stats()["sparql"]
+    assert session.run("sparql").rows == rows  # the view's own answer
+    after = session.cache_stats()["sparql"]
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    # a write retires both, counters kept
+    assert session.graph.add(EX.laptopX, EX.price, Literal.of(1))
+    assert session._analysis_domain() is not domain
+    assert session._analysis_domain()[0] == domain[0]
+    assert session._extension_view() is not view
+    assert session.run("sparql").rows == rows
+    final = session.cache_stats()["sparql"]
+    assert (final.hits, final.misses) == (after.hits, after.misses + 1)
+
+
+def test_a_state_popped_by_back_takes_its_memo_along():
+    session = FacetedSession(products_graph())
+
+    def size():
+        return session.cache_stats()["facets"].size
+
+    session.select_class(EX.Laptop)
+    session.all_facets()
+    session.class_markers()
+    assert size() == 2
+    session.select_value(EX.manufacturer, EX.DELL)
+    listing = session.all_facets()
+    session.facet((EX.manufacturer, EX.origin))
+    assert size() == 4
+    session.back()
+    assert size() == 2
+    # the same click again is a new state: nothing is found on it, and
+    # its listing is derived from the listed parent once more
+    derived = _spy_recount(session)
+    before = session.cache_stats()["facets"]
+    session.select_value(EX.manufacturer, EX.DELL)
+    assert session.all_facets() == listing
+    after = session.cache_stats()["facets"]
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    assert len(derived) == 1 and size() == 3
+    assert (after.evictions, after.invalidations) == (0, 0)
+
+
+def test_one_scripted_session_counts_what_the_parent_commit_counted():
+    """hits / misses / invalidations of ``cache_stats()["facets"]`` after
+    every step, as the content-keyed LRU this memo replaced reported
+    them (taken at commit 39f8e8a)."""
+    session = FacetedSession(products_graph())
+    script = [
+        (lambda: session.select_class(EX.Laptop), (0, 0, 0)),
+        (session.all_facets, (0, 1, 0)),
+        (lambda: session.select_value(EX.manufacturer, EX.DELL), (0, 1, 0)),
+        (session.all_facets, (0, 2, 0)),
+        (session.back, (0, 2, 0)),
+        (session.all_facets, (1, 2, 0)),
+        (lambda: session.select_range(EX.USBPorts, ">=", Literal.of(2)),
+         (1, 2, 0)),
+        (lambda: session.expand_path(EX.manufacturer, EX.origin), (1, 3, 0)),
+        (session.class_markers, (1, 4, 0)),
+    ]
+    for step, expected in script:
+        step()
+        stats = session.cache_stats()["facets"]
+        assert (stats.hits, stats.misses, stats.invalidations) == expected
+    # ... and after a write, every revisit finds an older generation
+    session.graph.add(EX.laptopX, EX.price, Literal.of(1))
+    session.class_markers()
+    session.expand_path(EX.manufacturer, EX.origin)
+    stats = session.cache_stats()["facets"]
+    assert (stats.hits, stats.misses, stats.invalidations) == (1, 6, 2)
 
 
 # -- results= sessions whose seeds the graph never interned ----------------

@@ -1,6 +1,6 @@
 """The repo-wide static gates (`make lint` / `make typecheck`) ride tier-1:
-the fallback checker must pass over the shipped sources and must still
-catch the defect classes it claims to."""
+the checker must pass over the shipped sources and must still catch the
+defect classes it claims to."""
 
 import ast
 import subprocess

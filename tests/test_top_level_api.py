@@ -45,6 +45,46 @@ class TestLoadGraph:
         assert len(list(g.subjects(RDF.type, STAT_ROW))) == 2
 
 
+    def test_malformed_ntriples_line_surfaces_its_number(self, nt_file):
+        from repro.rdf.bulkload import BulkLoadError
+
+        lines = ntriples.serialize(products_graph()).splitlines()
+        lines.insert(4, "<http://example.org/a> <http://example.org/b> .")
+        with open(nt_file, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        with pytest.raises(BulkLoadError) as caught:
+            repro.load_graph(nt_file)
+        assert caught.value.line == 5
+
+    def test_other_suffixes_are_read_as_turtle(self, tmp_path):
+        path = tmp_path / "products.rdf"
+        path.write_text(PRODUCTS_TTL, encoding="utf-8")
+        assert repro.load_graph(str(path)) == products_graph()
+
+
+class TestShellOnAFile:
+    """``python -m repro.app <file>`` opens what ``load_graph`` loads."""
+
+    def test_turtle_and_ntriples_give_the_same_shell(self, ttl_file, nt_file):
+        from repro.app.cli import build_shell
+
+        outputs = []
+        for path in (ttl_file, nt_file):
+            shell = build_shell([path])
+            outputs.append([shell.execute(command) for command in
+                            ("classes -x", "facets", "select Laptop", "facets")])
+        assert outputs[0] == outputs[1]
+        assert "Laptop (3)" in outputs[0][0]
+        assert "manufacturer" in outputs[0][3]
+
+    def test_csv_opens(self, csv_file):
+        from repro.app.cli import build_shell
+
+        shell = build_shell([csv_file])
+        assert "Row (2)" in shell.execute("classes")
+        assert "cases" in shell.execute("facets")
+
+
 class TestOpenSession:
     def test_from_graph(self):
         session = repro.open_session(products_graph())

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Dependency-free static checker backing ``make lint`` / ``make typecheck``.
+"""The static checker behind ``make lint`` / ``make typecheck``.
 
-The project's pyproject.toml carries full ruff and mypy configurations;
-when those tools are available the Makefile uses them.  This script is
-the stdlib-only fallback so the gates run (and fail meaningfully) in
-hermetic environments where nothing can be pip-installed.  It is a
-deliberately small subset of the real tools:
+Stdlib only, so the gates run (and fail meaningfully) in hermetic
+environments where nothing can be pip-installed; tier-1 runs the same
+two commands (``tests/test_static_gates.py``).  The checks are a
+deliberately small subset of what ruff and mypy would report:
 
 ``--lint`` (codes ``L0xx``):
 
