@@ -67,25 +67,25 @@ __all__ = [
 def load_graph(path: str):
     """Load an RDF graph from a file, dispatching on the extension.
 
-    ``.ttl`` → Turtle and ``.nt`` → N-Triples through
-    :func:`repro.rdf.bulkload.load_file` (N-Triples is streamed, and a
-    malformed line raises :class:`~repro.rdf.bulkload.BulkLoadError`
-    carrying its ``line``); ``.csv`` → the statistical CSV import of
-    system 1b (headers become properties); anything else is read as
-    Turtle.
+    ``.csv`` → the statistical CSV import of system 1b (headers become
+    properties); every suffix :func:`repro.rdf.bulkload.load_file`
+    knows goes through it (N-Triples is streamed, and a malformed line
+    raises :class:`~repro.rdf.bulkload.BulkLoadError` carrying its
+    ``line``); anything else is read as Turtle.
     """
-    lowered = path.lower()
-    if lowered.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         from repro.datasets.csv_import import graph_from_csv
 
         with open(path, encoding="utf-8") as handle:
             return graph_from_csv(handle.read())
-    if lowered.endswith((".nt", ".ttl")):
-        from repro.rdf.bulkload import load_file
-
-        return load_file(path)[0]
     from repro.rdf import turtle
+    from repro.rdf.bulkload import BulkLoadError, load_file
 
+    try:
+        return load_file(path)[0]
+    except BulkLoadError as exc:
+        if exc.line is not None:  # a located error is about the content
+            raise
     return turtle.parse_file(path)
 
 

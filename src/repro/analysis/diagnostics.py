@@ -20,7 +20,7 @@ collection every checker returns.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 

@@ -25,19 +25,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
+from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import (
     IRI,
     Literal,
     NUMERIC_DATATYPES,
     TEMPORAL_DATATYPES,
     Term,
-)
-
-#: Predicates that describe the schema itself; they are not data
-#: attributes and never become signatures.
-_SCHEMA_PREDICATES = frozenset(
-    {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
 )
 
 
@@ -169,17 +163,17 @@ def _infer(graph: Graph) -> SchemaInfo:
     signatures: Dict[IRI, PropertySignature] = {}
     counts = graph.predicate_counts()
     properties: Set[IRI] = {
-        p for p in counts if isinstance(p, IRI) and p not in _SCHEMA_PREDICATES
+        p for p in counts if isinstance(p, IRI) and p not in SCHEMA_PREDICATES
     }
     # Declared-but-unused properties still get (empty) signatures, so the
     # checkers can tell "declared, no data" from "entirely unknown".
     properties.update(
         p for p in graph.subjects(RDF.type, RDF.Property)
-        if isinstance(p, IRI) and p not in _SCHEMA_PREDICATES
+        if isinstance(p, IRI) and p not in SCHEMA_PREDICATES
     )
     properties.update(
         p for p in graph.subjects(RDFS.domain, None)
-        if isinstance(p, IRI) and p not in _SCHEMA_PREDICATES
+        if isinstance(p, IRI) and p not in SCHEMA_PREDICATES
     )
 
     decode = graph.decode_id

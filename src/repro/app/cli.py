@@ -560,13 +560,7 @@ def build_shell(argv=None) -> AnalyticsShell:
             )
         return AnalyticsShell(graph)
 
-    from repro.endpoint import (
-        FaultModel,
-        FlakyEndpointSimulator,
-        LocalEndpoint,
-        NetworkModel,
-        RetryPolicy,
-    )
+    from repro.endpoint import FaultModel, NetworkModel, RetryPolicy
     from repro.facets.resilient import ResilientFacetedSession
 
     model = {"offpeak": NetworkModel.offpeak(),
@@ -577,14 +571,9 @@ def build_shell(argv=None) -> AnalyticsShell:
     retry = (RetryPolicy(max_attempts=max(1, args.retries))
              if args.retries is not None else None)
 
-    def endpoint_factory(g):
-        if model is None and faults is None:
-            return LocalEndpoint(g)
-        return FlakyEndpointSimulator(g, model, faults, seed=args.seed)
-
     def session_factory(g, results=None):
         return ResilientFacetedSession(
-            g, results=results, endpoint_factory=endpoint_factory,
+            g, results=results, network=model, faults=faults,
             retry=retry, timeout=args.timeout, seed=args.seed,
             analyze=args.analyze)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Tuple
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 MISSING = object()

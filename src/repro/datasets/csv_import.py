@@ -17,7 +17,7 @@ import csv
 import datetime as _dt
 import io
 import re
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF

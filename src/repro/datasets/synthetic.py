@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import EX, RDF, RDFS
+from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
 from repro.rdf.turtle import parse
 

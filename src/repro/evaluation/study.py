@@ -18,8 +18,8 @@ code reproduction cannot have.)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.evaluation.tasks import EVALUATION_TASKS, Task
 

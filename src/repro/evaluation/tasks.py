@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal

@@ -37,7 +37,6 @@ from repro.rdf.namespace import RDF
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
-    Attribute,
     AttributeExpr,
     Derived,
     compose_path,
@@ -73,10 +72,7 @@ class GroupSpec:
     derived: Optional[str] = None
 
     def to_attribute(self) -> AttributeExpr:
-        expr = _path_to_attribute(self.path)
-        if self.derived:
-            expr = Derived(self.derived, expr)
-        return expr
+        return _path_to_attribute(self.path, self.derived)
 
     @property
     def label(self) -> str:
@@ -95,17 +91,15 @@ class MeasureSpec:
     def to_attribute(self) -> Optional[AttributeExpr]:
         if self.path is None:
             return None
-        expr = _path_to_attribute(self.path)
-        if self.derived:
-            expr = Derived(self.derived, expr)
-        return expr
+        return _path_to_attribute(self.path, self.derived)
 
 
-def _path_to_attribute(path: Tuple[PropertyRef, ...]) -> AttributeExpr:
-    attrs = [Attribute(step.prop, step.inverse) for step in path]
-    if len(attrs) == 1:
-        return attrs[0]
-    return compose_path(*attrs)
+def _path_to_attribute(path: Tuple[PropertyRef, ...],
+                       derived: Optional[str] = None) -> AttributeExpr:
+    """A facet path (and the ⚙ function over its values) as the HIFUN
+    attribute it is."""
+    expr = compose_path(*path)
+    return Derived(derived, expr) if derived else expr
 
 
 class AnswerFrame:

@@ -23,12 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
-from repro.rdf.terms import BNode, IRI, Literal, Term
-
-_SCHEMA_PREDICATES = frozenset(
-    {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
-)
+from repro.rdf.namespace import RDF, SCHEMA_PREDICATES
+from repro.rdf.terms import BNode, IRI, Term
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class ResourceBrowser:
                 (
                     (p, o)
                     for _, p, o in self.graph.triples(node, None, None)
-                    if p not in _SCHEMA_PREDICATES
+                    if p not in SCHEMA_PREDICATES
                 ),
                 key=lambda po: (po[0].sort_key(), po[1].sort_key()),
             )
@@ -107,7 +103,7 @@ class ResourceBrowser:
                 (
                     (s, p)
                     for s, p, _ in self.graph.triples(None, None, node)
-                    if p not in _SCHEMA_PREDICATES
+                    if p not in SCHEMA_PREDICATES
                 ),
                 key=lambda sp: (sp[0].sort_key(), sp[1].sort_key()),
             )
@@ -137,7 +133,7 @@ class ResourceBrowser:
         return {
             (p, o)
             for _, p, o in self.graph.triples(node, None, None)
-            if p not in _SCHEMA_PREDICATES
+            if p not in SCHEMA_PREDICATES
         }
 
     def similar(self, limit: int = 5) -> List[SimilarResource]:

@@ -8,21 +8,27 @@ the state's extension.  An :class:`Intention` is a conjunctive tree:
   an AF loaded as a new dataset — expressed with ``VALUES``);
 * **path conditions** — ``PathValueCondition`` for clicks on (possibly
   path-expanded) facet values and ``PathRangeCondition`` for range
-  filters; each compiles to a chain of triple patterns per Table 5.1.
+  filters; each compiles to a chain of triple patterns per Table 5.1;
+* an optional **pivot** (entity-type switch): the pre-pivot intention
+  as a sub-select plus the chain that leads from its objects to this
+  intention's; class and path conditions clicked afterwards apply to
+  the pivoted objects like any other.
 
-:meth:`Intention.to_sparql` produces a ``SELECT DISTINCT ?x`` query whose
-answer equals the state's extension — the tests verify this equivalence
-on every reachable state (the "SPARQL-only evaluation approach" of
-Table 5.2).
+Every chain is written by :func:`repro.hifun.translator.path_patterns`,
+the emitter the HIFUN translation uses.  :meth:`Intention.to_sparql`
+produces a ``SELECT DISTINCT ?x`` query whose answer equals the state's
+extension (the "SPARQL-only evaluation approach" of Table 5.2); the
+tests check the equivalence on the states they reach.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
-from repro.rdf.namespace import RDF
+from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Term
+from repro.hifun.translator import path_patterns
 
 
 @dataclass(frozen=True)
@@ -42,24 +48,14 @@ class ClassCondition:
 class PathValueCondition:
     """``∃ chain x -p1-> .. -pk-> v`` — a facet value was clicked.
 
-    ``path`` is a tuple of ``(IRI, inverse)``-like steps (PropertyRef).
+    ``path`` is a tuple of :data:`~repro.facets.model.PropertyRef` steps.
     """
 
     path: tuple
     value: Term
 
     def patterns(self, var: str, fresh) -> Tuple[List[str], List[str]]:
-        lines: List[str] = []
-        current = var
-        for index, step in enumerate(self.path):
-            is_last = index == len(self.path) - 1
-            end = self.value.n3() if is_last else fresh()
-            if step.inverse:
-                lines.append(f"{end} {step.prop.n3()} {current} .")
-            else:
-                lines.append(f"{current} {step.prop.n3()} {end} .")
-            current = end
-        return (lines, [])
+        return (path_patterns(self.path, var, fresh, end=self.value.n3())[0], [])
 
     def __str__(self):
         path = "/".join(s.name for s in self.path)
@@ -77,15 +73,7 @@ class PathRangeCondition:
     value: Literal
 
     def patterns(self, var: str, fresh) -> Tuple[List[str], List[str]]:
-        lines: List[str] = []
-        current = var
-        for step in self.path:
-            end = fresh()
-            if step.inverse:
-                lines.append(f"{end} {step.prop.n3()} {current} .")
-            else:
-                lines.append(f"{current} {step.prop.n3()} {end} .")
-            current = end
+        lines, current = path_patterns(self.path, var, fresh)
         return (lines, [f"{current} {self.comparator} {self.value.n3()}"])
 
     def __str__(self):
@@ -102,15 +90,7 @@ class PathValueSetCondition:
     values: Tuple[Term, ...]
 
     def patterns(self, var: str, fresh) -> Tuple[List[str], List[str]]:
-        lines: List[str] = []
-        current = var
-        for step in self.path:
-            end = fresh()
-            if step.inverse:
-                lines.append(f"{end} {step.prop.n3()} {current} .")
-            else:
-                lines.append(f"{current} {step.prop.n3()} {end} .")
-            current = end
+        lines, current = path_patterns(self.path, var, fresh)
         rendered = " ".join(v.n3() for v in self.values)
         lines.append(f"VALUES {current} {{ {rendered} }}")
         return (lines, [])
@@ -173,34 +153,16 @@ class Intention:
             inner_query = inner._to_sparql(inner_var, fresh)
             indented = "\n    ".join(inner_query.splitlines())
             lines.append("{ " + indented + " }")
-            current = inner_var
-            for index, step in enumerate(path):
-                end = var if index == len(path) - 1 else fresh()
-                if step.inverse:
-                    lines.append(f"{end} {step.prop.n3()} {current} .")
-                else:
-                    lines.append(f"{current} {step.prop.n3()} {end} .")
-                current = end
-            for condition in self.conditions:
-                pattern_lines, filter_exprs = condition.patterns(var, fresh)
-                lines.extend(pattern_lines)
-                filters.extend(filter_exprs)
-            body = "\n  ".join(lines)
-            if filters:
-                rendered = " && ".join(f"({f})" for f in filters)
-                body += f"\n  FILTER({rendered}) ."
-            return f"SELECT DISTINCT {var}\nWHERE {{\n  {body}\n}}"
+            lines.extend(path_patterns(path, inner_var, fresh, end=var)[0])
         if self.seeds is not None:
             rendered = " ".join(t.n3() for t in sorted(self.seeds, key=lambda t: t.sort_key()))
             lines.append(f"VALUES {var} {{ {rendered} }}")
         if self.root_class is not None:
             lines.append(f"{var} {RDF.type.n3()} {self.root_class.n3()} .")
-        if self.seeds is None and self.root_class is None:
+        if self.pivot is None and self.seeds is None and self.root_class is None:
             # The default initial state: every individual, i.e. every typed
             # subject that is not itself a class or property (footnote of
             # §5.3.2).
-            from repro.rdf.namespace import RDFS
-
             lines.append(f"{var} {RDF.type.n3()} ?anytype .")
             filters.append(
                 f"?anytype NOT IN ({RDFS.Class.n3()}, {RDF.Property.n3()})"

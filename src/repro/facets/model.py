@@ -5,6 +5,10 @@ Implements the formal machinery:
 * :func:`restrict` / :func:`joins` — the ``Restrict(E, p:v)``,
   ``Restrict(E, p:vset)``, ``Restrict(E, c)`` and ``Joins(E, p)``
   operations of §5.3.1, with inverse-property support (``p⁻¹``);
+* :data:`PropertyRef` / :data:`Path` — a transition's property step
+  and a path of them; the step type is HIFUN's
+  :class:`~repro.hifun.attributes.Attribute` under the facet model's
+  name, so a path is a composition's ``steps()``;
 * :class:`State` — an interaction state with *extension* (set of
   resources) and *intention* (query);
 * transition markers — :class:`ClassMarker` (Fig. 5.4 a/b),
@@ -22,22 +26,12 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Literal, Term
+from repro.hifun.attributes import Attribute
 from repro.facets.intentions import Intention
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyRef:
-    """A property usable in a transition, optionally inverted (``p⁻¹``)."""
-
-    prop: IRI
-    inverse: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.prop.local_name() + ("⁻¹" if self.inverse else "")
-
-    def __str__(self):
-        return self.name
+#: A property usable in a transition, optionally inverted (``p⁻¹``).
+PropertyRef = Attribute
 
 
 #: A property path: a tuple of PropertyRef steps.

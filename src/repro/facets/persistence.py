@@ -12,7 +12,7 @@ API, so a saved session is also an executable interaction script.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term

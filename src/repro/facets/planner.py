@@ -25,19 +25,17 @@ reports this precisely).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
     Attribute,
     AttributeExpr,
-    Composition,
     Derived,
-    Pairing,
     paths_of,
 )
-from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
+from repro.hifun.query import HifunQuery
 from repro.facets.analytics import AnswerFrame, FacetedAnalyticsSession
 from repro.facets.model import PropertyRef
 
@@ -116,20 +114,14 @@ def _attr_to_path(expr: AttributeExpr) -> Tuple[Tuple[PropertyRef, ...], Optiona
     """(path, derived-function) of a path attribute expression."""
     derived = None
     if isinstance(expr, Derived):
-        derived = expr.function
-        expr = expr.base
-    if isinstance(expr, Attribute):
-        return ((PropertyRef(expr.prop, expr.inverse),), derived)
-    if isinstance(expr, Composition):
-        steps = []
-        for part in expr.parts:
-            if not isinstance(part, Attribute):
-                raise InexpressibleQueryError(
-                    f"path step {part!r} is not a plain property"
-                )
-            steps.append(PropertyRef(part.prop, part.inverse))
-        return (tuple(steps), derived)
-    raise InexpressibleQueryError(f"cannot express attribute {expr!r} as a path")
+        derived, expr = expr.function, expr.base
+    steps = expr.steps()
+    for step in steps:
+        if not isinstance(step, Attribute):
+            raise InexpressibleQueryError(
+                f"path step {step!r} is not a plain property"
+            )
+    return (steps, derived)
 
 
 def plan_interaction(

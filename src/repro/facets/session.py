@@ -52,7 +52,7 @@ from typing import (
 
 from repro.caching import CacheStats
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
+from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.rdfs import SchemaView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.facets.intentions import (
@@ -274,10 +274,6 @@ class FacetedSession:
     # ------------------------------------------------------------------
     # Property-based transitions (§5.4.4)
     # ------------------------------------------------------------------
-    _SCHEMA_PROPS = frozenset(
-        {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
-    )
-
     def applicable_properties(self, include_inverse: bool = False) -> List[PropertyRef]:
         """Properties with at least one value on the current extension.
 
@@ -309,7 +305,7 @@ class FacetedSession:
         for ids, inverse in ((forward_ids, False), (inverse_ids, True)):
             for pid in ids:
                 p = decode(pid)
-                if p not in self._SCHEMA_PROPS and isinstance(p, IRI):
+                if p not in SCHEMA_PREDICATES and isinstance(p, IRI):
                     found.add(PropertyRef(p, inverse=inverse))
         return tuple(sorted(found, key=lambda r: (r.prop.sort_key(), r.inverse)))
 
@@ -398,7 +394,7 @@ class FacetedSession:
         POS index (:meth:`repro.rdf.graph.Graph.facet_counts`)."""
         graph = self.graph
         decode = graph.decode_id
-        schema_ids = {graph.encode_term(p) for p in self._SCHEMA_PROPS}
+        schema_ids = {graph.encode_term(p) for p in SCHEMA_PREDICATES}
         directions = (False, True) if include_inverse else (False,)
         counters, having = graph.facet_counts(ids, [
             (pid, inverse) for pid in graph.all_predicate_ids()

@@ -28,13 +28,15 @@ semantics (the test suite runs both and compares).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import Namespace, RDF
+from repro.rdf.namespace import Namespace, RDF, SCHEMA_PREDICATES
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Term
 from repro.endpoint import LocalEndpoint
+from repro.hifun.translator import path_patterns
 from repro.facets.model import (
     Path,
     PropertyFacet,
@@ -85,16 +87,9 @@ class SparqlFacetEngine:
     def _chain(path: Path, start: str = "?x") -> Tuple[str, str]:
         """Triple patterns walking ``path`` from ``start``; returns
         (patterns text, final variable)."""
-        lines = []
-        current = start
-        for index, step in enumerate(path):
-            nxt = f"?v{index + 1}"
-            if step.inverse:
-                lines.append(f"{nxt} {step.prop.n3()} {current} .")
-            else:
-                lines.append(f"{current} {step.prop.n3()} {nxt} .")
-            current = nxt
-        return (" ".join(lines), current)
+        names = count(1)
+        lines, last = path_patterns(path, start, lambda: f"?v{next(names)}")
+        return (" ".join(lines), last)
 
     @classmethod
     def q_joins(cls, path: Path) -> str:
@@ -207,17 +202,13 @@ class SparqlFacetEngine:
         return PropertyFacet(path=tuple(path), count=count, values=tuple(values))
 
     def applicable_properties(self, extension: Extension) -> List[PropertyRef]:
-        from repro.rdf.namespace import RDFS
-
-        schema = {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain,
-                  RDFS.range}
         result = self.endpoint.query(
             self.q_properties(), overlay=self.view(extension))
         return sorted(
             (
                 PropertyRef(row["p"])
                 for row in result
-                if isinstance(row["p"], IRI) and row["p"] not in schema
+                if isinstance(row["p"], IRI) and row["p"] not in SCHEMA_PREDICATES
             ),
             key=lambda r: r.prop.sort_key(),
         )

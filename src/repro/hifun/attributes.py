@@ -17,7 +17,7 @@ All nodes are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from repro.rdf.terms import IRI
 

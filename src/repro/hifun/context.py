@@ -16,11 +16,11 @@ caller can pick a Feature Creation Operator (Table 4.1) to repair them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF
+from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import Attribute, AttributeExpr, paths_of
 from repro.hifun.evaluator import attribute_values
@@ -100,8 +100,6 @@ class AnalysisContext:
     def _is_class(graph: Graph, iri: IRI) -> bool:
         if next(graph.triples(None, RDF.type, iri), None) is not None:
             return True
-        from repro.rdf.namespace import RDFS
-
         return (
             next(graph.triples(iri, RDF.type, RDFS.Class), None) is not None
             or next(graph.triples(iri, RDFS.subClassOf, None), None) is not None
@@ -112,14 +110,10 @@ class AnalysisContext:
     def applicable_attributes(self) -> List[Attribute]:
         """Direct attributes applicable to the root: every property for
         which at least one item has a value (§5.2.2)."""
-        schema = {RDF.type}
-        from repro.rdf.namespace import RDFS
-
-        schema |= {RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
         found: Set[IRI] = set()
         for item in self.items:
             for p in self.graph.predicates(item, None):
-                if p not in schema and isinstance(p, IRI):
+                if p not in SCHEMA_PREDICATES and isinstance(p, IRI):
                     found.add(p)
         return [Attribute(p) for p in sorted(found, key=lambda t: t.sort_key())]
 

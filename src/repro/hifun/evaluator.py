@@ -22,7 +22,6 @@ value assignment (the translation produces exactly those rows).
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph

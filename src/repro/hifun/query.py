@@ -18,7 +18,7 @@ A :class:`HifunQuery` has:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import IRI, Literal, Term

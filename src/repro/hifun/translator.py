@@ -5,7 +5,9 @@ The translation follows the dissertation exactly:
 * the grouping expression yields triple-pattern chains in the WHERE
   clause plus variables in SELECT and GROUP BY (Algorithm 1/2);
 * **compositions** become chained triple patterns
-  ``?x1 f1 ?x2 . ?x2 f2 ?x3 ...`` (Algorithm 2 — Composition);
+  ``?x1 f1 ?x2 . ?x2 f2 ?x3 ...`` (Algorithm 2 — Composition), written
+  by :func:`path_patterns` — the one emitter the facet side's
+  generators (state intentions, the SPARQL-only backend) share;
 * **pairings** join their component chains on the shared root variable
   ``?x1`` (Algorithm 2 — Pairing / PairingOverCompositions);
 * **derived attributes** produce no extra pattern; they wrap the chain's
@@ -25,20 +27,19 @@ answer columns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
     Attribute,
     AttributeExpr,
     Composition,
     Derived,
-    Pairing,
     paths_of,
 )
-from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
+from repro.hifun.query import HifunQuery, Restriction
 
 
 @dataclass
@@ -87,6 +88,34 @@ def _sanitize(name: str) -> str:
     return cleaned or "col"
 
 
+def path_patterns(
+    steps: Sequence[AttributeExpr],
+    start: str,
+    fresh: Callable[[], str],
+    end: Optional[str] = None,
+) -> Tuple[List[str], str]:
+    """The triple patterns of a property path (Algorithm 2 — Composition;
+    Table 5.1's chains): one ``?a <p> ?b .`` per step walking ``steps``
+    from ``start``, written object-first for an inverse step.
+
+    ``fresh()`` mints each intermediate variable — the caller's naming
+    (``?x2…`` here, ``?v1…`` for intentions) is the only thing the
+    callers differ in; the last step arrives at ``end`` when given (a
+    rendered constant for a URI restriction or a value click, the outer
+    variable for a pivot).  Returns ``(patterns, last term)``.
+    """
+    patterns: List[str] = []
+    current = start
+    for index, step in enumerate(steps):
+        if not isinstance(step, Attribute):
+            raise TypeError("derived attribute must be the path tail")
+        target = end if end is not None and index == len(steps) - 1 else fresh()
+        subject, obj = (target, current) if step.inverse else (current, target)
+        patterns.append(f"{subject} {step.prop.n3()} {obj} .")
+        current = target
+    return patterns, current
+
+
 class _TranslationBuilder:
     def __init__(self, root_var: str, variables: _VarAllocator):
         self.root_var = root_var
@@ -108,26 +137,13 @@ class _TranslationBuilder:
     def _plain_chain(self, path: AttributeExpr, reuse: bool) -> str:
         if reuse and path in self._chains:
             return self._chains[path]
-        steps: Sequence[Attribute]
-        if isinstance(path, Attribute):
-            steps = (path,)
-        elif isinstance(path, Composition):
-            steps = path.parts  # application order
-        else:
+        if not isinstance(path, (Attribute, Composition)):
             raise TypeError(f"cannot emit patterns for {path!r}")
-        current = self.root_var
-        for step in steps:
-            if isinstance(step, Derived):
-                raise TypeError("derived attribute must be the path tail")
-            nxt = self.vars.new()
-            if step.inverse:
-                self.patterns.append(f"{nxt} {step.prop.n3()} {current} .")
-            else:
-                self.patterns.append(f"{current} {step.prop.n3()} {nxt} .")
-            current = nxt
+        patterns, last = path_patterns(path.steps(), self.root_var, self.vars.new)
+        self.patterns.extend(patterns)
         if reuse:
-            self._chains[path] = current
-        return current
+            self._chains[path] = last
+        return last
 
     # -- Algorithm 1 lines 3–7 / Algorithm 4 (restrictions) --------------
     def restriction(self, r: Restriction, reuse_var: Optional[str]) -> None:
@@ -153,16 +169,9 @@ class _TranslationBuilder:
             inner = self.chain(path, reuse=False)
             self.filters.append(f"{inner} = {_render_term(value)}")
             return
-        steps = path.parts if isinstance(path, Composition) else (path,)
-        current = self.root_var
-        for index, step in enumerate(steps):
-            is_last = index == len(steps) - 1
-            end = _render_term(value) if is_last else self.vars.new()
-            if step.inverse:
-                self.patterns.append(f"{end} {step.prop.n3()} {current} .")
-            else:
-                self.patterns.append(f"{current} {step.prop.n3()} {end} .")
-            current = end
+        self.patterns.extend(path_patterns(
+            path.steps(), self.root_var, self.vars.new,
+            end=_render_term(value))[0])
 
 
 def _render_term(term: Term) -> str:

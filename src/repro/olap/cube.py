@@ -10,11 +10,11 @@ at a tuple of levels issues the corresponding HIFUN query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Term
+from repro.rdf.terms import IRI
 from repro.hifun.attributes import AttributeExpr, pair
 from repro.hifun.columnar import evaluate_hifun
 from repro.hifun.evaluator import AnswerFunction

@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Term
-from repro.hifun.evaluator import AnswerFunction
+from repro.hifun.attributes import Attribute
+from repro.hifun.evaluator import AnswerFunction, attribute_values
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import BUILTINS, wrap_number
 
@@ -52,26 +53,17 @@ def derived_mapping(function: str) -> Callable[[Term], Optional[Term]]:
 
 def path_mapping(graph: Graph, path) -> Callable[[Term], Optional[Term]]:
     """Key transform following a property path in the graph (functional
-    properties only — e.g. branch → city → country)."""
-    steps = list(path)
+    properties only — e.g. branch → city → country).  A step is an
+    :class:`~repro.hifun.attributes.Attribute` or, for a forward step,
+    its bare IRI."""
+    steps = [s if isinstance(s, Attribute) else Attribute(s) for s in path]
 
     def transform(term: Term) -> Optional[Term]:
         current = term
         for step in steps:
-            prop = getattr(step, "prop", step)
-            inverse = getattr(step, "inverse", False)
-            if isinstance(current, Literal):
-                return None
-            if inverse:
-                values = sorted(
-                    graph.subjects(prop, current), key=lambda t: t.sort_key()
-                )
-            else:
-                values = sorted(
-                    graph.objects(current, prop), key=lambda t: t.sort_key()
-                )
-            if len(values) != 1:
-                return None  # missing or non-functional: not rewritable
+            values = attribute_values(graph, current, step)
+            if isinstance(current, Literal) or len(values) != 1:
+                return None  # literal source, missing or non-functional
             current = values[0]
         return current
 

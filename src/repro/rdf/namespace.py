@@ -52,6 +52,12 @@ RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
 XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 OWL = Namespace("http://www.w3.org/2002/07/owl#")
 
+#: The predicates that state the schema — a resource's class and the
+#: RDFS axioms; every "data properties only" listing excludes them.
+SCHEMA_PREDICATES = frozenset(
+    {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
+)
+
 #: The namespace of the dissertation's running example (Fig. 1.2).
 EX = Namespace("http://www.ics.forth.gr/example#")
 

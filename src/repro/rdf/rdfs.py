@@ -23,7 +23,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
+from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import IRI, Literal, Term
 
 _TYPE = RDF.type
@@ -130,7 +130,8 @@ class SchemaView:
     """
 
     def __init__(self, graph: Graph, closed: bool = False):
-        """``graph`` is closed in place if ``closed`` is False."""
+        """Unless ``closed``, the view works on a closed *copy* of
+        ``graph`` (:class:`RDFSClosure`); ``graph`` itself is not written."""
         if closed:
             self.graph = graph
         else:
@@ -185,9 +186,8 @@ class SchemaView:
         result.update(self.graph.objects(None, _SUBPROP))
         result.update(self.graph.subjects(_DOMAIN, None))
         result.update(self.graph.subjects(_RANGE, None))
-        schema_preds = {_TYPE, _SUBCLASS, _SUBPROP, _DOMAIN, _RANGE}
         result.update(
-            p for p in self.graph.all_predicates() if p not in schema_preds
+            p for p in self.graph.all_predicates() if p not in SCHEMA_PREDICATES
         )
         return {p for p in result if isinstance(p, IRI)}
 
@@ -225,10 +225,9 @@ class SchemaView:
     def properties_of(self, resources: Iterable[Term]) -> Set[Term]:
         """The properties for which at least one resource has a value."""
         result: Set[Term] = set()
-        schema_preds = {_TYPE, _SUBCLASS, _SUBPROP, _DOMAIN, _RANGE}
         for r in resources:
             for p in self.graph.predicates(r, None):
-                if p not in schema_preds:
+                if p not in SCHEMA_PREDICATES:
                     result.add(p)
         return result
 

@@ -18,7 +18,7 @@ raises a clear error if it encounters one.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, WELL_KNOWN_PREFIXES

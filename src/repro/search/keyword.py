@@ -21,10 +21,10 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
+from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import BNode, IRI, Literal, Term
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -33,10 +33,6 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 WEIGHT_NAME = 3.0
 WEIGHT_LITERAL = 2.0
 WEIGHT_NEIGHBOUR = 1.0
-
-_SCHEMA_PREDICATES = frozenset(
-    {RDF.type, RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range}
-)
 
 
 def tokenize(text: str) -> List[str]:
@@ -88,7 +84,7 @@ class KeywordIndex:
                 for token in tokenize(subject.local_name()):
                     self._credit(token, subject, WEIGHT_NAME)
             for _, predicate, obj in self.graph.triples(subject, None, None):
-                if predicate in _SCHEMA_PREDICATES:
+                if predicate in SCHEMA_PREDICATES:
                     continue
                 if isinstance(obj, Literal):
                     for token in tokenize(obj.lexical):

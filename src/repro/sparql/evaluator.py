@@ -17,7 +17,7 @@ follows the SPARQL algebra closely:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF, RDFS
+from repro.rdf.namespace import RDF
 from repro.rdf.terms import BNode, IRI, Literal, Term
 
 

@@ -15,8 +15,8 @@ basis where applicable).  :data:`SYSTEM_COMPARISON` is Table 3.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 CATEGORIES: Tuple[str, ...] = ("C1", "C2", "C3", "C4", "C5")
 

@@ -104,6 +104,33 @@ class TestSparqlCompilation:
         assert f"?x {EX.price.n3()} ?v2 ." in text
         assert "FILTER((?v2 >" in text
 
+    def test_pivot_without_class_keeps_its_text(self):
+        """No default "every typed individual" clause after a pivot."""
+        text = Intention(root_class=EX.Laptop).with_pivot(manufacturer).to_sparql()
+        assert text == (
+            "SELECT DISTINCT ?x\n"
+            "WHERE {\n"
+            "  { SELECT DISTINCT ?v1\n"
+            "    WHERE {\n"
+            f"      ?v1 {RDF.type.n3()} {EX.Laptop.n3()} .\n"
+            "    } }\n"
+            f"  ?v1 {EX.manufacturer.n3()} ?x .\n"
+            "}"
+        )
+        assert "?anytype" not in text
+
+    def test_class_after_pivot_is_typed_outside_the_subselect(self):
+        intent = (
+            Intention(root_class=EX.Laptop)
+            .with_pivot((PropertyRef(EX.hardDrive),))
+            .with_class(EX.NVMe)
+        )
+        assert intent.to_sparql().splitlines()[-3:] == [
+            f"  ?v1 {EX.hardDrive.n3()} ?x .",
+            f"  ?x {RDF.type.n3()} {EX.NVMe.n3()} .",
+            "}",
+        ]
+
     def test_compiled_intention_evaluates(self):
         from repro.rdf.rdfs import RDFSClosure
 

@@ -3,9 +3,9 @@ non-star-schema claim, and entity-type switching (pivot)."""
 
 import pytest
 
-from repro.rdf.namespace import EX
+from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
-from repro.datasets import museum_graph
+from repro.datasets import museum_graph, products_graph
 from repro.facets import FacetedAnalyticsSession
 from repro.sparql import query as sparql
 
@@ -80,6 +80,30 @@ class TestEntitySwitch:
         result = sparql(session.graph, session.state.intention.to_sparql())
         assert {row["x"] for row in result} == set(session.extension)
         assert {t.local_name() for t in session.extension} == {"VanGogh"}
+
+    def test_pivot_then_narrowing_class_intention(self):
+        """A class clicked after a pivot belongs to the intention: the
+        museum KG types every pivot target alike, so one museum gets a
+        second type to narrow to."""
+        graph = museum_graph()
+        graph.add(EX.Prado, RDF.type, EX.RoyalCollection)
+        session = FacetedAnalyticsSession(graph)
+        session.select_class(EX.Painting)
+        session.pivot_to((EX.exhibitedAt,))
+        session.select_class(EX.RoyalCollection)
+        result = sparql(session.graph, session.state.intention.to_sparql())
+        assert {row["x"] for row in result} == set(session.extension) == {EX.Prado}
+
+    def test_pivot_then_narrowing_class_on_products(self):
+        """Laptop → hardDrive → NVMe: three drives are reached, one is an
+        NVMe — the query must answer that one."""
+        session = FacetedAnalyticsSession(products_graph())
+        session.select_class(EX.Laptop)
+        assert len(session.pivot_to((EX.hardDrive,))) == 3
+        session.select_class(EX.NVMe)
+        result = sparql(session.graph, session.state.intention.to_sparql())
+        assert {row["x"] for row in result} == set(session.extension)
+        assert len(session.extension) == 1
 
     def test_double_pivot(self, session):
         session.select_class(EX.Painting)

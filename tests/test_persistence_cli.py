@@ -208,6 +208,17 @@ class TestPivotPersistence:
         restored = replay_session(museum_graph(), session_to_dict(session))
         assert set(restored.extension) == set(session.extension)
 
+    def test_class_after_pivot_roundtrip(self):
+        session = FacetedAnalyticsSession(products_graph())
+        session.select_class(EX.Laptop)
+        session.pivot_to((EX.hardDrive,))
+        session.select_class(EX.NVMe)
+        restored = replay_session(products_graph(), session_to_dict(session))
+        assert set(restored.extension) == set(session.extension)
+        text = restored.state.intention.to_sparql()
+        assert text == session.state.intention.to_sparql()
+        assert EX.NVMe.n3() in text
+
     def test_pivot_serialization_shape(self):
         from repro.datasets import museum_graph
 

@@ -51,18 +51,41 @@ def test_no_module_under_src_reads_the_environment():
 def test_lint_detects_planted_defects(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
+        "import ast\n"
         "import os\n"
+        "from typing import Union\n"
         "def f(x=[]):\n"
         "    try:\n"
-        "        return x\n"
+        "        return x, ast.Union\n"
         "    except:\n"
         "        pass\n"
     )
     result = _run("--lint", str(bad))
     assert result.returncode == 1
-    assert "L001" in result.stdout  # unused import os
+    assert "unused import 'os'" in result.stdout  # L001
+    # ... and a same-named attribute elsewhere does not count as a use.
+    assert "unused import 'Union'" in result.stdout
+    assert "unused import 'ast'" not in result.stdout
     assert "L002" in result.stdout  # bare except
     assert "L003" in result.stdout  # mutable default
+
+
+def test_imports_used_only_by_name_in_strings_still_count(tmp_path):
+    """What the narrowed L001 must keep accepting: a forward reference
+    in a string annotation, an ``__all__`` re-export, and anything in an
+    ``__init__.py``."""
+    ok = tmp_path / "ok.py"
+    ok.write_text(
+        "from typing import List, Optional\n"
+        "from os import path, sep\n"
+        "__all__ = ['path']\n"
+        "def f(x: 'Optional[int]') -> 'List[int]':\n"
+        "    return [x]\n"
+    )
+    (tmp_path / "__init__.py").write_text("from os import path\n")
+    result = _run("--lint", str(tmp_path))
+    assert result.stdout.count("L001") == 1, result.stdout
+    assert "unused import 'sep'" in result.stdout
 
 
 def test_typecheck_detects_planted_defects(tmp_path):

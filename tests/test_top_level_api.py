@@ -56,6 +56,21 @@ class TestLoadGraph:
             repro.load_graph(nt_file)
         assert caught.value.line == 5
 
+    def test_long_ntriples_suffix_is_streamed_too(self, tmp_path):
+        """``load_graph`` keeps no suffix list of its own: what
+        ``load_file`` streams, it streams — line numbers included."""
+        from repro.rdf.bulkload import BulkLoadError
+
+        path = tmp_path / "products.ntriples"
+        lines = ntriples.serialize(products_graph()).splitlines()
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert repro.load_graph(str(path)) == products_graph()
+        lines.insert(2, "<http://example.org/a> <http://example.org/b> .")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(BulkLoadError) as caught:
+            repro.load_graph(str(path))
+        assert caught.value.line == 3
+
     def test_other_suffixes_are_read_as_turtle(self, tmp_path):
         path = tmp_path / "products.rdf"
         path.write_text(PRODUCTS_TTL, encoding="utf-8")

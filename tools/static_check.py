@@ -8,8 +8,9 @@ deliberately small subset of what ruff and mypy would report:
 
 ``--lint`` (codes ``L0xx``):
 
-* ``L001`` unused module-level import (``__init__.py`` re-export files
-  are exempt, as are names re-exported via ``__all__``)
+* ``L001`` unused module-level import: a name counts as used when it
+  occurs as an AST name, in ``__all__`` or inside a string annotation
+  (``__init__.py`` re-export files are exempt)
 * ``L002`` bare ``except:`` clause
 * ``L003`` mutable default argument (list/dict/set literal or call)
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
@@ -101,9 +103,25 @@ def _exported_names(tree: ast.Module) -> set:
     return set()
 
 
+def _string_annotations(tree: ast.Module) -> str:
+    """The text of every string literal inside an annotation
+    (``"Graph"``, ``Optional["Node"]``): forward references name their
+    imports without an ``ast.Name``."""
+    texts: List[str] = []
+    for node in ast.walk(tree):
+        for slot in ("annotation", "returns"):
+            annotation = getattr(node, slot, None)
+            if isinstance(annotation, ast.AST):
+                texts.extend(
+                    sub.value for sub in ast.walk(annotation)
+                    if isinstance(sub, ast.Constant)
+                    and isinstance(sub.value, str))
+    return "\n".join(texts)
+
+
 def lint_file(path: Path) -> List[Finding]:
     try:
-        tree, source = parse(path)
+        tree, _ = parse(path)
     except SyntaxError as exc:
         return [(path, exc.lineno or 0, exc.offset or 0, "L000",
                  f"syntax error: {exc.msg}")]
@@ -111,18 +129,11 @@ def lint_file(path: Path) -> List[Finding]:
 
     # L001 — unused module-level imports.
     if path.name != "__init__.py":
-        used = _used_names(tree)
-        exported = _exported_names(tree)
-        # Names referenced from string annotations / docstring doctests
-        # are approximated by a plain-text scan — conservative on purpose.
+        used = _used_names(tree) | _exported_names(tree)
+        quoted = _string_annotations(tree)
         for node in tree.body:
             for name, line, col in _imported_names(node):
-                if name in used or name in exported:
-                    continue
-                if name in source.replace(f"import {name}", "", 1):
-                    # Mentioned somewhere else (string annotation, doc
-                    # example, __getattr__ table) — give the benefit of
-                    # the doubt.
+                if name in used or re.search(rf"\b{re.escape(name)}\b", quoted):
                     continue
                 findings.append(
                     (path, line, col, "L001", f"unused import {name!r}")
