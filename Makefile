@@ -11,10 +11,10 @@ test:
 # Static analysis gates: the stdlib checker in tools/static_check.py,
 # with the arguments tests/test_static_gates.py runs it with in tier-1.
 lint:
-	python tools/static_check.py --lint src/repro tools benchmarks
+	python tools/static_check.py --lint src/repro tools benchmarks tests examples
 
 typecheck:
-	python tools/static_check.py --typecheck src/repro/rdf src/repro/hifun src/repro/analysis
+	python tools/static_check.py --typecheck src/repro/rdf src/repro/hifun src/repro/analysis src/repro/olap
 
 # The default verify path: lint + typecheck + the full test suite.
 check: lint typecheck test

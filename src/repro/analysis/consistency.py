@@ -12,8 +12,9 @@ Code        Severity   Defect class
 ==========  =========  ========================================================
 ``C001``    error      the HIFUN checker accepts the query but its
                        translation fails to parse or fails the SPARQL lint
-``C002``    error      the translation's declared answer columns do not
-                       match the SELECT projection of the generated text
+``C002``    error      the answer columns the HIFUN query declares
+                       (``HifunQuery.answer_columns()``) do not match the
+                       SELECT projection of the generated text
 ==========  =========  ========================================================
 
 The returned report merges the HIFUN diagnostics, the SPARQL diagnostics
@@ -88,12 +89,12 @@ def check_translation(
 
     if isinstance(parsed, ast.SelectQuery) and not parsed.is_star:
         projected = [projection.var.name for projection in parsed.projections]
-        declared = translation.answer_columns
+        declared = list(query.answer_columns())
         if projected != declared:
             out.error(
                 "C002",
-                f"the translation declares answer columns {declared} but "
-                f"its SELECT clause projects {projected}",
+                f"the query declares answer columns {declared} but the "
+                f"SELECT clause of its translation projects {projected}",
                 path="translation",
             )
 

@@ -39,6 +39,7 @@ the output as a string, so it can be scripted and tested.
 from __future__ import annotations
 
 import shlex
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.endpoint import EndpointError
@@ -63,16 +64,18 @@ class ShellError(ValueError):
 class AnalyticsShell:
     """The interactive front end; one instance per loaded graph.
 
-    ``session_factory`` builds the session over a graph (and optional
-    seed results); it is remembered so that ``search`` and ``explore``
-    — which open fresh sessions — inherit the same configuration (e.g.
-    the resilient, endpoint-backed variant with retry/deadline knobs).
+    ``session_factory`` builds the session over a graph (taking the
+    session's ``results=`` and ``closed=``); it is remembered so that
+    ``search``, ``load`` and ``explore`` — which open fresh sessions —
+    inherit the same configuration (e.g. the resilient, endpoint-backed
+    variant with retry/deadline knobs).  ``search`` and ``load`` open
+    theirs over the graph the current session closed: the closure is
+    computed once, and what ``transform`` wrote stays.
     """
 
     def __init__(self, graph: Graph, session_factory=None):
         self.graph = graph
-        self._session_factory = session_factory or (
-            lambda g, results=None: FacetedAnalyticsSession(g, results=results))
+        self._session_factory = session_factory or FacetedAnalyticsSession
         self.session = self._session_factory(graph)
         self._browser = None
         self.last_frame: Optional[AnswerFrame] = None
@@ -449,7 +452,7 @@ class AnalyticsShell:
         if not hits:
             return "no results"
         self.session = self._session_factory(
-            self.graph, results=[h.resource for h in hits]
+            self.session.graph, results=[h.resource for h in hits], closed=True
         )
         rendered = ", ".join(f"{h.label} ({h.score:.1f})" for h in hits[:8])
         return f"{len(hits)} results: {rendered}"
@@ -488,7 +491,9 @@ class AnalyticsShell:
     def _cmd_load(self, args: List[str]) -> str:
         if not args:
             raise ShellError("usage: load <json>")
-        self.session = replay_session(self.graph, args[0])
+        self.session = replay_session(
+            self.session.graph, args[0],
+            open_session=partial(self._session_factory, closed=True))
         return f"restored: {self.session.state.intention.describe()}"
 
     def _cmd_help(self, args: List[str]) -> str:
@@ -552,13 +557,8 @@ def build_shell(argv=None) -> AnalyticsShell:
     resilient = (args.network != "local" or args.fault_rate > 0.0
                  or args.retries is not None or args.timeout is not None)
     if not resilient:
-        if args.analyze:
-            return AnalyticsShell(
-                graph,
-                session_factory=lambda g, results=None:
-                    FacetedAnalyticsSession(g, results=results, analyze=True),
-            )
-        return AnalyticsShell(graph)
+        return AnalyticsShell(
+            graph, partial(FacetedAnalyticsSession, analyze=args.analyze))
 
     from repro.endpoint import FaultModel, NetworkModel, RetryPolicy
     from repro.facets.resilient import ResilientFacetedSession
@@ -571,13 +571,9 @@ def build_shell(argv=None) -> AnalyticsShell:
     retry = (RetryPolicy(max_attempts=max(1, args.retries))
              if args.retries is not None else None)
 
-    def session_factory(g, results=None):
-        return ResilientFacetedSession(
-            g, results=results, network=model, faults=faults,
-            retry=retry, timeout=args.timeout, seed=args.seed,
-            analyze=args.analyze)
-
-    return AnalyticsShell(graph, session_factory=session_factory)
+    return AnalyticsShell(graph, partial(
+        ResilientFacetedSession, network=model, faults=faults, retry=retry,
+        timeout=args.timeout, seed=args.seed, analyze=args.analyze))
 
 
 def main() -> None:  # pragma: no cover - interactive entry point

@@ -13,11 +13,14 @@ GUI actions of Fig. 5.1 (right):
   function (e.g. YEAR of a date facet) before grouping, per the
   *Special cases* paragraph of §5.1;
 * **Answer Frame** (:class:`AnswerFrame`) — the tabular result of
-  :meth:`run`, which can be *loaded as a new dataset*
-  (:meth:`AnswerFrame.explore`, §5.3.3): each answer row becomes a fresh
-  resource with one triple per column, and a new analytics session opens
-  over it — subsequent restrictions are HAVING clauses over the original
-  data, giving nested analytic queries of unlimited depth.
+  :meth:`run`: the same frame whichever engine fills it, its column
+  names and their roles being the HIFUN query's
+  (:meth:`~repro.hifun.query.HifunQuery.answer_columns`).  It can be
+  *loaded as a new dataset* (:meth:`AnswerFrame.explore`, §5.3.3): each
+  answer row becomes a fresh resource with one triple per column, and a
+  new analytics session opens over it — subsequent restrictions are
+  HAVING clauses over the original data, giving nested analytic queries
+  of unlimited depth.
 
 Execution follows Table 5.1: the HIFUN query synthesized from the button
 state is translated to SPARQL rooted at a temporary class ``temp``, and
@@ -43,16 +46,16 @@ from repro.hifun.attributes import (
     pair,
 )
 from repro.hifun.columnar import evaluate_hifun
-from repro.hifun.evaluator import evaluate_hifun_row
+from repro.hifun.evaluator import CARDINALITY, evaluate_hifun_row
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
+from repro.olap.rewrite import merge_blocker, merge_groups
 from repro.facets.model import PropertyRef
 from repro.facets.session import FacetedSession
 # APP: the namespace of machinery terms (the temporary class of Table 5.1
 # and the answer-frame vocabulary of §5.3.3).
 from repro.facets.sparql_backend import APP, TEMP
 from repro.sparql import query as sparql_query
-from repro.sparql.functions import wrap_number
 
 #: The temporary class the current extension is typed under during a run
 #: — the one the session's extension view populates.
@@ -103,19 +106,18 @@ def _path_to_attribute(path: Tuple[PropertyRef, ...],
 
 
 class AnswerFrame:
-    """The Answer Frame of Fig. 5.1: columns, rows and reload support."""
+    """The Answer Frame of Fig. 5.1: the rows of ``query``'s answer under
+    its column names, re-aggregation and reload support."""
 
     def __init__(
         self,
         columns: Sequence[str],
         rows: Sequence[Tuple[Optional[Term], ...]],
         query: HifunQuery,
-        translation: Optional[Translation] = None,
     ):
         self.columns = tuple(columns)
         self.rows = [tuple(row) for row in rows]
         self.query = query
-        self.translation = translation
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -127,6 +129,24 @@ class AnswerFrame:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
 
+    # -- what role each of the query's columns plays ---------------------
+    @property
+    def grouping_columns(self) -> Tuple[str, ...]:
+        """The columns holding the values of the grouping paths."""
+        return self.query.answer_columns()[:len(self.query.grouping_paths)]
+
+    @property
+    def aggregate_columns(self) -> List[Tuple[str, str]]:
+        """``(operation, column)`` of every aggregate, in order."""
+        names = self.query.answer_columns()
+        return list(zip(self.query.operations,
+                        names[len(self.query.grouping_paths):]))
+
+    @property
+    def count_column(self) -> Optional[str]:
+        """The column of group cardinalities (``with_count``), if any."""
+        return self.query.answer_columns()[-1] if self.query.with_count else None
+
     def to_graph(self) -> Graph:
         """Load the answer as a new RDF dataset (§5.3.3).
 
@@ -135,8 +155,8 @@ class AnswerFrame:
         ``APP.AnswerRow`` so the new dataset is immediately facetable.
         """
         graph = Graph()
-        column_props = [APP.term(_safe(name)) for name in self.columns]
-        for prop, name in zip(column_props, self.columns):
+        column_props = [self.column_property(name) for name in self.columns]
+        for prop in column_props:
             graph.add(prop, RDF.type, RDF.Property)
         for index, row in enumerate(self.rows, start=1):
             subject = APP.term(f"t{index}")
@@ -154,113 +174,50 @@ class AnswerFrame:
 
     def column_property(self, name: str) -> IRI:
         """The property under which a column is loaded by :meth:`to_graph`."""
-        return APP.term(_safe(name))
+        return APP.term(name)
 
     # -- the "Extra Columns" actions of §5.1 ----------------------------
     def select_columns(self, columns: Sequence[str]) -> "AnswerFrame":
         """Display-level projection: keep only the named columns."""
         indexes = [self.columns.index(name) for name in columns]
         rows = [tuple(row[i] for i in indexes) for row in self.rows]
-        return AnswerFrame(columns, rows, self.query, self.translation)
+        return AnswerFrame(columns, rows, self.query)
 
     def drop_grouping_column(self, name: str) -> "AnswerFrame":
         """Remove a grouping attribute and *re-aggregate* the answer.
 
         The §5.1 "Extra Columns" remove action: dropping a grouping
-        column coarsens the groups, so the aggregate columns are merged
-        — SUM/COUNT add up, MIN/MAX take extrema, and AVG is recomputed
-        from SUM and COUNT when both are present (otherwise it raises,
-        since an average of averages would be wrong).
+        column coarsens the groups, so those that fall together are
+        merged (:func:`repro.olap.rewrite.merge_groups`; it raises when
+        :func:`~repro.olap.rewrite.merge_blocker` objects).  The result
+        is the frame of the coarser query — what
+        :meth:`FacetedAnalyticsSession.run` answers with that G press
+        undone.
         """
-        if self.translation is None:
-            raise ValueError("re-aggregation needs the query translation")
-        group_aliases = list(self.translation.group_aliases)
-        if name not in group_aliases:
+        grouping = self.grouping_columns
+        if name not in grouping:
             raise ValueError(f"{name!r} is not a grouping column")
-        operations = [op for op, _ in self.translation.aggregate_aliases]
-        if "AVG" in operations and not (
-            "SUM" in operations and "COUNT" in operations
-        ):
-            if self.translation.count_alias is None or "SUM" not in operations:
-                raise ValueError(
-                    "cannot re-aggregate AVG without SUM and COUNT columns"
-                )
-        drop_index = self.columns.index(name)
-        kept_group_indexes = [
-            self.columns.index(alias)
-            for alias in group_aliases
-            if alias != name
-        ]
-        agg_info = [
-            (op, self.columns.index(alias))
-            for op, alias in self.translation.aggregate_aliases
-        ]
-        count_index = (
-            self.columns.index(self.translation.count_alias)
-            if self.translation.count_alias
-            else None
-        )
-        buckets: Dict[tuple, list] = {}
-        for row in self.rows:
-            key = tuple(row[i] for i in kept_group_indexes)
-            buckets.setdefault(key, []).append(row)
-
-        def merge(op: str, values):
-            numbers = [v.to_python() for v in values if v is not None]
-            if not numbers:
-                return None
-            if op in ("SUM", "COUNT"):
-                total = sum(numbers)
-                return wrap_number(
-                    total if all(isinstance(n, int) for n in numbers)
-                    else float(total)
-                )
-            if op == "MIN":
-                return wrap_number(min(numbers, key=float))
-            if op == "MAX":
-                return wrap_number(max(numbers, key=float))
-            return None  # AVG handled below
-
-        new_columns = [self.columns[i] for i in kept_group_indexes]
-        new_columns += [alias for _, alias in self.translation.aggregate_aliases]
-        if self.translation.count_alias:
-            new_columns.append(self.translation.count_alias)
-        new_rows = []
-        for key, members in sorted(
-            buckets.items(), key=lambda kv: _row_sort_key(kv[0])
-        ):
-            merged = list(key)
-            agg_values: Dict[str, Optional[Term]] = {}
-            for op, index in agg_info:
-                agg_values[op] = merge(op, [m[index] for m in members])
-            count_value = None
-            if count_index is not None:
-                count_value = merge("COUNT", [m[count_index] for m in members])
-            if "AVG" in agg_values and agg_values.get("AVG") is None:
-                total = agg_values.get("SUM")
-                count = (
-                    agg_values.get("COUNT")
-                    if "COUNT" in agg_values
-                    else count_value
-                )
-                if total is not None and count is not None and float(
-                    count.to_python()
-                ):
-                    agg_values["AVG"] = wrap_number(
-                        float(total.to_python()) / float(count.to_python())
-                    )
-            merged += [agg_values[op] for op, _ in agg_info]
-            if count_index is not None:
-                merged.append(count_value)
-            new_rows.append(tuple(merged))
-        return AnswerFrame(new_columns, new_rows, self.query, None)
+        blocker = merge_blocker(self.query.operations, self.query.with_count)
+        if blocker:
+            raise ValueError(blocker)
+        paths = [path for path, column in zip(self.query.grouping_paths, grouping)
+                 if column != name]
+        coarser = replace(self.query, grouping=pair(*paths) if paths else None)
+        cell = self.columns.index
+        kept = [cell(column) for column in grouping if column != name]
+        partial = [(op, cell(column)) for op, column in self.aggregate_columns]
+        if self.query.with_count:
+            partial.append((CARDINALITY, cell(self.count_column)))
+        merged = merge_groups(
+            (tuple(row[i] for i in kept), {part: row[i] for part, i in partial})
+            for row in self.rows)
+        rows = [key + tuple(values[part] for part, _ in partial)
+                for key, values in merged.items()]
+        rows.sort(key=_row_sort_key)
+        return AnswerFrame(coarser.answer_columns(), rows, coarser)
 
     def __repr__(self):
         return f"<AnswerFrame {len(self.rows)}×{len(self.columns)} {list(self.columns)}>"
-
-
-def _safe(name: str) -> str:
-    return "".join(ch if (ch.isalnum() or ch == "_") else "_" for ch in name)
 
 
 class FacetedAnalyticsSession(FacetedSession):
@@ -589,13 +546,11 @@ class FacetedAnalyticsSession(FacetedSession):
                 return sparql_query(
                     self.graph if overlay is None else overlay, text)
         if engine == "restrictions":
-            restricted, root_class = self.hifun_query_with_restrictions()
-            self._static_check(restricted, root_class)
-            translation = translate(restricted, root_class=root_class)
-            return _translated_frame(
-                evaluate(translation.text), restricted, translation)
-        query = self.hifun_query()
-        self._static_check(query)
+            query, root_class = self.hifun_query_with_restrictions()
+            self._static_check(query, root_class)
+        else:
+            query, root_class = self.hifun_query(), TEMP_CLASS
+            self._static_check(query)
         if engine in ("native", "row"):
             domain_terms, domain_ids = self._analysis_domain()
             if engine == "row":
@@ -604,28 +559,18 @@ class FacetedAnalyticsSession(FacetedSession):
             else:
                 answer = evaluate_hifun(self.graph, query, items=domain_terms,
                                         items_ids=domain_ids)
-            columns = [g.label for g in self._groups]
-            columns += [
-                f"{op.lower()}"
-                + (f"_{self._measure.path[-1].name}" if self._measure.path else "_items")
-                for op in self._measure.operations
-            ]
-            if self._with_count:
-                columns.append("count_items")
-            return AnswerFrame(columns, answer.rows(), query, None)
-        if engine != "sparql":
+            columns, rows = query.answer_columns(), answer.rows()
+        elif engine in ("sparql", "restrictions"):
+            translation = translate(query, root_class=root_class)
+            result = evaluate(
+                translation.text,
+                overlay=self._extension_view() if engine == "sparql" else None)
+            columns = translation.answer_columns  # the query's, named once
+            rows = [tuple(row.get(c) for c in columns) for row in result]
+            rows.sort(key=_row_sort_key)
+        else:
             raise ValueError(f"unknown engine {engine!r}")
-        translation = translate(query, root_class=TEMP_CLASS)
-        result = evaluate(translation.text, overlay=self._extension_view())
-        return _translated_frame(result, query, translation)
-
-
-def _translated_frame(result, query: HifunQuery,
-                      translation: Translation) -> AnswerFrame:
-    columns = translation.answer_columns
-    rows = [tuple(row.get(c) for c in columns) for row in result]
-    rows.sort(key=_row_sort_key)
-    return AnswerFrame(columns, rows, query, translation)
+        return AnswerFrame(columns, rows, query)
 
 
 def _row_sort_key(row: Tuple[Optional[Term], ...]):

@@ -178,8 +178,12 @@ def _replay_intention(session: FacetedAnalyticsSession, data: Dict) -> None:
             raise ValueError(f"unknown action {action!r}")
 
 
-def replay_session(graph: Graph, data) -> FacetedAnalyticsSession:
-    """Rebuild a session from saved data by replaying the interaction."""
+def replay_session(graph: Graph, data,
+                   open_session=FacetedAnalyticsSession) -> FacetedAnalyticsSession:
+    """Rebuild a session from saved data by replaying the interaction
+    on the session ``open_session(graph, results=seeds)`` opens — the
+    caller's kind of session (endpoint-backed, strict, over an already
+    closed graph), a plain :class:`FacetedAnalyticsSession` by default."""
     if isinstance(data, str):
         data = json.loads(data)
     if data.get("version") != 1:
@@ -190,7 +194,7 @@ def replay_session(graph: Graph, data) -> FacetedAnalyticsSession:
     while innermost.get("pivot") is not None:
         innermost = innermost["pivot"]["inner"]
     seeds = innermost.get("seeds")
-    session = FacetedAnalyticsSession(
+    session = open_session(
         graph,
         results=[term_from_dict(t) for t in seeds] if seeds is not None else None,
     )

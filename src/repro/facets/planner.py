@@ -36,7 +36,7 @@ from repro.hifun.attributes import (
     paths_of,
 )
 from repro.hifun.query import HifunQuery
-from repro.facets.analytics import AnswerFrame, FacetedAnalyticsSession
+from repro.facets.analytics import APP, AnswerFrame, FacetedAnalyticsSession
 from repro.facets.model import PropertyRef
 
 
@@ -215,7 +215,7 @@ def execute_plan(session: FacetedAnalyticsSession, plan: InteractionPlan) -> Ans
         elif action.kind == "explore":
             nested = frame.explore()
         elif action.kind == "filter_answer":
-            alias = _aggregate_alias(frame, action.column)
+            alias = dict(frame.aggregate_columns)[action.column]
             nested.select_range(
                 (frame.column_property(alias),), action.comparator, action.value
             )
@@ -226,20 +226,6 @@ def execute_plan(session: FacetedAnalyticsSession, plan: InteractionPlan) -> Ans
     # Rebuild the surviving rows from the nested extension.
     surviving = []
     for index, row in enumerate(frame.rows, start=1):
-        from repro.facets.analytics import APP
-
         if APP.term(f"t{index}") in nested.extension:
             surviving.append(row)
-    return AnswerFrame(frame.columns, surviving, plan.query, frame.translation)
-
-
-def _aggregate_alias(frame: AnswerFrame, operation: str) -> str:
-    if frame.translation is not None:
-        for op, alias in frame.translation.aggregate_aliases:
-            if op == operation:
-                return alias
-    prefix = operation.lower() + "_"
-    for column in frame.columns:
-        if column.startswith(prefix):
-            return column
-    raise ValueError(f"no aggregate column for operation {operation!r}")
+    return AnswerFrame(frame.columns, surviving, plan.query)

@@ -103,11 +103,16 @@ def _satisfies(graph: Graph, item: Term, restriction: Restriction) -> bool:
     return False
 
 
+#: The key a group's values report its cardinality under (``with_count``).
+CARDINALITY = "__count__"
+
+
 class AnswerFunction:
     """The answer of a HIFUN query: a function group-key → aggregates.
 
     Keys are tuples of Terms (one per grouping path; the empty tuple for
-    the ε grouping).  Values are dicts mapping operation name → Term.
+    the ε grouping).  Values are dicts mapping operation name → Term
+    (and :data:`CARDINALITY` → the group's size, when asked for).
     Iteration order is deterministic (sorted by key).
     """
 
@@ -148,8 +153,8 @@ class AnswerFunction:
         for key in self.keys():
             values = self._data[key]
             row = tuple(key) + tuple(values[op] for op in self.operations)
-            if "__count__" in values:
-                row += (values["__count__"],)
+            if CARDINALITY in values:
+                row += (values[CARDINALITY],)
             out.append(row)
         return out
 
@@ -235,7 +240,7 @@ def _reduce_groups(
             else:
                 aggregates[op] = reduce_values(op, values, False, " ")
         if query.with_count:
-            aggregates["__count__"] = Literal.of(counts[key])
+            aggregates[CARDINALITY] = Literal.of(counts[key])
         keep = True
         for restriction in query.result_restrictions:
             value = aggregates.get(restriction.operation)

@@ -14,15 +14,26 @@ A :class:`HifunQuery` has:
   translated to a HAVING clause;
 * ``with_count`` — also report the group cardinality (the FS model's
   count information).
+
+:meth:`HifunQuery.answer_columns` names the columns of the query's
+answer — for the translation and for every engine's Answer Frame.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import IRI, Literal, Term
-from repro.hifun.attributes import AttributeExpr, Pairing, paths_of
+from repro.hifun.attributes import (
+    Attribute,
+    AttributeExpr,
+    Composition,
+    Derived,
+    Pairing,
+    paths_of,
+)
 
 #: Aggregate operations supported by HIFUN's reduction step.
 OPERATIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE", "GROUP_CONCAT")
@@ -147,6 +158,24 @@ class HifunQuery:
             return ()
         return paths_of(self.grouping)
 
+    def answer_columns(self) -> Tuple[str, ...]:
+        """The names of the answer's columns (Propositions 1–2): one per
+        grouping path (the local names of its steps), one per operation
+        (``<op>_<measure>``, ``_items`` for the identity measure) and,
+        with ``with_count``, the group cardinality; a repeated name gets
+        the suffix ``2``, ``3``, ..."""
+        stem = "items" if self.measuring is None else _stem(self.measuring)
+        names = [_stem(path) for path in self.grouping_paths]
+        names += [f"{op.lower()}_{stem}" for op in self.operations]
+        if self.with_count:
+            names.append("count_items")
+        used: Dict[str, int] = {}
+        for index, name in enumerate(names):
+            used[name] = count = used.get(name, 0) + 1
+            if count > 1:
+                names[index] = f"{name}{count}"
+        return tuple(names)
+
     def restricted(
         self,
         grouping: Sequence[Restriction] = (),
@@ -175,3 +204,20 @@ class HifunQuery:
         if self.result_restrictions:
             op += "/" + " ∧ ".join(str(r) for r in self.result_restrictions)
         return f"({g}, {m}, {op})"
+
+
+def _stem(path: AttributeExpr) -> str:
+    if isinstance(path, Attribute):
+        return _sanitize(path.prop.local_name())
+    if isinstance(path, Composition):
+        return _sanitize("_".join(p.prop.local_name() if isinstance(p, Attribute)
+                                  else str(p) for p in path.parts))
+    if isinstance(path, Derived):
+        return f"{path.function.lower()}_{_stem(path.base)}"
+    return "col"
+
+
+def _sanitize(name: str) -> str:
+    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    cleaned = re.sub(r"_+", "_", cleaned).strip("_")
+    return cleaned or "col"

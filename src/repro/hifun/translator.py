@@ -17,16 +17,16 @@ The translation follows the dissertation exactly:
   lines 3–7 and 10–14; Algorithm 4 for path restrictions);
 * **result restrictions** become a ``HAVING`` clause (§4.2.3);
 * the measuring expression yields a chain ending in the measured
-  variable; each aggregate operation is applied to it in SELECT.
+  variable; each aggregate operation is applied to it in SELECT, under
+  the name the query gives that answer column
+  (:meth:`~repro.hifun.query.HifunQuery.answer_columns`).
 
 :func:`translate` returns a :class:`Translation` carrying the SPARQL
-text plus the variable/alias bookkeeping the faceted UI needs to label
-answer columns.
+text plus, role by role, the answer-column names it projected.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +37,6 @@ from repro.hifun.attributes import (
     AttributeExpr,
     Composition,
     Derived,
-    paths_of,
 )
 from repro.hifun.query import HifunQuery, Restriction
 
@@ -80,12 +79,6 @@ class _VarAllocator:
     def new(self) -> str:
         self._count += 1
         return f"?{self._prefix}{self._count}"
-
-
-def _sanitize(name: str) -> str:
-    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", name)
-    cleaned = re.sub(r"_+", "_", cleaned).strip("_")
-    return cleaned or "col"
 
 
 def path_patterns(
@@ -178,27 +171,6 @@ def _render_term(term: Term) -> str:
     return term.n3()
 
 
-def _alias_for(path: AttributeExpr, used: Dict[str, int]) -> str:
-    if isinstance(path, Derived):
-        stem = f"{path.function.lower()}_{_alias_stem(path.base)}"
-    else:
-        stem = _alias_stem(path)
-    count = used.get(stem, 0)
-    used[stem] = count + 1
-    return stem if count == 0 else f"{stem}{count + 1}"
-
-
-def _alias_stem(path: AttributeExpr) -> str:
-    if isinstance(path, Attribute):
-        return _sanitize(path.prop.local_name())
-    if isinstance(path, Composition):
-        return _sanitize("_".join(p.prop.local_name() if isinstance(p, Attribute)
-                                  else str(p) for p in path.parts))
-    if isinstance(path, Derived):
-        return f"{path.function.lower()}_{_alias_stem(path.base)}"
-    return "col"
-
-
 def translate(
     query: HifunQuery,
     root_class: Optional[IRI] = None,
@@ -218,22 +190,13 @@ def translate(
         builder.patterns.append(f"{root_var} {RDF.type.n3()} {root_class.n3()} .")
 
     # 1. Grouping expression (Algorithms 1–3).
-    used_aliases: Dict[str, int] = {}
-    group_exprs: List[str] = []
-    group_aliases: List[str] = []
-    grouping_paths = paths_of(query.grouping) if query.grouping is not None else ()
-    for path in grouping_paths:
-        rendered = builder.chain(path)
-        group_exprs.append(rendered)
-        group_aliases.append(_alias_for(path, used_aliases))
+    group_exprs = [builder.chain(path) for path in query.grouping_paths]
 
     # 2. Measuring expression.
     if query.measuring is None:
         measure_expr = root_var
-        measure_stem = "items"
     else:
         measure_expr = builder.chain(query.measuring)
-        measure_stem = _alias_stem(query.measuring)
 
     # 3. Restrictions (rg then rm; Algorithm 1 and Algorithm 4).
     for restriction in query.grouping_restrictions:
@@ -247,22 +210,14 @@ def translate(
         )
         builder.restriction(restriction, reuse_var=reuse)
 
-    # 4. SELECT clause: group vars, aggregates, optional count.
-    select_parts: List[str] = []
-    for rendered, alias in zip(group_exprs, group_aliases):
-        if rendered.startswith("?") and rendered[1:] == alias:
-            select_parts.append(rendered)
-        else:
-            select_parts.append(f"({rendered} AS ?{alias})")
-    aggregate_aliases: List[Tuple[str, str]] = []
-    for op in query.operations:
-        alias = _alias_for_agg(op, measure_stem, used_aliases)
-        select_parts.append(f"({op}({measure_expr}) AS ?{alias})")
-        aggregate_aliases.append((op, alias))
-    count_alias: Optional[str] = None
+    # 4. SELECT clause: the query's answer columns, each bound to its
+    # expression — group vars, aggregates, optional count.
+    columns = list(query.answer_columns())
+    exprs = group_exprs + [f"{op}({measure_expr})" for op in query.operations]
     if query.with_count:
-        count_alias = _alias_for_agg("COUNT", "items", used_aliases)
-        select_parts.append(f"(COUNT({root_var}) AS ?{count_alias})")
+        exprs.append(f"COUNT({root_var})")
+    select_parts = [expr if expr == f"?{name}" else f"({expr} AS ?{name})"
+                    for expr, name in zip(exprs, columns)]
 
     # 5. Assemble the query text.
     lines: List[str] = []
@@ -292,14 +247,7 @@ def translate(
     return Translation(
         text="\n".join(lines),
         group_exprs=group_exprs,
-        group_aliases=group_aliases,
-        aggregate_aliases=aggregate_aliases,
-        count_alias=count_alias,
+        group_aliases=columns[:len(group_exprs)],
+        aggregate_aliases=list(zip(query.operations, columns[len(group_exprs):])),
+        count_alias=columns[-1] if query.with_count else None,
     )
-
-
-def _alias_for_agg(op: str, stem: str, used: Dict[str, int]) -> str:
-    alias = f"{op.lower()}_{stem}"
-    count = used.get(alias, 0)
-    used[alias] = count + 1
-    return alias if count == 0 else f"{alias}{count + 1}"

@@ -20,7 +20,7 @@ the corresponding HIFUN query.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence, Tuple, Union
 
 from repro.rdf.terms import Term
 from repro.hifun.query import Restriction
@@ -70,7 +70,8 @@ def slice_(cube: Cube, dimension: str, value: Term) -> Cube:
     )
 
 
-def dice(cube: Cube, selections) -> Cube:
+def dice(cube: Cube,
+         selections: Mapping[str, Union[Term, Tuple[str, Term]]]) -> Cube:
     """Restrict several dimensions, keeping the grouping (a sub-cube).
 
     ``selections`` maps dimension name → ``(comparator, value)`` or just

@@ -3,32 +3,42 @@
 The surveyed systems of the dissertation ([16], [50], [51]) speed up
 analytics by *materializing* query answers and computing subsequent
 queries from them instead of from the base data.  This module brings
-that optimization to the OLAP layer: a roll-up can be answered by
+that optimization to the OLAP layer: a coarser query can be answered by
 **re-aggregating the finer materialized answer**, provided
 
 * the aggregate is *distributive* (SUM, COUNT, MIN, MAX) or
-  *algebraic over kept distributive parts* (AVG from SUM+COUNT), and
-* the coarser key is a **function of the finer key** — either a value
-  function (``YEAR`` of a date) or a graph path (branch → country).
+  *algebraic over kept distributive parts* (AVG from SUM and a count)
+  — :func:`merge_blocker` — and
+* the coarser key is a **function of the finer key**.
 
-:func:`roll_up_from_answer` performs the rewrite; :func:`derived_mapping`
-and :func:`path_mapping` build the key transformations.  The ablation
-benchmark compares it against re-evaluating from the base data.
+:func:`merge_groups` is the re-aggregation; its two callers differ in
+the key function.  :func:`roll_up_from_answer` maps a key component
+(:func:`derived_mapping`, :func:`path_mapping`; the ablation benchmark
+compares it against re-evaluating from the base data), and
+:meth:`repro.facets.analytics.AnswerFrame.drop_grouping_column` removes
+one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, Term
+from repro.rdf.terms import IRI, Literal, Term
 from repro.hifun.attributes import Attribute
-from repro.hifun.evaluator import AnswerFunction, attribute_values
+from repro.hifun.evaluator import CARDINALITY, AnswerFunction, attribute_values
 from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import BUILTINS, wrap_number
+from repro.sparql.functions import BUILTINS, aggregate, wrap_number
 
-#: Aggregates re-computable from a finer materialization.
-DISTRIBUTIVE = frozenset({"SUM", "MIN", "MAX"})
+#: A group key, and the aggregates a group has: operation → value, and
+#: :data:`CARDINALITY` → the group's size when the answer reports it.
+Key = Tuple[Optional[Term], ...]
+Aggregates = Dict[str, Optional[Term]]
+
+#: The reduction that merges the partial results of each distributive
+#: aggregate: partial sums and counts add up, extrema nest.
+_MERGED_BY = {"SUM": "SUM", "COUNT": "SUM", CARDINALITY: "SUM",
+              "MIN": "MIN", "MAX": "MAX"}
 
 
 class RewriteError(ValueError):
@@ -51,7 +61,9 @@ def derived_mapping(function: str) -> Callable[[Term], Optional[Term]]:
     return transform
 
 
-def path_mapping(graph: Graph, path) -> Callable[[Term], Optional[Term]]:
+def path_mapping(
+    graph: Graph, path: Iterable[Union[Attribute, IRI]]
+) -> Callable[[Term], Optional[Term]]:
     """Key transform following a property path in the graph (functional
     properties only — e.g. branch → city → country).  A step is an
     :class:`~repro.hifun.attributes.Attribute` or, for a forward step,
@@ -70,6 +82,55 @@ def path_mapping(graph: Graph, path) -> Callable[[Term], Optional[Term]]:
     return transform
 
 
+def merge_blocker(operations: Tuple[str, ...], counted: bool) -> Optional[str]:
+    """Why groups aggregated by ``operations`` cannot be merged from
+    their aggregates alone, or ``None`` when they can: AVG needs SUM and
+    a count beside it (the COUNT operation, or the cardinalities of a
+    ``counted`` answer); SAMPLE and GROUP_CONCAT need the base data."""
+    for op in operations:
+        if op in _MERGED_BY:
+            continue
+        if op == "AVG" and "SUM" in operations and (
+                counted or "COUNT" in operations):
+            continue
+        return (
+            f"operation {op} is not re-aggregable from a materialized "
+            "answer (AVG needs SUM and a count alongside; SAMPLE and "
+            "GROUP_CONCAT need the base data)"
+        )
+    return None
+
+
+def merge_groups(groups: Iterable[Tuple[Key, Aggregates]]) -> Dict[Key, Aggregates]:
+    """What the ``(coarse key, partial aggregates)`` pairs of ``groups``
+    add up to, per key, by the reduction step the engines aggregate
+    with: SUM, COUNT and the cardinalities add up, MIN and MAX take the
+    extremum, AVG is the merged SUM over the merged COUNT (else
+    cardinality).  An unbound part is skipped.  The caller has asked
+    :func:`merge_blocker`."""
+    buckets: Dict[Key, List[Aggregates]] = {}
+    for key, values in groups:
+        buckets.setdefault(key, []).append(values)
+
+    result: Dict[Key, Aggregates] = {}
+    for key, members in buckets.items():
+        merged = result[key] = {}
+        for name in members[0]:
+            if name in _MERGED_BY:
+                parts = [m[name] for m in members if m[name] is not None]
+                merged[name] = (
+                    aggregate(_MERGED_BY[name], parts, False, " ")
+                    if parts else None)
+        if "AVG" in members[0]:
+            total = merged["SUM"]
+            count = merged.get("COUNT", merged.get(CARDINALITY))
+            merged["AVG"] = None
+            if total is not None and count is not None and count.to_python():
+                merged["AVG"] = wrap_number(
+                    float(total.to_python()) / float(count.to_python()))
+    return result
+
+
 def roll_up_from_answer(
     answer: AnswerFunction,
     position: int,
@@ -78,63 +139,32 @@ def roll_up_from_answer(
     """Re-aggregate ``answer`` with key component ``position`` mapped
     through ``transform`` (fine level → coarse level).
 
-    Supported operations: SUM/MIN/MAX (distributive), COUNT (additive
-    over group sizes — requires the finer answer's COUNT to be a row
-    count, which HIFUN's COUNT over the identity measure is), and AVG
-    when the finer answer also carries SUM and COUNT.
+    Supported operations: those :func:`merge_blocker` lets through —
+    COUNT adds up, which requires the finer answer's COUNT to be a row
+    count (HIFUN's COUNT over the identity measure is).
     """
     if position < 0 or position >= answer.grouping_arity:
         raise RewriteError(
             f"key position {position} out of range for arity "
             f"{answer.grouping_arity}"
         )
-    operations = answer.operations
-    for op in operations:
-        if op in DISTRIBUTIVE or op == "COUNT":
-            continue
-        if op == "AVG" and "SUM" in operations and "COUNT" in operations:
-            continue
-        raise RewriteError(
-            f"operation {op} is not re-aggregable from a materialized "
-            "answer (needs SUM+COUNT alongside, or a distributive op)"
-        )
+    fine = list(answer.items())
+    blocker = merge_blocker(
+        answer.operations, bool(fine) and CARDINALITY in fine[0][1])
+    if blocker:
+        raise RewriteError(blocker)
 
-    buckets: Dict[Tuple[Term, ...], List[Dict[str, Optional[Term]]]] = {}
-    for key, values in answer.items():
+    def coarse_key(key: Key) -> Key:
         coarse = transform(key[position])
         if coarse is None:
             raise RewriteError(
                 f"key value {key[position]!r} has no image under the "
                 "level mapping; cannot rewrite"
             )
-        new_key = key[:position] + (coarse,) + key[position + 1 :]
-        buckets.setdefault(new_key, []).append(values)
+        return key[:position] + (coarse,) + key[position + 1 :]
 
-    result = AnswerFunction(answer.grouping_arity, operations)
-    for key, groups in buckets.items():
-        merged: Dict[str, Optional[Term]] = {}
-        for op in operations:
-            numbers = [g[op].to_python() for g in groups if g.get(op) is not None]
-            if op == "SUM" or op == "COUNT":
-                merged[op] = wrap_number(_exact_sum(numbers))
-            elif op == "MIN":
-                merged[op] = wrap_number(min(numbers))
-            elif op == "MAX":
-                merged[op] = wrap_number(max(numbers))
-        if "AVG" in operations:
-            total = _exact_sum(
-                g["SUM"].to_python() for g in groups if g.get("SUM") is not None
-            )
-            count = _exact_sum(
-                g["COUNT"].to_python() for g in groups if g.get("COUNT") is not None
-            )
-            merged["AVG"] = wrap_number(float(total) / float(count)) if count else None
-        result.set(key, merged)
+    result = AnswerFunction(answer.grouping_arity, answer.operations)
+    for key, values in merge_groups(
+            (coarse_key(key), values) for key, values in fine).items():
+        result.set(key, values)
     return result
-
-
-def _exact_sum(numbers) -> float:
-    values = list(numbers)
-    if all(isinstance(n, int) for n in values):
-        return sum(values)
-    return float(sum(float(n) for n in values))

@@ -195,13 +195,6 @@ class SchemaView:
         """``inst(p)`` = the (s, p, o) triples of ``p`` under the closure."""
         return set(self.graph.triples(None, prop, None))
 
-    def subproperties(self, prop: Term, direct: bool = False) -> Set[Term]:
-        subs = set(self.graph.subjects(_SUBPROP, prop))
-        subs.discard(prop)
-        if direct:
-            subs = self._reduce_down(prop, subs, _SUBPROP)
-        return subs
-
     def superproperties(self, prop: Term, direct: bool = False) -> Set[Term]:
         sups = set(self.graph.objects(prop, _SUBPROP))
         sups.discard(prop)

@@ -49,11 +49,6 @@ class DatasetProfile:
             self.property_usage.items(), key=lambda kv: (-kv[1], kv[0].sort_key())
         )[:limit]
 
-    def top_classes(self, limit: int = 10) -> List[Tuple[IRI, int]]:
-        return sorted(
-            self.class_instances.items(), key=lambda kv: (-kv[1], kv[0].sort_key())
-        )[:limit]
-
 
 def profile_graph(graph: Graph) -> DatasetProfile:
     """Compute the dataset profile in one pass over the graph."""

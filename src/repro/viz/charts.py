@@ -47,19 +47,19 @@ def chart_series(frame, label_columns: Optional[Sequence[str]] = None,
                  value_columns: Optional[Sequence[str]] = None) -> List[ChartSeries]:
     """Extract chart series from an answer frame.
 
-    By default the label is the concatenation of non-numeric columns and
-    one series is produced per numeric column.
+    By default the label is the concatenation of the frame's grouping
+    columns and one series is produced per aggregate (or count) column
+    that holds numbers.
     """
     columns = list(frame.columns)
-    numeric_columns = []
-    for name in columns:
-        values = frame.column(name)
-        if values and all(_numeric(v) is not None for v in values if v is not None):
-            numeric_columns.append(name)
     if value_columns is None:
-        value_columns = numeric_columns
+        value_columns = []
+        for name in [c for _, c in frame.aggregate_columns] + [frame.count_column]:
+            values = frame.column(name) if name in columns else ()
+            if values and all(_numeric(v) is not None for v in values if v is not None):
+                value_columns.append(name)
     if label_columns is None:
-        label_columns = [c for c in columns if c not in value_columns]
+        label_columns = [c for c in frame.grouping_columns if c in columns]
     series: List[ChartSeries] = []
     labels = [
         " / ".join(term_label(row[columns.index(c)]) for c in label_columns)

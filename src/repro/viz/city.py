@@ -63,10 +63,10 @@ def city_layout(
 ) -> CityLayout:
     """Build the city scene from an answer frame.
 
-    Label columns (non-numeric) name the buildings; each numeric column
-    becomes a segment whose height is normalized so the tallest building
-    reaches ``max_height``.  Buildings are laid on a near-square grid in
-    answer order.
+    The grouping columns name the buildings; each numeric aggregate
+    column becomes a segment whose height is normalized so the tallest
+    building reaches ``max_height``.  Buildings are laid on a near-square
+    grid in answer order.
     """
     from repro.viz.charts import chart_series
 

@@ -1,7 +1,5 @@
 """Tests of the bundled datasets and the endpoint simulator."""
 
-import pytest
-
 from repro.rdf.namespace import EX, RDF
 from repro.datasets import (
     SyntheticConfig,

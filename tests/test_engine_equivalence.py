@@ -15,9 +15,17 @@ strict mode.
 import datetime
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.datasets import SyntheticConfig, synthetic_graph
+from repro.datasets import (
+    SyntheticConfig,
+    invoices_graph,
+    products_graph,
+    synthetic_graph,
+)
+from repro.facets.analytics import APP, TEMP_CLASS
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.facets.model import PropertyRef
 from repro.hifun import (
@@ -31,6 +39,7 @@ from repro.hifun import (
 from repro.hifun.attributes import Derived
 from repro.hifun.columnar import evaluate_hifun
 from repro.hifun.evaluator import evaluate_hifun_row
+from repro.hifun.translator import translate
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.sharding import ShardedGraph
@@ -291,3 +300,132 @@ def test_strict_mode_identical_across_engines(engine, products):
     session.measure((EX.price,), "AVG")
     frame = session.run(engine)
     assert len(frame.rows) > 0
+
+
+# -- one Answer Frame whatever the engine --------------------------------
+ENGINES = ("sparql", "native", "row", "restrictions")
+
+#: Per KG: the class clicked first, the G-button candidates as ``(path,
+#: ⚙ function)``, the Σ-button candidates as ``(path, operations it can
+#: take)`` — ``None`` is "count of items" — and the filters a state may
+#: hold.  Every path is functional and every ⚙ function well-typed
+#: there, so the engines owe each other equal rows.
+NUMERIC_OPS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+KGS = {
+    "products": (products_graph, EX.Laptop, [
+        ((EX.manufacturer,), None), ((EX.USBPorts,), None),
+        ((EX.hardDrive,), None), ((EX.releaseDate,), None),
+        ((EX.manufacturer, EX.origin), None),
+        ((EX.hardDrive, EX.manufacturer), None),
+        ((EX.manufacturer, EX.origin, EX.locatedAt), None),
+        ((EX.hardDrive, EX.manufacturer, EX.origin), None),
+        ((EX.releaseDate,), "YEAR"), ((EX.releaseDate,), "MONTH"),
+        ((EX.hardDrive, EX.releaseDate), "YEAR"),
+    ], [
+        (None, ("COUNT",)), ((EX.price,), NUMERIC_OPS),
+        ((EX.USBPorts,), NUMERIC_OPS), ((EX.hardDrive, EX.price), NUMERIC_OPS),
+        ((EX.manufacturer, EX.size), NUMERIC_OPS),
+        ((EX.manufacturer, EX.origin), ("COUNT", "MIN", "MAX")),
+    ], [
+        ((EX.price,), ">=", Literal.of(850)),
+        ((EX.manufacturer, EX.origin), "=", EX.US),
+    ]),
+    "invoices": (invoices_graph, EX.Invoice, [
+        ((EX.takesPlaceAt,), None), ((EX.delivers,), None),
+        ((EX.hasDate,), None), ((EX.delivers, EX.brand), None),
+        ((EX.hasDate,), "MONTH"), ((EX.hasDate,), "DAY"),
+    ], [
+        (None, ("COUNT",)), ((EX.inQuantity,), NUMERIC_OPS),
+        ((EX.delivers, EX.brand), ("COUNT", "MIN", "MAX")),
+    ], [
+        ((EX.inQuantity,), ">", Literal.of(100)),
+        ((EX.delivers, EX.brand), "=", EX.CocaCola),
+    ]),
+}
+
+
+@st.composite
+def button_states(draw):
+    kg = draw(st.sampled_from(sorted(KGS)))
+    _, _, groupings, measures, filters = KGS[kg]
+    groups = draw(st.lists(st.sampled_from(groupings), min_size=1, max_size=3,
+                           unique=True))
+    measured, allowed = draw(st.sampled_from(measures))
+    operations = draw(st.lists(st.sampled_from(allowed), min_size=1,
+                               max_size=min(3, len(allowed)), unique=True))
+    return (kg, groups, measured, tuple(operations), draw(st.booleans()),
+            draw(st.none() | st.sampled_from(filters)))
+
+
+def press(kg, groups, measured, operations, with_count, condition):
+    build, root, *_ = KGS[kg]
+    session = FacetedAnalyticsSession(build())
+    session.select_class(root)
+    if condition is not None:
+        path, comparator, value = condition
+        if comparator == "=":
+            session.select_value(path, value)
+        else:
+            session.select_range(path, comparator, value)
+    for path, function in groups:
+        session.group_by(path, derived=function)
+    if measured is None:
+        session.count_items()
+    else:
+        session.measure(measured, operations)
+    session.with_count(with_count)
+    return session
+
+
+@given(button_states())
+@settings(max_examples=60, deadline=None)
+def test_one_answer_frame_whatever_the_engine(state):
+    """The shape of an answer is a function of its HIFUN query: the four
+    engines agree on the columns *and* the rows, the columns are the
+    ones the query declares and the translation projects (Propositions
+    1–2), no two share a name — so the answer reloads as n·k triples
+    (§5.3.3), less the unbound cells."""
+    session = press(*state)
+    frames = [session.run(engine) for engine in ENGINES]
+    for engine, frame in zip(ENGINES, frames):
+        assert frame.columns == frames[0].columns, engine
+        assert frame.rows == frames[0].rows, engine
+        root = (session.state.intention.root_class
+                if engine == "restrictions" else TEMP_CLASS)
+        assert (list(frame.columns)
+                == translate(frame.query, root_class=root).answer_columns
+                == list(frame.query.answer_columns())), engine
+    frame = frames[0]
+    assert len(frame) > 0
+    assert len(set(frame.columns)) == len(frame.columns)
+    assert len(frame.columns) == (len(frame.grouping_columns)
+                                  + len(frame.aggregate_columns)
+                                  + (frame.count_column is not None))
+    loaded = frame.to_graph()
+    properties = set(map(frame.column_property, frame.columns))
+    data = [s for s, p, _ in loaded.triples() if p in properties]
+    unbound = sum(cell is None for row in frame.rows for cell in row)
+    assert len(data) == len(frame) * len(frame.columns) - unbound
+    assert len(loaded) == len(data) + len(frame) + len(frame.columns)
+    assert set(data) == {APP.term(f"t{i + 1}") for i in range(len(frame))}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_column_names_are_the_querys_on_every_engine(engine):
+    """The three states on which the engines named an answer's columns
+    differently, pinned as literals."""
+    origin = (EX.manufacturer, EX.origin)
+    session = press(
+        "products", [(origin, None), ((EX.releaseDate,), "YEAR")], (EX.price,),
+        ("AVG", "SUM"), True, None)
+    assert session.run(engine).columns == (
+        "manufacturer_origin", "year_releaseDate", "avg_price", "sum_price",
+        "count_items")
+    session = press(
+        "products", [((EX.manufacturer,), None)], None, (), True, None)
+    counted = session.run(engine)
+    assert counted.columns == ("manufacturer", "count_items", "count_items2")
+    assert counted.column("count_items") == counted.column("count_items2")
+    session = press(
+        "products", [((EX.USBPorts,), None)], origin, ("COUNT",), False, None)
+    assert session.run(engine).columns == ("USBPorts", "count_manufacturer_origin")

@@ -7,7 +7,6 @@ import pytest
 
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
-from repro.facets import FacetedAnalyticsSession
 from repro.facets.analytics import AnalyticsStateError, TEMP_CLASS
 
 

@@ -1,7 +1,5 @@
 """Unit tests of intentions and their SPARQL compilation (§5.5)."""
 
-import pytest
-
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
 from repro.datasets import products_graph

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.rdf.namespace import EX, RDF
+from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.datasets import products_graph
 from repro.facets import FacetedAnalyticsSession

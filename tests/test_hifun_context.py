@@ -1,9 +1,6 @@
 """Tests of analysis contexts and HIFUN prerequisites (§4.1)."""
 
-import pytest
-
-from repro.rdf import Graph
-from repro.rdf.namespace import EX, RDF
+from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.datasets import invoices_graph, products_graph
 from repro.hifun import AnalysisContext, Attribute

@@ -6,7 +6,6 @@ must produce identical answers.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.rdf.namespace import EX

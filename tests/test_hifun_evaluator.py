@@ -11,9 +11,7 @@ from repro.hifun import (
     HifunQuery,
     Restriction,
     ResultRestriction,
-    compose,
     evaluate_hifun,
-    pair,
 )
 from repro.hifun.attributes import Derived
 from repro.hifun.evaluator import attribute_values

@@ -7,8 +7,6 @@ SPARQL → answers).
 
 import datetime
 
-import pytest
-
 from repro.datasets import invoices_graph, products_graph
 from repro.facets import FacetedAnalyticsSession
 from repro.rdf.namespace import EX

@@ -149,3 +149,50 @@ class TestRollUpFromAnswer:
             root_class=EX.Invoice,
         )
         assert rolled.rows() == direct.rows()
+
+    def test_mixed_integer_and_double_values_through_both_callers(self):
+        """The one merge, reached by mapping a key component
+        (``roll_up_from_answer``) and by removing it
+        (``AnswerFrame.drop_grouping_column``): equal results, equal to
+        the direct evaluation, and a sum of integers stays an integer
+        beside a group whose parts mix ``xsd:integer`` and
+        ``xsd:double``."""
+        from repro.facets import FacetedAnalyticsSession
+        from repro.rdf.graph import Graph
+        from repro.rdf.namespace import RDF, XSD
+
+        graph = Graph()
+        readings = [("north", "day", 1), ("north", "day", 2), ("north", "night", 3),
+                    ("south", "day", 1.5), ("south", "day", 2), ("south", "night", 4),
+                    ("west", "day", 7), ("west", "night", 0.25)]
+        for index, (station, shift, level) in enumerate(readings):
+            item = EX[f"reading{index}"]
+            graph.add(item, RDF.type, EX.Reading)
+            graph.add(item, EX.station, EX[station])
+            graph.add(item, EX.shift, EX[shift])
+            graph.add(item, EX.level, Literal.of(level))
+        ops = ("MIN", "MAX", "SUM")
+        session = FacetedAnalyticsSession(graph)
+        session.select_class(EX.Reading)
+        session.group_by((EX.station,))
+        session.group_by((EX.shift,))
+        session.measure((EX.level,), ops)
+        frame = session.run("native")
+        assert len(frame) == 6
+
+        dropped = frame.drop_grouping_column("shift")
+        rolled = roll_up_from_answer(
+            evaluate_hifun(graph, frame.query, root_class=EX.Reading), 1,
+            lambda shift: EX.anyShift)
+        direct = evaluate_hifun(
+            graph, HifunQuery(Attribute(EX.station), Attribute(EX.level), ops),
+            root_class=EX.Reading).rows()
+        assert dropped.rows == direct
+        assert [row[:1] + row[2:] for row in rolled.rows()] == direct
+        assert {row[1] for row in rolled.rows()} == {EX.anyShift}
+        assert [row[1:] for row in direct] == [
+            (Literal.of(1), Literal.of(3), Literal.of(6)),
+            (Literal.of(1.5), Literal.of(4), Literal.of(7.5)),
+            (Literal.of(0.25), Literal.of(7), Literal.of(7.25))]
+        assert direct[0][3].datatype == XSD.integer.value
+        assert direct[1][3].datatype == XSD.double.value

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.datasets import products_graph
 from repro.app import AnalyticsShell
 from repro.facets import FacetedAnalyticsSession
@@ -162,6 +162,46 @@ class TestShell:
     def test_search_restarts_session(self, shell):
         out = shell.execute("search lenovo")
         assert "results" in out
+        assert len(shell.session.extension) >= 1
+
+    def test_load_opens_the_shells_kind_of_session(self):
+        from repro.app.cli import build_shell
+        from repro.facets import ResilientFacetedSession
+
+        shell = build_shell(["--analyze", "--network", "offpeak"])
+        shell.execute("select laptop")
+        assert "restored" in shell.execute(f"load {shell.execute('save')}")
+        assert isinstance(shell.session, ResilientFacetedSession)
+        assert shell.session.analyze
+        assert len(shell.session.extension) == 3
+        assert "circuit:" in shell.execute("health")
+
+    def test_search_keeps_what_transform_wrote(self, shell):
+        outputs = shell.run_script(
+            ["select laptop", "transform count hardDrive", "search dell",
+             "facets"])
+        assert "by hardDrive_count (2): 1 (2)" in outputs[-1]
+
+    def test_closure_is_computed_once(self, shell, monkeypatch):
+        """``search`` and ``load`` open their session over the graph the
+        first one closed — nothing is closed a second time."""
+        import repro.rdf.rdfs as rdfs
+
+        built = []
+
+        class Counting(rdfs.RDFSClosure):
+            def __init__(self, graph):
+                built.append(len(graph))
+                super().__init__(graph)
+
+        monkeypatch.setattr(rdfs, "RDFSClosure", Counting)
+        closed = shell.session.graph
+        shell.execute("search dell")
+        saved = shell.execute("save")
+        shell.execute(f"load {saved}")
+        shell.execute("search lenovo")
+        assert built == []
+        assert shell.session.graph is closed
         assert len(shell.session.extension) >= 1
 
     def test_back_command(self, shell):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from repro.rdf import Graph
 from repro.rdf.namespace import EX, RDF, RDFS
 from repro.rdf.rdfs import RDFSClosure
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.rdf import ntriples, turtle
 
 _subjects = st.sampled_from([EX.term(f"s{i}") for i in range(6)])

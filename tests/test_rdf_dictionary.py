@@ -2,8 +2,6 @@
 statistics, and the index-pruning regression (add → remove cycles must
 leave the index maps unchanged)."""
 
-import pytest
-
 from repro.rdf import Graph, TermDictionary
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import BNode, IRI, Literal

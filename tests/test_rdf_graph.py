@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Graph
-from repro.rdf.namespace import EX, RDF
+from repro.rdf.namespace import EX
 from repro.rdf.terms import IRI, Literal
 
 

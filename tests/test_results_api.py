@@ -7,7 +7,7 @@ from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.rdf.turtle import parse
 from repro.sparql import query
-from repro.sparql.results import Row, SelectResult
+from repro.sparql.results import SelectResult
 from repro.endpoint import NetworkModel, RemoteEndpointSimulator
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI
 from repro.datasets import products_graph
 from repro.facets import FacetedSession
 from repro.search import KeywordIndex

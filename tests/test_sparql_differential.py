@@ -14,8 +14,8 @@ from hypothesis import given, settings
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import Literal, Term
-from repro.sparql import ast, query
+from repro.rdf.terms import Literal
+from repro.sparql import ast
 from repro.sparql.evaluator import _eval_group
 
 _terms = st.sampled_from(

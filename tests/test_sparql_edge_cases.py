@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.rdf import Graph
-from repro.rdf.namespace import EX, RDF
-from repro.rdf.terms import BNode, IRI, Literal
+from repro.rdf.namespace import EX
+from repro.rdf.terms import Literal
 from repro.rdf.turtle import parse
 from repro.sparql import parse_query, query
 from repro.sparql.errors import SparqlParseError

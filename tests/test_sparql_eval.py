@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.rdf.turtle import parse
 from repro.sparql import query
 from repro.sparql.errors import SparqlEvalError

@@ -6,7 +6,7 @@ import pytest
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Literal, XSD_DATE, XSD_DATETIME, XSD_INTEGER
+from repro.rdf.terms import IRI, Literal, XSD_DATE, XSD_DATETIME
 from repro.sparql import query
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import compare, effective_boolean_value, equals

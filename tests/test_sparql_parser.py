@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf.namespace import EX, RDF
-from repro.rdf.terms import IRI, Literal, XSD_INTEGER
+from repro.rdf.terms import IRI
 from repro.sparql import ast, parse_query
 from repro.sparql.errors import SparqlParseError
 from repro.sparql.lexer import tokenize

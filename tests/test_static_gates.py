@@ -21,7 +21,8 @@ def _run(*args):
 
 
 def test_lint_gate_passes_on_shipped_sources():
-    result = _run("--lint", "src/repro", "tools", "benchmarks")
+    result = _run("--lint", "src/repro", "tools", "benchmarks", "tests",
+                  "examples")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -29,6 +30,7 @@ def test_typecheck_gate_passes_on_target_packages():
     result = _run(
         "--typecheck",
         "src/repro/rdf", "src/repro/hifun", "src/repro/analysis",
+        "src/repro/olap",
     )
     assert result.returncode == 0, result.stdout + result.stderr
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX, RDF
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.datasets import SyntheticConfig, products_graph, synthetic_graph
 from repro.stats import (
     VOID,

@@ -16,14 +16,7 @@ from repro.facets.intentions import (
 )
 from repro.facets.model import PropertyRef
 from repro.facets.sparql_backend import SparqlFacetEngine
-from repro.hifun import (
-    Attribute,
-    HifunQuery,
-    Restriction,
-    compose,
-    pair,
-    translate,
-)
+from repro.hifun import Attribute, HifunQuery, Restriction, pair, translate
 from repro.hifun.attributes import compose_path
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.facets import FacetedAnalyticsSession
 from repro.viz import (
     bar_chart,
@@ -60,6 +60,37 @@ class TestChartSeries:
             frame, label_columns=["manufacturer"], value_columns=["avg_price"]
         )
         assert len(series) == 1
+
+    def test_numeric_grouping_column_is_a_label(self, products):
+        """What a column is comes from the frame's query, not from the
+        look of its cells: the port counts label the points."""
+        session = FacetedAnalyticsSession(products)
+        session.select_class(EX.Laptop)
+        session.group_by((EX.USBPorts,))
+        session.measure((EX.price,), "AVG")
+        (series,) = chart_series(session.run())
+        assert series.name == "avg_price"
+        assert series.points == (("2", 950.0), ("4", 820.0))
+
+    def test_years_are_the_x_axis_of_a_line_chart(self):
+        """The yearly query of ``examples/statistical_3d.py``."""
+        from repro.datasets.csv_import import (
+            STAT_ROW,
+            column_property,
+            graph_from_csv,
+        )
+        from repro.viz import line_chart
+
+        session = FacetedAnalyticsSession(graph_from_csv(
+            "country,year,cases\nGreece,2020,135000\nGreece,2021,1100000\n"
+            "Italy,2020,2110000\nItaly,2021,4750000\n"))
+        session.select_class(STAT_ROW)
+        session.group_by((column_property("year"),))
+        session.measure((column_property("cases"),), "SUM")
+        yearly = session.run()
+        assert line_chart(chart_series(yearly)[0]) == [
+            (2020.0, 2245000.0), (2021.0, 5850000.0)]
+        assert city_layout(yearly).features == ("sum_cases",)
 
     def test_bar_chart_renders(self, frame):
         series = chart_series(frame)[0]
