@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.caching import CacheStats
 from repro.rdf.graph import Graph
@@ -50,12 +52,15 @@ from repro.hifun.evaluator import CARDINALITY, evaluate_hifun_row
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
 from repro.olap.rewrite import merge_blocker, merge_groups
-from repro.facets.model import PropertyRef
+from repro.facets.model import AnyPath, PropertyRef
 from repro.facets.session import FacetedSession
 # APP: the namespace of machinery terms (the temporary class of Table 5.1
 # and the answer-frame vocabulary of §5.3.3).
 from repro.facets.sparql_backend import APP, TEMP
 from repro.sparql import query as sparql_query
+
+if TYPE_CHECKING:
+    from repro.analysis import AnalysisReport
 
 #: The temporary class the current extension is typed under during a run
 #: — the one the session's extension view populates.
@@ -238,7 +243,7 @@ class FacetedAnalyticsSession(FacetedSession):
     # ------------------------------------------------------------------
     # Button state
     # ------------------------------------------------------------------
-    def group_by(self, path, derived: Optional[str] = None) -> GroupSpec:
+    def group_by(self, path: AnyPath, derived: Optional[str] = None) -> GroupSpec:
         """Press the G button on a facet (or expanded path).
 
         Pressing G on several facets accumulates grouping attributes
@@ -254,7 +259,8 @@ class FacetedAnalyticsSession(FacetedSession):
         self._groups.append(spec)
         return spec
 
-    def measure(self, path, operations: Union[str, Sequence[str]] = "COUNT",
+    def measure(self, path: Optional[AnyPath],
+                operations: Union[str, Sequence[str]] = "COUNT",
                 derived: Optional[str] = None) -> MeasureSpec:
         """Press the Σ button on a facet and pick aggregate function(s)."""
         if isinstance(operations, str):
@@ -267,7 +273,7 @@ class FacetedAnalyticsSession(FacetedSession):
         """Σ choice "count of items": measure the identity function."""
         self._measure = MeasureSpec(None, ("COUNT",))
 
-    def derive(self, path, function: str) -> GroupSpec:
+    def derive(self, path: AnyPath, function: str) -> GroupSpec:
         """The transformation button: group by a derived attribute
         (e.g. ``derive(EX.releaseDate, "YEAR")``)."""
         return self.group_by(path, derived=function.upper())
@@ -343,7 +349,7 @@ class FacetedAnalyticsSession(FacetedSession):
     # Static analysis (repro.analysis)
     # ------------------------------------------------------------------
     def analyze_query(self, query: Optional[HifunQuery] = None,
-                      root_class: Optional[IRI] = None):
+                      root_class: Optional[IRI] = None) -> AnalysisReport:
         """Statically analyze an analytic query (default: the current
         button state) and its SPARQL translation.
 
@@ -387,7 +393,7 @@ class FacetedAnalyticsSession(FacetedSession):
         for diagnostic in report.warnings:
             warnings.warn(str(diagnostic), stacklevel=3)
 
-    def hifun_query_with_restrictions(self):
+    def hifun_query_with_restrictions(self) -> Tuple[HifunQuery, Optional[IRI]]:
         """The state intention folded into the HIFUN query (§5.5).
 
         Instead of rooting the query at the ``temp`` class, the
@@ -396,18 +402,11 @@ class FacetedAnalyticsSession(FacetedSession):
         (Example 1–4 of §5.1 are written in exactly this form).
 
         Returns ``(query, root_class)``.  Raises
-        :class:`AnalyticsStateError` when a condition has no HIFUN
-        restriction form (multi-value clicks, seeded sessions, extra
-        class conditions) — callers then fall back to the temp-class
-        evaluation.
+        :class:`AnalyticsStateError` when a condition's
+        ``restriction()`` says it has no HIFUN form (multi-value
+        clicks, extra class conditions) or the session is seeded or
+        pivoted — callers then fall back to the temp-class evaluation.
         """
-        from repro.hifun.query import Restriction
-        from repro.facets.intentions import (
-            ClassCondition,
-            PathRangeCondition,
-            PathValueCondition,
-        )
-
         intention = self.state.intention
         if intention.seeds is not None:
             raise AnalyticsStateError(
@@ -422,29 +421,11 @@ class FacetedAnalyticsSession(FacetedSession):
             )
         restrictions = []
         for condition in intention.conditions:
-            if isinstance(condition, PathValueCondition):
-                restrictions.append(
-                    Restriction(
-                        _path_to_attribute(condition.path), "=", condition.value
-                    )
-                )
-            elif isinstance(condition, PathRangeCondition):
-                restrictions.append(
-                    Restriction(
-                        _path_to_attribute(condition.path),
-                        condition.comparator,
-                        condition.value,
-                    )
-                )
-            elif isinstance(condition, ClassCondition):
+            restriction = condition.restriction()
+            if restriction is None:
                 raise AnalyticsStateError(
-                    "secondary class conditions are not expressible as "
-                    "HIFUN restrictions"
-                )
-            else:
-                raise AnalyticsStateError(
-                    f"condition {condition!r} has no HIFUN restriction form"
-                )
+                    f"condition '{condition}' has no HIFUN restriction form")
+            restrictions.append(restriction)
         base = self.hifun_query()
         return base.restricted(grouping=restrictions), intention.root_class
 
@@ -517,7 +498,7 @@ class FacetedAnalyticsSession(FacetedSession):
                 stats["sparql"] += entry[1].sparql_cache.stats()
         return stats
 
-    def run(self, engine: str = "sparql", endpoint=None) -> AnswerFrame:
+    def run(self, engine: str = "sparql", endpoint: Any = None) -> AnswerFrame:
         """Execute the analytic query over the current state's extension.
 
         ``engine``:
@@ -573,7 +554,7 @@ class FacetedAnalyticsSession(FacetedSession):
         return AnswerFrame(columns, rows, query)
 
 
-def _row_sort_key(row: Tuple[Optional[Term], ...]):
+def _row_sort_key(row: Tuple[Optional[Term], ...]) -> Tuple[tuple, ...]:
     return tuple(
         term.sort_key() if term is not None else (-1,) for term in row
     )

@@ -25,6 +25,7 @@ from typing import List, Optional, Set, Tuple
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, SCHEMA_PREDICATES
 from repro.rdf.terms import BNode, IRI, Term
+from repro.facets.analytics import FacetedAnalyticsSession
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,9 @@ class ResourceBrowser:
         scored.sort(key=lambda s: (-s.similarity, s.resource.sort_key()))
         return scored[:limit]
 
-    def to_faceted_session(self, include_self: bool = True):
+    def to_faceted_session(self, include_self: bool = True) -> FacetedAnalyticsSession:
         """Open a faceted session over the current neighbourhood —
         the seamless browse → explore transition."""
-        from repro.facets.analytics import FacetedAnalyticsSession
-
         seeds = set(self.view().neighbours())
         if include_self:
             seeds.add(self.current)

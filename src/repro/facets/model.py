@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
@@ -37,6 +37,9 @@ PropertyRef = Attribute
 #: A property path: a tuple of PropertyRef steps.
 Path = Tuple[PropertyRef, ...]
 
+#: What the sessions take for a path: a step, a bare IRI or several of them.
+AnyPath = Union[PropertyRef, IRI, Iterable[Union[PropertyRef, IRI]]]
+
 
 # ---------------------------------------------------------------------------
 # §5.3.1 operations
@@ -48,7 +51,7 @@ Path = Tuple[PropertyRef, ...]
 # dictionary encoding pays off — |E| × |edges| probes per facet click.
 # ---------------------------------------------------------------------------
 def restrict(graph: Graph, extension: Iterable[Term], p: PropertyRef,
-             values) -> Set[Term]:
+             values: Union[Term, Iterable[Term]]) -> Set[Term]:
     """``Restrict(E, p : v)`` / ``Restrict(E, p : vset)``.
 
     Keeps the elements of ``extension`` having a ``p`` edge to ``values``
@@ -138,10 +141,11 @@ def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
     Per step, last to first, the sources of the current targets are the
     union of their POS rows (of their SPO rows for an inverse step,
     whose literal sources are dropped as :func:`_joins_ids` drops
-    them); the extension enters once, as an intersection at the first
-    step.  No forward marker set is built and no member is probed —
-    the result equals :func:`restrict_by_path`'s, which stays the
-    formal definition and the tests' oracle.
+    them) — a single target's row is read in place, which is all a
+    class click does; the extension enters once, as an intersection at
+    the first step.  No forward marker set is built and no member is
+    probed — the result equals :func:`restrict_by_path`'s, which stays
+    the formal definition and the tests' oracle.
     """
     decode = graph.decode_id
     targets: AbstractSet[int] = frozenset(value_ids)
@@ -151,12 +155,12 @@ def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
         if prop_id is None or not targets:
             return EMPTY_IDS
         if step.inverse:
-            rows = (graph.objects_ids(t, prop_id) for t in targets)
+            rows = [graph.objects_ids(t, prop_id) for t in targets]
         else:
-            rows = (graph.subjects_ids(prop_id, t) for t in targets)
-        sources = frozenset().union(*rows)
+            rows = [graph.subjects_ids(prop_id, t) for t in targets]
+        sources = rows[0] if len(rows) == 1 else frozenset().union(*rows)
         if index == 0:
-            sources = sources & extension_ids
+            sources = extension_ids & sources
         if step.inverse:
             sources = frozenset(
                 n for n in sources if not isinstance(decode(n), Literal))
@@ -177,7 +181,7 @@ def path_joins(graph: Graph, extension: Iterable[Term], path: Path) -> List[Set[
 
 
 def restrict_by_path(graph: Graph, extension: Iterable[Term], path: Path,
-                     values) -> Set[Term]:
+                     values: Union[Term, Iterable[Term]]) -> Set[Term]:
     """Eq. 5.1: select value(s) at the end of a path and propagate the
     restriction back to the extension (``M'_k .. M'_0``)."""
     if isinstance(values, Term):

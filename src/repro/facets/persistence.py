@@ -5,25 +5,45 @@ The dissertation stresses that query formulation is *gradual* and
 makes sessions durable: :func:`session_to_dict` captures the whole
 interaction (every condition of the state intention plus the G/Σ button
 state) as plain JSON-able data, and :func:`replay_session` rebuilds an
-equivalent session over a graph.  Replays go through the public click
-API, so a saved session is also an executable interaction script.
+equivalent session over a graph by taking the same clicks again, so a
+saved session is also an executable interaction script.  A saved click
+is its condition's fields (:data:`_CLICKS`, :data:`_FIELDS`); a saved
+session is outside input, so what is missing or of the wrong kind is a
+:class:`ValueError` naming the key (:func:`_get`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from dataclasses import fields
+from typing import Any, Callable, Dict, List, Tuple, Type, Union
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term
 from repro.facets.analytics import FacetedAnalyticsSession
 from repro.facets.intentions import (
     ClassCondition,
+    Condition,
+    Intention,
     PathRangeCondition,
     PathValueCondition,
     PathValueSetCondition,
 )
-from repro.facets.model import PropertyRef
+from repro.facets.model import Path, PropertyRef
+
+
+def _get(data: Any, key: str, kind: type, default: Any = ...) -> Any:
+    """``data[key]``, which must be a ``kind``.  The key is required
+    (``...``) unless a ``default`` is given for its absence — and for
+    ``null``, where that default is ``None``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with key {key!r}, got {data!r}")
+    value = data.get(key, default)
+    if value is ...:
+        raise ValueError(f"missing key {key!r}")
+    if value is not default and not isinstance(value, kind):
+        raise ValueError(f"key {key!r} must hold a {kind.__name__}, got {value!r}")
+    return value
 
 
 def term_to_dict(term: Term) -> Dict:
@@ -42,65 +62,74 @@ def term_to_dict(term: Term) -> Dict:
 
 
 def term_from_dict(data: Dict) -> Term:
-    kind = data["kind"]
+    kind, value = _get(data, "kind", str), _get(data, "value", str)
     if kind == "iri":
-        return IRI(data["value"])
+        return IRI(value)
     if kind == "bnode":
-        return BNode(data["value"])
+        return BNode(value)
     if kind == "literal":
-        return Literal(data["value"], data["datatype"], data.get("language", ""))
+        return Literal(value, _get(data, "datatype", str),
+                       _get(data, "language", str, ""))
     raise ValueError(f"unknown term kind {kind!r}")
 
 
-def _path_to_list(path) -> List[Dict]:
+def _path_to_list(path: Path) -> List[Dict]:
     return [
         {"prop": step.prop.value, "inverse": step.inverse} for step in path
     ]
 
 
-def _path_from_list(data) -> tuple:
+def _path_from_list(data: List) -> Path:
+    if not data:
+        raise ValueError("a property path needs at least one step")
     return tuple(
-        PropertyRef(IRI(step["prop"]), step.get("inverse", False))
+        PropertyRef(IRI(_get(step, "prop", str)),
+                    _get(step, "inverse", bool, False))
         for step in data
     )
 
 
-def _conditions_to_list(conditions) -> List[Dict]:
-    out: List[Dict] = []
-    for condition in conditions:
-        if isinstance(condition, ClassCondition):
-            out.append({"action": "class", "cls": condition.cls.value})
-        elif isinstance(condition, PathValueCondition):
-            out.append(
-                {
-                    "action": "value",
-                    "path": _path_to_list(condition.path),
-                    "value": term_to_dict(condition.value),
-                }
-            )
-        elif isinstance(condition, PathValueSetCondition):
-            out.append(
-                {
-                    "action": "values",
-                    "path": _path_to_list(condition.path),
-                    "values": [term_to_dict(v) for v in condition.values],
-                }
-            )
-        elif isinstance(condition, PathRangeCondition):
-            out.append(
-                {
-                    "action": "range",
-                    "path": _path_to_list(condition.path),
-                    "comparator": condition.comparator,
-                    "value": term_to_dict(condition.value),
-                }
-            )
-        else:
-            raise TypeError(f"cannot serialize condition {condition!r}")
-    return out
+#: The condition class of each version-1 ``"action"`` name.
+_CLICKS: Dict[str, Type[Condition]] = {
+    "class": ClassCondition,
+    "value": PathValueCondition,
+    "values": PathValueSetCondition,
+    "range": PathRangeCondition,
+}
+
+#: Per condition field — the dataclass field names *are* the version-1
+#: keys, in order: the JSON kind it holds, how it is written and read.
+_FIELDS: Dict[str, Tuple[type, Callable, Callable]] = {
+    "cls": (str, lambda cls: cls.value, IRI),
+    "path": (list, _path_to_list, _path_from_list),
+    "value": (dict, term_to_dict, term_from_dict),
+    "values": (list, lambda values: [term_to_dict(v) for v in values],
+               lambda data: tuple(term_from_dict(v) for v in data)),
+    "comparator": (str, str, str),
+}
 
 
-def _intention_to_dict(intention) -> Dict:
+def _condition_to_dict(condition: Condition) -> Dict:
+    for action, cls in _CLICKS.items():
+        if type(condition) is cls:
+            return {"action": action, **{
+                field.name: _FIELDS[field.name][1](getattr(condition, field.name))
+                for field in fields(cls)}}
+    raise TypeError(f"cannot serialize condition {condition!r}")
+
+
+def _condition_from_dict(data: Dict) -> Condition:
+    action = _get(data, "action", str)
+    if action not in _CLICKS:
+        raise ValueError(f"unknown action {action!r}")
+    values = []
+    for field in fields(_CLICKS[action]):
+        kind, _, read = _FIELDS[field.name]
+        values.append(read(_get(data, field.name, kind)))
+    return _CLICKS[action](*values)
+
+
+def _intention_to_dict(intention: Intention) -> Dict:
     data: Dict = {
         "root_class": intention.root_class.value if intention.root_class else None,
         "seeds": (
@@ -108,7 +137,7 @@ def _intention_to_dict(intention) -> Dict:
             if intention.seeds is not None
             else None
         ),
-        "conditions": _conditions_to_list(intention.conditions),
+        "conditions": [_condition_to_dict(c) for c in intention.conditions],
     }
     if intention.pivot is not None:
         inner, path = intention.pivot
@@ -138,6 +167,8 @@ def session_to_dict(session: FacetedAnalyticsSession) -> Dict:
             "operations": list(measure.operations),
             "derived": measure.derived,
         }
+    if session._with_count:
+        data["with_count"] = True
     return data
 
 
@@ -145,70 +176,53 @@ def session_to_json(session: FacetedAnalyticsSession, indent: int = 2) -> str:
     return json.dumps(session_to_dict(session), indent=indent)
 
 
-def _replay_intention(session: FacetedAnalyticsSession, data: Dict) -> None:
-    """Replay one intention level: inner pivot chain first, then the
-    class selection and conditions of this level."""
-    pivot = data.get("pivot")
-    if pivot is not None:
-        _replay_intention(session, pivot["inner"])
-        session.pivot_to(_path_from_list(pivot["path"]))
-    if data.get("root_class"):
-        session.select_class(IRI(data["root_class"]))
-    for condition in data.get("conditions", ()):
-        action = condition["action"]
-        if action == "class":
-            session.select_class(IRI(condition["cls"]))
-        elif action == "value":
-            session.select_value(
-                _path_from_list(condition["path"]),
-                term_from_dict(condition["value"]),
-            )
-        elif action == "values":
-            session.select_values(
-                _path_from_list(condition["path"]),
-                [term_from_dict(v) for v in condition["values"]],
-            )
-        elif action == "range":
-            session.select_range(
-                _path_from_list(condition["path"]),
-                condition["comparator"],
-                term_from_dict(condition["value"]),
-            )
-        else:
-            raise ValueError(f"unknown action {action!r}")
+def _replay_intention(open_session: Callable[..., FacetedAnalyticsSession],
+                      graph: Graph, data: Dict) -> FacetedAnalyticsSession:
+    """Replay one intention level: the inner pivot chain first — the
+    innermost level opens the session, from its seeds — then the class
+    selection and conditions of this level."""
+    pivot = _get(data, "pivot", dict, None)
+    if pivot is None:
+        seeds = _get(data, "seeds", list, None)
+        session = open_session(graph, results=None if seeds is None else [
+            term_from_dict(t) for t in seeds])
+    else:
+        session = _replay_intention(open_session, graph, _get(pivot, "inner", dict))
+        session.pivot_to(_path_from_list(_get(pivot, "path", list)))
+    root_class = _get(data, "root_class", str, None)
+    if root_class:
+        session.select_class(IRI(root_class))
+    for condition in _get(data, "conditions", list, ()):
+        session.refine(_condition_from_dict(condition))
+    return session
 
 
-def replay_session(graph: Graph, data,
-                   open_session=FacetedAnalyticsSession) -> FacetedAnalyticsSession:
+def replay_session(
+    graph: Graph, data: Union[str, Dict],
+    open_session: Callable[..., FacetedAnalyticsSession] = FacetedAnalyticsSession,
+) -> FacetedAnalyticsSession:
     """Rebuild a session from saved data by replaying the interaction
     on the session ``open_session(graph, results=seeds)`` opens — the
     caller's kind of session (endpoint-backed, strict, over an already
-    closed graph), a plain :class:`FacetedAnalyticsSession` by default."""
+    closed graph), a plain :class:`FacetedAnalyticsSession` by default.
+    Malformed data raises :class:`ValueError`."""
     if isinstance(data, str):
         data = json.loads(data)
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported session version {data.get('version')!r}")
-    # Seeds belong to the innermost (pre-pivot) intention: the session
-    # must start from them.
-    innermost = data
-    while innermost.get("pivot") is not None:
-        innermost = innermost["pivot"]["inner"]
-    seeds = innermost.get("seeds")
-    session = open_session(
-        graph,
-        results=[term_from_dict(t) for t in seeds] if seeds is not None else None,
-    )
-    _replay_intention(session, data)
-    for group in data.get("groups", ()):
-        session.group_by(_path_from_list(group["path"]), derived=group.get("derived"))
-    measure = data.get("measure")
+    version = _get(data, "version", int, None)
+    if version != 1:
+        raise ValueError(f"unsupported session version {version!r}")
+    session = _replay_intention(open_session, graph, data)
+    for group in _get(data, "groups", list, ()):
+        session.group_by(_path_from_list(_get(group, "path", list)),
+                         derived=_get(group, "derived", str, None))
+    measure = _get(data, "measure", dict, None)
     if measure is not None:
-        if measure["path"] is None:
-            session.count_items()
-        else:
-            session.measure(
-                _path_from_list(measure["path"]),
-                tuple(measure["operations"]),
-                derived=measure.get("derived"),
-            )
+        path = _get(measure, "path", list, None)  # null: count of items
+        operations = _get(measure, "operations", list)
+        if not all(isinstance(op, str) for op in operations):
+            raise ValueError(f"key 'operations' must hold strings, got {operations!r}")
+        session.measure(None if path is None else _path_from_list(path),
+                        tuple(operations),
+                        derived=_get(measure, "derived", str, None))
+    session.with_count(_get(data, "with_count", bool, False))
     return session

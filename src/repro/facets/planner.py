@@ -8,7 +8,9 @@ formulate.  This module turns that characterization into code:
   selection, facet value clicks, range filters, G/Σ presses, an
   answer-frame reload for HAVING) that formulates it, or raises
   :class:`InexpressibleQueryError` explaining which construct falls
-  outside the interaction model;
+  outside the interaction model.  The script is made of the session's
+  own objects: conditions (an attribute restriction read back as its
+  click, :func:`~repro.facets.intentions.condition_of`) and G/Σ specs;
 * :func:`execute_plan` replays a plan on a session and returns the
   answer — the tests assert it equals the direct evaluation of the
   query, which *is* the §7.1 expressiveness claim, verified.
@@ -28,16 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.rdf.terms import IRI, Term
-from repro.hifun.attributes import (
-    Attribute,
-    AttributeExpr,
-    Derived,
-    paths_of,
-)
+from repro.rdf.terms import IRI
+from repro.hifun.attributes import Attribute, AttributeExpr, Derived
 from repro.hifun.query import HifunQuery
-from repro.facets.analytics import APP, AnswerFrame, FacetedAnalyticsSession
-from repro.facets.model import PropertyRef
+from repro.facets.analytics import (
+    APP,
+    AnswerFrame,
+    FacetedAnalyticsSession,
+    GroupSpec,
+    MeasureSpec,
+)
+from repro.facets.intentions import (
+    ClassCondition,
+    Condition,
+    PathValueCondition,
+    condition_of,
+)
+from repro.facets.model import Path
 
 
 class InexpressibleQueryError(ValueError):
@@ -45,72 +54,60 @@ class InexpressibleQueryError(ValueError):
     the offending construct (the §7.1 boundary)."""
 
 
-@dataclass(frozen=True)
-class Action:
-    """One UI action of a plan.
+def _label(path: Path) -> str:
+    return " ▷ ".join(step.name for step in path)
 
-    ``kind`` is one of ``select_class``, ``select_value``,
-    ``select_range``, ``group_by``, ``measure``, ``count_items``,
-    ``run``, ``explore``, ``filter_answer``.
-    """
 
-    kind: str
-    path: Tuple[PropertyRef, ...] = ()
-    value: Optional[Term] = None
-    comparator: Optional[str] = None
-    derived: Optional[str] = None
-    operations: Tuple[str, ...] = ()
-    column: Optional[str] = None
-
-    def describe(self) -> str:
-        if self.kind == "select_class":
-            return f"click class '{self.value.local_name()}'"
-        path = " ▷ ".join(step.name for step in self.path)
-        if self.kind == "select_value":
-            label = (
-                self.value.local_name()
-                if isinstance(self.value, IRI)
-                else str(self.value)
-            )
-            return f"expand '{path}' and click '{label}'"
-        if self.kind == "select_range":
-            return f"filter '{path}' {self.comparator} {self.value}"
-        if self.kind == "group_by":
-            fn = f" via {self.derived}" if self.derived else ""
-            return f"press G on '{path}'{fn}"
-        if self.kind == "measure":
-            ops = ", ".join(self.operations)
-            return f"press Σ on '{path}' and pick {ops}"
-        if self.kind == "count_items":
-            return "press Σ and pick 'count of items'"
-        if self.kind == "run":
-            return "run the analytic query"
-        if self.kind == "explore":
-            return "press 'Explore with FS' (load the answer as a dataset)"
-        if self.kind == "filter_answer":
-            return f"filter answer column '{self.column}' {self.comparator} {self.value}"
-        return self.kind
+def _describe_click(click: Condition) -> str:
+    if isinstance(click, ClassCondition):
+        return f"click class '{click.cls.local_name()}'"
+    if isinstance(click, PathValueCondition):
+        value = click.value
+        label = value.local_name() if isinstance(value, IRI) else value
+        return f"expand '{_label(click.path)}' and click '{label}'"
+    return f"filter '{_label(click.path)}' {click.comparator} {click.value}"
 
 
 @dataclass
 class InteractionPlan:
-    """An ordered click script plus the query it formulates."""
+    """A click script plus the query it formulates: the clicks, G
+    presses and Σ press to take before *run*, as the session's own
+    objects; its HAVING steps are the query's ``result_restrictions``."""
 
     query: HifunQuery
     root_class: Optional[IRI]
-    actions: List[Action]
+    clicks: List[Condition]
+    groups: List[GroupSpec]
+    measure: MeasureSpec
+
+    def _steps(self) -> List[str]:
+        """The UI actions in order, in words."""
+        steps = [_describe_click(click) for click in self.clicks]
+        for group in self.groups:
+            fn = f" via {group.derived}" if group.derived else ""
+            steps.append(f"press G on '{_label(group.path)}'{fn}")
+        if self.measure.path is None:
+            steps.append("press Σ and pick 'count of items'")
+        else:
+            ops = ", ".join(self.measure.operations)
+            steps.append(f"press Σ on '{_label(self.measure.path)}' and pick {ops}")
+        steps.append("run the analytic query")
+        if self.query.result_restrictions:
+            steps.append("press 'Explore with FS' (load the answer as a dataset)")
+        for rr in self.query.result_restrictions:
+            steps.append(
+                f"filter answer column '{rr.operation}' {rr.comparator} {rr.value}")
+        return steps
 
     def describe(self) -> str:
         return "\n".join(
-            f"{i + 1}. {action.describe()}"
-            for i, action in enumerate(self.actions)
-        )
+            f"{i}. {step}" for i, step in enumerate(self._steps(), start=1))
 
-    def __len__(self):
-        return len(self.actions)
+    def __len__(self) -> int:
+        return len(self._steps())
 
 
-def _attr_to_path(expr: AttributeExpr) -> Tuple[Tuple[PropertyRef, ...], Optional[str]]:
+def _attr_to_path(expr: AttributeExpr) -> Tuple[Path, Optional[str]]:
     """(path, derived-function) of a path attribute expression."""
     derived = None
     if isinstance(expr, Derived):
@@ -128,41 +125,26 @@ def plan_interaction(
     query: HifunQuery, root_class: Optional[IRI] = None
 ) -> InteractionPlan:
     """The click script that formulates ``query`` (§7.1)."""
-    actions: List[Action] = []
+    clicks: List[Condition] = []
     if root_class is not None:
-        actions.append(Action("select_class", value=root_class))
+        clicks.append(ClassCondition(root_class))
 
     # Attribute restrictions become clicks / range filters.
     for restriction in query.grouping_restrictions + query.measuring_restrictions:
-        path, derived = _attr_to_path(restriction.attribute)
-        if derived is not None:
+        if _attr_to_path(restriction.attribute)[1] is not None:
             raise InexpressibleQueryError(
                 f"restriction over the derived attribute "
                 f"'{restriction.attribute}' needs a transformation (⚙) "
                 "step; the plain interaction cannot click on it"
             )
-        if restriction.is_uri_equality:
-            actions.append(
-                Action("select_value", path=path, value=restriction.value)
-            )
-        else:
-            actions.append(
-                Action(
-                    "select_range",
-                    path=path,
-                    comparator=restriction.comparator,
-                    value=restriction.value,
-                )
-            )
+        clicks.append(condition_of(restriction))
 
     # Grouping: one G press per pairing component.
-    for grouping_path in (paths_of(query.grouping) if query.grouping else ()):
-        path, derived = _attr_to_path(grouping_path)
-        actions.append(Action("group_by", path=path, derived=derived))
+    groups = [GroupSpec(*_attr_to_path(path)) for path in query.grouping_paths]
 
     # Measure: one Σ press.
     if query.measuring is None:
-        actions.append(Action("count_items"))
+        measure = MeasureSpec(None, ("COUNT",))
     else:
         path, derived = _attr_to_path(query.measuring)
         if derived is not None:
@@ -170,23 +152,8 @@ def plan_interaction(
                 f"measuring a derived attribute '{query.measuring}' needs "
                 "a transformation (⚙) step"
             )
-        actions.append(Action("measure", path=path, operations=query.operations))
-
-    actions.append(Action("run"))
-
-    # Result restrictions: reload the answer and filter the aggregate column.
-    if query.result_restrictions:
-        actions.append(Action("explore"))
-        for rr in query.result_restrictions:
-            actions.append(
-                Action(
-                    "filter_answer",
-                    comparator=rr.comparator,
-                    value=rr.value,
-                    column=rr.operation,
-                )
-            )
-    return InteractionPlan(query=query, root_class=root_class, actions=actions)
+        measure = MeasureSpec(path, query.operations)
+    return InteractionPlan(query, root_class, clicks, groups, measure)
 
 
 def execute_plan(session: FacetedAnalyticsSession, plan: InteractionPlan) -> AnswerFrame:
@@ -195,37 +162,21 @@ def execute_plan(session: FacetedAnalyticsSession, plan: InteractionPlan) -> Ans
     For plans with a HAVING step, the returned frame contains the rows
     of the inner answer that survive the answer-dataset restriction.
     """
-    frame: Optional[AnswerFrame] = None
-    nested: Optional[FacetedAnalyticsSession] = None
-    for action in plan.actions:
-        if action.kind == "select_class":
-            session.select_class(action.value)
-        elif action.kind == "select_value":
-            session.select_value(action.path, action.value)
-        elif action.kind == "select_range":
-            session.select_range(action.path, action.comparator, action.value)
-        elif action.kind == "group_by":
-            session.group_by(action.path, derived=action.derived)
-        elif action.kind == "measure":
-            session.measure(action.path, action.operations)
-        elif action.kind == "count_items":
-            session.count_items()
-        elif action.kind == "run":
-            frame = session.run()
-        elif action.kind == "explore":
-            nested = frame.explore()
-        elif action.kind == "filter_answer":
-            alias = dict(frame.aggregate_columns)[action.column]
-            nested.select_range(
-                (frame.column_property(alias),), action.comparator, action.value
-            )
-        else:  # pragma: no cover - guarded by plan construction
-            raise ValueError(f"unknown action {action.kind!r}")
-    if nested is None:
+    for click in plan.clicks:
+        session.refine(click)
+    for group in plan.groups:
+        session.group_by(group.path, derived=group.derived)
+    session.measure(plan.measure.path, plan.measure.operations)
+    frame = session.run()
+    if not plan.query.result_restrictions:
         return frame
-    # Rebuild the surviving rows from the nested extension.
-    surviving = []
-    for index, row in enumerate(frame.rows, start=1):
-        if APP.term(f"t{index}") in nested.extension:
-            surviving.append(row)
+    # Result restrictions: reload the answer, filter the aggregate
+    # columns, and rebuild the surviving rows from the nested extension.
+    nested = frame.explore()
+    for rr in plan.query.result_restrictions:
+        alias = dict(frame.aggregate_columns)[rr.operation]
+        nested.select_range(
+            (frame.column_property(alias),), rr.comparator, rr.value)
+    surviving = [row for index, row in enumerate(frame.rows, start=1)
+                 if APP.term(f"t{index}") in nested.extension]
     return AnswerFrame(frame.columns, surviving, plan.query)

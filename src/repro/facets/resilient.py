@@ -30,7 +30,7 @@ with the state unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
@@ -102,7 +102,7 @@ class ResilientFacetedSession(FacetedAnalyticsSession):
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[float] = None,
-        breaker=_DEFAULT_BREAKER,
+        breaker: Any = _DEFAULT_BREAKER,
         seed: int = 0,
         think_seconds: float = 2.0,
         analyze: bool = False,

@@ -10,9 +10,9 @@
   sub-properties exist;
 * :meth:`expand_path` — path expansion (Fig. 5.5 b): the markers at the
   end of a property path from the current extension;
-* :meth:`select_class`, :meth:`select_value`, :meth:`select_range` —
-  the click transitions, each producing a new state whose intention is
-  extended accordingly (never yielding an empty extension);
+* :meth:`refine` — the click transition: one condition in, one new
+  state out, its intention extended by it (never an empty extension);
+  :meth:`select_class` / ``_value`` / ``_values`` / ``_range`` build it;
 * :meth:`back` — history navigation;
 * :meth:`objects` — the right-frame content (§5.4.2).
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -48,6 +49,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.caching import CacheStats
@@ -56,12 +58,15 @@ from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.rdfs import SchemaView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.facets.intentions import (
+    ClassCondition,
+    Condition,
     Intention,
     PathRangeCondition,
     PathValueCondition,
     PathValueSetCondition,
 )
 from repro.facets.model import (
+    AnyPath,
     ClassMarker,
     Path,
     PropertyFacet,
@@ -73,8 +78,6 @@ from repro.facets.model import (
     _path_joins_ids,
     _restrict_by_path_ids,
 )
-from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import comparison
 
 #: One facet's rows in id space: the property id, the value ids in
 #: marker order, and whether the rows are pairwise disjoint on the
@@ -143,7 +146,7 @@ class FacetedSession:
                 subject_ids -= graph.subjects_ids(type_id, special_id)
         return frozenset(subject_ids)
 
-    def _recall(self, state: State, key):
+    def _recall(self, state: State, key: object) -> Any:
         """What ``state`` holds under ``key`` if it was derived in the
         graph's current generation, else ``None``.  Counts as nothing:
         this is how the session looks into an ancestor."""
@@ -152,7 +155,8 @@ class FacetedSession:
             return entry[1]
         return None
 
-    def _per_state(self, key, build: Callable[[], object], counted: bool = False):
+    def _per_state(self, key: object, build: Callable[[], Any],
+                   counted: bool = False) -> Any:
         """``build()``, remembered on the current state under ``key``
         with the generation it was derived under.
 
@@ -267,9 +271,7 @@ class FacetedSession:
 
     def select_class(self, cls: IRI) -> State:
         """Click a class marker: extension becomes ``Restrict(E, c)``."""
-        ids = self.state.ids & _instance_ids(self.graph, cls)
-        intention = self.state.intention.with_class(cls)
-        return self._push(ids, intention, f"class {cls.local_name()}")
+        return self.refine(ClassCondition(cls))
 
     # ------------------------------------------------------------------
     # Property-based transitions (§5.4.4)
@@ -432,7 +434,7 @@ class FacetedSession:
                          for value, vid in values))
         return facet, tuple(vid for _, vid in values)
 
-    def facet(self, path) -> PropertyFacet:
+    def facet(self, path: AnyPath) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).
 
         A direct facet is read off the state's listing when it has one.
@@ -467,7 +469,8 @@ class FacetedSession:
         return self._materialize(
             path, counters.get(slot, {}), having.get(slot, 0))[0]
 
-    def expand_path(self, path, next_prop) -> PropertyFacet:
+    def expand_path(self, path: AnyPath,
+                    next_prop: Union[PropertyRef, IRI]) -> PropertyFacet:
         """Path expansion (Fig. 5.5 b): extend ``path`` with one more
         property and return the facet at the new end."""
         path = self._normalize_path(path)
@@ -518,59 +521,32 @@ class FacetedSession:
     # ------------------------------------------------------------------
     # Click transitions
     # ------------------------------------------------------------------
-    def select_value(self, path, value: Term) -> State:
+    def refine(self, condition: Condition) -> State:
+        """Take one click (§5.3, Table 5.1): the members from which the
+        condition's path reaches one of its values stay (Eq. 5.1), the
+        intention gains the condition, its words describe the state."""
+        state, graph = self.state, self.graph
+        return self._push(
+            _restrict_by_path_ids(graph, state.ids, condition.path,
+                                  condition.value_ids(graph)),
+            state.intention.with_condition(condition), str(condition))
+
+    def select_value(self, path: AnyPath, value: Term) -> State:
         """Click a value marker at the end of ``path`` (Eq. 5.1)."""
-        path = self._normalize_path(path)
-        ids = _restrict_by_path_ids(
-            self.graph, self.state.ids, path, self.graph.encode_terms((value,)))
-        intention = self.state.intention.with_condition(
-            PathValueCondition(path, value)
-        )
-        label = value.local_name() if isinstance(value, IRI) else str(value)
-        description = f"{'/'.join(s.name for s in path)} = {label}"
-        return self._push(ids, intention, description)
+        return self.refine(PathValueCondition(self._normalize_path(path), value))
 
-    def select_values(self, path, values: Iterable[Term]) -> State:
+    def select_values(self, path: AnyPath, values: Iterable[Term]) -> State:
         """Click several values of the same facet (disjunctive selection)."""
-        path = self._normalize_path(path)
-        values = set(values)
-        ids = _restrict_by_path_ids(
-            self.graph, self.state.ids, path, self.graph.encode_terms(values))
-        intention = self.state.intention.with_condition(
-            PathValueSetCondition(path, tuple(sorted(values, key=lambda t: t.sort_key())))
-        )
-        description = f"{'/'.join(s.name for s in path)} in {{{len(values)} values}}"
-        return self._push(ids, intention, description)
+        return self.refine(PathValueSetCondition(
+            self._normalize_path(path),
+            tuple(sorted(set(values), key=lambda t: t.sort_key()))))
 
-    def select_range(self, path, comparator: str, value: Literal) -> State:
+    def select_range(self, path: AnyPath, comparator: str, value: Literal) -> State:
         """Apply a range filter on a (numeric/date) facet (Example 3)."""
-        path = self._normalize_path(path)
-        graph = self.graph
-        # Every value the last step can end at — its POS row keys, a
-        # superset of the path's marker set that the restriction cuts
-        # back to it — tested against the bound (parsed once; a pair
-        # SPARQL cannot compare does not pass).
-        last = path[-1]
-        prop_id = graph.encode_term(last.prop)
-        rows = graph.pos_ids(prop_id) if prop_id is not None else {}
-        candidates = frozenset().union(*rows.values()) if last.inverse else rows
-        passes = comparison(comparator, value)
-        decode = graph.decode_id
-        matching: List[int] = []
-        for value_id in candidates:
-            try:
-                if passes(decode(value_id)):
-                    matching.append(value_id)
-            except ExpressionError:
-                pass
-        ids = _restrict_by_path_ids(graph, self.state.ids, path, matching)
-        intention = self.state.intention.with_condition(
-            PathRangeCondition(path, comparator, value)
-        )
-        description = f"{'/'.join(s.name for s in path)} {comparator} {value}"
-        return self._push(ids, intention, description)
+        return self.refine(PathRangeCondition(
+            self._normalize_path(path), comparator, value))
 
-    def pivot_to(self, path) -> State:
+    def pivot_to(self, path: AnyPath) -> State:
         """Switch entity type (§5.2.1 differentiator iii): the new
         extension is ``Joins(E, path)`` — e.g. pivot from the current
         laptops to *their manufacturers* and keep exploring from there.
@@ -583,7 +559,7 @@ class FacetedSession:
         description = "pivot to " + "/".join(s.name for s in path)
         return self._push(ids, intention, description)
 
-    def select_interval(self, path, low: Literal, high: Literal) -> State:
+    def select_interval(self, path: AnyPath, low: Literal, high: Literal) -> State:
         """Apply a closed interval filter (``low ≤ value ≤ high``)."""
         self.select_range(path, ">=", low)
         try:
@@ -593,7 +569,7 @@ class FacetedSession:
             raise
 
     # ------------------------------------------------------------------
-    def _normalize_path(self, path) -> Path:
+    def _normalize_path(self, path: AnyPath) -> Path:
         if isinstance(path, PropertyRef):
             return (path,)
         if isinstance(path, IRI):
@@ -604,7 +580,7 @@ class FacetedSession:
         return normalized
 
     @staticmethod
-    def _normalize_step(step) -> PropertyRef:
+    def _normalize_step(step: Union[PropertyRef, IRI]) -> PropertyRef:
         if isinstance(step, PropertyRef):
             return step
         if isinstance(step, IRI):

@@ -1,16 +1,21 @@
 """Unit tests of intentions and their SPARQL compilation (§5.5)."""
 
+import pytest
+
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
 from repro.datasets import products_graph
+from repro.facets import FacetedAnalyticsSession
 from repro.facets.intentions import (
     ClassCondition,
     Intention,
     PathRangeCondition,
     PathValueCondition,
     PathValueSetCondition,
+    condition_of,
 )
 from repro.facets.model import PropertyRef
+from repro.rdf.graph import Graph
 from repro.sparql import query as sparql
 
 manufacturer = (PropertyRef(EX.manufacturer),)
@@ -156,9 +161,55 @@ class TestDescriptions:
         assert Intention().describe() == "all objects"
 
     def test_condition_str_forms(self):
-        assert "manufacturer=DELL" in str(
+        assert "manufacturer = DELL" in str(
             PathValueCondition(manufacturer, EX.DELL)
         )
-        assert "in {2}" in str(
+        assert "in {2 values}" in str(
             PathValueSetCondition(manufacturer, (EX.DELL, EX.Lenovo))
         )
+
+
+class TestRestrictionCorrespondence:
+    """§5.5 (``restriction()``) and §7.1 (``condition_of``) are one
+    correspondence, read in two directions."""
+
+    def test_round_trip_of_iri_clicks_and_ranges(self):
+        for condition in (
+            PathValueCondition(maker_origin, EX.US),
+            PathRangeCondition(manufacturer, "!=", EX.DELL),
+            PathRangeCondition((PropertyRef(EX.price),), ">=", Literal.of(900)),
+            PathRangeCondition(maker_origin + (PropertyRef(EX.size, True),),
+                               "=", Literal.of("big")),
+        ):
+            restriction = condition.restriction()
+            assert restriction.attribute.steps() == condition.path
+            assert condition_of(restriction) == condition
+
+    def test_class_and_value_set_clicks_have_no_hifun_form(self):
+        assert ClassCondition(EX.Laptop).restriction() is None
+        assert PathValueSetCondition(
+            manufacturer, (EX.DELL, EX.Lenovo)).restriction() is None
+
+    def test_a_literal_click_comes_back_as_the_equality_range(self):
+        click = PathValueCondition((PropertyRef(EX.p),), Literal.of(2))
+        assert condition_of(click.restriction()) == PathRangeCondition(
+            click.path, "=", Literal.of(2))
+
+    def test_a_click_matches_the_term_a_restriction_compares_the_value(self):
+        """Why a condition is not a ``Restriction``: on ``2`` / ``2.0`` /
+        ``3`` the click on ``2`` keeps one item, ``= 2`` two."""
+        things = (EX.a, EX.b, EX.c)
+        graph = Graph(
+            [(n, RDF.type, EX.Thing) for n in things]
+            + list(zip(things, 3 * [EX.p],
+                       (Literal.of(2), Literal.of(2.0), Literal.of(3)))))
+        session = FacetedAnalyticsSession(graph)
+        assert session.select_value(EX.p, Literal.of(2)).extension == {EX.a}
+        session.count_items()
+        for engine in ("native", "row", "sparql"):
+            assert session.run(engine).rows == [(Literal.of(1),)]
+        assert session.run("restrictions").rows == [(Literal.of(2),)]
+
+    def test_an_unknown_comparator_is_no_condition(self):
+        with pytest.raises(ValueError, match="unknown comparator '=>'"):
+            PathRangeCondition(manufacturer, "=>", Literal.of(1))

@@ -11,6 +11,8 @@ from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.datasets import invoices_graph, products_graph
 from repro.facets import FacetedAnalyticsSession
+from repro.facets.analytics import GroupSpec, MeasureSpec
+from repro.facets.intentions import ClassCondition, Intention, PathValueCondition
 from repro.facets.planner import (
     InexpressibleQueryError,
     execute_plan,
@@ -92,18 +94,51 @@ class TestExpressibleQueries:
             result_restrictions=(ResultRestriction("SUM", ">", Literal.of(1)),),
         )
         plan = plan_interaction(query, EX.Invoice)
-        kinds = [a.kind for a in plan.actions]
-        assert kinds == [
-            "select_class", "select_value", "group_by", "group_by",
-            "measure", "run", "explore", "filter_answer",
+        # the eight steps, as the session's own objects ...
+        assert plan.clicks == [
+            ClassCondition(EX.Invoice), PathValueCondition((takes,), EX.branch1),
+        ]
+        assert plan.groups == [
+            GroupSpec((takes,)), GroupSpec((has_date,), "MONTH"),
+        ]
+        assert plan.measure == MeasureSpec((qty,), ("SUM",))
+        assert plan.query.result_restrictions == query.result_restrictions
+        # ... and in words, in order
+        assert len(plan) == 8
+        assert plan.describe().splitlines() == [
+            "1. click class 'Invoice'",
+            "2. expand 'takesPlaceAt' and click 'branch1'",
+            "3. press G on 'takesPlaceAt'",
+            "4. press G on 'hasDate' via MONTH",
+            "5. press Σ on 'inQuantity' and pick SUM",
+            "6. run the analytic query",
+            "7. press 'Explore with FS' (load the answer as a dataset)",
+            "8. filter answer column 'SUM' > 1",
         ]
 
     def test_derived_grouping_uses_transformation_flag(self):
         plan = plan_interaction(
             HifunQuery(Derived("YEAR", has_date), qty, "SUM"), EX.Invoice
         )
-        group = next(a for a in plan.actions if a.kind == "group_by")
-        assert group.derived == "YEAR"
+        assert plan.groups == [GroupSpec((has_date,), "YEAR")]
+        assert plan.describe().splitlines()[1] == "2. press G on 'hasDate' via YEAR"
+
+    @pytest.mark.parametrize("query", EXPRESSIBLE, ids=str)
+    def test_executed_plan_leaves_the_session_the_plan_is_made_of(self, query):
+        """A plan holds the session's own objects: after executing it the
+        session's intention is the plan's clicks, its button state the
+        plan's presses."""
+        plan = plan_interaction(query, EX.Invoice)
+        session = FacetedAnalyticsSession(invoices_graph())
+        execute_plan(session, plan)
+        intention = Intention()
+        for click in plan.clicks:
+            intention = intention.with_condition(click)
+        assert session.state.intention == intention
+        assert intention.root_class == EX.Invoice
+        assert session.group_specs == plan.groups
+        assert session.measure_spec == plan.measure
+        assert len(session.history()) == 1 + len(plan.clicks)
 
     def test_describe_is_human_readable(self):
         plan = plan_interaction(HifunQuery(takes, qty, "SUM"), EX.Invoice)

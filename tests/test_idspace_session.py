@@ -5,7 +5,10 @@ Three contracts, on random ragged graphs over the flat store and 2 and
 4 shards.  (1) Every transition yields the extension the Term-level
 §5.3.1 operations (``restrict_by_path`` / ``restrict_to_class`` /
 ``joins`` — the formal definitions, kept as the oracle) give, and raises ``EmptyTransitionError`` exactly when theirs is
-empty.  (2) A listing derived from an ancestor's equals the full scan of
+empty; and a click is its condition — ``refine(condition)`` is the
+matching ``select_*``, ``str(condition)`` the state's description,
+``restriction()`` / ``condition_of`` a round trip, the saved fields a
+replay to the same state.  (2) A listing derived from an ancestor's equals the full scan of
 a fresh session and the per-path ``facet()``, and an ancestor's order is
 never used across a mutation or for a state that is not its subset.
 (3) ``facet(path)`` is the facet those operations define, asked before
@@ -15,6 +18,8 @@ gone with a state that leaves the history.
 """
 
 import datetime
+import json
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +28,13 @@ from hypothesis import example, given, settings
 from repro.app import AnalyticsShell
 from repro.datasets import products_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
+from repro.facets.intentions import (
+    ClassCondition,
+    PathRangeCondition,
+    PathValueCondition,
+    PathValueSetCondition,
+    condition_of,
+)
 from repro.facets.model import (
     PropertyFacet,
     PropertyRef,
@@ -33,12 +45,13 @@ from repro.facets.model import (
     restrict_by_path,
     restrict_to_class,
 )
+from repro.facets.persistence import replay_session, session_to_dict
 from repro.facets.session import EmptyTransitionError
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF, RDFS
 from repro.rdf.rdfs import SchemaView
 from repro.rdf.sharding import ShardedGraph
-from repro.rdf.terms import XSD_GYEAR, BNode, Literal
+from repro.rdf.terms import IRI, XSD_GYEAR, BNode, Literal
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import compare, comparison
 
@@ -59,7 +72,7 @@ _triples = st.lists(st.one_of(
     st.tuples(st.sampled_from(_NODES), st.just(RDF.type),
               st.sampled_from(_CLASSES)),
 ), min_size=8, max_size=40)
-_COMPARATORS = ["<", "<=", ">", ">=", "=", "!=", "~"]
+_COMPARATORS = ["<", "<=", ">", ">=", "=", "!="]
 _seeds = st.one_of(
     st.none(), st.sets(st.sampled_from(_NODES + _LITERALS + _UNSEEN), min_size=1))
 
@@ -194,6 +207,113 @@ def test_every_transition_equals_the_term_level_oracle(script):
                 with pytest.raises(EmptyTransitionError):
                     _apply(session, action)
                 assert session.history() == before
+
+
+# -- (1b) a click is its condition ------------------------------------------
+def _click(action):
+    """The condition ``action`` clicks, or ``None`` (interval, pivot)."""
+    kind = action[0]
+    if kind == "class":
+        return ClassCondition(action[1])
+    if kind == "value":
+        return PathValueCondition(*action[1:])
+    if kind == "values":
+        return PathValueSetCondition(
+            action[1], tuple(sorted(action[2], key=lambda t: t.sort_key())))
+    if kind == "range":
+        return PathRangeCondition(*action[1:])
+    return None
+
+
+def _gained(before, after):
+    """The condition ``after`` holds and ``before`` does not; a first
+    class click counts as its ``ClassCondition``."""
+    if after.root_class != before.root_class:
+        assert after.conditions == before.conditions
+        return ClassCondition(after.root_class)
+    assert after.conditions[:-1] == before.conditions
+    return after.conditions[-1]
+
+
+# every kind of click landing once, whatever the draws: a range, an
+# interval, a literal-valued click, a value set, a pivot, a late class
+_LANDING = (
+    [(n, RDF.type, EX.Thing) for n in _NODES[:4]]
+    + [(n, EX.r, v) for n, v in zip(_NODES, _NUMBERS)]
+    + [(_NODES[0], EX.q, _NUMBERS[1]), (_NODES[1], EX.q, _NUMBERS[1]),
+       (_NODES[0], EX.p, _NODES[1]), (_NODES[1], EX.p, _NODES[2])],
+    None,
+    [("range", (_STEPS[4],), ">=", _NUMBERS[1]),
+     ("interval", (_STEPS[4],), _NUMBERS[1], _NUMBERS[2]),
+     ("value", (_STEPS[2],), _NUMBERS[1]), ("back",),
+     ("values", (_STEPS[0],), {_NODES[1], _NODES[2]}),
+     ("pivot", (_STEPS[0],)), ("class", EX.Thing)])
+
+
+@given(_scripts())
+@example(_LANDING)
+@settings(max_examples=100, deadline=None)
+def test_a_click_is_its_condition_in_every_form(script):
+    """``refine(condition)`` is the matching ``select_*``; the state it
+    pushes is described by ``str(condition)``; its HIFUN form reads back
+    as the click (``condition_of``); and the saved form replays to the
+    same extension, intention and SPARQL text."""
+    triples, seeds, actions = script
+    graph = Graph(triples)
+    open_session = partial(FacetedAnalyticsSession, closed=True)
+    session = open_session(graph, results=seeds)
+    twin = open_session(graph, results=seeds)
+    for action in actions:
+        if action[0] == "back":
+            session.back()
+            twin.back()
+            continue
+        click = _click(action)
+        before = session.history()
+        try:
+            _apply(session, action)
+        except EmptyTransitionError:
+            with pytest.raises(EmptyTransitionError):
+                twin.refine(click) if click else _apply(twin, action)
+            assert len(twin.history()) == len(before)
+            continue
+        state = twin.refine(click) if click else _apply(twin, action)
+        pushed = session.history()[len(before) - 1:]
+        assert [(s.ids, s.intention, s.description) for s in pushed] == [
+            (s.ids, s.intention, s.description)
+            for s in twin.history()[len(before) - 1:]]
+        if action[0] != "pivot":
+            for parent, child in zip(pushed, pushed[1:]):
+                gained = _gained(parent.intention, child.intention)
+                assert child.description == str(gained)
+                restriction = gained.restriction()
+                if restriction is None:
+                    assert isinstance(
+                        gained, (ClassCondition, PathValueSetCondition))
+                elif (isinstance(gained, PathRangeCondition)
+                        or isinstance(gained.value, IRI)):
+                    assert condition_of(restriction) == gained
+                else:  # a click matches the term, "=" compares the value
+                    assert condition_of(restriction) == PathRangeCondition(
+                        gained.path, "=", gained.value)
+            assert _gained(before[-1].intention, pushed[1].intention) == (
+                click or PathRangeCondition(action[1], ">=", action[2]))
+        saved = json.loads(json.dumps(session_to_dict(session)))
+        replayed = replay_session(graph, saved, open_session=open_session)
+        assert replayed.state.ids == state.ids
+        assert replayed.extension == session.extension
+        assert replayed.state.intention == state.intention
+        assert replayed.state.intention.to_sparql() == state.intention.to_sparql()
+
+
+def test_an_unknown_comparator_is_an_error_not_an_empty_result():
+    session = FacetedSession(products_graph())
+    session.select_class(EX.Laptop)
+    before = session.history()
+    with pytest.raises(ValueError, match="unknown comparator '~'") as error:
+        session.select_range(EX.price, "~", Literal.of(900))
+    assert not isinstance(error.value, EmptyTransitionError)
+    assert session.history() == before
 
 
 # -- (2) derived listings ≡ full scan ≡ per-path facet() -------------------
@@ -567,7 +687,7 @@ _TERMS = _LITERALS + [
     Literal("x", "http://example.org/unknown-datatype"), EX.n0, BNode("b0")]
 
 
-@pytest.mark.parametrize("op", _COMPARATORS)
+@pytest.mark.parametrize("op", _COMPARATORS + ["~"])
 def test_comparison_is_compare_with_the_bound_parsed_once(op):
     def verdict(fn, *args):
         try:

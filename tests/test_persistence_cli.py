@@ -18,6 +18,69 @@ from repro.facets.persistence import (
     term_to_dict,
 )
 
+#: ``session_to_json(..., indent=None)`` of the four-kinds session below,
+#: as written by commit 1777b5d (before a saved click became its
+#: condition's fields) — ``ex:`` stands for the example namespace.
+PARENT_V1 = (
+    '{"root_class": "ex:Laptop", "seeds": null, "conditions": ['
+    '{"action": "class", "cls": "ex:Product"}, '
+    '{"action": "value", "path": [{"prop": "ex:manufacturer", "inverse": false},'
+    ' {"prop": "ex:origin", "inverse": false}],'
+    ' "value": {"kind": "iri", "value": "ex:US"}}, '
+    '{"action": "range", "path": [{"prop": "ex:USBPorts", "inverse": false}],'
+    ' "comparator": ">=", "value": {"kind": "literal", "value": "2", "datatype":'
+    ' "http://www.w3.org/2001/XMLSchema#integer", "language": ""}}, '
+    '{"action": "values", "path": [{"prop": "ex:hardDrive", "inverse": false}],'
+    ' "values": [{"kind": "iri", "value": "ex:SSD1"},'
+    ' {"kind": "iri", "value": "ex:SSD2"}]}], "version": 1, "groups": ['
+    '{"path": [{"prop": "ex:manufacturer", "inverse": false}], "derived": null}, '
+    '{"path": [{"prop": "ex:releaseDate", "inverse": false}], "derived": "YEAR"}],'
+    ' "measure": {"path": [{"prop": "ex:price", "inverse": false}],'
+    ' "operations": ["AVG", "MAX"], "derived": null}}'
+).replace("ex:", EX.term("").value)
+
+_PATH = '[{"prop": "ex:price"}]'
+_TERM = '{"kind": "iri", "value": "ex:US"}'
+#: (what a saved session may hold, the key its rejection names)
+MALFORMED = [
+    ('[1, 2]', "version"),
+    ('{"version": "1"}', "version"),
+    ('{"version": 1, "root_class": 5}', "root_class"),
+    ('{"version": 1, "seeds": [1]}', "kind"),
+    ('{"version": 1, "seeds": [{"kind": "iri"}]}', "value"),
+    ('{"version": 1, "seeds": [{"kind": "literal", "value": "1"}]}', "datatype"),
+    ('{"version": 1, "conditions": {}}', "conditions"),
+    ('{"version": 1, "conditions": [{"path": []}]}', "action"),
+    ('{"version": 1, "conditions": [{"action": "jump"}]}', "jump"),
+    # one per entry of the field table
+    ('{"version": 1, "conditions": [{"action": "class", "cls": 5}]}', "cls"),
+    ('{"version": 1, "conditions": [{"action": "value"}]}', "path"),
+    ('{"version": 1, "conditions": [{"action": "value", "path": [],'
+     ' "value": %s}]}' % _TERM, "path"),
+    ('{"version": 1, "conditions": [{"action": "value", "path": [{}],'
+     ' "value": %s}]}' % _TERM, "prop"),
+    ('{"version": 1, "conditions": [{"action": "value", "path": '
+     '[{"prop": "ex:p", "inverse": "no"}], "value": %s}]}' % _TERM, "inverse"),
+    ('{"version": 1, "conditions": [{"action": "value", "path": %s,'
+     ' "value": "US"}]}' % _PATH, "value"),
+    ('{"version": 1, "conditions": [{"action": "values", "path": %s,'
+     ' "values": {}}]}' % _PATH, "values"),
+    ('{"version": 1, "conditions": [{"action": "range", "path": %s,'
+     ' "value": %s}]}' % (_PATH, _TERM), "comparator"),
+    ('{"version": 1, "conditions": [{"action": "range", "path": %s,'
+     ' "comparator": "=>", "value": %s}]}' % (_PATH, _TERM), "=>"),
+    # pivot, groups, measure, with_count
+    ('{"version": 1, "pivot": {"path": %s}}' % _PATH, "inner"),
+    ('{"version": 1, "pivot": {"inner": {}, "path": 7}}', "path"),
+    ('{"version": 1, "groups": [{}]}', "path"),
+    ('{"version": 1, "groups": [{"path": %s, "derived": 1}]}' % _PATH, "derived"),
+    ('{"version": 1, "measure": []}', "measure"),
+    ('{"version": 1, "measure": {"path": %s}}' % _PATH, "operations"),
+    ('{"version": 1, "measure": {"path": %s, "operations": [1]}}' % _PATH,
+     "operations"),
+    ('{"version": 1, "with_count": "yes"}', "with_count"),
+]
+
 
 class TestTermSerialization:
     @pytest.mark.parametrize(
@@ -87,6 +150,49 @@ class TestSessionPersistence:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError):
             replay_session(products_graph(), {"version": 99})
+
+    def test_four_kinds_session_byte_for_byte_and_the_parents_file_loads(self):
+        """A saved click is its condition's fields — which are the
+        version-1 keys, in the version-1 order."""
+        session = FacetedAnalyticsSession(products_graph())
+        session.select_class(EX.Laptop)
+        session.select_class(EX.Product)
+        session.select_value((EX.manufacturer, EX.origin), EX.US)
+        session.select_range((EX.USBPorts,), ">=", Literal.of(2))
+        session.select_values((EX.hardDrive,), [EX.SSD1, EX.SSD2])
+        session.group_by((EX.manufacturer,))
+        session.group_by((EX.releaseDate,), derived="YEAR")
+        session.measure((EX.price,), ("AVG", "MAX"))
+        assert session_to_json(session, indent=None) == PARENT_V1
+        restored = replay_session(products_graph(), PARENT_V1)
+        assert restored.state.intention == session.state.intention
+        assert set(restored.extension) == set(session.extension)
+        assert restored.group_specs == session.group_specs
+        assert restored.measure_spec == session.measure_spec
+        assert session_to_json(restored, indent=None) == PARENT_V1
+
+    def test_with_count_survives_save_and_load(self):
+        graph = products_graph()
+        session = FacetedAnalyticsSession(graph)
+        session.group_by(EX.manufacturer)
+        session.measure(EX.price, "AVG")
+        assert "with_count" not in session_to_dict(session)  # off: as before
+        session.with_count()
+        saved = session_to_dict(session)
+        assert saved["with_count"] is True and saved["version"] == 1
+        restored = replay_session(graph, json.dumps(saved))
+        assert restored.run().columns == session.run().columns == (
+            "manufacturer", "avg_price", "count_items")
+        del saved["with_count"]  # an older file: absent reads as off
+        assert replay_session(graph, saved).run().columns == (
+            "manufacturer", "avg_price")
+
+    @pytest.mark.parametrize("document, key", MALFORMED)
+    def test_malformed_saved_session_is_a_value_error_naming_the_key(
+            self, document, key):
+        document = document.replace("ex:", EX.term("").value)
+        with pytest.raises(ValueError, match=key):
+            replay_session(products_graph(), document)
 
 
 class TestShell:
@@ -158,6 +264,22 @@ class TestShell:
         out = fresh.execute(f"load {saved}")
         assert "restored" in out
         assert len(fresh.session.extension) == 2
+
+    def test_malformed_load_is_reported_and_the_session_stays_usable(self, shell):
+        shell.execute("select laptop")
+        for line in ('load {"version":1,"conditions":[{"action":"value"}]}',
+                     'load [1,2]', 'load {"version":1,"root_class":5}',
+                     'load {"version":1', 'load 7'):
+            out = shell.execute(line)
+            assert out.startswith("error: ") and len(out.splitlines()) == 1
+            assert shell.execute("back") == "back to 'initial': 18 objects"
+            assert shell.execute("select laptop") == "Laptop: 3 objects"
+
+    def test_unknown_comparator_is_named(self, shell):
+        shell.execute("select laptop")
+        assert shell.execute("filter price => 900") == (
+            "error: unknown comparator '=>'")
+        assert shell.execute("filter price >= 900") == "price >= 900: 2 objects"
 
     def test_search_restarts_session(self, shell):
         out = shell.execute("search lenovo")

@@ -30,7 +30,7 @@ def test_typecheck_gate_passes_on_target_packages():
     result = _run(
         "--typecheck",
         "src/repro/rdf", "src/repro/hifun", "src/repro/analysis",
-        "src/repro/olap",
+        "src/repro/olap", "src/repro/facets",
     )
     assert result.returncode == 0, result.stdout + result.stderr
 
