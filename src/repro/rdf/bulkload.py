@@ -8,13 +8,15 @@ the input stream:
 
 * **N-Triples** is line-oriented, so :func:`load_ntriples` iterates the
   open file handle and adds each statement as it parses — the only
-  buffered state is one line.  Malformed lines are reported with their
-  1-based line number; ``strict=False`` skips them (collecting the
-  skips in the :class:`LoadReport`) instead of raising.
+  buffered state is one line, plus a memo from each distinct token's
+  text to its dictionary id, so a term is built, hashed and interned
+  once per load, not once per occurrence.  Malformed lines are reported
+  with their 1-based line number; ``strict=False`` skips them
+  (collecting the skips in the :class:`LoadReport`) instead of raising.
 * **Turtle** has document-level state (prefixes, multi-statement
-  grammar), so :func:`load_turtle` holds the document *text* but still
-  adds triples into the target graph as the parser emits them — no
-  intermediate triple list or second graph is ever built.
+  grammar), so :func:`load_turtle` reads the document whole, parses it
+  into one triple list and adds that to the target graph — no second
+  graph is built.
 
 Every loader takes an optional target ``graph``; by default it builds a
 :class:`~repro.rdf.sharding.ShardedGraph` when ``shards > 1`` and a
@@ -30,8 +32,9 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, List, Optional, Tuple, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.ntriples import NTriplesError, parse_lines
+from repro.rdf.ntriples import NTriplesError, scan_lines, term_from_groups
 from repro.rdf.sharding import ShardedGraph
+from repro.rdf.turtle import TurtleParser
 
 #: File suffixes understood by :func:`load_file`.
 _NTRIPLES_SUFFIXES = (".nt", ".ntriples")
@@ -86,7 +89,8 @@ def load_ntriples(
     lines.  Returns ``(graph, report)``.  In strict mode the first
     malformed line raises :class:`BulkLoadError` with its line number
     (the graph keeps the statements already added — bulk load is not
-    transactional); otherwise malformed lines are skipped and recorded.
+    transactional); otherwise malformed lines are skipped and recorded
+    (a skipped line interns no term: its kinds are checked first).
     """
     target = _target_graph(graph, shards)
     report = LoadReport()
@@ -94,8 +98,21 @@ def load_ntriples(
     handle: Iterable[str] = (
         open(source, "r", encoding="utf-8") if own_handle else source)
     try:
-        add = target.add
-        stream = parse_lines(
+        add_ids, encode = target._add_ids, target.dictionary.encode
+
+        class SlotIds(dict):
+            """The per-load memo: a slot's five regex groups (``<a>``,
+            ``_:a``, ``"a"`` and ``"a"@en`` are four keys) → the id of
+            the term they spell, built and interned on first sight only.
+            Tuples of strings to ints: nothing the cyclic collector
+            keeps tracking while the load fills the heap."""
+
+            def __missing__(self, slot: tuple) -> int:
+                ident = self[slot] = encode(term_from_groups(slot))
+                return ident
+
+        ids = SlotIds()
+        stream = scan_lines(
             handle, strict=strict,
             on_skip=lambda line_no, message:
                 report.skipped.append((line_no, message)),
@@ -103,7 +120,7 @@ def load_ntriples(
         try:
             for _, (s, p, o) in stream:
                 report.statements += 1
-                if add(s, p, o):
+                if add_ids(ids[s], ids[p], ids[o]):
                     report.triples_added += 1
         except NTriplesError as exc:
             raise BulkLoadError(str(exc), line=exc.line) from exc
@@ -121,20 +138,15 @@ def load_turtle(
     """Load a Turtle document into a store.
 
     Turtle's grammar is document-scoped (prefix directives, ``;``/``,``
-    continuation), so the text is read whole — but the parser adds each
-    triple straight into the target graph, so no intermediate triple
-    collection or staging graph exists, and a sharded target receives
-    its triples pre-routed.
+    continuation), so the text is read and parsed whole; the parsed
+    statements are then added straight to the target graph (no staging
+    graph), a sharded target routing each to its owning slice.
     """
-    from repro.rdf.turtle import parse_file
-
     target = _target_graph(graph, shards)
-    before = len(target)
-    parse_file(os.fspath(source), graph=target)
-    report = LoadReport()
-    report.triples_added = len(target) - before
-    report.statements = report.triples_added
-    return target, report
+    with open(source, encoding="utf-8") as handle:
+        statements = TurtleParser(handle.read()).parse()
+    return target, LoadReport(statements=len(statements),
+                              triples_added=target.add_all(statements))
 
 
 def load_file(

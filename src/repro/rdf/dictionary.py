@@ -62,10 +62,11 @@ class TermDictionary:
     def clone(self) -> "TermDictionary":
         """An independent copy with identical term ↔ id assignments.
 
-        Used when repartitioning a store (``ShardedGraph.from_graph``):
-        copying the two maps wholesale is far cheaper than re-interning
-        every term, and — because ids are append-only — the clone stays
-        valid for every id the source ever issued.
+        Used when copying or repartitioning a store (``Graph.copy``,
+        ``ShardedGraph.from_graph``): copying the two maps wholesale is
+        far cheaper than re-interning every term, and — because ids are
+        append-only — the clone stays valid for every id the source ever
+        issued.
         """
         twin = TermDictionary()
         twin._ids = dict(self._ids)

@@ -516,13 +516,33 @@ class Graph:
         """An empty (or pre-filled) store with this one's layout.
 
         Subclasses override to preserve their partitioning, so derived
-        graphs (copies, differences, schema closures — which start from
-        ``source.copy()``) keep the concrete store class.
+        graphs (copies — the RDFS closure starts from one — differences,
+        subject filters) keep the concrete store class.
         """
         return type(self)(triples)
 
     def copy(self) -> "Graph":
-        return self._new_like(self.triples())
+        """An independent twin with the same ids, built in id space: no
+        term is decoded, validated or interned again.  The dictionary is
+        cloned, not shared, so a term only the twin goes on to intern
+        stays unknown to :meth:`encode_term` here."""
+        twin = self._new_like()
+        twin._copy_from(self, self._dict.clone())
+        return twin
+
+    def _copy_from(self, source: "Graph", dictionary: TermDictionary) -> None:
+        """Take over ``source``'s content under ``dictionary``: the three
+        index maps copied down to the innermost set, the statistics and
+        the blank-node counter."""
+        self._dict = dictionary
+        self._spo, self._pos, self._osp = (
+            {key: {inner: set(ids) for inner, ids in row.items()}
+             for key, row in index.items()}
+            for index in (source._spo, source._pos, source._osp))
+        self._pred_count = dict(source._pred_count)
+        self._size = source._size
+        self._bnode_counter = source._bnode_counter
+        self.generation = 1 if self._size else 0
 
     def union(self, other: "Graph") -> "Graph":
         result = self.copy()

@@ -9,10 +9,10 @@ datatype or language tag).
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Literal, Triple, XSD_STRING
+from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, XSD_STRING
 
 
 class NTriplesError(ValueError):
@@ -52,44 +52,48 @@ def _unescape(text: str) -> str:
     return _UNESCAPE_RE.sub(repl, text)
 
 
-def _term_from_groups(groups, offset):
-    iri, bnode, lex, datatype, lang = groups[offset : offset + 5]
+def term_from_groups(groups: Sequence[Optional[str]]) -> Term:
+    """The term one slot's five regex groups spell."""
+    iri, bnode, lex, datatype, lang = groups
     if iri is not None:
         return IRI(iri)
     if bnode is not None:
         return BNode(bnode)
-    if lex is None:
-        return None
     lexical = _unescape(lex)
     if lang:
         return Literal(lexical, XSD_STRING, lang)
     return Literal(lexical, datatype or XSD_STRING)
 
 
-def parse_line(line: str) -> Triple:
-    """Parse one N-Triples statement line into a triple."""
+def _slots(line: str) -> Tuple[tuple, tuple, tuple]:
+    """One statement line as the regex groups of its three slots, five
+    each, kind-checked before any term is built from them."""
     match = _LINE_RE.match(line)
     if match is None:
         raise NTriplesError(f"not an N-Triples statement: {line!r}")
     groups = match.groups()
-    s = _term_from_groups(groups, 0)
-    p = _term_from_groups(groups, 5)
-    o = _term_from_groups(groups, 10)
-    if not isinstance(p, IRI):
+    if groups[5] is None:
         raise NTriplesError(f"predicate must be an IRI: {line!r}")
-    if isinstance(s, Literal):
+    if groups[2] is not None:
         raise NTriplesError(f"subject cannot be a literal: {line!r}")
-    return (s, p, o)
+    return groups[0:5], groups[5:10], groups[10:15]
 
 
-def parse_lines(lines: Iterable[str], strict: bool = True,
-                on_skip: Optional[Callable[[int, str], None]] = None,
-                ) -> Iterator[Tuple[int, Triple]]:
-    """Stream ``(line_number, triple)`` pairs from an iterable of lines.
+def parse_line(line: str) -> Triple:
+    """Parse one N-Triples statement line into a triple."""
+    return tuple(map(term_from_groups, _slots(line)))
 
-    The streaming core shared by :func:`parse` and the bulk loader
-    (:mod:`repro.rdf.bulkload`): it consumes any line iterable — an
-    open file handle included — one line at a time, so a document never
+
+def scan_lines(lines: Iterable[str], strict: bool = True,
+               on_skip: Optional[Callable[[int, str], None]] = None,
+               ) -> Iterator[Tuple[int, Tuple[tuple, tuple, tuple]]]:
+    """Stream ``(line_number, slots)`` pairs from an iterable of lines,
+    a slot being the five regex groups :func:`term_from_groups` reads.
+
+    The streaming core shared by :func:`parse_lines` and the bulk loader
+    (:mod:`repro.rdf.bulkload`, which builds a term once per distinct
+    slot, not three per line): it consumes any line iterable — an open
+    file handle included — one line at a time, so a document never
     needs to be materialized in memory.  Line numbers are 1-based and
     count *every* input line (blank and comment lines too), so a
     reported position matches the file.
@@ -104,13 +108,22 @@ def parse_lines(lines: Iterable[str], strict: bool = True,
         if not line or line.startswith("#"):
             continue
         try:
-            yield line_no, parse_line(line)
+            yield line_no, _slots(line)
         except NTriplesError as exc:
             if strict:
                 raise NTriplesError(f"line {line_no}: {exc}",
                                     line=line_no) from exc
             if on_skip is not None:
                 on_skip(line_no, str(exc))
+
+
+def parse_lines(lines: Iterable[str], strict: bool = True,
+                on_skip: Optional[Callable[[int, str], None]] = None,
+                ) -> Iterator[Tuple[int, Triple]]:
+    """Stream ``(line_number, triple)`` pairs: :func:`scan_lines` (same
+    line numbering, ``strict`` and ``on_skip``) with every term built."""
+    for line_no, slots in scan_lines(lines, strict, on_skip):
+        yield line_no, tuple(map(term_from_groups, slots))
 
 
 def parse(text: str) -> Iterator[Triple]:

@@ -35,16 +35,16 @@ _CLASS = RDFS.Class
 _PROPERTY = RDF.Property
 
 
-def _transitive_closure(edges: Dict[Term, Set[Term]]) -> Dict[Term, Set[Term]]:
+def _transitive_closure(edges: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
     """All-pairs reachability, cycle-safe (iterates to a fixpoint)."""
-    closure: Dict[Term, Set[Term]] = {
+    closure: Dict[int, Set[int]] = {
         node: set(successors) for node, successors in edges.items()
     }
     changed = True
     while changed:
         changed = False
         for node, reachable in closure.items():
-            additions: Set[Term] = set()
+            additions: Set[int] = set()
             for succ in reachable:
                 additions |= closure.get(succ, set())
             before = len(reachable)
@@ -57,62 +57,68 @@ def _transitive_closure(edges: Dict[Term, Set[Term]]) -> Dict[Term, Set[Term]]:
 class RDFSClosure:
     """The RDFS closure ``C(K)`` of a graph ``K`` (§5.3.1).
 
-    The closure is computed eagerly at construction; :meth:`graph` returns
-    a new :class:`Graph` containing the asserted plus the inferred triples.
+    The closure is computed eagerly at construction and in id space: it
+    starts from ``source.copy()`` (same ids, ``source`` is not written)
+    and every pass reads POS rows and writes encoded triples — no triple
+    is decoded.  :meth:`graph` returns the new :class:`Graph` containing
+    the asserted plus the inferred triples.
     """
 
     def __init__(self, source: Graph):
-        self.source = source
-        self._subclass_of = self._edge_map(_SUBCLASS)
-        self._subprop_of = self._edge_map(_SUBPROP)
-        self.superclasses = _transitive_closure(self._subclass_of)
-        self.superproperties = _transitive_closure(self._subprop_of)
-        self._graph = self._materialize()
+        self._graph = self._materialize(source)
 
-    def _edge_map(self, predicate: IRI) -> Dict[Term, Set[Term]]:
-        edges: Dict[Term, Set[Term]] = defaultdict(set)
-        for s, _, o in self.source.triples(None, predicate, None):
-            if s != o:
-                edges[s].add(o)
-        return dict(edges)
+    @staticmethod
+    def _materialize(source: Graph) -> Graph:
+        g = source.copy()
+        add, pos, decode = g._add_ids, g.pos_ids, g.dictionary.decode
+        # The vocabulary is interned up front: ``g`` is ours to write.
+        type_id, subclass_id, subprop_id, domain_id, range_id = map(
+            g.dictionary.encode, (_TYPE, _SUBCLASS, _SUBPROP, _DOMAIN, _RANGE))
 
-    def _materialize(self) -> Graph:
-        g = self.source.copy()
+        def superiors(pi: int) -> Dict[int, Set[int]]:
+            edges: Dict[int, Set[int]] = defaultdict(set)
+            for oi, subjects in pos(pi).items():
+                for si in subjects:
+                    if si != oi:
+                        edges[si].add(oi)
+            return _transitive_closure(edges)
+
+        superclasses = superiors(subclass_id)
+        superproperties = superiors(subprop_id)
         # subClassOf / subPropertyOf transitivity
-        for cls, supers in self.superclasses.items():
-            for sup in supers:
-                g.add(cls, _SUBCLASS, sup)
-        for prop, supers in self.superproperties.items():
-            for sup in supers:
-                g.add(prop, _SUBPROP, sup)
+        for pi, closure in ((subclass_id, superclasses),
+                            (subprop_id, superproperties)):
+            for node, supers in closure.items():
+                for sup in supers:
+                    add(node, pi, sup)
+        # The passes below write to ``g`` while they walk it, so each
+        # walks a snapshot: of a property's rows, then of one row.
         # subPropertyOf triple propagation (do this before domain/range and
         # type propagation so inherited statements are typed as well).
-        for prop, supers in self.superproperties.items():
-            if not supers:
-                continue
-            for s, _, o in list(g.triples(None, prop, None)):
-                for sup in supers:
-                    if isinstance(sup, IRI):
-                        g.add(s, sup, o)
+        for prop, supers in superproperties.items():
+            targets = [sup for sup in supers if isinstance(decode(sup), IRI)]
+            for oi, subjects in list(pos(prop).items()):
+                for si in tuple(subjects):
+                    for sup in targets:
+                        add(si, sup, oi)
         # domain / range typing
-        for prop, _, cls in list(g.triples(None, _DOMAIN, None)):
-            if not isinstance(prop, IRI):
-                continue
-            for s, _, _o in list(g.triples(None, prop, None)):
-                g.add(s, _TYPE, cls)
-        for prop, _, cls in list(g.triples(None, _RANGE, None)):
-            if not isinstance(prop, IRI):
-                continue
-            for _s, _, o in list(g.triples(None, prop, None)):
-                if not isinstance(o, Literal):
-                    g.add(o, _TYPE, cls)
+        for cls, props in list(pos(domain_id).items()):
+            for prop in tuple(props):
+                if isinstance(decode(prop), IRI):
+                    for subjects in list(pos(prop).values()):
+                        for si in tuple(subjects):
+                            add(si, type_id, cls)
+        for cls, props in list(pos(range_id).items()):
+            for prop in tuple(props):
+                if isinstance(decode(prop), IRI):
+                    for oi in list(pos(prop)):
+                        if not isinstance(decode(oi), Literal):
+                            add(oi, type_id, cls)
         # rdf:type propagation along subClassOf
-        for cls, supers in self.superclasses.items():
-            if not supers:
-                continue
-            for inst in list(g.subjects(_TYPE, cls)):
+        for cls, supers in superclasses.items():
+            for si in tuple(g.subjects_ids(type_id, cls)):
                 for sup in supers:
-                    g.add(inst, _TYPE, sup)
+                    add(si, type_id, sup)
         return g
 
     def graph(self) -> Graph:

@@ -110,6 +110,14 @@ class ShardedGraph(Graph):
     def _new_like(self, triples: Optional[Iterable[Triple]] = None) -> "ShardedGraph":
         return ShardedGraph(triples, shards=self.num_shards)
 
+    def _copy_from(self, source: "ShardedGraph",
+                   dictionary: TermDictionary) -> None:
+        """The roll-up (this store's own index maps stay empty), then
+        slice by slice — all under the one ``dictionary``."""
+        super()._copy_from(source, dictionary)
+        for piece, original in zip(self._slices, source._slices):
+            piece._copy_from(original, dictionary)
+
     @property
     def shards(self) -> Tuple[Graph, ...]:
         """The partition slices, in routing order (read-only use)."""

@@ -8,7 +8,9 @@ in-memory parsers, and a sharded target receives the same graph a flat
 one does.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.rdf import ntriples, turtle
 from repro.rdf.bulkload import (
@@ -22,7 +24,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.ntriples import NTriplesError, parse_lines
 from repro.rdf.sharding import ShardedGraph
-from repro.rdf.terms import Literal
+from repro.rdf.terms import BNode, IRI, Literal
 
 GOOD_NT = """\
 # a comment on line 1
@@ -84,6 +86,40 @@ class TestLoadNTriples:
         assert report.statements == 6
         assert report.triples_added == 3
         assert len(graph) == 3
+
+    def test_turtle_counts_statements_like_ntriples(self, tmp_path):
+        path = tmp_path / "twice.ttl"
+        path.write_text("@prefix ex: <http://example.org/> .\n"
+                        "ex:a ex:p ex:b .\nex:a ex:p ex:b .\n",
+                        encoding="utf-8")
+        graph, report = load_turtle(path)
+        assert (report.statements, report.triples_added, len(graph)) == (2, 1, 1)
+
+    def test_spellings_of_one_term_get_one_id(self):
+        graph, report = load_ntriples([
+            '<http://e/s> <http://e/p> "a" .',
+            '<http://e/s> <http://e/p> "a"^^<http://www.w3.org/2001/XMLSchema#string> .',
+            '<http://e/s> <http://e/p> "\\u0061" .',
+            '<http://e/s> <http://e/p> "a"@en .',
+            '<http://e/s> <http://e/p> <a> .',
+            '<http://e/s> <http://e/p> _:a .',
+        ])
+        assert (report.statements, report.triples_added) == (6, 4)
+        assert set(graph.objects(IRI("http://e/s"), IRI("http://e/p"))) == {
+            Literal("a"), Literal("a", language="en"), IRI("a"), BNode("a")}
+        assert len(graph.dictionary) == 6
+
+    def test_a_skipped_line_interns_nothing(self):
+        graph, report = load_ntriples([
+            '"lit" <http://e/p> <http://e/only-in-a-bad-line> .',
+            '<http://e/only-in-a-bad-line> _:p <http://e/o> .',
+        ], strict=False)
+        assert report.skipped == [
+            (1, "subject cannot be a literal: " + repr(
+                '"lit" <http://e/p> <http://e/only-in-a-bad-line> .')),
+            (2, "predicate must be an IRI: " + repr(
+                '<http://e/only-in-a-bad-line> _:p <http://e/o> .'))]
+        assert len(graph.dictionary) == 0
 
     def test_strict_failure_carries_the_line_number(self, tmp_path):
         path = tmp_path / "bad.nt"
@@ -173,3 +209,77 @@ ex:b ex:p 3 .
                             skipped=[(3, "bad")])
         assert "5 statements" in repr(report)
         assert "1 skipped" in repr(report)
+
+
+# ----------------------------------------------------------------------
+# The loader interns each distinct token once and writes ids; the
+# Term-level path it replaced — parse_lines + Graph.add — is the oracle.
+# ----------------------------------------------------------------------
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_SUBJECTS = ["<http://e/a>", "<http://e/b>", "_:a", "_:n1"]
+_PREDICATES = ["<http://e/p>", "<http://e/q>", "<http://e/a>"]
+_OBJECTS = _SUBJECTS + [
+    '"a"', f'"a"^^<{_XSD}string>', '"\\u0061"', '"\\U00000061"', '"a"@en',
+    '"a"@en-GB', '""', '"3"', f'"3"^^<{_XSD}integer>', '"tab\\there"',
+    '"line\\nbreak"', '"say \\"hi\\""', '"back\\\\slash"', '"caf\\u00E9"',
+    '"café"', '"<http://e/a>"', '"_:a"',
+]
+_statement_lines = st.builds(
+    "{} {} {} .{}".format,
+    st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+    st.sampled_from(_OBJECTS), st.sampled_from(["", " ", " # trailing"]))
+_other_lines = st.sampled_from([
+    "", "   ", "# a comment", "this is not a triple", "line 7: nor is this",
+    '"lit" <http://e/p> <http://e/only-bad> .',      # literal subject
+    "<http://e/a> _:onlybad <http://e/b> .",         # blank-node predicate
+    '<http://e/a> "only-bad" <http://e/b> .',        # literal predicate
+    "<http://e/a> <http://e/p> <http://e/only-bad>", # no final dot
+    '<http://e/a> <http://e/p> "only-bad .',         # unterminated
+])
+_documents = st.lists(
+    st.one_of(_statement_lines, _statement_lines, _other_lines), max_size=14)
+
+
+def _term_level_load(lines, target, strict):
+    """What ``load_ntriples`` did before: every line's three terms
+    built by ``parse_lines``, then ``Graph.add``."""
+    report = LoadReport()
+    stream = parse_lines(
+        lines, strict=strict,
+        on_skip=lambda line_no, message:
+            report.skipped.append((line_no, message)))
+    for _, (s, p, o) in stream:
+        report.statements += 1
+        report.triples_added += target.add(s, p, o)
+    return report
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@given(lines=_documents, strict=st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_loading_by_ids_equals_parsing_terms_and_adding_them(
+        shards, lines, strict):
+    expected = Graph() if shards == 1 else ShardedGraph(shards=shards)
+    loaded = expected._new_like()
+    try:
+        expected_report = _term_level_load(lines, expected, strict)
+    except NTriplesError as expected_error:
+        with pytest.raises(BulkLoadError) as raised:
+            load_ntriples(lines, graph=loaded, strict=strict)
+        assert str(raised.value) == str(expected_error)
+        assert raised.value.line == expected_error.line
+        assert raised.value.__cause__.line == expected_error.line
+        assert str(raised.value.__cause__) == str(expected_error)
+    else:
+        graph, report = load_ntriples(lines, strict=strict, shards=shards)
+        assert type(graph) is type(expected) and graph == expected
+        assert report == expected_report
+        assert load_ntriples(lines, graph=loaded, strict=strict)[1] == report
+    # Strict or not, failed or not: the same triples arrived, every
+    # term got the id the Term-level path gives it, and nothing else —
+    # no token of a skipped or failing line — was interned.
+    assert set(loaded) == set(expected)
+    assert loaded.predicate_counts() == expected.predicate_counts()
+    assert len(loaded.dictionary) == len(expected.dictionary)
+    assert all(loaded.decode_id(i) == expected.decode_id(i)
+               for i in range(len(expected.dictionary)))

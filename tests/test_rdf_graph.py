@@ -1,10 +1,13 @@
 """Unit tests of the indexed triple store."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.sharding import ShardedGraph
+from repro.rdf.terms import BNode, IRI, Literal
 
 
 @pytest.fixture()
@@ -100,6 +103,11 @@ class TestSetOperations:
         clone.add(EX.z, EX.p, EX.z)
         assert len(clone) == len(graph) + 1
 
+    def test_copy_carries_the_blank_node_counter(self, graph):
+        minted = graph.new_bnode()
+        graph.add(minted, EX.p, EX.o)
+        assert graph.copy().new_bnode() != minted
+
     def test_union(self, graph):
         other = Graph([(EX.z, EX.p, EX.z), (EX.a, EX.p, EX.b)])
         merged = graph.union(other)
@@ -122,3 +130,53 @@ class TestSetOperations:
         assert graph
         assert not Graph()
         assert len(list(iter(graph))) == 4
+
+
+# ----------------------------------------------------------------------
+# copy() is built in id space (index maps and dictionary copied, nothing
+# re-inserted): what either side does afterwards must stay invisible to
+# the other, down to the innermost index set and the dictionary.
+# ----------------------------------------------------------------------
+_NODES = [EX.term(f"n{i}") for i in range(4)] + [BNode("k")]
+_PREDICATES = [EX.term(f"p{i}") for i in range(3)]
+_VALUES = _NODES + [Literal.of(1), Literal.of("x")]
+_statements = st.tuples(st.sampled_from(_NODES), st.sampled_from(_PREDICATES),
+                        st.sampled_from(_VALUES))
+#: (on the copy?, add?, triple)
+_writes = st.lists(st.tuples(st.booleans(), st.booleans(), _statements),
+                   max_size=20)
+
+
+def _observe(store):
+    """What a reader can see of ``store``, index rows and ids included."""
+    ids = [store.encode_term(term) for term in _PREDICATES + _VALUES]
+    rows = {pi: {oi: set(subjects) for oi, subjects in store.pos_ids(pi).items()}
+            for pi in ids[:len(_PREDICATES)] if pi is not None}
+    return (set(store.triples()), len(store), store.predicate_counts(),
+            [store.count(None, p, None) for p in _PREDICATES], rows, ids)
+
+
+@pytest.mark.parametrize(
+    "empty", [Graph, lambda: ShardedGraph(shards=4)], ids=["flat", "4-shard"])
+@given(base=st.lists(_statements, max_size=12), writes=_writes)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_copy_and_original_never_see_each_others_writes(empty, base, writes):
+    original = empty()
+    original.add_all(base)
+    clone = original.copy()
+    assert type(clone) is type(original)
+    assert clone == original
+    assert _observe(clone) == _observe(original)
+    sides, expected = (original, clone), [set(base), set(base)]
+    for on_copy, is_add, statement in writes:
+        written, other = sides[on_copy], sides[not on_copy]
+        before = _observe(other)
+        if is_add:
+            written.add(*statement)
+            expected[on_copy].add(statement)
+        else:
+            written.remove(*statement)
+            expected[on_copy].discard(statement)
+        assert _observe(other) == before
+        assert set(written.triples()) == expected[on_copy]
+        assert written.count() == len(expected[on_copy])

@@ -163,6 +163,15 @@ class TestPartitioning:
         assert isinstance(filtered, ShardedGraph)
         assert filtered.num_shards == shards
 
+    def test_copy_carries_the_blank_node_counter(self):
+        store = ShardedGraph(shards=4)
+        minted = store.new_bnode()
+        store.add(minted, EX.maker, EX.maker0)
+        clone = store.copy()
+        assert clone.new_bnode() != minted
+        assert rollup(clone) == rollup(store) == (1, {EX.maker: 1})
+        assert clone.shard_sizes() == store.shard_sizes()
+
 
 def untouched_slices(store: ShardedGraph):
     """Every slice as a fresh ``Graph`` holding the same triples — what

@@ -50,6 +50,67 @@ def test_no_module_under_src_reads_the_environment():
     assert not found, found
 
 
+RDF_SRC = REPO / "src" / "repro" / "rdf"
+
+#: Term-level reads and writes: each decodes or re-interns per triple.
+TERM_LEVEL = {"triples", "subjects", "objects", "add_all", "decode_ids",
+              "all_subjects"}
+
+
+def _definition(tree, *names):
+    """The class or function reached from ``tree`` by following ``names``."""
+    for name in names:
+        tree = next(node for node in tree.body
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name == name)
+    return tree
+
+
+def _attribute_calls(scopes, names):
+    return [f"{node.func.attr}:{node.lineno}"
+            for scope in scopes for node in ast.walk(scope)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names]
+
+
+def _setup_leaves_id_space(rdfs_path=RDF_SRC / "rdfs.py"):
+    """Where set-up — the store copy, the RDFS closure, the N-Triples
+    loader — goes back to the Term-level API."""
+    graph, sharding, bulkload, rdfs = (
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in (RDF_SRC / "graph.py", RDF_SRC / "sharding.py",
+                     RDF_SRC / "bulkload.py", rdfs_path))
+    closure = [node for node in rdfs.body
+               if getattr(node, "name", None) != "SchemaView"]
+    found = _attribute_calls(
+        [_definition(graph, "Graph", "copy"),
+         _definition(graph, "Graph", "_copy_from"),
+         _definition(sharding, "ShardedGraph", "_copy_from"), *closure],
+        TERM_LEVEL)
+    loader = _definition(bulkload, "load_ntriples")
+    found += [f"{node.attr}:{node.lineno}" for node in ast.walk(loader)
+              if isinstance(node, ast.Attribute)
+              and node.attr in ("add", "add_all")]
+    return found
+
+
+def test_setup_stays_in_id_space(tmp_path):
+    """``Graph.copy``, its sharded hook, everything in ``rdfs.py`` but
+    ``SchemaView``, and ``load_ntriples`` read index rows and write ids:
+    copying by re-insertion and closing over decoded triples were
+    ≈ 45 % of the benchmark's ``setup_s``."""
+    assert _setup_leaves_id_space() == []
+    planted = tmp_path / "rdfs.py"
+    planted.write_text(
+        (RDF_SRC / "rdfs.py").read_text(encoding="utf-8").replace(
+            "        return g\n",
+            "        list(g.triples(None, None, None))\n        return g\n", 1),
+        encoding="utf-8")
+    assert [hit.split(":")[0] for hit in _setup_leaves_id_space(planted)
+            ] == ["triples"]
+
+
 def test_lint_detects_planted_defects(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
