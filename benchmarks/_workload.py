@@ -5,17 +5,9 @@ KG — from an ungrouped count up to the full motivating query of the
 introduction (paths, restrictions, multiple aggregates, HAVING).  Both
 efficiency tables (6.1 peak / 6.2 off-peak) and the ablations share this
 workload.
-
-This module also owns :func:`write_bench_json`, the one sanctioned way
-a benchmark emits its machine-readable twin into the artifact directory
-(``tools/bench_compare.py`` diffs two such files to gate regressions).
-Benchmarks that never call it still get a JSON artifact: the conftest
-session hook converts their pytest-benchmark stats on exit.
 """
 
-import json
 import os
-from typing import Dict, Mapping, Optional, Set
 
 from repro.hifun import (
     Attribute,
@@ -32,54 +24,9 @@ from repro.rdf.terms import Literal
 #: Artifact directory.  The default is an untracked scratch directory,
 #: so running the benches (tier-1 collects them) never rewrites the
 #: checked-in baselines under ``benchmarks/out/``; only ``make
-#: bench-refresh`` points REPRO_BENCH_OUT there.  A candidate run in the
-#: scratch directory is diffed against the baselines with
-#: ``tools/bench_compare.py``.
+#: bench-refresh`` points REPRO_BENCH_OUT there.
 OUT_DIR = os.environ.get(
     "REPRO_BENCH_OUT", os.path.join(os.path.dirname(__file__), ".scratch"))
-
-#: Benchmark names that already wrote their JSON explicitly this
-#: session; the conftest auto-emit hook skips these so a hand-crafted
-#: artifact (richer params, engine variants) is never clobbered by the
-#: generic pytest-benchmark dump.
-_WRITTEN: Set[str] = set()
-
-#: The schema version stamped into every artifact, so the comparator
-#: can refuse to diff files from incompatible eras.
-BENCH_JSON_VERSION = 1
-
-
-def write_bench_json(
-    name: str,
-    ops: Mapping[str, float],
-    params: Optional[Mapping[str, object]] = None,
-    engine: Optional[str] = None,
-    out_dir: Optional[str] = None,
-) -> str:
-    """Write ``<artifact directory>/<name>.json`` and return its path.
-
-    ``ops`` maps operation label → median milliseconds.  ``params``
-    records whatever identifies the workload (sizes, seeds) and
-    ``engine`` the execution variant measured, so two artifacts are
-    comparable only when those match — ``tools/bench_compare.py``
-    enforces exactly that.
-    """
-    directory = OUT_DIR if out_dir is None else out_dir
-    os.makedirs(directory, exist_ok=True)
-    payload: Dict[str, object] = {
-        "version": BENCH_JSON_VERSION,
-        "name": name,
-        "params": dict(params or {}),
-        "engine": engine,
-        "ops": {label: {"median_ms": round(float(ms), 4)}
-                for label, ms in sorted(ops.items())},
-    }
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _WRITTEN.add(name)
-    return path
 
 
 manufacturer = Attribute(EX.manufacturer)

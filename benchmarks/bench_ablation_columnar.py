@@ -10,26 +10,22 @@ The listing half this bench once had — one member-by-member scan per
 property against the shared scan — compared two loops of which one
 remains; its verdict is frozen in EXPERIMENTS.md (*Frozen verdicts*).
 
-Sizes come from ``REPRO_BENCH_SIZES`` (``make bench-smoke`` sets 100);
-the default sweep ends at the dissertation's 1600-laptop scale, where
-the acceptance bar is ≥1.5× on the analytic run.
+Sizes come from ``REPRO_BENCH_SIZES``; the default sweep ends at the
+dissertation's 1600-laptop scale, where the acceptance bar is ≥1.5× on
+the analytic run.
 """
 
 import gc
 import os
 import time
 
-import pytest
-
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.hifun import evaluate_hifun
 from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.namespace import EX
 
-from _workload import WORKLOAD, write_bench_json
+from _workload import WORKLOAD
 from conftest import format_table
-
-pytestmark = pytest.mark.smoke
 
 SIZES = tuple(
     int(size)
@@ -71,8 +67,8 @@ def _measure_analytic(graph):
 
 
 def run_ablation(sizes=SIZES):
-    """Per size: row/columnar analytic seconds — the importable core,
-    reused by the tier-1 smoke test in ``tests/test_bench_tools.py``."""
+    """Per size: row/columnar analytic seconds, after checking that both
+    engines return the same rows."""
     results = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=17))
@@ -85,7 +81,6 @@ def test_ablation_columnar(benchmark, artifact_writer):
     results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
 
     body = []
-    ops = {}
     for size, timing in results.items():
         analytic_speedup = timing["analytic_row"] / max(
             timing["analytic_columnar"], 1e-9)
@@ -95,22 +90,14 @@ def test_ablation_columnar(benchmark, artifact_writer):
             f"{timing['analytic_columnar'] * 1000:.1f} ms",
             f"{analytic_speedup:.1f}x",
         ))
-        for label, seconds in timing.items():
-            ops[f"{label}_{size}"] = seconds * 1000.0
 
     text = "Ablation: row vs columnar HIFUN\n"
     text += format_table(
         ["laptops", "analytic row", "analytic columnar", "speedup"], body)
     artifact_writer("ablation_columnar.txt", text)
-    write_bench_json(
-        "ablation_columnar", ops,
-        params={"sizes": list(results), "workload": list(ANALYTIC_QIDS),
-                "repeats": REPEATS, "seed": 17},
-        engine="row|columnar",
-    )
 
     # The batch engine must win, and win *more* at the large end; exact
-    # ratios are recorded in the JSON artifact (the acceptance numbers
+    # ratios are recorded in the text artifact (the acceptance numbers
     # are asserted at the 1600 scale only, where timing noise is small
     # relative to the work).
     largest = max(results)

@@ -14,15 +14,13 @@ The sweep records what partitioning costs a scan that stays in one
 process; it has no speed-up to show and asserts none (the verdict and
 its numbers are frozen in EXPERIMENTS.md, *Ablations*).
 
-Sizes come from ``REPRO_BENCH_SIZES`` (``make bench-smoke`` sets 100).
+Sizes come from ``REPRO_BENCH_SIZES``.
 """
 
 import gc
 import os
 import statistics
 import time
-
-import pytest
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession
@@ -31,10 +29,8 @@ from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.namespace import EX
 from repro.rdf.sharding import ShardedGraph
 
-from _workload import WORKLOAD, write_bench_json
+from _workload import WORKLOAD
 from conftest import cold_listings, format_table
-
-pytestmark = pytest.mark.smoke
 
 SIZES = tuple(
     int(size)
@@ -87,9 +83,8 @@ def _measure_variant(store, session):
 
 
 def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
-    """Per size: ``{shards: {"facets_s": ..., "analytic_s": ...}}`` plus
-    the equality checks — the importable core, reused by the tier-1
-    smoke test in ``tests/test_bench_tools.py``."""
+    """Per size: ``{shards: {"facets_s": ..., "analytic_s": ...}}``,
+    after the equality checks."""
     results = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
@@ -128,7 +123,6 @@ def test_ablation_sharding(benchmark, artifact_writer):
     results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
 
     body = []
-    ops = {}
     for size, per_size in results.items():
         base = per_size[min(per_size)]
         for shards, timing in per_size.items():
@@ -140,10 +134,6 @@ def test_ablation_sharding(benchmark, artifact_writer):
                 f"{facet_speedup:.1f}x",
                 f"{timing['analytic_s'] * 1000:.1f} ms",
             ))
-            ops[f"all_facets_shards{shards}_{size}"] = (
-                timing["facets_s"] * 1000.0)
-            ops[f"analytic_shards{shards}_{size}"] = (
-                timing["analytic_s"] * 1000.0)
 
     text = "Ablation: all_facets + analytic slice across shard counts\n"
     text += format_table(
@@ -151,10 +141,3 @@ def test_ablation_sharding(benchmark, artifact_writer):
         body,
     )
     artifact_writer("ablation_sharding.txt", text)
-    write_bench_json(
-        "ablation_sharding", ops,
-        params={"sizes": list(results), "shard_counts": list(SHARD_COUNTS),
-                "workload": list(ANALYTIC_QIDS), "rounds": ROUNDS,
-                "seed": 21},
-        engine="sharded-columnar",
-    )

@@ -6,7 +6,7 @@ query against the inferred schema before execution must add **< 5 %** to
 the cost of the same ``run()`` workload with the checks off.  Timing
 takes the minimum over several interleaved batches, so scheduler noise
 does not masquerade as overhead — and the bar itself is enforced only
-under ``-m smoke`` (``make bench-smoke``); the tier-1 run keeps the
+in a ``--benchmark-only`` run (``make bench``); the tier-1 run keeps the
 logic assertion (strict and permissive answers are identical).
 
 Every timed ``run()`` happens on a freshly re-entered state: a repeated
@@ -16,8 +16,6 @@ the cost the gate adds to *evaluated* queries.
 
 import gc
 import time
-
-import pytest
 
 from repro.datasets import products_graph
 from repro.facets import FacetedAnalyticsSession
@@ -80,7 +78,6 @@ def run_comparison():
     return plain_time, strict_time, answers
 
 
-@pytest.mark.smoke
 def test_static_analysis_overhead(benchmark, artifact_writer, wall_clock_bar):
     plain_time, strict_time, (plain_rows, strict_rows) = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1

@@ -7,12 +7,8 @@ cache (``use_cache=False``) so they time actual evaluation; the two
 ``*_cached`` benchmarks time the cache-hit path by contrast.
 """
 
-import pytest
-
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.sparql import parse_query, query
-
-pytestmark = pytest.mark.smoke
 
 GRAPH = synthetic_graph(SyntheticConfig(laptops=300, seed=31))
 

@@ -5,15 +5,13 @@ wrapper: on a healthy endpoint (no faults injected, no retries fired)
 the deadline/retry/circuit-breaker plumbing must add **< 5 %** to the
 cost of the same workload on a bare :class:`~repro.endpoint.LocalEndpoint`.
 Timing takes the minimum over several batches, so scheduler noise does
-not masquerade as overhead — and the bar itself is enforced only under
-``-m smoke`` (``make bench-smoke``); the tier-1 run keeps the logic
-assertions (no retries, no failures, circuit closed).
+not masquerade as overhead — and the bar itself is enforced only in a
+``--benchmark-only`` run (``make bench``); the tier-1 run keeps the
+logic assertions (no retries, no failures, circuit closed).
 """
 
 import gc
 import time
-
-import pytest
 
 from repro.datasets import products_graph
 from repro.endpoint import LocalEndpoint, ResilientEndpoint, RetryPolicy
@@ -63,7 +61,6 @@ def run_comparison():
     return bare_time, wrapped_time, wrapped
 
 
-@pytest.mark.smoke
 def test_resilient_wrapper_overhead(benchmark, artifact_writer, wall_clock_bar):
     bare_time, wrapped_time, wrapped = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1

@@ -6,11 +6,10 @@ markers, property facets with counts, a path expansion, and a full
 analytic run.  Shape: near-linear growth.
 
 ``test_scalability_shard_curve`` adds the shard axis: the same sweep
-crossed with shard counts (1, 4, 8 by default), emitting a
-machine-readable scalability curve (``scalability_shards.json``) that
-``tools/bench_compare.py`` diffs between runs.  ``REPRO_BENCH_SIZES``
-scales the sweep from the smoke size (100 laptops) up to the 10 M-
-triple mark (~1_700_000 laptops at ~6 triples each).
+crossed with shard counts (1, 4, 8 by default), written as
+``scalability_shards.txt``.  ``REPRO_BENCH_SIZES`` scales the sweep
+from 100 laptops up to the 10 M-triple mark (~1_700_000 laptops at ~6
+triples each).
 """
 
 import gc
@@ -18,20 +17,14 @@ import os
 import statistics
 import time
 
-import pytest
-
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.rdf.namespace import EX
 from repro.rdf.sharding import ShardedGraph
 
-from _workload import write_bench_json
 from conftest import cold_listings, format_table
 
-pytestmark = pytest.mark.smoke
-
-#: Laptop counts to sweep; override with e.g. REPRO_BENCH_SIZES=100 for
-#: the smoke run (``make bench-smoke``).
+#: Laptop counts to sweep; override with e.g. REPRO_BENCH_SIZES=100.
 SIZES = tuple(
     int(size)
     for size in os.environ.get("REPRO_BENCH_SIZES", "100,400,1600").split(",")
@@ -114,11 +107,6 @@ def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
 def test_scalability_shard_curve(benchmark, artifact_writer):
     curve = benchmark.pedantic(measure_shard_curve, rounds=1, iterations=1)
 
-    ops = {
-        f"all_facets_shards{shards}_{size}": seconds * 1000.0
-        for size, per_shards in curve.items()
-        for shards, seconds in per_shards.items()
-    }
     body = [
         (size, *(f"{curve[size][n] * 1000:.1f} ms" for n in SHARD_COUNTS))
         for size in curve
@@ -127,12 +115,6 @@ def test_scalability_shard_curve(benchmark, artifact_writer):
     text += format_table(
         ["laptops"] + [f"{n} shard(s)" for n in SHARD_COUNTS], body)
     artifact_writer("scalability_shards.txt", text)
-    write_bench_json(
-        "scalability_shards", ops,
-        params={"sizes": list(curve), "shard_counts": list(SHARD_COUNTS),
-                "seed": 21},
-        engine="sharded-columnar",
-    )
 
     # Shape: adding shards never blows the scan up catastrophically.
     for size, per_shards in curve.items():

@@ -44,6 +44,7 @@ from repro.rdf.terms import (
     XSD_BOOLEAN,
     XSD_INTEGER,
     XSD_STRING,
+    display_name,
 )
 from repro.hifun.attributes import (
     Attribute,
@@ -272,9 +273,7 @@ class _PathChecker:
 def _names(classes: FrozenSet) -> str:
     if not classes:
         return "unknown"
-    shown = sorted(
-        cls.local_name() if isinstance(cls, IRI) else str(cls) for cls in classes
-    )
+    shown = sorted(display_name(cls) for cls in classes)
     return "{" + ", ".join(shown[:4]) + (", ..." if len(shown) > 4 else "") + "}"
 
 

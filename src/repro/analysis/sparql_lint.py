@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import Term
 from repro.sparql import ast
-from repro.sparql.errors import SparqlParseError
+from repro.sparql.errors import ExpressionError, SparqlParseError
+from repro.sparql.functions import compare, effective_boolean_value
 from repro.sparql.lexer import tokenize
 from repro.sparql.parser import parse_query
 from repro.analysis.diagnostics import AnalysisReport, _Collector
@@ -149,76 +150,48 @@ def _const_value(expr: ast.Expression) -> Optional[Term]:
     return None
 
 
-def _compare_terms(op: str, left: Term, right: Term) -> Optional[bool]:
-    """Outcome of a constant comparison; None when unknown.  A type
-    error (e.g. number vs string ordering) is *effectively false* under
-    SPARQL filter semantics."""
-    if isinstance(left, IRI) or isinstance(right, IRI):
-        if op == "=":
-            return left == right if type(left) is type(right) else False
-        if op == "!=":
-            return left != right if type(left) is type(right) else True
-        return False  # ordering IRIs is a type error -> filter false
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        lv, rv = left.to_python(), right.to_python()
-        mixed_str = isinstance(lv, str) != isinstance(rv, str)
-        if mixed_str:
-            # numeric vs string etc: '=' is false, '!=' true, order errors.
-            return op == "!="
-        try:
-            return {
-                "=": lv == rv,
-                "!=": lv != rv,
-                "<": lv < rv,
-                "<=": lv <= rv,
-                ">": lv > rv,
-                ">=": lv >= rv,
-            }.get(op)
-        except TypeError:
-            return op == "!="
-    return None
-
-
-def _effective_boolean(term: Term) -> Optional[bool]:
-    if not isinstance(term, Literal):
-        return None
-    value = term.to_python()
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    if isinstance(value, str) and term.datatype.endswith("string"):
-        return bool(value)
-    return None
+#: What :func:`_try_truth` returns for an expression whose evaluation
+#: provably raises :class:`ExpressionError`.
+_ERROR = object()
 
 
 def _truth(expr: ast.Expression) -> Optional[bool]:
-    """Fold an expression to a constant truth value when provable."""
+    """Fold an expression to a constant truth value when provable, None
+    when it depends on a binding.  Folds with the evaluator's own
+    ``compare`` / ``effective_boolean_value`` and, like them, raises
+    :class:`ExpressionError` where evaluation provably raises one."""
     if isinstance(expr, ast.TermExpr):
-        return _effective_boolean(expr.term)
+        return effective_boolean_value(expr.term)
     if isinstance(expr, ast.Unary) and expr.op == "!":
         inner = _truth(expr.operand)
         return None if inner is None else not inner
-    if isinstance(expr, ast.Binary):
-        if expr.op == "&&":
-            left, right = _truth(expr.left), _truth(expr.right)
-            if left is False or right is False:
-                return False
-            if left is True and right is True:
-                return True
+    if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+        # SPARQL's three-valued logic, as the evaluator applies it: the
+        # side that decides the outcome excuses an error on the other.
+        decisive = expr.op == "||"
+        sides = (_try_truth(expr.left), _try_truth(expr.right))
+        if decisive in sides:
+            return decisive
+        if None in sides:
             return None
-        if expr.op == "||":
-            left, right = _truth(expr.left), _truth(expr.right)
-            if left is True or right is True:
-                return True
-            if left is False and right is False:
-                return False
-            return None
+        if _ERROR in sides:
+            raise ExpressionError(f"error in {expr.op} operand")
+        return not decisive
+    if isinstance(expr, ast.Binary) and expr.op in (
+            "=", "!=", "<", ">", "<=", ">="):
         left_term = _const_value(expr.left)
         right_term = _const_value(expr.right)
         if left_term is not None and right_term is not None:
-            return _compare_terms(expr.op, left_term, right_term)
+            return compare(expr.op, left_term, right_term)
     return None
+
+
+def _try_truth(expr: ast.Expression) -> object:
+    """:func:`_truth`, with an evaluation error returned as ``_ERROR``."""
+    try:
+        return _truth(expr)
+    except ExpressionError:
+        return _ERROR
 
 
 def _conjuncts(expr: ast.Expression) -> List[ast.Expression]:
@@ -246,7 +219,7 @@ def _equality_contradiction(expr: ast.Expression) -> Optional[str]:
     for name, terms in forced.items():
         first = terms[0]
         for term in terms[1:]:
-            if _compare_terms("=", first, term) is False:
+            if not compare("=", first, term):
                 return name
     return None
 
@@ -402,8 +375,7 @@ class _Linter:
                 path=where,
                 **self._pos(name),
             )
-        folded = _truth(child.condition)
-        if folded is False:
+        if _try_truth(child.condition) in (False, _ERROR):
             self.out.error(
                 "S003",
                 "FILTER condition is provably always false — the block "

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.endpoint import EndpointError
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal, Term, display_name
 from repro.facets.analytics import (
     AnalyticsStateError,
     AnswerFrame,
@@ -233,10 +233,7 @@ class AnalyticsShell:
 
     def _cmd_objects(self, args: List[str]) -> str:
         limit = int(args[0]) if args else 20
-        labels = [
-            t.local_name() if isinstance(t, IRI) else str(t)
-            for t in self.session.objects(limit)
-        ]
+        labels = [display_name(t) for t in self.session.objects(limit)]
         suffix = (
             "" if len(self.session.state) <= limit
             else f" ... ({len(self.session.state)} total)"
@@ -307,17 +304,9 @@ class AnalyticsShell:
         if card.types:
             lines.append("  a " + ", ".join(t.local_name() for t in card.types))
         for prop, value in card.outgoing:
-            label = (
-                value.local_name() if hasattr(value, "local_name")
-                and value.__class__.__name__ == "IRI" else str(value)
-            )
-            lines.append(f"  {prop.local_name()}: {label}")
+            lines.append(f"  {prop.local_name()}: {display_name(value)}")
         for source, prop in card.incoming:
-            label = (
-                source.local_name() if hasattr(source, "local_name")
-                and source.__class__.__name__ == "IRI" else str(source)
-            )
-            lines.append(f"  ^{prop.local_name()}: {label}")
+            lines.append(f"  ^{prop.local_name()}: {display_name(source)}")
         return "\n".join(lines)
 
     def _cmd_inspect(self, args: List[str]) -> str:

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, SCHEMA_PREDICATES
-from repro.rdf.terms import BNode, IRI, Term
+from repro.rdf.terms import BNode, IRI, Term, display_name
 from repro.facets.analytics import FacetedAnalyticsSession
 
 
@@ -39,9 +39,7 @@ class ResourceCard:
 
     @property
     def label(self) -> str:
-        if isinstance(self.resource, IRI):
-            return self.resource.local_name()
-        return str(self.resource)
+        return display_name(self.resource)
 
     def neighbours(self) -> List[Term]:
         """The connected resources one can move to."""
@@ -63,9 +61,7 @@ class SimilarResource:
 
     @property
     def label(self) -> str:
-        if isinstance(self.resource, IRI):
-            return self.resource.local_name()
-        return str(self.resource)
+        return display_name(self.resource)
 
 
 class ResourceBrowser:

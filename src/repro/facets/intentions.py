@@ -35,7 +35,7 @@ from typing import (
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal, Term, display_name
 from repro.hifun.attributes import Attribute, compose_path
 from repro.hifun.query import COMPARATORS, Restriction
 from repro.hifun.translator import path_patterns
@@ -91,8 +91,7 @@ class PathValueCondition:
         return Restriction(compose_path(*self.path), "=", self.value)
 
     def __str__(self) -> str:
-        value = self.value.local_name() if isinstance(self.value, IRI) else self.value
-        return f"{_path_name(self.path)} = {value}"
+        return f"{_path_name(self.path)} = {display_name(self.value)}"
 
 
 @dataclass(frozen=True)

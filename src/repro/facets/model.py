@@ -25,7 +25,7 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, 
 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal, Term, display_name
 from repro.hifun.attributes import Attribute
 from repro.facets.intentions import Intention
 
@@ -214,9 +214,7 @@ class ValueMarker:
 
     @property
     def label(self) -> str:
-        if isinstance(self.value, IRI):
-            return self.value.local_name()
-        return str(self.value)
+        return display_name(self.value)
 
     def __str__(self):
         return f"{self.label} ({self.count})"

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.rdf.terms import IRI
+from repro.rdf.terms import IRI, display_name
 from repro.hifun.attributes import Attribute, AttributeExpr, Derived
 from repro.hifun.query import HifunQuery
 from repro.facets.analytics import (
@@ -62,9 +62,8 @@ def _describe_click(click: Condition) -> str:
     if isinstance(click, ClassCondition):
         return f"click class '{click.cls.local_name()}'"
     if isinstance(click, PathValueCondition):
-        value = click.value
-        label = value.local_name() if isinstance(value, IRI) else value
-        return f"expand '{_label(click.path)}' and click '{label}'"
+        return (f"expand '{_label(click.path)}' and click "
+                f"'{display_name(click.value)}'")
     return f"filter '{_label(click.path)}' {click.comparator} {click.value}"
 
 
@@ -75,7 +74,6 @@ class InteractionPlan:
     objects; its HAVING steps are the query's ``result_restrictions``."""
 
     query: HifunQuery
-    root_class: Optional[IRI]
     clicks: List[Condition]
     groups: List[GroupSpec]
     measure: MeasureSpec
@@ -153,7 +151,7 @@ def plan_interaction(
                 "a transformation (⚙) step"
             )
         measure = MeasureSpec(path, query.operations)
-    return InteractionPlan(query, root_class, clicks, groups, measure)
+    return InteractionPlan(query, clicks, groups, measure)
 
 
 def execute_plan(session: FacetedAnalyticsSession, plan: InteractionPlan) -> AnswerFrame:

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal, Term, display_name
 
 #: Namespace for materialized feature properties.
 FEAT = Namespace("http://www.ics.forth.gr/features#")
@@ -116,8 +116,7 @@ def fco_values_as_features(prop: IRI) -> FeatureOperator:
     def fn(graph: Graph, entity: Term) -> List[Tuple[str, Term]]:
         out: List[Tuple[str, Term]] = []
         for value in sorted(graph.objects(entity, prop), key=lambda t: t.sort_key()):
-            suffix = value.local_name() if isinstance(value, IRI) else str(value)
-            out.append((suffix, Literal.of(1)))
+            out.append((display_name(value), Literal.of(1)))
         return out
 
     return FeatureOperator(f"{prop.local_name()}.values.AsFeatures", 4, fn)

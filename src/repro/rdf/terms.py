@@ -204,6 +204,12 @@ class Literal(Term):
         return _term_lt(self, other)
 
 
+def display_name(term: Term) -> str:
+    """How a term is shown to a user: an IRI by its local name, any
+    other term as ``str`` (a literal's lexical form)."""
+    return term.local_name() if isinstance(term, IRI) else str(term)
+
+
 #: A subject–predicate–object statement.
 Triple = tuple
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
-from repro.rdf.terms import BNode, IRI, Literal, Term
+from repro.rdf.terms import BNode, IRI, Literal, Term, display_name
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -52,9 +52,7 @@ class SearchHit:
 
     @property
     def label(self) -> str:
-        if isinstance(self.resource, IRI):
-            return self.resource.local_name()
-        return str(self.resource)
+        return display_name(self.resource)
 
 
 class KeywordIndex:

@@ -4,18 +4,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import Term, display_name
 
 
 def term_label(term: Optional[Term]) -> str:
     """A compact display label for a term (IRIs shown by local name)."""
-    if term is None:
-        return ""
-    if isinstance(term, IRI):
-        return term.local_name()
-    if isinstance(term, Literal):
-        return term.lexical
-    return str(term)
+    return "" if term is None else display_name(term)
 
 
 def render_table(

@@ -1,7 +1,12 @@
 """SPARQL AST lint: one negative test per ``S0xx`` code, positives for
 the clean path, and position propagation from text."""
 
+import pytest
+
 from repro.analysis import Severity, lint_sparql
+from repro.rdf import Graph
+from repro.rdf.terms import IRI, Literal
+from repro.sparql import query
 from repro.sparql.parser import parse_query
 
 
@@ -94,6 +99,33 @@ def test_s003_satisfiable_filter_is_clean():
     assert "S003" not in codes(
         "SELECT ?s WHERE { ?s <urn:p> ?o . FILTER(?o = 1 || ?o = 2) }"
     )
+
+
+DATE = '"2020-01-01"^^<http://www.w3.org/2001/XMLSchema#date>'
+DATETIME = ('"2020-01-01T00:00:00"'
+            '^^<http://www.w3.org/2001/XMLSchema#dateTime>')
+
+
+@pytest.mark.parametrize("condition", [
+    f"{DATE} = {DATETIME}",
+    f"{DATE} != {DATETIME}",
+    "true = 1",
+    "true != 1",
+    "1 > 2",
+    "?o = 1 && ?o = 2",
+    "?o = 1 || ?o = 2",
+    "<urn:o>",
+    '!(1 < "a")',
+    '1 < "a" || true',
+])
+def test_s003_iff_the_evaluator_drops_every_row(condition):
+    """S003 folds with the evaluator's comparison and effective boolean
+    value, so it reports a FILTER exactly when evaluating it over a
+    one-triple graph keeps nothing."""
+    graph = Graph()
+    graph.add(IRI("urn:s"), IRI("urn:p"), Literal.of(1))
+    text = f"SELECT ?s WHERE {{ ?s <urn:p> ?o . FILTER({condition}) }}"
+    assert ("S003" in codes(text)) == (len(query(graph, text)) == 0)
 
 
 # -- S004: cartesian-product BGP -----------------------------------------

@@ -111,6 +111,30 @@ def test_setup_stays_in_id_space(tmp_path):
             ] == ["triples"]
 
 
+BENCHMARKS = REPO / "benchmarks"
+
+
+def _orphan_artifacts(out_dir=BENCHMARKS / "out"):
+    """Files under ``out_dir`` that no ``benchmarks/bench_*.py`` writes
+    and EXPERIMENTS.md does not cite."""
+    citing = "".join(path.read_text(encoding="utf-8") for path in
+                     [REPO / "EXPERIMENTS.md",
+                      *sorted(BENCHMARKS.glob("bench_*.py"))])
+    return sorted(path.name for path in out_dir.iterdir()
+                  if path.name not in citing)
+
+
+def test_no_stale_bench_artifacts(tmp_path):
+    """Every checked-in artifact is regenerated by a bench or cited as a
+    frozen verdict: one whose bench is gone and that nothing cites is
+    stale."""
+    assert _orphan_artifacts() == []
+    for name in ("ablation_dictionary.txt", "ablation_dictionary.json",
+                 "scalability_shards.txt"):
+        (tmp_path / name).write_text("planted\n")
+    assert _orphan_artifacts(tmp_path) == ["ablation_dictionary.json"]
+
+
 def test_lint_detects_planted_defects(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
