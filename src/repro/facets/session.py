@@ -280,9 +280,11 @@ class FacetedSession:
         """Properties with at least one value on the current extension.
 
         They are those of the state's listing when it has one.
-        Otherwise discovery walks the SPO (and, for inverses, OSP) index
-        rows of the extension at the id level and decodes each distinct
-        predicate once — cheaper than a listing nobody asked for.
+        Otherwise discovery walks the SPO rows of the extension at the
+        id level and, for inverses, asks of every predicate whether its
+        POS row keys meet the extension (one C-level disjointness test
+        each); each distinct predicate is decoded once — cheaper than a
+        listing nobody asked for.
         """
         listed = self._recall(self.state, ("listing", include_inverse))
         if listed is not None:
@@ -297,12 +299,13 @@ class FacetedSession:
         graph = self.graph
         decode = graph.decode_id
         forward_ids: Set[int] = set()
-        inverse_ids: Set[int] = set()
         for eid in extension_ids:
             forward_ids.update(graph.spo_ids(eid).keys())
-            if include_inverse and not isinstance(decode(eid), Literal):
-                for preds in graph.osp_ids(eid).values():
-                    inverse_ids.update(preds)
+        inverse_ids: List[int] = []
+        if include_inverse:
+            sources = self._edge_sources(extension_ids)
+            inverse_ids = [pid for pid in graph.all_predicate_ids()
+                           if not graph.pos_ids(pid).keys().isdisjoint(sources)]
         found: Set[PropertyRef] = set()
         for ids, inverse in ((forward_ids, False), (inverse_ids, True)):
             for pid in ids:

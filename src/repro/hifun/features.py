@@ -127,8 +127,7 @@ def fco_degree() -> FeatureOperator:
     """FCO5 — the number of triples in which the entity appears."""
 
     def fn(graph: Graph, entity: Term) -> List[Tuple[str, Term]]:
-        degree = sum(1 for _ in graph.triples(entity, None, None))
-        degree += sum(1 for _ in graph.triples(None, None, entity))
+        degree = graph.count(entity, None, None) + graph.count(None, None, entity)
         return _single(Literal.of(degree))
 
     return FeatureOperator("degree", 5, fn)
@@ -144,11 +143,14 @@ def fco_average_degree() -> FeatureOperator:
         }
         if not neighbours:
             return _single(Literal.of(0.0))
-        triples = set()
+        # |triples(C)|: every triple into C, plus those out of C that do
+        # not end in C (counted already as incoming)
+        total = 0
         for c in neighbours:
-            triples.update(graph.triples(c, None, None))
-            triples.update(graph.triples(None, None, c))
-        return _single(Literal.of(len(triples) / len(neighbours)))
+            total += graph.count(None, None, c)
+            total += sum(1 for _, _, o in graph.triples(c, None, None)
+                         if o not in neighbours)
+        return _single(Literal.of(total / len(neighbours)))
 
     return FeatureOperator("average_degree", 6, fn)
 

@@ -9,7 +9,7 @@ parts of the RDF stack that RDF-Analytics needs:
 * :mod:`repro.rdf.dictionary` — dictionary encoding of terms onto dense
   int ids (the performance substrate of the store).
 * :mod:`repro.rdf.graph` — an in-memory, dictionary-encoded triple store
-  with SPO/POS/OSP indexes, incremental cardinality statistics and
+  with SPO/POS indexes, incremental cardinality statistics and
   pattern matching.
 * :mod:`repro.rdf.overlay` — a read-only view of a store plus one
   session's virtual ``rdf:type :temp`` triples (:class:`ExtensionView`).

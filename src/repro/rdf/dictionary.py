@@ -2,7 +2,7 @@
 
 Every IRI, blank node and literal that enters a :class:`repro.rdf.Graph`
 is interned once into a :class:`TermDictionary` and represented by a
-dense ``int`` from then on.  The three permutation indexes, the join
+dense ``int`` from then on.  The two permutation indexes, the join
 probes of the SPARQL evaluator and the set algebra of the faceted
 engine all operate on those ints — hashing an int and comparing two
 ints is far cheaper than hashing/comparing IRI strings, and the id sets

@@ -1,15 +1,23 @@
 """An in-memory, dictionary-encoded, indexed RDF triple store.
 
 The store interns every term into a :class:`~repro.rdf.dictionary.
-TermDictionary` and keeps three permutation indexes (SPO, POS, OSP) as
-nested dictionaries of *int-id* sets, so every triple-pattern shape
-resolves through at most two dictionary lookups — on int keys, not on
-IRI strings.  Terms are decoded back only at iteration boundaries; the
-decoded instances are canonical (one object per id), so downstream
-equality checks can short-circuit on identity.  This is the classic
-hexastore-lite layout used by small triple stores, made interactive-
-fast by the encoding; it is the substrate for both the SPARQL evaluator
-and the faceted-search engine.
+TermDictionary` and keeps two permutation indexes (SPO, POS) as nested
+dictionaries of *int-id* sets, so every triple-pattern shape with a
+bound subject or predicate resolves through at most two dictionary
+lookups — on int keys, not on IRI strings.  Terms are decoded back only
+at iteration boundaries; the decoded instances are canonical (one
+object per id), so downstream equality checks can short-circuit on
+identity.  It is the substrate for both the SPARQL evaluator and the
+faceted-search engine.
+
+There is no OSP index.  A pattern keyed on the object alone —
+``triples(None, None, o)``, ``all_objects()``, inverse-property
+discovery — reads POS instead: one ``pos[p].get(o)`` probe (or one key
+view) per predicate.  A knowledge graph has few predicates and many
+objects, so that loop is short, while an OSP map would index every
+triple a third time (nearly half the index bytes, with almost every
+inner set a singleton).  The price grows with the number of predicates;
+``benchmarks/bench_ablation_indexes.py`` times it at 1 000.
 
 On top of the indexes the store maintains, incrementally on add/remove:
 
@@ -62,13 +70,13 @@ FacetCounts = Tuple[Dict[Tuple[int, bool], Dict[int, int]],
 
 
 class Graph:
-    """A mutable set of RDF triples with SPO/POS/OSP indexes."""
+    """A mutable set of RDF triples with SPO/POS indexes; object-keyed
+    reads go through the POS rows (see the module docstring)."""
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None):
         self._dict = TermDictionary()
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
-        self._osp: Dict[int, Dict[int, Set[int]]] = {}
         self._pred_count: Dict[int, int] = {}
         self._size = 0
         self._bnode_counter = 0
@@ -134,10 +142,6 @@ class Graph:
         """The object → subject-ids map of one encoded predicate."""
         return self._pos.get(pi) or {}
 
-    def osp_ids(self, oi) -> Dict[int, Set[int]]:
-        """The subject → predicate-ids map of one encoded object."""
-        return self._osp.get(oi) or {}
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -148,7 +152,7 @@ class Graph:
         return self._add_ids(encode(s), encode(p), encode(o))
 
     def _add_ids(self, si: int, pi: int, oi: int) -> bool:
-        """Insert one encoded triple into the three indexes."""
+        """Insert one encoded triple into the two indexes."""
         spo = self._spo
         po = spo.get(si)
         if po is None:
@@ -167,14 +171,6 @@ class Graph:
         if subjects is None:
             subjects = os_[oi] = set()
         subjects.add(si)
-        osp = self._osp
-        sp = osp.get(oi)
-        if sp is None:
-            sp = osp[oi] = {}
-        preds = sp.get(si)
-        if preds is None:
-            preds = sp[si] = set()
-        preds.add(pi)
         self._mutated(pi, 1)
         return True
 
@@ -200,8 +196,8 @@ class Graph:
         return self._remove_ids(si, pi, oi)
 
     def _remove_ids(self, si: int, pi: int, oi: int) -> bool:
-        """Remove one encoded triple from the three indexes."""
-        spo, pos, osp = self._spo, self._pos, self._osp
+        """Remove one encoded triple from the two indexes."""
+        spo, pos = self._spo, self._pos
         po = spo.get(si)
         if po is None:
             return False
@@ -220,13 +216,6 @@ class Graph:
             del os_[oi]
             if not os_:
                 del pos[pi]
-        sp = osp[oi]
-        preds = sp[si]
-        preds.remove(pi)
-        if not preds:
-            del sp[si]
-            if not sp:
-                del osp[oi]
         self._mutated(pi, -1)
         return True
 
@@ -319,13 +308,12 @@ class Graph:
             oi = lookup(o)
             if oi is None:
                 return
-            sp = self._osp.get(oi)
-            if sp is None:
-                return
-            for si, preds in sp.items():
-                subj = decode(si)
-                for pi in preds:
-                    yield (subj, decode(pi), o)
+            for pi, os_ in self._pos.items():
+                subjects = os_.get(oi)
+                if subjects:
+                    pred = decode(pi)
+                    for si in subjects:
+                        yield (decode(si), pred, o)
             return
         for si, po in self._spo.items():
             subj = decode(si)
@@ -346,33 +334,39 @@ class Graph:
         return oi in po.get(pi, EMPTY_IDS)
 
     def count(self, s=None, p=None, o=None) -> int:
-        """Number of triples matching the pattern, without materializing.
+        """Number of triples matching the pattern, from index-set sizes:
+        nothing is decoded.
 
         The patterns the join planner and the facet engine probe are
         O(1): the full size, ``(None, p, None)`` via the incremental
         per-predicate counters, and the ``(s, p, None)`` /
-        ``(None, p, o)`` shapes via direct index-set sizes.
+        ``(None, p, o)`` shapes via direct index-set sizes.  A bound
+        subject alone sums its SPO row; an object alone sums one POS
+        probe per predicate.
         """
         if s is None and p is None and o is None:
             return self._size
         lookup = self._dict.lookup
-        if s is None and p is not None:
-            pi = lookup(p)
-            if pi is None:
-                return 0
+        si = None if s is None else lookup(s)
+        pi = None if p is None else lookup(p)
+        oi = None if o is None else lookup(o)
+        if ((si is None and s is not None) or (pi is None and p is not None)
+                or (oi is None and o is not None)):
+            return 0
+        if s is None:
+            if p is None:
+                return sum(len(self.subjects_ids(pred, oi))
+                           for pred in self.all_predicate_ids())
             if o is None:
                 return self._pred_count.get(pi, 0)
-            oi = lookup(o)
-            if oi is None:
-                return 0
             return len(self.subjects_ids(pi, oi))
-        if s is not None and p is not None and o is None:
-            si = lookup(s)
-            pi = lookup(p)
-            if si is None or pi is None:
-                return 0
-            return len(self.objects_ids(si, pi))
-        return sum(1 for _ in self.triples(s, p, o))
+        if p is not None:
+            objects = self.objects_ids(si, pi)
+            return len(objects) if o is None else int(oi in objects)
+        rows = self.spo_ids(si).values()
+        if o is None:
+            return sum(map(len, rows))
+        return sum(oi in objects for objects in rows)
 
     def predicate_counts(self) -> Dict[Term, int]:
         """Triple count per predicate — the O(1)-maintained statistics."""
@@ -476,7 +470,8 @@ class Graph:
         return self._pos.keys()
 
     def all_objects(self) -> Set[Term]:
-        return self._dict.decode_all(self._osp.keys())
+        """The objects: the union of the POS row keys."""
+        return self._dict.decode_all(set().union(*self._pos.values()))
 
     def all_terms(self) -> Set[Term]:
         return self.all_subjects() | self.all_predicates() | self.all_objects()
@@ -531,14 +526,14 @@ class Graph:
         return twin
 
     def _copy_from(self, source: "Graph", dictionary: TermDictionary) -> None:
-        """Take over ``source``'s content under ``dictionary``: the three
+        """Take over ``source``'s content under ``dictionary``: the two
         index maps copied down to the innermost set, the statistics and
         the blank-node counter."""
         self._dict = dictionary
-        self._spo, self._pos, self._osp = (
+        self._spo, self._pos = (
             {key: {inner: set(ids) for inner, ids in row.items()}
              for key, row in index.items()}
-            for index in (source._spo, source._pos, source._osp))
+            for index in (source._spo, source._pos))
         self._pred_count = dict(source._pred_count)
         self._size = source._size
         self._bnode_counter = source._bnode_counter

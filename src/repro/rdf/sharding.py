@@ -10,11 +10,10 @@ statistics with the one implementation ``Graph`` has.  What is left
 here is what partitioning itself adds:
 
 * ``spo`` rows route — the subject id picks the one owning slice;
-* ``pos`` / ``osp`` rows split — a predicate's (or object's) row is the
-  disjoint union of the per-slice rows, so merged counts are sums and
-  merged maps need no de-duplication of subject keys (objects, which
-  may appear in several slices, are the one exception — their unions
-  de-duplicate);
+* ``pos`` rows split — a predicate's row is the disjoint union of the
+  per-slice rows, so merged counts are sums and merged subject sets
+  need no de-duplication (objects, which may appear in several slices,
+  are the one exception — their unions de-duplicate);
 * per-slice predicate statistics roll up by addition into the same
   O(1) global stats API (`count`, `predicate_counts`) the planner
   already uses, mirroring the per-partition statistics argument of
@@ -188,18 +187,6 @@ class ShardedGraph(Graph):
                     existing |= subjects
         return merged
 
-    def osp_ids(self, oi) -> Dict[int, Set[int]]:
-        """Merged subject → predicate-ids row of one object.  Subject
-        keys are disjoint across slices: a plain dict update merges."""
-        rows = [row for row in (piece.osp_ids(oi) for piece in self._slices)
-                if row]
-        if len(rows) < 2:
-            return rows[0] if rows else {}
-        merged: Dict[int, Set[int]] = {}
-        for row in rows:
-            merged.update(row)
-        return merged
-
     # ------------------------------------------------------------------
     # Pattern matching / membership
     # ------------------------------------------------------------------
@@ -231,8 +218,7 @@ class ShardedGraph(Graph):
         return self._pred_count.keys()
 
     def all_objects(self) -> Set[Term]:
-        return self._dict.decode_all(
-            set().union(*(piece._osp for piece in self._slices)))
+        return set().union(*(piece.all_objects() for piece in self._slices))
 
     # ------------------------------------------------------------------
     # The facet scan: every slice's counts, merged

@@ -40,9 +40,7 @@ class DatasetProfile:
     def coverage(self, entity: Term, graph: Graph) -> int:
         """Coverage of one entity: the triples mentioning it (the
         'how many triples does the dataset offer for X' query)."""
-        outgoing = sum(1 for _ in graph.triples(entity, None, None))
-        incoming = sum(1 for _ in graph.triples(None, None, entity))
-        return outgoing + incoming
+        return graph.count(entity, None, None) + graph.count(None, None, entity)
 
     def top_properties(self, limit: int = 10) -> List[Tuple[IRI, int]]:
         return sorted(

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedSession
+from repro.rdf import Graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import Literal
+from repro.rdf.terms import BNode, Literal
 from repro.sparql import query as sparql
 
 
@@ -108,6 +109,30 @@ def test_back_returns_to_exact_previous_state(decisions, seed):
     before = history[-2]
     session.back()
     assert session.state is before
+
+
+_members = st.sampled_from(
+    [EX.term(f"n{i}") for i in range(4)] + [BNode("b0"), BNode("b1")]
+    + [Literal.of(i) for i in range(2)])
+_kg = st.lists(
+    st.tuples(_members.filter(lambda t: not isinstance(t, Literal)),
+              st.sampled_from([EX.p, EX.q, EX.r]), _members),
+    min_size=1, max_size=16,
+).map(Graph)
+
+
+@given(graph=_kg, results=st.lists(_members, min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_inverse_discovery_equals_listing(graph, results):
+    """applicable_properties(include_inverse=True) on a fresh session —
+    the discovery path, no listing to read — offers exactly the
+    properties of the listing, inverse ones included, over extensions
+    that mix IRIs, blank nodes and literals."""
+    discovered = FacetedSession(graph, results=results).applicable_properties(
+        include_inverse=True)
+    listed = FacetedSession(graph, results=results).all_facets(
+        include_inverse=True)
+    assert discovered == [facet.prop for facet in listed]
 
 
 @given(seed=st.integers(min_value=0, max_value=9))

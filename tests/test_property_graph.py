@@ -4,13 +4,16 @@ Invariants: index consistency under arbitrary add/remove interleavings,
 serialization round-trips, closure monotonicity and idempotence.
 """
 
+import functools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.rdf import Graph
 from repro.rdf.namespace import EX, RDF, RDFS
 from repro.rdf.rdfs import RDFSClosure
-from repro.rdf.terms import Literal
+from repro.rdf.sharding import ShardedGraph
+from repro.rdf.terms import BNode, IRI, Literal
 from repro.rdf import ntriples, turtle
 
 _subjects = st.sampled_from([EX.term(f"s{i}") for i in range(6)])
@@ -75,6 +78,63 @@ class TestGraphInvariants:
                 (s, p, None), (None, p, o), (s, None, o), (s, p, o),
             ]:
                 assert g.count(*pattern) == len(list(g.triples(*pattern)))
+
+
+_nodes = st.sampled_from(
+    [EX.term(f"s{i}") for i in range(4)] + [BNode("b0"), BNode("b1")])
+_interleavings = st.lists(
+    st.tuples(_nodes, _predicates, st.one_of(_nodes, _objects)),
+    min_size=1, max_size=10,
+).flatmap(lambda pool: st.tuples(st.just(pool), st.lists(
+    st.tuples(st.booleans(), st.integers(0, len(pool) - 1)), max_size=30)))
+
+
+def _assert_no_empty_slots(g):
+    for piece in getattr(g, "shards", (g,)):
+        for index in (piece._spo, piece._pos):
+            for row in index.values():
+                assert row and all(row.values())
+        assert all(piece._pred_count.values())
+    assert all(g._pred_count.values())
+
+
+def _assert_matches_oracle(g, oracle, probes):
+    """Every access shape over the slots of each probe triple (all eight
+    masks), and the whole-graph views, against a set of triples."""
+    for probe in probes:
+        for mask in range(8):
+            pattern = tuple(term if mask >> slot & 1 else None
+                            for slot, term in enumerate(probe))
+            expected = {t for t in oracle
+                        if all(want is None or want == got
+                               for want, got in zip(pattern, t))}
+            assert set(g.triples(*pattern)) == expected, pattern
+            assert g.count(*pattern) == len(expected), pattern
+    objects = {o for _, _, o in oracle}
+    assert g.all_objects() == objects
+    assert g.all_literals() == {o for o in objects if isinstance(o, Literal)}
+    assert g.all_resources() == {s for s, _, _ in oracle} | {
+        o for o in objects if isinstance(o, (IRI, BNode))}
+    assert len(g) == len(oracle)
+
+
+class TestAccessShapesUnderWrites:
+    @given(_interleavings,
+           st.sampled_from([Graph, functools.partial(ShardedGraph, shards=4)]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_shape_matches_a_set_oracle(self, interleaving, layout):
+        pool, steps = interleaving
+        g, oracle = layout(), set()
+        for is_add, index in steps:
+            t = pool[index]
+            if is_add:
+                assert g.add(*t) == (t not in oracle)
+                oracle.add(t)
+            else:
+                assert g.remove(*t) == (t in oracle)
+                oracle.discard(t)
+            _assert_matches_oracle(g, oracle, pool)
+            _assert_no_empty_slots(g)
 
 
 class TestSerializationRoundtrips:

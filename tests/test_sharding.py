@@ -141,8 +141,6 @@ class TestPartitioning:
         maker_id = store.encode_term(EX.maker)
         assert maker_id == graph.encode_term(EX.maker)
         assert store.pos_ids(maker_id) == graph.pos_ids(maker_id)
-        assert store.osp_ids(store.encode_term(EX.maker1)) == graph.osp_ids(
-            graph.encode_term(EX.maker1))
         for oi in list(graph.all_objects())[:20]:
             assert store.subjects_ids(maker_id, oi) == graph.subjects_ids(
                 maker_id, oi)

@@ -4,7 +4,8 @@ The reference evaluator enumerates *every* assignment of the pattern's
 variables to graph terms and keeps those under which all triple
 patterns are in the graph — hopelessly slow, but obviously correct.
 The engine must agree with it on random graphs and random BGPs
-(including cartesian products, cyclic joins, and constant slots).
+(including cartesian products, cyclic joins, variable predicates and
+constant slots).
 """
 
 import itertools
@@ -33,8 +34,13 @@ _slots = st.one_of(
     _subjects,
 )
 _object_slots = st.one_of(st.sampled_from(_vars).map(ast.Var), _terms)
+# A variable predicate reaches the object-keyed (`?s ?p <o>`), the
+# subject-keyed (`<s> ?p ?o`) and the unbound shapes; it is its own
+# `?p` or one of the subject/object variables.
+_predicate_slots = st.one_of(
+    st.sampled_from(_vars + ["p"]).map(ast.Var), _predicates)
 _patterns = st.lists(
-    st.tuples(_slots, _predicates, _object_slots).map(
+    st.tuples(_slots, _predicate_slots, _object_slots).map(
         lambda t: ast.TriplePattern(*t)
     ),
     min_size=1,
