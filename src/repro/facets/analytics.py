@@ -37,6 +37,7 @@ from typing import (
 )
 
 from repro.caching import CacheStats
+from repro.rdf.columns import column_engine
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.overlay import ExtensionView
@@ -435,15 +436,17 @@ class FacetedAnalyticsSession(FacetedSession):
         on the state so repeated analytics skip the sort —
         exactly the ``items``/``items_ids`` contract of
         :func:`repro.hifun.columnar.evaluate_hifun`.  Built from the
-        state's ids; a member the graph never interned (a ``results=``
-        seed) has id ``None``."""
+        state's ids, ordered through the sort-key memo of the graph
+        generation's :func:`~repro.rdf.columns.column_engine`; a member
+        the graph never interned (a ``results=`` seed) has id ``None``."""
         def build():
             state = self.state
             if state.unknown:
                 terms = sorted(state.extension, key=lambda t: t.sort_key())
                 return terms, [self.graph.encode_term(t) for t in terms]
-            decode = self.graph.decode_id
-            ids = sorted(state.ids, key=lambda i: decode(i).sort_key())
+            engine = column_engine(self.graph)
+            ids = engine.sort_ids(state.ids)
+            decode = engine.decode
             return [decode(i) for i in ids], ids
 
         return self._per_state("domain", build)

@@ -5,9 +5,11 @@ at a time: every path step of every item is a fresh index probe, a
 fresh decode and a fresh sort.  This engine evaluates whole *frontiers*
 instead — flat parallel columns of dense int ids moved through the
 :class:`~repro.rdf.columns.ColumnEngine` primitives — so each distinct
-node's successors are probed and sorted once per query no matter how
-many items reach it, restriction verdicts are computed once per
-distinct value, and terms are decoded only at the group-by boundary.
+node's successors are probed and sorted once per graph generation no
+matter how many items or presses reach it (the engine is the graph's,
+see :func:`~repro.rdf.columns.column_engine`), restriction verdicts
+are computed once per distinct value per query, and terms are decoded
+only at the group-by boundary.
 
 The contract is *byte-identical output*: both engines produce the same
 :class:`~repro.hifun.evaluator.AnswerFunction` on every query (the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.rdf.columns import Column, ColumnEngine
+from repro.rdf.columns import Column, column_engine
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
@@ -52,7 +54,7 @@ from repro.hifun.evaluator import (
 )
 from repro.hifun.query import HifunQuery, Restriction
 from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import BUILTINS
+from repro.sparql.functions import BUILTINS, compare
 
 #: Column value kinds: dictionary ids until a derived step, Terms after.
 ID_MODE = "id"
@@ -60,21 +62,24 @@ TERM_MODE = "term"
 
 
 class _Evaluation:
-    """One columnar evaluation: the engine, the sorted domain and the
-    per-query memos."""
+    """One columnar evaluation: the graph generation's engine, the
+    sorted domain and the per-query memos (the restriction verdicts are
+    keyed by the query's constants, so they stay here)."""
 
     __slots__ = ("graph", "engine", "domain_terms", "domain_ids", "_prop_ids",
-                 "_path_cache")
+                 "_path_cache", "_verdicts")
 
     def __init__(self, graph: Graph, domain_terms: List[Term],
                  domain_ids: List[Optional[int]]):
         self.graph = graph
-        self.engine = ColumnEngine(graph)
+        self.engine = column_engine(graph)
         self.domain_terms = domain_terms
         self.domain_ids = domain_ids
         self._prop_ids: Dict[Tuple[IRI, bool], Optional[int]] = {}
         # expr → (src, values, mode); valid until the domain is filtered.
         self._path_cache: Dict[AttributeExpr, Tuple[Column, Column, str]] = {}
+        # (comparator, value) → {node_id: bool}
+        self._verdicts: Dict[Tuple[str, Term], Dict[int, bool]] = {}
 
     def narrow(self, keep: Sequence[bool]) -> None:
         """Restrict the domain to the flagged positions (order kept)."""
@@ -166,13 +171,29 @@ class _Evaluation:
     # ------------------------------------------------------------------
     # Bulk restriction evaluation
     # ------------------------------------------------------------------
+    def passes(self, ident: int, comparator: str, value: Term) -> bool:
+        """Does the decoded node satisfy ``comparator value``?  Memoized
+        per distinct id — a column with many repeats decodes and
+        compares each distinct value once."""
+        memo = self._verdicts.get((comparator, value))
+        if memo is None:
+            memo = self._verdicts[(comparator, value)] = {}
+        verdict = memo.get(ident)
+        if verdict is None:
+            try:
+                verdict = compare(comparator, self.engine.decode(ident), value)
+            except ExpressionError:
+                verdict = False
+            memo[ident] = verdict
+        return verdict
+
     def satisfied(self, restriction: Restriction) -> List[bool]:
         """Per-domain-position verdict: has ≥ 1 value passing the
         restriction (the row engine's ``_satisfies``, whole-column)."""
         src, dst, mode = self.expand(restriction.attribute)
         passed = [False] * len(self.domain_terms)
         if mode == ID_MODE:
-            passes = self.engine.passes
+            passes = self.passes
             for origin, value in zip(src, dst):
                 if not passed[origin] and passes(
                         value, restriction.comparator, restriction.value):
@@ -186,8 +207,8 @@ class _Evaluation:
     def value_passes(self, value: object, mode: str, restriction: Restriction) -> bool:
         """One measured value against a measure-level restriction."""
         if mode == ID_MODE:
-            return self.engine.passes(value, restriction.comparator,
-                                      restriction.value)
+            return self.passes(value, restriction.comparator,
+                               restriction.value)
         return _value_passes(value, restriction)
 
 
@@ -219,7 +240,7 @@ def _sorted_domain(graph: Graph, items: Optional[Iterable[Term]],
             return terms, ids
         terms = sorted(set(items), key=lambda t: t.sort_key())
         return terms, [graph.encode_term(t) for t in terms]
-    engine = ColumnEngine(graph)
+    engine = column_engine(graph)
     if root_class is not None:
         type_id = graph.encode_term(RDF.type)
         class_id = graph.encode_term(root_class)

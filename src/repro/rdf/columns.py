@@ -24,8 +24,14 @@ typed ``array`` boxing while the data stays in one interpreter
 (appending 1 M ids costs ~33 ms into a list vs ~84 ms into an
 ``array('q')``), and nothing here crosses a process boundary.
 
-:class:`ColumnEngine` carries the per-evaluation memos (sorted
-successor lists, term sort keys, restriction verdicts).
+:class:`ColumnEngine` carries the memos derived from the graph (each
+node's sorted successor tuple per ``(property, direction)``, each id's
+term sort key), so they live for one **graph generation**: the graph
+holds one engine per generation, stamped like its SPARQL result cache,
+and :func:`column_engine` hands it out.  Every press between two
+mutations reuses the columns the earlier presses built; the first press
+after a mutation starts cold.  Nothing outside this module constructs a
+``ColumnEngine``, so no engine outlives the generation it describes.
 """
 
 from __future__ import annotations
@@ -34,22 +40,19 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
-from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import compare
 
 #: A column is a flat list of node ids or of origin indexes.
 Column = List
 
 
 class ColumnEngine:
-    """Bulk traversal over one graph with per-evaluation memoization.
+    """Bulk traversal over one generation of one graph, memoized.
 
-    The engine is cheap to build and meant to live for one evaluation
-    (one HIFUN query, one facet batch): its memos are keyed on node ids
-    and are only valid while the graph is not mutated.
+    Get it from :func:`column_engine`: its memos are keyed on node ids
+    and are only valid while the graph's generation stands.
     """
 
-    __slots__ = ("graph", "decode", "_succ", "_sort_keys", "_verdicts")
+    __slots__ = ("graph", "decode", "_succ", "_sort_keys")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -58,8 +61,6 @@ class ColumnEngine:
         # (prop_id, inverse) → {node_id: tuple of successor ids, sorted}
         self._succ: Dict[Tuple[int, bool], Dict[int, Tuple[int, ...]]] = {}
         self._sort_keys: Dict[int, tuple] = {}
-        # (comparator, value) → {node_id: bool}
-        self._verdicts: Dict[Tuple[str, Term], Dict[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # Sort order
@@ -78,29 +79,27 @@ class ColumnEngine:
     # ------------------------------------------------------------------
     # Bulk traversal
     # ------------------------------------------------------------------
-    def successors(self, node_id: int, prop_id: int, inverse: bool = False) -> Tuple[int, ...]:
-        """The ``p``-successors of one node in term sort order, memoized.
+    def _fill(self, memo: Dict[int, Tuple[int, ...]], node_id: int,
+              prop_id: int, inverse: bool) -> Tuple[int, ...]:
+        """Read one node's ``p``-successors, in term sort order, into
+        ``memo``.
 
         Forward steps read the SPO index (literals have no SPO row, so a
         literal node naturally has no forward successors — the same
         verdict the row engine reaches explicitly); inverse steps read
-        the POS index.
+        the POS index.  A lone successor is taken as is: only a node
+        with two or more needs sort keys.
         """
-        memo = self._succ.get((prop_id, inverse))
-        if memo is None:
-            memo = self._succ[(prop_id, inverse)] = {}
-        cached = memo.get(node_id)
-        if cached is None:
-            graph = self.graph
-            targets = (
-                graph.subjects_ids(prop_id, node_id) if inverse
-                else graph.objects_ids(node_id, prop_id)
-            )
-            if targets:
-                cached = tuple(sorted(targets, key=self.sort_key))
-            else:
-                cached = ()
-            memo[node_id] = cached
+        graph = self.graph
+        targets = (
+            graph.subjects_ids(prop_id, node_id) if inverse
+            else graph.objects_ids(node_id, prop_id)
+        )
+        if len(targets) > 1:
+            cached = tuple(sorted(targets, key=self.sort_key))
+        else:
+            cached = tuple(targets)
+        memo[node_id] = cached
         return cached
 
     def follow(self, src: Sequence, dst: Sequence, prop_id: Optional[int],
@@ -111,42 +110,35 @@ class ColumnEngine:
         Returns the expanded parallel columns: one entry per edge, in
         frontier order with each node's successors in term sort order.
         A ``prop_id`` of ``None`` (property never seen by the graph)
-        yields the empty frontier.
+        yields the empty frontier.  The ``(property, direction)`` memo
+        is fetched once and probed inline per node.
         """
         out_src: Column = []
         out_dst: Column = []
         if prop_id is None or not dst:
             return out_src, out_dst
-        successors = self.successors
+        memo = self._succ.get((prop_id, inverse))
+        if memo is None:
+            memo = self._succ[(prop_id, inverse)] = {}
+        fill = self._fill
         append_src = out_src.append
+        append_dst = out_dst.append
         extend_dst = out_dst.extend
-        for origin, node in zip(src, dst):
-            targets = successors(node, prop_id, inverse)
-            if targets:
+        for origin, node, targets in zip(src, dst, map(memo.get, dst)):
+            if targets is None:
+                targets = fill(memo, node, prop_id, inverse)
+            if len(targets) == 1:
+                append_src(origin)
+                append_dst(targets[0])
+            elif targets:
                 for _ in targets:
                     append_src(origin)
                 extend_dst(targets)
         return out_src, out_dst
 
     # ------------------------------------------------------------------
-    # Bulk restriction tests
+    # Result boundary
     # ------------------------------------------------------------------
-    def passes(self, ident: int, comparator: str, value: Term) -> bool:
-        """Does the decoded node satisfy ``comparator value``?  Memoized
-        per distinct id — a column with many repeats decodes and
-        compares each distinct value once."""
-        memo = self._verdicts.get((comparator, value))
-        if memo is None:
-            memo = self._verdicts[(comparator, value)] = {}
-        verdict = memo.get(ident)
-        if verdict is None:
-            try:
-                verdict = compare(comparator, self.decode(ident), value)
-            except ExpressionError:
-                verdict = False
-            memo[ident] = verdict
-        return verdict
-
     def decode_column(self, dst: Sequence) -> List[Term]:
         """Late-decode a value column to canonical terms (one list-index
         lookup per entry; the dictionary guarantees canonical objects)."""
@@ -154,7 +146,22 @@ class ColumnEngine:
         return [decode(ident) for ident in dst]
 
 
+def column_engine(graph: Graph) -> ColumnEngine:
+    """The engine of ``graph``'s current generation.
+
+    Built on the first call after a mutation and handed out until the
+    next one, so its memos outlive a press; a stamp that no longer
+    matches ``graph.generation`` retires the engine it stamps.
+    """
+    stamped = graph.column_engine_stamp
+    if stamped is None or stamped[0] != graph.generation:
+        stamped = graph.column_engine_stamp = (graph.generation,
+                                               ColumnEngine(graph))
+    return stamped[1]
+
+
 __all__ = [
     "Column",
     "ColumnEngine",
+    "column_engine",
 ]

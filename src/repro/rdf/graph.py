@@ -84,6 +84,9 @@ class Graph:
         self.generation = 0
         #: Generation-stamped SPARQL result cache (see repro.sparql).
         self.sparql_cache = GenerationCache(maxsize=128, name="sparql-results")
+        #: ``(generation, ColumnEngine)``: the batch engine's memos for
+        #: one generation (see repro.rdf.columns.column_engine).
+        self.column_engine_stamp: Optional[tuple] = None
         if triples is not None:
             self.add_all(triples)
 

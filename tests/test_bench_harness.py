@@ -24,7 +24,8 @@ def test_columnar_ablation_asserts_equivalence():
 
     results = run_ablation([40])  # asserts row == columnar internally
     assert set(results) == {40}
-    assert set(results[40]) == {"analytic_row", "analytic_columnar"}
+    assert set(results[40]) == {"analytic_row", "analytic_cold",
+                                "analytic_warm"}
     assert all(seconds > 0 for seconds in results[40].values())
 
 

@@ -17,7 +17,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.datasets import (
     SyntheticConfig,
@@ -40,6 +40,7 @@ from repro.hifun.attributes import Derived
 from repro.hifun.columnar import evaluate_hifun
 from repro.hifun.evaluator import evaluate_hifun_row
 from repro.hifun.translator import translate
+from repro.rdf.columns import column_engine
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.sharding import ShardedGraph
@@ -174,6 +175,123 @@ def test_sharded_store_hifun_answers_identical(shards):
                     f"{label} differs at seed {seed}, {shards} shards "
                     f"({evaluate.__name__})")
                 assert row.keys() == answer.keys(), label
+
+
+def mixed_arity_graph() -> Graph:
+    """One property, ``EX.tag``, with one value on some widgets and
+    three on the others.  The three values are interned in the reverse
+    of their term sort order, so an unsorted id set reads backwards."""
+    graph = Graph()
+    tags = [Literal.of(word) for word in ("zeta", "mu", "alpha")]
+    for i in range(8):
+        item = EX[f"item{i}"]
+        graph.add(item, RDF.type, EX.Widget)
+        graph.add(item, EX.kind, EX[f"kind{i % 2}"])
+        for tag in (tags if i % 3 == 0 else tags[i % 3:i % 3 + 1]):
+            graph.add(item, EX.tag, tag)
+    return graph
+
+
+def test_mixed_arity_successors_keep_term_order():
+    """The single-successor shortcut must not skip the sort of a node
+    with three successors: SAMPLE and GROUP_CONCAT see the values in
+    term order, as the row engine does — cold and warm."""
+    graph = mixed_arity_graph()
+    tag_id = graph.encode_term(EX.tag)
+    values = graph.objects_ids(graph.encode_term(EX.item0), tag_id)
+    engine = column_engine(graph)
+    assert len(values) == 3
+    assert engine.sort_ids(values) != sorted(values)  # the fixture's point
+    assert (engine.follow([0], [graph.encode_term(EX.item0)], tag_id)
+            == ([0, 0, 0], engine.sort_ids(values)))
+    tag = Attribute(EX.tag)
+    queries = (
+        HifunQuery(None, tag, ("SAMPLE", "GROUP_CONCAT")),
+        HifunQuery(Attribute(EX.kind), tag, ("SAMPLE", "GROUP_CONCAT", "COUNT")),
+        HifunQuery(tag, None, "COUNT"),
+        HifunQuery(pair(Attribute(EX.kind), tag), tag, ("SAMPLE", "GROUP_CONCAT")),
+    )
+    for _ in range(2):
+        for query in queries:
+            row = evaluate_hifun_row(graph, query, root_class=EX.Widget)
+            assert evaluate_hifun(graph, query, root_class=EX.Widget).rows() == (
+                row.rows()), query
+
+
+#: What a stale-memo interleaving presses: G on the grouped property
+#: (alone, first step of a path, or beside the measured one), Σ on the
+#: measured property, order-sensitive aggregates included.
+PRESSES = (
+    (((EX.maker,),), (EX.price,), ("AVG", "SAMPLE", "GROUP_CONCAT")),
+    (((EX.maker, EX.origin),), (EX.price,), ("SUM", "MAX")),
+    (((EX.price,),), None, ("COUNT",)),
+    (((EX.maker,), (EX.price,)), (EX.maker,), ("COUNT", "GROUP_CONCAT")),
+)
+WIDGETS = 12
+
+
+@st.composite
+def interleavings(draw):
+    """A graph (flat, or 3 shards) and a script: presses from two
+    sessions, and between them writes to the grouped and the measured
+    property — an ``add`` can make a single-valued widget multi-valued,
+    a ``remove`` takes one of its values away again."""
+    press = st.tuples(st.just("press"), st.integers(0, 1),
+                      st.integers(0, len(PRESSES) - 1))
+    write = st.tuples(st.sampled_from(("add", "remove")),
+                      st.integers(0, WIDGETS - 1),
+                      st.sampled_from((EX.maker, EX.price)), st.integers(0, 4))
+    return (draw(st.integers(0, 9)), draw(st.sampled_from((None, 3))),
+            draw(st.lists(st.one_of(press, write), min_size=2, max_size=14)))
+
+
+def _write(graph, verb, widget, prop, k):
+    item = EX[f"item{widget}"]
+    if verb == "add":
+        graph.add(item, prop,
+                  EX[f"maker{k}"] if prop == EX.maker else Literal.of(5 * k))
+        return
+    values = sorted(graph.objects(item, prop), key=lambda t: t.sort_key())
+    if values:
+        graph.remove(item, prop, values[k % len(values)])
+
+
+@given(interleavings())
+@example((0, None, [("press", 0, 0), ("add", 0, EX.maker, 3),
+                    ("press", 1, 0), ("remove", 0, EX.maker, 0),
+                    ("press", 0, 0)]))
+@example((1, 3, [("press", 0, 2), ("add", 1, EX.price, 1),
+                 ("press", 0, 2), ("remove", 1, EX.price, 0),
+                 ("press", 1, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_native_answers_follow_every_write(case):
+    """The native engine's memos live for a graph generation: a press
+    after a write — from either of two sessions over the one graph,
+    flat or sharded — answers what the row engine answers on the graph
+    as it is then, never what an earlier press memoized."""
+    seed, shards, script = case
+    graph = random_graph(seed, items=WIDGETS)
+    if shards is not None:
+        graph = ShardedGraph.from_graph(graph, shards=shards)
+    sessions = [FacetedAnalyticsSession(graph, closed=True) for _ in range(2)]
+    for session in sessions:
+        session.select_class(EX.Widget)
+    for step in script:
+        if step[0] != "press":
+            _write(graph, *step)
+            continue
+        session = sessions[step[1]]
+        groups, measured, operations = PRESSES[step[2]]
+        session.clear_analytics()
+        for path in groups:
+            session.group_by(path)
+        if measured is None:
+            session.count_items()
+        else:
+            session.measure(measured, operations)
+        expected = evaluate_hifun_row(graph, session.hifun_query(),
+                                      items=session.extension)
+        assert session.run("native").rows == expected.rows(), step
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
