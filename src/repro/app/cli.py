@@ -42,7 +42,10 @@ import shlex
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.endpoint import EndpointError
+from repro.endpoint import (
+    EndpointError, FaultModel, FlakyEndpointSimulator, LocalEndpoint,
+    NetworkModel, ResilientEndpoint, RetryPolicy,
+)
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, display_name
 from repro.facets.analytics import (
@@ -67,8 +70,8 @@ class AnalyticsShell:
     ``session_factory`` builds the session over a graph (taking the
     session's ``results=`` and ``closed=``); it is remembered so that
     ``search``, ``load`` and ``explore`` — which open fresh sessions —
-    inherit the same configuration (e.g. the resilient, endpoint-backed
-    variant with retry/deadline knobs).  ``search`` and ``load`` open
+    inherit the same configuration (e.g. an endpoint with
+    retry/deadline knobs behind the counts).  ``search`` and ``load`` open
     theirs over the graph the current session closed: the closure is
     computed once, and what ``transform`` wrote stays.
     """
@@ -219,14 +222,14 @@ class AnalyticsShell:
 
     def _cmd_facets(self, args: List[str]) -> str:
         # The batch listing: one shared scan natively, the per-facet
-        # degradation-aware path on a resilient session.
+        # degradation-aware path through an endpoint.
         listing = self.session.all_facets()
         lines = []
         for facet in listing:
             values = ", ".join(str(v) for v in facet.values[:8])
             more = "" if len(facet.values) <= 8 else f", ... ({len(facet.values)} values)"
             lines.append(f"{facet}: {values}{more}")
-        # A resilient session may return a partial listing — say so.
+        # An endpoint-backed listing may be partial — say so.
         for error in getattr(listing, "errors", ()):
             lines.append(f"unavailable — {error}")
         return "\n".join(lines) or "(no facets)"
@@ -456,11 +459,10 @@ class AnalyticsShell:
         lines = ["caches:"]
         for stats in self.session.cache_stats().values():
             lines.append(f"  {stats}")
-        health = getattr(self.session, "health", None)
-        if health is None:
+        if self.session.facet_engine is None:
             lines.append("endpoint: none (local session)")
             return "\n".join(lines)
-        report = health()
+        report = self.session.facet_engine.health()
         outcomes = ", ".join(
             f"{tag}={n}" for tag, n in report["outcomes"].items())
         lines.extend((
@@ -543,26 +545,23 @@ def build_shell(argv=None) -> AnalyticsShell:
         from repro.rdf.sharding import ShardedGraph
 
         graph = ShardedGraph.from_graph(graph, shards=args.shards)
-    resilient = (args.network != "local" or args.fault_rate > 0.0
-                 or args.retries is not None or args.timeout is not None)
-    if not resilient:
-        return AnalyticsShell(
-            graph, partial(FacetedAnalyticsSession, analyze=args.analyze))
-
-    from repro.endpoint import FaultModel, NetworkModel, RetryPolicy
-    from repro.facets.resilient import ResilientFacetedSession
-
-    model = {"offpeak": NetworkModel.offpeak(),
-             "peak": NetworkModel.peak(),
-             "local": None}[args.network]
-    faults = (FaultModel.uniform(args.fault_rate)
-              if args.fault_rate > 0.0 else None)
-    retry = (RetryPolicy(max_attempts=max(1, args.retries))
-             if args.retries is not None else None)
+    endpoint = None
+    if (args.network != "local" or args.fault_rate > 0.0
+            or args.retries is not None or args.timeout is not None):
+        model = {"offpeak": NetworkModel.offpeak(),
+                 "peak": NetworkModel.peak(),
+                 "local": None}[args.network]
+        faults = (FaultModel.uniform(args.fault_rate)
+                  if args.fault_rate > 0.0 else None)
+        retry = (RetryPolicy(max_attempts=max(1, args.retries))
+                 if args.retries is not None else None)
+        endpoint = lambda g: ResilientEndpoint(
+            FlakyEndpointSimulator(g, model, faults, seed=args.seed)
+            if model is not None or faults is not None else LocalEndpoint(g),
+            retry=retry, timeout=args.timeout, seed=args.seed)
 
     return AnalyticsShell(graph, partial(
-        ResilientFacetedSession, network=model, faults=faults, retry=retry,
-        timeout=args.timeout, seed=args.seed, analyze=args.analyze))
+        FacetedAnalyticsSession, analyze=args.analyze, endpoint=endpoint))
 
 
 def main() -> None:  # pragma: no cover - interactive entry point

@@ -11,12 +11,14 @@
 * :mod:`repro.facets.analytics` — the analytics extension of §5.1–5.2:
   per-facet group-by (G) and aggregate (Σ) actions, range filters, the
   Answer Frame, and loading an answer as a new dataset (§5.3.3) which
-  yields HAVING clauses and nested analytic queries.
+  yields HAVING clauses and nested analytic queries.  One session class
+  whose counts come from the index kernel or, given an ``endpoint``,
+  from the SPARQL-only engine.
 * :mod:`repro.facets.sparql_backend` — the SPARQL-only evaluation of
-  the model (Tables 5.1/5.2; the Fig. 8.3 alternative implementation).
-* :mod:`repro.facets.resilient` — the endpoint-backed session with
-  graceful degradation: stale counts flagged ``approximate``, partial
-  listings with explicit ``errors``, never a crashed interaction.
+  the model (Tables 5.1/5.2; the Fig. 8.3 alternative implementation)
+  and its graceful degradation: stale counts flagged ``approximate``,
+  partial listings with explicit ``errors``, never a crashed
+  interaction.
 * :mod:`repro.facets.planner` — §7.1 expressiveness: HIFUN query →
   click script.
 * :mod:`repro.facets.browser` — the browsing access method of §1.2(i).
@@ -43,8 +45,7 @@ from repro.facets.intentions import (
 )
 from repro.facets.session import EmptyTransitionError, FacetedSession
 from repro.facets.analytics import AnswerFrame, FacetedAnalyticsSession
-from repro.facets.sparql_backend import SparqlFacetEngine
-from repro.facets.resilient import DegradationEvent, ResilientFacetedSession
+from repro.facets.sparql_backend import DegradationEvent, SparqlFacetEngine
 from repro.facets.planner import (
     InexpressibleQueryError,
     InteractionPlan,
@@ -74,7 +75,6 @@ __all__ = [
     "FacetError",
     "FacetListing",
     "DegradationEvent",
-    "ResilientFacetedSession",
     "InexpressibleQueryError",
     "InteractionPlan",
     "plan_interaction",

@@ -26,6 +26,12 @@ Execution follows Table 5.1: the HIFUN query synthesized from the button
 state is translated to SPARQL rooted at a temporary class ``temp``, and
 evaluated (locally or against a simulated endpoint) over a read-only
 view of the graph in which exactly the current extension has that type.
+
+Opened with an ``endpoint``, the same session takes its counts and its
+``"sparql"`` / ``"restrictions"`` runs from that fallible endpoint (the
+Fig. 8.3 alternative; state stays client-side).  Counts degrade
+(:mod:`repro.facets.sparql_backend`), transitions never raise endpoint
+errors, and a run surfaces them typed: an answer has no stale stand-in.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.caching import CacheStats
@@ -57,7 +64,7 @@ from repro.facets.model import AnyPath, PropertyRef
 from repro.facets.session import FacetedSession
 # APP: the namespace of machinery terms (the temporary class of Table 5.1
 # and the answer-frame vocabulary of §5.3.3).
-from repro.facets.sparql_backend import APP, TEMP
+from repro.facets.sparql_backend import APP, TEMP, SparqlFacetEngine
 from repro.sparql import query as sparql_query
 
 if TYPE_CHECKING:
@@ -66,6 +73,11 @@ if TYPE_CHECKING:
 #: The temporary class the current extension is typed under during a run
 #: — the one the session's extension view populates.
 TEMP_CLASS = TEMP
+
+#: The virtual seconds a user thinks between two transitions of an
+#: endpoint-backed session: what lets an open circuit reach its recovery
+#: window inside a no-sleep simulation.
+THINK_SECONDS = 2.0
 
 
 class AnalyticsStateError(RuntimeError):
@@ -230,8 +242,17 @@ class FacetedAnalyticsSession(FacetedSession):
     """Faceted search extended with the analytic actions of §5.1."""
 
     def __init__(self, graph: Graph, results: Optional[Iterable[Term]] = None,
-                 closed: bool = False, analyze: bool = False):
+                 closed: bool = False, analyze: bool = False,
+                 endpoint: Optional[Callable[[Graph], Any]] = None):
+        """``endpoint`` builds, over the closed graph, what the counts
+        and SPARQL runs go through — e.g.
+        ``lambda g: ResilientEndpoint(LocalEndpoint(g))`` (``query``,
+        ``advance`` and ``report`` are used)."""
         super().__init__(graph, results=results, closed=closed, analyze=analyze)
+        self.endpoint = endpoint(self.graph) if endpoint is not None else None
+        #: Where the counts come from when not from the index kernel.
+        self.facet_engine = (SparqlFacetEngine(self.graph, self.endpoint)
+                             if self.endpoint is not None else None)
         self._groups: List[GroupSpec] = []
         self._measure: Optional[MeasureSpec] = None
         self._with_count = False
@@ -481,7 +502,25 @@ class FacetedAnalyticsSession(FacetedSession):
             self._retired_views += replace(
                 entry[1].sparql_cache.stats(), size=0, maxsize=0)
 
+    def _per_state(self, key, build, counted=False):
+        """As the base session's — except that through an endpoint a
+        count operation is answered by :attr:`facet_engine` over the
+        extension view and never remembered on the state: what a
+        fallible remote said (maybe stale) is no fact about it."""
+        if counted and self.facet_engine is not None:
+            return self.facet_engine.counted(
+                key, self._extension_view(), self._class_tree)
+        return super()._per_state(key, build, counted)
+
+    def _push(self, ids, intention, description):
+        state = super()._push(ids, intention, description)
+        if self.endpoint is not None:
+            self.endpoint.advance(THINK_SECONDS)
+        return state
+
     def back(self):
+        if self.endpoint is not None:
+            self.endpoint.advance(THINK_SECONDS)
         if len(self._history) > 1:
             self._retire_view(self.state)
         return super().back()
@@ -519,10 +558,13 @@ class FacetedAnalyticsSession(FacetedSession):
         ``endpoint`` routes the SPARQL evaluation of the ``"sparql"``
         and ``"restrictions"`` engines through an endpoint object (e.g.
         a :class:`~repro.endpoint.ResilientEndpoint`) instead of the
-        in-process engine; its typed errors propagate to the caller.
+        in-process engine — by default the session's own, if it has
+        one; its typed errors propagate to the caller.
         No engine writes to the graph: a run — failed or not — leaves
         its generation, and every cache stamped with it, as they were.
         """
+        if endpoint is None:
+            endpoint = self.endpoint
         if endpoint is not None:
             evaluate = endpoint.query
         else:

@@ -28,12 +28,13 @@ retires them, and a state that leaves the history takes them along.
 Counting itself happens in one place, the store's
 :meth:`~repro.rdf.graph.Graph.facet_counts`: a listing asks it for every
 property of the extension, a single facet for the last step of its
-path.  When counts must instead come from a remote — and hence
-fallible — SPARQL endpoint, use
-:class:`repro.facets.resilient.ResilientFacetedSession`, which overrides
-``class_markers`` / ``all_facets`` / ``facet`` to query through the
-resilience layer and degrade gracefully on failure; the transition
-methods below are shared and never depend on the endpoint.
+path.  The four count operations reach their value through
+``_per_state(..., counted=True)``; that call is the one seam where an
+analytics session opened with an ``endpoint`` takes its counts from the
+Tables 5.1/5.2 queries instead
+(:class:`~repro.facets.sparql_backend.SparqlFacetEngine`, degrading on
+failure).  The transitions below never depend on where counts come
+from.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.facets.intentions import (
 from repro.facets.model import (
     AnyPath,
     ClassMarker,
+    FacetListing,
     Path,
     PropertyFacet,
     PropertyRef,
@@ -322,9 +324,11 @@ class FacetedSession:
         instead of one pass per property."""
         return self.all_facets(include_inverse)
 
-    def all_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
+    def all_facets(self, include_inverse: bool = False
+                   ) -> Union[List[PropertyFacet], FacetListing]:
         """Every applicable property's facet, from the nearest listed
-        ancestor when there is one and from ONE shared scan otherwise.
+        ancestor when there is one and from ONE shared scan otherwise
+        (through an endpoint: a possibly partial :class:`FacetListing`).
 
         Every click restricts the current extension, so a state's
         non-empty ``(property, value)`` rows are among those of any
@@ -348,8 +352,8 @@ class FacetedSession:
                     return self._recount(ids, *listed)
             return self._scan(ids, include_inverse)
 
-        return list(self._per_state(
-            ("listing", include_inverse), build, counted=True)[0])
+        listed = self._per_state(("listing", include_inverse), build, counted=True)
+        return listed if isinstance(listed, FacetListing) else list(listed[0])
 
     def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
         """``ids`` without the literals: a literal is the source of no

@@ -9,12 +9,12 @@ import pytest
 from repro.caching import MISSING, GenerationCache, LRUCache
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.facets.model import PropertyRef
-from repro.facets.resilient import ResilientFacetedSession
 from repro.rdf.overlay import ExtensionView
 from repro.rdf import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
 from repro.sparql import clear_parse_cache, parse_cache_stats, parse_query, query
+from tests.test_chaos_facets import flaky_endpoint
 
 
 class TestLRUCache:
@@ -248,13 +248,13 @@ class TestDegradedNeverCachedFresh:
             endpoint.alive = False
             return endpoint
 
-        session = ResilientFacetedSession(
-            products, endpoint_factory=factory, retry=None)
+        session = FacetedAnalyticsSession(
+            products, endpoint=flaky_endpoint(raw=factory, retry=None))
         listing = session.property_facets()
-        assert session.incidents  # everything degraded
+        assert session.facet_engine.incidents  # everything degraded
         # Degraded listings/facets never enter the counts remembered
-        # on the state (the resilient overrides keep their own stale
-        # store, flagged approximate / surfaced as errors).
+        # on the state (the facet engine keeps its own stale store,
+        # flagged approximate / surfaced as errors).
         assert session.cache_stats()["facets"].size == 0
         for facet in listing:
             assert facet.approximate or facet.count == 0
@@ -267,8 +267,8 @@ class TestDegradedNeverCachedFresh:
             endpoint = _KillableEndpoint(g)
             return endpoint
 
-        session = ResilientFacetedSession(
-            products, endpoint_factory=factory, retry=None)
+        session = FacetedAnalyticsSession(
+            products, endpoint=flaky_endpoint(raw=factory, retry=None))
         ref = session.applicable_properties()[0]
         good = session.facet((ref,))
         assert not good.approximate

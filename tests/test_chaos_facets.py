@@ -19,6 +19,7 @@ from repro.endpoint import (
     EndpointError,
     EndpointUnavailable,
     FaultModel,
+    FlakyEndpointSimulator,
     LocalEndpoint,
     NetworkModel,
     ResilientEndpoint,
@@ -27,16 +28,28 @@ from repro.endpoint import (
 from repro.facets import (
     EmptyTransitionError,
     FacetedAnalyticsSession,
-    ResilientFacetedSession,
+    FacetListing,
 )
 from repro.facets.sparql_backend import TEMP, SparqlFacetEngine
-from repro.rdf.namespace import RDF
+from repro.rdf.namespace import EX, RDF
 
 TRANSITIONS = 50
 
 
 def temp_residue(graph):
     return list(graph.triples(None, RDF.type, TEMP))
+
+
+def flaky_endpoint(raw=None, network=None, faults=None, seed=0, **resilience):
+    """A session's ``endpoint``: a :class:`ResilientEndpoint` (retry /
+    timeout / breaker from ``resilience``) over ``raw(graph)`` — by
+    default a simulated remote with ``network`` latencies and
+    ``faults``."""
+    def build(graph):
+        inner = (raw(graph) if raw is not None
+                 else FlakyEndpointSimulator(graph, network, faults, seed=seed))
+        return ResilientEndpoint(inner, seed=seed, **resilience)
+    return build
 
 
 def fingerprint(graph):
@@ -96,53 +109,53 @@ class TestChaosSweep:
     @pytest.mark.chaos
     @pytest.mark.parametrize("fault_rate", [0.1, 0.2, 0.3])
     def test_scripted_session_survives_fault_sweep(self, fault_rate):
-        session = ResilientFacetedSession(
-            products_graph(),
+        session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
             network=NetworkModel.offpeak(),
             faults=FaultModel.uniform(fault_rate),
             retry=RetryPolicy(max_attempts=4),
             timeout=120.0,
             seed=int(fault_rate * 10),
-        )
+        ))
         drive(session, seed=42)
         # Zero uncaught exceptions (we got here), state consistent:
         assert session.extension
         assert not temp_residue(session.graph)
         # Every absorbed failure is explicit and typed:
-        for event in session.incidents:
+        engine = session.facet_engine
+        for event in engine.incidents:
             assert isinstance(event.error, EndpointError)
             assert event.operation
-        health = session.health()
-        assert health["incidents"] == len(session.incidents)
+        health = engine.health()
+        assert health["incidents"] == len(engine.incidents)
         assert health["queries"] > 0
 
     @pytest.mark.chaos
     def test_chaos_session_is_seeded_deterministic(self):
         def run():
-            session = ResilientFacetedSession(
-                products_graph(),
+            session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
                 network=NetworkModel.offpeak(),
                 faults=FaultModel.uniform(0.25),
                 retry=RetryPolicy(max_attempts=3),
                 seed=7,
-            )
+            ))
             drive(session, seed=13)
             key = lambda s: (s.network_seconds, s.rows, s.attempts,
                              s.backoff_seconds, s.outcome)
             return ([key(s) for s in session.endpoint.history],
-                    [str(e) for e in session.incidents])
+                    [str(e) for e in session.facet_engine.incidents])
         assert run() == run()
 
 
 class TestDegradation:
     def flaky_session(self, fault_rate=0.6, retry=None, **kwargs):
-        return ResilientFacetedSession(
+        return FacetedAnalyticsSession(
             products_graph(),
-            network=NetworkModel.offpeak(),
-            faults=FaultModel.uniform(fault_rate),
-            retry=retry or RetryPolicy.none(),
-            breaker=None,
-            seed=1,
+            endpoint=flaky_endpoint(
+                network=NetworkModel.offpeak(),
+                faults=FaultModel.uniform(fault_rate),
+                retry=retry or RetryPolicy.none(),
+                breaker=None,
+                seed=1),
             **kwargs,
         )
 
@@ -153,8 +166,8 @@ class TestDegradation:
         for _ in range(12):
             session.class_markers()
             session.property_facets()
-        assert session.incidents
-        for event in session.incidents:
+        assert session.facet_engine.incidents
+        for event in session.facet_engine.incidents:
             assert type(event.error) is not Exception
             assert isinstance(event.error, EndpointError)
         report = session.endpoint.report()
@@ -165,10 +178,9 @@ class TestDegradation:
     def test_stale_counts_flagged_approximate(self):
         """After the endpoint dies, cached markers are served flagged."""
         graph = products_graph()
-        session = ResilientFacetedSession(
-            graph,
-            endpoint_factory=lambda g: FailAfter(g, healthy_queries=200),
-            retry=RetryPolicy.none(), breaker=None)
+        session = FacetedAnalyticsSession(graph, endpoint=flaky_endpoint(
+            raw=lambda g: FailAfter(g, healthy_queries=200),
+            retry=RetryPolicy.none(), breaker=None))
         fresh = session.class_markers(expanded=True)
         fresh_listing = session.property_facets()
         assert fresh and all(not m.approximate for m in fresh)
@@ -184,15 +196,40 @@ class TestDegradation:
         assert not stale_listing.complete
         assert all(f.approximate for f in stale_listing)
         assert not stale_listing.errors  # everything had a cached value
-        assert session.degraded
-        assert all(e.stale for e in session.incidents)
+        assert session.facet_engine.degraded
+        assert all(e.stale for e in session.facet_engine.incidents)
+
+    def test_stale_properties_keep_their_direction(self):
+        """An inverse discovery that fails is served the last *inverse*
+        list, never the forward-only one."""
+        session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
+            raw=lambda g: FailAfter(g, healthy_queries=10 ** 9),
+            retry=RetryPolicy.none(), breaker=None))
+        forward = session.applicable_properties()
+        both = session.applicable_properties(include_inverse=True)
+        assert any(ref.inverse for ref in both) and len(both) > len(forward)
+        session.endpoint.inner.kill()
+        assert session.applicable_properties(include_inverse=True) == both
+        assert session.applicable_properties() == forward
+        assert all(e.stale for e in session.facet_engine.incidents)
+
+    def test_a_healthy_empty_discovery_is_no_listing_error(self):
+        """The listing reports the outcome of its own discovery: one that
+        failed earlier does not turn a later, healthy, property-less
+        listing into an error."""
+        session = FacetedAnalyticsSession(
+            products_graph(), results=[EX.Asia], endpoint=flaky_endpoint(
+                raw=lambda g: FailAfter(g, healthy_queries=0),
+                retry=RetryPolicy.none(), breaker=None))
+        failed = session.all_facets()
+        assert [entry.operation for entry in failed.errors] == ["listing"]
+        session.endpoint.inner.remaining = 10 ** 9
+        assert session.all_facets() == FacetListing((), ())
 
     def test_never_cached_facets_become_listing_errors(self):
         """A facet that never succeeded lands in FacetListing.errors."""
-        session = ResilientFacetedSession(
-            products_graph(),
-            endpoint_factory=lambda g: FailFacetCounts(g),
-            retry=RetryPolicy.none(), breaker=None)
+        session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
+            raw=FailFacetCounts, retry=RetryPolicy.none(), breaker=None))
         listing = session.property_facets()
         assert len(listing) == 0
         assert listing.errors
@@ -201,7 +238,7 @@ class TestDegradation:
             assert entry.operation.startswith("by ")
             assert isinstance(entry.error, EndpointError)
         # The incidents log mirrors the dropped facets:
-        dropped = [e for e in session.incidents if not e.stale]
+        dropped = [e for e in session.facet_engine.incidents if not e.stale]
         assert dropped
         assert all(e.operation.startswith("facet ") for e in dropped)
 
@@ -233,7 +270,7 @@ class TestDegradation:
     def test_health_counters(self):
         session = self.flaky_session(fault_rate=0.0)
         session.class_markers()
-        health = session.health()
+        health = session.facet_engine.health()
         assert health["incidents"] == 0
         assert health["stale_serves"] == 0
         assert health["dropped"] == 0
@@ -246,25 +283,23 @@ class TestTempClassHygiene:
 
     def test_mid_batch_fault_leaves_the_store_untouched(self):
         """A listing is 1 + 2·N queries over one view; a flaky endpoint
-        (no retries) kills it somewhere in the middle on most seeds."""
-        from repro.endpoint import FlakyEndpointSimulator
-
+        (no retries) fails some of them after a good one on most seeds,
+        and the listing loop goes on past each."""
         graph = FacetedAnalyticsSession(products_graph()).graph
         extension = FacetedAnalyticsSession(graph, closed=True).extension
         before = fingerprint(graph)
-        died_mid_batch = 0
+        failed_mid_batch = 0
         for seed in range(12):
             endpoint = FlakyEndpointSimulator(
                 graph, faults=FaultModel.uniform(0.3), seed=seed)
             engine = SparqlFacetEngine(graph, endpoint)
-            try:
-                engine.all_facets(extension)
-            except EndpointError:
-                if len(endpoint.injected) > 1:  # after ≥ 1 good query
-                    died_mid_batch += 1
+            listing = engine.all_facets(extension)
+            if listing.errors and endpoint.injected[0] == "ok":
+                failed_mid_batch += 1
+                assert len(engine.incidents) == len(listing.errors)
             assert fingerprint(graph) == before
             assert not temp_residue(graph)
-        assert died_mid_batch
+        assert failed_mid_batch
 
     def test_engine_failure_leaves_graph_clean(self):
         graph = products_graph()
@@ -279,11 +314,10 @@ class TestTempClassHygiene:
 
     def test_analytics_run_failure_leaves_graph_clean(self):
         graph = products_graph()
-        session = ResilientFacetedSession(
-            graph,
+        session = FacetedAnalyticsSession(graph, endpoint=flaky_endpoint(
             network=NetworkModel.offpeak(),
             faults=FaultModel.uniform(1.0),
-            retry=RetryPolicy.none(), breaker=None)
+            retry=RetryPolicy.none(), breaker=None))
         refs = _native_refs(graph)
         session.group_by((refs[0],))
         session.measure((refs[1],), "COUNT")
@@ -296,7 +330,8 @@ class TestTempClassHygiene:
 
     def test_resilient_run_matches_native_when_healthy(self):
         graph = products_graph()
-        session = ResilientFacetedSession(graph)
+        session = FacetedAnalyticsSession(
+            graph, endpoint=flaky_endpoint(raw=LocalEndpoint))
         native = FacetedAnalyticsSession(products_graph())
         refs = _native_refs(graph)
         for s in (session, native):

@@ -25,7 +25,8 @@ from repro.datasets import (
     products_graph,
     synthetic_graph,
 )
-from repro.facets.analytics import APP, TEMP_CLASS
+from repro.endpoint import LocalEndpoint, ResilientEndpoint
+from repro.facets.analytics import APP, TEMP_CLASS, AnalyticsStateError
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.facets.model import PropertyRef
 from repro.hifun import (
@@ -547,3 +548,87 @@ def test_column_names_are_the_querys_on_every_engine(engine):
     session = press(
         "products", [((EX.USBPorts,), None)], origin, ("COUNT",), False, None)
     assert session.run(engine).columns == ("USBPorts", "count_manufacturer_origin")
+
+
+# ---------------------------------------------------------------------------
+# Native ≡ endpoint: one session class, its counts from the index kernel or
+# from the Tables 5.1/5.2 queries through a healthy endpoint
+# ---------------------------------------------------------------------------
+ENDPOINT_GRAPHS = {
+    "products": products_graph,
+    "synthetic": lambda: synthetic_graph(SyntheticConfig(laptops=12, seed=3)),
+}
+
+
+def _answer(session, engine):
+    try:
+        frame = session.run(engine)
+    except AnalyticsStateError as exc:
+        return str(exc)
+    return frame.columns, frame.rows
+
+
+def _assert_same_counts(native, remote):
+    for expanded in (False, True):
+        assert remote.class_markers(expanded) == native.class_markers(expanded)
+    for include_inverse in (False, True):
+        assert (remote.applicable_properties(include_inverse)
+                == native.applicable_properties(include_inverse))
+        facets = native.all_facets(include_inverse)
+        listing = remote.all_facets(include_inverse)
+        assert listing.complete and list(listing) == facets, include_inverse
+        for facet in facets:
+            assert remote.facet(facet.path) == facet, facet.path
+    for engine in ("sparql", "restrictions"):
+        assert _answer(remote, engine) == _answer(native, engine), engine
+
+
+def _click(rng, native, sessions):
+    """One seeded click among what the native session offers — a class,
+    a value, a range, back or a pivot (inverse steps included) — taken
+    in every one of ``sessions``."""
+    actions = [("back",)] if len(native.history()) > 1 else []
+    actions += [("class", marker.cls)
+                for top in native.class_markers(expanded=True)
+                for marker in top.flatten()]
+    for facet in native.all_facets(include_inverse=True):
+        actions.append(("pivot", facet.path))
+        for marker in facet.values[:3]:
+            actions.append(("value", facet.path, marker.value))
+            if isinstance(marker.value, Literal) and marker.value.is_numeric():
+                actions.append(("range", facet.path, marker.value))
+    kind, *args = rng.choice(actions)
+    for session in sessions:
+        if kind == "back":
+            session.back()
+        elif kind == "class":
+            session.select_class(*args)
+        elif kind == "value":
+            session.select_value(*args)
+        elif kind == "range":
+            session.select_range(args[0], ">=", args[1])
+        else:
+            session.pivot_to(*args)
+
+
+@pytest.mark.parametrize("dataset", sorted(ENDPOINT_GRAPHS))
+@pytest.mark.parametrize("seed", range(3))
+def test_endpoint_counts_equal_native_counts(dataset, seed):
+    """Over a healthy endpoint a session offers exactly the native one's
+    markers, properties, listings and facets — inverse ones included —
+    and runs to the same answers, state after state."""
+    native = FacetedAnalyticsSession(ENDPOINT_GRAPHS[dataset]())
+    remote = FacetedAnalyticsSession(
+        native.graph, closed=True,
+        endpoint=lambda g: ResilientEndpoint(LocalEndpoint(g)))
+    for session in (native, remote):
+        session.group_by((EX.manufacturer,))
+        session.count_items()
+    rng = random.Random(seed)
+    for _ in range(6):
+        _assert_same_counts(native, remote)
+        _click(rng, native, (native, remote))
+        assert remote.state.ids == native.state.ids
+    _assert_same_counts(native, remote)
+    assert remote.facet_engine.incidents == []
+    assert remote.cache_stats()["facets"].size == 0

@@ -288,12 +288,12 @@ class TestShell:
 
     def test_load_opens_the_shells_kind_of_session(self):
         from repro.app.cli import build_shell
-        from repro.facets import ResilientFacetedSession
+        from repro.endpoint import ResilientEndpoint
 
         shell = build_shell(["--analyze", "--network", "offpeak"])
         shell.execute("select laptop")
         assert "restored" in shell.execute(f"load {shell.execute('save')}")
-        assert isinstance(shell.session, ResilientFacetedSession)
+        assert isinstance(shell.session.endpoint, ResilientEndpoint)
         assert shell.session.analyze
         assert len(shell.session.extension) == 3
         assert "circuit:" in shell.execute("health")
