@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Any,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -60,6 +62,8 @@ from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
 
 #: Shared empty id set returned by the ``*_ids`` accessors on absence.
 EMPTY_IDS: frozenset = frozenset()
+#: Shared empty index row (never written).
+_NO_ROW: Dict[int, Set[int]] = {}
 
 
 #: ``(counters, having)`` of one facet scan: per ``(property id,
@@ -67,6 +71,31 @@ EMPTY_IDS: frozenset = frozenset()
 #: extension members having the property at all.
 FacetCounts = Tuple[Dict[Tuple[int, bool], Dict[int, int]],
                     Dict[Tuple[int, bool], int]]
+
+
+def decoded_triples(triples_ids: Callable[..., Iterator[Tuple[int, int, int]]],
+                    pattern: Tuple[Optional[Term], ...],
+                    encode: Callable[[Term], Optional[int]],
+                    decode: Callable[[int], Term],
+                    slot: Optional[int] = None) -> Iterator[Any]:
+    """``triples_ids`` of the encoded ``pattern``, decoded — the
+    term-level ``triples`` of a store and of a view of one; given a
+    ``slot`` (0, 1, 2), the distinct terms in that position instead,
+    de-duplicated on their ids (``subjects``, ``predicates``,
+    ``objects``).  A term ``encode`` does not know matches nothing."""
+    ids = [None if t is None else encode(t) for t in pattern]
+    if any(i is None and t is not None for i, t in zip(ids, pattern)):
+        return
+    if slot is None:
+        for si, pi, oi in triples_ids(*ids):
+            yield (decode(si), decode(pi), decode(oi))
+        return
+    seen: Set[int] = set()
+    for match in triples_ids(*ids):
+        ident = match[slot]
+        if ident not in seen:
+            seen.add(ident)
+            yield decode(ident)
 
 
 class Graph:
@@ -248,82 +277,54 @@ class Graph:
         p: Optional[Term] = None,
         o: Optional[Term] = None,
     ) -> Iterator[Triple]:
-        """Iterate all triples matching the pattern (``None`` = wildcard).
+        """Iterate all triples matching the pattern (``None`` = wildcard):
+        :meth:`triples_ids` of the encoded pattern, decoded.  A term the
+        graph never saw matches nothing.
 
         Yielded terms are the canonical (interned) instances, so
         consumers may compare them by identity first.
         """
-        lookup = self._dict.lookup
-        decode = self._dict.decode
-        if s is not None:
-            si = lookup(s)
-            if si is None:
-                return
-            po = self._spo.get(si)
-            if po is None:
-                return
-            if p is not None:
-                pi = lookup(p)
-                objects = po.get(pi) if pi is not None else None
-                if objects is None:
-                    return
-                if o is not None:
-                    oi = lookup(o)
-                    if oi is not None and oi in objects:
-                        yield (s, p, o)
-                    return
-                for oi in objects:
-                    yield (s, p, decode(oi))
-                return
-            if o is not None:
-                oi = lookup(o)
-                if oi is None:
-                    return
-                for pi, objects in po.items():
-                    if oi in objects:
-                        yield (s, decode(pi), o)
-                return
-            for pi, objects in po.items():
-                pred = decode(pi)
-                for oi in objects:
-                    yield (s, pred, decode(oi))
-            return
-        if p is not None:
-            pi = lookup(p)
-            if pi is None:
-                return
-            os_ = self._pos.get(pi)
-            if os_ is None:
-                return
-            if o is not None:
-                oi = lookup(o)
-                if oi is None:
-                    return
-                for si in os_.get(oi, EMPTY_IDS):
-                    yield (decode(si), p, o)
-                return
-            for oi, subjects in os_.items():
-                obj = decode(oi)
-                for si in subjects:
-                    yield (decode(si), p, obj)
-            return
-        if o is not None:
-            oi = lookup(o)
+        return decoded_triples(self.triples_ids, (s, p, o),
+                               self._dict.lookup, self._dict.decode)
+
+    def triples_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
+                    oi: Optional[int] = None) -> Iterator[Tuple[int, int, int]]:
+        """The id twin of :meth:`triples`: the encoded triples matching
+        an encoded pattern (``None`` = wildcard), in the same order.
+        Nothing is decoded; an id the store never issued matches
+        nothing."""
+        if si is not None and pi is not None:  # a join probe: one row
+            objects = self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
             if oi is None:
-                return
-            for pi, os_ in self._pos.items():
+                for o in objects:
+                    yield (si, pi, o)
+            elif oi in objects:
+                yield (si, pi, oi)
+            return
+        if si is not None:
+            for p, objects in self._spo.get(si, _NO_ROW).items():
+                for o in (objects if oi is None
+                          else (oi,) if oi in objects else ()):
+                    yield (si, p, o)
+            return
+        if pi is None and oi is None:
+            for s, po in self._spo.items():
+                for p, objects in po.items():
+                    for o in objects:
+                        yield (s, p, o)
+            return
+        if pi is None:  # the object alone: one POS probe per predicate
+            for p, os_ in self._pos.items():
                 subjects = os_.get(oi)
                 if subjects:
-                    pred = decode(pi)
-                    for si in subjects:
-                        yield (decode(si), pred, o)
+                    for s in subjects:
+                        yield (s, p, oi)
             return
-        for si, po in self._spo.items():
-            subj = decode(si)
-            for pi, objects in po.items():
-                pred = decode(pi)
-                for oi in objects:
-                    yield (subj, pred, decode(oi))
+        os_ = self._pos.get(pi, _NO_ROW)
+        for o, subjects in (os_.items() if oi is None
+                            else ((oi, os_.get(oi, EMPTY_IDS)),)):
+            for s in subjects:
+                yield (s, pi, o)
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = t
@@ -422,25 +423,16 @@ class Graph:
     # Single-slot accessors
     # ------------------------------------------------------------------
     def subjects(self, p=None, o=None) -> Iterator[Term]:
-        seen = set()
-        for s, _, _ in self.triples(None, p, o):
-            if s not in seen:
-                seen.add(s)
-                yield s
+        return decoded_triples(self.triples_ids, (None, p, o),
+                               self._dict.lookup, self._dict.decode, 0)
 
     def predicates(self, s=None, o=None) -> Iterator[Term]:
-        seen = set()
-        for _, p, _ in self.triples(s, None, o):
-            if p not in seen:
-                seen.add(p)
-                yield p
+        return decoded_triples(self.triples_ids, (s, None, o),
+                               self._dict.lookup, self._dict.decode, 1)
 
     def objects(self, s=None, p=None) -> Iterator[Term]:
-        seen = set()
-        for _, _, o in self.triples(s, p, None):
-            if o not in seen:
-                seen.add(o)
-                yield o
+        return decoded_triples(self.triples_ids, (s, p, None),
+                               self._dict.lookup, self._dict.decode, 2)
 
     def value(self, s=None, p=None, o=None) -> Optional[Term]:
         """The single term filling the one ``None`` slot, or ``None``."""

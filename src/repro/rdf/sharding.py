@@ -190,14 +190,12 @@ class ShardedGraph(Graph):
     # ------------------------------------------------------------------
     # Pattern matching / membership
     # ------------------------------------------------------------------
-    def triples(self, s=None, p=None, o=None) -> Iterator[Triple]:
-        if s is None:
-            return chain.from_iterable(
-                piece.triples(s, p, o) for piece in self._slices)
-        si = self._dict.lookup(s)
+    def triples_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
+                    oi: Optional[int] = None) -> Iterator[Tuple[int, int, int]]:
         if si is None:
-            return iter(())
-        return self._owner(si).triples(s, p, o)
+            return chain.from_iterable(
+                piece.triples_ids(si, pi, oi) for piece in self._slices)
+        return self._owner(si).triples_ids(si, pi, oi)
 
     def __contains__(self, t: Triple) -> bool:
         si = self._dict.lookup(t[0])

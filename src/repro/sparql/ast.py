@@ -277,3 +277,7 @@ class ConstructQuery:
     template: Tuple[TriplePattern, ...]
     where: GroupPattern
     limit: Opt[int] = None
+
+
+#: A parsed query of any form.
+Query = U[SelectQuery, AskQuery, ConstructQuery]

@@ -14,7 +14,7 @@ import math
 import operator
 import re
 from decimal import Decimal
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.rdf.terms import (
     BNode,
@@ -54,7 +54,7 @@ def effective_boolean_value(term: Optional[Term]) -> bool:
     raise ExpressionError(f"no effective boolean value for {term!r}")
 
 
-def numeric_value(term: Term):
+def numeric_value(term: Term) -> Union[int, float, Decimal]:
     if isinstance(term, Literal) and term.is_numeric():
         return term.to_python()
     raise ExpressionError(f"not a numeric literal: {term!r}")
@@ -79,7 +79,7 @@ def wrap_number(value) -> Literal:
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
-def _comparable_pair(a: Term, b: Term):
+def _comparable_pair(a: Term, b: Term) -> Tuple[Any, Any]:
     """Native value pair for an order comparison, or raise ExpressionError."""
     if isinstance(a, Literal) and isinstance(b, Literal):
         return _comparable_values(a.to_python(), b.to_python())
@@ -193,7 +193,7 @@ def _string_value(term: Term) -> str:
     raise ExpressionError(f"not a string-valued term: {term!r}")
 
 
-def _temporal_value(term: Term):
+def _temporal_value(term: Term) -> _dt.date:
     if isinstance(term, Literal):
         value = term.to_python()
         if isinstance(value, (_dt.date, _dt.datetime)):
@@ -219,7 +219,7 @@ def _fn_datatype(args):
     raise ExpressionError("DATATYPE of non-literal")
 
 
-def _temporal_part(part: str):
+def _temporal_part(part: str) -> Callable[[List[Term]], Term]:
     def fn(args):
         value = _temporal_value(args[0])
         if part in ("hour", "minute", "second") and not isinstance(value, _dt.datetime):

@@ -540,7 +540,8 @@ class _Parser:
         self._eat_punct("]")
         return node
 
-    def _predicate_object_list(self, subject, patterns: List[ast.Pattern]) -> None:
+    def _predicate_object_list(self, subject: ast.Slot,
+                               patterns: List[ast.Pattern]) -> None:
         while True:
             path = self._path()
             while True:
@@ -877,7 +878,7 @@ class _Parser:
 _PARSE_CACHE = LRUCache(maxsize=512, name="sparql-parse")
 
 
-def parse_query(text: str, use_cache: bool = True):
+def parse_query(text: str, use_cache: bool = True) -> ast.Query:
     """Parse SPARQL text into an AST (SelectQuery / AskQuery / ConstructQuery).
 
     Repeated texts are served from an LRU cache — the facet engine and

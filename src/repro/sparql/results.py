@@ -8,7 +8,7 @@ unbound variables are absent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Term
 
@@ -24,10 +24,10 @@ class Row:
     def __getitem__(self, name: str) -> Term:
         return self._bindings[name.lstrip("?")]
 
-    def get(self, name: str, default=None):
+    def get(self, name: str, default: Optional[Term] = None) -> Optional[Term]:
         return self._bindings.get(name.lstrip("?"), default)
 
-    def value(self, name: str, default=None):
+    def value(self, name: str, default: Any = None) -> Any:
         """The native Python value of a bound literal (or the term itself)."""
         term = self.get(name)
         if term is None:
@@ -94,7 +94,7 @@ class SelectResult:
     def sorted_rows(self) -> List[Row]:
         """Rows in a deterministic order (for comparisons in tests)."""
 
-        def key(row: Row):
+        def key(row: Row) -> Tuple[tuple, ...]:
             return tuple(
                 (term.sort_key() if (term := row.get(v)) is not None else (-1,))
                 for v in self.variables

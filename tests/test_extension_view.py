@@ -100,6 +100,35 @@ def test_view_equals_materialized_copy(triples, members):
         assert (len(base), base.generation) == (size, generation)
 
 
+@given(_triples, _members)
+@settings(max_examples=40, deadline=None)
+def test_triples_ids_is_the_encoded_triples(triples, members):
+    """On all eight pattern shapes, over the flat store, three shards
+    and a view: ``triples_ids`` yields each encoded matching triple once
+    — checked against a filter over the triples put in — and in the
+    order of ``triples``; a pattern with a term the store never saw
+    matches nothing either way."""
+    flat = Graph(triples)
+    typed = {(m, RDF.type, TEMP) for m in members if not isinstance(m, Literal)}
+    for store, truth in ((flat, set(triples)),
+                         (ShardedGraph.from_graph(flat, shards=3), set(triples)),
+                         (ExtensionView(flat, TEMP, members), set(triples) | typed)):
+        for pattern in _PROBES:
+            expected = [tuple(map(store.encode_term, t))
+                        for t in store.triples(*pattern)]
+            ids = [None if t is None else store.encode_term(t)
+                   for t in pattern]
+            if any(i is None and t is not None for i, t in zip(ids, pattern)):
+                assert expected == []
+                continue
+            found = list(store.triples_ids(*ids))
+            assert found == expected
+            assert sorted(found) == sorted(
+                tuple(map(store.encode_term, t)) for t in truth
+                if all(want is None or want == have
+                       for want, have in zip(pattern, t)))
+
+
 def _triple_key(t):
     return tuple(term.sort_key() for term in t)
 

@@ -14,7 +14,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.rdf import Graph
-from repro.rdf.namespace import EX
+from repro.rdf.namespace import EX, RDF
+from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import Literal
 from repro.sparql import ast
 from repro.sparql.evaluator import _eval_group
@@ -104,3 +105,39 @@ def test_cyclic_join_against_oracle(graph):
     assert sorted(tuple(sorted(s.items())) for s in engine) == sorted(
         tuple(sorted(s.items())) for s in oracle
     )
+
+
+# -- the same blocks over an extension view ---------------------------------
+_TEMP = EX.temp
+_UNSEEN = EX.neverInterned
+_members = st.sets(st.sampled_from(
+    [EX.term(f"n{i}") for i in range(4)] + [Literal.of(1), _UNSEEN]))
+_view_predicate_slots = st.one_of(_predicate_slots, st.just(RDF.type))
+_view_object_slots = st.one_of(_object_slots, st.just(_TEMP))
+_view_patterns = st.lists(
+    st.tuples(st.one_of(_slots, st.just(_UNSEEN)), _view_predicate_slots,
+              _view_object_slots).map(lambda t: ast.TriplePattern(*t)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_graphs, members=_members, patterns=_view_patterns)
+def test_bgp_over_an_extension_view_matches_brute_force(graph, members,
+                                                        patterns):
+    """The view's virtual ids — ``:temp``, never interned by the store,
+    and a member no triple mentions — join like real ones; a literal
+    member is no subject.  Members the store knows go in as ids, the
+    others as Terms; the oracle runs on the materialized copy."""
+    assert graph.encode_term(_TEMP) is None
+    known = {m for m in members if graph.encode_term(m) is not None}
+    view = ExtensionView(graph, _TEMP, members - known,
+                         ids=graph.encode_terms(known))
+    real = graph.copy()
+    real.add_all((m, RDF.type, _TEMP) for m in members
+                 if not isinstance(m, Literal))
+    engine = _eval_group(ast.GroupPattern(tuple(patterns)), [{}], view)
+    oracle = brute_force(real, patterns)
+    assert sorted(tuple(sorted(s.items())) for s in engine) == sorted(
+        tuple(sorted(s.items())) for s in oracle)

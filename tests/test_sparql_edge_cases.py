@@ -220,3 +220,19 @@ class TestValuesEdgeCases:
             g, "SELECT ?s WHERE { ?s ex:p ?v VALUES ?v { 2 } }"
         )
         assert [row["s"] for row in res] == [EX.b]
+
+    def test_a_term_the_store_never_saw_matches_nothing(self, g):
+        """A VALUES or BIND term the store never interned has no id: the
+        solution it binds joins with nothing in the next block, and an
+        OPTIONAL keeps it unextended."""
+        for bind in ("VALUES ?s { ex:a ex:nowhere }",
+                     "VALUES ?s { ex:nowhere ex:a }",
+                     "BIND(ex:nowhere AS ?s)"):
+            res = query(g, f"SELECT ?s ?v WHERE {{ {bind} ?s ex:p ?v }}")
+            assert ({row["s"] for row in res}
+                    == ({EX.a} if "ex:a" in bind else set()))
+            res = query(g, f"SELECT ?s ?v WHERE {{ {bind} "
+                           "OPTIONAL { ?s ex:p ?v } }")
+            assert EX.nowhere in {row["s"] for row in res}
+            for row in res:
+                assert ("v" in row) == (row["s"] == EX.a)

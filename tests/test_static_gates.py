@@ -30,7 +30,7 @@ def test_typecheck_gate_passes_on_target_packages():
     result = _run(
         "--typecheck",
         "src/repro/rdf", "src/repro/hifun", "src/repro/analysis",
-        "src/repro/olap", "src/repro/facets",
+        "src/repro/olap", "src/repro/facets", "src/repro/sparql",
     )
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -146,6 +146,43 @@ def test_column_engines_come_from_the_graph_generation(tmp_path):
         "fresh = columns.ColumnEngine(graph)\n"
         "again = Engine(graph)\n", encoding="utf-8")
     assert _engine_constructions([planted]) == ["planted.py:2", "planted.py:3"]
+
+
+EVALUATOR = REPO / "src" / "repro" / "sparql" / "evaluator.py"
+
+
+def _block_matcher_leaves_id_space(path=EVALUATOR):
+    """Where the SPARQL evaluator's block matcher goes back to the
+    Term-level store API: a ``triples`` / ``subjects`` / ``objects``
+    call, or an ``in graph`` / ``in store`` containment test."""
+    matcher = _definition(ast.parse(path.read_text(encoding="utf-8")),
+                          "_match_block")
+    found = _attribute_calls([matcher], {"triples", "subjects", "objects"})
+    found += [f"in:{node.lineno}" for node in ast.walk(matcher)
+              if isinstance(node, ast.Compare)
+              and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+              and any(isinstance(side, ast.Name)
+                      and side.id in ("graph", "store")
+                      for side in node.comparators)]
+    return found
+
+
+def test_block_matcher_joins_in_ids(tmp_path):
+    """A basic block is joined over dictionary ids: each probe is a
+    ``triples_ids`` call and each Term is decoded once, at the block's
+    edge.  A Term-level read inside the matcher would decode every match
+    and re-encode it for the next pattern."""
+    assert _block_matcher_leaves_id_space() == []
+    planted = tmp_path / "evaluator.py"
+    planted.write_text(
+        EVALUATOR.read_text(encoding="utf-8").replace(
+            "        rows = out\n",
+            "        rows = out\n"
+            "        list(graph.triples(None, None, None))\n"
+            "        assert (None, None, None) not in graph\n", 1),
+        encoding="utf-8")
+    assert [hit.split(":")[0] for hit in _block_matcher_leaves_id_space(planted)
+            ] == ["triples", "in"]
 
 
 BENCHMARKS = REPO / "benchmarks"
