@@ -14,7 +14,7 @@ lint:
 	python tools/static_check.py --lint src/repro tools benchmarks tests examples
 
 typecheck:
-	python tools/static_check.py --typecheck src/repro/rdf src/repro/hifun src/repro/analysis src/repro/olap src/repro/facets src/repro/sparql
+	python tools/static_check.py --typecheck src/repro
 
 # The default verify path: lint + typecheck + the full test suite.
 check: lint typecheck test

@@ -35,15 +35,16 @@ class ScanGraph(Graph):
     """A Graph whose pattern matching always scans every triple."""
 
     def triples_ids(self, si=None, pi=None, oi=None):
-        """The one probe: the evaluator joins in ids, and ``triples``
-        (and ``count`` through it) derive from it, so all of them scan."""
+        """The one probe: the evaluator reads in ids, and ``triples``
+        derives from it, so both scan."""
         for t in super().triples_ids(None, None, None):
             if ((si is None or t[0] == si) and (pi is None or t[1] == pi)
                     and (oi is None or t[2] == oi)):
                 yield t
 
-    def count(self, s=None, p=None, o=None):
-        return sum(1 for _ in self.triples(s, p, o))
+    def count_ids(self, si=None, pi=None, oi=None):
+        """The planner's probe (and ``count`` through it), scanning."""
+        return sum(1 for _ in self.triples_ids(si, pi, oi))
 
 
 def build(size):

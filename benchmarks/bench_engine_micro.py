@@ -3,12 +3,14 @@
 Supporting measurements for §6.4: BGP join throughput, aggregation,
 path closure, parsing — the building blocks every interactive action
 reduces to.  Engine measurements bypass the generation-stamped result
-cache (``use_cache=False``) so they time actual evaluation; the two
-``*_cached`` benchmarks time the cache-hit path by contrast.
+cache (``evaluate`` over the parsed text) so they time actual
+evaluation, and the parse measurement clears the parse cache before
+each round; the two ``*_cached`` benchmarks time the cache-hit paths by
+contrast.
 """
 
 from repro.datasets import SyntheticConfig, synthetic_graph
-from repro.sparql import parse_query, query
+from repro.sparql import clear_parse_cache, evaluate, parse_query, query
 
 GRAPH = synthetic_graph(SyntheticConfig(laptops=300, seed=31))
 
@@ -40,8 +42,13 @@ SELECT ?l WHERE {
 """
 
 
+def _evaluated(text):
+    """``query`` without the result cache: the parsed text, evaluated."""
+    return evaluate(parse_query(text), GRAPH)
+
+
 def test_bgp_join(benchmark):
-    result = benchmark(query, GRAPH, JOIN_QUERY, use_cache=False)
+    result = benchmark(_evaluated, JOIN_QUERY)
     assert len(result) == 300
 
 
@@ -54,22 +61,23 @@ def test_bgp_join_cached(benchmark):
 
 
 def test_grouped_aggregation(benchmark):
-    result = benchmark(query, GRAPH, AGG_QUERY, use_cache=False)
+    result = benchmark(_evaluated, AGG_QUERY)
     assert len(result) == 20
 
 
 def test_property_path(benchmark):
-    result = benchmark(query, GRAPH, PATH_QUERY, use_cache=False)
+    result = benchmark(_evaluated, PATH_QUERY)
     assert len(result) == 300
 
 
 def test_filter_evaluation(benchmark):
-    result = benchmark(query, GRAPH, FILTER_QUERY, use_cache=False)
+    result = benchmark(_evaluated, FILTER_QUERY)
     assert len(result) > 0
 
 
 def test_parse_throughput(benchmark):
-    parsed = benchmark(parse_query, AGG_QUERY, use_cache=False)
+    parsed = benchmark.pedantic(parse_query, args=(AGG_QUERY,),
+                                setup=clear_parse_cache, rounds=100)
     assert parsed.group_by
 
 

@@ -42,6 +42,11 @@ Quickstart::
     frame = session.run()
 """
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.rdf.graph import Graph
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -64,7 +69,7 @@ __all__ = [
 ]
 
 
-def load_graph(path: str):
+def load_graph(path: str) -> "Graph":
     """Load an RDF graph from a file, dispatching on the extension.
 
     ``.csv`` → the statistical CSV import of system 1b (headers become

@@ -259,11 +259,6 @@ class _Linter:
     def _lint_select(self, query: ast.SelectQuery, locator: str) -> None:
         bound = self._lint_group(query.where, frozenset(), f"{locator}.where")
         aliases: Set[str] = set()
-        aggregated = bool(query.group_by) or any(
-            projection.expr is not None
-            and _contains_aggregate(projection.expr)
-            for projection in query.projections
-        )
         group_keys: Set[str] = {
             expr.name for expr in query.group_by if isinstance(expr, ast.Var)
         }
@@ -290,7 +285,7 @@ class _Linter:
                     hint="bind it in a pattern, or drop the projection",
                     **self._pos(name),
                 )
-            elif aggregated and group_keys and name not in group_keys:
+            elif group_keys and name not in group_keys:
                 self.out.warning(
                     "S005",
                     f"?{name} is projected bare but is not a GROUP BY key "
@@ -367,7 +362,7 @@ class _Linter:
     def _lint_filter(
         self, child: ast.Filter, bound: Set[str], where: str
     ) -> None:
-        for name in sorted(self._filter_refs(child.condition) - bound):
+        for name in sorted(_expr_vars(child.condition) - bound):
             self.out.error(
                 "S001",
                 f"FILTER references ?{name}, which no pattern in scope "
@@ -393,29 +388,6 @@ class _Linter:
                 **self._pos(contradiction),
             )
 
-    @staticmethod
-    def _filter_refs(expr: ast.Expression) -> Set[str]:
-        """Variables a filter references; EXISTS blocks resolve their own
-        bindings and are skipped."""
-        if isinstance(expr, ast.ExistsExpr):
-            return set()
-        if isinstance(expr, ast.Unary):
-            return _Linter._filter_refs(expr.operand)
-        if isinstance(expr, ast.Binary):
-            return _Linter._filter_refs(expr.left) | _Linter._filter_refs(
-                expr.right
-            )
-        if isinstance(expr, ast.FunctionCall):
-            out: Set[str] = set()
-            for arg in expr.args:
-                out |= _Linter._filter_refs(arg)
-            return out
-        if isinstance(expr, ast.InExpr):
-            out = _Linter._filter_refs(expr.expr)
-            for option in expr.options:
-                out |= _Linter._filter_refs(option)
-            return out
-        return _expr_vars(expr)
 
     # ------------------------------------------------------------------
     def _check_cartesian(self, group: ast.GroupPattern, locator: str) -> None:
@@ -444,7 +416,7 @@ class _Linter:
                     pattern_units.append(names)
                     union(names)
             elif isinstance(child, ast.Filter):
-                names = self._filter_refs(child.condition)
+                names = _expr_vars(child.condition)
                 if len(names) > 1:
                     union(names)
             elif isinstance(child, ast.Bind):
@@ -467,15 +439,3 @@ class _Linter:
                 hint="connect the components through a shared variable, or "
                 "split the query",
             )
-
-
-def _contains_aggregate(expr: ast.Expression) -> bool:
-    if isinstance(expr, ast.Aggregate):
-        return True
-    if isinstance(expr, ast.Unary):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.FunctionCall):
-        return any(_contains_aggregate(arg) for arg in expr.args)
-    return False

@@ -53,7 +53,7 @@ from repro.facets.analytics import (
     AnswerFrame,
     FacetedAnalyticsSession,
 )
-from repro.facets.model import PropertyRef
+from repro.facets.model import Path, PropertyRef
 from repro.facets.persistence import replay_session, session_to_json
 from repro.facets.session import EmptyTransitionError
 from repro.search.keyword import KeywordIndex
@@ -76,7 +76,8 @@ class AnalyticsShell:
     computed once, and what ``transform`` wrote stays.
     """
 
-    def __init__(self, graph: Graph, session_factory=None):
+    def __init__(self, graph: Graph, session_factory: Optional[
+            Callable[..., FacetedAnalyticsSession]] = None):
         self.graph = graph
         self._session_factory = session_factory or FacetedAnalyticsSession
         self.session = self._session_factory(graph)
@@ -141,10 +142,10 @@ class AnalyticsShell:
                 return PropertyRef(prop)
         raise ShellError(f"unknown property {name!r} (try 'facets')")
 
-    def _resolve_path(self, spec: str):
+    def _resolve_path(self, spec: str) -> Path:
         return tuple(self._resolve_property(part) for part in spec.split("/"))
 
-    def _resolve_value(self, path, text: str) -> Term:
+    def _resolve_value(self, path: Path, text: str) -> Term:
         facet = self.session.facet(path)
         lowered = text.lower()
         for marker in facet.values:
@@ -294,7 +295,7 @@ class AnalyticsShell:
         self.session.count_items()
         return "measuring: count of items"
 
-    def _resolve_resource(self, name: str):
+    def _resolve_resource(self, name: str) -> Term:
         lowered = name.lower()
         for term in self.session.graph.all_resources():
             local = getattr(term, "local_name", None)

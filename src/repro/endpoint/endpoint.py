@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.rdf.graph import Graph
+from repro.rdf.overlay import ExtensionView
 from repro.sparql import query as sparql_query
+from repro.sparql.evaluator import QueryResult
 from repro.sparql.results import SelectResult
 
 
@@ -71,7 +73,8 @@ class LocalEndpoint:
         self.graph = graph
         self.history: List[QueryStats] = []
 
-    def query(self, text: str, overlay=None):
+    def query(self, text: str,
+              overlay: Optional[ExtensionView] = None) -> QueryResult:
         """Evaluate a query; timing is recorded in :attr:`history`.
 
         ``overlay`` — a read-only view of the endpoint's graph
@@ -84,7 +87,8 @@ class LocalEndpoint:
         self.history.append(QueryStats(elapsed, 0.0, result_rows(result)))
         return result
 
-    def _evaluate(self, text: str, overlay):
+    def _evaluate(self, text: str, overlay: Optional[ExtensionView]
+                  ) -> Tuple[QueryResult, float]:
         """``(result, engine seconds)`` of one in-process evaluation."""
         started = time.perf_counter()
         result = sparql_query(self.graph if overlay is None else overlay, text)
@@ -146,7 +150,8 @@ class RemoteEndpointSimulator(LocalEndpoint):
         self.sleep = sleep
         self._rng = random.Random(seed)
 
-    def query(self, text: str, overlay=None):
+    def query(self, text: str,
+              overlay: Optional[ExtensionView] = None) -> QueryResult:
         result, engine = self._evaluate(text, overlay)
         rows = result_rows(result)
         network = self.model.sample(self._rng, rows)

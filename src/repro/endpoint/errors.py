@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.sparql.evaluator import QueryResult
+
 
 class EndpointError(RuntimeError):
     """Base class of every endpoint failure."""
@@ -76,8 +78,8 @@ class EndpointTruncated(EndpointError):
 
     outcome = "truncated"
 
-    def __init__(self, message: str, *, partial=None, elapsed: float = 0.0,
-                 attempts: int = 1):
+    def __init__(self, message: str, *, partial: Optional[QueryResult] = None,
+                 elapsed: float = 0.0, attempts: int = 1):
         super().__init__(message, elapsed=elapsed, attempts=attempts)
         self.partial = partial
 

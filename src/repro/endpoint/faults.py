@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.rdf.graph import Graph
+from repro.rdf.overlay import ExtensionView
 from repro.endpoint.endpoint import (
     NetworkModel,
     QueryStats,
@@ -35,6 +36,7 @@ from repro.endpoint.errors import (
     EndpointTruncated,
     EndpointUnavailable,
 )
+from repro.sparql.evaluator import QueryResult
 from repro.sparql.results import SelectResult
 
 #: Mixed into the endpoint seed so the fault stream is independent of the
@@ -84,7 +86,7 @@ class FaultModel:
         return cls()
 
     @classmethod
-    def uniform(cls, rate: float, **kwargs) -> "FaultModel":
+    def uniform(cls, rate: float, **kwargs: float) -> "FaultModel":
         """An overall fault probability split evenly over the four modes."""
         share = rate / 4.0
         return cls(timeout_rate=share, error_rate=share,
@@ -143,7 +145,8 @@ class FlakyEndpointSimulator(RemoteEndpointSimulator):
         self._fault_rng = random.Random(seed ^ _FAULT_SEED_SALT)
         self.injected: List[str] = []
 
-    def query(self, text: str, overlay=None):
+    def query(self, text: str,
+              overlay: Optional[ExtensionView] = None) -> QueryResult:
         kind = self.faults.draw(self._fault_rng)
         self.injected.append(kind or "ok")
         if kind is None:

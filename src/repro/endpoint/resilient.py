@@ -37,13 +37,15 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.endpoint.endpoint import QueryStats
+from repro.endpoint.endpoint import LocalEndpoint, QueryStats
 from repro.endpoint.errors import (
     CircuitOpenError,
     EndpointError,
     EndpointRateLimited,
     EndpointTimeout,
 )
+from repro.rdf.overlay import ExtensionView
+from repro.sparql.evaluator import QueryResult
 
 _UNSET = object()
 
@@ -145,7 +147,7 @@ class ResilientEndpoint:
 
     def __init__(
         self,
-        inner,
+        inner: LocalEndpoint,
         retry: Optional[RetryPolicy] = None,
         timeout: Optional[float] = None,
         breaker: Optional[CircuitBreakerPolicy] = _UNSET,
@@ -183,7 +185,8 @@ class ResilientEndpoint:
             self.clock += seconds
 
     # ------------------------------------------------------------------
-    def query(self, text: str, timeout=_UNSET, overlay=None):
+    def query(self, text: str, timeout: Optional[float] = _UNSET,
+              overlay: Optional[ExtensionView] = None) -> QueryResult:
         """Run one logical query through deadline/retry/breaker.
 
         ``timeout`` overrides the endpoint-wide deadline for this query

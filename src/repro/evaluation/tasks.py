@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 from repro.rdf.namespace import EX
-from repro.rdf.terms import Literal
-from repro.facets.analytics import FacetedAnalyticsSession
+from repro.rdf.terms import Literal, Term
+from repro.facets.analytics import AnswerFrame, FacetedAnalyticsSession
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,20 @@ class Task:
     run: Callable[[FacetedAnalyticsSession], object]
 
 
-def _t1(session: FacetedAnalyticsSession):
+def _t1(session: FacetedAnalyticsSession) -> List[Term]:
     """Find all laptops (plain class selection)."""
     session.select_class(EX.Laptop)
     return session.objects()
 
 
-def _t2(session: FacetedAnalyticsSession):
+def _t2(session: FacetedAnalyticsSession) -> List[Term]:
     """Find the laptops manufactured by DELL (facet value click)."""
     session.select_class(EX.Laptop)
     session.select_value((EX.manufacturer,), EX.DELL)
     return session.objects()
 
 
-def _t3(session: FacetedAnalyticsSession):
+def _t3(session: FacetedAnalyticsSession) -> List[Term]:
     """Find the laptops with 2 or more USB ports released in 2021."""
     session.select_class(EX.Laptop)
     session.select_range((EX.USBPorts,), ">=", Literal.of(2))
@@ -63,14 +63,14 @@ def _t3(session: FacetedAnalyticsSession):
     return session.objects()
 
 
-def _t4(session: FacetedAnalyticsSession):
+def _t4(session: FacetedAnalyticsSession) -> AnswerFrame:
     """Average price of laptops (aggregate without grouping) — Ex. 1."""
     session.select_class(EX.Laptop)
     session.measure((EX.price,), "AVG")
     return session.run()
 
 
-def _t5(session: FacetedAnalyticsSession):
+def _t5(session: FacetedAnalyticsSession) -> AnswerFrame:
     """Count of laptops grouped by manufacturer (aggregate + grouping)."""
     session.select_class(EX.Laptop)
     session.group_by((EX.manufacturer,))
@@ -78,7 +78,7 @@ def _t5(session: FacetedAnalyticsSession):
     return session.run()
 
 
-def _t6(session: FacetedAnalyticsSession):
+def _t6(session: FacetedAnalyticsSession) -> AnswerFrame:
     """Count of 2021 laptops with an SSD and ≥2 USB ports grouped by the
     manufacturer's country (path expansion + grouping) — Ex. 3."""
     session.select_class(EX.Laptop)
@@ -92,7 +92,7 @@ def _t6(session: FacetedAnalyticsSession):
     return session.run()
 
 
-def _t7(session: FacetedAnalyticsSession):
+def _t7(session: FacetedAnalyticsSession) -> AnswerFrame:
     """Average, sum and max price of laptops with 2–4 USB ports grouped
     by manufacturer and its origin (Fig. 6.2: multi-aggregate, pairing,
     derived grouping path)."""
@@ -104,7 +104,7 @@ def _t7(session: FacetedAnalyticsSession):
     return session.run()
 
 
-def _t8(session: FacetedAnalyticsSession):
+def _t8(session: FacetedAnalyticsSession) -> List[Term]:
     """Average price of laptops grouped by manufacturer and release year,
     keeping only groups with average price above 850 — the nested /
     HAVING query of Example 4, via the answer-frame reload."""

@@ -477,7 +477,8 @@ class FacetedAnalyticsSession(FacetedSession):
         pipeline is evaluated over, so that a read writes nothing.
 
         It is built from the state's ids as they are: each is decoded
-        once, only to skip literals.  The view owns the SPARQL result
+        once, only to skip literals.  The evaluator reads it in ids
+        alone (``triples_ids`` / ``count_ids``).  The view owns the SPARQL result
         cache of its state and is remembered on it, so a repeated run is
         a hit — also after coming *back* to the state — while another
         session, or another state of this one, with the same query text

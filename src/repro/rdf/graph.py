@@ -46,11 +46,11 @@ from __future__ import annotations
 from typing import (
     AbstractSet,
     Any,
-    Callable,
     Collection,
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Set,
     Tuple,
@@ -71,31 +71,6 @@ _NO_ROW: Dict[int, Set[int]] = {}
 #: extension members having the property at all.
 FacetCounts = Tuple[Dict[Tuple[int, bool], Dict[int, int]],
                     Dict[Tuple[int, bool], int]]
-
-
-def decoded_triples(triples_ids: Callable[..., Iterator[Tuple[int, int, int]]],
-                    pattern: Tuple[Optional[Term], ...],
-                    encode: Callable[[Term], Optional[int]],
-                    decode: Callable[[int], Term],
-                    slot: Optional[int] = None) -> Iterator[Any]:
-    """``triples_ids`` of the encoded ``pattern``, decoded — the
-    term-level ``triples`` of a store and of a view of one; given a
-    ``slot`` (0, 1, 2), the distinct terms in that position instead,
-    de-duplicated on their ids (``subjects``, ``predicates``,
-    ``objects``).  A term ``encode`` does not know matches nothing."""
-    ids = [None if t is None else encode(t) for t in pattern]
-    if any(i is None and t is not None for i, t in zip(ids, pattern)):
-        return
-    if slot is None:
-        for si, pi, oi in triples_ids(*ids):
-            yield (decode(si), decode(pi), decode(oi))
-        return
-    seen: Set[int] = set()
-    for match in triples_ids(*ids):
-        ident = match[slot]
-        if ident not in seen:
-            seen.add(ident)
-            yield decode(ident)
 
 
 class Graph:
@@ -271,6 +246,35 @@ class Graph:
     # ------------------------------------------------------------------
     # Pattern matching
     # ------------------------------------------------------------------
+    def _encoded(self, pattern: Tuple[Optional[Term], ...]
+                 ) -> Optional[List[Optional[int]]]:
+        """``pattern`` in ids (``None`` stays a wildcard), or ``None``
+        when it names a term the graph never saw: it matches nothing."""
+        lookup = self._dict.lookup
+        ids = [None if t is None else lookup(t) for t in pattern]
+        if any(i is None and t is not None for i, t in zip(ids, pattern)):
+            return None
+        return ids
+
+    def _decoded(self, pattern: Tuple[Optional[Term], ...],
+                 slot: Optional[int] = None) -> Iterator[Any]:
+        """:meth:`triples_ids` of the encoded ``pattern``, decoded; given
+        a ``slot`` (0, 1, 2), the distinct terms in that position
+        instead, de-duplicated on their ids."""
+        ids, decode = self._encoded(pattern), self._dict.decode
+        if ids is None:
+            return
+        if slot is None:
+            for si, pi, oi in self.triples_ids(*ids):
+                yield (decode(si), decode(pi), decode(oi))
+            return
+        seen: Set[int] = set()
+        for match in self.triples_ids(*ids):
+            ident = match[slot]
+            if ident not in seen:
+                seen.add(ident)
+                yield decode(ident)
+
     def triples(
         self,
         s: Optional[Term] = None,
@@ -284,8 +288,7 @@ class Graph:
         Yielded terms are the canonical (interned) instances, so
         consumers may compare them by identity first.
         """
-        return decoded_triples(self.triples_ids, (s, p, o),
-                               self._dict.lookup, self._dict.decode)
+        return self._decoded((s, p, o))
 
     def triples_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
                     oi: Optional[int] = None) -> Iterator[Tuple[int, int, int]]:
@@ -338,8 +341,16 @@ class Graph:
         return oi in po.get(pi, EMPTY_IDS)
 
     def count(self, s=None, p=None, o=None) -> int:
-        """Number of triples matching the pattern, from index-set sizes:
-        nothing is decoded.
+        """Number of triples matching the pattern: :meth:`count_ids` of
+        the encoded pattern.  A term the graph never saw matches
+        nothing."""
+        ids = self._encoded((s, p, o))
+        return 0 if ids is None else self.count_ids(*ids)
+
+    def count_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
+                  oi: Optional[int] = None) -> int:
+        """The id twin of :meth:`count`, from index-set sizes: nothing
+        is decoded, and an id the store never issued matches nothing.
 
         The patterns the join planner and the facet engine probe are
         O(1): the full size, ``(None, p, None)`` via the incremental
@@ -348,27 +359,20 @@ class Graph:
         subject alone sums its SPO row; an object alone sums one POS
         probe per predicate.
         """
-        if s is None and p is None and o is None:
-            return self._size
-        lookup = self._dict.lookup
-        si = None if s is None else lookup(s)
-        pi = None if p is None else lookup(p)
-        oi = None if o is None else lookup(o)
-        if ((si is None and s is not None) or (pi is None and p is not None)
-                or (oi is None and o is not None)):
-            return 0
-        if s is None:
-            if p is None:
+        if si is None:
+            if pi is None:
+                if oi is None:
+                    return self._size
                 return sum(len(self.subjects_ids(pred, oi))
                            for pred in self.all_predicate_ids())
-            if o is None:
+            if oi is None:
                 return self._pred_count.get(pi, 0)
             return len(self.subjects_ids(pi, oi))
-        if p is not None:
+        if pi is not None:
             objects = self.objects_ids(si, pi)
-            return len(objects) if o is None else int(oi in objects)
+            return len(objects) if oi is None else int(oi in objects)
         rows = self.spo_ids(si).values()
-        if o is None:
+        if oi is None:
             return sum(map(len, rows))
         return sum(oi in objects for objects in rows)
 
@@ -423,16 +427,13 @@ class Graph:
     # Single-slot accessors
     # ------------------------------------------------------------------
     def subjects(self, p=None, o=None) -> Iterator[Term]:
-        return decoded_triples(self.triples_ids, (None, p, o),
-                               self._dict.lookup, self._dict.decode, 0)
+        return self._decoded((None, p, o), 0)
 
     def predicates(self, s=None, o=None) -> Iterator[Term]:
-        return decoded_triples(self.triples_ids, (s, None, o),
-                               self._dict.lookup, self._dict.decode, 1)
+        return self._decoded((s, None, o), 1)
 
     def objects(self, s=None, p=None) -> Iterator[Term]:
-        return decoded_triples(self.triples_ids, (s, p, None),
-                               self._dict.lookup, self._dict.decode, 2)
+        return self._decoded((s, p, None), 2)
 
     def value(self, s=None, p=None, o=None) -> Optional[Term]:
         """The single term filling the one ``None`` slot, or ``None``."""

@@ -4,18 +4,20 @@ The paper's pipeline (Table 5.1) roots every query of an interaction at
 ``?x rdf:type :temp`` — "the current extension, stored in a temporary
 class".  :class:`ExtensionView` makes that pattern true without storing
 anything, so the store's generation, statistics and every cache stamped
-with them survive the read.
+with them survive the read.  It answers the id protocol the SPARQL
+evaluator reads every store with (``triples_ids``, ``count_ids``,
+``len``, ``encode_term`` / ``decode_id``) and nothing Term-level.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.caching import GenerationCache
-from repro.rdf.graph import Graph, decoded_triples
+from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Literal, Term, Triple
+from repro.rdf.terms import IRI, Literal, Term
 
 _RDF_TYPE = RDF.type
 
@@ -26,7 +28,8 @@ class ReadOnlyViewError(TypeError):
 
 class ExtensionView:
     """``base ∪ {(x, rdf:type, cls) | x ∈ extension}``, read-only —
-    through the accessors the SPARQL evaluator uses, over a flat
+    through the id protocol of the SPARQL evaluator (``triples_ids``,
+    ``count_ids``, ``len``), over a flat
     :class:`~repro.rdf.graph.Graph` and a
     :class:`~repro.rdf.sharding.ShardedGraph` alike.
 
@@ -39,7 +42,7 @@ class ExtensionView:
 
     Literal members are skipped (a literal cannot be a subject), and a
     member the base already types under ``cls`` contributes nothing, so
-    the union never holds a triple twice and ``count`` stays exact —
+    the union never holds a triple twice and ``count_ids`` stays exact —
     the join planner picks the same order it would on a store with the
     triples really added.
 
@@ -108,7 +111,7 @@ class ExtensionView:
                 and (oi is None or oi == self._cls_id))
 
     # ------------------------------------------------------------------
-    # The accessors of the SPARQL evaluator
+    # The read protocol of the SPARQL evaluator
     # ------------------------------------------------------------------
     def triples_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
                     oi: Optional[int] = None) -> Iterator[Tuple[int, int, int]]:
@@ -122,47 +125,15 @@ class ExtensionView:
             return chain(matched, ((si, self._type_id, self._cls_id),))
         return matched
 
-    def triples(self, s: Optional[Term] = None, p: Optional[Term] = None,
-                o: Optional[Term] = None) -> Iterator[Triple]:
-        return decoded_triples(self.triples_ids, (s, p, o),
-                               self.encode_term, self.decode_id)
-
-    def __contains__(self, t: Triple) -> bool:
-        return any(self.triples(*t))
-
-    def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
-              o: Optional[Term] = None) -> int:
-        pattern = (s, p, o)
-        ids = [None if t is None else self.encode_term(t) for t in pattern]
-        if any(i is None and t is not None for i, t in zip(ids, pattern)):
-            return 0
-        si, pi, oi = ids
-        n = self.base.count(s, p, o)
+    def count_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
+                  oi: Optional[int] = None) -> int:
+        n = self.base.count_ids(si, pi, oi)
         if self._sees(pi, oi):
             n += len(self.members) if si is None else int(si in self.members)
         return n
 
     def __len__(self) -> int:
         return len(self.base) + len(self.members)
-
-    def subjects(self, p: Optional[Term] = None,
-                 o: Optional[Term] = None) -> Iterator[Term]:
-        return decoded_triples(self.triples_ids, (None, p, o),
-                               self.encode_term, self.decode_id, 0)
-
-    def objects(self, s: Optional[Term] = None,
-                p: Optional[Term] = None) -> Iterator[Term]:
-        return decoded_triples(self.triples_ids, (s, p, None),
-                               self.encode_term, self.decode_id, 2)
-
-    def all_subjects(self) -> Set[Term]:
-        return self.base.all_subjects() | set(map(self.decode_id, self.members))
-
-    def all_objects(self) -> Set[Term]:
-        objects = self.base.all_objects()
-        if self.members:
-            objects.add(self.cls)
-        return objects
 
     # ------------------------------------------------------------------
     def add(self, s: Term, p: Term, o: Term) -> bool:

@@ -7,6 +7,9 @@ follows the SPARQL algebra closely:
   patterns is joined against the current partial solutions over
   dictionary ids (index-backed, most selective first), and the
   variables it binds are decoded once, at the block's edge;
+* a property path walks id sets and decodes each node it reaches once;
+  the store is read through ``triples_ids`` / ``count_ids`` alone, so
+  a flat store, a sharded one and an extension view serve it alike;
 * ``OPTIONAL`` is a left-outer join, ``UNION`` a concatenation,
   ``MINUS`` an anti-join on shared variables, ``FILTER`` is applied to
   the group it appears in;
@@ -298,10 +301,11 @@ def _pattern_selectivity(pattern: ast.TriplePattern, solution_vars: set,
                          graph: Graph) -> Tuple[int, int]:
     """Heuristic: patterns with more bound slots first, then smaller index.
 
-    The cardinality probes are O(1): the store maintains per-predicate
-    counters incrementally, and the per-(predicate, object) extent is a
-    direct POS index-set size — so re-planning on every block flush
-    costs nothing even on large graphs.
+    The cardinality probes are ``count_ids`` calls, O(1): the store
+    maintains per-predicate counters incrementally, and the
+    per-(predicate, object) extent is a direct POS index-set size — so
+    re-planning on every block flush costs nothing even on large graphs.
+    A constant the store never saw matches nothing: estimate 0.
     """
     bound = 0
     for slot in (pattern.s, pattern.p, pattern.o):
@@ -309,10 +313,11 @@ def _pattern_selectivity(pattern: ast.TriplePattern, solution_vars: set,
             bound += 1
     estimate = len(graph)
     if not isinstance(pattern.p, ast.Var):
-        if not isinstance(pattern.o, ast.Var):
-            estimate = graph.count(None, pattern.p, pattern.o)
-        else:
-            estimate = graph.count(None, pattern.p, None)
+        free_object = isinstance(pattern.o, ast.Var)
+        pi = graph.encode_term(pattern.p)
+        oi = None if free_object else graph.encode_term(pattern.o)
+        estimate = (0 if pi is None or (oi is None and not free_object)
+                    else graph.count_ids(None, pi, oi))
     return (-bound, estimate)
 
 
@@ -329,24 +334,20 @@ def plan_block(block: List[ast.TriplePattern], bound_vars: set,
     )
 
 
-def _step_targets(graph: Graph, node: Term, step: ast.PredicatePath) -> set:
-    if step.inverse:
-        if isinstance(node, Literal):
-            return set()
-        return set(graph.subjects(step.predicate, node))
-    if isinstance(node, Literal):
-        return set()
-    return set(graph.objects(node, step.predicate))
-
-
-def _path_targets(graph: Graph, nodes: Iterable[Term], path: ast.Path) -> set:
-    """All nodes reachable from ``nodes`` along ``path`` (SPARQL 1.1
-    path semantics; quantified paths are evaluated as node closures)."""
+def _path_targets(graph: Graph, nodes: Iterable[int], path: ast.Path) -> set:
+    """The ids of all nodes reachable from the ids ``nodes`` along
+    ``path`` (SPARQL 1.1 path semantics; quantified paths are evaluated
+    as node closures).  Each step is one ``triples_ids`` probe per node:
+    a literal has no SPO row, and an inverse step may start from one."""
     if isinstance(path, ast.PredicatePath):
-        out = set()
-        for node in nodes:
-            out |= _step_targets(graph, node, path)
-        return out
+        pi = graph.encode_term(path.predicate)
+        if pi is None:
+            return set()
+        if path.inverse:
+            return {s for node in nodes
+                    for s, _, _ in graph.triples_ids(None, pi, node)}
+        return {o for node in nodes
+                for _, _, o in graph.triples_ids(node, pi, None)}
     if isinstance(path, ast.SequencePath):
         current = set(nodes)
         for step in path.steps:
@@ -392,48 +393,58 @@ def _invert_path(path):
     raise SparqlEvalError(f"cannot invert {type(path).__name__}")
 
 
-def _path_start_candidates(graph: Graph) -> set:
-    """Candidate start nodes for a path with an unbound subject: every
-    term appearing in the graph (per the zero-length path semantics)."""
-    return graph.all_subjects() | graph.all_objects()
+def _nullable(path: ast.Path) -> bool:
+    """Does ``path`` match the zero-length walk?"""
+    if isinstance(path, ast.PredicatePath):
+        return False
+    if isinstance(path, ast.SequencePath):
+        return all(map(_nullable, path.steps))
+    if isinstance(path, ast.AlternativePath):
+        return any(map(_nullable, path.options))
+    return path.quantifier != "+" or _nullable(path.inner)
+
+
+def _reached(graph: Graph, start: Term, path: ast.Path) -> set:
+    """The nodes ``path`` reaches from the bound end ``start``, walked in
+    ids and decoded once.  A term the store never saw has no edge, so
+    only the zero-length walk reaches it: from itself."""
+    ident = graph.encode_term(start)
+    if ident is None:
+        return {start} if _nullable(path) else set()
+    return set(map(graph.decode_id, _path_targets(graph, (ident,), path)))
 
 
 def _match_path(pattern: ast.PathPattern, solutions: List[Solution],
                 graph: Graph) -> List[Solution]:
     out: List[Solution] = []
+    nodes: Optional[Dict[int, Term]] = None
     for solution in solutions:
         s = _slot_value(pattern.s, solution)
         o = _slot_value(pattern.o, solution)
         if s is not None:
-            targets = _path_targets(graph, {s}, pattern.path)
-            if o is not None:
-                if o in targets:
-                    out.append(solution)
-                continue
-            for target in targets:
-                extended = dict(solution)
-                extended[pattern.o.name] = target
-                out.append(extended)
+            targets = _reached(graph, s, pattern.path)
+            if o is None:
+                out.extend({**solution, pattern.o.name: target}
+                           for target in targets)
+            elif o in targets:
+                out.append(solution)
             continue
         if o is not None:
-            sources = _path_targets(graph, {o}, _invert_path(pattern.path))
-            for source in sources:
-                extended = dict(solution)
-                extended[pattern.s.name] = source
-                out.append(extended)
+            out.extend({**solution, pattern.s.name: source} for source
+                       in _reached(graph, o, _invert_path(pattern.path)))
             continue
-        # Both endpoints unbound: enumerate start candidates.
-        for start in _path_start_candidates(graph):
-            for target in _path_targets(graph, {start}, pattern.path):
-                extended = dict(solution)
-                extended[pattern.s.name] = start
-                bound = extended.get(pattern.o.name)
-                if bound is None:
-                    branch = dict(extended)
-                    branch[pattern.o.name] = target
-                    out.append(branch)
-                elif bound == target:
-                    out.append(extended)
+        # Both ends unbound: every subject and object is a start (the
+        # zero-length path semantics), read off one scan.
+        if nodes is None:
+            ends = {i for t in graph.triples_ids() for i in (t[0], t[2])}
+            nodes = {ident: graph.decode_id(ident) for ident in ends}
+        for start, term in nodes.items():
+            for target in _path_targets(graph, (start,), pattern.path):
+                if pattern.s.name != pattern.o.name:
+                    out.append({**solution, pattern.s.name: term,
+                                pattern.o.name: nodes[target]})
+                elif target == start:
+                    out.append({**solution, pattern.s.name: term})
     return out
 
 
@@ -867,7 +878,7 @@ def _position_eval_error(exc: SparqlEvalError, text: str) -> SparqlEvalError:
     return exc
 
 
-def query(graph: Graph, text: str, use_cache: bool = True) -> QueryResult:
+def query(graph: Graph, text: str) -> QueryResult:
     """Parse and evaluate SPARQL ``text`` over ``graph``.
 
     Returns a :class:`SelectResult` for SELECT, a :class:`bool` for ASK,
@@ -882,10 +893,8 @@ def query(graph: Graph, text: str, use_cache: bool = True) -> QueryResult:
     be served.  A cache hit returns a fresh :class:`SelectResult`
     wrapper over the shared (treat-as-immutable) rows.  CONSTRUCT
     answers are mutable graphs and are never cached.
-    ``use_cache=False`` bypasses the cache for both lookup and store
-    (used by benchmarks measuring the engine).
     """
-    cache = getattr(graph, "sparql_cache", None) if use_cache else None
+    cache = getattr(graph, "sparql_cache", None)
     generation = graph.generation
     if cache is not None:
         cached = cache.get(text, generation, default=None)

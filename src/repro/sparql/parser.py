@@ -878,17 +878,14 @@ class _Parser:
 _PARSE_CACHE = LRUCache(maxsize=512, name="sparql-parse")
 
 
-def parse_query(text: str, use_cache: bool = True) -> ast.Query:
+def parse_query(text: str) -> ast.Query:
     """Parse SPARQL text into an AST (SelectQuery / AskQuery / ConstructQuery).
 
     Repeated texts are served from an LRU cache — the facet engine and
     the HIFUN translator re-issue structurally identical queries on
     every interaction, so parsing would otherwise dominate small-graph
-    latencies.  Pass ``use_cache=False`` to force a fresh parse (used
-    by the parser benchmarks).
+    latencies.
     """
-    if not use_cache:
-        return _Parser(text).parse()
     parsed = _PARSE_CACHE.get(text, MISSING)
     if parsed is MISSING:
         parsed = _Parser(text).parse()

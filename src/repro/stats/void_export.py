@@ -23,11 +23,12 @@ from __future__ import annotations
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace, RDF
 from repro.rdf.terms import IRI, Literal
+from repro.stats.profile import DatasetProfile
 
 VOID = Namespace("http://rdfs.org/ns/void#")
 
 
-def void_graph(profile, dataset_iri: IRI = IRI("http://www.ics.forth.gr/datasets#this")) -> Graph:
+def void_graph(profile: DatasetProfile, dataset_iri: IRI = IRI("http://www.ics.forth.gr/datasets#this")) -> Graph:
     """Express a :class:`DatasetProfile` in the VoID vocabulary."""
     g = Graph()
     g.add(dataset_iri, RDF.type, VOID.Dataset)

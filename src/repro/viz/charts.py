@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Literal, Term
 from repro.viz.table import term_label
+
+if TYPE_CHECKING:
+    from repro.facets.analytics import AnswerFrame
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ def _numeric(term: Optional[Term]) -> Optional[float]:
     return None
 
 
-def chart_series(frame, label_columns: Optional[Sequence[str]] = None,
+def chart_series(frame: AnswerFrame, label_columns: Optional[Sequence[str]] = None,
                  value_columns: Optional[Sequence[str]] = None) -> List[ChartSeries]:
     """Extract chart series from an answer frame.
 

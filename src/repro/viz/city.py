@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+if TYPE_CHECKING:
+    from repro.facets.analytics import AnswerFrame
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class CityLayout:
 
 
 def city_layout(
-    frame,
+    frame: AnswerFrame,
     footprint: float = 1.0,
     max_height: float = 10.0,
 ) -> CityLayout:

@@ -70,12 +70,6 @@ class TestParseCache:
         after = parse_cache_stats()
         assert after.hits == before.hits + 1
 
-    def test_use_cache_false_bypasses(self):
-        clear_parse_cache()
-        text = "ASK { ?x ?p ?o }"
-        parse_query(text, use_cache=False)
-        assert parse_cache_stats().size == 0
-
 
 @pytest.fixture()
 def graph():
@@ -131,12 +125,6 @@ class TestQueryResultCache:
         assert first is not second
         first.add(EX.z, EX.tag, EX.z)  # mutating one result is harmless
         assert (EX.z, EX.tag, EX.z) not in second
-
-    def test_use_cache_false_bypasses(self, graph):
-        query(graph, COUNT_Q, use_cache=False)
-        query(graph, COUNT_Q, use_cache=False)
-        stats = graph.sparql_cache.stats()
-        assert stats.hits == 0 and stats.size == 0
 
     def test_view_answers_live_on_the_view(self, graph):
         """An answer over an extension view depends on its members, so

@@ -1,10 +1,11 @@
 """The session-private extension overlay: reads that write nothing.
 
 Two contracts.  (1) :class:`~repro.rdf.overlay.ExtensionView` is
-indistinguishable — through every accessor the SPARQL evaluator uses,
-and to the join planner — from a copy of the store with the
-``rdf:type :temp`` triples really added, on the flat store and on every
-shard count.  (2) Because the pipeline now evaluates over that view, a
+indistinguishable — through the id protocol the SPARQL evaluator reads
+every store with (``triples_ids``, ``count_ids``, ``len``), through
+``query()`` answers, and to the join planner — from a copy of the store
+with the ``rdf:type :temp`` triples really added, on the flat store and
+on every shard count.  (2) Because the pipeline now evaluates over that view, a
 ``run("sparql")`` or a :class:`SparqlFacetEngine` operation leaves the
 store's generation, size and statistics alone, so the caches stamped
 with them hit — per session, never across extensions.
@@ -25,7 +26,7 @@ from repro.rdf.namespace import EX, RDF
 from repro.rdf.overlay import ExtensionView, ReadOnlyViewError
 from repro.rdf.sharding import ShardedGraph
 from repro.rdf.terms import BNode, Literal
-from repro.sparql import ast, parse_query
+from repro.sparql import ast, parse_query, query
 from repro.sparql.evaluator import _pattern_selectivity, plan_block
 
 from tests.test_analysis_consistency import (
@@ -65,13 +66,45 @@ def _stores(triples):
         yield ShardedGraph.from_graph(flat, shards=shards)
 
 
-def _ordered(terms):
-    return sorted(terms, key=lambda t: t.sort_key())
+def _encoded(store, pattern):
+    """``pattern`` in ``store``'s ids, or ``None`` when it names a term
+    the store never saw (such a pattern matches nothing)."""
+    ids = [None if t is None else store.encode_term(t) for t in pattern]
+    if any(i is None and t is not None for i, t in zip(ids, pattern)):
+        return None
+    return ids
+
+
+def _decoded(store, ids):
+    return sorted((tuple(map(store.decode_id, t))
+                   for t in store.triples_ids(*ids)), key=_triple_key)
+
+
+#: Queries over the temporary class, a plain block, a path whose walk
+#: crosses into the virtual triples and back, and ``ASK``.
+_QUERIES = [
+    "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+    f"SELECT ?x ?y WHERE {{ ?x a <{TEMP.value}> . ?x <{EX.p.value}> ?y }}",
+    f"SELECT ?x WHERE {{ ?x a/^a <{EX.n1.value}> }}",
+    f"SELECT ?s ?o WHERE {{ ?s (<{EX.p.value}>|a)* ?o }}",
+    f"SELECT (COUNT(*) AS ?n) WHERE {{ ?x a ?c . ?y a ?c }}",
+    f"ASK {{ <{EX.n0.value}> a <{TEMP.value}> }}",
+]
+
+
+def _answer(store, text):
+    result = query(store, text)
+    if isinstance(result, bool):
+        return result
+    return sorted(tuple(sorted(row.items())) for row in result)
 
 
 @given(_triples, _members)
 @settings(max_examples=40, deadline=None)
 def test_view_equals_materialized_copy(triples, members):
+    """Through the evaluator's protocol — ``triples_ids`` decoded,
+    ``count_ids``, ``len`` — and through ``query()`` answers, a view is
+    the copy with the ``rdf:type :temp`` triples really added."""
     for base in _stores(triples):
         real = base.copy()
         real.add_all((m, RDF.type, TEMP) for m in members
@@ -81,23 +114,29 @@ def test_view_equals_materialized_copy(triples, members):
 
         assert len(view) == len(real)
         assert view.generation == generation
-        assert view.all_subjects() == real.all_subjects()
-        assert view.all_objects() == real.all_objects()
-        for s, p, o in _PROBES:
+        for pattern in _PROBES:
+            ids, real_ids = _encoded(view, pattern), _encoded(real, pattern)
+            if ids is None:
+                assert real_ids is None or real.count_ids(*real_ids) == 0
+                continue
             # sorted lists, not sets: a member the base already types
             # under the class must not come back twice
-            assert (sorted(view.triples(s, p, o), key=_triple_key)
-                    == sorted(real.triples(s, p, o), key=_triple_key))
-            assert view.count(s, p, o) == real.count(s, p, o)
-            if None not in (s, p, o):
-                assert ((s, p, o) in view) == ((s, p, o) in real)
-            if s is None:
-                assert (_ordered(view.subjects(p, o))
-                        == _ordered(real.subjects(p, o)))
-            if o is None:
-                assert (_ordered(view.objects(s, p))
-                        == _ordered(real.objects(s, p)))
+            assert _decoded(view, ids) == sorted(real.triples(*pattern),
+                                                 key=_triple_key)
+            assert view.count_ids(*ids) == real.count(*pattern)
+        for text in _QUERIES:
+            assert _answer(view, text) == _answer(real, text)
         assert (len(base), base.generation) == (size, generation)
+
+
+def _view_order(view, ids):
+    """The order a view answers in: the base's matches in the base's
+    order, then the virtual triples that match."""
+    virtual = [(m, view.encode_term(RDF.type), view.encode_term(view.cls))
+               for m in view.members]
+    return list(view.base.triples_ids(*ids)) + [
+        t for t in virtual
+        if all(want is None or want == have for want, have in zip(ids, t))]
 
 
 @given(_triples, _members)
@@ -105,8 +144,9 @@ def test_view_equals_materialized_copy(triples, members):
 def test_triples_ids_is_the_encoded_triples(triples, members):
     """On all eight pattern shapes, over the flat store, three shards
     and a view: ``triples_ids`` yields each encoded matching triple once
-    — checked against a filter over the triples put in — and in the
-    order of ``triples``; a pattern with a term the store never saw
+    — checked against a filter over the triples put in — in the order of
+    a store's ``triples`` and, on a view, the base's order followed by
+    the virtual triples; a pattern with a term the store never saw
     matches nothing either way."""
     flat = Graph(triples)
     typed = {(m, RDF.type, TEMP) for m in members if not isinstance(m, Literal)}
@@ -114,19 +154,21 @@ def test_triples_ids_is_the_encoded_triples(triples, members):
                          (ShardedGraph.from_graph(flat, shards=3), set(triples)),
                          (ExtensionView(flat, TEMP, members), set(triples) | typed)):
         for pattern in _PROBES:
-            expected = [tuple(map(store.encode_term, t))
-                        for t in store.triples(*pattern)]
-            ids = [None if t is None else store.encode_term(t)
-                   for t in pattern]
-            if any(i is None and t is not None for i, t in zip(ids, pattern)):
-                assert expected == []
+            matching = [t for t in truth
+                        if all(want is None or want == have
+                               for want, have in zip(pattern, t))]
+            ids = _encoded(store, pattern)
+            if ids is None:
+                assert matching == []
                 continue
             found = list(store.triples_ids(*ids))
-            assert found == expected
             assert sorted(found) == sorted(
-                tuple(map(store.encode_term, t)) for t in truth
-                if all(want is None or want == have
-                       for want, have in zip(pattern, t)))
+                tuple(map(store.encode_term, t)) for t in matching)
+            if isinstance(store, ExtensionView):
+                assert found == _view_order(store, ids)
+            else:
+                assert found == [tuple(map(store.encode_term, t))
+                                 for t in store.triples(*pattern)]
 
 
 def _triple_key(t):

@@ -107,8 +107,7 @@ class TestOrderIndependence:
             label=EX.label.value, rare=EX.rare.value, thing=EX.Thing.value)
         rows = {
             (row["x"], row["y"], row["z"])
-            for row in query(skewed, "SELECT ?x ?y ?z WHERE { " + body + " }",
-                             use_cache=False)
+            for row in query(skewed, "SELECT ?x ?y ?z WHERE { " + body + " }")
         }
         reference = {
             (row["x"], row["y"], row["z"])
@@ -116,8 +115,7 @@ class TestOrderIndependence:
                 skewed,
                 "SELECT ?x ?y ?z WHERE { " + self.ORDERS[0][0].format(
                     label=EX.label.value, rare=EX.rare.value,
-                    thing=EX.Thing.value) + " }",
-                use_cache=False)
+                    thing=EX.Thing.value) + " }")
         }
         assert rows == reference
         assert len(rows) == 3 * 20  # 3 rare subjects × 20 labels each
@@ -133,7 +131,6 @@ class TestOrderIndependence:
             label=EX.label.value, rare=EX.rare.value, thing=EX.Thing.value)
         rows = {
             (row["x"], row["y"], row["z"])
-            for row in query(skewed, "SELECT ?x ?y ?z WHERE { " + body + " }",
-                             use_cache=False)
+            for row in query(skewed, "SELECT ?x ?y ?z WHERE { " + body + " }")
         }
         assert rows == expected

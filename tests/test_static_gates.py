@@ -27,11 +27,7 @@ def test_lint_gate_passes_on_shipped_sources():
 
 
 def test_typecheck_gate_passes_on_target_packages():
-    result = _run(
-        "--typecheck",
-        "src/repro/rdf", "src/repro/hifun", "src/repro/analysis",
-        "src/repro/olap", "src/repro/facets", "src/repro/sparql",
-    )
+    result = _run("--typecheck", "src/repro")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -150,15 +146,20 @@ def test_column_engines_come_from_the_graph_generation(tmp_path):
 
 EVALUATOR = REPO / "src" / "repro" / "sparql" / "evaluator.py"
 
+#: The Term-level reads of a store: each encodes its pattern and decodes
+#: every match.
+TERM_READS = {"triples", "subjects", "objects", "predicates", "all_subjects",
+              "all_objects", "count"}
 
-def _block_matcher_leaves_id_space(path=EVALUATOR):
-    """Where the SPARQL evaluator's block matcher goes back to the
-    Term-level store API: a ``triples`` / ``subjects`` / ``objects``
-    call, or an ``in graph`` / ``in store`` containment test."""
-    matcher = _definition(ast.parse(path.read_text(encoding="utf-8")),
-                          "_match_block")
-    found = _attribute_calls([matcher], {"triples", "subjects", "objects"})
-    found += [f"in:{node.lineno}" for node in ast.walk(matcher)
+
+def _evaluator_leaves_id_space(path=EVALUATOR):
+    """Where the SPARQL evaluator reads a store through the Term-level
+    API — a call of one of ``TERM_READS``, or an ``in graph`` /
+    ``in store`` containment test — instead of ``triples_ids`` /
+    ``count_ids``."""
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    found = _attribute_calls([module], TERM_READS)
+    found += [f"in:{node.lineno}" for node in ast.walk(module)
               if isinstance(node, ast.Compare)
               and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
               and any(isinstance(side, ast.Name)
@@ -168,21 +169,30 @@ def _block_matcher_leaves_id_space(path=EVALUATOR):
 
 
 def test_block_matcher_joins_in_ids(tmp_path):
-    """A basic block is joined over dictionary ids: each probe is a
-    ``triples_ids`` call and each Term is decoded once, at the block's
-    edge.  A Term-level read inside the matcher would decode every match
-    and re-encode it for the next pattern."""
-    assert _block_matcher_leaves_id_space() == []
+    """Block matcher, join planner, property paths and EXISTS read every
+    store — flat, sharded or an extension view — through ``triples_ids``
+    and ``count_ids`` and decode at the edge; so the view needs no
+    Term-level reader, and defines none."""
+    assert _evaluator_leaves_id_space() == []
     planted = tmp_path / "evaluator.py"
     planted.write_text(
         EVALUATOR.read_text(encoding="utf-8").replace(
             "        rows = out\n",
             "        rows = out\n"
             "        list(graph.triples(None, None, None))\n"
-            "        assert (None, None, None) not in graph\n", 1),
+            "        assert (None, None, None) not in graph\n", 1).replace(
+            "        if path.inverse:\n",
+            "        graph.count(None, path.predicate, None)\n"
+            "        if path.inverse:\n", 1),
         encoding="utf-8")
-    assert [hit.split(":")[0] for hit in _block_matcher_leaves_id_space(planted)
-            ] == ["triples", "in"]
+    assert sorted(hit.split(":")[0] for hit in
+                  _evaluator_leaves_id_space(planted)) == ["count", "in",
+                                                           "triples"]
+    view = _definition(ast.parse((RDF_SRC / "overlay.py").read_text(
+        encoding="utf-8")), "ExtensionView")
+    assert [node.name for node in view.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in TERM_READS | {"__contains__"}] == []
 
 
 BENCHMARKS = REPO / "benchmarks"
