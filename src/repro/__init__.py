@@ -74,9 +74,9 @@ def load_graph(path: str) -> "Graph":
 
     ``.csv`` → the statistical CSV import of system 1b (headers become
     properties); every suffix :func:`repro.rdf.bulkload.load_file`
-    knows goes through it (N-Triples is streamed, and a malformed line
-    raises :class:`~repro.rdf.bulkload.BulkLoadError` carrying its
-    ``line``); anything else is read as Turtle.
+    knows goes through it (N-Triples is streamed, and malformed
+    N-Triples or Turtle raises :class:`~repro.rdf.bulkload.BulkLoadError`
+    carrying its ``line``); anything else is read as Turtle.
     """
     if path.lower().endswith(".csv"):
         from repro.datasets.csv_import import graph_from_csv

@@ -34,7 +34,7 @@ from typing import IO, Iterable, List, Optional, Tuple, Union
 from repro.rdf.graph import Graph
 from repro.rdf.ntriples import NTriplesError, scan_lines, term_from_groups
 from repro.rdf.sharding import ShardedGraph
-from repro.rdf.turtle import TurtleParser
+from repro.rdf.turtle import TurtleError, TurtleParser
 
 #: File suffixes understood by :func:`load_file`.
 _NTRIPLES_SUFFIXES = (".nt", ".ntriples")
@@ -140,11 +140,17 @@ def load_turtle(
     Turtle's grammar is document-scoped (prefix directives, ``;``/``,``
     continuation), so the text is read and parsed whole; the parsed
     statements are then added straight to the target graph (no staging
-    graph), a sharded target routing each to its owning slice.
+    graph), a sharded target routing each to its owning slice.  Bad
+    syntax raises :class:`BulkLoadError` with its line number, and
+    nothing is added.
     """
     target = _target_graph(graph, shards)
     with open(source, encoding="utf-8") as handle:
-        statements = TurtleParser(handle.read()).parse()
+        text = handle.read()
+    try:
+        statements = TurtleParser(text).parse()
+    except TurtleError as exc:
+        raise BulkLoadError(str(exc), line=exc.line) from exc
     return target, LoadReport(statements=len(statements),
                               triples_added=target.add_all(statements))
 

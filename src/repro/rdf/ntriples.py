@@ -12,7 +12,9 @@ import re
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, XSD_STRING
+from repro.rdf.terms import (
+    BNode, IRI, Literal, Term, Triple, XSD_STRING, _unescape,
+)
 
 
 class NTriplesError(ValueError):
@@ -31,25 +33,6 @@ _TERM_RE = f"(?:{_IRI_RE}|{_BNODE_RE}|{_LITERAL_RE})"
 _LINE_RE = re.compile(
     rf"^\s*{_TERM_RE}\s+{_TERM_RE}\s+{_TERM_RE}\s*\.\s*(?:#.*)?$"
 )
-
-_UNESCAPES = {
-    "\\\\": "\\",
-    '\\"': '"',
-    "\\n": "\n",
-    "\\r": "\r",
-    "\\t": "\t",
-}
-_UNESCAPE_RE = re.compile(r'\\[\\"nrt]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}')
-
-
-def _unescape(text: str) -> str:
-    def repl(m: re.Match) -> str:
-        token = m.group(0)
-        if token in _UNESCAPES:
-            return _UNESCAPES[token]
-        return chr(int(token[2:], 16))
-
-    return _UNESCAPE_RE.sub(repl, text)
 
 
 def term_from_groups(groups: Sequence[Optional[str]]) -> Term:

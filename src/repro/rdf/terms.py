@@ -233,6 +233,24 @@ def _escape(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(0)], text)
 
 
+#: RDF 1.1's string escapes (ECHAR and UCHAR), shared by the N-Triples,
+#: Turtle and SPARQL readers.  A ``\U`` escape past U+10FFFF names no
+#: character and is left as written, like any other unknown escape.
+_UNESCAPES = {
+    "\\\\": "\\", '\\"': '"', "\\'": "'",
+    "\\n": "\n", "\\r": "\r", "\\t": "\t", "\\b": "\b", "\\f": "\f",
+}
+_UNESCAPE_RE = re.compile(r'\\[\\"\'nrtbf]|\\u[0-9A-Fa-f]{4}'
+                          r'|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}')
+
+
+def _unescape(text: str) -> str:
+    """The string a literal's quoted text spells, its escapes decoded."""
+    return _UNESCAPE_RE.sub(
+        lambda m: _UNESCAPES.get(m.group(0)) or chr(int(m.group(0)[2:], 16)),
+        text)
+
+
 def _term_lt(a: Term, b: Term) -> bool:
     if not isinstance(b, Term):
         return NotImplemented

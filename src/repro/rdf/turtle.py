@@ -1,38 +1,39 @@
 """A Turtle parser and serializer (practical subset).
 
-Supports the Turtle features the bundled datasets and examples use:
+The reader is the SPARQL parser's (:mod:`repro.sparql.parser`): one
+tokenizer, one term grammar and one string-escape decoder read both
+languages, since SPARQL writes its triple patterns in Turtle.  What it
+accepts:
 
-* ``@prefix`` / ``@base`` directives (and SPARQL-style ``PREFIX``/``BASE``);
-* prefixed names and absolute IRIs;
+* ``@prefix`` / ``@base`` directives (and SPARQL-style ``PREFIX``/``BASE``),
+  their IRIs resolved against the base in force;
+* prefixed names and IRIs, a relative IRI resolved against the base;
 * ``a`` as shorthand for ``rdf:type``;
 * predicate lists (``;``) and object lists (``,``);
-* blank node labels (``_:b``) and anonymous blank nodes (``[...]``);
+* blank node labels (``_:b``) and anonymous blank nodes (``[...]``,
+  labelled ``q1``, ``q2``, ... in document order);
 * plain, language-tagged, and datatyped string literals (with ``'``/``"``
   and their long forms);
 * numeric shorthand (integers, decimals, doubles) and booleans.
 
-Collections (``( ... )``) are intentionally unsupported; the parser
-raises a clear error if it encounters one.
+:class:`TurtleParser` refuses what SPARQL's triples grammar allows and
+Turtle does not (variables, a property path in the predicate slot) and
+collections (``( ... )``), which are intentionally unsupported.  Every
+malformed input raises :class:`TurtleError`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, WELL_KNOWN_PREFIXES
-from repro.rdf.terms import (
-    BNode,
-    IRI,
-    Literal,
-    Term,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    XSD_STRING,
-)
+from repro.rdf.terms import IRI, Literal, Term, XSD_STRING
+from repro.sparql import ast
+from repro.sparql.errors import SparqlParseError
+from repro.sparql.parser import _Parser
 
 
 class TurtleError(ValueError):
@@ -44,268 +45,64 @@ class TurtleError(ValueError):
         self.column = column
 
 
-_TOKEN_SPEC = [
-    ("COMMENT", r"#[^\n]*"),
-    ("WS", r"[ \t\r\n]+"),
-    ("LONG_STRING", r'"""(?:[^"\\]|\\.|"(?!""))*"""' + r"|'''(?:[^'\\]|\\.|'(?!''))*'''"),
-    ("STRING", r'"(?:[^"\\\n]|\\.)*"' + r"|'(?:[^'\\\n]|\\.)*'"),
-    ("IRIREF", r"<[^<>\"{}|^`\\\x00-\x20]*>"),
-    ("PREFIX_DIR", r"@prefix\b|@base\b"),
-    ("SPARQL_DIR", r"(?i:PREFIX|BASE)(?=[ \t])"),
-    ("DOUBLE", r"[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
-    ("DECIMAL", r"[+-]?\d*\.\d+"),
-    ("INTEGER", r"[+-]?\d+"),
-    ("BOOLEAN", r"\b(?:true|false)\b"),
-    ("BNODE", r"_:[A-Za-z0-9_][A-Za-z0-9_.-]*"),
-    ("LANGTAG", r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
-    ("DTYPE", r"\^\^"),
-    ("PNAME", r"[A-Za-z_][A-Za-z0-9_.-]*?:[A-Za-z0-9_][A-Za-z0-9_.%-]*|[A-Za-z_][A-Za-z0-9_.-]*?:"),
-    ("A", r"\ba\b"),
-    ("PUNCT", r"[;,.\[\]()]"),
-]
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
-
-_UNESCAPE_RE = re.compile(r'\\[\\"\'nrtbf]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}')
-_UNESCAPES = {
-    "\\\\": "\\",
-    '\\"': '"',
-    "\\'": "'",
-    "\\n": "\n",
-    "\\r": "\r",
-    "\\t": "\t",
-    "\\b": "\b",
-    "\\f": "\f",
-}
+@contextmanager
+def _turtle_errors() -> Iterator[None]:
+    """Re-raise the shared grammar's positioned errors as TurtleError."""
+    try:
+        yield
+    except SparqlParseError as exc:
+        raise TurtleError(exc.message, exc.line, exc.column) from exc
 
 
-def _unescape(text: str) -> str:
-    def repl(m: re.Match) -> str:
-        token = m.group(0)
-        if token in _UNESCAPES:
-            return _UNESCAPES[token]
-        return chr(int(token[2:], 16))
-
-    return _UNESCAPE_RE.sub(repl, text)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r})"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TurtleError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        value = m.group(0)
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = m.end()
-    return tokens
-
-
-class TurtleParser:
-    """Recursive-descent parser producing triples from Turtle text."""
+class TurtleParser(_Parser):
+    """Turtle's document grammar over the SPARQL parser's triples: a
+    statement is a ``TriplesSameSubject`` ended by ``.``, between
+    ``@prefix`` / ``@base`` directives (ended by ``.``; the lexer reads
+    them as ``LANGTAG`` tokens) and ``PREFIX`` / ``BASE`` ones."""
 
     def __init__(self, text: str, base: str = ""):
-        self._tokens = _tokenize(text)
-        self._pos = 0
+        with _turtle_errors():
+            super().__init__(text)
         self._base = base
-        self._prefixes: Dict[str, str] = {}
-        self._triples: List[Tuple[Term, IRI, Term]] = []
-        self._bnode_count = 0
 
-    # -- token stream helpers ------------------------------------------
-    def _peek(self) -> Optional[_Token]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            last = self._tokens[-1] if self._tokens else _Token("EOF", "", 1, 1)
-            raise TurtleError("unexpected end of input", last.line, last.column)
-        self._pos += 1
-        return token
-
-    def _expect_punct(self, char: str) -> None:
-        token = self._next()
-        if token.kind != "PUNCT" or token.text != char:
-            raise TurtleError(
-                f"expected {char!r}, got {token.text!r}", token.line, token.column
-            )
-
-    def _error(self, message: str, token: _Token) -> None:
-        raise TurtleError(message, token.line, token.column)
-
-    # -- parsing --------------------------------------------------------
     def parse(self) -> List[Tuple[Term, IRI, Term]]:
-        while self._peek() is not None:
-            token = self._peek()
-            if token.kind == "PREFIX_DIR":
-                self._directive(at_form=True)
-            elif token.kind == "SPARQL_DIR":
-                self._directive(at_form=False)
-            else:
-                self._triples_block()
-        return self._triples
-
-    def _directive(self, at_form: bool) -> None:
-        token = self._next()
-        keyword = token.text.lstrip("@").lower()
-        if keyword == "prefix":
-            name_token = self._next()
-            if name_token.kind != "PNAME" or not name_token.text.endswith(":"):
-                self._error("expected prefix name", name_token)
-            iri_token = self._next()
-            if iri_token.kind != "IRIREF":
-                self._error("expected IRI after prefix name", iri_token)
-            self._prefixes[name_token.text[:-1]] = self._resolve(iri_token.text[1:-1])
-        else:  # base
-            iri_token = self._next()
-            if iri_token.kind != "IRIREF":
-                self._error("expected IRI after @base", iri_token)
-            self._base = self._resolve(iri_token.text[1:-1])
-        if at_form:
-            self._expect_punct(".")
-
-    def _resolve(self, iri: str) -> str:
-        if self._base and "://" not in iri and not iri.startswith("urn:"):
-            return self._base + iri
-        return iri
-
-    def _triples_block(self) -> None:
-        subject = self._subject()
-        self._predicate_object_list(subject)
-        self._expect_punct(".")
-
-    def _subject(self) -> Term:
-        token = self._peek()
-        if token.kind == "PUNCT" and token.text == "[":
-            return self._anon_bnode()
-        term = self._term()
-        if isinstance(term, Literal):
-            self._error("literal cannot be a subject", token)
-        return term
-
-    def _predicate_object_list(self, subject: Term) -> None:
-        while True:
-            predicate = self._predicate()
-            while True:
-                obj = self._object()
-                self._triples.append((subject, predicate, obj))
+        triples: List[Tuple[Term, IRI, Term]] = []
+        with _turtle_errors():
+            while self._peek() is not None:
                 token = self._peek()
-                if token is not None and token.kind == "PUNCT" and token.text == ",":
+                if token.kind == "LANGTAG" and token.text in ("@prefix", "@base"):
                     self._next()
-                    continue
-                break
-            token = self._peek()
-            if token is not None and token.kind == "PUNCT" and token.text == ";":
-                self._next()
-                nxt = self._peek()
-                # allow a trailing ';' before '.' or ']'
-                if nxt is not None and nxt.kind == "PUNCT" and nxt.text in ".]":
-                    return
-                continue
-            return
+                    self._declaration(token.text[1:].upper())
+                    self._eat_punct(".")
+                elif token.is_name("PREFIX", "BASE"):
+                    self._prologue()
+                else:
+                    triples.extend(self._triples_same_subject())
+                    self._eat_punct(".")
+        return triples
 
-    def _predicate(self) -> IRI:
-        token = self._next()
-        if token.kind == "A":
-            return RDF.type
-        if token.kind == "IRIREF":
-            return IRI(self._resolve(token.text[1:-1]))
-        if token.kind == "PNAME":
-            return self._pname(token)
-        self._error(f"expected a predicate, got {token.text!r}", token)
-
-    def _object(self) -> Term:
+    # -- Turtle's refusals of what SPARQL's triples grammar allows ---------
+    def _term_slot(self) -> Term:
+        if self._at_punct("("):
+            raise self._error("RDF collections are not supported by this parser")
         token = self._peek()
-        if token.kind == "PUNCT" and token.text == "[":
-            return self._anon_bnode()
-        if token.kind == "PUNCT" and token.text == "(":
-            self._error("RDF collections are not supported by this parser", token)
-        return self._term()
+        if token is not None and token.kind == "VAR":
+            raise self._error("variables are not allowed in Turtle")
+        return super()._term_slot()
 
-    def _anon_bnode(self) -> BNode:
-        self._expect_punct("[")
-        self._bnode_count += 1
-        node = BNode(f"anon{self._bnode_count}")
+    def _path(self) -> IRI:
         token = self._peek()
-        if not (token.kind == "PUNCT" and token.text == "]"):
-            self._predicate_object_list(node)
-        self._expect_punct("]")
-        return node
+        path = super()._path()
+        if isinstance(path, ast.PredicatePath) and not path.inverse:
+            return path.predicate
+        raise SparqlParseError(
+            "expected a predicate IRI, not a variable or property path",
+            token.line, token.column)
 
-    def _term(self) -> Term:
-        token = self._next()
-        if token.kind == "IRIREF":
-            return IRI(self._resolve(token.text[1:-1]))
-        if token.kind == "PNAME":
-            return self._pname(token)
-        if token.kind == "BNODE":
-            return BNode(token.text[2:])
-        if token.kind in ("STRING", "LONG_STRING"):
-            return self._literal(token)
-        if token.kind == "INTEGER":
-            return Literal(token.text, XSD_INTEGER)
-        if token.kind == "DECIMAL":
-            return Literal(token.text, XSD_DECIMAL)
-        if token.kind == "DOUBLE":
-            return Literal(token.text, XSD_DOUBLE)
-        if token.kind == "BOOLEAN":
-            return Literal(token.text, XSD_BOOLEAN)
-        self._error(f"expected an RDF term, got {token.text!r}", token)
-
-    def _literal(self, token: _Token) -> Literal:
-        text = token.text
-        if token.kind == "LONG_STRING":
-            lexical = _unescape(text[3:-3])
-        else:
-            lexical = _unescape(text[1:-1])
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "LANGTAG":
-            self._next()
-            return Literal(lexical, XSD_STRING, nxt.text[1:])
-        if nxt is not None and nxt.kind == "DTYPE":
-            self._next()
-            dt_token = self._next()
-            if dt_token.kind == "IRIREF":
-                datatype = self._resolve(dt_token.text[1:-1])
-            elif dt_token.kind == "PNAME":
-                datatype = self._pname(dt_token).value
-            else:
-                self._error("expected datatype IRI after ^^", dt_token)
-            return Literal(lexical, datatype)
-        return Literal(lexical, XSD_STRING)
-
-    def _pname(self, token: _Token) -> IRI:
-        prefix, _, local = token.text.partition(":")
-        namespaces = {**WELL_KNOWN_PREFIXES, **self._prefixes}
-        if prefix not in namespaces:
-            self._error(f"undefined prefix {prefix!r}", token)
-        return IRI(namespaces[prefix] + local)
+    @staticmethod
+    def _make_pattern(subject: Term, predicate: IRI,
+                      obj: Term) -> Tuple[Term, IRI, Term]:
+        return (subject, predicate, obj)
 
 
 def parse(text: str, graph: Optional[Graph] = None, base: str = "") -> Graph:

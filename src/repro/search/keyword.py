@@ -27,7 +27,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import BNode, IRI, Literal, Term, display_name
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+_WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 #: Field weights: own name, literal values, neighbour names.
 WEIGHT_NAME = 3.0
@@ -40,7 +40,7 @@ def tokenize(text: str) -> List[str]:
     letter/digit boundaries (``laptop1`` → ``laptop``, ``1``)."""
     spaced = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", " ", text)
     spaced = re.sub(r"(?<=[A-Za-z])(?=[0-9])", " ", spaced)
-    return [t.lower() for t in _TOKEN_RE.findall(spaced)]
+    return [t.lower() for t in _WORD_RE.findall(spaced)]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ class PositionedSparqlError(SparqlError):
 
     ``line == 0`` means "no position available"; when a position is known
     it is appended to the message and exposed as ``.line`` / ``.column``
-    so callers (CLI, analyzers) can point at the offending clause.
+    so callers (CLI, analyzers) can point at the offending clause.  The
+    message without the position is ``.message``.
     """
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         position = f" (line {line}, column {column})" if line else ""
         super().__init__(f"{message}{position}")
+        self.message = message
         self.line = line
         self.column = column
 

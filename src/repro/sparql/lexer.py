@@ -1,9 +1,10 @@
-"""Tokenizer for the SPARQL subset.
+"""Tokenizer for the SPARQL subset, and for Turtle.
 
 Produces a flat list of :class:`Token` objects.  Keywords are recognized
 case-insensitively at the parser level (the lexer emits them as ``NAME``
 tokens); this keeps the lexer simple and lets prefixed names reuse the
-same machinery.
+same machinery.  Turtle's ``@prefix`` / ``@base`` come out as ``LANGTAG``
+tokens, which :class:`repro.rdf.turtle.TurtleParser` reads as directives.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ _TOKEN_SPEC = [
     ("BNODE", r"_:[A-Za-z0-9_][A-Za-z0-9_.-]*"),
     ("LANGTAG", r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
     ("DTYPE", r"\^\^"),
-    ("PNAME", r"[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_.%-]*"
-              r"|[A-Za-z_][A-Za-z0-9_-]*:"),
+    ("PNAME", r"[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_][A-Za-z0-9_.%-]*"
+              r"|[A-Za-z_][A-Za-z0-9_.-]*:"),
     ("NAME", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("OP", r"&&|\|\||!=|<=|>=|[=<>!+\-*/^|?]"),
     ("PUNCT", r"[{}().;,\[\]]"),

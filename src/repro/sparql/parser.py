@@ -14,11 +14,10 @@ that the dissertation's listings use:
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional as Opt, Tuple
 
 from repro.caching import CacheStats, LRUCache, MISSING
-from repro.rdf.namespace import WELL_KNOWN_PREFIXES
+from repro.rdf.namespace import RDF, WELL_KNOWN_PREFIXES
 from repro.rdf.terms import (
     BNode,
     IRI,
@@ -29,6 +28,7 @@ from repro.rdf.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    _unescape,
 )
 from repro.sparql import ast
 from repro.sparql.errors import SparqlParseError
@@ -46,24 +46,10 @@ _BUILTINS = {
     "URI", "IRI",
 }
 
-_UNESCAPES = {
-    "\\\\": "\\", '\\"': '"', "\\'": "'",
-    "\\n": "\n", "\\r": "\r", "\\t": "\t", "\\b": "\b", "\\f": "\f",
-}
-_UNESCAPE_RE = re.compile(r'\\[\\"\'nrtbf]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}')
-
-
-def _unescape(text: str) -> str:
-    def repl(m: re.Match) -> str:
-        token = m.group(0)
-        if token in _UNESCAPES:
-            return _UNESCAPES[token]
-        return chr(int(token[2:], 16))
-
-    return _UNESCAPE_RE.sub(repl, text)
-
-
 class _Parser:
+    """The SPARQL grammar.  Its terms and triples are Turtle's, so
+    :class:`repro.rdf.turtle.TurtleParser` reads documents through it."""
+
     def __init__(self, text: str):
         self._tokens = tokenize(text)
         self._pos = 0
@@ -151,32 +137,30 @@ class _Parser:
 
     def _prologue(self) -> None:
         while self._at_name("PREFIX", "BASE"):
-            keyword = self._next().text.upper()
-            if keyword == "PREFIX":
-                name_token = self._next()
-                if name_token.kind != "PNAME" or not name_token.text.endswith(":"):
-                    raise SparqlParseError(
-                        "expected prefix declaration name",
-                        name_token.line,
-                        name_token.column,
-                    )
-                iri_token = self._next()
-                if iri_token.kind != "IRIREF":
-                    raise SparqlParseError(
-                        "expected IRI in PREFIX declaration",
-                        iri_token.line,
-                        iri_token.column,
-                    )
-                self._prefixes[name_token.text[:-1]] = iri_token.text[1:-1]
-            else:
-                iri_token = self._next()
-                if iri_token.kind != "IRIREF":
-                    raise SparqlParseError(
-                        "expected IRI in BASE declaration",
-                        iri_token.line,
-                        iri_token.column,
-                    )
-                self._base = iri_token.text[1:-1]
+            self._declaration(self._next().text.upper())
+
+    def _declaration(self, keyword: str) -> None:
+        """The body of a ``PREFIX`` or ``BASE`` declaration (``keyword``
+        upper-cased); both IRIs resolve against the base in force."""
+        if keyword == "PREFIX":
+            name_token = self._next()
+            if name_token.kind != "PNAME" or not name_token.text.endswith(":"):
+                raise SparqlParseError(
+                    "expected prefix declaration name",
+                    name_token.line,
+                    name_token.column,
+                )
+        iri_token = self._next()
+        if iri_token.kind != "IRIREF":
+            raise SparqlParseError(
+                f"expected IRI in {keyword} declaration",
+                iri_token.line,
+                iri_token.column,
+            )
+        if keyword == "PREFIX":
+            self._prefixes[name_token.text[:-1]] = self._iri(iri_token).value
+        else:
+            self._base = self._iri(iri_token).value
 
     # -- query forms -------------------------------------------------------
     def _select_query(self) -> ast.SelectQuery:
@@ -217,7 +201,7 @@ class _Parser:
         limit = None
         if self._at_name("LIMIT"):
             self._next()
-            limit = int(self._next().text)
+            limit = self._integer_value()
         return ast.ConstructQuery(template=tuple(template), where=where, limit=limit)
 
     def _construct_template(self) -> List[ast.TriplePattern]:
@@ -625,22 +609,22 @@ class _Parser:
             return inner
         token = self._next()
         if token.kind == "NAME" and token.text == "a":
-            from repro.rdf.namespace import RDF
-
             return ast.PredicatePath(RDF.type, False)
         if token.kind == "IRIREF":
-            iri = token.text[1:-1]
-            return ast.PredicatePath(
-                IRI(self._base + iri if self._needs_base(iri) else iri), False
-            )
+            return ast.PredicatePath(self._iri(token), False)
         if token.kind == "PNAME":
             return ast.PredicatePath(self._pname(token), False)
         raise SparqlParseError(
             f"expected a predicate, got {token.text!r}", token.line, token.column
         )
 
-    def _needs_base(self, iri: str) -> bool:
-        return bool(self._base) and "://" not in iri and not iri.startswith("urn:")
+    def _iri(self, token: Token) -> IRI:
+        """An ``IRIREF`` token's IRI, a relative one resolved against the
+        base (by concatenation)."""
+        iri = token.text[1:-1]
+        if self._base and "://" not in iri and not iri.startswith("urn:"):
+            return IRI(self._base + iri)
+        return IRI(iri)
 
     def _term_slot(self):
         """A term in a triple slot: Var or constant Term."""
@@ -648,8 +632,7 @@ class _Parser:
         if token.kind == "VAR":
             return ast.Var(token.text[1:])
         if token.kind == "IRIREF":
-            iri = token.text[1:-1]
-            return IRI(self._base + iri if self._needs_base(iri) else iri)
+            return self._iri(token)
         if token.kind == "PNAME":
             return self._pname(token)
         if token.kind == "BNODE":
@@ -664,10 +647,6 @@ class _Parser:
             return Literal(token.text, XSD_DOUBLE)
         if token.is_name("TRUE", "FALSE"):
             return Literal(token.text.lower(), XSD_BOOLEAN)
-        if token.kind == "NAME" and token.text == "a":
-            from repro.rdf.namespace import RDF
-
-            return RDF.type
         raise SparqlParseError(
             f"expected an RDF term, got {token.text!r}", token.line, token.column
         )
@@ -686,7 +665,7 @@ class _Parser:
             self._next()
             dt_token = self._next()
             if dt_token.kind == "IRIREF":
-                datatype = dt_token.text[1:-1]
+                datatype = self._iri(dt_token).value
             elif dt_token.kind == "PNAME":
                 datatype = self._pname(dt_token).value
             else:
@@ -824,11 +803,7 @@ class _Parser:
             )
         if token.kind in ("PNAME", "IRIREF"):
             # Cast/constructor call (xsd:integer("1")) or a plain IRI term.
-            iri = (
-                self._pname(token)
-                if token.kind == "PNAME"
-                else IRI(token.text[1:-1])
-            )
+            iri = self._pname(token) if token.kind == "PNAME" else self._iri(token)
             self._next()
             if self._at_punct("("):
                 args = tuple(self._expression_list())
