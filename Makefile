@@ -35,12 +35,13 @@ bench-refresh:
 chaos:
 	pytest tests/ -m chaos -q
 
-# The parser property (Turtle, N-Triples and SPARQL raise only their
-# typed errors on arbitrary text) at 10 000 draws and a random seed;
-# tier-1 runs it derandomized at Hypothesis's default size.
+# The reader properties (Turtle, N-Triples and SPARQL raise only their
+# typed errors on arbitrary text, replay_session only ValueError on
+# arbitrary JSON) and the Answer Frame memo's state machine, at 10 000
+# draws and a random seed; tier-1 runs them derandomized and smaller.
 fuzz:
-	PYTHONPATH=src pytest tests/test_rdf_syntax.py -k typed_errors \
-		--hypothesis-profile=fuzz -q
+	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
+		-k "typed_errors or memo_machine" --hypothesis-profile=fuzz -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null && echo ok; done

@@ -9,14 +9,16 @@ Two cache flavours back the engine's interactive latencies:
   of a :class:`repro.rdf.Graph` bumps ``Graph.generation``, so a stale
   entry can never be served: a lookup with a newer generation is a miss
   (counted as an *invalidation*) and evicts the dead entry.  This backs
-  the SPARQL result caches: the store's and each extension view's.
+  the store's SPARQL result cache, ``Graph.sparql_cache``.
 
 Both expose :meth:`stats` returning a :class:`CacheStats` snapshot;
-sessions aggregate those through ``cache_stats()`` and the CLI shows
-them in ``health``.  A session's facet counts are in neither: they are
-remembered, with the same generation stamp, on the state they were
-derived from (:meth:`repro.facets.session.FacetedSession._per_state`),
-and reported in the same :class:`CacheStats` shape.
+sessions report those through ``cache_stats()`` and the CLI shows them
+in ``health``.  What a session derives from one state — its facet
+counts and its Answer Frames — is in neither: it is remembered, with
+the same generation stamp, on the state it was derived from
+(:meth:`repro.facets.session.FacetedSession._per_state`), and reported
+in the same :class:`CacheStats` shape, as the ``facets`` and
+``answers`` lines.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.requests
         return self.hits / total if total else 0.0
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        """The counters of two caches serving one purpose, summed
-        (reported under this one's name)."""
-        return CacheStats(
-            self.name, self.size + other.size, self.maxsize + other.maxsize,
-            self.hits + other.hits, self.misses + other.misses,
-            self.evictions + other.evictions,
-            self.invalidations + other.invalidations)
 
     def as_dict(self) -> dict:
         return {

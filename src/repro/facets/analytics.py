@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence,
     Tuple, Union,
 )
 
-from repro.caching import CacheStats
 from repro.rdf.columns import column_engine
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
@@ -255,11 +254,6 @@ class FacetedAnalyticsSession(FacetedSession):
         self._groups: List[GroupSpec] = []
         self._measure: Optional[MeasureSpec] = None
         self._with_count = False
-        #: strict-mode memo: (schema, (query, root_class), report)
-        self._analysis_memo = None
-        #: the result-cache counters of the extension views that are
-        #: gone (cache_stats adds those of the live states' views).
-        self._retired_views = CacheStats("sparql-results", 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # Button state
@@ -398,18 +392,8 @@ class FacetedAnalyticsSession(FacetedSession):
 
         from repro.analysis import check_hifun, infer_schema
 
-        # Checking is pure in (query, schema): memoize the last report so
-        # re-running an unchanged button state costs an equality test, not
-        # a fresh walk.  ``schema`` is compared by identity — infer_schema
-        # returns the same object while the graph generation stands.
-        schema = infer_schema(self.graph)
-        memo = self._analysis_memo
-        if (memo is not None and memo[0] is schema
-                and memo[1] == (query, root_class)):
-            report = memo[2]
-        else:
-            report = check_hifun(query, schema, root_class, self.graph)
-            self._analysis_memo = (schema, (query, root_class), report)
+        report = check_hifun(query, infer_schema(self.graph), root_class,
+                             self.graph)
         report.raise_if_errors()
         for diagnostic in report.warnings:
             warnings.warn(str(diagnostic), stacklevel=3)
@@ -478,38 +462,24 @@ class FacetedAnalyticsSession(FacetedSession):
 
         It is built from the state's ids as they are: each is decoded
         once, only to skip literals.  The evaluator reads it in ids
-        alone (``triples_ids`` / ``count_ids``).  The view owns the SPARQL result
-        cache of its state and is remembered on it, so a repeated run is
-        a hit — also after coming *back* to the state — while another
-        session, or another state of this one, with the same query text
-        can never be served it.
+        alone (``triples_ids`` / ``count_ids``).  It is remembered on
+        the state, so the count queries and the runs of one state share
+        it, also after coming *back* to the state.
         """
-        def build():
-            state = self.state
-            self._retire_view(state)
-            return ExtensionView(self.graph, TEMP, state.unknown, state.ids)
+        state = self.state
+        return self._per_state("view", lambda: ExtensionView(
+            self.graph, TEMP, state.unknown, state.ids))
 
-        return self._per_state("view", build)
-
-    def _retire_view(self, state) -> None:
-        """Move the result-cache counters of ``state``'s view, if it has
-        one, into the running sum — called when the state leaves the
-        history or its stale view is replaced, so that what
-        :meth:`cache_stats` reports never falls."""
-        entry = state._memo.pop("view", None)
-        if entry is not None:
-            self._retired_views += replace(
-                entry[1].sparql_cache.stats(), size=0, maxsize=0)
-
-    def _per_state(self, key, build, counted=False):
+    def _per_state(self, key, build, stat=None):
         """As the base session's — except that through an endpoint a
-        count operation is answered by :attr:`facet_engine` over the
-        extension view and never remembered on the state: what a
-        fallible remote said (maybe stale) is no fact about it."""
-        if counted and self.facet_engine is not None:
+        count operation (``stat="facets"``) is answered by
+        :attr:`facet_engine` over the extension view and never
+        remembered on the state: what a fallible remote said (maybe
+        stale) is no fact about it."""
+        if stat == "facets" and self.facet_engine is not None:
             return self.facet_engine.counted(
                 key, self._extension_view(), self._class_tree)
-        return super()._per_state(key, build, counted)
+        return super()._per_state(key, build, stat)
 
     def _push(self, ids, intention, description):
         state = super()._push(ids, intention, description)
@@ -520,24 +490,7 @@ class FacetedAnalyticsSession(FacetedSession):
     def back(self):
         if self.endpoint is not None:
             self.endpoint.advance(THINK_SECONDS)
-        if len(self._history) > 1:
-            self._retire_view(self.state)
         return super().back()
-
-    def cache_stats(self) -> Dict[str, CacheStats]:
-        """As the base session's, with the result caches of the
-        session's extension views — where the pipeline's answers live —
-        folded into ``"sparql"``: hits, misses, evictions and
-        invalidations accumulate over every view the session built;
-        size and capacity are those of the live caches (the store's
-        plus those of the views of the states in the history)."""
-        stats = super().cache_stats()
-        stats["sparql"] += self._retired_views
-        for state in self._history:
-            entry = state._memo.get("view")
-            if entry is not None:
-                stats["sparql"] += entry[1].sparql_cache.stats()
-        return stats
 
     def run(self, engine: str = "sparql", endpoint: Any = None) -> AnswerFrame:
         """Execute the analytic query over the current state's extension.
@@ -561,40 +514,51 @@ class FacetedAnalyticsSession(FacetedSession):
         one; its typed errors propagate to the caller.
         No engine writes to the graph: a run — failed or not — leaves
         its generation, and every cache stamped with it, as they were.
+
+        The frame is remembered on the state under ``("answer", engine,
+        query, endpoint)`` (:meth:`_per_state`, the ``answers`` line of
+        :meth:`cache_stats`): a repeated press on the state — also after
+        coming *back* to it — is served the kept rows in a fresh frame,
+        on every engine, until the graph changes.  A failed run,
+        strict-mode refusals included, is remembered nowhere.
         """
         if endpoint is None:
             endpoint = self.endpoint
-        if endpoint is not None:
-            evaluate = endpoint.query
-        else:
-            def evaluate(text, overlay=None):
-                return sparql_query(
-                    self.graph if overlay is None else overlay, text)
         if engine == "restrictions":
             query, root_class = self.hifun_query_with_restrictions()
-            self._static_check(query, root_class)
+        elif engine in ("sparql", "native", "row"):
+            query, root_class = self.hifun_query(), None
         else:
-            query, root_class = self.hifun_query(), TEMP_CLASS
-            self._static_check(query)
-        if engine in ("native", "row"):
-            domain_terms, domain_ids = self._analysis_domain()
-            if engine == "row":
-                answer = evaluate_hifun_row(self.graph, query,
-                                            items=domain_terms)
+            raise ValueError(f"unknown engine {engine!r}")
+
+        def build():
+            self._static_check(query, root_class)
+            if engine in ("native", "row"):
+                terms, ids = self._analysis_domain()
+                if engine == "row":
+                    answer = evaluate_hifun_row(self.graph, query, items=terms)
+                else:
+                    answer = evaluate_hifun(self.graph, query, items=terms,
+                                            items_ids=ids)
+                return query.answer_columns(), answer.rows()
+            if engine == "sparql":
+                translation = translate(query, root_class=TEMP_CLASS)
+                overlay = self._extension_view()
             else:
-                answer = evaluate_hifun(self.graph, query, items=domain_terms,
-                                        items_ids=domain_ids)
-            columns, rows = query.answer_columns(), answer.rows()
-        elif engine in ("sparql", "restrictions"):
-            translation = translate(query, root_class=root_class)
-            result = evaluate(
-                translation.text,
-                overlay=self._extension_view() if engine == "sparql" else None)
+                translation = translate(query, root_class=root_class)
+                overlay = None
+            if endpoint is not None:
+                result = endpoint.query(translation.text, overlay=overlay)
+            else:
+                result = sparql_query(
+                    self.graph if overlay is None else overlay, translation.text)
             columns = translation.answer_columns  # the query's, named once
             rows = [tuple(row.get(c) for c in columns) for row in result]
             rows.sort(key=_row_sort_key)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+            return columns, rows
+
+        columns, rows = self._per_state(
+            ("answer", engine, query, endpoint), build, stat="answers")
         return AnswerFrame(columns, rows, query)
 
 

@@ -354,8 +354,8 @@ class State:
         self.description = description
         self._graph = graph
         self._extension: Optional[FrozenSet[Term]] = None
-        #: The session's memo: key → ``(generation, value, counted)``.
-        self._memo: Dict[object, Tuple[int, object, bool]] = {}
+        #: The session's memo: key → ``(generation, value, stat)``.
+        self._memo: Dict[object, Tuple[int, object, Optional[str]]] = {}
 
     @property
     def extension(self) -> FrozenSet[Term]:

@@ -29,7 +29,7 @@ Counting itself happens in one place, the store's
 :meth:`~repro.rdf.graph.Graph.facet_counts`: a listing asks it for every
 property of the extension, a single facet for the last step of its
 path.  The four count operations reach their value through
-``_per_state(..., counted=True)``; that call is the one seam where an
+``_per_state(..., stat="facets")``; that call is the one seam where an
 analytics session opened with an ``endpoint`` takes its counts from the
 Tables 5.1/5.2 queries instead
 (:class:`~repro.facets.sparql_backend.SparqlFacetEngine`, degrading on
@@ -88,6 +88,11 @@ from repro.facets.model import (
 _FacetRows = Tuple[int, Tuple[int, ...], bool]
 
 
+#: The :meth:`FacetedSession.cache_stats` lines of what the states
+#: remember, with the name each reports under.
+_MEMO_LINES = {"facets": "facet-counts", "answers": "answer-frames"}
+
+
 class EmptyTransitionError(ValueError):
     """Raised when a requested transition would empty the extension —
     the model guarantees the UI never offers such a transition, so
@@ -117,9 +122,10 @@ class FacetedSession:
         self.analyze = analyze
         self.schema = SchemaView(graph, closed=closed)
         self.graph = self.schema.graph
-        # How the count operations' lookups on their state went
-        # (cache_stats); the values live on the states: _per_state.
-        self._lookups = {"hits": 0, "misses": 0, "invalidations": 0}
+        # How the lookups on their state went, per cache_stats line;
+        # the values live on the states: _per_state.
+        self._lookups = {stat: {"hits": 0, "misses": 0, "invalidations": 0}
+                         for stat in _MEMO_LINES}
         graph = self.graph
         if results is not None:
             seeds = frozenset(results)
@@ -158,28 +164,31 @@ class FacetedSession:
         return None
 
     def _per_state(self, key: object, build: Callable[[], Any],
-                   counted: bool = False) -> Any:
+                   stat: Optional[str] = None) -> Any:
         """``build()``, remembered on the current state under ``key``
         with the generation it was derived under.
 
         Dictionary ids are append-only, so within one generation what a
         state gives can only be recomputed to the same answer; any
-        mutation invalidates conservatively.  ``counted`` marks the
-        count operations (class markers, applicable properties,
-        listings, single facets), whose lookups :meth:`cache_stats`
-        reports: a value of this generation found here is a hit,
-        anything else a miss — and an invalidation when a value of an
-        older generation was found.
+        mutation invalidates conservatively.  ``stat`` names the
+        :meth:`cache_stats` line the lookup counts under: ``"facets"``
+        for the count operations (class markers, applicable properties,
+        listings, single facets), ``"answers"`` for an analytics
+        session's Answer Frames.  A value of this generation found here
+        is a hit, anything else a miss — and an invalidation when a
+        value of an older generation was found.  A ``build()`` that
+        raises stores nothing.
         """
         memo, generation = self.state._memo, self.graph.generation
         entry = memo.get(key)
         fresh = entry is not None and entry[0] == generation
-        if counted:
-            self._lookups["hits" if fresh else "misses"] += 1
+        if stat is not None:
+            lookups = self._lookups[stat]
+            lookups["hits" if fresh else "misses"] += 1
             if entry is not None and not fresh:
-                self._lookups["invalidations"] += 1
+                lookups["invalidations"] += 1
         if not fresh:
-            entry = memo[key] = (generation, build(), counted)
+            entry = memo[key] = (generation, build(), stat)
         return entry[1]
 
     # ------------------------------------------------------------------
@@ -202,22 +211,24 @@ class FacetedSession:
         return list(self._history)
 
     def cache_stats(self) -> Dict[str, CacheStats]:
-        """Hit/miss/eviction counters for everything the session is
-        served from: the counts remembered on its states (as many as the
-        live history holds; nothing is ever evicted), the SPARQL result
-        cache, and the parse cache."""
+        """Hit/miss counters for everything the session is served from:
+        what its states remember — the counts (``facets``) and the
+        Answer Frames (``answers``), as many as the live history holds;
+        nothing is ever evicted —, the store's SPARQL result cache, and
+        the parse cache."""
         from repro.sparql import parse_cache_stats
 
-        size = sum(entry[2] for state in self._history
-                   for entry in state._memo.values())
-        lookups = self._lookups
-        return {
-            "facets": CacheStats(
-                "facet-counts", size, size, lookups["hits"], lookups["misses"],
-                0, lookups["invalidations"]),
-            "sparql": self.graph.sparql_cache.stats(),
-            "parse": parse_cache_stats(),
-        }
+        stats = {}
+        for stat, name in _MEMO_LINES.items():
+            size = sum(entry[2] == stat for state in self._history
+                       for entry in state._memo.values())
+            lookups = self._lookups[stat]
+            stats[stat] = CacheStats(
+                name, size, size, lookups["hits"], lookups["misses"],
+                0, lookups["invalidations"])
+        stats["sparql"] = self.graph.sparql_cache.stats()
+        stats["parse"] = parse_cache_stats()
+        return stats
 
     def back(self) -> State:
         """Undo the last transition; stays at the initial state if there."""
@@ -251,7 +262,7 @@ class FacetedSession:
             ("classes", expanded),
             lambda: self._class_tree(
                 lambda cls: len(ids & _instance_ids(graph, cls)), expanded),
-            counted=True))
+            stat="facets"))
 
     def _class_tree(self, count_of: Callable[[IRI], int],
                     expanded: bool) -> Tuple[ClassMarker, ...]:
@@ -290,11 +301,11 @@ class FacetedSession:
         """
         listed = self._recall(self.state, ("listing", include_inverse))
         if listed is not None:
-            self._lookups["hits"] += 1
+            self._lookups["facets"]["hits"] += 1
             return [facet.prop for facet in listed[0]]
         return list(self._per_state(
             ("props", include_inverse),
-            lambda: self._discover_properties(include_inverse), counted=True))
+            lambda: self._discover_properties(include_inverse), stat="facets"))
 
     def _discover_properties(self, include_inverse: bool) -> Tuple[PropertyRef, ...]:
         extension_ids = self.state.ids
@@ -352,7 +363,7 @@ class FacetedSession:
                     return self._recount(ids, *listed)
             return self._scan(ids, include_inverse)
 
-        listed = self._per_state(("listing", include_inverse), build, counted=True)
+        listed = self._per_state(("listing", include_inverse), build, stat="facets")
         return listed if isinstance(listed, FacetListing) else list(listed[0])
 
     def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
@@ -457,10 +468,10 @@ class FacetedSession:
                 listed = self._recall(self.state, ("listing", include_inverse))
                 for facet in listed[0] if listed is not None else ():
                     if facet.path == path:
-                        self._lookups["hits"] += 1
+                        self._lookups["facets"]["hits"] += 1
                         return facet
         return self._per_state(
-            ("facet", path), lambda: self._count_last_step(path), counted=True)
+            ("facet", path), lambda: self._count_last_step(path), stat="facets")
 
     def _count_last_step(self, path: Path) -> PropertyFacet:
         graph = self.graph

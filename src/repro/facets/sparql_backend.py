@@ -59,9 +59,9 @@ from repro.facets.model import (
 APP = Namespace("http://www.ics.forth.gr/rdf-analytics#")
 TEMP = APP.temp
 
-#: An operation's extension: the members, or a ready view of them
-#: (a session passes its memoized one, whose result cache then carries
-#: over from call to call).
+#: An operation's extension: the members, or a ready view of them (a
+#: session passes the one remembered on its state, so the queries of a
+#: screen share one view instead of building one each).
 Extension = Union[Iterable[Term], ExtensionView]
 
 

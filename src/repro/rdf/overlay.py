@@ -7,6 +7,12 @@ anything, so the store's generation, statistics and every cache stamped
 with them survive the read.  It answers the id protocol the SPARQL
 evaluator reads every store with (``triples_ids``, ``count_ids``,
 ``len``, ``encode_term`` / ``decode_id``) and nothing Term-level.
+
+A view keeps no answers: :func:`repro.sparql.query` caches only on the
+store, keyed by query text alone, which two extensions share.  An
+analytics session remembers each Answer Frame on the state it was
+computed for instead
+(:meth:`repro.facets.analytics.FacetedAnalyticsSession.run`).
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.caching import GenerationCache
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Literal, Term
@@ -47,15 +52,11 @@ class ExtensionView:
     triples really added.
 
     A view describes the base *as of the generation it was built at*:
-    after a mutation of the base, build a new one.  Its result cache is
-    its own — an answer depends on the members, so it must never be
-    shared through the base's cache with another extension under the
-    same query text — and is stamped with the base's generation like
-    every other cache.
+    after a mutation of the base, build a new one.
     """
 
-    __slots__ = ("base", "cls", "members", "sparql_cache", "_decode",
-                 "_virtual", "_virtual_ids", "_type_id", "_cls_id")
+    __slots__ = ("base", "cls", "members", "_decode", "_virtual",
+                 "_virtual_ids", "_type_id", "_cls_id")
 
     def __init__(self, base: Graph, cls: IRI, extension: Iterable[Term] = (),
                  ids: Iterable[int] = ()):
@@ -73,7 +74,6 @@ class ExtensionView:
             base.subjects_ids(self._type_id, self._cls_id))
         #: The subject ids of the virtual triples.
         self.members = frozenset(members)
-        self.sparql_cache = GenerationCache(maxsize=128, name="sparql-results")
 
     def _intern(self, term: Term) -> int:
         """The id of ``term``: the base's, else a virtual one."""

@@ -11,7 +11,9 @@ accepts:
 * ``a`` as shorthand for ``rdf:type``;
 * predicate lists (``;``) and object lists (``,``);
 * blank node labels (``_:b``) and anonymous blank nodes (``[...]``,
-  labelled ``q1``, ``q2``, ... in document order);
+  labelled ``q1``, ``q2``, ... in document order, passing over every
+  label the document writes, so an anonymous node never merges with a
+  labelled one);
 * plain, language-tagged, and datatyped string literals (with ``'``/``"``
   and their long forms);
 * numeric shorthand (integers, decimals, doubles) and booleans.
@@ -30,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, WELL_KNOWN_PREFIXES
-from repro.rdf.terms import IRI, Literal, Term, XSD_STRING
+from repro.rdf.terms import BNode, IRI, Literal, Term, XSD_STRING
 from repro.sparql import ast
 from repro.sparql.errors import SparqlParseError
 from repro.sparql.parser import _Parser
@@ -98,6 +100,9 @@ class TurtleParser(_Parser):
         raise SparqlParseError(
             "expected a predicate IRI, not a variable or property path",
             token.line, token.column)
+
+    def _blank_node(self, label: str) -> BNode:
+        return BNode(label)
 
     @staticmethod
     def _make_pattern(subject: Term, predicate: IRI,

@@ -22,6 +22,10 @@ from typing import Optional as Opt, Tuple, Union as U
 from repro.rdf.terms import Term
 
 
+#: The name prefix of the variable a pattern's blank node stands for.
+BLANK_PREFIX = "_:"
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -33,12 +37,16 @@ class Expression:
 
 @dataclass(frozen=True)
 class Var(Expression):
-    """A query variable, e.g. ``?price`` — stored without the ``?``."""
+    """A query variable, e.g. ``?price`` — stored without the ``?``.
+
+    A blank node in a query pattern is a variable too (SPARQL 1.1
+    §4.1.4), named ``_:label`` (:data:`BLANK_PREFIX`): no ``?name`` of
+    query text can take that name, and ``SELECT *`` leaves it out."""
 
     name: str
 
     def __str__(self):
-        return f"?{self.name}"
+        return self.name if self.name.startswith(BLANK_PREFIX) else f"?{self.name}"
 
 
 @dataclass(frozen=True)

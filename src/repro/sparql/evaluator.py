@@ -719,7 +719,9 @@ def _project_rows(query: ast.SelectQuery, solutions: List[Solution],
         computed = solution.pop("__aggregates__", None) if aggregated else None
         group_keys = solution.pop("__groupkeys__", None) if aggregated else None
         ctx = _ExprContext(graph, computed, group_keys)
-        visible = {k: v for k, v in solution.items() if not k.startswith("__")}
+        # (neither the evaluator's own keys nor a blank node's variable)
+        visible = {k: v for k, v in solution.items()
+                   if not k.startswith(("__", ast.BLANK_PREFIX))}
         if query.is_star:
             row: Solution = dict(visible)
         else:
@@ -886,13 +888,14 @@ def query(graph: Graph, text: str) -> QueryResult:
 
     ``graph`` is a store or a read-only view of one
     (:class:`repro.rdf.overlay.ExtensionView`).  SELECT and ASK answers
-    are cached on that object — a view carries its own cache, so two
-    extensions never share an answer — stamped with the store's
-    mutation generation: any add/remove bumps the generation and
-    silently invalidates every prior entry, so a stale answer can never
-    be served.  A cache hit returns a fresh :class:`SelectResult`
-    wrapper over the shared (treat-as-immutable) rows.  CONSTRUCT
-    answers are mutable graphs and are never cached.
+    are cached in the object's ``sparql_cache`` when it has one — a
+    store does, a view does not, so two extensions never share an
+    answer — stamped with the store's mutation generation: any
+    add/remove bumps the generation and silently invalidates every
+    prior entry, so a stale answer can never be served.  A cache hit
+    returns a fresh :class:`SelectResult` wrapper over the shared
+    (treat-as-immutable) rows.  CONSTRUCT answers are mutable graphs
+    and are never cached.
     """
     cache = getattr(graph, "sparql_cache", None)
     generation = graph.generation

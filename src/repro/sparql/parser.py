@@ -14,7 +14,8 @@ that the dissertation's listings use:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional as Opt, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional as Opt, Tuple
 
 from repro.caching import CacheStats, LRUCache, MISSING
 from repro.rdf.namespace import RDF, WELL_KNOWN_PREFIXES
@@ -35,6 +36,12 @@ from repro.sparql.errors import SparqlParseError
 from repro.sparql.lexer import Token, tokenize
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "SAMPLE", "GROUP_CONCAT"}
+
+#: How deep expressions, group graph patterns, blank-node property
+#: lists and bracketed paths may nest, all together: far above what the
+#: HIFUN translator emits, and far below where the recursive descent
+#: would exhaust Python's stack.
+MAX_NESTING = 50
 
 _BUILTINS = {
     "STR", "LANG", "DATATYPE", "BOUND", "IF", "COALESCE",
@@ -57,6 +64,10 @@ class _Parser:
         self._base = ""
         self._auto_names: Dict[str, int] = {}
         self._bnode_count = 0
+        self._depth = 0
+        #: The blank node labels the text writes, which an anonymous
+        #: ``[ … ]`` node must not be given.
+        self._labels = {t.text[2:] for t in self._tokens if t.kind == "BNODE"}
 
     # -- token helpers ---------------------------------------------------
     def _peek(self, ahead: int = 0) -> Opt[Token]:
@@ -108,6 +119,17 @@ class _Parser:
                 token.column,
             )
         return token
+
+    @contextmanager
+    def _nested(self) -> Iterator[None]:
+        """Read a construct that opens at the next token one level
+        deeper: past :data:`MAX_NESTING` levels, a positioned error at
+        that token instead of a ``RecursionError`` further in."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
+        yield
+        self._depth -= 1
 
     def _error(self, message: str) -> SparqlParseError:
         token = self._peek()
@@ -211,7 +233,10 @@ class _Parser:
             for pattern in self._triples_same_subject():
                 if not isinstance(pattern, ast.TriplePattern):
                     raise self._error("property paths are not allowed in CONSTRUCT templates")
-                patterns.append(pattern)
+                # a template's blank nodes are minted per solution
+                patterns.append(ast.TriplePattern(
+                    _template_slot(pattern.s), pattern.p,
+                    _template_slot(pattern.o)))
             if self._at_punct("."):
                 self._next()
         self._eat_punct("}")
@@ -393,6 +418,10 @@ class _Parser:
 
     # -- graph patterns ---------------------------------------------------
     def _group_graph_pattern(self) -> ast.GroupPattern:
+        with self._nested():
+            return self._group_body()
+
+    def _group_body(self) -> ast.GroupPattern:
         self._eat_punct("{")
         if self._at_name("SELECT"):
             sub = self._select_query()
@@ -500,7 +529,8 @@ class _Parser:
             return None
         slot = self._term_slot()
         if isinstance(slot, ast.Var):
-            raise self._error("variables are not allowed inside VALUES data")
+            raise self._error(
+                "variables and blank nodes are not allowed inside VALUES data")
         return slot
 
     # -- triples ------------------------------------------------------------
@@ -515,14 +545,30 @@ class _Parser:
         self._predicate_object_list(subject, patterns)
         return patterns
 
-    def _blank_node_property_list(self, patterns: List[ast.Pattern]) -> BNode:
-        self._eat_punct("[")
-        self._bnode_count += 1
-        node = BNode(f"q{self._bnode_count}")
-        if not self._at_punct("]"):
-            self._predicate_object_list(node, patterns)
-        self._eat_punct("]")
+    def _blank_node_property_list(self, patterns: List[ast.Pattern]) -> ast.Slot:
+        node = self._blank_node(self._fresh_label())
+        with self._nested():
+            self._eat_punct("[")
+            if not self._at_punct("]"):
+                self._predicate_object_list(node, patterns)
+            self._eat_punct("]")
         return node
+
+    def _fresh_label(self) -> str:
+        """The label of the next anonymous ``[ … ]`` node: ``q1``,
+        ``q2``, … in document order, passing over the labels the text
+        writes itself, so the two never merge."""
+        while True:
+            self._bnode_count += 1
+            label = f"q{self._bnode_count}"
+            if label not in self._labels:
+                return label
+
+    def _blank_node(self, label: str) -> ast.Slot:
+        """What the blank node ``label`` is in a triple: in a query
+        pattern, a variable no query text can name (SPARQL 1.1 §4.1.4);
+        Turtle keeps it a blank node."""
+        return ast.Var(ast.BLANK_PREFIX + label)
 
     def _predicate_object_list(self, subject: ast.Slot,
                                patterns: List[ast.Pattern]) -> None:
@@ -601,11 +647,11 @@ class _Parser:
         return primary
 
     def _path_primary(self):
-        token = self._peek()
-        if token is not None and token.kind == "PUNCT" and token.text == "(":
-            self._next()
-            inner = self._path_alternative()
-            self._eat_punct(")")
+        if self._at_punct("("):
+            with self._nested():
+                self._next()
+                inner = self._path_alternative()
+                self._eat_punct(")")
             return inner
         token = self._next()
         if token.kind == "NAME" and token.text == "a":
@@ -636,7 +682,7 @@ class _Parser:
         if token.kind == "PNAME":
             return self._pname(token)
         if token.kind == "BNODE":
-            return BNode(token.text[2:])
+            return self._blank_node(token.text[2:])
         if token.kind == "STRING":
             return self._string_literal(token)
         if token.kind == "INTEGER":
@@ -719,13 +765,14 @@ class _Parser:
         return left
 
     def _expression_list(self) -> List[ast.Expression]:
-        self._eat_punct("(")
         items: List[ast.Expression] = []
-        while not self._at_punct(")"):
-            items.append(self._expression())
-            if self._at_punct(","):
-                self._next()
-        self._next()
+        with self._nested():
+            self._eat_punct("(")
+            while not self._at_punct(")"):
+                items.append(self._expression())
+                if self._at_punct(","):
+                    self._next()
+            self._next()
         return items
 
     def _additive_expression(self) -> ast.Expression:
@@ -753,25 +800,22 @@ class _Parser:
                 return left
 
     def _unary_expression(self) -> ast.Expression:
-        if self._at_op("!"):
+        token = self._peek()
+        if token is None or token.kind != "OP" or token.text not in ("!", "-", "+"):
+            return self._expression_primary()
+        with self._nested():
             self._next()
-            return ast.Unary("!", self._unary_expression())
-        if self._at_op("-"):
-            self._next()
-            return ast.Unary("-", self._unary_expression())
-        if self._at_op("+"):
-            self._next()
-            return ast.Unary("+", self._unary_expression())
-        return self._expression_primary()
+            return ast.Unary(token.text, self._unary_expression())
 
     def _expression_primary(self) -> ast.Expression:
         token = self._peek()
         if token is None:
             raise self._error("expected an expression")
         if token.kind == "PUNCT" and token.text == "(":
-            self._next()
-            expr = self._expression()
-            self._eat_punct(")")
+            with self._nested():
+                self._next()
+                expr = self._expression()
+                self._eat_punct(")")
             return expr
         if token.kind == "VAR":
             self._next()
@@ -818,6 +862,10 @@ class _Parser:
 
     def _aggregate(self) -> ast.Aggregate:
         name = self._next().text.upper()
+        with self._nested():
+            return self._aggregate_arguments(name)
+
+    def _aggregate_arguments(self, name: str) -> ast.Aggregate:
         self._eat_punct("(")
         distinct = False
         if self._at_name("DISTINCT"):
@@ -845,6 +893,14 @@ class _Parser:
             separator = _unescape(sep_token.text[1:-1])
         self._eat_punct(")")
         return ast.Aggregate(name, expr, distinct, separator)
+
+
+def _template_slot(slot: ast.Slot) -> ast.Slot:
+    """A CONSTRUCT template's slot, its blank node's variable back to
+    the blank node it was written as."""
+    if isinstance(slot, ast.Var) and slot.name.startswith(ast.BLANK_PREFIX):
+        return BNode(slot.name[len(ast.BLANK_PREFIX):])
+    return slot
 
 
 #: Query text → AST.  Parsing is pure and ASTs are frozen dataclasses,

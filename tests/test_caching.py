@@ -126,10 +126,11 @@ class TestQueryResultCache:
         first.add(EX.z, EX.tag, EX.z)  # mutating one result is harmless
         assert (EX.z, EX.tag, EX.z) not in second
 
-    def test_view_answers_live_on_the_view(self, graph):
+    def test_view_answers_never_enter_the_store_cache(self, graph):
         """An answer over an extension view depends on its members, so
-        it is cached on the view — never on the graph, where another
-        extension asking the same text would be served it."""
+        it is never cached on the graph, where another extension asking
+        the same text would be served it (a session keeps it on its
+        state instead)."""
         temp_q = (
             "SELECT (COUNT(?x) AS ?n) WHERE { ?x "
             f"<{RDF.type.value}> <{EX.temp.value}> }}"
@@ -141,14 +142,8 @@ class TestQueryResultCache:
         assert query(one, temp_q)[0].value("n") == 1
         assert query(two, temp_q)[0].value("n") == 2
         assert query(graph, temp_q)[0].value("n") == 0
-        assert two.sparql_cache.stats().hits == 1
-        assert one.sparql_cache.stats().hits == 0
-        assert graph.sparql_cache.stats().hits == 1
-        # The view's entries carry the store's generation like any other.
-        graph.add(EX.c, RDF.type, EX.Thing)
-        assert query(two, temp_q)[0].value("n") == 2
-        stats = two.sparql_cache.stats()
-        assert (stats.hits, stats.invalidations) == (1, 1)
+        stats = graph.sparql_cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
 
 
 def _count(session, prop):

@@ -389,18 +389,25 @@ def test_engine_choice_is_cache_neutral():
 def test_sparql_run_beside_engine_is_read_only(engine):
     """A run on the SPARQL path between two native runs changes nothing
     the native engines depend on: same generation, size and statistics,
-    the memoized evaluation domain survives, and all three runs agree."""
+    the memoized evaluation domain survives, and all three runs agree —
+    the last one evaluated afresh by a new session, since this one keeps
+    its answer."""
     graph = random_graph(3)
-    session = FacetedAnalyticsSession(graph, closed=True)
-    session.select_class(EX.Widget)
-    session.group_by((EX.maker,))
-    session.measure((EX.price,), "AVG")
+
+    def pressed():
+        session = FacetedAnalyticsSession(graph, closed=True)
+        session.select_class(EX.Widget)
+        session.group_by((EX.maker,))
+        session.measure((EX.price,), "AVG")
+        return session
+
+    session = pressed()
     baseline = session.run(engine)
     domain = session._analysis_domain()
     before = (graph.generation, len(graph), graph.predicate_counts())
     assert session.run("sparql").rows == baseline.rows
     assert (graph.generation, len(graph), graph.predicate_counts()) == before
-    assert session.run(engine).rows == baseline.rows
+    assert pressed().run(engine).rows == baseline.rows
     assert session._analysis_domain() is domain
 
 

@@ -274,41 +274,38 @@ def test_repeated_run_and_listing_are_cache_hits(closed_products):
     listing = session.all_facets()
     first = session.run("sparql")
     stats = session.cache_stats()
-    assert (stats["sparql"].hits, stats["sparql"].misses) == (0, 1)
+    assert (stats["answers"].hits, stats["answers"].misses) == (0, 1)
 
     assert session.run("sparql").rows == first.rows
     assert session.all_facets() == listing
     after = session.cache_stats()
-    assert (after["sparql"].hits, after["sparql"].misses) == (1, 1)
+    assert (after["answers"].hits, after["answers"].misses) == (1, 1)
     assert after["facets"].hits == stats["facets"].hits + 1
-    assert after["facets"].invalidations == after["sparql"].invalidations == 0
+    assert after["facets"].invalidations == after["answers"].invalidations == 0
 
 
 def test_result_cache_counters_survive_state_changes(closed_products):
-    """Each state has its own view and finds it again after ``back()``,
-    answers included; the counters reported for the session are those
-    of every view it built — the popped state's too — so they never
-    fall."""
+    """Each state has its own view and its own answers, and finds both
+    again after ``back()``; the counters reported for the session are
+    those of every lookup it made — on the popped state too — so they
+    never fall, and the size is what the live history holds."""
     session = _pressed(closed_products)
     session.run("sparql")
     session.run("sparql")
     view = session._extension_view()
     session.select_value((EX.manufacturer,), EX.DELL)
-    kept = session.cache_stats()["sparql"]
+    kept = session.cache_stats()["answers"]
     assert (kept.hits, kept.misses) == (1, 1)
     session.run("sparql")
     assert session._extension_view() is not view
     session.back()
     assert session._extension_view() is view
     session.run("sparql")
-    stats = session.cache_stats()["sparql"]
+    stats = session.cache_stats()["answers"]
     assert (stats.hits, stats.misses) == (2, 2)
-    assert stats.size == 1  # the live view's one answer
-    assert stats.maxsize == (closed_products.sparql_cache.maxsize
-                             + session._extension_view().sparql_cache.maxsize)
-    # A session that never ran the pipeline reports the store's cache.
-    assert (FacetedAnalyticsSession(closed_products, closed=True)
-            .cache_stats()["sparql"]) == closed_products.sparql_cache.stats()
+    assert stats.size == stats.maxsize == 1  # the live state's one answer
+    # The sparql line is the store's cache alone, as in the base session.
+    assert session.cache_stats()["sparql"] == closed_products.sparql_cache.stats()
 
 
 def test_a_write_between_two_runs_makes_both_caches_miss(closed_products):
@@ -321,7 +318,8 @@ def test_a_write_between_two_runs_makes_both_caches_miss(closed_products):
     assert session.run("sparql").rows == first.rows
     session.all_facets()
     after = session.cache_stats()
-    assert after["sparql"].hits == before["sparql"].hits == 0
+    assert after["answers"].hits == before["answers"].hits == 0
+    assert after["answers"].invalidations == before["answers"].invalidations + 1
     assert after["facets"].hits == before["facets"].hits
     assert after["facets"].invalidations == before["facets"].invalidations + 1
 
@@ -334,11 +332,15 @@ def test_interleaved_sessions_never_share_an_answer(closed_products):
     everyone = _pressed(graph)
     assert dell.translation().text == everyone.translation().text
     assert dell.extension < everyone.extension
-    expected = {id(s): s.run("native").rows for s in (dell, everyone)}
+    # (the expected answers come from fresh sessions, so the counters
+    # of these two count their sparql runs alone)
+    dell_click = ((EX.manufacturer,), EX.DELL)
+    expected = {id(dell): _pressed(graph, dell_click).run("native").rows,
+                id(everyone): _pressed(graph).run("native").rows}
     assert expected[id(dell)] != expected[id(everyone)]
     for session in (dell, everyone, dell, everyone, everyone, dell):
         assert session.run("sparql").rows == expected[id(session)]
     assert graph.sparql_cache.stats().size == 0
     for session in (dell, everyone):
-        stats = session.cache_stats()["sparql"]
+        stats = session.cache_stats()["answers"]
         assert (stats.hits, stats.misses) == (2, 1)

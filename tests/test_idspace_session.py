@@ -557,9 +557,9 @@ def test_back_finds_the_domain_and_the_view_again_and_a_write_rebuilds_both(shar
     session.back()
     assert session._analysis_domain() is domain
     assert session._extension_view() is view
-    before = session.cache_stats()["sparql"]
-    assert session.run("sparql").rows == rows  # the view's own answer
-    after = session.cache_stats()["sparql"]
+    before = session.cache_stats()["answers"]
+    assert session.run("sparql").rows == rows  # the state's own answer
+    after = session.cache_stats()["answers"]
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     # a write retires both, counters kept
@@ -568,7 +568,7 @@ def test_back_finds_the_domain_and_the_view_again_and_a_write_rebuilds_both(shar
     assert session._analysis_domain()[0] == domain[0]
     assert session._extension_view() is not view
     assert session.run("sparql").rows == rows
-    final = session.cache_stats()["sparql"]
+    final = session.cache_stats()["answers"]
     assert (final.hits, final.misses) == (after.hits, after.misses + 1)
 
 
