@@ -37,11 +37,15 @@ chaos:
 
 # The reader properties (Turtle, N-Triples and SPARQL raise only their
 # typed errors on arbitrary text, replay_session only ValueError on
-# arbitrary JSON) and the Answer Frame memo's state machine, at 10 000
-# draws and a random seed; tier-1 runs them derandomized and smaller.
+# arbitrary JSON), the Answer Frame memo's state machine and the SPARQL
+# evaluator's bindings (an extension view answers the materialized
+# rows), at 10 000 draws and a random seed; tier-1 runs them
+# derandomized and smaller.
 fuzz:
 	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
-		-k "typed_errors or memo_machine" --hypothesis-profile=fuzz -q
+		tests/test_sparql_bindings.py \
+		-k "typed_errors or memo_machine or materialized_rows" \
+		--hypothesis-profile=fuzz -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null && echo ok; done

@@ -46,6 +46,10 @@ class ScanGraph(Graph):
         """The planner's probe (and ``count`` through it), scanning."""
         return sum(1 for _ in self.triples_ids(si, pi, oi))
 
+    def objects_ids(self, si, pi):
+        """The join's read of a bound subject and predicate, scanning."""
+        return {o for _, _, o in self.triples_ids(si, pi, None)}
+
 
 def build(size):
     indexed = synthetic_graph(SyntheticConfig(laptops=size, seed=3))

@@ -129,10 +129,7 @@ class Graph:
     # ------------------------------------------------------------------
     def objects_ids(self, si, pi):
         """Ids of ``{o | (s, p, o) ∈ G}`` for encoded subject/predicate."""
-        po = self._spo.get(si)
-        if po is None:
-            return EMPTY_IDS
-        return po.get(pi, EMPTY_IDS)
+        return self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
 
     def subjects_ids(self, pi, oi):
         """Ids of ``{s | (s, p, o) ∈ G}`` for encoded predicate/object."""

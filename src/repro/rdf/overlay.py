@@ -5,8 +5,9 @@ The paper's pipeline (Table 5.1) roots every query of an interaction at
 class".  :class:`ExtensionView` makes that pattern true without storing
 anything, so the store's generation, statistics and every cache stamped
 with them survive the read.  It answers the id protocol the SPARQL
-evaluator reads every store with (``triples_ids``, ``count_ids``,
-``len``, ``encode_term`` / ``decode_id``) and nothing Term-level.
+evaluator reads every store with (``triples_ids``, ``objects_ids``,
+``count_ids``, ``len``, ``encode_term`` / ``decode_id``) and nothing
+Term-level.
 
 A view keeps no answers: :func:`repro.sparql.query` caches only on the
 store, keyed by query text alone, which two extensions share.  An
@@ -18,7 +19,8 @@ computed for instead
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
@@ -34,7 +36,7 @@ class ReadOnlyViewError(TypeError):
 class ExtensionView:
     """``base ∪ {(x, rdf:type, cls) | x ∈ extension}``, read-only —
     through the id protocol of the SPARQL evaluator (``triples_ids``,
-    ``count_ids``, ``len``), over a flat
+    ``objects_ids``, ``count_ids``, ``len``), over a flat
     :class:`~repro.rdf.graph.Graph` and a
     :class:`~repro.rdf.sharding.ShardedGraph` alike.
 
@@ -124,6 +126,15 @@ class ExtensionView:
         if si in self.members:
             return chain(matched, ((si, self._type_id, self._cls_id),))
         return matched
+
+    def objects_ids(self, si: int, pi: int) -> AbstractSet[int]:
+        """The object ids of ``(si, pi, ?)``: the base's SPO row, and
+        ``cls`` too when the virtual triple ``(si, rdf:type, cls)`` is
+        in the view."""
+        objects = self.base.objects_ids(si, pi)
+        if self._sees(pi, None) and si in self.members:
+            return objects | {self._cls_id}
+        return objects
 
     def count_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
                   oi: Optional[int] = None) -> int:

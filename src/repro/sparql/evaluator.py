@@ -1,27 +1,39 @@
 """Evaluation of SPARQL ASTs over a :class:`repro.rdf.Graph`.
 
-Solutions are plain dicts mapping variable name → Term.  The evaluator
-follows the SPARQL algebra closely:
+A solution maps each variable name to a *binding*: the store's
+dictionary id for its term (an extension view's virtual ids included),
+or — for a term computed during evaluation that the store never saw
+(BIND, VALUES, subselect output, an expression's result) — the term
+itself.  A computed term is encoded once before it is bound, so equal
+bindings mean the same RDF term and every operator joins, groups and
+compares bindings.  The evaluator follows the SPARQL algebra closely:
 
 * group patterns evaluate left-to-right; each basic block of triple
   patterns is joined against the current partial solutions over
-  dictionary ids (index-backed, most selective first), and the
-  variables it binds are decoded once, at the block's edge;
-* a property path walks id sets and decodes each node it reaches once;
-  the store is read through ``triples_ids`` / ``count_ids`` alone, so
-  a flat store, a sharded one and an extension view serve it alike;
+  dictionary ids (index-backed, most selective first);
+* a property path walks id sets; the store is read through
+  ``triples_ids`` / ``objects_ids`` / ``count_ids`` alone, so a flat
+  store, a sharded one and an extension view serve it alike;
 * ``OPTIONAL`` is a left-outer join, ``UNION`` a concatenation,
   ``MINUS`` an anti-join on shared variables, ``FILTER`` is applied to
   the group it appears in;
 * aggregation partitions solutions by the GROUP BY key, evaluates each
-  aggregate per partition and applies HAVING afterwards;
+  aggregate per partition and applies HAVING afterwards; SUM, AVG, MIN
+  and MAX read each binding's number once per evaluation;
 * expression errors inside FILTER/HAVING make the condition false; in
   projections and BIND they leave the variable unbound.
+
+Terms are decoded through one seam, :meth:`_Context.term`: where an
+expression reads a variable, where an aggregate needs the term itself,
+and at the query's edge — the projected rows, the CONSTRUCT template.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import itemgetter, methodcaller
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term
@@ -34,13 +46,18 @@ from repro.sparql.functions import (
     compare,
     effective_boolean_value,
     make_boolean,
+    numeric_value,
+    reduce_numbers,
     wrap_number,
     xsd_cast,
 )
 from repro.sparql.parser import parse_query
 from repro.sparql.results import Row, SelectResult
 
-Solution = Dict[str, Term]
+#: A variable's value inside the evaluator: a dictionary id, or a
+#: computed term the store does not know (see the module docstring).
+Binding = Union[int, Term]
+Solution = Dict[str, Binding]
 #: What :func:`evaluate` answers: SELECT rows, an ASK verdict or a
 #: CONSTRUCTed graph.
 QueryResult = Union[SelectResult, bool, Graph]
@@ -49,25 +66,62 @@ QueryResult = Union[SelectResult, bool, Graph]
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
-class _ExprContext:
-    """What an expression may see: the solution, the graph (for EXISTS),
-    and — during aggregation — the precomputed aggregate values and the
-    values of the GROUP BY key expressions for the current group."""
+class _Context:
+    """One :func:`evaluate` call: the store, the seam between bindings
+    and terms, and a memo of each binding's number — plus, during
+    aggregation, the group's aggregate values and GROUP BY key values.
 
-    __slots__ = ("graph", "aggregates", "group_keys")
+    The memo lives as long as the call, so it needs no generation
+    stamp; :meth:`grouped` shares it with each group's context."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        aggregates: Optional[Dict[ast.Aggregate, Term]] = None,
-        group_keys: Optional[Dict[ast.Expression, Optional[Term]]] = None,
-    ):
+    __slots__ = ("graph", "_encode", "_decode", "_numbers", "aggregates",
+                 "group_keys")
+
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.aggregates = aggregates
-        self.group_keys = group_keys
+        self._encode = graph.encode_term
+        self._decode = graph.decode_id
+        self._numbers: Dict[Binding, object] = {}
+        self.aggregates: Optional[Dict[ast.Aggregate, Optional[Term]]] = None
+        self.group_keys: Optional[Dict[ast.Expression, Optional[Binding]]] = None
+
+    def grouped(self, aggregates: Optional[Dict[ast.Aggregate, Optional[Term]]],
+                group_keys: Optional[Dict[ast.Expression, Optional[Binding]]]
+                ) -> "_Context":
+        """This evaluation, inside one group of an aggregation — or,
+        given ``None`` for both, outside any again."""
+        ctx = _Context(self.graph)
+        ctx._numbers = self._numbers
+        ctx.aggregates, ctx.group_keys = aggregates, group_keys
+        return ctx
+
+    def bind(self, term: Term) -> Binding:
+        """A computed term as a binding: the store's id when it knows
+        the term, else the term itself."""
+        ident = self._encode(term)
+        return term if ident is None else ident
+
+    def term(self, binding: Binding) -> Term:
+        """The decode seam: the term a binding stands for."""
+        return self._decode(binding) if type(binding) is int else binding
+
+    def numbers(self, bindings: List[Binding]) -> list:
+        """The native number of each binding, ``None`` for a term that
+        is no numeric literal — each read once per evaluation."""
+        memo = self._numbers
+        try:
+            return list(map(memo.__getitem__, bindings))
+        except KeyError:
+            for binding in bindings:
+                if binding not in memo:
+                    try:
+                        memo[binding] = numeric_value(self.term(binding))
+                    except ExpressionError:
+                        memo[binding] = None
+            return list(map(memo.__getitem__, bindings))
 
 
-def eval_expression(expr: ast.Expression, solution: Solution, ctx: _ExprContext) -> Term:
+def eval_expression(expr: ast.Expression, solution: Solution, ctx: _Context) -> Term:
     """Evaluate an expression to a Term; raises ExpressionError on failure."""
     if ctx.group_keys is not None and not isinstance(expr, ast.Var):
         try:
@@ -75,14 +129,14 @@ def eval_expression(expr: ast.Expression, solution: Solution, ctx: _ExprContext)
                 value = ctx.group_keys[expr]
                 if value is None:
                     raise ExpressionError("group key expression errored")
-                return value
+                return ctx.term(value)
         except TypeError:
             pass  # unhashable node — fall through to normal evaluation
     if isinstance(expr, ast.Var):
-        term = solution.get(expr.name)
-        if term is None:
+        binding = solution.get(expr.name)
+        if binding is None:
             raise ExpressionError(f"unbound variable ?{expr.name}")
-        return term
+        return ctx.term(binding)
     if isinstance(expr, ast.TermExpr):
         return expr.term
     if isinstance(expr, ast.Aggregate):
@@ -107,8 +161,8 @@ def eval_expression(expr: ast.Expression, solution: Solution, ctx: _ExprContext)
     if isinstance(expr, ast.InExpr):
         return _eval_in(expr, solution, ctx)
     if isinstance(expr, ast.ExistsExpr):
-        solutions = _eval_group(expr.pattern, [dict(solution)], ctx.graph)
-        found = bool(solutions)
+        inner = ctx if ctx.aggregates is None else ctx.grouped(None, None)
+        found = bool(_eval_group(expr.pattern, [dict(solution)], inner))
         return make_boolean(found != expr.negated)
     raise SparqlEvalError(f"unknown expression node {type(expr).__name__}")
 
@@ -117,7 +171,7 @@ def _zero() -> Literal:
     return Literal("0", "http://www.w3.org/2001/XMLSchema#integer")
 
 
-def _eval_binary(expr: ast.Binary, solution: Solution, ctx: _ExprContext) -> Term:
+def _eval_binary(expr: ast.Binary, solution: Solution, ctx: _Context) -> Term:
     if expr.op == "&&":
         # SPARQL three-valued logic: an error on one side is tolerated if
         # the other side already decides the outcome.
@@ -145,14 +199,14 @@ def _eval_binary(expr: ast.Binary, solution: Solution, ctx: _ExprContext) -> Ter
     raise SparqlEvalError(f"unknown operator {expr.op!r}")
 
 
-def _try_ebv(expr: ast.Expression, solution: Solution, ctx: _ExprContext) -> Optional[bool]:
+def _try_ebv(expr: ast.Expression, solution: Solution, ctx: _Context) -> Optional[bool]:
     try:
         return effective_boolean_value(eval_expression(expr, solution, ctx))
     except ExpressionError:
         return None
 
 
-def _eval_function(expr: ast.FunctionCall, solution: Solution, ctx: _ExprContext) -> Term:
+def _eval_function(expr: ast.FunctionCall, solution: Solution, ctx: _Context) -> Term:
     name = expr.name
     if name == "BOUND":
         if len(expr.args) != 1 or not isinstance(expr.args[0], ast.Var):
@@ -181,7 +235,7 @@ def _eval_function(expr: ast.FunctionCall, solution: Solution, ctx: _ExprContext
     raise ExpressionError(f"unknown function {name!r}")
 
 
-def _eval_in(expr: ast.InExpr, solution: Solution, ctx: _ExprContext) -> Term:
+def _eval_in(expr: ast.InExpr, solution: Solution, ctx: _Context) -> Term:
     needle = eval_expression(expr.expr, solution, ctx)
     found = False
     for option in expr.options:
@@ -195,7 +249,7 @@ def _eval_in(expr: ast.InExpr, solution: Solution, ctx: _ExprContext) -> Term:
     return make_boolean(found != expr.negated)
 
 
-def _filter_passes(condition: ast.Expression, solution: Solution, ctx: _ExprContext) -> bool:
+def _filter_passes(condition: ast.Expression, solution: Solution, ctx: _Context) -> bool:
     try:
         return effective_boolean_value(eval_expression(condition, solution, ctx))
     except ExpressionError:
@@ -205,96 +259,104 @@ def _filter_passes(condition: ast.Expression, solution: Solution, ctx: _ExprCont
 # ---------------------------------------------------------------------------
 # Triple pattern matching
 # ---------------------------------------------------------------------------
-def _slot_value(slot: ast.Slot, solution: Solution) -> Optional[Term]:
-    """Resolve a pattern slot under a solution: Term or None (free)."""
-    if isinstance(slot, ast.Var):
-        return solution.get(slot.name)
-    return slot
-
-
 def _match_block(block: List[ast.TriplePattern], solutions: List[Solution],
                  graph: Graph) -> List[Solution]:
     """Join one basic block of triple patterns in id space.
 
-    A row is a list: the incoming solution it extends, then one id per
-    variable (``None`` while unbound) or constant of the block, so that
-    every slot of a pattern is a row position.  Constants and incoming
-    bindings are encoded once; a term the store never saw matches
-    nothing.  Each probe is one ``triples_ids`` call; a row's first
-    match extends it in place and each further match a copy.  Each
-    variable the block binds is decoded once per row, at the end.
+    The solutions are the rows: each pattern reads its slots off them
+    as id columns — a constant's id, encoded once, or a variable's
+    binding — and writes the ids it matches into them as bindings.  A
+    constant the store never saw, or an incoming binding that is a
+    computed term, matches nothing.  A pattern that binds a new object
+    to a bound subject and predicate reads each subject's row
+    (``objects_ids``); any other is one ``triples_ids`` probe per
+    solution.  A solution's first match extends it in place and each
+    further match a copy.
     """
-    at: Dict[object, int] = {}  # variable name or constant Term -> position
+    ids: Dict[Term, int] = {}
+    names = set()
     for tp in block:
         for slot in (tp.s, tp.p, tp.o):
-            key = slot.name if isinstance(slot, ast.Var) else slot
-            at.setdefault(key, len(at) + 1)
-    encode = graph.encode_term
-    template: list = [None] * (len(at) + 1)
-    for key, i in at.items():
-        if not isinstance(key, str):
-            template[i] = encode(key)
-            if template[i] is None:
-                return []
-    names = [key for key in at if isinstance(key, str)]
-    bound = set(names)
-    rows: List[list] = []
+            if isinstance(slot, ast.Var):
+                names.add(slot.name)
+            elif slot not in ids:
+                ids[slot] = graph.encode_term(slot)
+                if ids[slot] is None:
+                    return []
+    bound = set(names)  # bound in every solution
+    free = set(names)  # bound in none
+    rows: List[Solution] = []
     for solution in solutions:
-        row = template.copy()
-        row[0] = solution
         for name in names:
-            term = solution.get(name)
-            if term is None:
+            binding = solution.get(name)
+            if binding is None:
                 bound.discard(name)
-                continue
-            row[at[name]] = encode(term)
-            if row[at[name]] is None:
+            elif type(binding) is int:
+                free.discard(name)
+            else:
                 break
         else:
-            rows.append(row)
-    edge = [(name, at[name]) for name in names if name not in bound]
+            rows.append(solution)
+
+    def column(slot: ast.Slot) -> Iterator[Optional[int]]:
+        """The id in ``slot`` of each row (``None``: unbound)."""
+        if not isinstance(slot, ast.Var):
+            return repeat(ids[slot])
+        if slot.name in bound:
+            return map(itemgetter(slot.name), rows)
+        return map(methodcaller("get", slot.name), rows)
+
     narrow = getattr(graph, "store_for", None)
     block = list(block)
     while block and rows:
         block = plan_block(block, bound, graph)
         tp = block.pop(0)
-        keys = [slot.name if isinstance(slot, ast.Var) else slot
-                for slot in (tp.s, tp.p, tp.o)]
-        a, b, c = (at[key] for key in keys)
-        fill: List[Tuple[int, int]] = []  # (slot, position) of a new variable
+        slots = (tp.s, tp.p, tp.o)
+        fill: List[Tuple[int, str]] = []  # (slot, name) of a new variable
         same: List[Tuple[int, int]] = []  # two slots of one new variable
-        for k, key in enumerate(keys):
-            if isinstance(key, str) and key not in bound:
-                first = keys.index(key)
+        for k, slot in enumerate(slots):
+            if isinstance(slot, ast.Var) and slot.name not in bound:
+                first = slots.index(slot)
                 if first < k:
                     same.append((first, k))
                 else:
-                    fill.append((k, at[key]))
-        probe = (graph if narrow is None else narrow(
-            None if isinstance(keys[1], str) else template[b],
-            None if isinstance(keys[2], str) else template[c])).triples_ids
-        out = []
-        for row in rows:
-            taken = False
-            for match in probe(row[a], row[b], row[c]):
-                if same and any(match[j] != match[k] for j, k in same):
-                    continue
-                if taken:  # the first match has the row: copy it
-                    row = row.copy()
-                for k, i in fill:
-                    row[i] = match[k]
-                out.append(row)
-                taken = True
+                    fill.append((k, slot.name))
+        store = graph if narrow is None else narrow(
+            None if isinstance(tp.p, ast.Var) else ids[tp.p],
+            None if isinstance(tp.o, ast.Var) else ids[tp.o])
+        out: List[Solution] = []
+        if fill and fill[0][0] == 2 and fill[0][1] in free:
+            # A bound subject and predicate: read the subject's row.
+            (_, name), = fill
+            reads = map(store.objects_ids, column(tp.s), column(tp.p))
+            for row, matches in zip(rows, reads):
+                taken = False
+                for o in matches:
+                    if taken:  # the first match has the row: copy it
+                        row = row.copy()
+                    row[name] = o
+                    out.append(row)
+                    taken = True
+        else:
+            probes = map(store.triples_ids, column(tp.s), column(tp.p),
+                         column(tp.o))
+            for row, matches in zip(rows, probes):
+                taken = False
+                for match in matches:
+                    if same and any(match[j] != match[k] for j, k in same):
+                        continue
+                    if taken:  # the first match has the row: copy it
+                        row = row.copy()
+                    for k, name in fill:
+                        row[name] = match[k]
+                    out.append(row)
+                    taken = True
         rows = out
-        bound.update(key for key in keys if isinstance(key, str))
-    decode = graph.decode_id
-    matched: List[Solution] = []
-    for row in rows:
-        solution = dict(row[0]) if edge else row[0]
-        for name, i in edge:
-            solution[name] = decode(row[i])
-        matched.append(solution)
-    return matched
+        for slot in slots:
+            if isinstance(slot, ast.Var):
+                bound.add(slot.name)
+                free.discard(slot.name)
+    return rows
 
 
 def _pattern_selectivity(pattern: ast.TriplePattern, solution_vars: set,
@@ -337,7 +399,8 @@ def plan_block(block: List[ast.TriplePattern], bound_vars: set,
 def _path_targets(graph: Graph, nodes: Iterable[int], path: ast.Path) -> set:
     """The ids of all nodes reachable from the ids ``nodes`` along
     ``path`` (SPARQL 1.1 path semantics; quantified paths are evaluated
-    as node closures).  Each step is one ``triples_ids`` probe per node:
+    as node closures).  Each step reads one row per node — the node's
+    ``objects_ids``, or one ``triples_ids`` probe for an inverse step:
     a literal has no SPO row, and an inverse step may start from one."""
     if isinstance(path, ast.PredicatePath):
         pi = graph.encode_term(path.predicate)
@@ -346,8 +409,7 @@ def _path_targets(graph: Graph, nodes: Iterable[int], path: ast.Path) -> set:
         if path.inverse:
             return {s for node in nodes
                     for s, _, _ in graph.triples_ids(None, pi, node)}
-        return {o for node in nodes
-                for _, _, o in graph.triples_ids(node, pi, None)}
+        return set().union(*(graph.objects_ids(node, pi) for node in nodes))
     if isinstance(path, ast.SequencePath):
         current = set(nodes)
         for step in path.steps:
@@ -404,23 +466,30 @@ def _nullable(path: ast.Path) -> bool:
     return path.quantifier != "+" or _nullable(path.inner)
 
 
-def _reached(graph: Graph, start: Term, path: ast.Path) -> set:
-    """The nodes ``path`` reaches from the bound end ``start``, walked in
-    ids and decoded once.  A term the store never saw has no edge, so
-    only the zero-length walk reaches it: from itself."""
-    ident = graph.encode_term(start)
-    if ident is None:
+def _reached(graph: Graph, start: Binding, path: ast.Path) -> set:
+    """The bindings ``path`` reaches from the bound end ``start``, walked
+    in ids.  A computed term the store never saw has no edge, so only
+    the zero-length walk reaches it: from itself."""
+    if type(start) is not int:
         return {start} if _nullable(path) else set()
-    return set(map(graph.decode_id, _path_targets(graph, (ident,), path)))
+    return _path_targets(graph, (start,), path)
 
 
 def _match_path(pattern: ast.PathPattern, solutions: List[Solution],
-                graph: Graph) -> List[Solution]:
+                ctx: _Context) -> List[Solution]:
+    graph = ctx.graph
+
+    def end(slot: ast.Slot) -> Callable[[Solution], Optional[Binding]]:
+        if isinstance(slot, ast.Var):
+            return lambda solution: solution.get(slot.name)
+        constant = ctx.bind(slot)
+        return lambda solution: constant
+
+    subject, object_ = end(pattern.s), end(pattern.o)
     out: List[Solution] = []
-    nodes: Optional[Dict[int, Term]] = None
+    nodes: Optional[set] = None
     for solution in solutions:
-        s = _slot_value(pattern.s, solution)
-        o = _slot_value(pattern.o, solution)
+        s, o = subject(solution), object_(solution)
         if s is not None:
             targets = _reached(graph, s, pattern.path)
             if o is None:
@@ -436,15 +505,14 @@ def _match_path(pattern: ast.PathPattern, solutions: List[Solution],
         # Both ends unbound: every subject and object is a start (the
         # zero-length path semantics), read off one scan.
         if nodes is None:
-            ends = {i for t in graph.triples_ids() for i in (t[0], t[2])}
-            nodes = {ident: graph.decode_id(ident) for ident in ends}
-        for start, term in nodes.items():
+            nodes = {i for t in graph.triples_ids() for i in (t[0], t[2])}
+        for start in nodes:
             for target in _path_targets(graph, (start,), pattern.path):
                 if pattern.s.name != pattern.o.name:
-                    out.append({**solution, pattern.s.name: term,
-                                pattern.o.name: nodes[target]})
+                    out.append({**solution, pattern.s.name: start,
+                                pattern.o.name: target})
                 elif target == start:
-                    out.append({**solution, pattern.s.name: term})
+                    out.append({**solution, pattern.s.name: start})
     return out
 
 
@@ -452,7 +520,7 @@ def _match_path(pattern: ast.PathPattern, solutions: List[Solution],
 # Group pattern evaluation
 # ---------------------------------------------------------------------------
 def _eval_group(group: ast.GroupPattern, solutions: List[Solution],
-                graph: Graph) -> List[Solution]:
+                ctx: _Context) -> List[Solution]:
     """Evaluate a group's children against incoming solutions."""
     filters: List[ast.Filter] = []
     pending_triples: List[ast.TriplePattern] = []
@@ -462,7 +530,7 @@ def _eval_group(group: ast.GroupPattern, solutions: List[Solution],
             return current
         block = list(pending_triples)
         pending_triples.clear()
-        return _match_block(block, current, graph)
+        return _match_block(block, current, ctx.graph)
 
     current = solutions
     for child in group.children:
@@ -473,48 +541,43 @@ def _eval_group(group: ast.GroupPattern, solutions: List[Solution],
         if isinstance(child, ast.Filter):
             filters.append(child)
         elif isinstance(child, ast.PathPattern):
-            current = _match_path(child, current, graph)
+            current = _match_path(child, current, ctx)
         elif isinstance(child, ast.Optional_):
-            current = _eval_optional(child, current, graph)
+            current = _eval_optional(child, current, ctx)
         elif isinstance(child, ast.Union):
-            left = _eval_group(child.left, [dict(s) for s in current], graph)
-            right = _eval_group(child.right, [dict(s) for s in current], graph)
+            left = _eval_group(child.left, [dict(s) for s in current], ctx)
+            right = _eval_group(child.right, [dict(s) for s in current], ctx)
             current = left + right
         elif isinstance(child, ast.Minus):
-            current = _eval_minus(child, current, graph)
+            current = _eval_minus(child, current, ctx)
         elif isinstance(child, ast.Bind):
-            ctx = _ExprContext(graph)
             for solution in current:
                 if child.var.name in solution:
                     raise SparqlEvalError(
                         f"BIND would rebind ?{child.var.name}"
                     )
-                try:
-                    solution[child.var.name] = eval_expression(
-                        child.expr, solution, ctx
-                    )
-                except ExpressionError:
-                    pass  # variable stays unbound
+                value = _value(child.expr, solution, ctx)
+                if value is not None:  # an error leaves it unbound
+                    solution[child.var.name] = value
         elif isinstance(child, ast.InlineValues):
-            current = _eval_values(child, current)
+            current = _eval_values(child, current, ctx)
         elif isinstance(child, ast.GroupPattern):
-            current = _eval_group(child, current, graph)
+            current = _eval_group(child, current, ctx)
         elif isinstance(child, ast.SubSelect):
-            current = _eval_subselect(child.query, current, graph)
+            current = _eval_subselect(child.query, current, ctx)
         else:
             raise SparqlEvalError(f"unknown pattern node {type(child).__name__}")
     current = flush_triples(current)
-    ctx = _ExprContext(graph)
     for flt in filters:
         current = [s for s in current if _filter_passes(flt.condition, s, ctx)]
     return current
 
 
 def _eval_optional(node: ast.Optional_, solutions: List[Solution],
-                   graph: Graph) -> List[Solution]:
+                   ctx: _Context) -> List[Solution]:
     out: List[Solution] = []
     for solution in solutions:
-        extended = _eval_group(node.pattern, [dict(solution)], graph)
+        extended = _eval_group(node.pattern, [dict(solution)], ctx)
         if extended:
             out.extend(extended)
         else:
@@ -523,8 +586,8 @@ def _eval_optional(node: ast.Optional_, solutions: List[Solution],
 
 
 def _eval_minus(node: ast.Minus, solutions: List[Solution],
-                graph: Graph) -> List[Solution]:
-    removed = _eval_group(node.pattern, [{}], graph)
+                ctx: _Context) -> List[Solution]:
+    removed = _eval_group(node.pattern, [{}], ctx)
     out: List[Solution] = []
     for solution in solutions:
         excluded = False
@@ -538,19 +601,22 @@ def _eval_minus(node: ast.Minus, solutions: List[Solution],
     return out
 
 
-def _eval_values(node: ast.InlineValues, solutions: List[Solution]) -> List[Solution]:
+def _eval_values(node: ast.InlineValues, solutions: List[Solution],
+                 ctx: _Context) -> List[Solution]:
+    rows = [[None if term is None else ctx.bind(term) for term in row]
+            for row in node.rows]
     out: List[Solution] = []
     for solution in solutions:
-        for row in node.rows:
+        for row in rows:
             candidate = dict(solution)
             ok = True
-            for var, term in zip(node.variables, row):
-                if term is None:
+            for var, value in zip(node.variables, row):
+                if value is None:
                     continue
                 bound = candidate.get(var.name)
                 if bound is None:
-                    candidate[var.name] = term
-                elif bound != term:
+                    candidate[var.name] = value
+                elif bound != value:
                     ok = False
                     break
             if ok:
@@ -559,9 +625,8 @@ def _eval_values(node: ast.InlineValues, solutions: List[Solution]) -> List[Solu
 
 
 def _eval_subselect(query: ast.SelectQuery, solutions: List[Solution],
-                    graph: Graph) -> List[Solution]:
-    inner = _eval_select(query, graph)
-    inner_solutions = [dict(row.items()) for row in inner.rows]
+                    ctx: _Context) -> List[Solution]:
+    _, inner_solutions = _select(query, ctx)
     out: List[Solution] = []
     for solution in solutions:
         for other in inner_solutions:
@@ -610,40 +675,66 @@ def _needs_aggregation(query: ast.SelectQuery) -> bool:
     return bool(_collect_aggregates(exprs))
 
 
-def _binding(expr: ast.Expression, solution: Solution,
-             ctx: _ExprContext) -> Optional[Term]:
-    """``expr``'s value under ``solution``, ``None`` on an error — read
-    straight from the binding when ``expr`` is a plain variable."""
+def _value(expr: ast.Expression, solution: Solution,
+           ctx: _Context) -> Optional[Binding]:
+    """``expr``'s binding under ``solution``, ``None`` on an error — read
+    straight from the solution when ``expr`` is a plain variable."""
     if isinstance(expr, ast.Var):
         return solution.get(expr.name)
     try:
-        return eval_expression(expr, solution, ctx)
+        return ctx.bind(eval_expression(expr, solution, ctx))
     except ExpressionError:
         return None
 
 
-def _group_key(group_exprs: Sequence[ast.Expression], solution: Solution,
-               ctx: _ExprContext) -> Tuple[Optional[Term], ...]:
-    return tuple(_binding(expr, solution, ctx) for expr in group_exprs)
+def _reader(expr: ast.Expression,
+            ctx: _Context) -> Callable[[Solution], Optional[Binding]]:
+    """:func:`_value` of ``expr`` as a function of the solution."""
+    if isinstance(expr, ast.Var):
+        return methodcaller("get", expr.name)
+    return lambda solution: _value(expr, solution, ctx)
+
+
+_NUMERIC_AGGREGATES = frozenset({"SUM", "AVG", "MIN", "MAX"})
+
+
+def _reduce(agg: ast.Aggregate, values: List[Optional[Binding]],
+            ctx: _Context) -> Optional[Term]:
+    """One aggregate over one group's bindings (``None`` = an error or
+    unbound, skipped).  COUNT counts bindings and SUM/AVG/MIN/MAX read
+    their numbers; GROUP_CONCAT, SAMPLE and MIN/MAX over a term that is
+    no number (ordered by sort key) decode."""
+    present = ([v for v in values if v is not None] if None in values
+               else values)
+    if agg.distinct:  # equal bindings are equal terms
+        present = list(dict.fromkeys(present))
+    if agg.name == "COUNT":
+        return wrap_number(len(present))
+    if agg.name in _NUMERIC_AGGREGATES:
+        numbers = ctx.numbers(present)
+        if None not in numbers:
+            return reduce_numbers(agg.name, numbers)
+        if agg.name not in ("MIN", "MAX"):
+            return None
+    return eval_aggregate(agg.name, list(map(ctx.term, present)), False,
+                          agg.separator)
 
 
 def _aggregate_groups(query: ast.SelectQuery, solutions: List[Solution],
-                      graph: Graph) -> List[Solution]:
-    ctx = _ExprContext(graph)
+                      ctx: _Context) -> List[Solution]:
     groups: Dict[tuple, List[Solution]] = {}
-    order: List[tuple] = []
     if query.group_by:
-        for solution in solutions:
-            key = _group_key(query.group_by, solution, ctx)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(solution)
+        keys = zip(*[map(_reader(expr, ctx), solutions)
+                     for expr in query.group_by])
+        for key, solution in zip(keys, solutions):
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [solution]
+            else:
+                members.append(solution)
     else:
         # Implicit single group (possibly empty).
-        key = ()
-        groups[key] = list(solutions)
-        order.append(key)
+        groups[()] = list(solutions)
 
     agg_exprs = _collect_aggregates(
         [p.expr for p in query.projections if p.expr is not None]
@@ -652,8 +743,7 @@ def _aggregate_groups(query: ast.SelectQuery, solutions: List[Solution],
     )
 
     out: List[Solution] = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         # Representative solution carries the group-key bindings.
         representative: Solution = {}
         for expr, value in zip(query.group_by, key):
@@ -665,25 +755,27 @@ def _aggregate_groups(query: ast.SelectQuery, solutions: List[Solution],
             first = members[0]
             constant = {
                 k: v for k, v in first.items() if k in representative
-                or all((w := m.get(k)) is v or w == v for m in members)
+                or all(m.get(k) == v for m in members)
             }
             constant.update(representative)
             representative = constant
-        computed: Dict[ast.Aggregate, Term] = {}
+        computed: Dict[ast.Aggregate, Optional[Term]] = {}
+        read: Dict[ast.Expression, list] = {}  # aggregated expr -> values
         for agg in agg_exprs:
             if agg.expr is None:  # COUNT(*)
                 counted = ({frozenset(m.items()) for m in members}
                            if agg.distinct else members)
                 computed[agg] = wrap_number(len(counted))
                 continue
-            values = [_binding(agg.expr, member, ctx) for member in members]
-            computed[agg] = eval_aggregate(
-                agg.name, values, agg.distinct, agg.separator
-            )
-        key_values: Dict[ast.Expression, Optional[Term]] = dict(
+            values = read.get(agg.expr)
+            if values is None:
+                values = read[agg.expr] = list(
+                    map(_reader(agg.expr, ctx), members))
+            computed[agg] = _reduce(agg, values, ctx)
+        key_values: Dict[ast.Expression, Optional[Binding]] = dict(
             zip(query.group_by, key)
         )
-        group_ctx = _ExprContext(graph, computed, key_values)
+        group_ctx = ctx.grouped(computed, key_values)
         passes = all(
             _filter_passes(cond, representative, group_ctx)
             for cond in query.having
@@ -695,57 +787,48 @@ def _aggregate_groups(query: ast.SelectQuery, solutions: List[Solution],
         # one row (e.g. COUNT(*) = 0).
         if not members and query.group_by:
             continue
-        representative["__aggregates__"] = computed  # type: ignore[assignment]
-        representative["__groupkeys__"] = key_values  # type: ignore[assignment]
+        representative["__context__"] = group_ctx  # type: ignore[assignment]
         out.append(representative)
     return out
 
 
 #: One projected solution: ``(row, sort_solution, ctx)``.
-_Projected = Tuple[Solution, Solution, _ExprContext]
+_Projected = Tuple[Solution, Optional[Solution], _Context]
 
 
 def _project_rows(query: ast.SelectQuery, solutions: List[Solution],
-                  graph: Graph, aggregated: bool) -> List[_Projected]:
+                  ctx: _Context, aggregated: bool) -> List[_Projected]:
     """Project each solution; returns (row, sort_solution, ctx) triples.
 
-    ``sort_solution`` merges the pre-projection bindings with the
-    projected names, and ``ctx`` keeps the aggregate/group-key values —
-    so ORDER BY can reference non-projected variables, projection
-    aliases and aggregates alike (the SPARQL algebra order).
+    ``sort_solution`` (``None`` without ORDER BY) merges the
+    pre-projection bindings with the projected names, and ``ctx`` keeps
+    the aggregate/group-key values — so ORDER BY can reference
+    non-projected variables, projection aliases and aggregates alike
+    (the SPARQL algebra order).
     """
     out = []
     for solution in solutions:
-        computed = solution.pop("__aggregates__", None) if aggregated else None
-        group_keys = solution.pop("__groupkeys__", None) if aggregated else None
-        ctx = _ExprContext(graph, computed, group_keys)
-        # (neither the evaluator's own keys nor a blank node's variable)
-        visible = {k: v for k, v in solution.items()
-                   if not k.startswith(("__", ast.BLANK_PREFIX))}
+        row_ctx = solution.pop("__context__") if aggregated else ctx
+        if query.is_star or query.order_by:
+            # (neither the evaluator's own keys nor a blank node's variable)
+            visible = {k: v for k, v in solution.items()
+                       if not k.startswith(("__", ast.BLANK_PREFIX))}
         if query.is_star:
             row: Solution = dict(visible)
         else:
             row = {}
             for projection in query.projections:
-                if projection.expr is None:
-                    value = solution.get(projection.var.name)
-                    if value is not None:
-                        row[projection.var.name] = value
-                else:
-                    try:
-                        row[projection.var.name] = eval_expression(
-                            projection.expr, solution, ctx
-                        )
-                    except ExpressionError:
-                        pass
-        merged = dict(visible)
-        merged.update(row)
-        out.append((row, merged, ctx))
+                value = _value(projection.var if projection.expr is None
+                               else projection.expr, solution, row_ctx)
+                if value is not None:
+                    row[projection.var.name] = value
+        merged = {**visible, **row} if query.order_by else None
+        out.append((row, merged, row_ctx))
     return out
 
 
-def _apply_modifiers(query: ast.SelectQuery, projected: List[_Projected],
-                     graph: Graph) -> List[Solution]:
+def _apply_modifiers(query: ast.SelectQuery,
+                     projected: List[_Projected]) -> List[Solution]:
     """Order (over pre-projection scope), then DISTINCT/OFFSET/LIMIT."""
     if query.order_by:
         def sort_key(entry):
@@ -762,7 +845,7 @@ def _apply_modifiers(query: ast.SelectQuery, projected: List[_Projected],
 
         projected = sorted(projected, key=sort_key)
     solutions = [row for row, _, _ in projected]
-    if query.distinct:
+    if query.distinct:  # equal bindings are equal terms
         seen = set()
         unique: List[Solution] = []
         for solution in solutions:
@@ -793,13 +876,15 @@ class _Descending:
         return isinstance(other, _Descending) and other.key == self.key
 
 
-def _eval_select(query: ast.SelectQuery, graph: Graph) -> SelectResult:
-    solutions = _eval_group(query.where, [{}], graph)
+def _select(query: ast.SelectQuery,
+            ctx: _Context) -> Tuple[List[str], List[Solution]]:
+    """The projected names and the answer's solutions, still bindings."""
+    solutions = _eval_group(query.where, [{}], ctx)
     aggregated = _needs_aggregation(query)
     if aggregated:
-        solutions = _aggregate_groups(query, solutions, graph)
-    decorated = _project_rows(query, solutions, graph, aggregated)
-    projected = _apply_modifiers(query, decorated, graph)
+        solutions = _aggregate_groups(query, solutions, ctx)
+    projected = _apply_modifiers(
+        query, _project_rows(query, solutions, ctx, aggregated))
     if query.is_star:
         names: List[str] = []
         for solution in projected:
@@ -809,15 +894,24 @@ def _eval_select(query: ast.SelectQuery, graph: Graph) -> SelectResult:
         names.sort()
     else:
         names = [p.var.name for p in query.projections]
-    return SelectResult(names, [Row(s) for s in projected])
+    return names, projected
 
 
-def _eval_ask(query: ast.AskQuery, graph: Graph) -> bool:
-    return bool(_eval_group(query.where, [{}], graph))
+def _eval_select(query: ast.SelectQuery, ctx: _Context) -> SelectResult:
+    """The query's edge: each projected binding decoded, once."""
+    names, solutions = _select(query, ctx)
+    term = ctx.term
+    return SelectResult(names, [
+        Row({name: term(value) for name, value in solution.items()})
+        for solution in solutions])
 
 
-def _eval_construct(query: ast.ConstructQuery, graph: Graph) -> Graph:
-    solutions = _eval_group(query.where, [{}], graph)
+def _eval_ask(query: ast.AskQuery, ctx: _Context) -> bool:
+    return bool(_eval_group(query.where, [{}], ctx))
+
+
+def _eval_construct(query: ast.ConstructQuery, ctx: _Context) -> Graph:
+    solutions = _eval_group(query.where, [{}], ctx)
     if query.limit is not None:
         solutions = solutions[: query.limit]
     result = Graph()
@@ -827,7 +921,8 @@ def _eval_construct(query: ast.ConstructQuery, graph: Graph) -> Graph:
 
         def resolve(slot):
             if isinstance(slot, ast.Var):
-                return solution.get(slot.name)
+                binding = solution.get(slot.name)
+                return None if binding is None else ctx.term(binding)
             if isinstance(slot, BNode):
                 if slot.label not in instantiation:
                     bnode_counter[0] += 1
@@ -847,12 +942,13 @@ def _eval_construct(query: ast.ConstructQuery, graph: Graph) -> Graph:
 
 def evaluate(parsed: ast.Query, graph: Graph) -> QueryResult:
     """Evaluate a parsed query AST over a graph."""
+    ctx = _Context(graph)
     if isinstance(parsed, ast.SelectQuery):
-        return _eval_select(parsed, graph)
+        return _eval_select(parsed, ctx)
     if isinstance(parsed, ast.AskQuery):
-        return _eval_ask(parsed, graph)
+        return _eval_ask(parsed, ctx)
     if isinstance(parsed, ast.ConstructQuery):
-        return _eval_construct(parsed, graph)
+        return _eval_construct(parsed, ctx)
     raise SparqlEvalError(f"cannot evaluate {type(parsed).__name__}")
 
 

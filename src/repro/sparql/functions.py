@@ -20,6 +20,7 @@ from repro.rdf.terms import (
     BNode,
     IRI,
     Literal,
+    NUMERIC_DATATYPES,
     Term,
     XSD_BOOLEAN,
     XSD_DATE,
@@ -55,8 +56,12 @@ def effective_boolean_value(term: Optional[Term]) -> bool:
 
 
 def numeric_value(term: Term) -> Union[int, float, Decimal]:
-    if isinstance(term, Literal) and term.is_numeric():
-        return term.to_python()
+    """The number a numeric literal stands for; an ill-typed one (say
+    ``"abc"^^xsd:integer``) is no number."""
+    if isinstance(term, Literal) and term.datatype in NUMERIC_DATATYPES:
+        value = term.to_python()
+        if type(value) is not str:
+            return value
     raise ExpressionError(f"not a numeric literal: {term!r}")
 
 
@@ -437,10 +442,6 @@ def aggregate(name: str, values: List[Optional[Term]], distinct: bool,
             )
         except ExpressionError:
             return None
-    if not present:
-        if name == "SUM":
-            return wrap_number(0)
-        return None
     try:
         numbers = [numeric_value(v) for v in present]
     except ExpressionError:
@@ -449,13 +450,23 @@ def aggregate(name: str, values: List[Optional[Term]], distinct: bool,
         if name == "MAX":
             return max(present, key=lambda t: t.sort_key())
         return None
-    total = sum(float(n) for n in numbers)
+    return reduce_numbers(name, numbers)
+
+
+def reduce_numbers(name: str, numbers: List[Union[int, float, Decimal]]
+                   ) -> Optional[Literal]:
+    """SUM, AVG, MIN or MAX of native numbers: over none, SUM is 0 and
+    the others are unbound."""
+    if not numbers:
+        if name == "SUM":
+            return wrap_number(0)
+        return None
     if name == "SUM":
-        if all(isinstance(n, int) for n in numbers):
+        if set(map(type, numbers)) == {int}:
             return wrap_number(sum(numbers))
-        return wrap_number(total)
+        return wrap_number(sum(map(float, numbers)))
     if name == "AVG":
-        return wrap_number(total / len(numbers))
+        return wrap_number(sum(map(float, numbers)) / len(numbers))
     if name == "MIN":
         return wrap_number(min(numbers, key=float))
     if name == "MAX":

@@ -45,7 +45,7 @@ from repro.rdf.columns import column_engine
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.sharding import ShardedGraph
-from repro.rdf.terms import Literal
+from repro.rdf.terms import Literal, XSD_INTEGER
 
 SEEDS = range(10)
 
@@ -534,6 +534,29 @@ def test_one_answer_frame_whatever_the_engine(state):
     assert len(data) == len(frame) * len(frame.columns) - unbound
     assert len(loaded) == len(data) + len(frame) + len(frame.columns)
     assert set(data) == {APP.term(f"t{i + 1}") for i in range(len(frame))}
+
+
+def test_an_ill_typed_measure_is_no_number_on_every_engine():
+    """A Laptop priced ``"abc"^^xsd:integer``: Q4 (AVG, SUM and MAX of
+    price by manufacturer) answers on every engine — the aggregates of
+    that laptop's group are unbound, MAX falls back to the term order —
+    and every engine answers the same frame."""
+    graph = products_graph()
+    laptop = min(graph.subjects(RDF.type, EX.Laptop))
+    for price in list(graph.objects(laptop, EX.price)):
+        graph.remove(laptop, EX.price, price)
+    graph.add(laptop, EX.price, Literal("abc", XSD_INTEGER))
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Laptop)
+    session.group_by((EX.manufacturer,))
+    session.measure((EX.price,), ("AVG", "SUM", "MAX"))
+    frames = [session.run(engine) for engine in ENGINES]
+    for engine, frame in zip(ENGINES, frames):
+        assert (frame.columns, frame.rows) == (frames[0].columns,
+                                               frames[0].rows), engine
+    maker = graph.value(laptop, EX.manufacturer)
+    row, = [row for row in frames[0].rows if row[0] == maker]
+    assert row[1:] == (None, None, Literal("abc", XSD_INTEGER))
 
 
 @pytest.mark.parametrize("engine", ENGINES)

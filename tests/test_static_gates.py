@@ -168,12 +168,84 @@ def _evaluator_leaves_id_space(path=EVALUATOR):
     return found
 
 
+#: Where the evaluator names a decode — the store's ``decode_id``, the
+#: dictionary's, or the seam's own ``_decode``: only the seam,
+#: ``_Context.term``, and the constructor that binds it.
+DECODERS = ["_Context.__init__", "_Context.term"]
+
+#: The names a decode goes through: the store's, the dictionary's, the seam's.
+DECODING = {"decode_id", "decode", "decode_ids", "decode_all", "_decode"}
+
+#: Each read through the seam (``ctx.term`` / ``self.term``), one entry
+#: per read: a numeric read, an expression reading a variable or a group
+#: key, the aggregates that need the term (SAMPLE, GROUP_CONCAT, MIN/MAX
+#: over non-numbers), and the query's edge — the projected rows and the
+#: CONSTRUCT template.
+SEAM_READS = ["_Context.numbers", "_eval_construct.resolve", "_eval_select",
+              "_reduce", "eval_expression", "eval_expression"]
+
+
+def _evaluator_decoders(path=EVALUATOR):
+    """Where the evaluator decodes: the functions (qualified names) that
+    name a decoding attribute, and the functions that read through the
+    seam — once per read, so a second read where one is allowed shows."""
+    decoders, seam_reads = [], []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and scope:
+                if child.attr in DECODING:
+                    decoders.append(".".join(scope))
+                elif (child.attr == "term"
+                      and isinstance(child.value, ast.Name)
+                      and child.value.id in ("ctx", "self")):
+                    seam_reads.append(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), [])
+    return sorted(set(decoders)), sorted(seam_reads)
+
+
+def _planted(tmp_path, anchor, line):
+    """A copy of the evaluator with ``line`` inserted after the first
+    ``anchor`` line."""
+    source = EVALUATOR.read_text(encoding="utf-8")
+    assert anchor in source
+    planted = tmp_path / "planted_evaluator.py"
+    planted.write_text(source.replace(anchor, anchor + line, 1),
+                       encoding="utf-8")
+    return planted
+
+
 def test_block_matcher_joins_in_ids(tmp_path):
     """Block matcher, join planner, property paths and EXISTS read every
-    store — flat, sharded or an extension view — through ``triples_ids``
-    and ``count_ids`` and decode at the edge; so the view needs no
-    Term-level reader, and defines none."""
+    store — flat, sharded or an extension view — through ``triples_ids``,
+    ``objects_ids`` and ``count_ids``; so the view needs no Term-level
+    reader, and defines none.  A binding stays an id until the seam or
+    the query's edge decodes it: nothing in a join, a path walk,
+    grouping or a modifier decodes."""
     assert _evaluator_leaves_id_space() == []
+    assert _evaluator_decoders() == (DECODERS, SEAM_READS)
+    # A decode in the join loop, or in a function the seam allows, is
+    # caught; so is a second seam read where one is allowed.
+    in_join = _planted(
+        tmp_path, "        rows = out\n",
+        "        [graph.decode_id(i) for row in rows for i in row.values()]\n")
+    assert _evaluator_decoders(in_join) == (
+        sorted(DECODERS + ["_match_block"]), SEAM_READS)
+    in_reduce = _planted(
+        tmp_path, "    if agg.name == \"COUNT\":\n",
+        "        ctx.graph.decode_id(present[0])\n")
+    assert _evaluator_decoders(in_reduce) == (
+        sorted(DECODERS + ["_reduce"]), SEAM_READS)
+    in_branch = _planted(
+        tmp_path, "    if isinstance(expr, ast.TermExpr):\n",
+        "        ctx.term(expr.term)\n")
+    assert _evaluator_decoders(in_branch) == (
+        DECODERS, sorted(SEAM_READS + ["eval_expression"]))
     planted = tmp_path / "evaluator.py"
     planted.write_text(
         EVALUATOR.read_text(encoding="utf-8").replace(
