@@ -37,14 +37,15 @@ chaos:
 
 # The reader properties (Turtle, N-Triples and SPARQL raise only their
 # typed errors on arbitrary text, replay_session only ValueError on
-# arbitrary JSON), the Answer Frame memo's state machine and the SPARQL
+# arbitrary JSON), the Answer Frame memo's state machine, the SPARQL
 # evaluator's bindings (an extension view answers the materialized
-# rows), at 10 000 draws and a random seed; tier-1 runs them
-# derandomized and smaller.
+# rows) and the store's access shapes under writes (every read against
+# a set oracle, every SPO row in its one shape), at 10 000 draws and a
+# random seed; tier-1 runs them derandomized and smaller.
 fuzz:
 	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
-		tests/test_sparql_bindings.py \
-		-k "typed_errors or memo_machine or materialized_rows" \
+		tests/test_sparql_bindings.py tests/test_property_graph.py \
+		-k "typed_errors or memo_machine or materialized_rows or every_shape" \
 		--hypothesis-profile=fuzz -q
 
 examples:

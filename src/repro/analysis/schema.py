@@ -133,7 +133,7 @@ def infer_schema(graph: Graph) -> SchemaInfo:
 def _class_ids_of(graph: Graph, ident: int, type_pi: Optional[int]) -> Set[int]:
     if type_pi is None:
         return set()
-    return set(graph.spo_ids(ident).get(type_pi, ()))
+    return set(graph.objects_ids(ident, type_pi))
 
 
 def _infer(graph: Graph) -> SchemaInfo:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (AbstractSet, Collection, Dict, FrozenSet, Iterable, List,
+                    Optional, Set, Tuple, Union)
 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
@@ -92,13 +93,12 @@ def _joins_ids(graph: Graph, extension_ids: Set[int], p: PropertyRef) -> Set[int
     out: Set[int] = set()
     if prop_id is None:
         return out
+    if not p.inverse:  # a literal has no SPO row: nothing to skip
+        return out.union(*(graph.objects_ids(n, prop_id)
+                           for n in extension_ids))
     decode = graph.decode_id
-    neighbours = (
-        (lambda n: graph.subjects_ids(prop_id, n)) if p.inverse
-        else (lambda n: graph.objects_ids(n, prop_id))
-    )
     for node_id in extension_ids:
-        targets = neighbours(node_id)
+        targets = graph.subjects_ids(prop_id, node_id)
         if targets and not isinstance(decode(node_id), Literal):
             out |= targets
     return out
@@ -133,7 +133,7 @@ def _path_joins_ids(graph: Graph, extension_ids: Set[int],
     return markers
 
 
-def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
+def _restrict_by_path_ids(graph: Graph, extension_ids: FrozenSet[int],
                           path: Path, value_ids: Iterable[int]) -> AbstractSet[int]:
     """Eq. 5.1 in id space, walked *backwards*: the members of
     ``extension_ids`` from which ``path`` reaches one of ``value_ids``.
@@ -148,7 +148,7 @@ def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
     the formal definition and the tests' oracle.
     """
     decode = graph.decode_id
-    targets: AbstractSet[int] = frozenset(value_ids)
+    targets: Collection[int] = frozenset(value_ids)
     for index in range(len(path) - 1, -1, -1):
         step = path[index]
         prop_id = graph.encode_term(step.prop)
@@ -160,7 +160,7 @@ def _restrict_by_path_ids(graph: Graph, extension_ids: AbstractSet[int],
             rows = [graph.subjects_ids(prop_id, t) for t in targets]
         sources = rows[0] if len(rows) == 1 else frozenset().union(*rows)
         if index == 0:
-            sources = extension_ids & sources
+            sources = extension_ids.intersection(sources)
         if step.inverse:
             sources = frozenset(
                 n for n in sources if not isinstance(decode(n), Literal))

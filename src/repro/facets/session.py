@@ -313,7 +313,7 @@ class FacetedSession:
         decode = graph.decode_id
         forward_ids: Set[int] = set()
         for eid in extension_ids:
-            forward_ids.update(graph.spo_ids(eid).keys())
+            forward_ids.update(graph.spo_ids(eid))
         inverse_ids: List[int] = []
         if include_inverse:
             sources = self._edge_sources(extension_ids)
@@ -390,8 +390,9 @@ class FacetedSession:
             total = 0
             havers: Set[int] = set()
             for marker, value_id in zip(facet.values, value_ids):
-                members = ids & (objects_ids(value_id, prop_id) if inverse
-                                 else subjects_ids(prop_id, value_id))
+                members = ids.intersection(
+                    objects_ids(value_id, prop_id) if inverse
+                    else subjects_ids(prop_id, value_id))
                 if members:
                     count = len(members)
                     markers.append(marker if count == marker.count

@@ -2,13 +2,20 @@
 
 The store interns every term into a :class:`~repro.rdf.dictionary.
 TermDictionary` and keeps two permutation indexes (SPO, POS) as nested
-dictionaries of *int-id* sets, so every triple-pattern shape with a
+dictionaries keyed on *int ids*, so every triple-pattern shape with a
 bound subject or predicate resolves through at most two dictionary
-lookups — on int keys, not on IRI strings.  Terms are decoded back only
-at iteration boundaries; the decoded instances are canonical (one
-object per id), so downstream equality checks can short-circuit on
-identity.  It is the substrate for both the SPARQL evaluator and the
-faceted-search engine.
+lookups — on int keys, not on IRI strings.  A POS row is a set of
+subject ids.  An SPO row holding one object is that object's bare id,
+and a set only from its second object on: most subjects have one value
+per predicate, and a one-element set costs over 200 bytes.  The
+representation follows the content (a row is promoted on its second
+object and demoted back on removal), and no caller sees it —
+:meth:`Graph.objects_ids` answers a lone object as a one-tuple.
+
+Terms are decoded back only at iteration boundaries; the decoded
+instances are canonical (one object per id), so downstream equality
+checks can short-circuit on identity.  It is the substrate for both the
+SPARQL evaluator and the faceted-search engine.
 
 There is no OSP index.  A pattern keyed on the object alone —
 ``triples(None, None, o)``, ``all_objects()``, inverse-property
@@ -63,7 +70,12 @@ from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
 #: Shared empty id set returned by the ``*_ids`` accessors on absence.
 EMPTY_IDS: frozenset = frozenset()
 #: Shared empty index row (never written).
-_NO_ROW: Dict[int, Set[int]] = {}
+_NO_ROW: Dict[int, Any] = {}
+
+
+def _objects(row) -> Collection[int]:
+    """An SPO row as a collection: a lone object is stored as its id."""
+    return (row,) if type(row) is int else row
 
 
 #: ``(counters, having)`` of one facet scan: per ``(property id,
@@ -79,7 +91,8 @@ class Graph:
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None):
         self._dict = TermDictionary()
-        self._spo: Dict[int, Dict[int, Set[int]]] = {}
+        #: subject → predicate → an object id, or a set of two or more.
+        self._spo: Dict[int, Dict[int, Any]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._pred_count: Dict[int, int] = {}
         self._size = 0
@@ -125,11 +138,16 @@ class Graph:
 
     # ------------------------------------------------------------------
     # Id-level index views (hot paths: facets, joins).  The returned
-    # sets/dicts are the live internals — treat them as read-only.
+    # sets/dicts/key views are the live internals — treat them as
+    # read-only.
     # ------------------------------------------------------------------
-    def objects_ids(self, si, pi):
-        """Ids of ``{o | (s, p, o) ∈ G}`` for encoded subject/predicate."""
-        return self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
+    def objects_ids(self, si, pi) -> Collection[int]:
+        """Ids of ``{o | (s, p, o) ∈ G}`` for encoded subject/predicate:
+        a one-tuple for a lone object, the live set otherwise.  Iterate
+        it, take its ``len`` or test ``in``; combine it with method
+        forms (``.intersection``, ``.union``), never with operators."""
+        row = self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
+        return (row,) if type(row) is int else row
 
     def subjects_ids(self, pi, oi):
         """Ids of ``{s | (s, p, o) ∈ G}`` for encoded predicate/object."""
@@ -138,9 +156,10 @@ class Graph:
             return EMPTY_IDS
         return os_.get(oi, EMPTY_IDS)
 
-    def spo_ids(self, si) -> Dict[int, Set[int]]:
-        """The predicate → object-ids map of one encoded subject."""
-        return self._spo.get(si) or {}
+    def spo_ids(self, si) -> Collection[int]:
+        """The predicate ids of one encoded subject (a live key view);
+        read a predicate's objects with :meth:`objects_ids`."""
+        return self._spo.get(si, _NO_ROW).keys()
 
     def pos_ids(self, pi) -> Dict[int, Set[int]]:
         """The object → subject-ids map of one encoded predicate."""
@@ -157,16 +176,21 @@ class Graph:
 
     def _add_ids(self, si: int, pi: int, oi: int) -> bool:
         """Insert one encoded triple into the two indexes."""
-        spo = self._spo
-        po = spo.get(si)
+        po = self._spo.get(si)
         if po is None:
-            po = spo[si] = {}
-        objects = po.get(pi)
-        if objects is None:
-            objects = po[pi] = set()
-        if oi in objects:
-            return False
-        objects.add(oi)
+            self._spo[si] = {pi: oi}
+        else:
+            objects = po.get(pi)
+            if objects is None:
+                po[pi] = oi
+            elif type(objects) is int:
+                if objects == oi:
+                    return False
+                po[pi] = {objects, oi}
+            elif oi in objects:
+                return False
+            else:
+                objects.add(oi)
         pos = self._pos
         os_ = pos.get(pi)
         if os_ is None:
@@ -206,13 +230,16 @@ class Graph:
         if po is None:
             return False
         objects = po.get(pi)
-        if objects is None or oi not in objects:
-            return False
-        objects.remove(oi)
-        if not objects:
+        if objects == oi:  # the lone object: the row goes
             del po[pi]
             if not po:
                 del spo[si]
+        elif type(objects) is not set or oi not in objects:
+            return False
+        else:
+            objects.remove(oi)
+            if len(objects) == 1:
+                po[pi] = objects.pop()
         os_ = pos[pi]
         subjects = os_[oi]
         subjects.remove(si)
@@ -294,7 +321,7 @@ class Graph:
         Nothing is decoded; an id the store never issued matches
         nothing."""
         if si is not None and pi is not None:  # a join probe: one row
-            objects = self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
+            objects = _objects(self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS))
             if oi is None:
                 for o in objects:
                     yield (si, pi, o)
@@ -302,16 +329,20 @@ class Graph:
                 yield (si, pi, oi)
             return
         if si is not None:
-            for p, objects in self._spo.get(si, _NO_ROW).items():
+            for p, row in self._spo.get(si, _NO_ROW).items():
+                objects = _objects(row)
                 for o in (objects if oi is None
                           else (oi,) if oi in objects else ()):
                     yield (si, p, o)
             return
         if pi is None and oi is None:
             for s, po in self._spo.items():
-                for p, objects in po.items():
-                    for o in objects:
-                        yield (s, p, o)
+                for p, row in po.items():
+                    if type(row) is int:
+                        yield (s, p, row)
+                    else:
+                        for o in row:
+                            yield (s, p, o)
             return
         if pi is None:  # the object alone: one POS probe per predicate
             for p, os_ in self._pos.items():
@@ -332,10 +363,7 @@ class Graph:
         si, pi, oi = lookup(s), lookup(p), lookup(o)
         if si is None or pi is None or oi is None:
             return False
-        po = self._spo.get(si)
-        if po is None:
-            return False
-        return oi in po.get(pi, EMPTY_IDS)
+        return oi in _objects(self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS))
 
     def count(self, s=None, p=None, o=None) -> int:
         """Number of triples matching the pattern: :meth:`count_ids` of
@@ -368,7 +396,7 @@ class Graph:
         if pi is not None:
             objects = self.objects_ids(si, pi)
             return len(objects) if oi is None else int(oi in objects)
-        rows = self.spo_ids(si).values()
+        rows = [self.objects_ids(si, p) for p in self.spo_ids(si)]
         if oi is None:
             return sum(map(len, rows))
         return sum(oi in objects for objects in rows)
@@ -520,11 +548,12 @@ class Graph:
 
     def _copy_from(self, source: "Graph", dictionary: TermDictionary) -> None:
         """Take over ``source``'s content under ``dictionary``: the two
-        index maps copied down to the innermost set, the statistics and
-        the blank-node counter."""
+        index maps copied down to the innermost set (a bare-id row as
+        is), the statistics and the blank-node counter."""
         self._dict = dictionary
         self._spo, self._pos = (
-            {key: {inner: set(ids) for inner, ids in row.items()}
+            {key: {inner: ids if type(ids) is int else set(ids)
+                   for inner, ids in row.items()}
              for key, row in index.items()}
             for index in (source._spo, source._pos))
         self._pred_count = dict(source._pred_count)

@@ -7,7 +7,10 @@ anything, so the store's generation, statistics and every cache stamped
 with them survive the read.  It answers the id protocol the SPARQL
 evaluator reads every store with (``triples_ids``, ``objects_ids``,
 ``count_ids``, ``len``, ``encode_term`` / ``decode_id``) and nothing
-Term-level.
+Term-level.  ``objects_ids`` answers a collection — a one-tuple for a
+lone object, as :class:`~repro.rdf.graph.Graph` does — which a caller
+iterates, sizes or tests with ``in``, and combines only through method
+forms (``.union``, ``.intersection``).
 
 A view keeps no answers: :func:`repro.sparql.query` caches only on the
 store, keyed by query text alone, which two extensions share.  An
@@ -19,7 +22,7 @@ computed for instead
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
+from typing import (Collection, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
 
 from repro.rdf.graph import Graph
@@ -127,13 +130,13 @@ class ExtensionView:
             return chain(matched, ((si, self._type_id, self._cls_id),))
         return matched
 
-    def objects_ids(self, si: int, pi: int) -> AbstractSet[int]:
-        """The object ids of ``(si, pi, ?)``: the base's SPO row, and
-        ``cls`` too when the virtual triple ``(si, rdf:type, cls)`` is
-        in the view."""
+    def objects_ids(self, si: int, pi: int) -> Collection[int]:
+        """The object ids of ``(si, pi, ?)``: the base's, and ``cls``
+        too when the virtual triple ``(si, rdf:type, cls)`` is in the
+        view."""
         objects = self.base.objects_ids(si, pi)
         if self._sees(pi, None) and si in self.members:
-            return objects | {self._cls_id}
+            return {self._cls_id}.union(objects)
         return objects
 
     def count_ids(self, si: Optional[int] = None, pi: Optional[int] = None,

@@ -9,7 +9,9 @@ same term in every slice, and each slice maintains its indexes and
 statistics with the one implementation ``Graph`` has.  What is left
 here is what partitioning itself adds:
 
-* ``spo`` rows route — the subject id picks the one owning slice;
+* ``spo`` rows route — the subject id picks the one owning slice, and
+  ``objects_ids`` / ``spo_ids`` answer whatever that slice answers (a
+  one-tuple for a lone object, a key view of predicate ids);
 * ``pos`` rows split — a predicate's row is the disjoint union of the
   per-slice rows, so merged counts are sums and merged subject sets
   need no de-duplication (objects, which may appear in several slices,
@@ -90,15 +92,16 @@ class ShardedGraph(Graph):
 
         Works entirely in id space: the term dictionary is cloned (same
         term ↔ id assignments, so every derived id set stays valid) and
-        each SPO row is handed to its owning slice — no term decode or
-        re-intern happens.
+        each subject's objects, read predicate by predicate through
+        ``objects_ids``, are handed to its owning slice — no term decode
+        or re-intern happens.
         """
         out = cls(shards=shards)
         out._share_dictionary(source.dictionary.clone())
         for si in source.all_subject_ids():
             add = out._owner(si)._add_ids
-            for pi, objects in source.spo_ids(si).items():
-                for oi in objects:
+            for pi in source.spo_ids(si):
+                for oi in source.objects_ids(si, pi):
                     add(si, pi, oi)
         out._size = len(source)
         out._pred_count = dict(source._pred_count)
@@ -153,7 +156,7 @@ class ShardedGraph(Graph):
     def objects_ids(self, si, pi):
         return self._owner(si).objects_ids(si, pi)
 
-    def spo_ids(self, si) -> Dict[int, Set[int]]:
+    def spo_ids(self, si) -> Collection[int]:
         return self._owner(si).spo_ids(si)
 
     def subjects_ids(self, pi, oi):

@@ -126,11 +126,16 @@ def _index_snapshot(g):
 
 
 def _assert_no_empty_slots(g):
-    for index in (g._spo, g._pos):
+    """No empty nested dict, and every leaf row in its one shape: an
+    SPO row is a bare id (which may be 0) or a set of two or more, a
+    POS row a non-empty set."""
+    for index, least in ((g._spo, 2), (g._pos, 1)):
         for outer, inner in index.items():
             assert inner, f"empty nested dict left at {outer!r}"
             for key, leaf in inner.items():
-                assert leaf, f"empty leaf set left at {outer!r}/{key!r}"
+                assert (type(leaf) is int and index is g._spo
+                        or type(leaf) is set and len(leaf) >= least), (
+                    f"leaf row {leaf!r} at {outer!r}/{key!r}")
 
 
 class TestIndexPruning:

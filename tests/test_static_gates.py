@@ -144,6 +144,29 @@ def test_column_engines_come_from_the_graph_generation(tmp_path):
     assert _engine_constructions([planted]) == ["planted.py:2", "planted.py:3"]
 
 
+def _spo_readers(paths):
+    """Where a module other than ``repro.rdf.graph`` names ``_spo``: as
+    an attribute, a name or a string (``getattr(graph, "_spo")``)."""
+    return [f"{path.name}:{node.lineno}" for path in paths
+            if path != RDF_SRC / "graph.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if getattr(node, "attr", None) == "_spo"
+            or getattr(node, "id", None) == "_spo"
+            or getattr(node, "value", None) == "_spo"]
+
+
+def test_only_the_graph_names_the_spo_map(tmp_path):
+    """An SPO row is a bare id or a set of two or more objects, which
+    only ``Graph`` knows: every other module reads the index through
+    ``objects_ids`` / ``spo_ids``, so no caller sees a raw row."""
+    assert _spo_readers(sorted((REPO / "src" / "repro").rglob("*.py"))) == []
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def lone(graph, si, pi):\n"
+        "    return graph._spo[si][pi]\n", encoding="utf-8")
+    assert _spo_readers([planted]) == ["planted.py:2"]
+
+
 EVALUATOR = REPO / "src" / "repro" / "sparql" / "evaluator.py"
 
 #: The Term-level reads of a store: each encodes its pattern and decodes
