@@ -6,6 +6,8 @@ the table: per query, the mean end-to-end time (engine + simulated
 network) per dataset size.
 """
 
+import gc
+
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.endpoint import NetworkModel, RemoteEndpointSimulator
 from repro.hifun import translate
@@ -34,13 +36,28 @@ def run_efficiency(graphs, model: NetworkModel, seed: int = 0):
                 graphs[size], model, seed=seed + size
             )
             translation = translate(query, root_class=EX.Laptop)
-            for _ in range(REPETITIONS):
-                endpoint.query(translation.text)
+            _query_without_collector(endpoint, translation.text)
             engine = sum(s.engine_seconds for s in endpoint.history)
             total = sum(s.total_seconds for s in endpoint.history)
             means.append((engine / REPETITIONS, total / REPETITIONS))
         rows.append((qid, description, means))
     return rows
+
+
+def _query_without_collector(endpoint, text: str) -> None:
+    """The repetitions, with the cyclic collector off as ``timeit`` runs
+    its timings: a collection set off by the garbage of earlier work
+    would otherwise land in whichever query happens to be running and
+    add its pause, tens of milliseconds, to that query's engine time."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(REPETITIONS):
+            endpoint.query(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def render(rows, model_name: str, format_table) -> str:

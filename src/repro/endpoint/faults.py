@@ -137,10 +137,8 @@ class FlakyEndpointSimulator(RemoteEndpointSimulator):
         model: Optional[NetworkModel] = None,
         faults: Optional[FaultModel] = None,
         seed: int = 0,
-        sleep: bool = False,
     ):
-        super().__init__(graph, model or NetworkModel.offpeak(), seed=seed,
-                         sleep=sleep)
+        super().__init__(graph, model or NetworkModel.offpeak(), seed=seed)
         self.faults = faults or FaultModel.none()
         self._fault_rng = random.Random(seed ^ _FAULT_SEED_SALT)
         self.injected: List[str] = []

@@ -21,19 +21,17 @@ three standard client-side defences:
   circuit half-opens, exactly one probe goes through, and its outcome
   closes or re-opens the circuit.
 
-Time is *virtual* by default: backoff waits and attempt costs are
-accounted (and recorded in the extended
-:class:`~repro.endpoint.QueryStats`) without sleeping, so chaos suites
-run at full speed; ``sleep=True`` makes the waits real for wall-clock
-experiments.  Only :class:`~repro.endpoint.errors.EndpointError`
-subclasses are retried — a malformed query (parse error) is
-deterministic and propagates immediately.
+Time is *virtual*: backoff waits and attempt costs are accounted (and
+recorded in the extended :class:`~repro.endpoint.QueryStats`) without
+sleeping, so chaos suites run at full speed.  Only
+:class:`~repro.endpoint.errors.EndpointError` subclasses are retried —
+a malformed query (parse error) is deterministic and propagates
+immediately.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -52,7 +50,7 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with full jitter (seeded, virtual by default).
+    """Exponential backoff with full jitter (seeded, virtual).
 
     ``max_attempts`` bounds the total tries per logical query (1 = no
     retries).  The k-th retry waits a uniform draw from
@@ -65,7 +63,6 @@ class RetryPolicy:
     base_delay: float = 0.25
     multiplier: float = 2.0
     max_delay: float = 8.0
-    jitter: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -80,8 +77,7 @@ class RetryPolicy:
                 floor: float = 0.0) -> float:
         """The wait before retry number ``retry_index`` (0-based)."""
         cap = min(self.max_delay, self.base_delay * self.multiplier ** retry_index)
-        delay = rng.uniform(0.0, cap) if self.jitter else cap
-        return max(delay, floor)
+        return max(rng.uniform(0.0, cap), floor)
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,6 @@ class ResilientEndpoint:
         timeout: Optional[float] = None,
         breaker: Optional[CircuitBreakerPolicy] = _UNSET,
         seed: int = 0,
-        sleep: bool = False,
     ):
         self.inner = inner
         self.retry = retry or RetryPolicy()
@@ -160,7 +155,6 @@ class ResilientEndpoint:
         if breaker is _UNSET:
             breaker = CircuitBreakerPolicy()
         self.breaker = CircuitBreaker(breaker) if breaker is not None else None
-        self.sleep = sleep
         self._rng = random.Random(seed)
         self.history: List[QueryStats] = []
         self.clock = 0.0  # virtual seconds consumed through this wrapper
@@ -268,8 +262,6 @@ class ResilientEndpoint:
             backoff_total += delay
             used += delay
             self.clock += delay
-            if self.sleep:
-                time.sleep(delay)
 
         if budget is not None and used >= budget and not isinstance(
                 error, EndpointTimeout):

@@ -42,9 +42,10 @@ from typing import (
     Tuple, Union,
 )
 
-from repro.rdf.columns import column_engine
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDF
+# APP: the namespace of machinery terms (the temporary class of Table 5.1
+# and the answer-frame vocabulary of §5.3.3).
+from repro.rdf.namespace import APP, RDF, TEMP
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import (
@@ -53,16 +54,15 @@ from repro.hifun.attributes import (
     compose_path,
     pair,
 )
-from repro.hifun.columnar import evaluate_hifun
-from repro.hifun.evaluator import CARDINALITY, evaluate_hifun_row
+from repro.hifun.evaluator import (
+    CARDINALITY, evaluate_hifun, evaluate_hifun_row, row_sort_key,
+)
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
 from repro.olap.rewrite import merge_blocker, merge_groups
 from repro.facets.model import AnyPath, PropertyRef
 from repro.facets.session import FacetedSession
-# APP: the namespace of machinery terms (the temporary class of Table 5.1
-# and the answer-frame vocabulary of §5.3.3).
-from repro.facets.sparql_backend import APP, TEMP, SparqlFacetEngine
+from repro.facets.sparql_backend import SparqlFacetEngine
 from repro.sparql import query as sparql_query
 
 if TYPE_CHECKING:
@@ -229,7 +229,7 @@ class AnswerFrame:
             for row in self.rows)
         rows = [key + tuple(values[part] for part, _ in partial)
                 for key, values in merged.items()]
-        rows.sort(key=_row_sort_key)
+        rows.sort(key=row_sort_key)
         return AnswerFrame(coarser.answer_columns(), rows, coarser)
 
     def __repr__(self):
@@ -434,27 +434,6 @@ class FacetedAnalyticsSession(FacetedSession):
         base = self.hifun_query()
         return base.restricted(grouping=restrictions), intention.root_class
 
-    def _analysis_domain(self):
-        """The native engines' evaluation domain: the extension sorted
-        by term sort key with its parallel encoded-id column, remembered
-        on the state so repeated analytics skip the sort —
-        exactly the ``items``/``items_ids`` contract of
-        :func:`repro.hifun.columnar.evaluate_hifun`.  Built from the
-        state's ids, ordered through the sort-key memo of the graph
-        generation's :func:`~repro.rdf.columns.column_engine`; a member
-        the graph never interned (a ``results=`` seed) has id ``None``."""
-        def build():
-            state = self.state
-            if state.unknown:
-                terms = sorted(state.extension, key=lambda t: t.sort_key())
-                return terms, [self.graph.encode_term(t) for t in terms]
-            engine = column_engine(self.graph)
-            ids = engine.sort_ids(state.ids)
-            decode = engine.decode
-            return [decode(i) for i in ids], ids
-
-        return self._per_state("domain", build)
-
     def _extension_view(self) -> ExtensionView:
         """The graph with the current extension typed under the
         temporary class of Table 5.1 — virtually: the view the SPARQL
@@ -500,10 +479,12 @@ class FacetedAnalyticsSession(FacetedSession):
         * ``"sparql"`` — translate + evaluate over the session's
           extension view, in which the extension is the ``temp`` class
           (Table 5.1; the default pipeline);
-        * ``"native"`` — the in-process batch HIFUN evaluator
-          (:func:`repro.hifun.columnar.evaluate_hifun`);
-        * ``"row"`` — the item-at-a-time reference evaluator the batch
-          one is verified against (identical answers);
+        * ``"native"`` — :func:`~repro.hifun.evaluator.evaluate_hifun`
+          over the same view: the translation evaluated directly, never
+          through the SPARQL endpoint or a result cache;
+        * ``"row"`` — the item-at-a-time reference evaluator the
+          translation is verified against (identical answers where
+          HIFUN's prerequisites hold, §4.1);
         * ``"restrictions"`` — fold the intention into HIFUN
           restrictions (§5.5) and run the self-contained translation.
 
@@ -533,13 +514,13 @@ class FacetedAnalyticsSession(FacetedSession):
 
         def build():
             self._static_check(query, root_class)
-            if engine in ("native", "row"):
-                terms, ids = self._analysis_domain()
-                if engine == "row":
-                    answer = evaluate_hifun_row(self.graph, query, items=terms)
-                else:
-                    answer = evaluate_hifun(self.graph, query, items=terms,
-                                            items_ids=ids)
+            if engine == "native":
+                answer = evaluate_hifun(self._extension_view(), query,
+                                        root_class=TEMP_CLASS)
+                return query.answer_columns(), answer.rows()
+            if engine == "row":
+                answer = evaluate_hifun_row(self.graph, query,
+                                            items=self.extension)
                 return query.answer_columns(), answer.rows()
             if engine == "sparql":
                 translation = translate(query, root_class=TEMP_CLASS)
@@ -554,15 +535,10 @@ class FacetedAnalyticsSession(FacetedSession):
                     self.graph if overlay is None else overlay, translation.text)
             columns = translation.answer_columns  # the query's, named once
             rows = [tuple(row.get(c) for c in columns) for row in result]
-            rows.sort(key=_row_sort_key)
+            rows.sort(key=row_sort_key)
             return columns, rows
 
         columns, rows = self._per_state(
             ("answer", engine, query, endpoint), build, stat="answers")
         return AnswerFrame(columns, rows, query)
 
-
-def _row_sort_key(row: Tuple[Optional[Term], ...]) -> Tuple[tuple, ...]:
-    return tuple(
-        term.sort_key() if term is not None else (-1,) for term in row
-    )

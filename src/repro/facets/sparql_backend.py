@@ -41,7 +41,7 @@ from itertools import count
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import Namespace, RDF, SCHEMA_PREDICATES
+from repro.rdf.namespace import RDF, SCHEMA_PREDICATES, TEMP
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Term
 from repro.endpoint import EndpointError, LocalEndpoint
@@ -55,9 +55,6 @@ from repro.facets.model import (
     PropertyRef,
     ValueMarker,
 )
-
-APP = Namespace("http://www.ics.forth.gr/rdf-analytics#")
-TEMP = APP.temp
 
 #: An operation's extension: the members, or a ready view of them (a
 #: session passes the one remembered on its state, so the queries of a

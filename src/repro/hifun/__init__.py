@@ -15,11 +15,10 @@ This package provides:
   HIFUN applicability prerequisites of §4.1.1;
 * :mod:`repro.hifun.translator` — the HIFUN → SPARQL translation of
   §4.2 (Algorithms 1–4);
-* :mod:`repro.hifun.columnar` — the native batch evaluator
-  (:func:`evaluate_hifun`): whole-frontier joins on dictionary ids;
-* :mod:`repro.hifun.evaluator` — the item-at-a-time three-step (group /
-  measure / reduce) reference evaluator, used to validate the
-  translation (Proposition 2) and the batch evaluator empirically;
+* :mod:`repro.hifun.evaluator` — :func:`evaluate_hifun`, which
+  evaluates the translation (Propositions 1–2 make its answer the
+  query's), and the item-at-a-time three-step (group / measure /
+  reduce) reference evaluator the translation is validated against;
 * :mod:`repro.hifun.features` — the Feature Creation Operators FCO1–FCO9
   of Table 4.1, for data that violates the HIFUN prerequisites.
 
@@ -44,8 +43,7 @@ from repro.hifun.attributes import (
 from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
 from repro.hifun.context import AnalysisContext, PrerequisiteReport
 from repro.hifun.translator import translate
-from repro.hifun.columnar import evaluate_hifun
-from repro.hifun.evaluator import AnswerFunction
+from repro.hifun.evaluator import AnswerFunction, evaluate_hifun
 from repro.hifun.features import (
     FeatureOperator,
     fco_value,

@@ -23,7 +23,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
 from repro.rdf.terms import IRI, Term
 from repro.hifun.attributes import Attribute, AttributeExpr, paths_of
-from repro.hifun.evaluator import attribute_values
+from repro.hifun.evaluator import attribute_values, evaluate_hifun
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,6 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     def evaluate(self, query) -> "AnswerFunction":
         """Evaluate a HIFUN query over this context's root ``D``."""
-        from repro.hifun.columnar import evaluate_hifun
-
         return evaluate_hifun(self.graph, query, items=self.items)
 
     def translate(self, query):

@@ -1,19 +1,20 @@
-"""Native evaluation of HIFUN queries: group → measure → reduce (§2.5).
+"""Evaluation of HIFUN queries (§2.5, §4.2).
 
-:func:`evaluate_hifun_row` executes a
-:class:`~repro.hifun.query.HifunQuery` directly over an RDF graph,
-following the three-step semantics of the language:
+:func:`evaluate_hifun` is the system's evaluator: it translates a
+:class:`~repro.hifun.query.HifunQuery` to SPARQL (§4.2) and evaluates
+the translation, so Propositions 1–2 make its answer the query's
+answer by construction.  :func:`evaluate_hifun_row` executes the query
+directly over an RDF graph instead, following the three-step semantics
+of the language:
 
 1. **Grouping** — partition the items by their grouping-function value;
 2. **Measuring** — within each group, extract the measuring value of
    every item;
 3. **Reduction** — aggregate the measured values of each group.
 
-It is the reference implementation: the SPARQL translation is validated
-against it (Proposition 2 — the tests assert both evaluations agree on
-every query), and so is the batch engine that answers in production,
-:func:`repro.hifun.columnar.evaluate_hifun`, with which it shares the
-answer type and the reduction step defined here.
+It is the reference the translation is validated against (Proposition
+2 — the tests assert both agree on every query that meets HIFUN's
+prerequisites, §4.1; outside them the translation's answer stands).
 
 The multiplicity semantics match SPARQL joins: when an attribute is
 multi-valued, an item contributes one group/measure combination per
@@ -22,9 +23,11 @@ value assignment (the translation produces exactly those rows).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
+from repro.rdf.namespace import RDF, TEMP
+from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import IRI, Literal, Term
 from repro.hifun.attributes import (
     Attribute,
@@ -34,8 +37,10 @@ from repro.hifun.attributes import (
     Pairing,
     paths_of,
 )
-from repro.hifun.query import HifunQuery, Restriction
+from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
+from repro.hifun.translator import translate
 from repro.sparql.errors import ExpressionError
+from repro.sparql.evaluator import evaluate, parse_query
 from repro.sparql.functions import BUILTINS, aggregate as reduce_values, compare
 
 
@@ -84,7 +89,9 @@ def _step_values(graph: Graph, node: Term, step: AttributeExpr) -> List[Term]:
     return sorted(graph.objects(node, step.prop), key=lambda t: t.sort_key())
 
 
-def _value_passes(value: Term, restriction: Restriction) -> bool:
+def _value_passes(value: Term,
+                   restriction: Union[Restriction, ResultRestriction]) -> bool:
+    """Does ``value`` satisfy a (result) restriction's comparison?"""
     try:
         return compare(restriction.comparator, value, restriction.value)
     except ExpressionError:
@@ -93,26 +100,27 @@ def _value_passes(value: Term, restriction: Restriction) -> bool:
 
 def _satisfies(graph: Graph, item: Term, restriction: Restriction) -> bool:
     """True if the item has at least one value satisfying the restriction."""
-    values = attribute_values(graph, item, restriction.attribute)
-    for value in values:
-        try:
-            if compare(restriction.comparator, value, restriction.value):
-                return True
-        except ExpressionError:
-            continue
-    return False
+    return any(_value_passes(value, restriction)
+               for value in attribute_values(graph, item, restriction.attribute))
 
 
 #: The key a group's values report its cardinality under (``with_count``).
 CARDINALITY = "__count__"
 
 
+def row_sort_key(row: Tuple[Optional[Term], ...]) -> Tuple[tuple, ...]:
+    """Term order over a group key or an answer row; an unbound cell
+    sorts first."""
+    return tuple(t.sort_key() if t is not None else (-1,) for t in row)
+
+
 class AnswerFunction:
     """The answer of a HIFUN query: a function group-key → aggregates.
 
     Keys are tuples of Terms (one per grouping path; the empty tuple for
-    the ε grouping).  Values are dicts mapping operation name → Term
-    (and :data:`CARDINALITY` → the group's size, when asked for).
+    the ε grouping) — a part is ``None`` where the translation left the
+    grouping value unbound.  Values are dicts mapping operation name →
+    Term (and :data:`CARDINALITY` → the group's size, when asked for).
     Iteration order is deterministic (sorted by key).
     """
 
@@ -121,9 +129,10 @@ class AnswerFunction:
     def __init__(self, grouping_arity: int, operations: Tuple[str, ...]):
         self.grouping_arity = grouping_arity
         self.operations = operations
-        self._data: Dict[Tuple[Term, ...], Dict[str, Optional[Term]]] = {}
+        self._data: Dict[Tuple[Optional[Term], ...], Dict[str, Optional[Term]]] = {}
 
-    def set(self, key: Tuple[Term, ...], values: Dict[str, Optional[Term]]) -> None:
+    def set(self, key: Tuple[Optional[Term], ...],
+            values: Dict[str, Optional[Term]]) -> None:
         self._data[key] = values
 
     def __getitem__(self, key) -> Dict[str, Optional[Term]]:
@@ -139,8 +148,8 @@ class AnswerFunction:
     def __len__(self) -> int:
         return len(self._data)
 
-    def keys(self) -> List[Tuple[Term, ...]]:
-        return sorted(self._data.keys(), key=lambda k: tuple(t.sort_key() for t in k))
+    def keys(self) -> List[Tuple[Optional[Term], ...]]:
+        return sorted(self._data.keys(), key=row_sort_key)
 
     def items(self):
         for key in self.keys():
@@ -162,16 +171,45 @@ class AnswerFunction:
         return f"<AnswerFunction groups={len(self._data)} ops={self.operations}>"
 
 
+def evaluate_hifun(graph: Graph, query: HifunQuery,
+                   items: Optional[Iterable[Term]] = None,
+                   root_class: Optional[IRI] = None) -> AnswerFunction:
+    """Evaluate a HIFUN query: translate it (§4.2) and evaluate the
+    translation over ``graph``.
+
+    The analysis root ``D`` is ``items`` when given — the graph is then
+    read through an :class:`~repro.rdf.overlay.ExtensionView` typing
+    them under the temporary class of Table 5.1 (a literal is no item);
+    otherwise the instances of ``root_class``; otherwise every subject
+    of the graph.  The translation is evaluated directly, never through
+    a store's result cache: every call computes its answer.
+    """
+    if items is not None:
+        graph, root_class = ExtensionView(graph, TEMP, items), TEMP
+    elif root_class is None:
+        graph, root_class = ExtensionView(
+            graph, TEMP, ids=graph.all_subject_ids()), TEMP
+    translation = translate(query, root_class=root_class)
+    result = evaluate(parse_query(translation.text), graph)
+    answer = AnswerFunction(len(translation.group_aliases), query.operations)
+    for row in result:
+        values = {op: row.get(alias)
+                  for op, alias in translation.aggregate_aliases}
+        if translation.count_alias:
+            values[CARDINALITY] = row.get(translation.count_alias)
+        answer.set(tuple(row.get(alias)
+                         for alias in translation.group_aliases), values)
+    return answer
+
+
 def evaluate_hifun_row(graph: Graph, query: HifunQuery,
                        items: Optional[Iterable[Term]] = None,
                        root_class: Optional[IRI] = None) -> AnswerFunction:
     """The item-at-a-time reference evaluation: same arguments and —
-    by test — same answer as the batch engine,
-    :func:`repro.hifun.columnar.evaluate_hifun`."""
-    from repro.rdf.namespace import RDF
-
+    where HIFUN's prerequisites hold — same answer as
+    :func:`evaluate_hifun`.  A literal in ``items`` is no item."""
     if items is not None:
-        domain: Set[Term] = set(items)
+        domain: Set[Term] = {t for t in items if not isinstance(t, Literal)}
     elif root_class is not None:
         domain = set(graph.subjects(RDF.type, root_class))
     else:
@@ -220,18 +258,6 @@ def evaluate_hifun_row(graph: Graph, query: HifunQuery,
 
     # Step 3: reduction, then result restrictions (HAVING).
     answer = AnswerFunction(len(grouping_paths), operations)
-    return _reduce_groups(query, groups, counts, answer)
-
-
-def _reduce_groups(
-    query: HifunQuery,
-    groups: Dict[Tuple[Term, ...], List[Optional[Term]]],
-    counts: Dict[Tuple[Term, ...], int],
-    answer: AnswerFunction,
-) -> AnswerFunction:
-    """Reduction + HAVING, shared verbatim by the row and columnar
-    engines — whatever this code does, both engines do identically."""
-    operations = answer.operations
     for key, values in groups.items():
         aggregates: Dict[str, Optional[Term]] = {}
         for op in operations:
@@ -241,20 +267,9 @@ def _reduce_groups(
                 aggregates[op] = reduce_values(op, values, False, " ")
         if query.with_count:
             aggregates[CARDINALITY] = Literal.of(counts[key])
-        keep = True
-        for restriction in query.result_restrictions:
-            value = aggregates.get(restriction.operation)
-            if value is None:
-                keep = False
-                break
-            try:
-                if not compare(restriction.comparator, value, restriction.value):
-                    keep = False
-                    break
-            except ExpressionError:
-                keep = False
-                break
-        if keep:
+        if all(aggregates.get(r.operation) is not None
+               and _value_passes(aggregates[r.operation], r)
+               for r in query.result_restrictions):
             answer.set(key, aggregates)
     return answer
 

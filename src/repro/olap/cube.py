@@ -16,8 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.hifun.attributes import AttributeExpr, pair
-from repro.hifun.columnar import evaluate_hifun
-from repro.hifun.evaluator import AnswerFunction
+from repro.hifun.evaluator import AnswerFunction, evaluate_hifun
 from repro.hifun.query import HifunQuery, Restriction
 
 

@@ -20,43 +20,38 @@ the corresponding HIFUN query.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import Term
 from repro.hifun.query import Restriction
-from repro.olap.cube import Cube
+from repro.olap.cube import Cube, Hierarchy
 
 
 def roll_up(cube: Cube, dimension: str) -> Cube:
     """Move ``dimension`` one level coarser (Fig. 7.2, e.g. month → year)."""
-    dim = cube.dimensions[dimension]
-    if dim.hierarchy is None:
-        raise ValueError(f"dimension {dimension!r} has no hierarchy to roll up")
-    current = cube.levels[dimension]
-    coarser = dim.hierarchy.coarser(current)
-    if coarser is None:
-        raise ValueError(
-            f"dimension {dimension!r} is already at its coarsest level ({current})"
-        )
-    levels = dict(cube.levels)
-    levels[dimension] = coarser
-    return cube._replace(levels=levels)
+    return _move(cube, dimension, Hierarchy.coarser, "roll up", "coarsest")
 
 
 def drill_down(cube: Cube, dimension: str) -> Cube:
     """Move ``dimension`` one level finer (the inverse of roll-up)."""
+    return _move(cube, dimension, Hierarchy.finer, "drill into", "finest")
+
+
+def _move(cube: Cube, dimension: str,
+          step: Callable[[Hierarchy, str], Optional[str]],
+          action: str, end: str) -> Cube:
+    """Move ``dimension`` to the level ``step`` names next to its
+    current one; ``action`` and ``end`` word the errors."""
     dim = cube.dimensions[dimension]
     if dim.hierarchy is None:
-        raise ValueError(f"dimension {dimension!r} has no hierarchy to drill into")
+        raise ValueError(f"dimension {dimension!r} has no hierarchy to {action}")
     current = cube.levels[dimension]
-    finer = dim.hierarchy.finer(current)
-    if finer is None:
+    level = step(dim.hierarchy, current)
+    if level is None:
         raise ValueError(
-            f"dimension {dimension!r} is already at its finest level ({current})"
+            f"dimension {dimension!r} is already at its {end} level ({current})"
         )
-    levels = dict(cube.levels)
-    levels[dimension] = finer
-    return cube._replace(levels=levels)
+    return cube._replace(levels={**cube.levels, dimension: level})
 
 
 def slice_(cube: Cube, dimension: str, value: Term) -> Cube:

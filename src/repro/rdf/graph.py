@@ -101,9 +101,6 @@ class Graph:
         self.generation = 0
         #: Generation-stamped SPARQL result cache (see repro.sparql).
         self.sparql_cache = GenerationCache(maxsize=128, name="sparql-results")
-        #: ``(generation, ColumnEngine)``: the batch engine's memos for
-        #: one generation (see repro.rdf.columns.column_engine).
-        self.column_engine_stamp: Optional[tuple] = None
         if triples is not None:
             self.add_all(triples)
 
@@ -478,7 +475,7 @@ class Graph:
 
     def all_subject_ids(self):
         """The encoded subject ids as a live view (treat as read-only) —
-        the id-level twin of :meth:`all_subjects` for the batch engine."""
+        the id-level twin of :meth:`all_subjects`."""
         return self._spo.keys()
 
     def all_predicates(self) -> Set[Term]:

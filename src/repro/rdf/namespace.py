@@ -61,6 +61,11 @@ SCHEMA_PREDICATES = frozenset(
 #: The namespace of the dissertation's running example (Fig. 1.2).
 EX = Namespace("http://www.ics.forth.gr/example#")
 
+#: The namespace of the system's own machinery terms, and the temporary
+#: class an extension is typed under for the SPARQL of Table 5.1.
+APP = Namespace("http://www.ics.forth.gr/rdf-analytics#")
+TEMP = APP.temp
+
 #: Well-known prefixes used by the Turtle parser/serializer defaults.
 WELL_KNOWN_PREFIXES = {
     "rdf": RDF.base,

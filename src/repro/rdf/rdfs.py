@@ -167,14 +167,14 @@ class SchemaView:
         subs = set(self.graph.subjects(_SUBCLASS, cls))
         subs.discard(cls)
         if direct:
-            subs = self._reduce_down(cls, subs, _SUBCLASS)
+            subs = self._reduce(cls, subs, _SUBCLASS, up=False)
         return subs
 
     def superclasses(self, cls: Term, direct: bool = False) -> Set[Term]:
         sups = set(self.graph.objects(cls, _SUBCLASS))
         sups.discard(cls)
         if direct:
-            sups = self._reduce_up(cls, sups, _SUBCLASS)
+            sups = self._reduce(cls, sups, _SUBCLASS, up=True)
         return sups
 
     def maximal_classes(self) -> List[Term]:
@@ -205,7 +205,7 @@ class SchemaView:
         sups = set(self.graph.objects(prop, _SUBPROP))
         sups.discard(prop)
         if direct:
-            sups = self._reduce_up(prop, sups, _SUBPROP)
+            sups = self._reduce(prop, sups, _SUBPROP, up=True)
         return sups
 
     def maximal_properties(self) -> List[Term]:
@@ -231,25 +231,18 @@ class SchemaView:
         return result
 
     # -- hierarchy reduction -------------------------------------------
-    def _reduce_down(self, top: Term, subs: Set[Term], pred: IRI) -> Set[Term]:
-        """Direct children: drop any sub that is below another sub."""
-        direct = set(subs)
-        for a in subs:
-            ancestors = set(self.graph.objects(a, pred))
-            ancestors.discard(a)
-            ancestors.discard(top)
-            if ancestors & subs:
-                direct.discard(a)
-        return direct
-
-    def _reduce_up(self, bottom: Term, sups: Set[Term], pred: IRI) -> Set[Term]:
-        """Direct parents: drop any sup that is above another sup."""
-        direct = set(sups)
-        for a in sups:
-            descendants = set(self.graph.subjects(pred, a))
-            descendants.discard(a)
-            descendants.discard(bottom)
-            if descendants & sups:
+    def _reduce(self, start: Term, related: Set[Term], pred: IRI,
+                up: bool) -> Set[Term]:
+        """The members of ``related`` — all of ``start``'s subclasses
+        (or sub-properties), or with ``up`` all its superclasses — that
+        no other member lies between: the direct children, or parents."""
+        graph = self.graph
+        direct = set(related)
+        for a in related:
+            further = set(graph.subjects(pred, a) if up else graph.objects(a, pred))
+            further.discard(a)
+            further.discard(start)
+            if further & related:
                 direct.discard(a)
         return direct
 

@@ -420,7 +420,9 @@ def aggregate(name: str, values: List[Optional[Term]], distinct: bool,
     ``values`` contains one entry per group member; ``None`` marks an
     expression error or unbound value (skipped, per the spec).
     COUNT(*) is handled by the caller (it counts solutions, including
-    those with errors).
+    those with errors).  SAMPLE and GROUP_CONCAT read the values in
+    term order, so their answer is the same whatever order a join
+    produced them in.
     """
     present = [v for v in values if v is not None]
     if distinct:
@@ -434,8 +436,9 @@ def aggregate(name: str, values: List[Optional[Term]], distinct: bool,
     if name == "COUNT":
         return wrap_number(len(present))
     if name == "SAMPLE":
-        return present[0] if present else None
+        return min(present, key=lambda t: t.sort_key(), default=None)
     if name == "GROUP_CONCAT":
+        present.sort(key=lambda t: t.sort_key())
         try:
             return Literal(
                 separator.join(_string_value(v) for v in present), XSD_STRING

@@ -1,8 +1,7 @@
 """The benchmark harness, in process.
 
-The ablations run at toy sizes so their built-in equality checks
-(row == columnar, every shard count == one shard) gate tier 1 on their
-own, and the copied ``benchmarks/conftest.py`` runs inside a throwaway
+The sharding ablation runs at a toy size so its built-in equality
+check (every shard count == one shard) gates tier 1 on its own, and the copied ``benchmarks/conftest.py`` runs inside a throwaway
 pytest session to pin what a plain run and a ``--benchmark-only`` run
 each enforce.
 """
@@ -17,16 +16,6 @@ pytest_plugins = ["pytester"]
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 if str(BENCHMARKS) not in sys.path:
     sys.path.insert(0, str(BENCHMARKS))
-
-
-def test_columnar_ablation_asserts_equivalence():
-    from bench_ablation_columnar import run_ablation
-
-    results = run_ablation([40])  # asserts row == columnar internally
-    assert set(results) == {40}
-    assert set(results[40]) == {"analytic_row", "analytic_cold",
-                                "analytic_warm"}
-    assert all(seconds > 0 for seconds in results[40].values())
 
 
 def test_sharding_ablation_asserts_equivalence():

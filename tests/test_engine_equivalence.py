@@ -1,7 +1,8 @@
-"""Row vs columnar engine equivalence on randomized graphs.
+"""Engine equivalence on randomized graphs.
 
-The columnar batch engine (``repro/hifun/columnar.py``) promises
-*byte-identical* answers to the item-at-a-time reference engine, and
+The evaluator (``evaluate_hifun``: the translation, evaluated) promises
+the item-at-a-time reference engine's answers wherever a query meets
+HIFUN's prerequisites (§4.1), and
 the shared-scan ``all_facets`` promises, per property, the facet a
 single ``facet(path)`` counts (``tests/test_idspace_session.py`` holds
 both to the formal definition).  The curated example suites already pin
@@ -25,6 +26,7 @@ from repro.datasets import (
     products_graph,
     synthetic_graph,
 )
+from repro.analysis import check_hifun, infer_schema
 from repro.endpoint import LocalEndpoint, ResilientEndpoint
 from repro.facets.analytics import APP, TEMP_CLASS, AnalyticsStateError
 from repro.facets import FacetedAnalyticsSession, FacetedSession
@@ -38,16 +40,18 @@ from repro.hifun import (
     pair,
 )
 from repro.hifun.attributes import Derived
-from repro.hifun.columnar import evaluate_hifun
-from repro.hifun.evaluator import evaluate_hifun_row
+from repro.hifun.evaluator import evaluate_hifun, evaluate_hifun_row
 from repro.hifun.translator import translate
-from repro.rdf.columns import column_engine
+from repro.sparql import query as sparql_query
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.sharding import ShardedGraph
 from repro.rdf.terms import Literal, XSD_INTEGER
 
 SEEDS = range(10)
+
+#: ``make fuzz`` runs the write interleaving long, at a random seed.
+_FUZZING = settings.get_current_profile_name() == "fuzz"
 
 #: Shard counts pinned by the sharded-store equivalence tests: the
 #: degenerate single shard, powers of two, and a prime that leaves the
@@ -120,10 +124,10 @@ def test_hifun_answers_identical_on_random_graphs(seed):
         query = build()
         root = None if "inverse" in label else EX.Widget
         row = evaluate_hifun_row(graph, query, root_class=root)
-        columnar = evaluate_hifun(graph, query, root_class=root)
-        assert row.rows() == columnar.rows(), f"{label} differs at seed {seed}"
-        assert row.keys() == columnar.keys(), label
-        assert row.operations == columnar.operations, label
+        native = evaluate_hifun(graph, query, root_class=root)
+        assert row.rows() == native.rows(), f"{label} differs at seed {seed}"
+        assert row.keys() == native.keys(), label
+        assert row.operations == native.operations, label
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -136,8 +140,8 @@ def test_explicit_items_domain_identical(seed):
     for query in (HifunQuery(None, None, "COUNT"),
                   HifunQuery(maker, price, "AVG")):
         row = evaluate_hifun_row(graph, query, items=items)
-        columnar = evaluate_hifun(graph, query, items=items)
-        assert row.rows() == columnar.rows()
+        native = evaluate_hifun(graph, query, items=items)
+        assert row.rows() == native.rows()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -194,29 +198,37 @@ def mixed_arity_graph() -> Graph:
 
 
 def test_mixed_arity_successors_keep_term_order():
-    """The single-successor shortcut must not skip the sort of a node
-    with three successors: SAMPLE and GROUP_CONCAT see the values in
-    term order, as the row engine does — cold and warm."""
+    """SAMPLE and GROUP_CONCAT see a group's values in term order on
+    every engine (DESIGN.md, *Semantic forks* (a)) — whatever order the
+    store holds them in or a join yields them in."""
     graph = mixed_arity_graph()
-    tag_id = graph.encode_term(EX.tag)
-    values = graph.objects_ids(graph.encode_term(EX.item0), tag_id)
-    engine = column_engine(graph)
+    values = graph.objects_ids(graph.encode_term(EX.item0),
+                               graph.encode_term(EX.tag))
     assert len(values) == 3
-    assert engine.sort_ids(values) != sorted(values)  # the fixture's point
-    assert (engine.follow([0], [graph.encode_term(EX.item0)], tag_id)
-            == ([0, 0, 0], engine.sort_ids(values)))
+    assert sorted(values) != sorted(  # the fixture's point
+        values, key=lambda ident: graph.decode_id(ident).sort_key())
     tag = Attribute(EX.tag)
-    queries = (
-        HifunQuery(None, tag, ("SAMPLE", "GROUP_CONCAT")),
+    concat = HifunQuery(None, tag, ("SAMPLE", "GROUP_CONCAT"))
+    assert evaluate_hifun(graph, concat, root_class=EX.Widget).rows() == [(
+        Literal.of("alpha"),
+        Literal.of("alpha alpha alpha alpha alpha mu mu mu mu mu mu "
+                   "zeta zeta zeta"))]
+    for query in (
+        concat,
         HifunQuery(Attribute(EX.kind), tag, ("SAMPLE", "GROUP_CONCAT", "COUNT")),
         HifunQuery(tag, None, "COUNT"),
-        HifunQuery(pair(Attribute(EX.kind), tag), tag, ("SAMPLE", "GROUP_CONCAT")),
-    )
-    for _ in range(2):
-        for query in queries:
-            row = evaluate_hifun_row(graph, query, root_class=EX.Widget)
-            assert evaluate_hifun(graph, query, root_class=EX.Widget).rows() == (
-                row.rows()), query
+    ):
+        row = evaluate_hifun_row(graph, query, root_class=EX.Widget)
+        assert evaluate_hifun(graph, query, root_class=EX.Widget).rows() == (
+            row.rows()), query
+    # ``tag`` both grouped and measured: the translation shares its
+    # variable (fork (c)), so the SPARQL pipeline is the one to agree with
+    shared = HifunQuery(pair(Attribute(EX.kind), tag), tag,
+                        ("SAMPLE", "GROUP_CONCAT"))
+    pipeline = sparql_query(graph, translate(shared, root_class=EX.Widget).text)
+    assert evaluate_hifun(graph, shared, root_class=EX.Widget).rows() == sorted(
+        (tuple(row[name] for name in pipeline.variables) for row in pipeline),
+        key=lambda row: tuple(t.sort_key() for t in row))
 
 
 #: What a stale-memo interleaving presses: G on the grouped property
@@ -257,6 +269,24 @@ def _write(graph, verb, widget, prop, k):
         graph.remove(item, prop, values[k % len(values)])
 
 
+def _pressed(session, index):
+    groups, measured, operations = PRESSES[index]
+    session.clear_analytics()
+    for path in groups:
+        session.group_by(path)
+    if measured is None:
+        session.count_items()
+    else:
+        session.measure(measured, operations)
+    return session
+
+
+#: What ``check_hifun`` reports for a press outside HIFUN's prerequisites
+#: (§4.1), where the row oracle owes the translation no equal answer
+#: (DESIGN.md, *Semantic forks* (c)).
+OUTSIDE_PREREQUISITES = {"H005", "H006"}
+
+
 @given(interleavings())
 @example((0, None, [("press", 0, 0), ("add", 0, EX.maker, 3),
                     ("press", 1, 0), ("remove", 0, EX.maker, 0),
@@ -264,12 +294,15 @@ def _write(graph, verb, widget, prop, k):
 @example((1, 3, [("press", 0, 2), ("add", 1, EX.price, 1),
                  ("press", 0, 2), ("remove", 1, EX.price, 0),
                  ("press", 1, 3)]))
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=not _FUZZING, deadline=None,
+          max_examples=10_000 if _FUZZING else 60)
 def test_native_answers_follow_every_write(case):
-    """The native engine's memos live for a graph generation: a press
+    """What a state remembers lives for a graph generation: a press
     after a write — from either of two sessions over the one graph,
-    flat or sharded — answers what the row engine answers on the graph
-    as it is then, never what an earlier press memoized."""
+    flat or sharded — answers what a session opened fresh over the
+    graph as it is then answers, never what an earlier press kept; and
+    what the row engine answers there, wherever the press meets HIFUN's
+    prerequisites."""
     seed, shards, script = case
     graph = random_graph(seed, items=WIDGETS)
     if shards is not None:
@@ -281,18 +314,16 @@ def test_native_answers_follow_every_write(case):
         if step[0] != "press":
             _write(graph, *step)
             continue
-        session = sessions[step[1]]
-        groups, measured, operations = PRESSES[step[2]]
-        session.clear_analytics()
-        for path in groups:
-            session.group_by(path)
-        if measured is None:
-            session.count_items()
-        else:
-            session.measure(measured, operations)
-        expected = evaluate_hifun_row(graph, session.hifun_query(),
-                                      items=session.extension)
-        assert session.run("native").rows == expected.rows(), step
+        session = _pressed(sessions[step[1]], step[2])
+        fresh = FacetedAnalyticsSession(graph, closed=True)
+        fresh.select_class(EX.Widget)
+        rows = session.run("native").rows
+        assert rows == _pressed(fresh, step[2]).run("native").rows, step
+        query = session.hifun_query()
+        report = check_hifun(query, infer_schema(graph), None, graph)
+        if not OUTSIDE_PREREQUISITES & set(report.codes()):
+            expected = evaluate_hifun_row(graph, query, items=session.extension)
+            assert rows == expected.rows(), step
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -389,7 +420,7 @@ def test_engine_choice_is_cache_neutral():
 def test_sparql_run_beside_engine_is_read_only(engine):
     """A run on the SPARQL path between two native runs changes nothing
     the native engines depend on: same generation, size and statistics,
-    the memoized evaluation domain survives, and all three runs agree —
+    the state's extension view survives, and all three runs agree —
     the last one evaluated afresh by a new session, since this one keeps
     its answer."""
     graph = random_graph(3)
@@ -403,12 +434,12 @@ def test_sparql_run_beside_engine_is_read_only(engine):
 
     session = pressed()
     baseline = session.run(engine)
-    domain = session._analysis_domain()
+    view = session._extension_view()
     before = (graph.generation, len(graph), graph.predicate_counts())
     assert session.run("sparql").rows == baseline.rows
     assert (graph.generation, len(graph), graph.predicate_counts()) == before
     assert pressed().run(engine).rows == baseline.rows
-    assert session._analysis_domain() is domain
+    assert session._extension_view() is view
 
 
 @pytest.mark.parametrize("engine", ["row", "native"])
@@ -662,3 +693,108 @@ def test_endpoint_counts_equal_native_counts(dataset, seed):
     _assert_same_counts(native, remote)
     assert remote.facet_engine.incidents == []
     assert remote.cache_stats()["facets"].size == 0
+
+
+# ---------------------------------------------------------------------------
+# The decided semantic forks (DESIGN.md, *Semantic forks*)
+# ---------------------------------------------------------------------------
+def _seeded(graph):
+    """A ``results=`` session: six widgets, one item the graph never
+    interned and two literals — which are no items (fork (b))."""
+    seeds = [EX[f"item{i}"] for i in range(6)] + [
+        EX.neverInterned, Literal.of("stray"), Literal.of(5)]
+    session = FacetedAnalyticsSession(graph, results=seeds)
+    session.count_items()
+    return session
+
+
+def _widgets(graph, groups, measured, operations, with_count=False):
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Widget)
+    for path in groups:
+        session.group_by(path)
+    session.measure(measured, operations)
+    session.with_count(with_count)
+    return session
+
+
+#: Per fork, a press that reaches it on a random graph.
+FORKS = {
+    "value order": lambda graph: _widgets(
+        graph, [(EX.maker,)], (EX.price,), ("SAMPLE", "GROUP_CONCAT")),
+    "literal members": _seeded,
+    "outside the prerequisites": lambda graph: _widgets(
+        graph, [(EX.maker,)], (EX.maker,), ("COUNT", "GROUP_CONCAT"), True),
+}
+
+
+@given(st.sampled_from(sorted(FORKS)), st.integers(0, 9))
+@example("value order", 0)
+@example("literal members", 0)
+@example("outside the prerequisites", 0)
+@settings(derandomize=not _FUZZING, deadline=None, max_examples=30)
+def test_the_decided_forks_on_every_engine(fork, seed):
+    """Whatever the fork, the engines that evaluate the translation —
+    ``native``, ``sparql`` and ``restrictions`` (which a seeded session
+    has no form for) — answer one frame, and the row reference answers
+    it too wherever ``check_hifun`` finds the press inside HIFUN's
+    prerequisites."""
+    session = FORKS[fork](random_graph(seed))
+    answers = {engine: _answer(session, engine) for engine in ENGINES}
+    assert answers["sparql"] == answers["native"]
+    if fork == "literal members":
+        assert isinstance(answers["restrictions"], str)
+        assert answers["native"][1] == [(Literal.of(7),)]
+    else:
+        assert answers["restrictions"] == answers["native"]
+    report = check_hifun(session.hifun_query(), infer_schema(session.graph),
+                         None, session.graph)
+    if not OUTSIDE_PREREQUISITES & set(report.codes()):
+        assert answers["row"] == answers["native"]
+
+
+def test_outside_the_prerequisites_the_translation_answers():
+    """Three presses outside §4.1, each flagged H005 or H006: the row
+    reference answers otherwise, every other engine answers the
+    translation's frame, pinned here."""
+    graph = Graph()
+    for item, kind, makers, prices in (
+            (EX.item1, EX.kind0, (EX.m1, EX.m2), (10, 20)),
+            (EX.item2, EX.kind0, (EX.m1,), (30,))):
+        graph.add(item, RDF.type, EX.Widget)
+        graph.add(item, EX.kind, kind)
+        for maker in makers:
+            graph.add(item, EX.maker, maker)
+        for price in prices:
+            graph.add(item, EX.price, Literal.of(price))
+
+    def press(groups, measured, operations, with_count=False, derived=None):
+        session = _widgets(graph, groups, measured, operations, with_count)
+        if derived is not None:
+            session.clear_analytics()
+            session.derive(groups[0], derived)
+            session.measure(measured, operations)
+        return session
+
+    one = Literal.of
+    cases = (
+        # the maker path both grouped and measured: Algorithm 2 shares it
+        (press([(EX.maker,)], (EX.maker,), "COUNT"), "H005",
+         [(EX.m1, one(2)), (EX.m2, one(1))],
+         [(EX.m1, one(3)), (EX.m2, one(2))]),
+        # with_count over a multi-valued measure counts solutions
+        (press([(EX.kind,)], (EX.price,), "SUM", with_count=True), "H005",
+         [(EX.kind0, one(60), one(3))],
+         [(EX.kind0, one(60), one(2))]),
+        # YEAR of an IRI: the translation keeps the items, unbound
+        (press([(EX.kind,)], (EX.price,), "SUM", derived="YEAR"), "H006",
+         [(None, one(60))],
+         []),
+    )
+    for session, code, translated, row in cases:
+        report = check_hifun(session.hifun_query(), infer_schema(graph),
+                             None, graph)
+        assert report.has(code), report.codes()
+        for engine in ("native", "sparql", "restrictions"):
+            assert session.run(engine).rows == translated, engine
+        assert session.run("row").rows == row

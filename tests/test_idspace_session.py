@@ -529,44 +529,39 @@ def test_state_memos_are_keyed_by_the_id_set():
     session = FacetedAnalyticsSession(products_graph())
     assert not hasattr(session, "_extension_ids")
     session.select_class(EX.Laptop)
-    domain = session._analysis_domain()
-    assert session._analysis_domain() is domain
-    terms, ids = domain
-    assert terms == session.objects()
-    assert ids == [session.graph.encode_term(t) for t in terms]
-    # another state has its own, in its own order
+    view = session._extension_view()
+    assert session._extension_view() is view
+    assert view.members == session.state.ids
+    # another state has its own
     session.select_value(EX.manufacturer, EX.DELL)
-    assert session._analysis_domain()[0] == session.objects() != terms
+    assert session._extension_view().members == session.state.ids != view.members
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_back_finds_the_domain_and_the_view_again_and_a_write_rebuilds_both(shards):
+def test_back_finds_the_view_again_and_a_write_rebuilds_it(shards):
     graph = products_graph()
     if shards > 1:
         graph = ShardedGraph.from_graph(graph, shards=shards)
     session = FacetedAnalyticsSession(graph)
     session.select_class(EX.Laptop)
     session.count_items()
-    domain, view = session._analysis_domain(), session._extension_view()
+    view = session._extension_view()
     rows = session.run("sparql").rows
 
     session.select_value(EX.manufacturer, EX.DELL)
-    assert session._analysis_domain() is not domain
     assert session._extension_view() is not view
     assert session.run("sparql").rows != rows
     session.back()
-    assert session._analysis_domain() is domain
     assert session._extension_view() is view
     before = session.cache_stats()["answers"]
     assert session.run("sparql").rows == rows  # the state's own answer
     after = session.cache_stats()["answers"]
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
-    # a write retires both, counters kept
+    # a write retires it, counters kept
     assert session.graph.add(EX.laptopX, EX.price, Literal.of(1))
-    assert session._analysis_domain() is not domain
-    assert session._analysis_domain()[0] == domain[0]
     assert session._extension_view() is not view
+    assert session._extension_view().members == view.members
     assert session.run("sparql").rows == rows
     final = session.cache_stats()["answers"]
     assert (final.hits, final.misses) == (after.hits, after.misses + 1)
@@ -641,16 +636,14 @@ def test_unknown_seeds_count_and_run_as_before(shards):
     assert session.extension == frozenset(seeds)
     assert len(session.state) == len(session.objects()) == 6
     assert EX.neverInterned in session.state.unknown
-    terms, ids = session._analysis_domain()
-    assert terms == session.objects()
-    assert ids == [session.graph.encode_term(t) for t in terms]
-    assert ids.count(None) == len(session.state.unknown)
+    assert len(session._extension_view().members) == 4
 
-    # the frames of the parent commit: the native engines count every
-    # seed, the SPARQL pipeline the four that can be typed (non-literals)
+    # a literal is no item (DESIGN.md, *Semantic forks* (b)): every
+    # engine counts the four seeds that can be typed, the one the graph
+    # never interned among them
     session.count_items()
-    for engine, count in (("native", 6), ("row", 6), ("sparql", 4)):
-        assert session.run(engine).rows == [(Literal.of(count),)]
+    for engine in ("native", "row", "sparql"):
+        assert session.run(engine).rows == [(Literal.of(4),)]
     session.group_by(EX.manufacturer)
     session.measure(EX.price, "AVG")
     session.with_count()

@@ -108,6 +108,20 @@ class TestRollUpDrillDown:
         with pytest.raises(ValueError):
             roll_up(cube, "branch")
 
+    def test_errors_name_the_dimension_and_the_level(self, cube):
+        with pytest.raises(ValueError, match=r"^dimension 'time' is already "
+                           r"at its coarsest level \(year\)$"):
+            roll_up(roll_up(cube, "time"), "time")
+        with pytest.raises(ValueError, match=r"^dimension 'time' is already "
+                           r"at its finest level \(date\)$"):
+            drill_down(drill_down(cube, "time"), "time")
+        with pytest.raises(ValueError, match=r"^dimension 'branch' has no "
+                           r"hierarchy to roll up$"):
+            roll_up(cube, "branch")
+        with pytest.raises(ValueError, match=r"^dimension 'branch' has no "
+                           r"hierarchy to drill into$"):
+            drill_down(cube, "branch")
+
     def test_original_cube_unchanged(self, cube):
         roll_up(cube, "time")
         assert cube.levels["time"] == "month"

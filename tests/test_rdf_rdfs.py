@@ -229,6 +229,18 @@ class TestSchemaView:
         assert view.superclasses(EX.Gaming, direct=True) == {EX.Laptop}
         assert view.superclasses(EX.Gaming) == {EX.Laptop, EX.Product}
 
+    def test_direct_superproperties_skip_levels(self):
+        view = SchemaView(parse(
+            """
+            @prefix ex: <http://www.ics.forth.gr/example#> .
+            ex:manufacturer rdfs:subPropertyOf ex:producer .
+            ex:producer rdfs:subPropertyOf ex:agent .
+            """
+        ))
+        assert view.superproperties(EX.manufacturer, direct=True) == {EX.producer}
+        assert view.superproperties(EX.manufacturer) == {EX.producer, EX.agent}
+        assert view.superproperties(EX.agent, direct=True) == set()
+
     def test_properties_include_used(self, schema_graph):
         view = SchemaView(schema_graph)
         names = {p.local_name() for p in view.properties()}

@@ -18,7 +18,7 @@ import pytest
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.hifun import Attribute, HifunQuery, compose
-from repro.hifun.columnar import evaluate_hifun
+from repro.hifun.evaluator import evaluate_hifun
 from repro.hifun.evaluator import evaluate_hifun_row
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF

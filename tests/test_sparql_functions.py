@@ -1,6 +1,8 @@
-"""Tests of SPARQL builtin functions, casts and the value model."""
+"""Tests of SPARQL builtin functions, aggregates, casts and the value
+model."""
 
 import datetime
+import itertools
 
 import pytest
 
@@ -9,7 +11,8 @@ from repro.rdf.namespace import EX
 from repro.rdf.terms import IRI, Literal, XSD_DATE, XSD_DATETIME
 from repro.sparql import query
 from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import compare, effective_boolean_value, equals
+from repro.sparql.functions import (
+    aggregate, compare, effective_boolean_value, equals)
 
 
 @pytest.fixture()
@@ -215,3 +218,16 @@ class TestValueModel:
         assert effective_boolean_value(Literal("x")) is True
         with pytest.raises(ExpressionError):
             effective_boolean_value(IRI("http://a"))
+
+
+class TestAggregates:
+    def test_sample_and_group_concat_read_term_order(self):
+        """Whatever order a join hands the values over in, SAMPLE picks
+        the least term and GROUP_CONCAT joins them in term order; an
+        unbound value (``None``) is skipped."""
+        values = [Literal("mu"), None, Literal("alpha"), Literal("zeta")]
+        for order in itertools.permutations(values):
+            assert aggregate("SAMPLE", list(order), False, " ") == Literal("alpha")
+            assert aggregate("GROUP_CONCAT", list(order), False, ", ") == Literal(
+                "alpha, mu, zeta")
+        assert aggregate("SAMPLE", [None], False, " ") is None

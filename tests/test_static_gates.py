@@ -107,43 +107,6 @@ def test_setup_stays_in_id_space(tmp_path):
             ] == ["triples"]
 
 
-def _engine_constructions(paths):
-    """Where a ``ColumnEngine`` is built, or its name imported under
-    another, outside ``repro.rdf.columns``."""
-    found = []
-    for path in paths:
-        if path == RDF_SRC / "columns.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(
-                    func, "attr", None)
-                if name == "ColumnEngine":
-                    found.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                found += [f"{path.name}:{node.lineno}" for alias in node.names
-                          if alias.name.endswith("ColumnEngine") and alias.asname]
-    return sorted(found)
-
-
-def test_column_engines_come_from_the_graph_generation(tmp_path):
-    """``ColumnEngine(...)`` is built only inside ``repro.rdf.columns``
-    (by ``column_engine``, one per graph generation): an engine built
-    anywhere else would keep memos no generation stamp retires."""
-    paths = sorted(path for folder in ("src", "tests", "benchmarks",
-                                       "examples", "tools", "perf")
-                   for path in (REPO / folder).rglob("*.py"))
-    assert _engine_constructions(paths) == []
-    planted = tmp_path / "planted.py"
-    planted.write_text(
-        "from repro.rdf import columns\n"
-        "from repro.rdf.columns import ColumnEngine as Engine\n"
-        "fresh = columns.ColumnEngine(graph)\n"
-        "again = Engine(graph)\n", encoding="utf-8")
-    assert _engine_constructions([planted]) == ["planted.py:2", "planted.py:3"]
-
-
 def _spo_readers(paths):
     """Where a module other than ``repro.rdf.graph`` names ``_spo``: as
     an attribute, a name or a string (``getattr(graph, "_spo")``)."""
