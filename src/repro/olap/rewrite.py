@@ -148,14 +148,19 @@ def roll_up_from_answer(
             f"key position {position} out of range for arity "
             f"{answer.grouping_arity}"
         )
-    fine = list(answer.items())
+    fine = list(answer.groups())
     blocker = merge_blocker(
         answer.operations, bool(fine) and CARDINALITY in fine[0][1])
     if blocker:
         raise RewriteError(blocker)
 
+    images: Dict[Optional[Term], Optional[Term]] = {}  # one call per value
+
     def coarse_key(key: Key) -> Key:
-        coarse = transform(key[position])
+        fine_value = key[position]
+        coarse = images.get(fine_value)
+        if coarse is None:
+            coarse = images[fine_value] = transform(fine_value)
         if coarse is None:
             raise RewriteError(
                 f"key value {key[position]!r} has no image under the "

@@ -29,13 +29,17 @@ from repro.rdf.terms import Term
 class TermDictionary:
     """A bidirectional Term ↔ dense-int-id mapping (append-only)."""
 
-    __slots__ = ("_ids", "_terms", "decode")
+    __slots__ = ("_ids", "_terms", "decode", "numbers")
 
     def __init__(self):
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
         #: ``decode(id) -> Term`` — bound list indexing, the hottest call.
         self.decode = self._terms.__getitem__
+        #: id → the native number of its term (``None``: no number), as
+        #: the SPARQL evaluator's aggregates first read it.  An id never
+        #: changes its term, so an entry is never stale.
+        self.numbers: Dict[int, object] = {}
 
     def encode(self, term: Term) -> int:
         """Intern ``term``, assigning a fresh id on first sight."""

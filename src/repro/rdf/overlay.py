@@ -99,6 +99,12 @@ class ExtensionView:
     def decode_id(self, ident: int) -> Term:
         return self._virtual[-1 - ident] if ident < 0 else self._decode(ident)
 
+    @property
+    def dictionary(self):
+        """The base's term dictionary: every id it issued means the same
+        term here (the virtual ids are negative and not in it)."""
+        return self.base.dictionary
+
     def store_for(self, pi: Optional[int],
                   oi: Optional[int]) -> Union[Graph, "ExtensionView"]:
         """The store to probe a triple pattern with *constant*

@@ -262,6 +262,10 @@ class SelectQuery(Pattern):
     order_by: Tuple[OrderCondition, ...] = ()
     limit: Opt[int] = None
     offset: int = 0
+    #: The ``AS`` variable of each GROUP BY condition — ``(expr AS ?v)``
+    #: binds ``?v`` to the group's key — ``None`` where a condition has
+    #: none; empty when no condition has one.
+    group_aliases: Tuple[Opt[Var], ...] = ()
 
     @property
     def is_star(self) -> bool:

@@ -202,11 +202,13 @@ class _Parser:
             projections=tuple(projections),
             where=where,
             distinct=distinct,
-            group_by=tuple(group_by),
+            group_by=tuple(expr for expr, _ in group_by),
             having=tuple(having),
             order_by=tuple(order_by),
             limit=limit,
             offset=offset,
+            group_aliases=(tuple(alias for _, alias in group_by)
+                           if any(alias for _, alias in group_by) else ()),
         )
 
     def _ask_query(self) -> ast.AskQuery:
@@ -277,17 +279,8 @@ class _Parser:
             if token.kind == "PUNCT" and token.text == "(":
                 self._next()
                 expr = self._expression()
-                if self._at_name("AS"):
-                    self._next()
-                    var_token = self._next()
-                    if var_token.kind != "VAR":
-                        raise SparqlParseError(
-                            "expected variable after AS",
-                            var_token.line,
-                            var_token.column,
-                        )
-                    var = ast.Var(var_token.text[1:])
-                else:
+                var = self._alias()
+                if var is None:
                     var = self._auto_var(self._projection_stem(expr, "expr"))
                 self._eat_punct(")")
                 projections.append(ast.Projection(var=var, expr=expr))
@@ -303,9 +296,23 @@ class _Parser:
             raise self._error("expected at least one projection")
         return projections
 
+    def _alias(self) -> Opt[ast.Var]:
+        """The variable of an ``AS ?v`` at the next token, if there is one."""
+        if not self._at_name("AS"):
+            return None
+        self._next()
+        var_token = self._next()
+        if var_token.kind != "VAR":
+            raise SparqlParseError(
+                "expected variable after AS",
+                var_token.line,
+                var_token.column,
+            )
+        return ast.Var(var_token.text[1:])
+
     # -- solution modifiers ---------------------------------------------------
     def _modifiers(self):
-        group_by: List[ast.Expression] = []
+        group_by: List[Tuple[ast.Expression, Opt[ast.Var]]] = []
         having: List[ast.Expression] = []
         order_by: List[ast.OrderCondition] = []
         limit: Opt[int] = None
@@ -342,34 +349,31 @@ class _Parser:
             )
         return int(token.text)
 
-    def _group_conditions(self) -> List[ast.Expression]:
-        conditions: List[ast.Expression] = []
+    def _group_conditions(self) -> List[Tuple[ast.Expression, Opt[ast.Var]]]:
+        """Each GROUP BY condition with its ``AS`` variable (or ``None``)."""
+        conditions: List[Tuple[ast.Expression, Opt[ast.Var]]] = []
         while True:
             token = self._peek()
             if token is None:
                 break
             if token.kind == "VAR":
                 self._next()
-                conditions.append(ast.Var(token.text[1:]))
+                conditions.append((ast.Var(token.text[1:]), None))
                 continue
             if token.kind == "PUNCT" and token.text == "(":
                 self._next()
                 expr = self._expression()
-                if self._at_name("AS"):
-                    # GROUP BY (expr AS ?v) binds ?v; we model it as a Bind
-                    # appended by the evaluator, so keep the raw expression.
-                    self._next()
-                    self._next()
+                alias = self._alias()
                 self._eat_punct(")")
-                conditions.append(expr)
+                conditions.append((expr, alias))
                 continue
             if token.kind == "NAME" and token.text.upper() in (_BUILTINS | _AGGREGATES) \
                     and self._peek(1) is not None and self._peek(1).text == "(":
-                conditions.append(self._expression_primary())
+                conditions.append((self._expression_primary(), None))
                 continue
             if token.kind in ("PNAME", "IRIREF") \
                     and self._peek(1) is not None and self._peek(1).text == "(":
-                conditions.append(self._expression_primary())
+                conditions.append((self._expression_primary(), None))
                 continue
             break
         if not conditions:
