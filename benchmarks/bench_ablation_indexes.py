@@ -3,7 +3,9 @@
 DESIGN.md design choice 1: the graph keeps SPO/POS indexes and the
 SPARQL evaluator orders patterns by selectivity.  The ablation replaces
 the indexed lookup with a full scan and measures the slowdown on a
-representative analytic query.
+representative analytic query.  What it asserts is counted, not timed:
+the rows the indexed store hands the evaluator against the rows the
+scanning store reads, each counted by the bench's own store subclass.
 
 There is no OSP index: a read keyed on the object alone goes through
 one POS probe per predicate, so its cost grows with the number of
@@ -31,13 +33,33 @@ from _workload import WORKLOAD
 from conftest import format_table
 
 
+class CountingGraph(Graph):
+    """The indexed store, counting the rows it hands the evaluator."""
+
+    rows = 0
+
+    def triples_ids(self, si=None, pi=None, oi=None):
+        for t in super().triples_ids(si, pi, oi):
+            self.rows += 1
+            yield t
+
+    def objects_ids(self, si, pi):
+        objects = super().objects_ids(si, pi)
+        self.rows += len(objects)
+        return objects
+
+
 class ScanGraph(Graph):
-    """A Graph whose pattern matching always scans every triple."""
+    """A Graph whose pattern matching always scans every triple,
+    counting the rows it scans."""
+
+    rows = 0
 
     def triples_ids(self, si=None, pi=None, oi=None):
         """The one probe: the evaluator reads in ids, and ``triples``
         derives from it, so both scan."""
         for t in super().triples_ids(None, None, None):
+            self.rows += 1
             if ((si is None or t[0] == si) and (pi is None or t[1] == pi)
                     and (oi is None or t[2] == oi)):
                 yield t
@@ -52,9 +74,8 @@ class ScanGraph(Graph):
 
 
 def build(size):
-    indexed = synthetic_graph(SyntheticConfig(laptops=size, seed=3))
-    scan = ScanGraph(indexed.triples())
-    return indexed, scan
+    triples = list(synthetic_graph(SyntheticConfig(laptops=size, seed=3)))
+    return CountingGraph(triples), ScanGraph(triples)
 
 
 def run_ablation(size=200, queries=("Q4", "Q6", "Q8")):
@@ -63,6 +84,7 @@ def run_ablation(size=200, queries=("Q4", "Q6", "Q8")):
     rows = []
     for qid, query in selected:
         translation = translate(query, root_class=EX.Laptop)
+        indexed.rows = scan.rows = 0
 
         started = time.perf_counter()
         fast = sparql(indexed, translation.text)
@@ -73,7 +95,8 @@ def run_ablation(size=200, queries=("Q4", "Q6", "Q8")):
         scan_seconds = time.perf_counter() - started
 
         assert len(fast) == len(slow)
-        rows.append((qid, indexed_seconds, scan_seconds))
+        rows.append((qid, indexed_seconds, scan_seconds, indexed.rows,
+                     scan.rows))
     return rows
 
 
@@ -117,11 +140,12 @@ def test_ablation_indexes(benchmark, artifact_writer):
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     body = [
         (qid, f"{fast * 1000:.1f} ms", f"{slow * 1000:.1f} ms",
-         f"{slow / max(fast, 1e-9):.0f}x")
-        for qid, fast, slow in rows
+         f"{slow / max(fast, 1e-9):.0f}x", handed, scanned)
+        for qid, fast, slow, handed, scanned in rows
     ]
     text = "Ablation: indexed vs full-scan BGP matching (200 laptops)\n"
-    text += format_table(["query", "indexed", "full scan", "slowdown"], body)
+    text += format_table(["query", "indexed", "full scan", "slowdown",
+                          "rows handed (indexed)", "rows scanned"], body)
     text += ("\nObject-keyed reads through POS (100 000 random triples, "
              "10 000 nodes)\n")
     text += format_table(
@@ -131,5 +155,8 @@ def test_ablation_indexes(benchmark, artifact_writer):
          ((n, object_keyed_reads(n)) for n in (10, 1000))])
     artifact_writer("ablation_indexes.txt", text)
 
-    # The indexes must win clearly on every measured query.
-    assert all(slow > fast * 3 for _, fast, slow in rows)
+    # The indexes must win clearly on every measured query, in rows read:
+    # a bound subject's row, not a scan.  (Probing ``(None, p, None)``
+    # for a bound subject hands over 6-8x fewer rows than a scan reads
+    # here, the indexes 970-1 090x fewer.)
+    assert all(handed * 100 <= scanned for *_, handed, scanned in rows)

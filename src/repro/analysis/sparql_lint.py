@@ -258,6 +258,7 @@ class _Linter:
     # ------------------------------------------------------------------
     def _lint_select(self, query: ast.SelectQuery, locator: str) -> None:
         bound = self._lint_group(query.where, frozenset(), f"{locator}.where")
+        bound |= {alias.name for alias in query.group_aliases if alias}
         aliases: Set[str] = set()
         group_keys: Set[str] = {
             expr.name for expr in query.group_by if isinstance(expr, ast.Var)

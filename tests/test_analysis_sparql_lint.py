@@ -84,6 +84,11 @@ def test_s002_optional_binding_counts_as_bound():
     assert "S002" not in report.codes(), report.render()
 
 
+def test_s002_group_by_alias_counts_as_bound():
+    assert "S002" not in codes(
+        "SELECT ?z WHERE { ?s <urn:p> ?o } GROUP BY (STR(?o) AS ?z)")
+
+
 # -- S003: provably false FILTER -----------------------------------------
 def test_s003_constant_false_filter():
     assert "S003" in codes("SELECT ?s WHERE { ?s <urn:p> ?o . FILTER(1 > 2) }")

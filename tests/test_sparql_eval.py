@@ -222,6 +222,18 @@ class TestAggregation:
         )
         assert [row.value("n") for row in res] == [2, 2]
 
+    def test_group_by_alias_is_bound(self):
+        """``GROUP BY (expr AS ?z)`` binds ``?z`` to each group's key."""
+        graph = Graph([(EX.a, EX.p, Literal.of(1)), (EX.b, EX.p, Literal.of(2)),
+                       (EX.c, EX.p, Literal.of(2))])
+        res = query(graph, "SELECT ?z (COUNT(*) AS ?n) WHERE { ?x ex:p ?v } "
+                           "GROUP BY (?v + 1 AS ?z) ORDER BY ?z")
+        assert [(row.value("z"), row.value("n")) for row in res] == [
+            (2, 1), (3, 2)]
+        assert [row.value("z") for row in query(
+            graph, "SELECT ?z WHERE { ?x ex:p ?v } GROUP BY (?v + 1 AS ?z) "
+                   "HAVING (?z > 2)")] == [3]
+
 
 class TestModifiers:
     def test_order_asc_desc(self, g):

@@ -99,6 +99,21 @@ class TestSelectParsing:
         )
         assert isinstance(q.group_by[0], ast.FunctionCall)
 
+    def test_group_by_alias_kept(self):
+        q = parse_query("SELECT ?z WHERE { ?x ex:p ?v } "
+                        "GROUP BY ?x (?v + 1 AS ?z)")
+        assert q.group_by[0] == ast.Var("x")
+        assert isinstance(q.group_by[1], ast.Binary)
+        assert q.group_aliases == (None, ast.Var("z"))
+        assert parse_query("SELECT ?x WHERE { ?x ex:p ?v } "
+                           "GROUP BY ?x").group_aliases == ()
+
+    def test_group_by_alias_must_be_a_variable(self):
+        with pytest.raises(SparqlParseError) as caught:
+            parse_query("SELECT ?z WHERE { ?x ex:p ?v }\n"
+                        "GROUP BY (?v + 1 AS 3)")
+        assert (caught.value.line, caught.value.column) == (2, 21)
+
     def test_order_limit_offset(self):
         q = parse_query(
             "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 5 OFFSET 2"

@@ -156,19 +156,19 @@ def _evaluator_leaves_id_space(path=EVALUATOR):
 
 #: Where the evaluator names a decode — the store's ``decode_id``, the
 #: dictionary's, or the seam's own ``_decode``: only the seam,
-#: ``_Context.term``, and the constructor that binds it.
-DECODERS = ["_Context.__init__", "_Context.term"]
+#: ``_Compiler.term``, and the constructor that binds it.
+DECODERS = ["_Compiler.__init__", "_Compiler.term"]
 
 #: The names a decode goes through: the store's, the dictionary's, the seam's.
 DECODING = {"decode_id", "decode", "decode_ids", "decode_all", "_decode"}
 
 #: Each read through the seam (``ctx.term`` / ``self.term``), one entry
-#: per read: a numeric read, an expression reading a variable or a group
-#: key, the aggregates that need the term (SAMPLE, GROUP_CONCAT, MIN/MAX
-#: over non-numbers), and the query's edge — the projected rows and the
-#: CONSTRUCT template.
-SEAM_READS = ["_Context.numbers", "_eval_construct.resolve", "_eval_select",
-              "_reduce", "eval_expression", "eval_expression"]
+#: per read: a numeric read (once per id), the compiled closure reading a
+#: variable, a group key or an aggregate's value, the aggregates that
+#: need the term (SAMPLE, GROUP_CONCAT, MIN/MAX over non-numbers), and
+#: the query's edge — the projected rows and the CONSTRUCT template.
+SEAM_READS = ["_Compiler.number", "_Compiler.variable.read",
+              "_eval_construct.resolve", "_eval_select", "_reduce"]
 
 
 def _evaluator_decoders(path=EVALUATOR):
@@ -207,41 +207,42 @@ def _planted(tmp_path, anchor, line):
 
 
 def test_block_matcher_joins_in_ids(tmp_path):
-    """Block matcher, join planner, property paths and EXISTS read every
-    store — flat, sharded or an extension view — through ``triples_ids``,
-    ``objects_ids`` and ``count_ids``; so the view needs no Term-level
-    reader, and defines none.  A binding stays an id until the seam or
-    the query's edge decodes it: nothing in a join, a path walk,
-    grouping or a modifier decodes."""
+    """The compiled operators — triple patterns, the join planner,
+    property paths and EXISTS — read every store (flat, sharded or an
+    extension view) through ``triples_ids``, ``objects_ids`` and
+    ``count_ids``; so the view needs no Term-level reader, and defines
+    none.  A binding stays an id until the seam or the query's edge
+    decodes it: nothing in a join, a path walk, the group fold or a
+    modifier decodes."""
     assert _evaluator_leaves_id_space() == []
     assert _evaluator_decoders() == (DECODERS, SEAM_READS)
-    # A decode in the join loop, or in a function the seam allows, is
-    # caught; so is a second seam read where one is allowed.
+    # A decode in a pattern's join or in the group fold is caught; so is
+    # a second seam read in the closure reading a variable.
     in_join = _planted(
-        tmp_path, "        rows = out\n",
-        "        [graph.decode_id(i) for row in rows for i in row.values()]\n")
+        tmp_path, "                    for row[o] in rows[row[s]] if shared "
+                  "else objects(row[s], p):\n",
+        "                        self.graph.decode_id(row[o])\n")
     assert _evaluator_decoders(in_join) == (
-        sorted(DECODERS + ["_match_block"]), SEAM_READS)
-    in_reduce = _planted(
-        tmp_path, "    if agg.name == \"COUNT\":\n",
-        "        ctx.graph.decode_id(present[0])\n")
-    assert _evaluator_decoders(in_reduce) == (
-        sorted(DECODERS + ["_reduce"]), SEAM_READS)
-    in_branch = _planted(
-        tmp_path, "    if isinstance(expr, ast.TermExpr):\n",
-        "        ctx.term(expr.term)\n")
-    assert _evaluator_decoders(in_branch) == (
-        DECODERS, sorted(SEAM_READS + ["eval_expression"]))
+        sorted(DECODERS + ["_Compiler.triple.subject_row.push"]), SEAM_READS)
+    in_fold = _planted(
+        tmp_path, "                groups[keyof(row)].append(entry(row))\n",
+        "                self.graph.decode_id(row[0])\n")
+    assert _evaluator_decoders(in_fold) == (
+        sorted(DECODERS + ["_Compiler.grouping.fold"]), SEAM_READS)
+    in_variable = _planted(
+        tmp_path, "            binding = row[i]\n", "            ctx.term(binding)\n")
+    assert _evaluator_decoders(in_variable) == (
+        DECODERS, sorted(SEAM_READS + ["_Compiler.variable.read"]))
     planted = tmp_path / "evaluator.py"
     planted.write_text(
         EVALUATOR.read_text(encoding="utf-8").replace(
-            "        rows = out\n",
-            "        rows = out\n"
+            "        ops: List[Op] = []\n",
+            "        ops: List[Op] = []\n"
             "        list(graph.triples(None, None, None))\n"
             "        assert (None, None, None) not in graph\n", 1).replace(
-            "        if path.inverse:\n",
+            "        if path.inverse != backward:\n",
             "        graph.count(None, path.predicate, None)\n"
-            "        if path.inverse:\n", 1),
+            "        if path.inverse != backward:\n", 1),
         encoding="utf-8")
     assert sorted(hit.split(":")[0] for hit in
                   _evaluator_leaves_id_space(planted)) == ["count", "in",
