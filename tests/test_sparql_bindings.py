@@ -21,7 +21,8 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.overlay import ExtensionView
 from repro.rdf.terms import Literal, XSD_DECIMAL, XSD_INTEGER
-from repro.sparql import query
+from repro.sparql import evaluate, evaluator, parse_query, query
+from repro.sparql.functions import numeric_value
 
 #: Tier-1 runs the property derandomized at the default size; ``make
 #: fuzz`` loads the ``fuzz`` profile (tests/conftest.py) for a long run
@@ -115,6 +116,28 @@ def test_a_computed_term_joins_with_the_stored_one():
     rows = query(graph, "SELECT ?w { ?s ex:r ?v BIND(?v + 0 AS ?w) "
                         "?s ex:r ?w }")
     assert [row["w"] for row in rows] == [Literal.of(1)]
+
+
+def test_a_number_is_read_once_per_id_for_the_life_of_the_store(
+        monkeypatch):
+    """SUM/AVG/MIN/MAX read each id's number through the dictionary's
+    memo: three distinct values parse three times over two aggregates,
+    two views and two evaluations — a computed term every time."""
+    graph = Graph([(EX.term(f"n{i}"), EX.p, Literal.of(i % 3))
+                   for i in range(9)])
+    parsed = []
+    monkeypatch.setattr(evaluator, "numeric_value",
+                        lambda term: parsed.append(term) or numeric_value(term))
+    text = (f"SELECT (SUM(?v) AS ?s) (MAX(?v) AS ?m) "
+            f"{{ {_ROOT} ?x ex:p ?v }}")
+    for _ in range(2):
+        view = ExtensionView(graph, TEMP, graph.subjects(EX.p, None))
+        row, = evaluate(parse_query(text), view)
+        assert (row["s"], row["m"]) == (Literal.of(9), Literal.of(2))
+    assert sorted(parsed) == [Literal.of(i) for i in range(3)]
+    evaluate(parse_query("SELECT (SUM(?w) AS ?s) { ?x ex:p ?v "
+                         "BIND(?v + 10 AS ?w) }"), graph)
+    assert len(parsed) == 3 + 9
 
 
 def test_an_ill_typed_literal_leaves_the_numeric_aggregates_unbound():
