@@ -91,7 +91,8 @@ def load_graph(path: str) -> "Graph":
     except BulkLoadError as exc:
         if exc.line is not None:  # a located error is about the content
             raise
-    return turtle.parse_file(path)
+    with open(path, encoding="utf-8") as handle:
+        return turtle.parse(handle.read())
 
 
 def open_session(source):

@@ -26,13 +26,8 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
-from repro.rdf.terms import (
-    IRI,
-    Literal,
-    NUMERIC_DATATYPES,
-    TEMPORAL_DATATYPES,
-    Term,
-)
+from repro.rdf.rdfs import _transitive_closure
+from repro.rdf.terms import IRI, Literal, Term
 
 
 @dataclass(frozen=True)
@@ -72,16 +67,6 @@ class PropertySignature:
     def is_object_property(self) -> bool:
         """Objects are exclusively resources (and at least one was seen)."""
         return self.resource_objects > 0 and self.literal_objects == 0
-
-    @property
-    def numeric(self) -> bool:
-        """Some observed literal value is numeric."""
-        return bool(self.datatypes & NUMERIC_DATATYPES)
-
-    @property
-    def temporal(self) -> bool:
-        """Some observed literal value is a date/dateTime/gYear."""
-        return bool(self.datatypes & TEMPORAL_DATATYPES)
 
 
 @dataclass(frozen=True)
@@ -147,17 +132,9 @@ def _infer(graph: Graph) -> SchemaInfo:
         classes.add(sub)
         classes.add(sup)
         edges.setdefault(sub, set()).add(sup)
-    superclasses: Dict[Term, FrozenSet[Term]] = {}
-    for cls in classes:
-        seen: Set[Term] = {cls}
-        frontier = [cls]
-        while frontier:
-            nxt = frontier.pop()
-            for sup in edges.get(nxt, ()):
-                if sup not in seen:
-                    seen.add(sup)
-                    frontier.append(sup)
-        superclasses[cls] = frozenset(seen)
+    closure = _transitive_closure(edges)
+    superclasses: Dict[Term, FrozenSet[Term]] = {
+        cls: frozenset(closure.get(cls, ())) | {cls} for cls in classes}
 
     # -- per-property signatures ---------------------------------------
     signatures: Dict[IRI, PropertySignature] = {}

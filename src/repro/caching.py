@@ -52,18 +52,6 @@ class CacheStats:
         total = self.requests
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
     def __str__(self):
         return (
             f"{self.name}: {self.hits} hits / {self.misses} misses "

@@ -12,8 +12,8 @@ peak > off-peak, growth with query complexity and result size —
 comes from the same mechanism that produced it on the real testbed.
 
 Live endpoints are not just slow, they *fail* — so the same substrate
-also models unreliability.  :class:`FaultModel` +
-:class:`FlakyEndpointSimulator` inject seeded timeouts, transient 5xx
+also models unreliability: given a :class:`FaultModel`, the same
+:class:`RemoteEndpointSimulator` injects seeded timeouts, transient 5xx
 errors, rate-limit rejections and truncated results (raised as the
 typed errors of :mod:`repro.endpoint.errors`), and
 :class:`ResilientEndpoint` is the client-side defence: per-query
@@ -37,7 +37,7 @@ from repro.endpoint.errors import (
     EndpointTruncated,
     EndpointUnavailable,
 )
-from repro.endpoint.faults import FaultModel, FlakyEndpointSimulator
+from repro.endpoint.faults import FaultModel
 from repro.endpoint.resilient import (
     CircuitBreaker,
     CircuitBreakerPolicy,
@@ -58,7 +58,6 @@ __all__ = [
     "EndpointTruncated",
     "CircuitOpenError",
     "FaultModel",
-    "FlakyEndpointSimulator",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "ResilientEndpoint",

@@ -2,9 +2,9 @@
 
 :class:`ResilientEndpoint` sits between query producers (the faceted
 session, the HIFUN evaluation path, the CLI) and any object with a
-``query(text)`` method — a :class:`~repro.endpoint.LocalEndpoint`, the
-latency simulator, or the fault-injecting
-:class:`~repro.endpoint.FlakyEndpointSimulator`.  It implements the
+``query(text)`` method — a :class:`~repro.endpoint.LocalEndpoint` or
+the latency- and fault-simulating
+:class:`~repro.endpoint.RemoteEndpointSimulator`.  It implements the
 three standard client-side defences:
 
 * **per-query deadlines** — a virtual time budget per logical query;

@@ -11,8 +11,6 @@ This package provides:
   attributes (RDF properties), composition (``∘`` — property paths),
   pairing (``⊗`` — multi-attribute grouping) and derived attributes;
 * :mod:`repro.hifun.query` — HIFUN queries and restrictions;
-* :mod:`repro.hifun.context` — analysis contexts over RDF graphs and the
-  HIFUN applicability prerequisites of §4.1.1;
 * :mod:`repro.hifun.translator` — the HIFUN → SPARQL translation of
   §4.2 (Algorithms 1–4);
 * :mod:`repro.hifun.evaluator` — :func:`evaluate_hifun`, which
@@ -20,7 +18,8 @@ This package provides:
   query's), and the item-at-a-time three-step (group / measure /
   reduce) reference evaluator the translation is validated against;
 * :mod:`repro.hifun.features` — the Feature Creation Operators FCO1–FCO9
-  of Table 4.1, for data that violates the HIFUN prerequisites.
+  of Table 4.1, for data that violates the HIFUN prerequisites of
+  §4.1.1 (which :func:`repro.analysis.check_hifun` reports as H005).
 
 Quick example (the invoices query of §4.2.1)::
 
@@ -41,7 +40,6 @@ from repro.hifun.attributes import (
     pair,
 )
 from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
-from repro.hifun.context import AnalysisContext, PrerequisiteReport
 from repro.hifun.translator import translate
 from repro.hifun.evaluator import AnswerFunction, evaluate_hifun
 from repro.hifun.features import (
@@ -70,8 +68,6 @@ __all__ = [
     "HifunQuery",
     "Restriction",
     "ResultRestriction",
-    "AnalysisContext",
-    "PrerequisiteReport",
     "translate",
     "evaluate_hifun",
     "AnswerFunction",

@@ -49,11 +49,6 @@ class AttributeExpr:
         """Flat application-order steps (for paths); a leaf returns itself."""
         return (self,)
 
-    def is_path(self) -> bool:
-        """True if this expression is a (possibly derived) single path —
-        i.e. it contains no pairing."""
-        return True
-
 
 @dataclass(frozen=True)
 class Attribute(AttributeExpr):
@@ -163,9 +158,6 @@ class Pairing(AttributeExpr):
         for component in self.components:
             if isinstance(component, Pairing):
                 raise TypeError("pairings must be flat; use pair() to combine")
-
-    def is_path(self) -> bool:
-        return False
 
     @property
     def name(self) -> str:

@@ -54,11 +54,6 @@ class TermDictionary:
         """The id of ``term`` if it was ever interned, else ``None``."""
         return self._ids.get(term)
 
-    def canonical(self, term: Term) -> Optional[Term]:
-        """The interned instance equal to ``term`` (identity-stable)."""
-        ident = self._ids.get(term)
-        return None if ident is None else self._terms[ident]
-
     def decode_all(self, ids: Iterable[int]) -> Set[Term]:
         decode = self.decode
         return {decode(ident) for ident in ids}

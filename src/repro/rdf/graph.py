@@ -65,7 +65,7 @@ from typing import (
 
 from repro.caching import GenerationCache
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
+from repro.rdf.terms import BNode, IRI, Term, Triple, triple
 
 #: Shared empty id set returned by the ``*_ids`` accessors on absence.
 EMPTY_IDS: frozenset = frozenset()
@@ -96,7 +96,6 @@ class Graph:
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._pred_count: Dict[int, int] = {}
         self._size = 0
-        self._bnode_counter = 0
         #: Bumped on every successful mutation; stamps cache entries.
         self.generation = 0
         #: Generation-stamped SPARQL result cache (see repro.sparql).
@@ -258,11 +257,6 @@ class Graph:
         else:
             del self._pred_count[pi]
         self.generation += 1
-
-    def new_bnode(self) -> BNode:
-        """Mint a blank node with a label unique within this graph."""
-        self._bnode_counter += 1
-        return BNode(f"b{self._bnode_counter}")
 
     # ------------------------------------------------------------------
     # Pattern matching
@@ -491,9 +485,6 @@ class Graph:
         """The objects: the union of the POS row keys."""
         return self._dict.decode_all(set().union(*self._pos.values()))
 
-    def all_terms(self) -> Set[Term]:
-        return self.all_subjects() | self.all_predicates() | self.all_objects()
-
     def all_resources(self) -> Set[Term]:
         """All IRIs and blank nodes appearing as subject or object."""
         nodes = self.all_subjects()
@@ -501,9 +492,6 @@ class Graph:
             o for o in self.all_objects() if isinstance(o, (IRI, BNode))
         )
         return nodes
-
-    def all_literals(self) -> Set[Literal]:
-        return {o for o in self.all_objects() if isinstance(o, Literal)}
 
     def __len__(self) -> int:
         return self._size
@@ -555,17 +543,9 @@ class Graph:
             for index in (source._spo, source._pos))
         self._pred_count = dict(source._pred_count)
         self._size = source._size
-        self._bnode_counter = source._bnode_counter
         self.generation = 1 if self._size else 0
 
     def union(self, other: "Graph") -> "Graph":
         result = self.copy()
         result.add_all(other.triples())
         return result
-
-    def difference(self, other: "Graph") -> "Graph":
-        return self._new_like(t for t in self if t not in other)
-
-    def filter_subjects(self, subjects: Set[Term]) -> "Graph":
-        """The sub-graph of triples whose subject is in ``subjects``."""
-        return self._new_like(t for t in self if t[0] in subjects)

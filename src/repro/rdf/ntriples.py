@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
-from repro.rdf.graph import Graph
 from repro.rdf.terms import (
     BNode, IRI, Literal, Term, Triple, XSD_STRING, _unescape,
 )
@@ -113,14 +112,6 @@ def parse(text: str) -> Iterator[Triple]:
     """Parse an N-Triples document, yielding triples."""
     for _, parsed in parse_lines(text.splitlines()):
         yield parsed
-
-
-def parse_into(text: str, graph: Graph = None) -> Graph:
-    """Parse an N-Triples document into ``graph`` (a new one by default)."""
-    if graph is None:
-        graph = Graph()
-    graph.add_all(parse(text))
-    return graph
 
 
 def serialize(triples: Iterable[Triple]) -> str:

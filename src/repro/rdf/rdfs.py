@@ -11,16 +11,15 @@ relies on (§2.1, §5.3.1):
 * domain/range typing (``x p y``, ``domain(p)=C``  ⟹  ``x rdf:type C``).
 
 :class:`SchemaView` exposes the class/property hierarchies the faceted
-interface needs: maximal (top-level) classes and properties, direct
-sub/superclasses via the reflexive-transitive *reduction* (§5.3.2), the
-properties applicable to a set of instances, and instance sets under
-inference.
+interface needs: the classes and properties, maximal (top-level)
+classes, direct sub/superclasses via the reflexive-transitive
+*reduction* (§5.3.2), and instance sets under inference.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set, TypeVar
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF, RDFS, SCHEMA_PREDICATES
@@ -34,17 +33,21 @@ _RANGE = RDFS.range
 _CLASS = RDFS.Class
 _PROPERTY = RDF.Property
 
+_Node = TypeVar("_Node")
 
-def _transitive_closure(edges: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
-    """All-pairs reachability, cycle-safe (iterates to a fixpoint)."""
-    closure: Dict[int, Set[int]] = {
+
+def _transitive_closure(edges: Dict[_Node, Set[_Node]]
+                        ) -> Dict[_Node, Set[_Node]]:
+    """All-pairs reachability, cycle-safe (iterates to a fixpoint): of
+    dictionary ids in the closure, of terms in schema inference."""
+    closure: Dict[_Node, Set[_Node]] = {
         node: set(successors) for node, successors in edges.items()
     }
     changed = True
     while changed:
         changed = False
         for node, reachable in closure.items():
-            additions: Set[int] = set()
+            additions: Set[_Node] = set()
             for succ in reachable:
                 additions |= closure.get(succ, set())
             before = len(reachable)
@@ -130,7 +133,7 @@ class SchemaView:
     """Schema navigation over a (closed) graph, as needed by faceted search.
 
     Provides the notation of §5.3.1: the set of classes ``C``, properties
-    ``Pr``, relations ``≤cl`` and ``≤pr``, ``inst(c)`` and ``inst(p)``, the
+    ``Pr``, relations ``≤cl`` and ``≤pr``, ``inst(c)``, the
     maximal elements, and the reflexive-transitive reduction used to lay
     out hierarchical facets.
     """
@@ -197,10 +200,6 @@ class SchemaView:
         )
         return {p for p in result if isinstance(p, IRI)}
 
-    def property_instances(self, prop: Term) -> Set[tuple]:
-        """``inst(p)`` = the (s, p, o) triples of ``p`` under the closure."""
-        return set(self.graph.triples(None, prop, None))
-
     def superproperties(self, prop: Term, direct: bool = False) -> Set[Term]:
         sups = set(self.graph.objects(prop, _SUBPROP))
         sups.discard(prop)
@@ -208,27 +207,11 @@ class SchemaView:
             sups = self._reduce(prop, sups, _SUBPROP, up=True)
         return sups
 
-    def maximal_properties(self) -> List[Term]:
-        """Top-level properties: those with no strict superproperty."""
-        return sorted(
-            (p for p in self.properties() if not self.superproperties(p)),
-            key=lambda t: t.sort_key(),
-        )
-
     def domain(self, prop: Term) -> Optional[Term]:
         return self.graph.value(prop, _DOMAIN, None)
 
     def range(self, prop: Term) -> Optional[Term]:
         return self.graph.value(prop, _RANGE, None)
-
-    def properties_of(self, resources: Iterable[Term]) -> Set[Term]:
-        """The properties for which at least one resource has a value."""
-        result: Set[Term] = set()
-        for r in resources:
-            for p in self.graph.predicates(r, None):
-                if p not in SCHEMA_PREDICATES:
-                    result.add(p)
-        return result
 
     # -- hierarchy reduction -------------------------------------------
     def _reduce(self, start: Term, related: Set[Term], pred: IRI,
@@ -245,21 +228,3 @@ class SchemaView:
             if further & related:
                 direct.discard(a)
         return direct
-
-    def class_tree(self, roots: Optional[Iterable[Term]] = None) -> Dict[Term, List[Term]]:
-        """Adjacency of the subclass hierarchy's reflexive-transitive
-        reduction, keyed by parent, children sorted deterministically."""
-        if roots is None:
-            roots = self.maximal_classes()
-        tree: Dict[Term, List[Term]] = {}
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if node in tree:
-                continue
-            children = sorted(
-                self.subclasses(node, direct=True), key=lambda t: t.sort_key()
-            )
-            tree[node] = children
-            stack.extend(children)
-        return tree

@@ -145,9 +145,6 @@ class Literal(Term):
     def is_numeric(self):
         return self.datatype in _NUMERIC_DATATYPES
 
-    def is_temporal(self):
-        return self.datatype in _TEMPORAL_DATATYPES
-
     def to_python(self):
         """The native Python value of this literal.
 

@@ -118,11 +118,6 @@ def parse(text: str, graph: Optional[Graph] = None, base: str = "") -> Graph:
     return graph
 
 
-def parse_file(path: str, graph: Optional[Graph] = None) -> Graph:
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read(), graph)
-
-
 def serialize(graph: Graph, prefixes: Optional[Dict[str, str]] = None) -> str:
     """Serialize a graph as Turtle, grouping by subject and predicate."""
     prefixes = dict(prefixes or WELL_KNOWN_PREFIXES)

@@ -112,18 +112,3 @@ class KeywordIndex:
             key=lambda hit: (-hit.score, hit.resource.sort_key()),
         )
         return ranked[:limit] if limit is not None else ranked
-
-    def search_all(self, query: str, limit: Optional[int] = 10) -> List[SearchHit]:
-        """Ranked resources matching *every* query token (AND semantics)."""
-        tokens = tokenize(query)
-        if not tokens:
-            return []
-        candidate_sets = [
-            set(self._postings.get(token, ())) for token in tokens
-        ]
-        survivors = set.intersection(*candidate_sets) if candidate_sets else set()
-        hits = [
-            hit for hit in self.search(query, limit=None)
-            if hit.resource in survivors
-        ]
-        return hits[:limit] if limit is not None else hits

@@ -44,9 +44,6 @@ class Row:
     def items(self):
         return self._bindings.items()
 
-    def as_dict(self) -> Dict[str, Term]:
-        return dict(self._bindings)
-
     def __eq__(self, other):
         if isinstance(other, Row):
             return self._bindings == other._bindings
@@ -83,10 +80,6 @@ class SelectResult:
 
     def __getitem__(self, index: int) -> Row:
         return self.rows[index]
-
-    def to_table(self) -> List[List[Optional[Term]]]:
-        """Rows as lists aligned with :attr:`variables` (None = unbound)."""
-        return [[row.get(v) for v in self.variables] for row in self.rows]
 
     def column(self, name: str) -> List[Optional[Term]]:
         return [row.get(name) for row in self.rows]

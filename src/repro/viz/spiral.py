@@ -44,19 +44,9 @@ class PlacedSquare:
 
 @dataclass(frozen=True)
 class SpiralLayout:
-    """The full layout: placed squares (center-first) and bounding box."""
+    """The full layout: placed squares, center-first."""
 
     squares: Tuple[PlacedSquare, ...]
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y) over all square extents."""
-        if not self.squares:
-            return (0.0, 0.0, 0.0, 0.0)
-        xs_min = min(s.x - s.side / 2 for s in self.squares)
-        ys_min = min(s.y - s.side / 2 for s in self.squares)
-        xs_max = max(s.x + s.side / 2 for s in self.squares)
-        ys_max = max(s.y + s.side / 2 for s in self.squares)
-        return (xs_min, ys_min, xs_max, ys_max)
 
     def __len__(self):
         return len(self.squares)

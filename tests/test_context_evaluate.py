@@ -1,49 +1,44 @@
-"""Tests of AnalysisContext.evaluate/translate and the remote-endpoint
-facet engine (the 'any remote endpoint' claim)."""
+"""Tests of HIFUN evaluation over a class or an explicit item root, and
+of the remote-endpoint facet engine (the 'any remote endpoint' claim)."""
 
-import pytest
 
-from repro.rdf.namespace import EX
+from repro.rdf.namespace import EX, RDF
 from repro.rdf.rdfs import RDFSClosure
 from repro.datasets import invoices_graph, products_graph
 from repro.endpoint import NetworkModel, RemoteEndpointSimulator
 from repro.facets import FacetedSession, SparqlFacetEngine
 from repro.facets.model import PropertyRef
-from repro.hifun import AnalysisContext, Attribute, HifunQuery
+from repro.hifun import Attribute, HifunQuery, evaluate_hifun, translate
+from repro.hifun.evaluator import evaluate_hifun_row
 from repro.sparql import query as sparql
+
+
+SUM_BY_BRANCH = HifunQuery(Attribute(EX.takesPlaceAt),
+                           Attribute(EX.inQuantity), "SUM")
 
 
 class TestContextEvaluation:
     def test_evaluate_over_class_root(self):
-        ctx = AnalysisContext(invoices_graph(), EX.Invoice)
-        answer = ctx.evaluate(
-            HifunQuery(Attribute(EX.takesPlaceAt), Attribute(EX.inQuantity), "SUM")
-        )
+        answer = evaluate_hifun(invoices_graph(), SUM_BY_BRANCH,
+                                root_class=EX.Invoice)
         assert answer[EX.branch1]["SUM"].to_python() == 300
 
     def test_evaluate_over_explicit_items(self):
-        ctx = AnalysisContext(invoices_graph(), [EX.i1, EX.i2, EX.i3])
-        answer = ctx.evaluate(
-            HifunQuery(Attribute(EX.takesPlaceAt), Attribute(EX.inQuantity), "SUM")
-        )
+        answer = evaluate_hifun(invoices_graph(), SUM_BY_BRANCH,
+                                items=[EX.i1, EX.i2, EX.i3])
         assert answer[EX.branch1]["SUM"].to_python() == 300
         assert answer[EX.branch2]["SUM"].to_python() == 200
 
-    def test_translate_requires_class_root(self):
-        ctx = AnalysisContext(invoices_graph(), [EX.i1])
-        with pytest.raises(ValueError):
-            ctx.translate(HifunQuery(Attribute(EX.takesPlaceAt), None, "COUNT"))
-
     def test_translate_matches_evaluate(self):
         g = invoices_graph()
-        ctx = AnalysisContext(g, EX.Invoice)
-        q = HifunQuery(Attribute(EX.takesPlaceAt), Attribute(EX.inQuantity), "SUM")
-        translation = ctx.translate(q)
+        translation = translate(SUM_BY_BRANCH, root_class=EX.Invoice)
         translated = sorted(
             tuple(row.get(c) for c in translation.answer_columns)
             for row in sparql(g, translation.text)
         )
-        assert translated == sorted(ctx.evaluate(q).rows())
+        invoices = g.subjects(RDF.type, EX.Invoice)
+        assert translated == sorted(
+            evaluate_hifun_row(g, SUM_BY_BRANCH, items=invoices).rows())
 
 
 class TestRemoteFacetEngine:

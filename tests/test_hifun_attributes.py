@@ -117,8 +117,8 @@ class TestPairing:
 
     def test_is_not_a_path(self, attrs):
         takes, delivers, *_ = attrs
-        assert not pair(takes, delivers).is_path()
-        assert takes.is_path()
+        assert len(paths_of(pair(takes, delivers))) == 2
+        assert paths_of(takes) == (takes,)
 
     def test_paths_of(self, attrs):
         takes, delivers, *_ = attrs

@@ -168,7 +168,6 @@ def _assert_matches_oracle(g, oracle, probes):
             assert g.count(*pattern) == len(expected), pattern
     objects = {o for _, _, o in oracle}
     assert g.all_objects() == objects
-    assert g.all_literals() == {o for o in objects if isinstance(o, Literal)}
     assert g.all_resources() == {s for s, _, _ in oracle} | {
         o for o in objects if isinstance(o, (IRI, BNode))}
     assert len(g) == len(oracle)
@@ -208,7 +207,7 @@ class TestSerializationRoundtrips:
     @settings(max_examples=50, deadline=None)
     def test_ntriples_roundtrip(self, triples):
         g = Graph(triples)
-        assert ntriples.parse_into(ntriples.serialize(g)) == g
+        assert Graph(ntriples.parse(ntriples.serialize(g))) == g
 
     @given(_triple_lists)
     @settings(max_examples=50, deadline=None)

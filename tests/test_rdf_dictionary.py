@@ -29,8 +29,8 @@ class TestTermDictionary:
         assert d.decode(ident) is first
         # An equal-but-distinct instance maps to the same id …
         assert d.encode(IRI("http://example.org/thing")) == ident
-        # … and canonical() returns the interned original.
-        assert d.canonical(IRI("http://example.org/thing")) is first
+        # … and decoding it gives back the interned original.
+        assert d.decode(d.lookup(IRI("http://example.org/thing"))) is first
 
     def test_lookup_never_inserts(self):
         d = TermDictionary()

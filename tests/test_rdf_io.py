@@ -31,7 +31,7 @@ class TestNTriples:
 
     def test_escapes_roundtrip(self):
         g = Graph([(EX.s, EX.p, Literal('a "quoted"\nline\t!'))])
-        assert ntriples.parse_into(ntriples.serialize(g)) == g
+        assert Graph(ntriples.parse(ntriples.serialize(g))) == g
 
     def test_unicode_escape(self):
         t = ntriples.parse_line('<http://a/s> <http://a/p> "\\u00e9" .')
@@ -52,7 +52,7 @@ class TestNTriples:
     def test_serialize_is_sorted_and_stable(self):
         g = Graph([(EX.b, EX.p, EX.c), (EX.a, EX.p, EX.b)])
         text = ntriples.serialize(g)
-        assert text == ntriples.serialize(ntriples.parse_into(text))
+        assert text == ntriples.serialize(ntriples.parse(text))
         lines = text.strip().splitlines()
         assert lines == sorted(lines)
 
@@ -80,28 +80,28 @@ class TestTurtleParsing:
 
     def test_numeric_shorthand(self):
         g = turtle.parse("@prefix e: <http://x/> . e:s e:a 5 ; e:b 2.5 ; e:c 1e3 .")
-        objects = {o.datatype for o in g.all_literals()}
+        objects = {o.datatype for o in g.all_objects()}
         assert objects == {XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE}
 
     def test_boolean_shorthand(self):
         g = turtle.parse("@prefix e: <http://x/> . e:s e:p true .")
-        lit = next(iter(g.all_literals()))
+        lit = next(iter(g.all_objects()))
         assert lit.to_python() is True
 
     def test_typed_literal_with_pname_datatype(self):
         g = turtle.parse(
             '@prefix e: <http://x/> . e:s e:p "2021-01-01"^^xsd:date .'
         )
-        lit = next(iter(g.all_literals()))
+        lit = next(iter(g.all_objects()))
         assert lit.datatype == XSD.base + "date"
 
     def test_language_tag(self):
         g = turtle.parse('@prefix e: <http://x/> . e:s e:p "hi"@en .')
-        assert next(iter(g.all_literals())).language == "en"
+        assert next(iter(g.all_objects())).language == "en"
 
     def test_long_string(self):
         g = turtle.parse('@prefix e: <http://x/> . e:s e:p """line1\nline2""" .')
-        assert "line1\nline2" == next(iter(g.all_literals())).lexical
+        assert "line1\nline2" == next(iter(g.all_objects())).lexical
 
     def test_anonymous_bnode(self):
         g = turtle.parse(

@@ -100,10 +100,9 @@ class TestLiteralBehaviour:
         lit = Literal('say "hi"\n')
         assert lit.n3() == '"say \\"hi\\"\\n"'
 
-    def test_is_numeric_and_temporal(self):
+    def test_is_numeric(self):
         assert Literal("5", XSD_INTEGER).is_numeric()
-        assert not Literal("5", XSD_INTEGER).is_temporal()
-        assert Literal("2021-01-01", XSD_DATE).is_temporal()
+        assert not Literal("2021-01-01", XSD_DATE).is_numeric()
 
     def test_datetime_with_zulu(self):
         lit = Literal("2021-01-01T00:00:00Z", XSD_DATETIME)

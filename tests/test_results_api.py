@@ -47,7 +47,7 @@ class TestRow:
 
     def test_equality_with_dict(self, result):
         row = result[0]
-        assert row == row.as_dict()
+        assert row == dict(row.items())
 
     def test_hashable(self, result):
         assert len({result[0], result[0]}) == 1
@@ -66,10 +66,6 @@ class TestSelectResult:
     def test_variables_order(self, result):
         assert result.variables == ("s", "v")
 
-    def test_to_table(self, result):
-        table = result.to_table()
-        assert table[0] == [EX.a, Literal.of(1)]
-
     def test_column(self, result):
         assert result.column("v") == [Literal.of(1), Literal.of(2)]
 
@@ -81,20 +77,7 @@ class TestSelectResult:
         assert not empty and len(empty) == 0
 
 
-class TestEndpointSleepMode:
-    def test_sleep_actually_waits(self):
-        import time
-
-        g = Graph([(EX.a, EX.p, EX.b)])
-        model = NetworkModel("test", base_latency=0.02, sigma=0.0, load=1.0,
-                             per_row=0.0)
-        endpoint = RemoteEndpointSimulator(g, model, seed=0, sleep=True)
-        started = time.perf_counter()
-        endpoint.query("SELECT ?s WHERE { ?s ex:p ?o }")
-        elapsed = time.perf_counter() - started
-        assert elapsed >= 0.02
-        assert endpoint.last.network_seconds == pytest.approx(0.02)
-
+class TestEndpointHistory:
     def test_history_accumulates(self):
         g = Graph([(EX.a, EX.p, EX.b)])
         endpoint = RemoteEndpointSimulator(g, NetworkModel.offpeak(), seed=3)

@@ -51,12 +51,6 @@ class TestSearch:
         resources = {h.resource for h in hits}
         assert {EX.DELL, EX.Lenovo} <= resources
 
-    def test_and_semantics(self, index):
-        # No resource mentions both companies.
-        assert index.search_all("dell lenovo") == []
-        hits = index.search_all("dell")
-        assert hits and hits[0].resource == EX.DELL
-
     def test_limit(self, index):
         assert len(index.search("laptop", limit=2)) == 2
 

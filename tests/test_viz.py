@@ -130,8 +130,12 @@ class TestSpiral:
 
     def test_bounded_drawing_space(self):
         layout = spiral_layout([(f"v{i}", 1.0) for i in range(50)])
-        min_x, min_y, max_x, max_y = layout.bounding_box()
-        assert max_x - min_x < 60 and max_y - min_y < 60
+        squares = layout.squares
+        width = (max(s.x + s.side / 2 for s in squares)
+                 - min(s.x - s.side / 2 for s in squares))
+        height = (max(s.y + s.side / 2 for s in squares)
+                  - min(s.y - s.side / 2 for s in squares))
+        assert width < 60 and height < 60
 
     def test_empty_and_zero_values(self):
         assert len(spiral_layout([])) == 0
