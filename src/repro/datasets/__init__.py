@@ -9,7 +9,7 @@ synthetic knowledge-graph generator.
   product-like KGs of configurable size for scalability experiments.
 """
 
-from repro.datasets.products import products_graph, products_schema, PRODUCTS_TTL
+from repro.datasets.products import products_graph, PRODUCTS_TTL
 from repro.datasets.invoices import invoices_graph, make_invoices
 from repro.datasets.synthetic import SyntheticConfig, synthetic_graph
 from repro.datasets.museum import museum_graph
@@ -17,7 +17,6 @@ from repro.datasets.csv_import import graph_from_csv
 
 __all__ = [
     "products_graph",
-    "products_schema",
     "PRODUCTS_TTL",
     "invoices_graph",
     "make_invoices",

@@ -107,11 +107,6 @@ ex:laptop3 a ex:Laptop ;
 PRODUCTS_TTL = PRODUCTS_SCHEMA_TTL + PRODUCTS_DATA_TTL
 
 
-def products_schema() -> Graph:
-    """Only the schema triples of the running example (Fig. 1.2)."""
-    return parse(PRODUCTS_SCHEMA_TTL)
-
-
 def products_graph() -> Graph:
     """Schema plus instances of the running example (Figs. 1.2 & 5.3)."""
     return parse(PRODUCTS_TTL)

@@ -297,10 +297,6 @@ class FacetListing:
     facets: Tuple[PropertyFacet, ...]
     errors: Tuple["FacetError", ...] = ()
 
-    @property
-    def complete(self) -> bool:
-        return not self.errors and not any(f.approximate for f in self.facets)
-
     def __iter__(self):
         return iter(self.facets)
 

@@ -336,11 +336,6 @@ class SparqlFacetEngine:
         self._last[key] = value
         return value
 
-    @property
-    def degraded(self) -> bool:
-        """Did any served value ever come from degradation?"""
-        return bool(self.incidents)
-
     def health(self) -> dict:
         """The endpoint's counters plus the degradation record."""
         report = self.endpoint.report()

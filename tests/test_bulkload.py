@@ -149,7 +149,7 @@ class TestLoadNTriples:
         assert sharded.num_shards == 4
         assert set(sharded) == set(flat)
         assert report.triples_added == len(flat)
-        assert sum(sharded.shard_sizes()) == len(flat)
+        assert sum(map(len, sharded.shards)) == len(flat)
 
     def test_explicit_target_graph_is_used(self):
         target = Graph()

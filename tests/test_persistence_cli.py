@@ -82,6 +82,11 @@ MALFORMED = [
 ]
 
 
+def run_script(shell, lines):
+    """The shell's output for each line, in order."""
+    return [shell.execute(line) for line in lines]
+
+
 class TestTermSerialization:
     @pytest.mark.parametrize(
         "term",
@@ -205,15 +210,13 @@ class TestShell:
         assert "Company (4)" in out and "Product (6)" in out
 
     def test_full_analytic_flow(self, shell):
-        outputs = shell.run_script(
-            [
-                "select laptop",
-                "filter usbports >= 2",
-                "group manufacturer",
-                "measure price AVG",
-                "run",
-            ]
-        )
+        outputs = run_script(shell, [
+            "select laptop",
+            "filter usbports >= 2",
+            "group manufacturer",
+            "measure price AVG",
+            "run",
+        ])
         assert "3 objects" in outputs[0]
         assert "avg_price" in outputs[-1]
         assert "DELL" in outputs[-1]
@@ -242,14 +245,13 @@ class TestShell:
         assert out.startswith("error:")
 
     def test_sparql_and_intent(self, shell):
-        shell.run_script(["select laptop", "group manufacturer", "count"])
+        run_script(shell, ["select laptop", "group manufacturer", "count"])
         assert "GROUP BY" in shell.execute("sparql")
         assert "Laptop" in shell.execute("intent")
 
     def test_explore_after_run(self, shell):
-        shell.run_script(
-            ["select laptop", "group manufacturer", "measure price AVG", "run"]
-        )
+        run_script(shell, ["select laptop", "group manufacturer",
+                           "measure price AVG", "run"])
         out = shell.execute("explore")
         assert "new dataset" in out
         assert "avg_price" in shell.execute("facets")
@@ -258,7 +260,7 @@ class TestShell:
         assert shell.execute("explore").startswith("error:")
 
     def test_save_load_roundtrip(self, shell):
-        shell.run_script(["select laptop", "value manufacturer DELL"])
+        run_script(shell, ["select laptop", "value manufacturer DELL"])
         saved = shell.execute("save")
         fresh = AnalyticsShell(products_graph())
         out = fresh.execute(f"load {saved}")
@@ -299,9 +301,8 @@ class TestShell:
         assert "circuit:" in shell.execute("health")
 
     def test_search_keeps_what_transform_wrote(self, shell):
-        outputs = shell.run_script(
-            ["select laptop", "transform count hardDrive", "search dell",
-             "facets"])
+        outputs = run_script(shell, ["select laptop", "transform count hardDrive",
+                                     "search dell", "facets"])
         assert "by hardDrive_count (2): 1 (2)" in outputs[-1]
 
     def test_closure_is_computed_once(self, shell, monkeypatch):
