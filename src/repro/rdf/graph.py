@@ -33,7 +33,10 @@ On top of the indexes the store maintains, incrementally on add/remove:
   detection O(1) (see :mod:`repro.caching`);
 * per-predicate triple counts, so ``count(None, p, None)`` — the join
   planner's selectivity probe — is O(1) instead of an extent scan
-  (per-(predicate, object) counts are O(1) for free via the POS index).
+  (per-(predicate, object) counts are O(1) for free via the POS index);
+* per-predicate counts of the subjects with two or more objects (kept
+  where an SPO row is promoted to a set and demoted back), so
+  :meth:`Graph.facet_counts` knows when no member can have two values.
 
 Pattern matching uses ``None`` as a wildcard::
 
@@ -95,6 +98,8 @@ class Graph:
         self._spo: Dict[int, Dict[int, Any]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._pred_count: Dict[int, int] = {}
+        #: predicate → subjects whose SPO row holds two or more objects.
+        self._multi_count: Dict[int, int] = {}
         self._size = 0
         #: Bumped on every successful mutation; stamps cache entries.
         self.generation = 0
@@ -183,6 +188,7 @@ class Graph:
                 if objects == oi:
                     return False
                 po[pi] = {objects, oi}
+                self._multi_count[pi] = self._multi_count.get(pi, 0) + 1
             elif oi in objects:
                 return False
             else:
@@ -236,6 +242,7 @@ class Graph:
             objects.remove(oi)
             if len(objects) == 1:
                 po[pi] = objects.pop()
+                self._multi_count[pi] -= 1
         os_ = pos[pi]
         subjects = os_[oi]
         subjects.remove(si)
@@ -407,10 +414,12 @@ class Graph:
         Forward, every value row is one set intersection ``ids ∩
         subjects`` — the count of that value marker — executed at C
         speed, and the union of the intersections gives the
-        having-the-property count.  An inverse slot reads the same rows
-        the other way: the subjects reached from the members of ``ids``
-        that occur as values, and how many members do (``ids`` must then
-        hold no literal — a literal is the source of no edge).
+        having-the-property count — or, when no subject has two values
+        of the property, the sum of the counts, no union built.  An
+        inverse slot reads the same rows the other way: the subjects
+        reached from the members of ``ids`` that occur as values, and
+        how many members do (``ids`` must then hold no literal — a
+        literal is the source of no edge).
         """
         counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
         having: Dict[Tuple[int, bool], int] = {}
@@ -427,13 +436,15 @@ class Graph:
                         for sid in subjects:
                             counter[sid] = counter.get(sid, 0) + 1
             else:
+                multi = self._multi_count.get(slot[0])
                 havers: Set[int] = set()
                 for value_id, subjects in rows.items():
                     members = ids & subjects
                     if members:
                         counter[value_id] = len(members)
-                        havers |= members
-                with_property = len(havers)
+                        if multi:
+                            havers |= members
+                with_property = len(havers) if multi else sum(counter.values())
             if counter:
                 counters[slot] = counter
                 having[slot] = with_property
@@ -542,6 +553,7 @@ class Graph:
              for key, row in index.items()}
             for index in (source._spo, source._pos))
         self._pred_count = dict(source._pred_count)
+        self._multi_count = dict(source._multi_count)
         self._size = source._size
         self.generation = 1 if self._size else 0
 
