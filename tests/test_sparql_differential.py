@@ -204,10 +204,18 @@ _children = st.one_of(
     _conditions.map(ast.Filter),
     _bind_exprs.map(lambda e: ast.Bind(e, ast.Var("w"))),
     _values,
-    # a nested group, whose filter may read variables only the outer
-    # pattern binds
-    st.builds(lambda bgp, condition: ast.GroupPattern(
-        bgp.children + (ast.Filter(condition),)), _op_bgps, _conditions))
+    # a nested group, whose filters may read variables only the outer
+    # pattern binds, with an OPTIONAL (its own FILTER too) or a MINUS
+    # of its own: it is evaluated on its own, then joined
+    st.builds(lambda bgp, inner, condition: ast.GroupPattern(
+        bgp.children + inner + (ast.Filter(condition),)),
+        _op_bgps, st.one_of(
+            st.just(()),
+            _op_bgps.map(lambda g: (ast.Optional_(g),)),
+            st.builds(lambda g, c: (ast.Optional_(ast.GroupPattern(
+                g.children + (ast.Filter(c),))),), _op_bgps, _conditions),
+            _op_bgps.map(lambda g: (ast.Minus(g),))),
+        _conditions))
 
 
 def _one_bind(children):
@@ -397,9 +405,18 @@ def _canonical(rows):
             ast.TriplePattern(ast.Var("a"), EX.q, ast.Var("c")),
             ast.Filter(ast.Unary("!", ast.FunctionCall(
                 "BOUND", (ast.Var("b"),))))))))))
+@example(  # an OPTIONAL inside a nested group does not see ?b either
+    graph=Graph([(EX.n0, EX.p, Literal.of(1)), (EX.n0, EX.q, EX.n1),
+                 (EX.n1, EX.r, EX.n2)]),
+    query=ast.SelectQuery((), where=ast.GroupPattern((
+        ast.TriplePattern(ast.Var("a"), EX.p, ast.Var("b")),
+        ast.GroupPattern((
+            ast.TriplePattern(ast.Var("a"), EX.q, ast.Var("c")),
+            ast.Optional_(ast.GroupPattern((ast.TriplePattern(
+                ast.Var("a"), EX.q, ast.Var("b")),)))))))))
 def test_operators_match_the_reference(graph, query):
     """OPTIONAL, UNION, MINUS, FILTER (EXISTS too), BIND, VALUES, nested
-    groups, GROUP BY and COUNT (of ``*`` too, DISTINCT or not) / SUM /
+    groups (an OPTIONAL or MINUS inside too), GROUP BY and COUNT (of ``*`` too, DISTINCT or not) / SUM /
     MIN / MAX / SAMPLE answer the reference's rows."""
     engine = [dict(row.items()) for row in evaluate(query, graph)]
     assert _canonical(engine) == _canonical(_reference(graph, query))

@@ -104,6 +104,35 @@ class TestFilterScoping:
                        "{ ?s ex:p ?v FILTER(?v > 1) } }")
         assert {row["s"] for row in res} == {EX.b, EX.d}
 
+    @pytest.mark.parametrize("inner, rows", [
+        # the OPTIONAL binds ?v to ex:b, which the outer 1 does not join
+        ("OPTIONAL { ?x ex:q ?v }", []),
+        # its FILTER reads ?v unbound: ?z stays unbound
+        ("OPTIONAL { ?w ex:r ?z FILTER(?v = 1) }", [{"v", "w", "x"}]),
+        # a MINUS inside shares ?x alone with its group: the row goes
+        ("MINUS { ?x ex:q ?v }", []),
+        # a BIND inside reads ?v unbound: ?u stays unbound
+        ("BIND(?v AS ?u)", [{"v", "w", "x"}]),
+    ])
+    def test_nested_group_operators_see_only_their_group(self, inner, rows):
+        """A nested group holding an OPTIONAL, MINUS or BIND is
+        evaluated on its own, then joined (SPARQL 1.1's algebra): what
+        the outer pattern binds is unbound inside it."""
+        g = parse("@prefix ex: <http://www.ics.forth.gr/example#> . "
+                  "ex:a ex:p 1 ; ex:q ex:b . ex:b ex:r ex:c .")
+        res = query(g, "SELECT * WHERE { ?x ex:p ?v "
+                       f"{{ ?x ex:q ?w {inner} }} }}")
+        assert [set(row.keys()) for row in res] == rows
+
+    def test_union_branch_with_an_optional_is_evaluated_on_its_own(self):
+        g = parse("@prefix ex: <http://www.ics.forth.gr/example#> . "
+                  "ex:a ex:p 1 ; ex:q ex:b .")
+        res = query(g, "SELECT * WHERE { ?x ex:p ?v "
+                       "{ ?x ex:q ?w OPTIONAL { ?x ex:q ?v } } "
+                       "UNION { ?x ex:q ?w } }")
+        assert [(row["x"], row["v"], row["w"]) for row in res] == [
+            (EX.a, Literal.of(1), EX.b)]
+
     def test_union_branch_filter_reads_only_its_branch(self, g):
         res = query(g, "SELECT * WHERE { ?s ex:p ?v "
                        "{ ?s ex:q ?w } UNION { ?s ex:q ?w FILTER(BOUND(?v)) } }")
