@@ -6,15 +6,23 @@ the extension*, and no offered transition ever empties the result set.
 Random click sequences over a random synthetic KG exercise this.
 """
 
+import datetime
+import math
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedSession
+from repro.facets.intentions import PathRangeCondition
+from repro.facets.model import PropertyRef
+from repro.hifun.query import COMPARATORS
 from repro.rdf import Graph
-from repro.rdf.namespace import EX
-from repro.rdf.terms import BNode, Literal
+from repro.rdf.namespace import EX, RDF
+from repro.rdf.terms import BNode, Literal, XSD_GYEAR, XSD_INTEGER
 from repro.sparql import query as sparql
+from repro.sparql.errors import ExpressionError
+from repro.sparql.functions import comparison
 
 
 def random_walk(session, decisions):
@@ -145,3 +153,116 @@ def test_facet_counts_sum_to_extension_coverage(seed):
     session.select_class(EX.Laptop)
     facet = session.facet((EX.manufacturer,))
     assert sum(v.count for v in facet.values) == facet.count == 40
+
+
+# -- marker order and numeric ranges over mixed terms ------------------------
+_mixed = st.one_of(
+    st.integers(-60, 60).map(Literal.of),
+    st.decimals(-60, 60, places=2, allow_nan=False).map(Literal.of),
+    st.one_of(st.floats(-60, 60), st.just(math.nan)).map(Literal.of),
+    st.booleans().map(Literal.of),
+    st.dates(datetime.date(1999, 1, 1), datetime.date(2001, 1, 1)).map(
+        Literal.of),
+    st.datetimes(datetime.datetime(1999, 1, 1),
+                 datetime.datetime(2001, 1, 1)).map(Literal.of),
+    st.sampled_from(["1999", "2000"]).map(lambda y: Literal(y, XSD_GYEAR)),
+    st.sampled_from(["abc", "1e"]).map(lambda t: Literal(t, XSD_INTEGER)),
+    st.sampled_from(["chat", "Chat"]).map(lambda t: Literal(t, language="fr")),
+    st.sampled_from(["chat", "7"]).map(Literal.of),
+    st.sampled_from([EX.term(f"v{i}") for i in range(3)]),
+    st.sampled_from([BNode("v0"), BNode("v1")]),
+)
+
+
+def _mixed_graph(values):
+    """Five things, each of a kind, linked in a ring, holding the drawn
+    values round-robin (so a thing may hold several)."""
+    graph = Graph()
+    for i in range(5):
+        thing = EX.term(f"s{i}")
+        graph.add(thing, RDF.type, EX.Thing)
+        graph.add(thing, EX.kind, EX.term(f"k{i % 2}"))
+        graph.add(thing, EX.link, EX.term(f"s{(i + 1) % 5}"))
+    for i, value in enumerate(values):
+        graph.add(EX.term(f"s{i % 5}"), EX.value, value)
+    return graph
+
+
+def _assert_in_sort_key_order(facets):
+    """No two neighbouring markers out of ``Term.sort_key()`` order.
+    (NaN compares false with every number, so a NaN marker agrees with
+    either neighbour; a sort of fewer than 64 keys leaves every pair of
+    neighbours in order.)"""
+    for facet in facets:
+        keys = [marker.value.sort_key() for marker in facet.values]
+        assert len(keys) < 64
+        assert not any(b < a for a, b in zip(keys, keys[1:])), facet
+
+
+def _assert_order_kept(listed, recounted):
+    """A re-counted listing keeps its ancestor's marker order: its
+    markers are a subsequence of the ancestor's.  (Around a NaN that is
+    all there is to check: dropping the NaN between 1 and 0.5 leaves
+    them neighbours.)"""
+    orders = {facet.path: [m.value for m in facet.values] for facet in listed}
+    for facet in recounted:
+        positions = [orders[facet.path].index(m.value) for m in facet.values]
+        assert positions == sorted(positions), facet
+
+
+@given(values=st.lists(_mixed, min_size=1, max_size=14),
+       later=st.lists(_mixed, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_markers_come_in_sort_key_order(values, later):
+    """The markers of a cold listing (``_scan``), of a single facet and
+    of a path expansion are in ``Term.sort_key()`` order, and a listing
+    re-counted from an ancestor's (``_recount``) keeps that order — also
+    after terms the store never saw are interned."""
+    session = FacetedSession(_mixed_graph(values))
+    for _ in range(2):
+        listed = session.all_facets(include_inverse=True)
+        _assert_in_sort_key_order(listed)
+        session.select_value(EX.kind, EX.k0)
+        _assert_order_kept(listed, session.all_facets(include_inverse=True))
+        fresh = FacetedSession(session.graph, closed=True)
+        fresh.select_class(EX.Thing)
+        _assert_in_sort_key_order([
+            fresh.facet(EX.value), fresh.expand_path(EX.link, EX.value),
+            fresh.facet(PropertyRef(EX.link, inverse=True))])
+        for i, value in enumerate(later):
+            session.graph.add(EX.term(f"t{i}"), EX.value, value)
+            session.graph.add(EX.term(f"t{i}"), EX.kind, EX.k0)
+
+
+@given(values=st.lists(_mixed, min_size=1, max_size=14),
+       comparator=st.sampled_from(COMPARATORS),
+       bound=st.one_of(
+           st.integers(-60, 60).map(Literal.of),
+           st.one_of(st.floats(-60, 60), st.just(math.nan)).map(Literal.of),
+           st.decimals(-60, 60, places=1, allow_nan=False).map(Literal.of),
+           _mixed.filter(lambda t: isinstance(t, Literal))),
+       inverse=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_range_value_ids_answer_what_comparison_does(values, comparator,
+                                                     bound, inverse):
+    """A range condition keeps exactly the values of its last step that
+    ``comparison()`` passes, for every comparator and bound, forward and
+    inverse — read off the number memo or not, and again once the memo
+    is filled."""
+    graph = _mixed_graph(values)
+    prop_id = graph.encode_term(EX.value)
+    rows = graph.pos_ids(prop_id)
+    candidates = set().union(*rows.values()) if inverse else set(rows)
+    passes = comparison(comparator, bound)
+
+    def passed(value_id):
+        try:
+            return passes(graph.decode_id(value_id))
+        except ExpressionError:
+            return False
+
+    expected = {value_id for value_id in candidates if passed(value_id)}
+    condition = PathRangeCondition(
+        (PropertyRef(EX.value, inverse=inverse),), comparator, bound)
+    for _ in range(2):
+        assert set(condition.value_ids(graph)) == expected
