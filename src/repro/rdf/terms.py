@@ -201,6 +201,16 @@ class Literal(Term):
         return _term_lt(self, other)
 
 
+def native_number(term: Term) -> Union[int, float, Decimal, None]:
+    """The number a numeric literal stands for; ``None`` for any other
+    term and for an ill-typed one (say ``"abc"^^xsd:integer``)."""
+    if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
+        value = term.to_python()
+        if type(value) is not str:
+            return value
+    return None
+
+
 def display_name(term: Term) -> str:
     """How a term is shown to a user: an IRI by its local name, any
     other term as ``str`` (a literal's lexical form)."""

@@ -17,12 +17,12 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.facets.sparql_backend import TEMP
+from repro.rdf import dictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.overlay import ExtensionView
-from repro.rdf.terms import Literal, XSD_DECIMAL, XSD_INTEGER
+from repro.rdf.terms import Literal, XSD_DECIMAL, XSD_INTEGER, native_number
 from repro.sparql import evaluate, evaluator, parse_query, query
-from repro.sparql.functions import numeric_value
 
 #: Tier-1 runs the property derandomized at the default size; ``make
 #: fuzz`` loads the ``fuzz`` profile (tests/conftest.py) for a long run
@@ -123,11 +123,15 @@ def test_a_number_is_read_once_per_id_for_the_life_of_the_store(
     """SUM/AVG/MIN/MAX read each id's number through the dictionary's
     memo: three distinct values parse three times over two aggregates,
     two views and two evaluations — a computed term every time."""
+    parsed = []
+
+    def counted(term):
+        parsed.append(term)
+        return native_number(term)
+    monkeypatch.setattr(dictionary, "native_number", counted)  # the memo's
+    monkeypatch.setattr(evaluator, "native_number", counted)  # computed terms
     graph = Graph([(EX.term(f"n{i}"), EX.p, Literal.of(i % 3))
                    for i in range(9)])
-    parsed = []
-    monkeypatch.setattr(evaluator, "numeric_value",
-                        lambda term: parsed.append(term) or numeric_value(term))
     text = (f"SELECT (SUM(?v) AS ?s) (MAX(?v) AS ?m) "
             f"{{ {_ROOT} ?x ex:p ?v }}")
     for _ in range(2):
