@@ -26,20 +26,29 @@ def build_graphs():
     }
 
 
+def query_texts():
+    """Each workload query's SPARQL text by id, rooted at the Laptop
+    class: what the endpoint is sent."""
+    return {qid: translate(query, root_class=EX.Laptop).text
+            for qid, _, query in WORKLOAD}
+
+
 def run_efficiency(graphs, model: NetworkModel, seed: int = 0):
-    """Returns rows: (qid, description, [(engine, total) per size])."""
+    """Returns rows: (qid, description, [(engine, network, total) per
+    size]), each a mean in seconds."""
     rows = []
-    for qid, description, query in WORKLOAD:
+    texts = query_texts()
+    for qid, description, _ in WORKLOAD:
         means = []
         for size in SIZES:
             endpoint = RemoteEndpointSimulator(
                 graphs[size], model, seed=seed + size
             )
-            translation = translate(query, root_class=EX.Laptop)
-            _query_without_collector(endpoint, translation.text)
-            engine = sum(s.engine_seconds for s in endpoint.history)
-            total = sum(s.total_seconds for s in endpoint.history)
-            means.append((engine / REPETITIONS, total / REPETITIONS))
+            _query_without_collector(endpoint, texts[qid])
+            means.append(tuple(
+                sum(getattr(s, field) for s in endpoint.history) / REPETITIONS
+                for field in ("engine_seconds", "network_seconds",
+                              "total_seconds")))
         rows.append((qid, description, means))
     return rows
 
@@ -68,7 +77,7 @@ def render(rows, model_name: str, format_table) -> str:
         (
             qid,
             description,
-            *(f"{engine:.3f} / {total:.3f}" for engine, total in means),
+            *(f"{engine:.3f} / {total:.3f}" for engine, _, total in means),
         )
         for qid, description, means in rows
     ]

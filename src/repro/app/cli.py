@@ -218,15 +218,15 @@ class AnalyticsShell:
         return "\n".join(render(self.session.class_markers(expanded=expanded)))
 
     def _cmd_facets(self, args: List[str]) -> str:
-        # The batch listing: one shared scan natively, the per-facet
-        # degradation-aware path through an endpoint.
+        # The batch listing: one shared scan natively, one degrading
+        # operation through an endpoint.
         listing = self.session.all_facets()
         lines = []
         for facet in listing:
             values = ", ".join(str(v) for v in facet.values[:8])
             more = "" if len(facet.values) <= 8 else f", ... ({len(facet.values)} values)"
             lines.append(f"{facet}: {values}{more}")
-        # An endpoint-backed listing may be partial — say so.
+        # An endpoint-backed listing may have failed — say so.
         for error in getattr(listing, "errors", ()):
             lines.append(f"unavailable — {error}")
         return "\n".join(lines) or "(no facets)"

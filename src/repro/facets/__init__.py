@@ -17,7 +17,7 @@
 * :mod:`repro.facets.sparql_backend` — the SPARQL-only evaluation of
   the model (Tables 5.1/5.2; the Fig. 8.3 alternative implementation)
   and its graceful degradation: stale counts flagged ``approximate``,
-  partial listings with explicit ``errors``, never a crashed
+  a listing never served an explicit ``errors`` entry, never a crashed
   interaction.
 * :mod:`repro.facets.planner` — §7.1 expressiveness: HIFUN query →
   click script.

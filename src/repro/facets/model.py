@@ -292,14 +292,14 @@ class PropertyFacet:
 
 @dataclass(frozen=True, slots=True)
 class FacetListing:
-    """A (possibly partial) left-frame facet listing.
+    """A left-frame facet listing, as an endpoint-backed session serves it.
 
-    When facet counts come from a remote endpoint, individual count
-    queries can fail; the listing then carries the facets that *did*
-    resolve (stale ones flagged ``approximate``) plus one entry in
-    ``errors`` per facet that could not be served at all.  Iteration
-    and indexing go straight to ``facets``, so code written against a
-    plain ``List[PropertyFacet]`` keeps working.
+    Through a remote endpoint a listing is one degrading operation: a
+    failed one is served whole from its last value, every facet flagged
+    ``approximate``, or — with none to fall back on — it has no facets
+    and ``errors`` holds its one ``listing`` entry.  Iteration and
+    indexing go straight to ``facets``, so code written against a plain
+    ``List[PropertyFacet]`` keeps working.
     """
 
     facets: Tuple[PropertyFacet, ...]
@@ -317,7 +317,7 @@ class FacetListing:
 
 @dataclass(frozen=True, slots=True)
 class FacetError:
-    """One facet (or listing step) that failed: which, and why."""
+    """An operation that failed with nothing to serve: which, and why."""
 
     operation: str
     error: Exception

@@ -339,7 +339,7 @@ class FacetedSession:
                    ) -> Union[List[PropertyFacet], FacetListing]:
         """Every applicable property's facet, from the nearest listed
         ancestor when there is one and from ONE shared scan otherwise
-        (through an endpoint: a possibly partial :class:`FacetListing`).
+        (through an endpoint: a :class:`FacetListing`, maybe degraded).
 
         Every click restricts the current extension, so a state's
         non-empty ``(property, value)`` rows are among those of any

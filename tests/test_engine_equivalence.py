@@ -640,6 +640,16 @@ def _assert_same_counts(native, remote):
         assert not listing.errors and list(listing) == facets, include_inverse
         for facet in facets:
             assert remote.facet(facet.path) == facet, facet.path
+    # each listed facet expanded by each listed step, forward and
+    # inverse, and by its own step reversed (from a literal value, an
+    # inverse step has no source): a path counts the node one step
+    # before its value
+    steps = native.applicable_properties(include_inverse=True)
+    for first in steps:
+        back = PropertyRef(first.prop, inverse=not first.inverse)
+        for step in steps + [back]:
+            assert (remote.expand_path(first, step)
+                    == native.expand_path(first, step)), (first, step)
     for engine in ("sparql", "restrictions"):
         assert _answer(remote, engine) == _answer(native, engine), engine
 
@@ -676,8 +686,9 @@ def _click(rng, native, sessions):
 @pytest.mark.parametrize("seed", range(3))
 def test_endpoint_counts_equal_native_counts(dataset, seed):
     """Over a healthy endpoint a session offers exactly the native one's
-    markers, properties, listings and facets — inverse ones included —
-    and runs to the same answers, state after state."""
+    markers, properties, listings, facets and one-step expansions —
+    inverse ones included — and runs to the same answers, state after
+    state."""
     native = FacetedAnalyticsSession(ENDPOINT_GRAPHS[dataset]())
     remote = FacetedAnalyticsSession(
         native.graph, closed=True,
@@ -693,6 +704,23 @@ def test_endpoint_counts_equal_native_counts(dataset, seed):
     _assert_same_counts(native, remote)
     assert remote.facet_engine.incidents == []
     assert remote.cache_stats()["facets"].size == 0
+
+
+@pytest.mark.parametrize("include_inverse, queries", [(False, 2), (True, 4)])
+def test_an_endpoint_listing_is_two_count_queries_a_direction(
+        include_inverse, queries):
+    """Through an endpoint a listing is Table 5.2's grouped counts: the
+    having-counts by ``?p`` and the value counts by ``?p ?v``, per
+    direction — however many properties the state has."""
+    remote = FacetedAnalyticsSession(
+        products_graph(), endpoint=lambda g: ResilientEndpoint(LocalEndpoint(g)))
+    for cls in (None, EX.Laptop):
+        if cls is not None:
+            remote.select_class(cls)
+        before = len(remote.endpoint.history)
+        listing = remote.all_facets(include_inverse)
+        assert len(listing) > queries and not listing.errors
+        assert len(remote.endpoint.history) - before == queries
 
 
 # ---------------------------------------------------------------------------

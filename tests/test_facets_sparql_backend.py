@@ -55,8 +55,17 @@ class TestNotationQueries:
         assert f"FILTER(?v1 = {EX.DELL.n3()})" in text
 
     def test_counts_query_groups(self):
-        text = SparqlFacetEngine.q_value_counts(manufacturer)
-        assert "GROUP BY ?v1" in text and "COUNT(DISTINCT ?x)" in text
+        """Table 5.2's one shape: a direct facet counts the members per
+        value, a path the node one step before the value."""
+        text = SparqlFacetEngine.q_path_counts(manufacturer)
+        assert text.startswith("SELECT ?v1 (COUNT(DISTINCT ?x) AS ?count)")
+        assert text.endswith("} GROUP BY ?v1")
+        text = SparqlFacetEngine.q_path_counts(drive_maker, grouped=False)
+        assert text.startswith("SELECT (COUNT(DISTINCT ?v1) AS ?count)")
+        assert "GROUP BY" not in text
+        assert SparqlFacetEngine.q_counts("?x ?p ?v .", "?x", ("?p",)) == (
+            f"SELECT ?p (COUNT(DISTINCT ?x) AS ?count) WHERE "
+            f"{{ ?x {RDF.type.n3()} {TEMP.n3()} . ?x ?p ?v . }} GROUP BY ?p")
 
 
 class TestAgreementWithNativeEngine:
@@ -103,9 +112,10 @@ class TestAgreementWithNativeEngine:
         session = FacetedSession(closed, closed=True)
         session.select_class(EX.Laptop)
         native_facet = session.facet(manufacturer)
-        sparql_facet = engine.facet(session.extension, manufacturer)
-        assert set(sparql_facet.values) == set(native_facet.values)
-        assert sparql_facet.count == native_facet.count
+        assert engine.facet(session.extension, manufacturer) == native_facet
+        # a path counts the node one step before the value, as natively
+        path = drive_maker + (PropertyRef(EX.origin),)
+        assert engine.facet(session.extension, path) == session.facet(path)
 
     def test_applicable_properties_match(self, engine, closed):
         session = FacetedSession(closed, closed=True)

@@ -121,6 +121,21 @@ class TestSelectParsing:
         assert q.order_by[0].descending
         assert q.limit == 5 and q.offset == 2
 
+    def test_every_condition_takes_a_function_call(self):
+        """FILTER, HAVING, GROUP BY and ORDER BY share SPARQL 1.1's
+        Constraint, so each takes a function call (``xsd:integer(?o)``)."""
+        call = "xsd:integer(?o)"
+        prefix = "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+        ordered = parse_query(
+            f"{prefix}SELECT ?s WHERE {{ ?s ?p ?o }} ORDER BY {call} DESC(?s)")
+        assert isinstance(ordered.order_by[0].expr, ast.FunctionCall)
+        assert ordered.order_by[1].descending
+        grouped = parse_query(
+            f"{prefix}SELECT (COUNT(?s) AS ?n) WHERE {{ ?s ?p ?o "
+            f"FILTER {call} }} GROUP BY {call} HAVING {call} (COUNT(?s) > 1)")
+        assert isinstance(grouped.group_by[0], ast.FunctionCall)
+        assert len(grouped.having) == 2
+
     def test_trailing_tokens_rejected(self):
         with pytest.raises(SparqlParseError):
             parse_query("SELECT ?s WHERE { ?s ?p ?o } garbage")

@@ -210,9 +210,17 @@ _GOLDEN = {
         lambda: SparqlFacetEngine.q_joins(_PATH),
         "SELECT DISTINCT ?v3 WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.ics.forth.gr/rdf-analytics#temp> . ?x <http://www.ics.forth.gr/example#manufacturer> ?v1 . ?v2 <http://www.ics.forth.gr/example#founder> ?v1 . ?v2 <http://www.ics.forth.gr/example#born> ?v3 . }",
     ),
-    "SparqlFacetEngine.q_value_counts": (
-        lambda: SparqlFacetEngine.q_value_counts(_PATH),
-        "SELECT ?v3 (COUNT(DISTINCT ?x) AS ?count) WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.ics.forth.gr/rdf-analytics#temp> . ?x <http://www.ics.forth.gr/example#manufacturer> ?v1 . ?v2 <http://www.ics.forth.gr/example#founder> ?v1 . ?v2 <http://www.ics.forth.gr/example#born> ?v3 . } GROUP BY ?v3",
+    "SparqlFacetEngine.q_counts": (
+        lambda: SparqlFacetEngine.q_counts("?x ?p ?v .", "?x", ("?p", "?v")),
+        "SELECT ?p ?v (COUNT(DISTINCT ?x) AS ?count) WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.ics.forth.gr/rdf-analytics#temp> . ?x ?p ?v . } GROUP BY ?p ?v",
+    ),
+    "SparqlFacetEngine.q_path_counts": (
+        lambda: SparqlFacetEngine.q_path_counts(_PATH),
+        "SELECT ?v3 (COUNT(DISTINCT ?v2) AS ?count) WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.ics.forth.gr/rdf-analytics#temp> . ?x <http://www.ics.forth.gr/example#manufacturer> ?v1 . ?v2 <http://www.ics.forth.gr/example#founder> ?v1 . ?v2 <http://www.ics.forth.gr/example#born> ?v3 . FILTER(!isLiteral(?v1)) } GROUP BY ?v3",
+    ),
+    "SparqlFacetEngine.q_path_counts total": (
+        lambda: SparqlFacetEngine.q_path_counts(_PATH, grouped=False),
+        "SELECT (COUNT(DISTINCT ?v2) AS ?count) WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://www.ics.forth.gr/rdf-analytics#temp> . ?x <http://www.ics.forth.gr/example#manufacturer> ?v1 . ?v2 <http://www.ics.forth.gr/example#founder> ?v1 . ?v2 <http://www.ics.forth.gr/example#born> ?v3 . FILTER(!isLiteral(?v1)) }",
     ),
     "SparqlFacetEngine.q_restrict_value": (
         lambda: SparqlFacetEngine.q_restrict_value(_PATH, EX.Greece),
