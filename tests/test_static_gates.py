@@ -428,6 +428,8 @@ TEST_ONLY_KEPT = {
     "Intention.with_class":
         "the paper's class click on an intention",
     "fco_path_max_freq": "FCO9 of Table 4.1",
+    "SelectResult.sorted_rows":
+        "the exported result API's deterministic row order, for comparisons",
     "museum_graph": "the §3.2.3 cultural-domain graph, not a star schema",
 }
 
