@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation || pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 # Static analysis gates: the stdlib checker in tools/static_check.py,
 # with the arguments tests/test_static_gates.py runs it with in tier-1.
@@ -25,7 +25,7 @@ check: lint typecheck test
 # Artifacts of every bench target land in the untracked
 # benchmarks/.scratch/ (the default of REPRO_BENCH_OUT) ...
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # ... except here: the one target that rewrites the checked-in baselines
 # under benchmarks/out/.  Run it on a quiet host and commit the result.
@@ -33,7 +33,7 @@ bench-refresh:
 	PYTHONPATH=src REPRO_BENCH_OUT=benchmarks/out pytest benchmarks/ --benchmark-only
 
 chaos:
-	pytest tests/ -m chaos -q
+	PYTHONPATH=src pytest tests/ -m chaos -q
 
 # The reader properties (Turtle, N-Triples and SPARQL raise only their
 # typed errors on arbitrary text, replay_session only ValueError on

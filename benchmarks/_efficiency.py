@@ -3,7 +3,9 @@
 Runs the Q1–Q10 workload over synthetic KGs of three sizes through the
 latency-simulated remote endpoint, several repetitions each, and builds
 the table: per query, the mean end-to-end time (engine + simulated
-network) per dataset size.
+network) per dataset size.  Every repetition is an evaluation: the
+store's result cache is emptied before each, so no mean averages one
+evaluation with cache hits.
 """
 
 import gc
@@ -54,15 +56,17 @@ def run_efficiency(graphs, model: NetworkModel, seed: int = 0):
 
 
 def _query_without_collector(endpoint, text: str) -> None:
-    """The repetitions, with the cyclic collector off as ``timeit`` runs
-    its timings: a collection set off by the garbage of earlier work
-    would otherwise land in whichever query happens to be running and
-    add its pause, tens of milliseconds, to that query's engine time."""
+    """The repetitions, each on an emptied result cache, with the cyclic
+    collector off as ``timeit`` runs its timings: a collection set off
+    by the garbage of earlier work would otherwise land in whichever
+    query happens to be running and add its pause, tens of
+    milliseconds, to that query's engine time."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(REPETITIONS):
+            endpoint.graph.sparql_cache.clear()
             endpoint.query(text)
     finally:
         if enabled:

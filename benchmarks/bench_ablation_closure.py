@@ -4,41 +4,20 @@ DESIGN.md design choice 2: the facet engine materializes the RDFS
 closure once at session start.  The ablation compares answering
 "instances of a superclass" many times (as every facet-count refresh
 does) against recomputing the subclass traversal on demand.  What it
-asserts is counted, not timed: the probes and rows each way of looking
-up takes from the store, counted by the bench's own store subclass.
+asserts is counted, not timed: the probes and triples each way of
+looking up takes from the store, counted by ``conftest.CountingGraph``.
 """
 
 import time
 
 from repro.datasets import SyntheticConfig, synthetic_graph
-from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF, RDFS
 from repro.rdf.rdfs import RDFSClosure
 
-from conftest import min_alternating
+from conftest import CountingGraph, min_alternating
 
 REQUESTS = 200
 REPETITIONS = 5
-
-
-class CountingGraph(Graph):
-    """The store, counting the probes it answers and the rows it hands
-    out; its closure (a copy) is a ``CountingGraph`` too."""
-
-    probes = rows = 0
-
-    def triples_ids(self, si=None, pi=None, oi=None):
-        self.probes += 1
-        for t in super().triples_ids(si, pi, oi):
-            self.rows += 1
-            yield t
-
-
-def counted(graph, lookup):
-    """``(probes, rows)`` one ``lookup()`` takes from ``graph``."""
-    graph.probes = graph.rows = 0
-    lookup()
-    return graph.probes, graph.rows
 
 
 def closed_instances(graph, cls):
@@ -83,8 +62,8 @@ def run_ablation(size=400):
     # the work, on a counting twin of each store
     source = CountingGraph(graph)
     closure = RDFSClosure(source).graph()
-    work = (counted(closure, lambda: closed_instances(closure, EX.Product)),
-            counted(source, lambda: on_demand_instances(source, EX.Product)))
+    work = (closure.reads(lambda: closed_instances(closure, EX.Product)),
+            source.reads(lambda: on_demand_instances(source, EX.Product)))
     return closure_build, closed_lookup, demand_lookup, work
 
 
@@ -92,24 +71,24 @@ def test_ablation_closure(benchmark, artifact_writer):
     build, closed_lookup, demand_lookup, work = benchmark.pedantic(
         run_ablation, rounds=1, iterations=1
     )
-    (closed_probes, closed_rows), (demand_probes, demand_rows) = work
+    (closed_probes, _, closed_triples), (demand_probes, _, demand_triples) = work
     text = (
         "Ablation: precomputed closure vs on-demand traversal "
         f"(400 laptops, {REQUESTS} instance lookups, "
         f"min of {REPETITIONS} alternating repetitions)\n\n"
         f"  closure build (once)     : {build * 1000:.1f} ms\n"
         f"  lookups on closed graph  : {closed_lookup * 1000:.1f} ms "
-        f"({closed_probes} probe(s), {closed_rows} rows each)\n"
+        f"({closed_probes} probe(s), {closed_triples} triples each)\n"
         f"  lookups via traversal    : {demand_lookup * 1000:.1f} ms "
-        f"({demand_probes} probe(s), {demand_rows} rows each)\n\n"
+        f"({demand_probes} probe(s), {demand_triples} triples each)\n\n"
         "Break-even after "
         f"{build / max((demand_lookup - closed_lookup) / REQUESTS, 1e-9):.0f} "
         "lookups.\n"
     )
     artifact_writer("ablation_closure.txt", text)
-    # Same answers; a materialized lookup is one probe and takes no more
-    # rows than the traversal: both hand out every instance once, and the
-    # traversal's margin is its subclass probes (here 1 probe and 450
-    # rows against 10 probes and 454 rows).
+    # Same answers; a materialized lookup is one probe and reads no more
+    # triples than the traversal: both hand out every instance once, and
+    # the traversal's margin is its subclass probes (here 1 probe and 450
+    # triples against 10 probes and 454 triples).
     assert closed_probes == 1 < demand_probes
-    assert closed_rows <= demand_rows
+    assert closed_triples <= demand_triples

@@ -6,7 +6,7 @@ pass over the extension's edges.  The naive alternative — one
 have many values (e.g. a price facet).  This ablation measures both on
 a high-cardinality facet and asserts identical counts.  What it asserts
 about cost is counted, not timed: the index rows each way reads,
-counted by the bench's own store subclass — and, for the path
+counted by ``conftest.CountingGraph`` — and, for the path
 expansion ``manufacturer ▷ origin``, that the prefix join reads the
 POS rows of ``manufacturer`` instead of probing every member of the
 Laptop class, and probes the members of a state narrowed to one maker.
@@ -14,62 +14,26 @@ Laptop class, and probes the members of a state narrowed to one maker.
 
 import time
 
-
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedSession
 from repro.facets.model import PropertyRef, path_joins, restrict
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX
 
-from conftest import format_table
+from conftest import CountingGraph, format_table
 
 SIZES = (100, 400)
 
 
-class CountingGraph(Graph):
-    """The store, counting the index rows it hands out — an SPO or POS
-    row per ``objects_ids`` / ``subjects_ids``, every value row of a
-    property ``pos_ids`` hands out, and every value row of a property
-    the scan kernel (``facet_counts``) reads — and, in ``triples``, the
-    triples behind them: the ids each row holds, what a test of the
-    rows against the members costs at most.  The session's closed copy
-    is a ``CountingGraph`` too."""
+def pos_rows(store, *props):
+    """How many value rows the properties have in ``store``, uncounted."""
+    return sum(len(Graph.pos_ids(store, store.encode_term(p))) for p in props)
 
-    rows = triples = 0
 
-    def _hand_out(self, rows):
-        self.rows += len(rows)
-        self.triples += sum(map(len, rows))
-
-    def pos_ids(self, pi):
-        row = super().pos_ids(pi)
-        self._hand_out(row.values())
-        return row
-
-    def objects_ids(self, si, pi):
-        objects = super().objects_ids(si, pi)
-        self._hand_out((objects,))
-        return objects
-
-    def subjects_ids(self, pi, oi):
-        subjects = super().subjects_ids(pi, oi)
-        self._hand_out((subjects,))
-        return subjects
-
-    def facet_counts(self, ids, slots):
-        for pi, _ in slots:
-            self._hand_out(Graph.pos_ids(self, pi).values())
-        return super().facet_counts(ids, slots)
-
-    def pos_rows(self, *props):
-        """How many value rows the properties have, uncounted."""
-        return sum(len(Graph.pos_ids(self, self.encode_term(p)))
-                   for p in props)
-
-    def pos_triples(self, *props):
-        """How many triples the properties have, uncounted."""
-        return sum(map(len, (subjects for p in props for subjects in
-                             Graph.pos_ids(self, self.encode_term(p)).values())))
+def pos_triples(store, *props):
+    """How many triples the properties have in ``store``, uncounted."""
+    return sum(map(len, (subjects for p in props for subjects in
+                         Graph.pos_ids(store, store.encode_term(p)).values())))
 
 
 def naive_facet_counts(session, path):
@@ -104,25 +68,23 @@ def run_ablation():
         counting = FacetedSession(CountingGraph(graph))
         counting.select_class(EX.Laptop)
         store = counting.graph
-        store.rows = 0
-        counting.facet(path)
-        grouped_rows, store.rows = store.rows, 0
-        naive_facet_counts(counting, path)
-        naive_rows, store.rows = store.rows, 0
-        counting.expand_path(EX.manufacturer, EX.origin)
-        path_rows, store.rows = store.rows, 0
+        _, grouped_rows, _ = store.reads(lambda: counting.facet(path))
+        _, naive_rows, _ = store.reads(
+            lambda: naive_facet_counts(counting, path))
+        _, path_rows, _ = store.reads(
+            lambda: counting.expand_path(EX.manufacturer, EX.origin))
         # narrowed to the laptops of the largest maker: fewer members
         # than manufacturer triples, so the prefix join walks them
         maker = max(counting.facet(EX.manufacturer).values,
                     key=lambda marker: marker.count)
         counting.select_value(EX.manufacturer, maker.value)
-        store.triples = 0
-        counting.expand_path(EX.manufacturer, EX.origin)
+        *_, narrowed = store.reads(
+            lambda: counting.expand_path(EX.manufacturer, EX.origin))
         rows.append((size, len(grouped.values), grouped_seconds, naive_seconds,
                      grouped_rows, naive_rows, path_rows,
-                     store.pos_rows(EX.manufacturer, EX.origin),
-                     store.triples, maker.count + store.pos_triples(EX.origin),
-                     store.pos_triples(EX.manufacturer)))
+                     pos_rows(store, EX.manufacturer, EX.origin),
+                     narrowed, maker.count + pos_triples(store, EX.origin),
+                     pos_triples(store, EX.manufacturer)))
     return rows
 
 

@@ -4,8 +4,8 @@ DESIGN.md design choice 1: the graph keeps SPO/POS indexes and the
 SPARQL evaluator orders patterns by selectivity.  The ablation replaces
 the indexed lookup with a full scan and measures the slowdown on a
 representative analytic query.  What it asserts is counted, not timed:
-the rows the indexed store hands the evaluator against the rows the
-scanning store reads, each counted by the bench's own store subclass.
+the triples the indexed store hands the evaluator
+(``conftest.CountingGraph``) against the rows the scanning store reads.
 
 There is no OSP index: a read keyed on the object alone goes through
 one POS probe per predicate, so its cost grows with the number of
@@ -30,23 +30,7 @@ from repro.rdf.namespace import EX
 from repro.sparql import query as sparql
 
 from _workload import WORKLOAD
-from conftest import format_table
-
-
-class CountingGraph(Graph):
-    """The indexed store, counting the rows it hands the evaluator."""
-
-    rows = 0
-
-    def triples_ids(self, si=None, pi=None, oi=None):
-        for t in super().triples_ids(si, pi, oi):
-            self.rows += 1
-            yield t
-
-    def objects_ids(self, si, pi):
-        objects = super().objects_ids(si, pi)
-        self.rows += len(objects)
-        return objects
+from conftest import CountingGraph, format_table
 
 
 class ScanGraph(Graph):
@@ -84,7 +68,7 @@ def run_ablation(size=200, queries=("Q4", "Q6", "Q8")):
     rows = []
     for qid, query in selected:
         translation = translate(query, root_class=EX.Laptop)
-        indexed.rows = scan.rows = 0
+        indexed.triples = scan.rows = 0
 
         started = time.perf_counter()
         fast = sparql(indexed, translation.text)
@@ -95,7 +79,7 @@ def run_ablation(size=200, queries=("Q4", "Q6", "Q8")):
         scan_seconds = time.perf_counter() - started
 
         assert len(fast) == len(slow)
-        rows.append((qid, indexed_seconds, scan_seconds, indexed.rows,
+        rows.append((qid, indexed_seconds, scan_seconds, indexed.triples,
                      scan.rows))
     return rows
 
@@ -145,7 +129,7 @@ def test_ablation_indexes(benchmark, artifact_writer):
     ]
     text = "Ablation: indexed vs full-scan BGP matching (200 laptops)\n"
     text += format_table(["query", "indexed", "full scan", "slowdown",
-                          "rows handed (indexed)", "rows scanned"], body)
+                          "triples handed (indexed)", "rows scanned"], body)
     text += ("\nObject-keyed reads through POS (100 000 random triples, "
              "10 000 nodes)\n")
     text += format_table(
@@ -155,8 +139,8 @@ def test_ablation_indexes(benchmark, artifact_writer):
          ((n, object_keyed_reads(n)) for n in (10, 1000))])
     artifact_writer("ablation_indexes.txt", text)
 
-    # The indexes must win clearly on every measured query, in rows read:
-    # a bound subject's row, not a scan.  (Probing ``(None, p, None)``
-    # for a bound subject hands over 6-8x fewer rows than a scan reads
-    # here, the indexes 970-1 090x fewer.)
+    # The indexes must win clearly on every measured query, in triples
+    # read: a bound subject's row, not a scan.  (Probing ``(None, p,
+    # None)`` for a bound subject hands over 6-8x fewer triples than a
+    # scan reads here, the indexes 580-870x fewer.)
     assert all(handed * 100 <= scanned for *_, handed, scanned in rows)

@@ -12,7 +12,10 @@ scans each slice in turn, and the store merges the slices' counts —
 
 The sweep records what partitioning costs a scan that stays in one
 process; it has no speed-up to show and asserts none (the verdict and
-its numbers are frozen in EXPERIMENTS.md, *Ablations*).
+its numbers are frozen in EXPERIMENTS.md, *Ablations*).  What it
+asserts about cost is counted: summed over the slices, a sharded
+listing reads exactly the store triples the flat listing reads
+(``conftest.CountingGraph``).
 
 Sizes come from ``REPRO_BENCH_SIZES``.
 """
@@ -30,7 +33,7 @@ from repro.rdf.namespace import EX
 from repro.rdf.sharding import ShardedGraph
 
 from _workload import WORKLOAD
-from conftest import cold_listings, format_table
+from conftest import CountingGraph, cold_listings, format_table
 
 SIZES = tuple(
     int(size)
@@ -82,9 +85,29 @@ def _measure_variant(store, session):
             analytic(), _median_of(analytic))
 
 
+def listing_triples(session):
+    """The store triples one cold listing of ``session``'s extension
+    reads: off its store, or summed over its slices when it is sharded,
+    each turned into a counting store in place."""
+    store = session.graph
+    pieces = store.shards if isinstance(store, ShardedGraph) else (store,)
+    for piece in pieces:
+        piece.__class__ = CountingGraph
+        piece.triples = 0
+    cold_listings(store, session.extension, 1)
+    return sum(piece.triples for piece in pieces)
+
+
+def laptops(store):
+    session = FacetedAnalyticsSession(store)
+    session.select_class(EX.Laptop)
+    return session
+
+
 def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
-    """Per size: ``{shards: {"facets_s": ..., "analytic_s": ...}}``,
-    after the equality checks."""
+    """Per size: ``{shards: {"facets_s": ..., "analytic_s": ...,
+    "triples": ...}}``, after the equality checks — the listing's
+    triples read (sharded / flat) among them."""
     results = {}
     for size in sizes:
         graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
@@ -95,10 +118,10 @@ def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
         ]
         per_size = {}
         baseline_listing = None
+        flat = listing_triples(laptops(graph))
         for shards in shard_counts:
             store = ShardedGraph.from_graph(graph, shards=shards)
-            session = FacetedAnalyticsSession(store)
-            session.select_class(EX.Laptop)
+            session = laptops(store)
             listing, facets_s, answers, analytic_s = _measure_variant(
                 store, session)
             # Every shard count must reproduce the single-shard facet
@@ -111,9 +134,16 @@ def run_ablation(sizes=SIZES, shard_counts=SHARD_COUNTS):
             for row_answer, answer in zip(row_answers, answers):
                 assert row_answer.rows() == answer.rows(), (
                     f"analytic rows diverged at {shards} shards")
+            # Partitioning splits the scan, never repeats it: the slices
+            # read, between them, the triples the flat store reads.
+            triples = listing_triples(session)
+            assert triples == flat, (
+                f"listing read {triples} triples at {shards} shards, "
+                f"{flat} flat")
             per_size[shards] = {
                 "facets_s": facets_s,
                 "analytic_s": analytic_s,
+                "triples": f"{triples} / {flat}",
             }
         results[size] = per_size
     return results
@@ -133,11 +163,13 @@ def test_ablation_sharding(benchmark, artifact_writer):
                 f"{timing['facets_s'] * 1000:.1f} ms",
                 f"{facet_speedup:.1f}x",
                 f"{timing['analytic_s'] * 1000:.1f} ms",
+                timing["triples"],
             ))
 
     text = "Ablation: all_facets + analytic slice across shard counts\n"
     text += format_table(
-        ["laptops", "shards", "all_facets", "speedup", "analytic"],
+        ["laptops", "shards", "all_facets", "speedup", "analytic",
+         "listing triples read (sharded / flat)"],
         body,
     )
     artifact_writer("ablation_sharding.txt", text)

@@ -65,7 +65,7 @@ def run_comparison(size=300):
 
     native_listing, sparql_listing, *costs = timed(
         session.all_facets, lambda: engine.all_facets(extension))
-    assert not sparql_listing.errors and list(sparql_listing) == native_listing
+    assert list(sparql_listing) == native_listing
     rows.append(("listing (every facet)", *costs,
                  sum(len(facet.values) for facet in native_listing)))
     return rows

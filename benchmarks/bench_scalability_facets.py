@@ -3,26 +3,22 @@
 Measures, over synthetic KGs of growing size, the cost of the
 interaction-critical operations: session startup (closure), class
 markers, property facets with counts, a path expansion, and a full
-analytic run.  Shape: near-linear growth.
-
-``test_scalability_shard_curve`` adds the shard axis: the same sweep
-crossed with shard counts (1, 4, 8 by default), written as
-``scalability_shards.txt``.  ``REPRO_BENCH_SIZES`` scales the sweep
-from 100 laptops up to the 10 M-triple mark (~1_700_000 laptops at ~6
-triples each).
+analytic run.  Shape: near-linear growth — asserted in the store
+triples each operation reads (``conftest.CountingGraph``), the timed
+columns staying in the artifact.  ``REPRO_BENCH_SIZES`` scales the
+sweep from 100 laptops up to the 10 M-triple mark (~1_700_000 laptops
+at ~6 triples each).
 """
 
 import gc
 import os
-import statistics
 import time
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedAnalyticsSession, FacetedSession
 from repro.rdf.namespace import EX
-from repro.rdf.sharding import ShardedGraph
 
-from conftest import cold_listings, format_table
+from conftest import CountingGraph, format_table
 
 #: Laptop counts to sweep; override with e.g. REPRO_BENCH_SIZES=100.
 SIZES = tuple(
@@ -30,16 +26,26 @@ SIZES = tuple(
     for size in os.environ.get("REPRO_BENCH_SIZES", "100,400,1600").split(",")
 )
 
-#: Shard counts crossed with the size sweep in the shard-curve test.
-SHARD_COUNTS = tuple(
-    int(n)
-    for n in os.environ.get("REPRO_BENCH_SHARDS", "1,4,8").split(",")
-)
+
+def interaction(graph, step):
+    """The five operations on ``graph``, each run as ``step(label, fn)``."""
+    session = step(
+        "startup (closure)", lambda: FacetedAnalyticsSession(graph))
+    step("class markers", lambda: session.class_markers(expanded=True))
+    session.select_class(EX.Laptop)
+    step("property facets", session.property_facets)
+    step("path expansion (3)",
+         lambda: session.facet((EX.manufacturer, EX.origin, EX.locatedAt)))
+    session.group_by((EX.manufacturer,))
+    session.measure((EX.price,), "AVG")
+    step("analytic run", session.run)
 
 
 def measure(size):
+    """``(seconds, triples read)`` per operation, at ``size`` laptops:
+    timed on the store, counted on a counting twin of it."""
     graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
-    timings = {}
+    timings, triples = {}, {}
 
     def timed(label, fn):
         # Collect before timing so one step's garbage is not charged
@@ -50,17 +56,20 @@ def measure(size):
         timings[label] = time.perf_counter() - started
         return result
 
-    session = timed(
-        "startup (closure)", lambda: FacetedAnalyticsSession(graph))
-    timed("class markers", lambda: session.class_markers(expanded=True))
-    session.select_class(EX.Laptop)
-    timed("property facets", session.property_facets)
-    timed("path expansion (3)",
-          lambda: session.facet((EX.manufacturer, EX.origin, EX.locatedAt)))
-    session.group_by((EX.manufacturer,))
-    session.measure((EX.price,), "AVG")
-    timed("analytic run", session.run)
-    return timings
+    stores = [CountingGraph(graph)]
+
+    def counted(label, fn):
+        for store in stores:
+            store.triples = 0
+        result = fn()
+        if isinstance(result, FacetedSession):
+            stores.append(result.graph)  # the closed copy counts too
+        triples[label] = sum(store.triples for store in stores)
+        return result
+
+    interaction(graph, timed)
+    interaction(stores[0], counted)
+    return timings, triples
 
 
 def run_scalability():
@@ -69,58 +78,22 @@ def run_scalability():
 
 def test_scalability(benchmark, artifact_writer):
     results = benchmark.pedantic(run_scalability, rounds=1, iterations=1)
-    operations = list(results[SIZES[0]].keys())
+    small, large = results[SIZES[0]], results[SIZES[-1]]
     body = [
-        (op, *(f"{results[size][op] * 1000:.1f} ms" for size in SIZES))
-        for op in operations
+        (op, *(f"{results[size][0][op] * 1000:.1f} ms" for size in SIZES),
+         *(results[size][1][op] for size in SIZES))
+        for op in small[0]
     ]
     text = "Scalability of the interaction-critical operations (§6.4)\n"
-    text += format_table(["operation"] + [f"{s} laptops" for s in SIZES], body)
+    text += format_table(
+        ["operation"] + [f"{s} laptops" for s in SIZES]
+        + [f"triples read ({s})" for s in SIZES], body)
     artifact_writer("scalability_facets.txt", text)
 
-    # Shape: no catastrophic blow-up — 16× data within ~64× time.
-    for op in operations:
-        small, large = results[SIZES[0]][op], results[SIZES[-1]][op]
-        assert large < max(small, 1e-4) * 300
-
-
-def measure_shard_curve(sizes=SIZES, shard_counts=SHARD_COUNTS, rounds=3):
-    """Median ``all_facets`` seconds per (size, shard count) — the
-    shard axis of the scalability curve.  Every round lists on a fresh
-    session, so the id-level scan is measured, not a revisit or a
-    recount of the last round's rows."""
-    curve = {}
-    for size in sizes:
-        graph = synthetic_graph(SyntheticConfig(laptops=size, seed=21))
-        per_shards = {}
-        for shards in shard_counts:
-            store = ShardedGraph.from_graph(graph, shards=shards)
-            session = FacetedAnalyticsSession(store)
-            session.select_class(EX.Laptop)
-            _, samples = cold_listings(
-                session.graph, session.extension, rounds)
-            per_shards[shards] = statistics.median(samples)
-        curve[size] = per_shards
-    return curve
-
-
-def test_scalability_shard_curve(benchmark, artifact_writer):
-    curve = benchmark.pedantic(measure_shard_curve, rounds=1, iterations=1)
-
-    body = [
-        (size, *(f"{curve[size][n] * 1000:.1f} ms" for n in SHARD_COUNTS))
-        for size in curve
-    ]
-    text = "Scalability of all_facets across shard counts\n"
-    text += format_table(
-        ["laptops"] + [f"{n} shard(s)" for n in SHARD_COUNTS], body)
-    artifact_writer("scalability_shards.txt", text)
-
-    # Shape: adding shards never blows the scan up catastrophically.
-    for size, per_shards in curve.items():
-        base = per_shards[min(per_shards)]
-        for shards, seconds in per_shards.items():
-            assert seconds < max(base, 1e-4) * 50
+    # Shape: no operation reads more triples per laptop as the laptops
+    # grow (at 16x the laptops, 8.3x to 16.0x the triples read).
+    for op in small[1]:
+        assert large[1][op] * SIZES[0] <= small[1][op] * SIZES[-1], op
 
 
 def test_facet_computation_speed(benchmark):

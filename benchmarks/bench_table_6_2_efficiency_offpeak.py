@@ -37,3 +37,5 @@ def test_table_6_2_offpeak(benchmark, graphs, artifact_writer):
         off_network = sum(network for _, network, _ in off)
         peak_network = sum(network for _, network, _ in peak)
         assert off_network < peak_network, qid
+    # every repetition was an evaluation, none a result-cache hit
+    assert all(g.sparql_cache.stats().hits == 0 for g in graphs.values())

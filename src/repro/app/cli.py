@@ -218,17 +218,17 @@ class AnalyticsShell:
         return "\n".join(render(self.session.class_markers(expanded=expanded)))
 
     def _cmd_facets(self, args: List[str]) -> str:
-        # The batch listing: one shared scan natively, one degrading
-        # operation through an endpoint.
-        listing = self.session.all_facets()
+        # The batch listing: one shared scan natively; through an endpoint
+        # one degrading operation, whose new incidents say what failed.
+        engine = self.session.facet_engine
+        seen = len(engine.incidents) if engine is not None else 0
         lines = []
-        for facet in listing:
+        for facet in self.session.all_facets():
             values = ", ".join(str(v) for v in facet.values[:8])
             more = "" if len(facet.values) <= 8 else f", ... ({len(facet.values)} values)"
             lines.append(f"{facet}: {values}{more}")
-        # An endpoint-backed listing may have failed — say so.
-        for error in getattr(listing, "errors", ()):
-            lines.append(f"unavailable — {error}")
+        if engine is not None:
+            lines += [f"unavailable — {event}" for event in engine.incidents[seen:]]
         return "\n".join(lines) or "(no facets)"
 
     def _cmd_objects(self, args: List[str]) -> str:

@@ -154,8 +154,7 @@ class RemoteEndpointSimulator(LocalEndpoint):
     and recorded in :attr:`history` with its ``outcome`` tag.  The fault
     RNG is separate from the latency RNG, so injecting a fault never
     shifts a later latency, and a draw with every rate zero consumes no
-    random number; :attr:`injected` keeps the per-request decision
-    sequence (``"ok"`` or a fault tag).
+    random number.
     """
 
     def __init__(
@@ -170,12 +169,10 @@ class RemoteEndpointSimulator(LocalEndpoint):
         self.faults = faults or FaultModel.none()
         self._rng = random.Random(seed)
         self._fault_rng = random.Random(seed ^ _FAULT_SEED_SALT)
-        self.injected: List[str] = []
 
     def query(self, text: str,
               overlay: Optional[ExtensionView] = None) -> QueryResult:
         kind = self.faults.draw(self._fault_rng)
-        self.injected.append(kind or "ok")
         if kind == "timeout":
             stall = self.faults.timeout_stall
             self.history.append(QueryStats(0.0, stall, 0, outcome="timeout"))

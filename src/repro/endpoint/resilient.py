@@ -160,11 +160,6 @@ class ResilientEndpoint:
         self.clock = 0.0  # virtual seconds consumed through this wrapper
 
     @property
-    def graph(self):
-        """The wrapped endpoint's graph (for engines that materialize)."""
-        return self.inner.graph
-
-    @property
     def last(self) -> Optional[QueryStats]:
         return self.history[-1] if self.history else None
 

@@ -17,8 +17,8 @@
 * :mod:`repro.facets.sparql_backend` — the SPARQL-only evaluation of
   the model (Tables 5.1/5.2; the Fig. 8.3 alternative implementation)
   and its graceful degradation: stale counts flagged ``approximate``,
-  a listing never served an explicit ``errors`` entry, never a crashed
-  interaction.
+  an operation never served empty, each failure one ``incidents``
+  entry, never a crashed interaction.
 * :mod:`repro.facets.planner` — §7.1 expressiveness: HIFUN query →
   click script.
 * :mod:`repro.facets.browser` — the browsing access method of §1.2(i).
@@ -27,8 +27,6 @@
 
 from repro.facets.model import (
     ClassMarker,
-    FacetError,
-    FacetListing,
     PropertyFacet,
     PropertyRef,
     State,
@@ -72,8 +70,6 @@ __all__ = [
     "AnswerFrame",
     "FacetedAnalyticsSession",
     "SparqlFacetEngine",
-    "FacetError",
-    "FacetListing",
     "DegradationEvent",
     "InexpressibleQueryError",
     "InteractionPlan",

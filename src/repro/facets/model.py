@@ -290,42 +290,6 @@ class PropertyFacet:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class FacetListing:
-    """A left-frame facet listing, as an endpoint-backed session serves it.
-
-    Through a remote endpoint a listing is one degrading operation: a
-    failed one is served whole from its last value, every facet flagged
-    ``approximate``, or — with none to fall back on — it has no facets
-    and ``errors`` holds its one ``listing`` entry.  Iteration and
-    indexing go straight to ``facets``, so code written against a plain
-    ``List[PropertyFacet]`` keeps working.
-    """
-
-    facets: Tuple[PropertyFacet, ...]
-    errors: Tuple["FacetError", ...] = ()
-
-    def __iter__(self):
-        return iter(self.facets)
-
-    def __len__(self) -> int:
-        return len(self.facets)
-
-    def __getitem__(self, index):
-        return self.facets[index]
-
-
-@dataclass(frozen=True, slots=True)
-class FacetError:
-    """An operation that failed with nothing to serve: which, and why."""
-
-    operation: str
-    error: Exception
-
-    def __str__(self):
-        return f"{self.operation}: {type(self.error).__name__}: {self.error}"
-
-
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------

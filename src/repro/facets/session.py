@@ -69,7 +69,6 @@ from repro.facets.intentions import (
 from repro.facets.model import (
     AnyPath,
     ClassMarker,
-    FacetListing,
     Path,
     PropertyFacet,
     PropertyRef,
@@ -335,11 +334,9 @@ class FacetedSession:
         instead of one pass per property."""
         return self.all_facets(include_inverse)
 
-    def all_facets(self, include_inverse: bool = False
-                   ) -> Union[List[PropertyFacet], FacetListing]:
+    def all_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
         """Every applicable property's facet, from the nearest listed
-        ancestor when there is one and from ONE shared scan otherwise
-        (through an endpoint: a :class:`FacetListing`, maybe degraded).
+        ancestor when there is one and from ONE shared scan otherwise.
 
         Every click restricts the current extension, so a state's
         non-empty ``(property, value)`` rows are among those of any
@@ -363,8 +360,8 @@ class FacetedSession:
                     return self._recount(ids, *listed)
             return self._scan(ids, include_inverse)
 
-        listed = self._per_state(("listing", include_inverse), build, stat="facets")
-        return listed if isinstance(listed, FacetListing) else list(listed[0])
+        return list(self._per_state(
+            ("listing", include_inverse), build, stat="facets")[0])
 
     def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
         """``ids`` without the literals: a literal is the source of no

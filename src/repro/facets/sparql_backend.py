@@ -29,12 +29,12 @@ analytics session given an ``endpoint`` counts here), and (b) as the
 cross-check that the native engine implements the same semantics (the
 test suite runs both and compares).
 
-An endpoint can fail; the session's count operations
-(:meth:`SparqlFacetEngine.counted`, the listing among them) degrade
-explicitly instead: a failed operation is served the last value the
-*same* operation gave, flagged ``approximate``; a listing never served
-is its one ``listing`` entry in :attr:`FacetListing.errors`; and each
-absorbed failure is one :class:`DegradationEvent` in
+An endpoint can fail; the session's four count operations
+(:meth:`SparqlFacetEngine.counted`: class markers, applicable
+properties, the listing and a facet) degrade explicitly instead: a
+failed operation is served the last value the *same* operation gave,
+flagged ``approximate``, or, never served, its empty value; and each
+absorbed failure is recorded once, as one :class:`DegradationEvent` in
 :attr:`SparqlFacetEngine.incidents`.
 """
 
@@ -52,8 +52,6 @@ from repro.endpoint import EndpointError, LocalEndpoint
 from repro.hifun.translator import path_patterns
 from repro.facets.model import (
     ClassMarker,
-    FacetError,
-    FacetListing,
     Path,
     PropertyFacet,
     PropertyRef,
@@ -70,7 +68,7 @@ Extension = Union[Iterable[Term], ExtensionView]
 class DegradationEvent:
     """One endpoint failure the engine absorbed instead of raising:
     ``stale`` if an earlier value was served flagged approximate, else
-    the operation was dropped (empty fallback / listing error entry)."""
+    the operation was dropped (served its empty value)."""
 
     operation: str
     error: EndpointError
@@ -251,11 +249,15 @@ class SparqlFacetEngine:
         ``("listing", include_inverse)`` or ``("facet", path)``.
 
         Never raises an endpoint error: a failure is served stale, or
-        degrades to no markers, no properties, an empty ``approximate``
-        facet, or the listing's one error."""
+        degrades to no markers, no properties, no facets or an empty
+        ``approximate`` facet.  A listing is served as natively, a
+        ``(facets, id rows)`` pair; a remote one has no id rows."""
         kind, arg = key
         if kind == "listing":
-            return self.all_facets(view, arg)
+            return (self._remote(
+                key, "listing", lambda: self.all_facets(view, arg),
+                lambda exc: (), lambda last: tuple(
+                    replace(facet, approximate=True) for facet in last)), ())
         if kind == "facet":
             return self._remote(
                 key, "facet " + "/".join(step.name for step in arg),
@@ -275,32 +277,20 @@ class SparqlFacetEngine:
         return self._remote(key, "class_markers", markers, lambda exc: (),
                             lambda last: tuple(map(_approximate, last)))
 
-    def all_facets(self, extension: Extension,
-                   include_inverse: bool = False) -> FacetListing:
+    def all_facets(self, extension: Extension, include_inverse: bool = False
+                   ) -> Tuple[PropertyFacet, ...]:
         """Every applicable property's facet: the left-frame listing,
         from two grouped count queries per direction over ONE view — the
-        having-counts by ``?p``, the value counts by ``?p ?v``.
-
-        One degrading operation: on an endpoint failure the last listing
-        is served whole, every facet ``approximate``, or, with none to
-        fall back on, the listing is its one ``listing`` error."""
+        having-counts by ``?p``, the value counts by ``?p ?v``."""
         view = self.view(extension)
-
-        def listing():
-            having = self._by_step(view, include_inverse, ("?p",))
-            # Discovery's last value too, for a failed applicable_properties:
-            self._last["props", include_inverse] = tuple(having)
-            values = self._by_step(view, include_inverse, ("?p", "?v"))
-            return FacetListing(tuple(
-                PropertyFacet(path=(ref,), count=int(row.value("count")),
-                              values=_markers(values[ref], "v"))
-                for ref, (row,) in having.items()))
-
-        return self._remote(
-            ("listing", include_inverse), "listing", listing,
-            lambda exc: FacetListing((), (FacetError("listing", exc),)),
-            lambda last: FacetListing(tuple(
-                replace(facet, approximate=True) for facet in last)))
+        having = self._by_step(view, include_inverse, ("?p",))
+        # Discovery's last value too, for a failed applicable_properties:
+        self._last["props", include_inverse] = tuple(having)
+        values = self._by_step(view, include_inverse, ("?p", "?v"))
+        return tuple(
+            PropertyFacet(path=(ref,), count=int(row.value("count")),
+                          values=_markers(values[ref], "v"))
+            for ref, (row,) in having.items())
 
     def _remote(self, key, label, compute, fallback,
                 mark_stale=lambda value: value):

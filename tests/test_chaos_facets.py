@@ -29,7 +29,8 @@ from repro.endpoint import (
 from repro.facets import (
     EmptyTransitionError,
     FacetedAnalyticsSession,
-    FacetListing,
+    PropertyFacet,
+    PropertyRef,
 )
 from repro.facets.sparql_backend import TEMP, SparqlFacetEngine
 from repro.rdf.namespace import EX, RDF
@@ -185,7 +186,7 @@ class TestDegradation:
         fresh = session.class_markers(expanded=True)
         fresh_listing = session.property_facets()
         assert fresh and all(not m.approximate for m in fresh)
-        assert not fresh_listing.errors
+        assert not session.facet_engine.incidents
         assert not any(f.approximate for f in fresh_listing)
         session.endpoint.inner.kill()
         stale = session.class_markers(expanded=True)
@@ -195,8 +196,9 @@ class TestDegradation:
                 assert m.approximate
                 assert str(m).startswith(m.label + " (~")
         stale_listing = session.property_facets()
-        assert stale_listing and all(f.approximate for f in stale_listing)
-        assert not stale_listing.errors  # everything had a cached value
+        # everything had a cached value
+        assert stale_listing == [
+            replace(facet, approximate=True) for facet in fresh_listing]
         incidents = session.facet_engine.incidents
         assert incidents and all(e.stale for e in incidents)
 
@@ -231,30 +233,28 @@ class TestDegradation:
     def test_a_healthy_empty_discovery_is_no_listing_error(self):
         """The listing reports the outcome of its own discovery: one that
         failed earlier does not turn a later, healthy, property-less
-        listing into an error."""
+        listing into an incident."""
         session = FacetedAnalyticsSession(
             products_graph(), results=[EX.Asia], endpoint=flaky_endpoint(
                 raw=lambda g: FailAfter(g, healthy_queries=0),
                 retry=RetryPolicy.none(), breaker=None))
-        failed = session.all_facets()
-        assert [entry.operation for entry in failed.errors] == ["listing"]
+        assert session.all_facets() == []
+        (event,) = session.facet_engine.incidents
+        assert (event.operation, event.stale) == ("listing", False)
         session.endpoint.inner.remaining = 10 ** 9
-        assert session.all_facets() == FacetListing((), ())
+        assert session.all_facets() == []
+        assert session.facet_engine.incidents == [event]
 
-    def test_never_cached_facets_become_listing_errors(self):
+    def test_a_never_served_listing_is_dropped_empty(self):
         """A listing is one degrading operation: never served before, a
-        failed one is the listing's one error, and one dropped
+        failed one has no facets, and its failure is one dropped
         incident."""
         session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
             raw=FailFacetCounts, retry=RetryPolicy.none(), breaker=None))
-        listing = session.property_facets()
-        assert len(listing) == 0
-        (entry,) = listing.errors
-        assert entry.operation == "listing"
-        assert isinstance(entry.error, EndpointError)
-        # The incidents log mirrors the dropped listing:
+        assert session.property_facets() == []
         (event,) = session.facet_engine.incidents
         assert (event.operation, event.stale) == ("listing", False)
+        assert isinstance(event.error, EndpointError)
 
     def test_a_failed_listing_is_served_stale_as_a_whole(self):
         """A listing that fails after one query of its four is served
@@ -267,8 +267,7 @@ class TestDegradation:
         session.select_class(EX.Laptop)
         session.endpoint.inner.remaining = 1
         stale = session.all_facets(include_inverse=True)
-        assert stale == FacetListing(tuple(
-            replace(facet, approximate=True) for facet in fresh))
+        assert stale == [replace(facet, approximate=True) for facet in fresh]
         (event,) = session.facet_engine.incidents
         assert (event.operation, event.stale) == ("listing", True)
 
@@ -307,6 +306,52 @@ class TestDegradation:
         assert health["outcomes"] == {"ok": 1}
 
 
+def _flagged(marker):
+    return replace(marker, approximate=True,
+                   children=tuple(map(_flagged, marker.children)))
+
+
+MANUFACTURER = (PropertyRef(EX.manufacturer),)
+
+#: The four endpoint count operations: ``(label, call, empty value,
+#: served-before value → its stale serve)``.
+COUNT_OPERATIONS = [
+    ("class_markers", lambda s: s.class_markers(expanded=True), [],
+     lambda fresh: [_flagged(marker) for marker in fresh]),
+    ("applicable_properties",
+     lambda s: s.applicable_properties(include_inverse=True), [],
+     lambda fresh: fresh),
+    ("listing", lambda s: s.all_facets(include_inverse=True), [],
+     lambda fresh: [replace(facet, approximate=True) for facet in fresh]),
+    ("facet manufacturer", lambda s: s.facet(MANUFACTURER),
+     PropertyFacet(path=MANUFACTURER, count=0, values=(), approximate=True),
+     lambda fresh: replace(fresh, approximate=True)),
+]
+
+
+@pytest.mark.parametrize("served_before", [False, True])
+@pytest.mark.parametrize("label, call, empty, stale", COUNT_OPERATIONS,
+                         ids=[op[0] for op in COUNT_OPERATIONS])
+def test_one_degradation_rule_for_every_count_operation(
+        label, call, empty, stale, served_before):
+    """Through a resilient wrapper over a simulated remote, a count
+    operation that fails is served its last value flagged approximate
+    (a property list has no flag) when it was served before, else its
+    empty value; either way its failure is exactly one incident under
+    its label."""
+    session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
+        network=NetworkModel.offpeak(), retry=RetryPolicy.none(), breaker=None))
+    fresh = call(session) if served_before else None
+    assert not session.facet_engine.incidents
+    session.endpoint.inner.faults = FaultModel.uniform(1.0)
+    served = call(session)
+    (event,) = session.facet_engine.incidents
+    assert (event.operation, event.stale) == (label, served_before)
+    assert isinstance(event.error, EndpointError)
+    assert served == (stale(fresh) if served_before else empty)
+    assert served or not served_before
+
+
 class TestTempClassHygiene:
     """The temp class lives in a view, never in the graph: a read —
     failed mid-batch or not — writes nothing."""
@@ -314,7 +359,7 @@ class TestTempClassHygiene:
     def test_mid_batch_fault_leaves_the_store_untouched(self):
         """A listing is two queries over one view; a flaky endpoint (no
         retries) fails the second after a good first on some seeds, and
-        the listing is then its one error."""
+        the listing is then empty and its one dropped incident."""
         graph = FacetedAnalyticsSession(products_graph()).graph
         extension = FacetedAnalyticsSession(graph, closed=True).extension
         before = fingerprint(graph)
@@ -323,10 +368,12 @@ class TestTempClassHygiene:
             endpoint = RemoteEndpointSimulator(
                 graph, faults=FaultModel.uniform(0.3), seed=seed)
             engine = SparqlFacetEngine(graph, endpoint)
-            listing = engine.all_facets(extension)
-            if listing.errors and endpoint.injected[0] == "ok":
+            facets, _ = engine.counted(
+                ("listing", False), engine.view(extension), None)
+            if engine.incidents and endpoint.history[0].ok:
                 failed_mid_batch += 1
-                assert len(engine.incidents) == len(listing.errors)
+                (event,) = engine.incidents
+                assert facets == () and event.operation == "listing"
             assert fingerprint(graph) == before
             assert not temp_residue(graph)
         assert failed_mid_batch
@@ -381,10 +428,6 @@ class FailAfter:
     def __init__(self, graph, healthy_queries):
         self._inner = LocalEndpoint(graph)
         self.remaining = healthy_queries
-
-    @property
-    def graph(self):
-        return self._inner.graph
 
     @property
     def history(self):

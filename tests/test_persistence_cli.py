@@ -300,6 +300,17 @@ class TestShell:
         assert len(shell.session.extension) == 3
         assert "circuit:" in shell.execute("health")
 
+    def test_facets_on_a_dead_endpoint_prints_the_listings_incident(self):
+        from repro.app.cli import build_shell
+
+        shell = build_shell(["--network", "offpeak", "--fault-rate", "1",
+                             "--retries", "1"])
+        for _ in range(2):  # each call prints the incident it appended
+            out = shell.execute("facets")
+            assert out.startswith("unavailable — listing [dropped]: Endpoint")
+            assert "\n" not in out
+        assert len(shell.session.facet_engine.incidents) == 2
+
     def test_search_keeps_what_transform_wrote(self, shell):
         outputs = run_script(shell, ["select laptop", "transform count hardDrive",
                                      "search dell", "facets"])
