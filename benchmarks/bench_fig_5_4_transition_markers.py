@@ -26,7 +26,7 @@ def build_fig_5_4():
 
     session.select_class(EX.Laptop)
     panel_c = []
-    for facet in session.property_facets():
+    for facet in session.all_facets():
         panel_c.append(str(facet))
         panel_c.extend(f"  {value}" for value in facet.values)
 

@@ -46,7 +46,7 @@ def test_fig_6_2_to_6_5(benchmark, artifact_writer):
     text += "\n\nFig 6.3(a) — tabular answer:\n"
     text += render_table(frame.columns, frame.rows)
     text += "\nFig 6.3(b) — answer loaded as a new dataset; its facets:\n"
-    for facet in nested.property_facets():
+    for facet in nested.all_facets():
         text += f"  {facet}\n"
     text += "\nFig 6.4 — 2D charts:\n"
     for series in chart_series(frame):
@@ -72,7 +72,7 @@ def test_fig_6_2_to_6_5(benchmark, artifact_writer):
     )
     assert len(frame) == 2
     assert len(city_layout(frame)) == 2
-    assert {f.prop.name for f in nested.property_facets()} == {
+    assert {f.prop.name for f in nested.all_facets()} == {
         "manufacturer", "manufacturer_origin",
         "avg_price", "sum_price", "max_price",
     }

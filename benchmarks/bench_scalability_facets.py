@@ -33,7 +33,7 @@ def interaction(graph, step):
         "startup (closure)", lambda: FacetedAnalyticsSession(graph))
     step("class markers", lambda: session.class_markers(expanded=True))
     session.select_class(EX.Laptop)
-    step("property facets", session.property_facets)
+    step("property facets", session.all_facets)
     step("path expansion (3)",
          lambda: session.facet((EX.manufacturer, EX.origin, EX.locatedAt)))
     session.group_by((EX.manufacturer,))
@@ -111,7 +111,7 @@ def test_facet_computation_speed(benchmark):
         return (FacetedSession(closed, results=extension, closed=True),), {}
 
     facets = benchmark.pedantic(
-        lambda session: session.property_facets(), setup=fresh, rounds=30)
+        lambda session: session.all_facets(), setup=fresh, rounds=30)
     assert len(facets) >= 5
 
 
@@ -120,7 +120,7 @@ def test_facet_cache_hit_speed(benchmark):
     graph = synthetic_graph(SyntheticConfig(laptops=400, seed=21))
     session = FacetedAnalyticsSession(graph)
     session.select_class(EX.Laptop)
-    session.property_facets()  # populate
-    facets = benchmark(session.property_facets)
+    session.all_facets()  # populate
+    facets = benchmark(session.all_facets)
     assert len(facets) >= 5
     assert session.cache_stats()["facets"].hits > 0

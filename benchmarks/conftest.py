@@ -82,8 +82,10 @@ class CountingGraph(Graph):
     ``pos_ids`` hands out or the scan kernel ``facet_counts`` reads, a
     triple per match ``triples_ids`` yields) and ``triples`` (the ids
     behind those rows, one per triple ``triples_ids`` yields — what a
-    test of the rows against the members costs at most).  Its copies,
-    the RDFS closure among them, count too."""
+    test of the rows against the members costs at most).  A ``copy()``
+    reads the indexes off every seam, so it counts itself: one probe and
+    the source's triples.  Its copies, the RDFS closure among them, count
+    too."""
 
     probes = rows = triples = 0
 
@@ -124,6 +126,11 @@ class CountingGraph(Graph):
         self._hand_out([subjects for pi, _ in slots
                         for subjects in Graph.pos_ids(self, pi).values()])
         return super().facet_counts(ids, slots)
+
+    def copy(self):
+        self.probes += 1
+        self.triples += len(self)
+        return super().copy()
 
 
 def cold_listings(graph, extension, rounds, include_inverse=False):

@@ -33,7 +33,7 @@ def main() -> None:
     print(f"\nclicked 'Laptop'; intention: {session.state.intention}")
 
     print("\nFig 5.4(c) — property facets of the laptops:")
-    for facet in session.property_facets():
+    for facet in session.all_facets():
         values = ", ".join(str(v) for v in facet.values)
         print(f"  {facet}: {values}")
 

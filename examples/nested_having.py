@@ -33,7 +33,7 @@ def main() -> None:
     # "Explore with FS": the answer becomes an ordinary RDF dataset ...
     nested = frame.explore()
     print("\nLoaded the answer as a new dataset (§5.3.3); its facets:")
-    for facet in nested.property_facets():
+    for facet in nested.all_facets():
         values = ", ".join(str(v) for v in facet.values)
         print(f"  {facet}: {values}")
 

@@ -29,7 +29,7 @@ def main() -> None:
 
     session.select_class(EX.Laptop)
     print("\nAfter clicking 'Laptop', the property facets are:")
-    for facet in session.property_facets():
+    for facet in session.all_facets():
         values = ", ".join(str(v) for v in facet.values)
         print(f"  {facet}: {values}")
 

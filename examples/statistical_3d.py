@@ -48,7 +48,7 @@ def main() -> None:
     session.select_class(STAT_ROW)
 
     print("Facets of the uploaded data:")
-    for facet in session.property_facets():
+    for facet in session.all_facets():
         print(f"  {facet}")
 
     # Keep 2021 and analyze: total cases per country.

@@ -425,7 +425,7 @@ class AnalyticsShell:
         return (
             f"loaded the answer as a new dataset "
             f"({len(self.last_frame)} rows); facets: "
-            + ", ".join(f.prop.name for f in self.session.property_facets())
+            + ", ".join(f.prop.name for f in self.session.all_facets())
         )
 
     def _cmd_sparql(self, args: List[str]) -> str:

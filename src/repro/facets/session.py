@@ -4,7 +4,7 @@
 
 * :meth:`class_markers` — the hierarchical class facets with counts
   (Fig. 5.4 a/b; Alg. "Computing the Facets corresponding to Classes");
-* :meth:`property_facets` — the property facets of the current extension
+* :meth:`all_facets` — the property facets of the current extension
   with value markers and counts (Fig. 5.4 c; §5.4.4), optionally grouped
   by value class (Fig. 5.4 d) and hierarchically organized when
   sub-properties exist;
@@ -27,8 +27,8 @@ its markers, listings and facets again, any mutation of the graph
 retires them, and a state that leaves the history takes them along.
 Counting itself happens in one place, the store's
 :meth:`~repro.rdf.graph.Graph.facet_counts`: a listing asks it for every
-property of the extension, a single facet for the last step of its
-path.  The four count operations reach their value through
+property of the state's own extension, a single facet for the last
+step of its path.  The four count operations reach their value through
 ``_per_state(..., stat="facets")``; that call is the one seam where an
 analytics session opened with an ``endpoint`` takes its counts from the
 Tables 5.1/5.2 queries instead
@@ -79,13 +79,6 @@ from repro.facets.model import (
     _path_joins_ids,
     _restrict_by_path_ids,
 )
-
-#: One facet's rows in id space: the property id, the value ids in
-#: marker order, and whether the rows are pairwise disjoint on the
-#: extension (no member has two values) — then they are on every subset
-#: of it, where the having-the-property count is the sum of the counts.
-_FacetRows = Tuple[int, Tuple[int, ...], bool]
-
 
 #: The :meth:`FacetedSession.cache_stats` lines of what the states
 #: remember, with the name each reports under.
@@ -153,11 +146,11 @@ class FacetedSession:
                 subject_ids -= graph.subjects_ids(type_id, special_id)
         return frozenset(subject_ids)
 
-    def _recall(self, state: State, key: object) -> Any:
-        """What ``state`` holds under ``key`` if it was derived in the
-        graph's current generation, else ``None``.  Counts as nothing:
-        this is how the session looks into an ancestor."""
-        entry = state._memo.get(key)
+    def _recall(self, key: object) -> Any:
+        """What the current state holds under ``key`` if it was derived
+        in the graph's current generation, else ``None``.  Counts as
+        nothing: the caller counts the hit it serves from it."""
+        entry = self.state._memo.get(key)
         if entry is not None and entry[0] == self.graph.generation:
             return entry[1]
         return None
@@ -298,10 +291,10 @@ class FacetedSession:
         each); each distinct predicate is decoded once — cheaper than a
         listing nobody asked for.
         """
-        listed = self._recall(self.state, ("listing", include_inverse))
+        listed = self._recall(("listing", include_inverse))
         if listed is not None:
             self._lookups["facets"]["hits"] += 1
-            return [facet.prop for facet in listed[0]]
+            return [facet.prop for facet in listed]
         return list(self._per_state(
             ("props", include_inverse),
             lambda: self._discover_properties(include_inverse), stat="facets"))
@@ -326,42 +319,18 @@ class FacetedSession:
                     found.add(PropertyRef(p, inverse=inverse))
         return tuple(sorted(found, key=lambda r: (r.prop.sort_key(), r.inverse)))
 
-    def property_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
-        """One facet per applicable property, with value markers+counts.
-
-        Delegates to :meth:`all_facets` — the shared-scan batch path —
-        so the left frame costs one pass over the extension's index rows
-        instead of one pass per property."""
-        return self.all_facets(include_inverse)
-
     def all_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
-        """Every applicable property's facet, from the nearest listed
-        ancestor when there is one and from ONE shared scan otherwise.
-
-        Every click restricts the current extension, so a state's
-        non-empty ``(property, value)`` rows are among those of any
-        state in the history whose id set is a superset.  When such a
-        state was listed in this generation, only the rows of *its*
-        listing are re-counted (:meth:`_recount`); otherwise the whole
-        POS index is scanned (:meth:`_scan`).  Either way the listing is
-        remembered on the state with its rows in id space — what
-        :meth:`facet`, :meth:`applicable_properties` and the descendants
-        then read — and each entry is identical to :meth:`facet`'s (the
-        equivalence tests assert it)."""
-        def build():
-            state = self.state
-            ids = state.ids
-            if include_inverse:
-                # forward rows hold no literal subject anyway
-                ids = self._edge_sources(ids)
-            for ancestor in reversed(self._history):
-                listed = self._recall(ancestor, ("listing", include_inverse))
-                if listed is not None and ancestor.ids >= state.ids:
-                    return self._recount(ids, *listed)
-            return self._scan(ids, include_inverse)
-
+        """Every applicable property's facet, from ONE shared scan of the
+        extension (:meth:`_scan`): each marker counts
+        ``|Restrict(E, p:v)|`` over the state's own extension, Table
+        5.2's grouped count.  The listing is remembered on the state —
+        what :meth:`facet` and :meth:`applicable_properties` then read —
+        and each entry is identical to :meth:`facet`'s (the equivalence
+        tests assert it)."""
+        ids = self.state.ids
         return list(self._per_state(
-            ("listing", include_inverse), build, stat="facets")[0])
+            ("listing", include_inverse),
+            lambda: self._scan(ids, include_inverse), stat="facets"))
 
     def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
         """``ids`` without the literals: a literal is the source of no
@@ -369,47 +338,13 @@ class FacetedSession:
         decode = self.graph.decode_id
         return frozenset(i for i in ids if not isinstance(decode(i), Literal))
 
-    def _recount(
-        self, ids: FrozenSet[int], listed: Tuple[PropertyFacet, ...],
-        listed_rows: Tuple[_FacetRows, ...],
-    ) -> Tuple[Tuple[PropertyFacet, ...], Tuple[_FacetRows, ...]]:
-        """The listing of ``ids`` out of a superset's: one intersection
-        ``ids ∩ row`` per listed marker, in the listing's order — the
-        markers that stay non-empty are the new listing, already sorted
-        and already decoded."""
-        subjects_ids, objects_ids = self.graph.subjects_ids, self.graph.objects_ids
-        facets: List[PropertyFacet] = []
-        rows: List[_FacetRows] = []
-        for facet, (prop_id, value_ids, disjoint) in zip(listed, listed_rows):
-            inverse = facet.prop.inverse
-            markers: List[ValueMarker] = []
-            kept: List[int] = []
-            total = 0
-            havers: Set[int] = set()
-            for marker, value_id in zip(facet.values, value_ids):
-                members = ids.intersection(
-                    objects_ids(value_id, prop_id) if inverse
-                    else subjects_ids(prop_id, value_id))
-                if members:
-                    count = len(members)
-                    markers.append(marker if count == marker.count
-                                   else ValueMarker(marker.value, count))
-                    kept.append(value_id)
-                    total += count
-                    if not disjoint:
-                        havers |= members
-            if markers:
-                having = total if disjoint else len(havers)
-                facets.append(PropertyFacet(
-                    path=facet.path, count=having, values=tuple(markers)))
-                rows.append((prop_id, tuple(kept), having == total))
-        return tuple(facets), tuple(rows)
-
-    def _scan(
-        self, ids: FrozenSet[int], include_inverse: bool,
-    ) -> Tuple[Tuple[PropertyFacet, ...], Tuple[_FacetRows, ...]]:
+    def _scan(self, ids: FrozenSet[int],
+              include_inverse: bool) -> Tuple[PropertyFacet, ...]:
         """The listing of ``ids`` from one property-major pass over the
         POS index (:meth:`repro.rdf.graph.Graph.facet_counts`)."""
+        if include_inverse:
+            # forward rows hold no literal subject anyway
+            ids = self._edge_sources(ids)
         graph = self.graph
         decode = graph.decode_id
         schema_ids = {graph.encode_term(p) for p in SCHEMA_PREDICATES}
@@ -418,34 +353,27 @@ class FacetedSession:
             (pid, inverse) for pid in graph.all_predicate_ids()
             if pid not in schema_ids for inverse in directions])
         # Order like applicable_properties, decode each property once,
-        # drop non-IRI predicates and materialize the facets — keeping
-        # each facet's value ids in marker order for the descendants.
+        # drop non-IRI predicates and materialize the facets.
         sort_keys = graph.dictionary.sort_keys
         facets: List[PropertyFacet] = []
-        facet_rows: List[_FacetRows] = []
         for slot in sorted(counters, key=lambda s: (sort_keys[s[0]], s[1])):
             prop = decode(slot[0])
-            if not isinstance(prop, IRI):
-                continue
-            facet, value_ids = self._materialize(
-                (PropertyRef(prop, inverse=slot[1]),), counters[slot],
-                having[slot])
-            facets.append(facet)
-            facet_rows.append((slot[0], value_ids,
-                               facet.count == sum(counters[slot].values())))
-        return tuple(facets), tuple(facet_rows)
+            if isinstance(prop, IRI):
+                facets.append(self._materialize(
+                    (PropertyRef(prop, inverse=slot[1]),), counters[slot],
+                    having[slot]))
+        return tuple(facets)
 
     def _materialize(self, path: Path, counter: Dict[int, int],
-                     having: int) -> Tuple[PropertyFacet, Tuple[int, ...]]:
-        """The facet at ``path`` out of the kernel's counts — markers in
+                     having: int) -> PropertyFacet:
+        """The facet at ``path`` out of the kernel's counts: markers in
         value order, read off the dictionary's sort-key memo, each value
-        decoded once — and the value ids in that order."""
+        decoded once."""
         dictionary = self.graph.dictionary
-        value_ids = tuple(sorted(counter, key=dictionary.sort_keys.__getitem__))
-        facet = PropertyFacet(path=path, count=having, values=tuple(map(
+        value_ids = sorted(counter, key=dictionary.sort_keys.__getitem__)
+        return PropertyFacet(path=path, count=having, values=tuple(map(
             ValueMarker, map(dictionary.decode, value_ids),
             map(counter.__getitem__, value_ids))))
-        return facet, value_ids
 
     def facet(self, path: AnyPath) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).
@@ -460,8 +388,8 @@ class FacetedSession:
         path = self._normalize_path(path)
         if len(path) == 1:
             for include_inverse in (False, True):
-                listed = self._recall(self.state, ("listing", include_inverse))
-                for facet in listed[0] if listed is not None else ():
+                listed = self._recall(("listing", include_inverse))
+                for facet in listed or ():
                     if facet.path == path:
                         self._lookups["facets"]["hits"] += 1
                         return facet
@@ -480,7 +408,7 @@ class FacetedSession:
         slot = (graph.encode_term(step.prop), step.inverse)
         counters, having = graph.facet_counts(ids, (slot,))
         return self._materialize(
-            path, counters.get(slot, {}), having.get(slot, 0))[0]
+            path, counters.get(slot, {}), having.get(slot, 0))
 
     def expand_path(self, path: AnyPath,
                     next_prop: Union[PropertyRef, IRI]) -> PropertyFacet:

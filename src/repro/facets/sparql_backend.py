@@ -250,14 +250,14 @@ class SparqlFacetEngine:
 
         Never raises an endpoint error: a failure is served stale, or
         degrades to no markers, no properties, no facets or an empty
-        ``approximate`` facet.  A listing is served as natively, a
-        ``(facets, id rows)`` pair; a remote one has no id rows."""
+        ``approximate`` facet.  Each is served in the shape the native
+        session remembers: a listing is its tuple of facets."""
         kind, arg = key
         if kind == "listing":
-            return (self._remote(
+            return self._remote(
                 key, "listing", lambda: self.all_facets(view, arg),
                 lambda exc: (), lambda last: tuple(
-                    replace(facet, approximate=True) for facet in last)), ())
+                    replace(facet, approximate=True) for facet in last))
         if kind == "facet":
             return self._remote(
                 key, "facet " + "/".join(step.name for step in arg),

@@ -85,7 +85,7 @@ class TestSeamlessTransition:
         assert EX.laptop1 in session.extension
         assert EX.DELL in session.extension
         # the seeded session is fully functional
-        facets = session.property_facets()
+        facets = session.all_facets()
         assert facets
 
     def test_without_self(self, browser):

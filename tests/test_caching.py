@@ -152,9 +152,9 @@ def _count(session, prop):
 
 class TestFacetCountCache:
     def test_repeat_served_from_cache(self, session):
-        first = session.property_facets()
+        first = session.all_facets()
         hits_before = session.cache_stats()["facets"].hits
-        second = session.property_facets()
+        second = session.all_facets()
         assert [f.count for f in first] == [f.count for f in second]
         assert session.cache_stats()["facets"].hits == hits_before + 1
 
@@ -200,7 +200,7 @@ class TestFacetCountCache:
         frame = session.run()
         explored = frame.explore()
         assert explored.cache_stats()["facets"].size == 0
-        for facet in explored.property_facets():
+        for facet in explored.all_facets():
             assert facet.count > 0
 
 
@@ -233,7 +233,7 @@ class TestDegradedNeverCachedFresh:
 
         session = FacetedAnalyticsSession(
             products, endpoint=flaky_endpoint(raw=factory, retry=None))
-        listing = session.property_facets()
+        listing = session.all_facets()
         assert session.facet_engine.incidents  # everything degraded
         # Degraded listings/facets never enter the counts remembered
         # on the state (the facet engine keeps its own stale store,

@@ -76,7 +76,7 @@ def drive(session, seed, transitions=TRANSITIONS):
                    for m in top.flatten()]
         for marker in markers:
             actions.append(("class", marker))
-        listing = session.property_facets()
+        listing = session.all_facets()
         for facet in listing:
             for value in facet.values[:4]:
                 actions.append(("value", facet, value))
@@ -167,7 +167,7 @@ class TestDegradation:
         session = self.flaky_session()
         for _ in range(12):
             session.class_markers()
-            session.property_facets()
+            session.all_facets()
         assert session.facet_engine.incidents
         for event in session.facet_engine.incidents:
             assert type(event.error) is not Exception
@@ -184,7 +184,7 @@ class TestDegradation:
             raw=lambda g: FailAfter(g, healthy_queries=200),
             retry=RetryPolicy.none(), breaker=None))
         fresh = session.class_markers(expanded=True)
-        fresh_listing = session.property_facets()
+        fresh_listing = session.all_facets()
         assert fresh and all(not m.approximate for m in fresh)
         assert not session.facet_engine.incidents
         assert not any(f.approximate for f in fresh_listing)
@@ -195,7 +195,7 @@ class TestDegradation:
             for m in marker.flatten():
                 assert m.approximate
                 assert str(m).startswith(m.label + " (~")
-        stale_listing = session.property_facets()
+        stale_listing = session.all_facets()
         # everything had a cached value
         assert stale_listing == [
             replace(facet, approximate=True) for facet in fresh_listing]
@@ -251,7 +251,7 @@ class TestDegradation:
         incident."""
         session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
             raw=FailFacetCounts, retry=RetryPolicy.none(), breaker=None))
-        assert session.property_facets() == []
+        assert session.all_facets() == []
         (event,) = session.facet_engine.incidents
         assert (event.operation, event.stale) == ("listing", False)
         assert isinstance(event.error, EndpointError)
@@ -368,7 +368,7 @@ class TestTempClassHygiene:
             endpoint = RemoteEndpointSimulator(
                 graph, faults=FaultModel.uniform(0.3), seed=seed)
             engine = SparqlFacetEngine(graph, endpoint)
-            facets, _ = engine.counted(
+            facets = engine.counted(
                 ("listing", False), engine.view(extension), None)
             if engine.incidents and endpoint.history[0].ok:
                 failed_mid_batch += 1

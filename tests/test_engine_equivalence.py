@@ -351,7 +351,7 @@ def test_sharded_store_facets_identical(shards):
     for path in paths:
         assert sharded.facet(path) == flat.facet(path), path
         assert flat.facet(path).values, path
-    # a child state: its listings are derived from the parent's
+    # a child state's listings, each a scan of its own extension
     for session in (flat, sharded):
         session.select_value(EX.maker, EX.maker1)
     for include_inverse in (False, True):
@@ -403,7 +403,7 @@ def test_engine_choice_is_cache_neutral():
         session = FacetedAnalyticsSession(
             synthetic_graph(SyntheticConfig(laptops=60, seed=5)))
         session.select_class(EX.Laptop)
-        session.property_facets()
+        session.all_facets()
         session.group_by((EX.manufacturer,))
         session.measure((EX.price,), "AVG")
         frame = session.run(engine)

@@ -100,7 +100,7 @@ class TestExample4_HavingViaReload:
         s.measure((EX.price,), "AVG")
         frame = s.run()
         nested = frame.explore()
-        labels = {f.prop.name for f in nested.property_facets()}
+        labels = {f.prop.name for f in nested.all_facets()}
         assert labels == {"manufacturer", "avg_price"}
 
 

@@ -70,7 +70,7 @@ class TestClassTransitions:
 class TestPropertyFacets:
     def test_fig_5_4c_laptop_facets(self, session):
         session.select_class(EX.Laptop)
-        facets = {f.prop.name: f for f in session.property_facets()}
+        facets = {f.prop.name: f for f in session.all_facets()}
         assert {str(v) for v in facets["manufacturer"].values} == {
             "DELL (2)", "Lenovo (1)",
         }

@@ -1,5 +1,5 @@
 """Id-space session states: every click is set algebra on the indexes,
-and a child state's listing is derived from its nearest listed ancestor.
+and every listing is one scan of the state's own extension.
 
 Three contracts, on random ragged graphs over the flat store and 2 and
 4 shards.  (1) Every transition yields the extension the Term-level
@@ -8,9 +8,9 @@ Three contracts, on random ragged graphs over the flat store and 2 and
 empty; and a click is its condition — ``refine(condition)`` is the
 matching ``select_*``, ``str(condition)`` the state's description,
 ``restriction()`` / ``condition_of`` a round trip, the saved fields a
-replay to the same state.  (2) A listing derived from an ancestor's equals the full scan of
-a fresh session and the per-path ``facet()``, and an ancestor's order is
-never used across a mutation or for a state that is not its subset.
+replay to the same state.  (2) The listing of every state a script
+reaches equals the scan of a fresh session, the per-path ``facet()``
+and ``applicable_properties()``; a listing after a write shows it.
 (3) ``facet(path)`` is the facet those operations define, asked before
 or after the listing.  What a session derives from a state lives on the
 state: it is found again after ``back()``, retired by a mutation, and
@@ -62,6 +62,15 @@ _LITERALS = _NUMBERS + [Literal.of("one"), Literal.of(2.5)]
 _UNSEEN = [EX.neverInterned, Literal.of("never interned")]
 _STEPS = [PropertyRef(p, inverse) for p in (EX.p, EX.q, EX.r)
           for inverse in (False, True)] + [PropertyRef(EX.unused)]
+
+#: ``make fuzz``: the listing property at 10 000 random draws.
+_FUZZING = settings.get_current_profile_name() == "fuzz"
+
+_P, _Q, _R = (PropertyRef(p) for p in (EX.p, EX.q, EX.r))
+_RAGGED = [(EX.n0, EX.p, EX.n1), (EX.n0, EX.q, EX.n2), (EX.n1, EX.q, EX.n2),
+           (EX.n1, EX.q, Literal.of(2)), (EX.n3, EX.q, Literal.of(2)),
+           (EX.n3, EX.r, Literal.of(2)), (EX.n2, EX.r, Literal.of("one")),
+           (EX.n4, EX.r, Literal.of(2))]
 
 # Ragged: any node may miss a property or have several values of it.
 _triples = st.lists(st.one_of(
@@ -316,27 +325,14 @@ def test_an_unknown_comparator_is_an_error_not_an_empty_result():
     assert session.history() == before
 
 
-# -- (2) derived listings ≡ full scan ≡ per-path facet() -------------------
-def _spy_recount(session):
-    """Count the listings ``session`` derives from an ancestor."""
-    calls = []
-    recount = session._recount
-
-    def spy(*args):
-        calls.append(args)
-        return recount(*args)
-
-    session._recount = spy
-    return calls
-
-
+# -- (2) every listing ≡ a fresh scan ≡ per-path facet() ------------------
 def _assert_listing(session, include_inverse):
-    """The session's listing equals a fresh session's full scan and its
-    per-path facets; returns it."""
+    """The session's listing equals a fresh session's scan, its
+    per-path facets and its applicable properties; returns it."""
     graph = session.graph
     got = session.all_facets(include_inverse)
     fresh = FacetedSession(graph, results=session.extension, closed=True)
-    assert not _spy_recount(fresh) and got == fresh.all_facets(include_inverse)
+    assert got == fresh.all_facets(include_inverse)
     single = FacetedSession(graph, results=session.extension, closed=True)
     assert got == [single.facet(facet.path) for facet in got]
     assert [f.prop for f in got] == single.applicable_properties(include_inverse)
@@ -344,27 +340,30 @@ def _assert_listing(session, include_inverse):
 
 
 @given(_scripts(), st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_derived_listing_equals_full_scan_and_per_path_facets(
+# a child listed below a listed grandparent: an interval pushes two states
+@example((_RAGGED, None, [("interval", (_Q,), Literal.of(1), Literal.of(3))]),
+         False)
+# back to a listed state, then another click from it
+@example((_RAGGED, None, [("value", (_Q,), Literal.of(2)), ("back",),
+                          ("range", (_R,), ">=", Literal.of(2))]), True)
+# a pivot is no subset of the state it leaves; then a click below it
+@example((_RAGGED, None, [("pivot", (_P,)), ("value", (_Q,), EX.n2)]), False)
+@settings(derandomize=not _FUZZING, deadline=None,
+          max_examples=10_000 if _FUZZING else 100)
+def test_every_listing_equals_a_fresh_scan_and_per_path_facets(
         script, include_inverse):
     triples, seeds, actions = script
     for graph in _stores(triples):
         session = FacetedSession(graph, results=seeds, closed=True)
-        derived = _spy_recount(session)
         _assert_listing(session, include_inverse)
         listed = {session.state}
 
-        def check_the_one_rule():
-            # A state listed before is a hit; else a listed superset in
-            # the history is derived from; else the full scan runs.
+        def check_listing():
+            # A state listed before is a hit; any other is scanned, a miss.
             state = session.state
-            expected = len(derived) + int(state not in listed and any(
-                a in listed and a.ids >= state.ids
-                for a in session.history()[:-1]))
             before = session.cache_stats()["facets"]
             _assert_listing(session, include_inverse)
             after = session.cache_stats()["facets"]
-            assert len(derived) == expected
             assert (after.hits - before.hits, after.misses - before.misses) == (
                 (1, 0) if state in listed else (0, 1))
             listed.add(state)
@@ -377,58 +376,61 @@ def test_derived_listing_equals_full_scan_and_per_path_facets(
                     _apply(session, action)
                 except EmptyTransitionError:
                     continue
-            check_the_one_rule()
+            check_listing()
         # the same on the way back (where only the first state of an
-        # interval was never listed), equal to the full scan either way
+        # interval was never listed)
         while len(session.history()) > 1:
             session.back()
-            check_the_one_rule()
+            check_listing()
 
 
-def test_interval_child_derives_from_the_listed_grandparent():
+def _misses(session):
+    return session.cache_stats()["facets"].misses
+
+
+def test_an_interval_below_a_listed_state_is_one_scan():
     session = FacetedSession(products_graph())
     session.select_class(EX.Laptop)
-    listed = session.all_facets()
-    derived = _spy_recount(session)
+    session.all_facets()
+    before = _misses(session)
     session.select_interval(EX.price, Literal.of(850), Literal.of(950))
     assert len(session.history()) == 4  # the interval pushed two states
     _assert_listing(session, False)
-    # derived from the grandparent's facets: the parent (the state the
-    # lower bound pushed) was never listed and holds nothing
-    assert [list(args[1]) for args in derived] == [listed]
+    # one scan, of the interval's state: the state the lower bound
+    # pushed is never listed and holds nothing
+    assert _misses(session) == before + 1
     assert session.cache_stats()["facets"].size == 2
 
 
-def test_back_then_another_click_derives_again():
+def test_back_then_another_click_scans_the_new_state():
     session = FacetedSession(products_graph())
     session.select_class(EX.Laptop)
-    session.all_facets()
+    laptops = session.all_facets()
     session.select_value(EX.manufacturer, EX.DELL)
     _assert_listing(session, False)
     session.back()
-    derived = _spy_recount(session)
+    assert session.all_facets() == laptops  # found again on its state
+    before = _misses(session)
     session.select_range(EX.USBPorts, ">=", Literal.of(3))
-    _assert_listing(session, False)
-    assert len(derived) == 1
+    assert _assert_listing(session, False) != laptops
+    assert _misses(session) == before + 1
 
 
-def test_pivot_is_no_subset_so_nothing_is_reused():
+def test_a_pivot_and_a_click_below_it_are_each_listed_by_their_scan():
     session = FacetedSession(products_graph())
     session.select_class(EX.Laptop)
-    session.all_facets()
-    derived = _spy_recount(session)
+    laptops = session.all_facets()
     session.pivot_to(EX.manufacturer)
     assert not session.history()[-2].ids >= session.state.ids
-    _assert_listing(session, False)
-    assert not derived
-    # ... while a click *below* the pivot derives from the pivot state
+    makers = _assert_listing(session, False)
+    assert makers != laptops
     session.select_value(EX.origin, EX.US)
-    _assert_listing(session, False)
-    assert len(derived) == 1
+    assert session.history()[-2].ids >= session.state.ids
+    assert _assert_listing(session, False) != makers
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_a_mutation_retires_the_ancestors_order(shards):
+def test_a_listing_after_add_shows_the_new_value(shards):
     graph = products_graph()
     if shards > 1:
         graph = ShardedGraph.from_graph(graph, shards=shards)
@@ -436,15 +438,14 @@ def test_a_mutation_retires_the_ancestors_order(shards):
     session.select_class(EX.Laptop)
     listed = session.all_facets()
     session.select_value(EX.manufacturer, EX.DELL)
-    derived = _spy_recount(session)
-    # a value the ancestor's listing has never seen, on a child member
+    session.all_facets()
+    # a value no listing has seen yet, on a member of the child
     member = sorted(session.extension, key=lambda t: t.sort_key())[0]
     assert session.graph.add(member, EX.price, Literal.of(123456))
     facets = _assert_listing(session, False)
-    assert not derived
     price = next(f for f in facets if f.prop.prop == EX.price)
     assert price.value_for(Literal.of(123456)).count == 1
-    # the ancestor itself is re-scanned too, and differs from its old self
+    # the parent is scanned again too, and differs from its old self
     session.back()
     assert _assert_listing(session, False) != listed
 
@@ -465,13 +466,6 @@ def _formal_facet(graph, extension, path):
         count=sum(1 for member in previous if joins(graph, [member], step)),
         values=tuple(ValueMarker(v, len(restrict(graph, previous, step, v)))
                      for v in values))
-
-
-_P, _Q, _R = (PropertyRef(p) for p in (EX.p, EX.q, EX.r))
-_RAGGED = [(EX.n0, EX.p, EX.n1), (EX.n0, EX.q, EX.n2), (EX.n1, EX.q, EX.n2),
-           (EX.n1, EX.q, Literal.of(2)), (EX.n3, EX.q, Literal.of(2)),
-           (EX.n3, EX.r, Literal.of(2)), (EX.n2, EX.r, Literal.of("one")),
-           (EX.n4, EX.r, Literal.of(2))]
 
 
 @given(_triples, _seeds,
@@ -584,14 +578,13 @@ def test_a_state_popped_by_back_takes_its_memo_along():
     session.back()
     assert size() == 2
     # the same click again is a new state: nothing is found on it, and
-    # its listing is derived from the listed parent once more
-    derived = _spy_recount(session)
+    # its listing is scanned once more
     before = session.cache_stats()["facets"]
     session.select_value(EX.manufacturer, EX.DELL)
     assert session.all_facets() == listing
     after = session.cache_stats()["facets"]
     assert (after.hits, after.misses) == (before.hits, before.misses + 1)
-    assert len(derived) == 1 and size() == 3
+    assert size() == 3
     assert (after.evictions, after.invalidations) == (0, 0)
 
 

@@ -63,7 +63,7 @@ class TestEntitySwitch:
     def test_pivoted_state_is_explorable(self, session):
         session.select_class(EX.Painting)
         session.pivot_to((EX.creator,))
-        facets = {f.prop.name for f in session.property_facets()}
+        facets = {f.prop.name for f in session.all_facets()}
         assert "movement" in facets and "born" in facets
 
     def test_pivot_intention_matches_extension(self, session):

@@ -34,7 +34,7 @@ def random_walk(session, decisions):
                 continue
             session.select_class(markers[pick_a % len(markers)].cls)
         elif kind == 1:
-            facets = session.property_facets()
+            facets = session.all_facets()
             if not facets:
                 continue
             facet = facets[pick_a % len(facets)]
@@ -44,7 +44,7 @@ def random_walk(session, decisions):
             session.select_value(facet.path, marker.value)
         elif kind == 2:
             facets = [
-                f for f in session.property_facets()
+                f for f in session.all_facets()
                 if f.values and isinstance(f.values[0].value, Literal)
                 and f.values[0].value.is_numeric()
             ]
@@ -97,7 +97,7 @@ def test_offered_transitions_never_empty(decisions, seed):
     random_walk(session, decisions)
     for marker in session.class_markers():
         assert marker.count > 0
-    for facet in session.property_facets():
+    for facet in session.all_facets():
         for value in facet.values:
             assert value.count > 0
             survivors = session.select_value(facet.path, value.value)
@@ -199,31 +199,18 @@ def _assert_in_sort_key_order(facets):
         assert not any(b < a for a, b in zip(keys, keys[1:])), facet
 
 
-def _assert_order_kept(listed, recounted):
-    """A re-counted listing keeps its ancestor's marker order: its
-    markers are a subsequence of the ancestor's.  (Around a NaN that is
-    all there is to check: dropping the NaN between 1 and 0.5 leaves
-    them neighbours.)"""
-    orders = {facet.path: [m.value for m in facet.values] for facet in listed}
-    for facet in recounted:
-        positions = [orders[facet.path].index(m.value) for m in facet.values]
-        assert positions == sorted(positions), facet
-
-
 @given(values=st.lists(_mixed, min_size=1, max_size=14),
        later=st.lists(_mixed, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_markers_come_in_sort_key_order(values, later):
-    """The markers of a cold listing (``_scan``), of a single facet and
-    of a path expansion are in ``Term.sort_key()`` order, and a listing
-    re-counted from an ancestor's (``_recount``) keeps that order — also
+    """The markers of a listing, a child state's too, of a single facet
+    and of a path expansion are in ``Term.sort_key()`` order — also
     after terms the store never saw are interned."""
     session = FacetedSession(_mixed_graph(values))
     for _ in range(2):
-        listed = session.all_facets(include_inverse=True)
-        _assert_in_sort_key_order(listed)
+        _assert_in_sort_key_order(session.all_facets(include_inverse=True))
         session.select_value(EX.kind, EX.k0)
-        _assert_order_kept(listed, session.all_facets(include_inverse=True))
+        _assert_in_sort_key_order(session.all_facets(include_inverse=True))
         fresh = FacetedSession(session.graph, closed=True)
         fresh.select_class(EX.Thing)
         _assert_in_sort_key_order([

@@ -80,5 +80,5 @@ class TestSearchSeedsSession:
         session = FacetedSession(graph, results=[h.resource for h in hits])
         assert set(session.extension) == {h.resource for h in hits}
         # The seeded state still offers facets and transitions.
-        facets = session.property_facets()
+        facets = session.all_facets()
         assert facets

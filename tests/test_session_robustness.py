@@ -51,7 +51,7 @@ class TestSmallGraphs:
         # session offers nothing rather than crashing
         assert len(session.extension) == 0
         assert session.class_markers() == []
-        assert session.property_facets() == []
+        assert session.all_facets() == []
 
     def test_literal_heavy_graph(self):
         g = Graph()

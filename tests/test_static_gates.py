@@ -139,7 +139,7 @@ PER_VALUE_TERM_WORK = {"sort_key", "to_python"}
 
 
 def _listing_term_work(session_path=FACETS_SRC / "session.py"):
-    """Where the listing's kernels — the session's scan, recount,
+    """Where the listing's kernels — the session's scan,
     materialization and last-step count, the store's ``facet_counts``
     and the forward join of a path prefix — call ``sort_key()`` or
     ``to_python()`` instead of reading the dictionary's memos."""
@@ -148,7 +148,7 @@ def _listing_term_work(session_path=FACETS_SRC / "session.py"):
         for path in (session_path, RDF_SRC / "graph.py",
                      FACETS_SRC / "model.py"))
     scopes = [_definition(session, "FacetedSession", name) for name in
-              ("_scan", "_recount", "_materialize", "_count_last_step")]
+              ("_scan", "_materialize", "_count_last_step")]
     scopes += [_definition(graph, "Graph", "facet_counts"),
                _definition(model, "_joins_ids")]
     return _attribute_calls(scopes, PER_VALUE_TERM_WORK)
@@ -157,18 +157,22 @@ def _listing_term_work(session_path=FACETS_SRC / "session.py"):
 def test_listing_kernels_do_no_per_value_term_work(tmp_path):
     """Marker order comes from ``dictionary.sort_keys`` and numbers from
     ``dictionary.numbers``: no kernel of a listing derives either from
-    a term again.  A per-value ``sort_key()`` planted in
-    ``_materialize`` is caught."""
+    a term again.  A per-value ``sort_key()`` planted in ``_scan`` or
+    in ``_materialize`` is caught."""
     assert _listing_term_work() == []
-    anchor = "        dictionary = self.graph.dictionary\n"
     source = (FACETS_SRC / "session.py").read_text(encoding="utf-8")
-    assert anchor in source
-    planted = tmp_path / "session.py"
-    planted.write_text(source.replace(
-        anchor, anchor + "        [dictionary.decode(v).sort_key() "
-                         "for v in counter]\n", 1), encoding="utf-8")
-    assert [hit.split(":")[0] for hit in _listing_term_work(planted)] == [
-        "sort_key"]
+    plants = {  # anchor (in _scan, in _materialize) -> the planted line
+        "        sort_keys = graph.dictionary.sort_keys\n":
+            "        [decode(s[0]).sort_key() for s in counters]\n",
+        "        dictionary = self.graph.dictionary\n":
+            "        [dictionary.decode(v).sort_key() for v in counter]\n"}
+    for anchor, plant in plants.items():
+        assert source.count(anchor) == 1
+        planted = tmp_path / "session.py"
+        planted.write_text(source.replace(anchor, anchor + plant),
+                           encoding="utf-8")
+        assert [hit.split(":")[0]
+                for hit in _listing_term_work(planted)] == ["sort_key"]
 
 
 EVALUATOR = REPO / "src" / "repro" / "sparql" / "evaluator.py"

@@ -136,5 +136,5 @@ class TestVoidExport:
         from repro.facets import FacetedSession
 
         session = FacetedSession(void_graph(profile))
-        facets = {f.prop.name for f in session.property_facets()}
+        facets = {f.prop.name for f in session.all_facets()}
         assert "entities" in facets or "classPartition" in facets
