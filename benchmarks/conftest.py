@@ -79,10 +79,12 @@ class CountingGraph(Graph):
     """The store, counting what its read seams hand out: ``probes``
     (read calls), ``rows`` (index rows: an SPO or POS row per
     ``objects_ids`` / ``subjects_ids``, every value row of a property
-    ``pos_ids`` hands out or the scan kernel ``facet_counts`` reads, a
-    triple per match ``triples_ids`` yields) and ``triples`` (the ids
-    behind those rows, one per triple ``triples_ids`` yields — what a
-    test of the rows against the members costs at most).  A ``copy()``
+    ``pos_ids`` hands out, a triple per match ``triples_ids`` yields)
+    and ``triples`` (the ids behind those rows, one per triple
+    ``triples_ids`` yields — what a test of the rows against the members
+    costs at most).  The scan kernel ``facet_counts`` reads through the
+    same seams: ``pos_ids`` per scanned slot, ``objects_ids`` per member
+    of a walked one.  A ``copy()``
     reads the indexes off every seam, so it counts itself: one probe and
     the source's triples.  Its copies, the RDFS closure among them, count
     too."""
@@ -121,11 +123,6 @@ class CountingGraph(Graph):
         row = super().pos_ids(pi)
         self._hand_out(row.values())
         return row
-
-    def facet_counts(self, ids, slots):
-        self._hand_out([subjects for pi, _ in slots
-                        for subjects in Graph.pos_ids(self, pi).values()])
-        return super().facet_counts(ids, slots)
 
     def copy(self):
         self.probes += 1

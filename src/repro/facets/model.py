@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from typing import (AbstractSet, Collection, Dict, FrozenSet, Iterable, List,
-                    Optional, Set, Tuple, Union)
+                    NamedTuple, Optional, Set, Tuple, Union)
 
 from repro.rdf.graph import EMPTY_IDS, Graph
 from repro.rdf.namespace import RDF
@@ -208,13 +208,13 @@ def restrict_by_path(graph: Graph, extension: Iterable[Term], path: Path,
 # ---------------------------------------------------------------------------
 # Transition markers
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class ValueMarker:
+class ValueMarker(NamedTuple):
     """One clickable value of a facet, with its count.
 
     ``count`` is ``|Restrict(M, p : value)|`` over the marker set M that
     precedes this path position — never zero, so a click never empties
-    the result set.
+    the result set.  A marker is a tuple ``(value, count)``: a listing
+    builds thousands, and ``tuple.__new__`` builds one at C speed.
     """
 
     value: Term

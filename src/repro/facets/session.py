@@ -39,6 +39,7 @@ from.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import (
     AbstractSet,
     Any,
@@ -366,14 +367,18 @@ class FacetedSession:
 
     def _materialize(self, path: Path, counter: Dict[int, int],
                      having: int) -> PropertyFacet:
-        """The facet at ``path`` out of the kernel's counts: markers in
-        value order, read off the dictionary's sort-key memo, each value
-        decoded once."""
+        """The facet at ``path`` out of the kernel's counts, decoded and
+        zipped into tuple markers: a forward counter is in marker order,
+        an inverse one is sorted on the dictionary's sort-key memo."""
         dictionary = self.graph.dictionary
-        value_ids = sorted(counter, key=dictionary.sort_keys.__getitem__)
+        value_ids: Iterable[int] = counter
+        counts: Iterable[int] = counter.values()
+        if path[-1].inverse:
+            value_ids = sorted(counter, key=dictionary.sort_keys.__getitem__)
+            counts = map(counter.__getitem__, value_ids)
         return PropertyFacet(path=path, count=having, values=tuple(map(
-            ValueMarker, map(dictionary.decode, value_ids),
-            map(counter.__getitem__, value_ids))))
+            tuple.__new__, repeat(ValueMarker),
+            zip(map(dictionary.decode, value_ids), counts))))
 
     def facet(self, path: AnyPath) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).

@@ -36,7 +36,9 @@ On top of the indexes the store maintains, incrementally on add/remove:
   (per-(predicate, object) counts are O(1) for free via the POS index);
 * per-predicate counts of the subjects with two or more objects (kept
   where an SPO row is promoted to a set and demoted back), so
-  :meth:`Graph.facet_counts` knows when no member can have two values.
+  :meth:`Graph.facet_counts` knows when no member can have two values;
+* the predicates whose POS row gained a value row since its last sort
+  into marker order, which :meth:`Graph.facet_counts` then re-sorts.
 
 Pattern matching uses ``None`` as a wildcard::
 
@@ -53,6 +55,8 @@ implementation whatever the layout.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, repeat
 from typing import (
     AbstractSet,
     Any,
@@ -81,6 +85,11 @@ def _objects(row) -> Collection[int]:
     return (row,) if type(row) is int else row
 
 
+#: A forward facet slot walks its members' SPO rows instead of the
+#: property's POS rows when the property has more than ``WALK`` triples
+#: a member (measured cold: DESIGN.md design choice 4).
+WALK = 16
+
 #: ``(counters, having)`` of one facet scan: per ``(property id,
 #: inverse)`` slot, the count of every value id, and the number of
 #: extension members having the property at all.
@@ -100,6 +109,8 @@ class Graph:
         self._pred_count: Dict[int, int] = {}
         #: predicate → subjects whose SPO row holds two or more objects.
         self._multi_count: Dict[int, int] = {}
+        #: predicates whose POS row is not in ``sort_keys`` order.
+        self._unsorted: Set[int] = set()
         self._size = 0
         #: Bumped on every successful mutation; stamps cache entries.
         self.generation = 0
@@ -200,6 +211,7 @@ class Graph:
         subjects = os_.get(oi)
         if subjects is None:
             subjects = os_[oi] = set()
+            self._unsorted.add(pi)
         subjects.add(si)
         self._mutated(pi, 1)
         return True
@@ -407,38 +419,52 @@ class Graph:
     def facet_counts(self, ids: AbstractSet[int],
                      slots: Collection[Tuple[int, bool]]) -> FacetCounts:
         """The value counts over the extension ``ids`` of every
-        ``(property id, inverse)`` slot in ``slots``, each from one pass
-        over the property's POS rows; a slot without a value on ``ids``
-        is left out.
+        ``(property id, inverse)`` slot in ``slots``; a slot without a
+        value on ``ids`` is left out.  A forward counter comes in marker
+        order (``dictionary.sort_keys``), the order of the POS rows.
 
         Forward, every value row is one set intersection ``ids ∩
         subjects`` — the count of that value marker — executed at C
         speed, and the union of the intersections gives the
         having-the-property count — or, when no subject has two values
-        of the property, the sum of the counts, no union built.  An
-        inverse slot reads the same rows the other way: the subjects
-        reached from the members of ``ids`` that occur as values, and
-        how many members do (``ids`` must then hold no literal — a
-        literal is the source of no edge).
+        of the property, the sum of the counts, no union built.  With
+        more than :data:`WALK` triples of the property a member, the
+        members' SPO rows are read instead, and the values found sorted.
+        An inverse slot reads the POS rows the other way: the subjects
+        reached from the members of ``ids`` that occur as values (in no
+        order), and how many members do (``ids`` must then hold no
+        literal — a literal is the source of no edge).
         """
         counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
         having: Dict[Tuple[int, bool], int] = {}
+        order = self._dict.sort_keys.__getitem__
         for slot in slots:
-            rows = self._pos.get(slot[0])
-            if rows is None:
+            pi, inverse = slot
+            if pi not in self._pos:
                 continue
             counter: Dict[int, int] = {}
-            if slot[1]:
+            if not inverse and WALK * len(ids) < self._pred_count[pi]:
+                held = list(filter(None, map(self.objects_ids, ids, repeat(pi))))
+                found = Counter(chain.from_iterable(held))
+                counter = {value_id: found[value_id]
+                           for value_id in sorted(found, key=order)}
+                with_property = len(held)
+            elif inverse:
                 with_property = 0
-                for value_id, subjects in rows.items():
+                for value_id, subjects in self.pos_ids(pi).items():
                     if value_id in ids:
                         with_property += 1
                         for sid in subjects:
                             counter[sid] = counter.get(sid, 0) + 1
             else:
-                multi = self._multi_count.get(slot[0])
+                if pi in self._unsorted:  # in place: pos_ids hands it out
+                    self._unsorted.remove(pi)
+                    rows = self._pos[pi]
+                    for value_id in sorted(rows, key=order):
+                        rows[value_id] = rows.pop(value_id)
+                multi = self._multi_count.get(pi)
                 havers: Set[int] = set()
-                for value_id, subjects in rows.items():
+                for value_id, subjects in self.pos_ids(pi).items():
                     members = ids & subjects
                     if members:
                         counter[value_id] = len(members)
@@ -554,6 +580,7 @@ class Graph:
             for index in (source._spo, source._pos))
         self._pred_count = dict(source._pred_count)
         self._multi_count = dict(source._multi_count)
+        self._unsorted = set(source._unsorted)
         self._size = source._size
         self.generation = 1 if self._size else 0
 

@@ -226,7 +226,8 @@ class ShardedGraph(Graph):
         counters are keyed by subject, so they union; an inverse
         having-count is the number of members among the predicate's
         values, which recur across slices, so it is re-counted on the
-        merged value set."""
+        merged value set.  A merged forward counter is put back in
+        marker order: each slice's is, so the sort only merges runs."""
         counters: Dict[Tuple[int, bool], Dict[int, int]] = {}
         having: Dict[Tuple[int, bool], int] = {}
         for piece in self._slices:
@@ -242,12 +243,16 @@ class ShardedGraph(Graph):
                     for value_id, n in counter.items():
                         target[value_id] = target.get(value_id, 0) + n
                     having[slot] += part_having[slot]
+        order = self._dict.sort_keys.__getitem__
         for slot in having:
             if slot[1]:
                 matched: Set[int] = set()
                 for piece in self._slices:
                     matched.update(ids.intersection(piece.pos_ids(slot[0])))
                 having[slot] = len(matched)
+            else:
+                counters[slot] = dict(sorted(counters[slot].items(),
+                                             key=lambda item: order(item[0])))
         return counters, having
 
     # A no-op: the frozen benchmark (perf/workloads.py) calls it.

@@ -192,6 +192,8 @@ class Literal(Term):
         if isinstance(value, bool):
             return (self._rank, 0, "", int(value), "")
         if isinstance(value, (int, float, Decimal)):
+            if value != value:  # NaN: after every number, so keys stay total
+                return (self._rank, 0, "nan", 0.0, "")
             return (self._rank, 0, "", float(value), "")
         if isinstance(value, (_dt.date, _dt.datetime)):
             return (self._rank, 1, value.isoformat(), 0.0, "")

@@ -10,7 +10,7 @@ import datetime
 import math
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.datasets import SyntheticConfig, synthetic_graph
 from repro.facets import FacetedSession
@@ -202,6 +202,8 @@ def _assert_in_sort_key_order(facets):
 @given(values=st.lists(_mixed, min_size=1, max_size=14),
        later=st.lists(_mixed, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
+@example(values=[Literal.of(1), Literal.of(math.nan), Literal.of(0)],
+         later=[Literal.of(math.nan)])
 def test_markers_come_in_sort_key_order(values, later):
     """The markers of a listing, a child state's too, of a single facet
     and of a path expansion are in ``Term.sort_key()`` order — also

@@ -1,11 +1,16 @@
 """Unit tests of the indexed triple store."""
 
+import datetime
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.rdf import Graph
-from repro.rdf.namespace import EX
+from repro.rdf.graph import WALK
+from repro.rdf.namespace import EX, RDFS
+from repro.rdf.rdfs import RDFSClosure
 from repro.rdf.sharding import ShardedGraph
 from repro.rdf.terms import BNode, IRI, Literal
 
@@ -163,3 +168,80 @@ def test_copy_and_original_never_see_each_others_writes(empty, base, writes):
         assert _observe(other) == before
         assert set(written.triples()) == expected[on_copy]
         assert written.count() == len(expected[on_copy])
+
+
+# ----------------------------------------------------------------------
+# facet_counts hands out a forward counter in marker order: its POS rows
+# are kept in ``dictionary.sort_keys`` order (a write that appends a
+# value row marks the property, the next read re-sorts it), and a walk
+# over the members' SPO rows sorts what it found.  Both must agree with
+# a sorted oracle however the rows were made and emptied, and on every
+# store derived before the next read.
+# ----------------------------------------------------------------------
+#: Values of pairwise distinct sort keys, so the oracle's order is unique.
+_ORDERED = [Literal.of(2), Literal.of(-1.5), Literal.of(math.nan),
+            Literal.of(0), Literal.of("b"), Literal.of("a"),
+            Literal.of(datetime.date(2000, 1, 1)), Literal("a", language="en"),
+            EX.term("v1"), EX.term("v0"), BNode("v")]
+_SUBJECTS = [EX.term(f"s{i}") for i in range(40)]
+_ROW_PREDICATES = [EX.term(f"r{i}") for i in range(3)]
+#: (add?, subject, predicate, value)
+_row_writes = st.lists(st.tuples(
+    st.booleans(), st.sampled_from(_SUBJECTS), st.sampled_from(_ROW_PREDICATES),
+    st.sampled_from(_ORDERED)), max_size=25)
+
+
+def _row_store():
+    """40 subjects with a value of each predicate (so one member walks
+    and the class scans), ``r2`` a sub-property of ``r0``."""
+    store = Graph()
+    for i, subject in enumerate(_SUBJECTS):
+        for j, predicate in enumerate(_ROW_PREDICATES):
+            store.add(subject, predicate, _ORDERED[(i * (j + 1)) % len(_ORDERED)])
+    store.add(_ROW_PREDICATES[2], RDFS.subPropertyOf, _ROW_PREDICATES[0])
+    return store
+
+
+def _write(store, writes):
+    for is_add, *statement in writes:
+        (store.add if is_add else store.remove)(*statement)
+
+
+def _assert_marker_order(store, members):
+    """Every forward counter over each extension — ``members``, one
+    member, every subject — equals the sorted oracle, in its order."""
+    slots = [(pi, False) for pi in store.all_predicate_ids()]
+    for terms in (members, _SUBJECTS[:1], _SUBJECTS):
+        ids = frozenset(store.encode_terms(terms))
+        counters, having = store.facet_counts(ids, slots)
+        for pi, _ in slots:
+            found = {}
+            for si in ids:
+                for oi in store.objects_ids(si, pi):
+                    found[oi] = found.get(oi, 0) + 1
+            expected = [(oi, found[oi]) for oi in sorted(
+                found, key=lambda oi: store.decode_id(oi).sort_key())]
+            assert list(counters.get((pi, False), {}).items()) == expected
+            assert having.get((pi, False), 0) == sum(
+                bool(store.objects_ids(si, pi)) for si in ids)
+
+
+@given(interleaved=_row_writes, pending=_row_writes,
+       members=st.lists(st.sampled_from(_SUBJECTS), max_size=6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_forward_counters_come_in_marker_order(interleaved, pending, members):
+    """Writes that create and empty value rows, each followed by a read,
+    then writes no read follows before the store is copied, closed and
+    sharded: every forward counter, walked or scanned, is the sorted
+    oracle's, on the store and on each derived store."""
+    store = _row_store()
+    assert WALK * 1 < store.count(None, _ROW_PREDICATES[0], None) \
+        <= WALK * len(_SUBJECTS)  # one member walks, every subject scans
+    for write in interleaved:
+        _write(store, [write])
+        _assert_marker_order(store, members)
+    _write(store, pending)
+    derived = [store.copy(), RDFSClosure(store).graph(),
+               ShardedGraph.from_graph(store, shards=3)]
+    for each in derived + [store]:
+        _assert_marker_order(each, members)

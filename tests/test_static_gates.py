@@ -138,18 +138,21 @@ FACETS_SRC = REPO / "src" / "repro" / "facets"
 PER_VALUE_TERM_WORK = {"sort_key", "to_python"}
 
 
-def _listing_term_work(session_path=FACETS_SRC / "session.py"):
+def _listing_term_work(session_path=FACETS_SRC / "session.py",
+                       graph_path=RDF_SRC / "graph.py"):
     """Where the listing's kernels — the session's scan,
     materialization and last-step count, the store's ``facet_counts``
-    and the forward join of a path prefix — call ``sort_key()`` or
-    ``to_python()`` instead of reading the dictionary's memos."""
-    session, graph, model = (
+    (flat and sharded) and the forward join of a path prefix — call
+    ``sort_key()`` or ``to_python()`` instead of reading the
+    dictionary's memos."""
+    session, graph, sharding, model = (
         ast.parse(path.read_text(encoding="utf-8"))
-        for path in (session_path, RDF_SRC / "graph.py",
+        for path in (session_path, graph_path, RDF_SRC / "sharding.py",
                      FACETS_SRC / "model.py"))
     scopes = [_definition(session, "FacetedSession", name) for name in
               ("_scan", "_materialize", "_count_last_step")]
     scopes += [_definition(graph, "Graph", "facet_counts"),
+               _definition(sharding, "ShardedGraph", "facet_counts"),
                _definition(model, "_joins_ids")]
     return _attribute_calls(scopes, PER_VALUE_TERM_WORK)
 
@@ -173,6 +176,28 @@ def test_listing_kernels_do_no_per_value_term_work(tmp_path):
                            encoding="utf-8")
         assert [hit.split(":")[0]
                 for hit in _listing_term_work(planted)] == ["sort_key"]
+
+
+def test_the_store_orders_markers_off_the_sort_key_memo(tmp_path):
+    """The store hands out forward counters in marker order: the flat
+    kernel's re-sort of a POS row and the sharded merge read
+    ``dictionary.sort_keys``, and a ``sort_key()`` planted in the
+    re-sort is caught."""
+    for path, store in ((RDF_SRC / "graph.py", "Graph"),
+                        (RDF_SRC / "sharding.py", "ShardedGraph")):
+        kernel = _definition(ast.parse(path.read_text(encoding="utf-8")),
+                             store, "facet_counts")
+        assert any(getattr(node, "attr", None) == "sort_keys"
+                   for node in ast.walk(kernel)), store
+    source = (RDF_SRC / "graph.py").read_text(encoding="utf-8")
+    anchor = "                    rows = self._pos[pi]\n"
+    assert source.count(anchor) == 1
+    planted = tmp_path / "graph.py"
+    planted.write_text(source.replace(anchor, anchor + (
+        "                    [self.decode_id(v).sort_key() for v in rows]\n")),
+        encoding="utf-8")
+    assert [hit.split(":")[0]
+            for hit in _listing_term_work(graph_path=planted)] == ["sort_key"]
 
 
 EVALUATOR = REPO / "src" / "repro" / "sparql" / "evaluator.py"
