@@ -39,7 +39,8 @@ chaos:
 # typed errors on arbitrary text, replay_session only ValueError on
 # arbitrary JSON), the Answer Frame memo's state machine, the SPARQL
 # evaluator's bindings (an extension view answers the materialized
-# rows) and operators (each against a Term-level reference), the
+# rows), operators (each against a Term-level reference) and grouped
+# counts (the POS-row rule answers the pipeline's rows), the
 # store's access shapes under writes (every read against a set oracle,
 # every SPO row in its one shape), native presses interleaved with
 # writes (each against a fresh session and, inside HIFUN's
@@ -51,8 +52,8 @@ fuzz:
 	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
 		tests/test_sparql_bindings.py tests/test_sparql_differential.py \
 		tests/test_property_graph.py tests/test_engine_equivalence.py \
-		tests/test_idspace_session.py \
-		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing" \
+		tests/test_idspace_session.py tests/test_sparql_counts.py \
+		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule" \
 		--hypothesis-profile=fuzz -q
 
 examples:

@@ -7,7 +7,10 @@ functional on the data.  RDF graphs rarely declare all of this, so
 :func:`infer_schema` *derives* it:
 
 * declared ``rdfs:domain`` / ``rdfs:range`` axioms are merged with the
-  **observed** types of subjects and objects;
+  **observed** types of subjects and objects, read off the ``rdf:type``
+  POS rows: a class is observed iff its instances meet the property's
+  subjects (objects) — one C-level disjointness test per class, no
+  per-node walk;
 * functionality is decided in O(distinct objects) per predicate from the
   POS index: a property is functional iff its triple count equals its
   distinct-subject count (each subject has at most one value);
@@ -115,14 +118,16 @@ def infer_schema(graph: Graph) -> SchemaInfo:
     return info
 
 
-def _class_ids_of(graph: Graph, ident: int, type_pi: Optional[int]) -> Set[int]:
-    if type_pi is None:
-        return set()
-    return set(graph.objects_ids(ident, type_pi))
+def _classes_meeting(typed: Dict[int, Set[int]], nodes: Set[int]) -> Set[int]:
+    """The class ids of ``typed`` (the ``rdf:type`` POS rows: class →
+    its instances) with an instance among ``nodes``."""
+    return {cls for cls, members in typed.items()
+            if not members.isdisjoint(nodes)}
 
 
 def _infer(graph: Graph) -> SchemaInfo:
     type_pi = graph.encode_term(RDF.type)
+    typed = {} if type_pi is None else graph.pos_ids(type_pi)
 
     # -- classes and the subclass up-closure ---------------------------
     classes: Set[Term] = set(graph.objects(None, RDF.type))
@@ -160,10 +165,8 @@ def _infer(graph: Graph) -> SchemaInfo:
         pi = graph.encode_term(prop)
         pair_count = counts.get(prop, 0)
         subject_ids: Set[int] = set()
-        domain_ids: Set[int] = set()
-        range_ids: Set[int] = set()
+        resource_ids: Set[int] = set()
         datatypes: Set[str] = set()
-        resource_objects = 0
         literal_objects = 0
         if pi is not None:
             for oi, subject_set in graph.pos_ids(pi).items():
@@ -173,12 +176,11 @@ def _infer(graph: Graph) -> SchemaInfo:
                     literal_objects += 1
                     datatypes.add(obj.datatype)
                 else:
-                    resource_objects += 1
-                    range_ids |= _class_ids_of(graph, oi, type_pi)
-            for si in subject_ids:
-                domain_ids |= _class_ids_of(graph, si, type_pi)
-        domains = declared_domains | graph.decode_ids(domain_ids)
-        ranges = declared_ranges | graph.decode_ids(range_ids)
+                    resource_ids.add(oi)
+        domains = declared_domains | graph.decode_ids(
+            _classes_meeting(typed, subject_ids))
+        ranges = declared_ranges | graph.decode_ids(
+            _classes_meeting(typed, resource_ids))
         signatures[prop] = PropertySignature(
             prop=prop,
             triples=pair_count,
@@ -187,7 +189,7 @@ def _infer(graph: Graph) -> SchemaInfo:
             domains=frozenset(domains),
             ranges=frozenset(ranges),
             datatypes=frozenset(datatypes),
-            resource_objects=resource_objects,
+            resource_objects=len(resource_ids),
             literal_objects=literal_objects,
         )
 

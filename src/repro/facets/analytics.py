@@ -439,8 +439,9 @@ class FacetedAnalyticsSession(FacetedSession):
         temporary class of Table 5.1 — virtually: the view the SPARQL
         pipeline is evaluated over, so that a read writes nothing.
 
-        It is built from the state's ids as they are: each is decoded
-        once, only to skip literals.  The evaluator reads it in ids
+        It is built from the state's ids as they are, less the literals
+        (:meth:`~repro.rdf.graph.Graph.resource_ids` decodes only the
+        ids no triple has as subject).  The evaluator reads it in ids
         alone (``triples_ids`` / ``count_ids``).  It is remembered on
         the state, so the count queries and the runs of one state share
         it, also after coming *back* to the state.

@@ -309,7 +309,7 @@ class FacetedSession:
             forward_ids.update(graph.spo_ids(eid))
         inverse_ids: List[int] = []
         if include_inverse:
-            sources = self._edge_sources(extension_ids)
+            sources = graph.resource_ids(extension_ids)
             inverse_ids = [pid for pid in graph.all_predicate_ids()
                            if not graph.pos_ids(pid).keys().isdisjoint(sources)]
         found: Set[PropertyRef] = set()
@@ -333,20 +333,15 @@ class FacetedSession:
             ("listing", include_inverse),
             lambda: self._scan(ids, include_inverse), stat="facets"))
 
-    def _edge_sources(self, ids: AbstractSet[int]) -> FrozenSet[int]:
-        """``ids`` without the literals: a literal is the source of no
-        inverse edge (it would match the values of a POS row)."""
-        decode = self.graph.decode_id
-        return frozenset(i for i in ids if not isinstance(decode(i), Literal))
-
-    def _scan(self, ids: FrozenSet[int],
+    def _scan(self, ids: AbstractSet[int],
               include_inverse: bool) -> Tuple[PropertyFacet, ...]:
         """The listing of ``ids`` from one property-major pass over the
         POS index (:meth:`repro.rdf.graph.Graph.facet_counts`)."""
-        if include_inverse:
-            # forward rows hold no literal subject anyway
-            ids = self._edge_sources(ids)
         graph = self.graph
+        if include_inverse:
+            # a literal is the source of no inverse edge (it would match
+            # the values of a POS row); forward rows hold no literal anyway
+            ids = graph.resource_ids(ids)
         decode = graph.decode_id
         schema_ids = {graph.encode_term(p) for p in SCHEMA_PREDICATES}
         directions = (False, True) if include_inverse else (False,)
@@ -408,7 +403,7 @@ class FacetedSession:
             ids = _path_joins_ids(graph, ids, path[:-1])[-1]
         step = path[-1]
         if step.inverse:
-            ids = self._edge_sources(ids)
+            ids = graph.resource_ids(ids)
         # (a property the graph never saw has id None, and no POS rows)
         slot = (graph.encode_term(step.prop), step.inverse)
         counters, having = graph.facet_counts(ids, (slot,))

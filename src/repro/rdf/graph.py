@@ -72,7 +72,7 @@ from typing import (
 
 from repro.caching import GenerationCache
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import BNode, IRI, Term, Triple, triple
+from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
 
 #: Shared empty id set returned by the ``*_ids`` accessors on absence.
 EMPTY_IDS: frozenset = frozenset()
@@ -425,7 +425,8 @@ class Graph:
 
         Forward, every value row is one set intersection ``ids ∩
         subjects`` — the count of that value marker — executed at C
-        speed, and the union of the intersections gives the
+        speed (no set built when a subset test finds the row inside
+        ``ids``), and the union of the intersections gives the
         having-the-property count — or, when no subject has two values
         of the property, the sum of the counts, no union built.  With
         more than :data:`WALK` triples of the property a member, the
@@ -465,7 +466,7 @@ class Graph:
                 multi = self._multi_count.get(pi)
                 havers: Set[int] = set()
                 for value_id, subjects in self.pos_ids(pi).items():
-                    members = ids & subjects
+                    members = subjects if subjects <= ids else ids & subjects
                     if members:
                         counter[value_id] = len(members)
                         if multi:
@@ -508,6 +509,19 @@ class Graph:
         """The encoded subject ids as a live view (treat as read-only) —
         the id-level twin of :meth:`all_subjects`."""
         return self._spo.keys()
+
+    def resource_ids(self, ids: AbstractSet[int]) -> Set[int]:
+        """``ids`` without its literals (a literal is the source of no
+        edge): the subjects among them are kept by one set
+        intersection, and only the others are decoded."""
+        kept = self._subjects_among(ids)
+        decode = self._dict.decode
+        kept.update(i for i in ids - kept if not isinstance(decode(i), Literal))
+        return kept
+
+    def _subjects_among(self, ids: AbstractSet[int]) -> Set[int]:
+        """The members of ``ids`` that are the subject of a triple."""
+        return self._spo.keys() & ids
 
     def all_predicates(self) -> Set[Term]:
         return self._dict.decode_all(self.all_predicate_ids())

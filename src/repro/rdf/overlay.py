@@ -6,11 +6,12 @@ class".  :class:`ExtensionView` makes that pattern true without storing
 anything, so the store's generation, statistics and every cache stamped
 with them survive the read.  It answers the id protocol the SPARQL
 evaluator reads every store with (``triples_ids``, ``objects_ids``,
-``count_ids``, ``len``, ``encode_term`` / ``decode_id``) and nothing
-Term-level.  ``objects_ids`` answers a collection — a one-tuple for a
-lone object, as :class:`~repro.rdf.graph.Graph` does — which a caller
-iterates, sizes or tests with ``in``, and combines only through method
-forms (``.union``, ``.intersection``).
+``subjects_ids``, ``count_ids``, ``len``, ``encode_term`` /
+``decode_id``) and nothing Term-level.  ``objects_ids`` answers a
+collection — a one-tuple for a lone object, as
+:class:`~repro.rdf.graph.Graph` does — which a caller iterates, sizes
+or tests with ``in``, and combines only through method forms
+(``.union``, ``.intersection``).
 
 A view keeps no answers: :func:`repro.sparql.query` caches only on the
 store, keyed by query text alone, which two extensions share.  An
@@ -22,8 +23,8 @@ computed for instead
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import (Collection, Dict, Iterable, Iterator, List, Optional,
-                    Tuple, Union)
+from typing import (AbstractSet, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
@@ -39,7 +40,7 @@ class ReadOnlyViewError(TypeError):
 class ExtensionView:
     """``base ∪ {(x, rdf:type, cls) | x ∈ extension}``, read-only —
     through the id protocol of the SPARQL evaluator (``triples_ids``,
-    ``objects_ids``, ``count_ids``, ``len``), over a flat
+    ``objects_ids``, ``subjects_ids``, ``count_ids``, ``len``), over a flat
     :class:`~repro.rdf.graph.Graph` and a
     :class:`~repro.rdf.sharding.ShardedGraph` alike.
 
@@ -71,8 +72,9 @@ class ExtensionView:
         self._virtual_ids: Dict[Term, int] = {}
         self._type_id = self._intern(_RDF_TYPE)
         self._cls_id = self._intern(cls)
-        self._decode = decode = base.dictionary.decode
-        members = {i for i in ids if not isinstance(decode(i), Literal)}
+        self._decode = base.dictionary.decode
+        members = base.resource_ids(
+            ids if isinstance(ids, AbstractSet) else set(ids))
         members.update(self._intern(x) for x in extension
                        if not isinstance(x, Literal))
         members.difference_update(
@@ -144,6 +146,14 @@ class ExtensionView:
         if self._sees(pi, None) and si in self.members:
             return {self._cls_id}.union(objects)
         return objects
+
+    def subjects_ids(self, pi: int, oi: int) -> AbstractSet[int]:
+        """The subject ids of ``(?, pi, oi)``: the base's, and the
+        members too when ``pi, oi`` are ``rdf:type``, ``cls``."""
+        subjects = self.base.subjects_ids(pi, oi)
+        if not self._sees(pi, oi):
+            return subjects
+        return self.members.union(subjects) if subjects else self.members
 
     def count_ids(self, si: Optional[int] = None, pi: Optional[int] = None,
                   oi: Optional[int] = None) -> int:

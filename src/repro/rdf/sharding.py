@@ -207,6 +207,10 @@ class ShardedGraph(Graph):
         return list(chain.from_iterable(
             piece.all_subject_ids() for piece in self._slices))
 
+    def _subjects_among(self, ids: AbstractSet[int]) -> Set[int]:
+        return set().union(*(piece._subjects_among(ids)
+                             for piece in self._slices))
+
     def all_predicate_ids(self):
         """The roll-up statistics' key view — maintained incrementally,
         so no slice merge is needed."""

@@ -156,7 +156,10 @@ class Literal(Term):
             if self.datatype == XSD_INTEGER:
                 return int(self.lexical)
             if self.datatype == XSD_DECIMAL:
-                return Decimal(self.lexical)
+                value = Decimal(self.lexical)
+                if not value.is_finite():  # no NaN or infinity in xsd:decimal
+                    raise ValueError(self.lexical)
+                return value
             if self.datatype in (XSD_DOUBLE, XSD_FLOAT):
                 return float(self.lexical)
             if self.datatype == XSD_BOOLEAN:

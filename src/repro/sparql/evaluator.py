@@ -22,6 +22,9 @@ FILTER/HAVING makes the condition false, in a projection, BIND or group
 key it leaves the variable unbound.  GROUP BY folds in one sink: a key
 maps to its group's argument bindings in arrival order, and SUM, AVG,
 MIN and MAX read an id's number once for the life of its dictionary.
+One shape skips the pipeline: Table 5.2's grouped COUNT over a class
+and at most one step is read off the POS rows, one ``subjects_ids``
+row and one ``Graph.facet_counts`` call (:meth:`_Compiler.counted`).
 
 Terms are decoded through one seam, :meth:`_Compiler.term`: where an
 expression reads a variable, where a number or an aggregate needs the
@@ -38,7 +41,8 @@ from itertools import count
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import EMPTY_IDS, Graph
+from repro.rdf.namespace import RDF
 from repro.rdf.terms import BNode, IRI, Literal, Term, native_number
 from repro.sparql import ast
 from repro.sparql.errors import ExpressionError, SparqlEvalError
@@ -73,6 +77,7 @@ QueryResult = Union[SelectResult, bool, Graph]
 #: The name prefix of a slot no query text can name: an aggregate's
 #: value or a computed GROUP BY key, which the group's expressions read.
 _HIDDEN = "#"
+_RDF_TYPE = RDF.type
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _ZERO = Literal("0", _XSD + "integer")
 _COMPARISONS = frozenset({"=", "!=", "<", ">", "<=", ">="})
@@ -773,6 +778,76 @@ class _Compiler:
             return out
         return fold, finish, group
 
+    def counted(self, query: ast.SelectQuery, group: dict
+                ) -> Optional[Callable[[], List[SlotRow]]]:
+        """The group rows of Table 5.2's grouped count, read off the
+        POS rows — or ``None`` when ``query`` is not that shape: a WHERE
+        of ``?x rdf:type C`` (``C`` a constant) and at most one step
+        ``?x p ?v`` (``p`` a constant other than ``rdf:type``, ``?v``
+        fresh), grouped by nothing or ``?v``, every aggregate
+        ``COUNT(*)``, ``COUNT(?x)`` or ``COUNT(DISTINCT ?x)``, and ``?x``
+        read nowhere else.  A solution is one (member, value) pair, so
+        one ``facet_counts`` call on the store holding ``p`` counts every
+        group: a value's count is its group's, their sum ``COUNT(*)``
+        and the members having ``p`` ``COUNT(DISTINCT ?x)``.  It stops
+        at one step: along a longer path SPARQL counts walks, the
+        kernel counts nodes."""
+        children = query.where.children
+        if query.is_star or not 1 <= len(children) <= 2 or not all(
+                isinstance(tp, ast.TriplePattern) for tp in children):
+            return None
+        root, *steps = sorted(children, key=lambda tp: tp.p != _RDF_TYPE)
+        x = root.s
+        if root.p != _RDF_TYPE or not isinstance(x, ast.Var) \
+                or isinstance(root.o, ast.Var):
+            return None
+        for step in steps:
+            if step.s != x or not isinstance(step.p, IRI) \
+                    or step.p == _RDF_TYPE or not isinstance(step.o, ast.Var) \
+                    or step.o == x:
+                return None
+        keyed = bool(query.group_by)
+        if query.group_by not in ((), tuple(step.o for step in steps)) \
+                or any(query.group_aliases):
+            return None
+        if any(agg.name != "COUNT" or (agg.distinct if agg.expr is None
+                                       else agg.expr != x) for agg in group):
+            return None
+        read = [p.expr if p.expr is not None else p.var
+                for p in query.projections]
+        if x.name in _names((read, query.having,
+                             [c.expr for c in query.order_by])):
+            return None
+        graph = self.graph
+        ids = [graph.encode_term(term) for term in (_RDF_TYPE, root.o)]
+        slot = (graph.encode_term(steps[0].p) if steps else None, False)
+        narrow = getattr(graph, "store_for", None)
+        store = graph if narrow is None else narrow(slot[0], None)
+        key = self.slots[steps[0].o.name] if keyed else None
+        counts = [(i, agg.distinct) for agg, i in group.items()]
+
+        def count() -> List[SlotRow]:
+            members = EMPTY_IDS if None in ids else graph.subjects_ids(*ids)
+            if not steps:
+                table = [(None, len(members), len(members))]
+            else:  # a step the store never saw (id None) matches nothing
+                counters, having = ({}, {}) if slot[0] is None else \
+                    store.facet_counts(members, (slot,))
+                counter = counters.get(slot, {})
+                table = ([(value, n, n) for value, n in counter.items()]
+                         if keyed else [(None, sum(counter.values()),
+                                         having.get(slot, 0))])
+            out = []
+            for value, n, distinct in table:
+                rep = self.row()
+                if keyed:
+                    rep[key] = value
+                for i, of_distinct in counts:
+                    rep[i] = wrap_number(distinct if of_distinct else n)
+                out.append(rep)
+            return out
+        return count
+
     def select(self, query: ast.SelectQuery
                ) -> Callable[[], Tuple[List[str], List[list]]]:
         """The query compiled: a run answering the projected names and,
@@ -783,8 +858,10 @@ class _Compiler:
         aggregated = bool(query.group_by or query.having or _found_in(
             [p.expr for p in query.projections], ast.Aggregate, {}))
         at: tuple = (bound, maybe, None)
+        counted = None
         if aggregated:
             fold, finish, group = self.grouping(query, at)
+            counted = self.counted(query, group)
             at = (set(), set(self.slots), group)
         having = [self.condition(c, at) for c in query.having]
         if query.is_star:
@@ -802,8 +879,9 @@ class _Compiler:
 
         def run() -> Tuple[List[str], List[list]]:
             if aggregated:
-                where(fold)(self.row())
-                rows = [rep for rep in finish()
+                if counted is None:
+                    where(fold)(self.row())
+                rows = [rep for rep in (counted or finish)()
                         if all(test(rep) for test in having)]
             else:
                 rows = self.rows_of(where)

@@ -394,7 +394,10 @@ def xsd_cast(datatype: str, term: Term) -> Literal:
                 return Literal(str(int(float(term.lexical))), XSD_INTEGER)
             return Literal(str(int(source)), XSD_INTEGER)
         if datatype == XSD_DECIMAL:
-            return Literal(str(Decimal(source)), XSD_DECIMAL)
+            value = Decimal(source)
+            if not value.is_finite():
+                raise ValueError("no NaN or infinity in xsd:decimal")
+            return Literal(str(value), XSD_DECIMAL)
         if datatype == XSD_DOUBLE:
             return Literal(repr(float(source)), XSD_DOUBLE)
         if datatype == XSD_BOOLEAN:

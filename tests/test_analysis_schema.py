@@ -1,10 +1,18 @@
-"""Schema inference (repro.analysis.schema) over the products KG."""
+"""Schema inference (repro.analysis.schema) over the products KG, and
+its observed domains and ranges against a per-node oracle on drawn
+graphs."""
 
 import datetime
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.analysis import SchemaInfo, infer_schema
+from repro.analysis.schema import _infer
 from repro.datasets import products_graph
-from repro.rdf.namespace import EX, XSD
+from repro.rdf.graph import Graph
+from repro.rdf.namespace import EX, RDF, RDFS, XSD
+from repro.rdf.sharding import ShardedGraph
 from repro.rdf.terms import IRI, Literal
 from repro.rdf.turtle import parse
 
@@ -97,3 +105,33 @@ def test_declared_but_unused_property_has_empty_signature():
     sig = schema.signature(EX.producer)
     assert sig is not None
     assert sig.triples == 0
+
+
+_NODES = [EX.term(f"n{i}") for i in range(5)]
+_CLASSES = [EX.A, EX.B, Literal.of("not a class")]
+
+
+@settings(derandomize=True, deadline=None)
+@given(sharded=st.booleans(), triples=st.lists(st.one_of(
+    st.tuples(st.sampled_from(_NODES), st.sampled_from([EX.p, EX.q]),
+              st.sampled_from(_NODES + [Literal.of(1), Literal.of("x")])),
+    st.tuples(st.sampled_from(_NODES + [EX.p]), st.just(RDF.type),
+              st.sampled_from(_CLASSES)),
+    st.tuples(st.just(EX.p), st.sampled_from([RDFS.domain, RDFS.range]),
+              st.sampled_from(_CLASSES[:2])))))
+def test_observed_domains_and_ranges_are_the_nodes_types(sharded, triples):
+    """A class is a property's observed domain (range) iff some subject
+    (resource object) of the property has it as a type."""
+    graph = ShardedGraph(triples, shards=3) if sharded else Graph(triples)
+    schema = _infer(graph)
+    for prop, sig in schema.signatures.items():
+        pairs = [(s, o) for s, _, o in graph.triples(None, prop, None)]
+
+        def types_of(nodes):
+            return {c for n in nodes for c in graph.objects(n, RDF.type)}
+        assert sig.domains == set(graph.objects(prop, RDFS.domain)) \
+            | types_of({s for s, _ in pairs})
+        resources = {o for _, o in pairs if not isinstance(o, Literal)}
+        assert sig.ranges == set(graph.objects(prop, RDFS.range)) \
+            | types_of(resources)
+        assert sig.resource_objects == len(resources)

@@ -104,6 +104,17 @@ class TestLiteralBehaviour:
         assert Literal("5", XSD_INTEGER).is_numeric()
         assert not Literal("2021-01-01", XSD_DATE).is_numeric()
 
+    @pytest.mark.parametrize("lexical", ["NaN", "sNaN", "-NaN", "Infinity",
+                                         "-Infinity", "inf"])
+    def test_decimal_has_no_nan_or_infinity(self, lexical):
+        """xsd:decimal's lexical space holds finite numbers only: these
+        are ill-typed, kept as their lexical form, and sort as strings."""
+        lit = Literal(lexical, XSD_DECIMAL)
+        assert lit.to_python() == lexical
+        assert lit.sort_key() == Literal(lexical).sort_key()
+        assert sorted([lit, Literal("1.5", XSD_DECIMAL)])[0] == Literal(
+            "1.5", XSD_DECIMAL)
+
     def test_datetime_with_zulu(self):
         lit = Literal("2021-01-01T00:00:00Z", XSD_DATETIME)
         value = lit.to_python()

@@ -151,6 +151,19 @@ class TestPartitioning:
             assert store.spo_ids(si) == graph.spo_ids(si)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_resource_ids_drop_exactly_the_literals(self, shards):
+        """Subjects, objects-only IRIs and literals mixed: both stores
+        keep what a decode of every id keeps."""
+        graph = seeded_graph()
+        store = ShardedGraph.from_graph(graph, shards=shards)
+        ids = frozenset(range(len(graph.dictionary)))
+        kept = {i for i in ids
+                if not isinstance(graph.decode_id(i), Literal)}
+        assert graph.resource_ids(ids) == store.resource_ids(ids) == kept
+        assert EX.country0 in graph.decode_ids(kept - set(
+            graph.all_subject_ids()))  # an object-only IRI is kept
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_copy_preserves_shardedness(self, shards):
         store = ShardedGraph.from_graph(seeded_graph(), shards=shards)
         clone = store.copy()

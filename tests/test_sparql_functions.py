@@ -191,6 +191,13 @@ class TestCasts:
         )
         assert "i" not in row[0]
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-inf"])
+    def test_decimal_cast_of_no_finite_number_is_error(self, g, text):
+        row = query(
+            g, f'SELECT (xsd:decimal("{text}") AS ?d) WHERE {{ ex:s ex:num ?n }}'
+        )
+        assert "d" not in row[0]
+
 
 class TestValueModel:
     def test_equals_numeric_across_types(self):
