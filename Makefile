@@ -40,20 +40,22 @@ chaos:
 # arbitrary JSON), the Answer Frame memo's state machine, the SPARQL
 # evaluator's bindings (an extension view answers the materialized
 # rows), operators (each against a Term-level reference) and grouped
-# counts (the POS-row rule answers the pipeline's rows), the
-# store's access shapes under writes (every read against a set oracle,
-# every SPO row in its one shape), native presses interleaved with
-# writes (each against a fresh session and, inside HIFUN's
-# prerequisites, the row engine) and the listing of every state a
-# click script reaches (against a fresh session's scan and the per-path
-# facets), at 10 000 draws and a random seed; tier-1 runs them
+# counts (the POS-row rule answers the pipeline's rows), star
+# aggregates (the step-at-a-time rule answers the pipeline's rows, in
+# its order), the store's access shapes under writes (every read
+# against a set oracle, every SPO row in its one shape), native
+# presses interleaved with writes (each against a fresh session and,
+# inside HIFUN's prerequisites, the row engine) and the listing of
+# every state a click script reaches (against a fresh session's scan
+# and the per-path facets), at 10 000 draws and a random seed; tier-1 runs them
 # derandomized and smaller.
 fuzz:
 	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
 		tests/test_sparql_bindings.py tests/test_sparql_differential.py \
 		tests/test_property_graph.py tests/test_engine_equivalence.py \
 		tests/test_idspace_session.py tests/test_sparql_counts.py \
-		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule" \
+		tests/test_sparql_star.py \
+		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule" \
 		--hypothesis-profile=fuzz -q
 
 examples:

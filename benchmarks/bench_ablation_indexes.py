@@ -56,6 +56,12 @@ class ScanGraph(Graph):
         """The join's read of a bound subject and predicate, scanning."""
         return {o for _, _, o in self.triples_ids(si, pi, None)}
 
+    def objects_column(self, subjects, pi):
+        """The star's read of many subjects under one predicate: a
+        scan per subject."""
+        rows = [self.objects_ids(si, pi) for si in subjects]
+        return [o for row in rows for o in row], list(map(len, rows))
+
 
 def build(size):
     triples = list(synthetic_graph(SyntheticConfig(laptops=size, seed=3)))

@@ -78,7 +78,8 @@ def min_alternating(sides, repetitions=5):
 class CountingGraph(Graph):
     """The store, counting what its read seams hand out: ``probes``
     (read calls), ``rows`` (index rows: an SPO or POS row per
-    ``objects_ids`` / ``subjects_ids``, every value row of a property
+    ``objects_ids`` / ``subjects_ids`` and per subject of an
+    ``objects_column``, every value row of a property
     ``pos_ids`` hands out, a triple per match ``triples_ids`` yields)
     and ``triples`` (the ids behind those rows, one per triple
     ``triples_ids`` yields — what a test of the rows against the members
@@ -113,6 +114,13 @@ class CountingGraph(Graph):
         objects = super().objects_ids(si, pi)
         self._hand_out((objects,))
         return objects
+
+    def objects_column(self, subjects, pi):
+        values, lengths = super().objects_column(subjects, pi)
+        self.probes += 1
+        self.rows += len(subjects)
+        self.triples += len(values)
+        return values, lengths
 
     def subjects_ids(self, pi, oi):
         subjects = super().subjects_ids(pi, oi)

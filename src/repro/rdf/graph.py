@@ -85,6 +85,11 @@ def _objects(row) -> Collection[int]:
     return (row,) if type(row) is int else row
 
 
+def _column(rows: List[Collection[int]]) -> Tuple[List[int], List[int]]:
+    """``rows`` concatenated, and the length of each."""
+    return list(chain.from_iterable(rows)), list(map(len, rows))
+
+
 #: A forward facet slot walks its members' SPO rows instead of the
 #: property's POS rows when the property has more than ``WALK`` triples
 #: a member (measured cold: DESIGN.md design choice 4).
@@ -160,6 +165,17 @@ class Graph:
         forms (``.intersection``, ``.union``), never with operators."""
         row = self._spo.get(si, _NO_ROW).get(pi, EMPTY_IDS)
         return (row,) if type(row) is int else row
+
+    def objects_column(self, subjects: List[int], pi: int
+                       ) -> Tuple[List[int], Optional[List[int]]]:
+        """The :meth:`objects_ids` of each of ``subjects`` under ``pi``,
+        concatenated in turn, and how many each has — ``None`` when
+        each has exactly one."""
+        spo = self._spo
+        rows = [spo.get(s, _NO_ROW).get(pi, EMPTY_IDS) for s in subjects]
+        if set(map(type, rows)) <= {int}:  # every row a lone object
+            return rows, None
+        return _column(list(map(_objects, rows)))
 
     def subjects_ids(self, pi, oi):
         """Ids of ``{s | (s, p, o) ∈ G}`` for encoded predicate/object."""

@@ -33,7 +33,7 @@ against the row engine to pin it.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import (
     AbstractSet,
     Collection,
@@ -46,7 +46,7 @@ from typing import (
 )
 
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import EMPTY_IDS, FacetCounts, Graph
+from repro.rdf.graph import EMPTY_IDS, FacetCounts, Graph, _column
 from repro.rdf.terms import Term, Triple
 
 # Read by nothing: the frozen benchmark (perf/workloads.py) imports the
@@ -152,6 +152,9 @@ class ShardedGraph(Graph):
 
     def spo_ids(self, si) -> Collection[int]:
         return self._owner(si).spo_ids(si)
+
+    def objects_column(self, subjects, pi):
+        return _column(list(map(self.objects_ids, subjects, repeat(pi))))
 
     def subjects_ids(self, pi, oi):
         """Merged ``{s | (s, p, o)}`` — per-slice rows are disjoint, so

@@ -22,9 +22,15 @@ FILTER/HAVING makes the condition false, in a projection, BIND or group
 key it leaves the variable unbound.  GROUP BY folds in one sink: a key
 maps to its group's argument bindings in arrival order, and SUM, AVG,
 MIN and MAX read an id's number once for the life of its dictionary.
-One shape skips the pipeline: Table 5.2's grouped COUNT over a class
+Two shapes skip the pipeline.  Table 5.2's grouped COUNT over a class
 and at most one step is read off the POS rows, one ``subjects_ids``
 row and one ``Graph.facet_counts`` call (:meth:`_Compiler.counted`).
+Any other aggregate over Table 5.1's star (a class root, then steps
+under constant predicates) is expanded a step at a time over the whole
+frontier: one ``triples_ids`` read for the root's column, one
+``objects_column`` read of the distinct subjects a step, and the group
+dict filled from the columns in the pipeline's solution order
+(:meth:`_Compiler.star`).
 
 Terms are decoded through one seam, :meth:`_Compiler.term`: where an
 expression reads a variable, where a number or an aggregate needs the
@@ -37,11 +43,11 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import fields, is_dataclass
-from itertools import count
+from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.rdf.graph import EMPTY_IDS, Graph
+from repro.rdf.graph import EMPTY_IDS, Graph, _column
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import BNode, IRI, Literal, Term, native_number
 from repro.sparql import ast
@@ -198,6 +204,8 @@ class _Compiler:
         self.slots: Dict[str, int] = {}
         self.computed: set = set()
         self.shared: set = set()  # variables bound to an object's id
+        self.order: List[ast.TriplePattern] = []  # the last block's plan
+        self.shape: Optional[List[ast.TriplePattern]] = None  # the star
         self._encode = graph.encode_term
         self._decode = graph.decode_id
         self.numbers: Dict[int, object] = graph.dictionary.numbers
@@ -308,6 +316,7 @@ class _Compiler:
         the store never saw matches nothing."""
         ids: Dict[Term, Optional[int]] = {}
         names = set()
+        self.order = plan_block(patterns, bound, self.graph)
         for tp in patterns:
             for x in (tp.s, tp.p, tp.o):
                 if isinstance(x, ast.Var):
@@ -320,10 +329,8 @@ class _Compiler:
         if guard:  # a computed term has no id to match
             ops.append(_passing([lambda row, i=i: row[i] is None or type(
                 row[i]) is int for i in guard]))
-        planned, remaining = set(bound), list(patterns)
-        while remaining:
-            remaining = plan_block(remaining, planned, self.graph)
-            tp = remaining.pop(0)
+        planned = set(bound)
+        for tp in self.order:
             ops.append(self.triple(tp, ids, planned, maybe))
             planned |= _names(tp)
         bound |= names
@@ -700,11 +707,13 @@ class _Compiler:
         return once
 
     # -- SELECT: the group-fold sink, projection and modifiers
-    def grouping(self, query: ast.SelectQuery, where: tuple
-                 ) -> Tuple[Push, Callable[[], List[SlotRow]], dict]:
-        """The group-fold sink; the finish making each group its row
-        (keys, aliases, lenient extras, aggregates); and the hidden slot
-        of each aggregate and computed key, for the group to read."""
+    def grouping(self, query: ast.SelectQuery, where: tuple) -> Tuple[
+            Push, Callable[[List[list]], None],
+            Callable[[], List[SlotRow]], dict]:
+        """The group-fold sink and its twin over columns; the finish
+        making each group its row (keys, aliases, lenient extras,
+        aggregates); and the hidden slot of each aggregate and computed
+        key, for the group to read."""
         group: Dict[ast.Expression, int] = {}
         keys, targets = [], []  # per GROUP BY condition
         aliases = query.group_aliases or (None,) * len(query.group_by)
@@ -743,9 +752,11 @@ class _Compiler:
                  else getters[0] if len(columns) == 1
                  else lambda row: tuple([g(row) for g in getters]))
         scalar = len(keys) == 1 and isinstance(query.group_by[0], ast.Var)
+        named = [slots[0] for slots, e in zip(targets, query.group_by)
+                 if isinstance(e, ast.Var)]  # the slots of plain-variable keys
+        plain = len(named) == len(keys)
         keyof: Callable[[SlotRow], object] = (
-            itemgetter(*[slots[0] for slots in targets])
-            if keys and all(isinstance(e, ast.Var) for e in query.group_by)
+            itemgetter(*named) if keys and plain
             else lambda row: tuple([k(row) for k in keys]))
         groups: Dict[object, list] = defaultdict(list)
         buffer = groups[()] if not keys else []  # one group, also over no row
@@ -755,6 +766,25 @@ class _Compiler:
                 groups[keyof(row)].append(entry(row))
             else:
                 buffer.append(entry(row))
+
+        def fill(found: List[list]) -> None:
+            """:func:`fold` over solutions given as the columns of the
+            first slots, in arrival order: zipped when every key and
+            entry is one of them, else a row at a time."""
+            if plain and {*named, *columns} <= set(range(len(found))):
+                entries = [found[c] for c in columns]
+                entries = entries[0] if len(entries) == 1 else zip(*entries)
+                if not keys:
+                    return buffer.extend(entries)
+                keyed = [found[k] for k in named]
+                for key, item in zip(keyed[0] if scalar else zip(*keyed),
+                                     entries):
+                    groups[key].append(item)
+                return None
+            row = self.row()
+            for row[:len(found)] in zip(*found):
+                fold(row)
+            return None
 
         def finish() -> List[SlotRow]:
             out = []
@@ -776,36 +806,25 @@ class _Compiler:
                         else _reduce(agg, values[arguments[agg.expr]], self))
                 out.append(rep)
             return out
-        return fold, finish, group
+        return fold, fill, finish, group
 
     def counted(self, query: ast.SelectQuery, group: dict
                 ) -> Optional[Callable[[], List[SlotRow]]]:
         """The group rows of Table 5.2's grouped count, read off the
-        POS rows — or ``None`` when ``query`` is not that shape: a WHERE
-        of ``?x rdf:type C`` (``C`` a constant) and at most one step
-        ``?x p ?v`` (``p`` a constant other than ``rdf:type``, ``?v``
-        fresh), grouped by nothing or ``?v``, every aggregate
-        ``COUNT(*)``, ``COUNT(?x)`` or ``COUNT(DISTINCT ?x)``, and ``?x``
-        read nowhere else.  A solution is one (member, value) pair, so
-        one ``facet_counts`` call on the store holding ``p`` counts every
-        group: a value's count is its group's, their sum ``COUNT(*)``
-        and the members having ``p`` ``COUNT(DISTINCT ?x)``.  It stops
-        at one step: along a longer path SPARQL counts walks, the
-        kernel counts nodes."""
-        children = query.where.children
-        if query.is_star or not 1 <= len(children) <= 2 or not all(
-                isinstance(tp, ast.TriplePattern) for tp in children):
+        POS rows — or ``None`` when ``query`` is not that shape: a star
+        (:func:`_star_of`) of at most one step ``?x p ?v``, grouped by
+        nothing or ``?v``, every aggregate ``COUNT(*)``, ``COUNT(?x)``
+        or ``COUNT(DISTINCT ?x)``, and ``?x`` read nowhere else.  A
+        solution is one (member, value) pair, so one ``facet_counts``
+        call on the store holding ``p`` counts every group: a value's
+        count is its group's, their sum ``COUNT(*)`` and the members
+        having ``p`` ``COUNT(DISTINCT ?x)``.  It stops at one step:
+        along a longer path SPARQL counts walks, the kernel counts
+        nodes."""
+        if query.is_star or self.shape is None or len(self.shape) > 2:
             return None
-        root, *steps = sorted(children, key=lambda tp: tp.p != _RDF_TYPE)
+        root, *steps = self.shape
         x = root.s
-        if root.p != _RDF_TYPE or not isinstance(x, ast.Var) \
-                or isinstance(root.o, ast.Var):
-            return None
-        for step in steps:
-            if step.s != x or not isinstance(step.p, IRI) \
-                    or step.p == _RDF_TYPE or not isinstance(step.o, ast.Var) \
-                    or step.o == x:
-                return None
         keyed = bool(query.group_by)
         if query.group_by not in ((), tuple(step.o for step in steps)) \
                 or any(query.group_aliases):
@@ -848,6 +867,39 @@ class _Compiler:
             return out
         return count
 
+    def star(self, fill: Callable[[List[list]], None]
+             ) -> Optional[Callable[[], None]]:
+        """The WHERE's star (:func:`_star_of`) expanded over the whole
+        frontier and folded from its columns — or ``None`` when the
+        WHERE is none.  A step repeats every column by the length of
+        its rows, so solutions come in the pipeline's order."""
+        if self.shape is None:
+            return None
+        root, *steps = self.shape
+        graph, slot = self.graph, self.slots.__getitem__
+        narrow = getattr(graph, "store_for", lambda pi, oi: graph)
+        ids = [graph.encode_term(term) for term in (
+            root.p, root.o, *(tp.p for tp in steps))]
+        if None in ids:  # a constant the store never saw matches nothing
+            return lambda: None
+        plan = [(slot(tp.s.name), pi) for tp, pi in zip(steps, ids[2:])]
+
+        def run() -> None:
+            # Slot i's column: the star binds the first slots, in order.
+            columns = [list(map(itemgetter(0), narrow(*ids[:2]).triples_ids(
+                None, *ids[:2])))]
+            unique = {0}  # the slots whose column holds no id twice
+            for a, pi in plan:
+                values, lengths = _objects_of(narrow(pi, None), columns[a],
+                                              pi, a in unique)
+                if lengths is not None and lengths.count(1) != len(lengths):
+                    unique.clear()  # none or many objects a row
+                    columns = [list(chain.from_iterable(map(
+                        repeat, column, lengths))) for column in columns]
+                columns.append(values)
+            fill(columns)
+        return run
+
     def select(self, query: ast.SelectQuery
                ) -> Callable[[], Tuple[List[str], List[list]]]:
         """The query compiled: a run answering the projected names and,
@@ -855,13 +907,15 @@ class _Compiler:
         unbound)."""
         bound, maybe = set(), set()
         where = self.group(query.where, bound, maybe)
+        self.shape = _star_of(query.where, self.order)
         aggregated = bool(query.group_by or query.having or _found_in(
             [p.expr for p in query.projections], ast.Aggregate, {}))
         at: tuple = (bound, maybe, None)
-        counted = None
+        counted = star = None
         if aggregated:
-            fold, finish, group = self.grouping(query, at)
+            fold, fill, finish, group = self.grouping(query, at)
             counted = self.counted(query, group)
+            star = None if counted else self.star(fill)
             at = (set(), set(self.slots), group)
         having = [self.condition(c, at) for c in query.having]
         if query.is_star:
@@ -879,7 +933,9 @@ class _Compiler:
 
         def run() -> Tuple[List[str], List[list]]:
             if aggregated:
-                if counted is None:
+                if star is not None:
+                    star()
+                elif counted is None:
                     where(fold)(self.row())
                 rows = [rep for rep in (counted or finish)()
                         if all(test(rep) for test in having)]
@@ -909,6 +965,45 @@ class _Compiler:
             return [visible[n][0] for n in kept], [
                 [values[n] for n in kept] for values in answer]
         return run
+
+
+def _star_of(where: ast.GroupPattern, order: List[ast.TriplePattern]
+             ) -> Optional[List[ast.TriplePattern]]:
+    """Table 5.1's star: ``where``'s patterns in their join ``order``
+    when they are triple patterns alone, a root ``?x rdf:type C`` (``C``
+    a constant), then steps ``?a p ?b`` (``p`` a constant other than
+    ``rdf:type``, ``?a`` reached, ``?b`` fresh) — else ``None``."""
+    if not order or not all(isinstance(tp, ast.TriplePattern)
+                            for tp in where.children):
+        return None
+    root = order[0]
+    if root.p != _RDF_TYPE or not isinstance(root.s, ast.Var) \
+            or isinstance(root.o, ast.Var):
+        return None
+    reached = {root.s}
+    for tp in order[1:]:
+        if tp.s not in reached or not isinstance(tp.p, IRI) \
+                or tp.p == _RDF_TYPE or not isinstance(tp.o, ast.Var) \
+                or tp.o in reached:
+            return None
+        reached.add(tp.o)
+    return order
+
+
+def _objects_of(store: Graph, subjects: List[int], pi: int, unique: bool
+                ) -> Tuple[List[int], Optional[List[int]]]:
+    """``store.objects_column(subjects, pi)``, with each distinct
+    subject's row read once when ``subjects`` may hold an id twice."""
+    if unique:
+        return store.objects_column(subjects, pi)
+    distinct = list(set(subjects))
+    values, lengths = store.objects_column(distinct, pi)
+    if lengths is None:
+        rows = dict(zip(distinct, values))
+        return list(map(rows.__getitem__, subjects)), None
+    ends = [0, *accumulate(lengths)]
+    return _column(list(map({s: values[i:j] for s, i, j in zip(
+        distinct, ends, ends[1:])}.__getitem__, subjects)))
 
 
 def _sort_part(compiled: Compiled, row: SlotRow) -> tuple:
@@ -966,15 +1061,16 @@ def _pattern_selectivity(pattern: ast.TriplePattern, solution_vars: set,
 
 def plan_block(block: List[ast.TriplePattern], bound_vars: set,
                graph: Graph) -> List[ast.TriplePattern]:
-    """The evaluation order of one basic block: most selective first.
-
-    The compiler takes the first pattern of this order, counts its
-    variables as bound and re-plans the rest, so freshly bound
-    variables count as bound slots in the next pick.
-    """
-    return sorted(
-        block, key=lambda tp: _pattern_selectivity(tp, bound_vars, graph)
-    )
+    """The evaluation order of one basic block: the most selective
+    pattern first, then the rest planned again with its variables
+    counted as bound, so freshly bound variables count as bound slots
+    in the next pick."""
+    order, bound, remaining = [], set(bound_vars), list(block)
+    while remaining:
+        remaining.sort(key=lambda tp: _pattern_selectivity(tp, bound, graph))
+        order.append(remaining.pop(0))
+        bound |= _names(order[-1])
+    return order
 
 
 def _path_targets(graph: Graph, nodes: object, path: ast.Path,

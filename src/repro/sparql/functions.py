@@ -73,8 +73,8 @@ def wrap_number(value) -> Literal:
     if isinstance(value, float):
         if value.is_integer() and abs(value) < 1e15:
             text = f"{value:.1f}"
-        else:
-            text = repr(value)
+        else:  # XSD spells the non-finite doubles INF, -INF and NaN
+            text = repr(value).replace("inf", "INF").replace("nan", "NaN")
         return Literal(text, XSD_DOUBLE)
     raise ExpressionError(f"cannot wrap {value!r} as a numeric literal")
 
@@ -174,10 +174,13 @@ def number_comparison(op: str, b: Term
 
 def arithmetic(op: str, a: Term, b: Term) -> Literal:
     va, vb = numeric_value(a), numeric_value(b)
-    if isinstance(va, Decimal) != isinstance(vb, Decimal):
-        va = Decimal(str(va)) if not isinstance(va, Decimal) else va
-        vb = Decimal(str(vb)) if not isinstance(vb, Decimal) else vb
     try:
+        # Numeric type promotion (SPARQL 1.1 §17.3): integer → decimal
+        # → double, so a double on either side makes both doubles.
+        if isinstance(va, float) or isinstance(vb, float):
+            va, vb = float(va), float(vb)
+        elif isinstance(va, Decimal) != isinstance(vb, Decimal):
+            va, vb = Decimal(va), Decimal(vb)
         if op == "+":
             return wrap_number(va + vb)
         if op == "-":

@@ -141,6 +141,42 @@ def test_every_other_shape_runs_the_pipeline():
         f"SELECT ?x {{ {root} ?x ex:p ?v }}",
     ]:
         assert not _answer(graph, text)[1], text
+    # ... and the star rule refuses what is no star of constant steps
+    assert _starred(graph, f"SELECT (SUM(?w) AS ?n) "
+                           f"{{ {root} ?x ex:p ?v . ?v ex:q ?w }}")
+    for text in [
+        f"SELECT (SUM(?v) AS ?n) {{ {root} ?x ex:p ?v FILTER(?v != 1) }}",
+        f"SELECT (SUM(?v) AS ?n) {{ {root} OPTIONAL {{ ?x ex:p ?v }} }}",
+        # a variable predicate
+        f"SELECT ?v (SUM(?w) AS ?n) {{ {root} ?x ?p ?v . ?v ex:q ?w }}"
+        " GROUP BY ?v",
+        # a step whose object is already bound, and a cycle
+        f"SELECT (COUNT(*) AS ?n) {{ {root} ?x ex:p ?v . ?x ex:q ?v }}",
+        f"SELECT (COUNT(*) AS ?n) {{ {root} ?x ex:p ?v . ?v ex:q ?x }}",
+        # a constant object, a step from no reached node, a typed step
+        f"SELECT (COUNT(*) AS ?n) {{ {root} ?x ex:p ex:b }}",
+        f"SELECT (COUNT(*) AS ?n) {{ {root} ?y ex:q ?w }}",
+        f"SELECT (COUNT(*) AS ?n) {{ {root} ?x ex:p ?v . ?v a ?c }}",
+        f"SELECT (COUNT(*) AS ?n) {{ ?x a ?c . ?x ex:p ?v }}",
+    ]:
+        assert not _answer(graph, text)[1], text
+        assert not _starred(graph, text), text
+
+
+def _starred(store, text):
+    """Did the star rule answer ``text`` (the count rule off)?"""
+    fired = []
+    star = evaluator._Compiler.star
+
+    def spy(self, *args):
+        found = star(self, *args)
+        fired.append(found is not None)
+        return found
+    with mock.patch.object(evaluator._Compiler, "counted",
+                           lambda self, query, group: None), \
+            mock.patch.object(evaluator._Compiler, "star", spy):
+        evaluate(parse_query(text), store)
+    return any(fired)
 
 
 def test_q3_over_a_wide_extension_reads_no_member_row():

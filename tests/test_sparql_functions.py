@@ -12,7 +12,9 @@ from repro.rdf.terms import IRI, Literal, XSD_DATE, XSD_DATETIME
 from repro.sparql import query
 from repro.sparql.errors import ExpressionError
 from repro.sparql.functions import (
-    aggregate, compare, effective_boolean_value, equals)
+    aggregate, arithmetic, compare, effective_boolean_value, equals)
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 @pytest.fixture()
@@ -123,6 +125,29 @@ class TestNumericFunctions:
     def test_division_by_zero_is_error(self, g):
         row = query(g, "SELECT (?n / 0 AS ?bad) WHERE { ex:s ex:num ?n }")
         assert "bad" not in row[0]
+
+    @pytest.mark.parametrize("op, expected", [
+        ("+", "1.75"), ("-", "1.25"), ("*", "0.375"), ("/", "6.0")])
+    def test_a_double_promotes_a_decimal_to_double(self, op, expected):
+        # SPARQL 1.1 §17.3: integer → decimal → double, either side.
+        decimal = Literal("1.5", XSD + "decimal")
+        double = Literal("0.25", XSD + "double")
+        assert arithmetic(op, decimal, double) \
+            == Literal(expected, XSD + "double")
+        assert arithmetic(op, double, decimal).datatype == XSD + "double"
+
+    @pytest.mark.parametrize("op, expected", [
+        ("+", "INF"), ("-", "-INF"), ("*", "INF"), ("/", "0.0")])
+    def test_an_infinite_double_stays_a_double(self, op, expected):
+        answer = arithmetic(op, Literal("1.5", XSD + "decimal"),
+                            Literal("1e400", XSD + "double"))
+        assert answer == Literal(expected, XSD + "double")
+        assert answer.to_python() == float(expected)
+
+    def test_an_integer_promotes_to_decimal_exactly(self):
+        answer = arithmetic("+", Literal.of(10 ** 20),
+                            Literal("0.1", XSD + "decimal"))
+        assert answer == Literal("100000000000000000000.1", XSD + "decimal")
 
 
 class TestTypeTests:
