@@ -527,21 +527,11 @@ def build_shell(argv=None) -> AnalyticsShell:
     parser.add_argument("--analyze", action="store_true",
                         help="strict mode: statically reject ill-typed "
                         "analytic queries before execution")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition the store into N subject-hash "
-                        "shards (results are identical at any shard "
-                        "count)")
     args = parser.parse_args(argv)
     if not 0.0 <= args.fault_rate <= 1.0:
         parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
 
     graph = load_graph(args.file) if args.file else products_graph()
-    if args.shards > 1:
-        from repro.rdf.sharding import ShardedGraph
-
-        graph = ShardedGraph.from_graph(graph, shards=args.shards)
     endpoint = None
     if (args.network != "local" or args.fault_rate > 0.0
             or args.retries is not None or args.timeout is not None):

@@ -28,10 +28,11 @@ retires them, and a state that leaves the history takes them along.
 Counting itself happens in one place, the store's
 :meth:`~repro.rdf.graph.Graph.facet_counts`: a listing asks it for every
 property of the state's own extension, a single facet for the last
-step of its path.  The four count operations reach their value through
-``_per_state(..., stat="facets")``; that call is the one seam where an
-analytics session opened with an ``endpoint`` takes its counts from the
-Tables 5.1/5.2 queries instead
+step of its path, and a state's applicable properties are the steps of
+its listing.  The three count operations (class markers, a listing, a
+facet) reach their value through ``_per_state(..., stat="facets")``;
+that call is the one seam where an analytics session opened with an
+``endpoint`` takes its counts from the Tables 5.1/5.2 queries instead
 (:class:`~repro.facets.sparql_backend.SparqlFacetEngine`, degrading on
 failure).  The transitions below never depend on where counts come
 from.
@@ -49,7 +50,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -165,9 +165,9 @@ class FacetedSession:
         state gives can only be recomputed to the same answer; any
         mutation invalidates conservatively.  ``stat`` names the
         :meth:`cache_stats` line the lookup counts under: ``"facets"``
-        for the count operations (class markers, applicable properties,
-        listings, single facets), ``"answers"`` for an analytics
-        session's Answer Frames.  A value of this generation found here
+        for the count operations (class markers, listings, single
+        facets), ``"answers"`` for an analytics session's Answer
+        Frames.  A value of this generation found here
         is a hit, anything else a miss — and an invalidation when a
         value of an older generation was found.  A ``build()`` that
         raises stores nothing.
@@ -283,42 +283,10 @@ class FacetedSession:
     # Property-based transitions (§5.4.4)
     # ------------------------------------------------------------------
     def applicable_properties(self, include_inverse: bool = False) -> List[PropertyRef]:
-        """Properties with at least one value on the current extension.
-
-        They are those of the state's listing when it has one.
-        Otherwise discovery walks the SPO rows of the extension at the
-        id level and, for inverses, asks of every predicate whether its
-        POS row keys meet the extension (one C-level disjointness test
-        each); each distinct predicate is decoded once — cheaper than a
-        listing nobody asked for.
-        """
-        listed = self._recall(("listing", include_inverse))
-        if listed is not None:
-            self._lookups["facets"]["hits"] += 1
-            return [facet.prop for facet in listed]
-        return list(self._per_state(
-            ("props", include_inverse),
-            lambda: self._discover_properties(include_inverse), stat="facets"))
-
-    def _discover_properties(self, include_inverse: bool) -> Tuple[PropertyRef, ...]:
-        extension_ids = self.state.ids
-        graph = self.graph
-        decode = graph.decode_id
-        forward_ids: Set[int] = set()
-        for eid in extension_ids:
-            forward_ids.update(graph.spo_ids(eid))
-        inverse_ids: List[int] = []
-        if include_inverse:
-            sources = graph.resource_ids(extension_ids)
-            inverse_ids = [pid for pid in graph.all_predicate_ids()
-                           if not graph.pos_ids(pid).keys().isdisjoint(sources)]
-        found: Set[PropertyRef] = set()
-        for ids, inverse in ((forward_ids, False), (inverse_ids, True)):
-            for pid in ids:
-                p = decode(pid)
-                if p not in SCHEMA_PREDICATES and isinstance(p, IRI):
-                    found.add(PropertyRef(p, inverse=inverse))
-        return tuple(sorted(found, key=lambda r: (r.prop.sort_key(), r.inverse)))
+        """Properties with at least one value on the current extension:
+        the steps of the state's listing (:meth:`all_facets`), which
+        stays on the state for the facets asked next."""
+        return [facet.prop for facet in self.all_facets(include_inverse)]
 
     def all_facets(self, include_inverse: bool = False) -> List[PropertyFacet]:
         """Every applicable property's facet, from ONE shared scan of the
@@ -348,7 +316,7 @@ class FacetedSession:
         counters, having = graph.facet_counts(ids, [
             (pid, inverse) for pid in graph.all_predicate_ids()
             if pid not in schema_ids for inverse in directions])
-        # Order like applicable_properties, decode each property once,
+        # Order by property, forward first, decode each property once,
         # drop non-IRI predicates and materialize the facets.
         sort_keys = graph.dictionary.sort_keys
         facets: List[PropertyFacet] = []

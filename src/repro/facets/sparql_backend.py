@@ -29,12 +29,13 @@ analytics session given an ``endpoint`` counts here), and (b) as the
 cross-check that the native engine implements the same semantics (the
 test suite runs both and compares).
 
-An endpoint can fail; the session's four count operations
-(:meth:`SparqlFacetEngine.counted`: class markers, applicable
-properties, the listing and a facet) degrade explicitly instead: a
-failed operation is served the last value the *same* operation gave,
-flagged ``approximate``, or, never served, its empty value; and each
-absorbed failure is recorded once, as one :class:`DegradationEvent` in
+An endpoint can fail; the session's three count operations
+(:meth:`SparqlFacetEngine.counted`: class markers, the listing — whose
+steps are also the state's applicable properties — and a facet)
+degrade explicitly instead: a failed operation is served the last
+value the *same* operation gave, flagged ``approximate``, or, never
+served, its empty value; and each absorbed failure is recorded once,
+as one :class:`DegradationEvent` in
 :attr:`SparqlFacetEngine.incidents`.
 """
 
@@ -231,13 +232,6 @@ class SparqlFacetEngine:
                 for prop, inverse in sorted(
                     found, key=lambda slot: (slot[0].sort_key(), slot[1]))}
 
-    def applicable_properties(self, extension: Extension, include_inverse: bool = False
-                              ) -> Tuple[PropertyRef, ...]:
-        """The properties with a value on the extension — and, with
-        ``include_inverse``, those reaching it: the listing's
-        having-count queries alone."""
-        return tuple(self._by_step(self.view(extension), include_inverse, ("?p",)))
-
     # ------------------------------------------------------------------
     # Degrading operations: what a session counts through an endpoint
     # ------------------------------------------------------------------
@@ -245,36 +239,31 @@ class SparqlFacetEngine:
                 class_tree: Callable) -> Any:
         """A session's count operation over ``view``, by its memo key:
         ``("classes", expanded)`` — the markers ``class_tree`` builds
-        from one grouped count query —, ``("props", include_inverse)``,
-        ``("listing", include_inverse)`` or ``("facet", path)``.
+        from one grouped count query —, ``("listing", include_inverse)``
+        or ``("facet", path)``.
 
         Never raises an endpoint error: a failure is served stale, or
-        degrades to no markers, no properties, no facets or an empty
-        ``approximate`` facet.  Each is served in the shape the native
-        session remembers: a listing is its tuple of facets."""
+        degrades to no markers, no facets or an empty ``approximate``
+        facet.  Each is served in the shape the native session
+        remembers: a listing is its tuple of facets."""
         kind, arg = key
         if kind == "listing":
             return self._remote(
-                key, "listing", lambda: self.all_facets(view, arg),
-                lambda exc: (), lambda last: tuple(
+                key, "listing", lambda: self.all_facets(view, arg), (),
+                lambda last: tuple(
                     replace(facet, approximate=True) for facet in last))
         if kind == "facet":
             return self._remote(
                 key, "facet " + "/".join(step.name for step in arg),
                 lambda: self.facet(view, arg),
-                lambda exc: PropertyFacet(
-                    path=arg, count=0, values=(), approximate=True),
+                PropertyFacet(path=arg, count=0, values=(), approximate=True),
                 lambda facet: replace(facet, approximate=True))
-        if kind == "props":
-            return self._remote(
-                key, "applicable_properties",
-                lambda: self.applicable_properties(view, arg), lambda exc: ())
 
         def markers():
             counts = self.class_counts(view)
             return class_tree(lambda cls: counts.get(cls, 0), arg)
 
-        return self._remote(key, "class_markers", markers, lambda exc: (),
+        return self._remote(key, "class_markers", markers, (),
                             lambda last: tuple(map(_approximate, last)))
 
     def all_facets(self, extension: Extension, include_inverse: bool = False
@@ -284,19 +273,16 @@ class SparqlFacetEngine:
         having-counts by ``?p``, the value counts by ``?p ?v``."""
         view = self.view(extension)
         having = self._by_step(view, include_inverse, ("?p",))
-        # Discovery's last value too, for a failed applicable_properties:
-        self._last["props", include_inverse] = tuple(having)
         values = self._by_step(view, include_inverse, ("?p", "?v"))
         return tuple(
             PropertyFacet(path=(ref,), count=int(row.value("count")),
                           values=_markers(values[ref], "v"))
             for ref, (row,) in having.items())
 
-    def _remote(self, key, label, compute, fallback,
-                mark_stale=lambda value: value):
+    def _remote(self, key, label, compute, fallback, mark_stale):
         """``compute()``, or its degraded substitute on a typed endpoint
         failure: the last value of the operation ``key`` through
-        ``mark_stale`` when there is one, ``fallback(error)`` otherwise.
+        ``mark_stale`` when there is one, ``fallback`` otherwise.
         Either way the failure lands in :attr:`incidents` under
         ``label``."""
         try:
@@ -304,7 +290,7 @@ class SparqlFacetEngine:
         except EndpointError as exc:
             stale = key in self._last
             self.incidents.append(DegradationEvent(label, exc, stale))
-            return mark_stale(self._last[key]) if stale else fallback(exc)
+            return mark_stale(self._last[key]) if stale else fallback
         self._last[key] = value
         return value
 

@@ -158,6 +158,13 @@ class Graph:
     # sets/dicts/key views are the live internals — treat them as
     # read-only.
     # ------------------------------------------------------------------
+    def store_for(self, pi: Optional[int], oi: Optional[int]) -> "Graph":
+        """The store to probe a triple pattern with constant predicate
+        id ``pi`` / object id ``oi`` against: this one (an
+        :class:`~repro.rdf.overlay.ExtensionView` may hand back its
+        base)."""
+        return self
+
     def objects_ids(self, si, pi) -> Collection[int]:
         """Ids of ``{o | (s, p, o) ∈ G}`` for encoded subject/predicate:
         a one-tuple for a lone object, the live set otherwise.  Iterate

@@ -29,6 +29,11 @@ Equivalence is a hard contract: every accessor and every merge must
 return byte-identical results to the flat store — the equivalence
 suites run the full query/facet workload at shard counts 1/2/4/7
 against the row engine to pin it.
+
+Nothing a user sets reaches this store any more: :class:`ShardedGraph`,
+:data:`PARALLEL_ENV` and the loaders' ``shards=`` argument are kept
+only for the frozen benchmark's sharding twin (``perf/workloads.py``),
+and go with it (ROADMAP item 2(a)).
 """
 
 from __future__ import annotations

@@ -359,8 +359,7 @@ class _Compiler:
                     same.append((first, k))
                 else:
                     fills.append((k, i))
-        narrow = getattr(self.graph, "store_for", None)
-        store = self.graph if narrow is None else narrow(*template[1:])
+        store = self.graph.store_for(*template[1:])
         if [k for k, _ in reads] == [0] and [k for k, _ in fills] == [2] \
                 and template[1] is not None:
             objects, (_, s), (_, o), p = (store.objects_ids, reads[0],
@@ -840,8 +839,7 @@ class _Compiler:
         graph = self.graph
         ids = [graph.encode_term(term) for term in (_RDF_TYPE, root.o)]
         slot = (graph.encode_term(steps[0].p) if steps else None, False)
-        narrow = getattr(graph, "store_for", None)
-        store = graph if narrow is None else narrow(slot[0], None)
+        store = graph.store_for(slot[0], None)
         key = self.slots[steps[0].o.name] if keyed else None
         counts = [(i, agg.distinct) for agg, i in group.items()]
 
@@ -877,7 +875,6 @@ class _Compiler:
             return None
         root, *steps = self.shape
         graph, slot = self.graph, self.slots.__getitem__
-        narrow = getattr(graph, "store_for", lambda pi, oi: graph)
         ids = [graph.encode_term(term) for term in (
             root.p, root.o, *(tp.p for tp in steps))]
         if None in ids:  # a constant the store never saw matches nothing
@@ -886,12 +883,12 @@ class _Compiler:
 
         def run() -> None:
             # Slot i's column: the star binds the first slots, in order.
-            columns = [list(map(itemgetter(0), narrow(*ids[:2]).triples_ids(
-                None, *ids[:2])))]
+            columns = [list(map(itemgetter(0), graph.store_for(
+                *ids[:2]).triples_ids(None, *ids[:2])))]
             unique = {0}  # the slots whose column holds no id twice
             for a, pi in plan:
-                values, lengths = _objects_of(narrow(pi, None), columns[a],
-                                              pi, a in unique)
+                values, lengths = _objects_of(graph.store_for(pi, None),
+                                              columns[a], pi, a in unique)
                 if lengths is not None and lengths.count(1) != len(lengths):
                     unique.clear()  # none or many objects a row
                     columns = [list(chain.from_iterable(map(

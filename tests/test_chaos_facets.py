@@ -217,8 +217,9 @@ class TestDegradation:
         assert all(e.stale for e in session.facet_engine.incidents)
 
     def test_a_listing_is_the_discovery_stale_properties_fall_back_on(self):
-        """The listing's having-counts discover its properties: after a
-        healthy listing, a failed discovery is served them stale."""
+        """A state's properties are its listing's steps: after a healthy
+        listing, a failed lookup is the listing's one incident, served
+        that listing's steps stale."""
         session = FacetedAnalyticsSession(products_graph(), endpoint=flaky_endpoint(
             raw=lambda g: FailAfter(g, healthy_queries=10 ** 9),
             retry=RetryPolicy.none(), breaker=None))
@@ -228,7 +229,7 @@ class TestDegradation:
         assert session.applicable_properties(include_inverse=True) == [
             facet.prop for facet in listing]
         (event,) = session.facet_engine.incidents
-        assert (event.operation, event.stale) == ("applicable_properties", True)
+        assert (event.operation, event.stale) == ("listing", True)
 
     def test_a_healthy_empty_discovery_is_no_listing_error(self):
         """The listing reports the outcome of its own discovery: one that
@@ -313,12 +314,14 @@ def _flagged(marker):
 
 MANUFACTURER = (PropertyRef(EX.manufacturer),)
 
-#: The four endpoint count operations: ``(label, call, empty value,
-#: served-before value → its stale serve)``.
+#: What a session counts through an endpoint, by the call: ``(incident
+#: label, call, empty value, served-before value → its stale serve)``.
+#: The three count operations, and applicable properties — the
+#: listing's steps, so they fail as the listing.
 COUNT_OPERATIONS = [
     ("class_markers", lambda s: s.class_markers(expanded=True), [],
      lambda fresh: [_flagged(marker) for marker in fresh]),
-    ("applicable_properties",
+    ("listing",
      lambda s: s.applicable_properties(include_inverse=True), [],
      lambda fresh: fresh),
     ("listing", lambda s: s.all_facets(include_inverse=True), [],
@@ -330,8 +333,8 @@ COUNT_OPERATIONS = [
 
 
 @pytest.mark.parametrize("served_before", [False, True])
-@pytest.mark.parametrize("label, call, empty, stale", COUNT_OPERATIONS,
-                         ids=[op[0] for op in COUNT_OPERATIONS])
+@pytest.mark.parametrize("label, call, empty, stale", COUNT_OPERATIONS, ids=[
+    "class_markers", "applicable_properties", "listing", "facet manufacturer"])
 def test_one_degradation_rule_for_every_count_operation(
         label, call, empty, stale, served_before):
     """Through a resilient wrapper over a simulated remote, a count

@@ -163,6 +163,45 @@ def test_all_facets_matches_per_facet_scan(seed):
             assert facet == session.facet(facet.path), facet.path
 
 
+class _QueryLog(LocalEndpoint):
+    """A local endpoint that keeps the text of every query it is sent."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.texts = []
+
+    def query(self, text, overlay=None):
+        self.texts.append(text)
+        return super().query(text, overlay)
+
+
+@pytest.mark.parametrize("include_inverse", [False, True])
+def test_applicable_properties_are_the_listing_steps(include_inverse):
+    """A state's applicable properties are its listing's steps: on a
+    native session the lookup leaves the listing on the state (the next
+    ``all_facets`` is a memo hit), and through an endpoint it sends
+    exactly the listing's queries."""
+    graph = random_graph(0)
+    native = FacetedSession(graph)
+    native.select_class(EX.Widget)
+    refs = native.applicable_properties(include_inverse)
+    hits = native.cache_stats()["facets"].hits
+    assert [facet.prop for facet in native.all_facets(include_inverse)] == refs
+    assert native.cache_stats()["facets"].hits == hits + 1
+
+    def remote(operation):
+        session = FacetedAnalyticsSession(
+            graph, endpoint=lambda g: ResilientEndpoint(_QueryLog(g)))
+        session.select_class(EX.Widget)
+        served = getattr(session, operation)(include_inverse)
+        return served, session.endpoint.inner.texts
+
+    served, sent = remote("applicable_properties")
+    listing, listed = remote("all_facets")
+    assert served == refs == [facet.prop for facet in listing]
+    assert sent == listed and len(sent) == 2 * (1 + include_inverse)
+
+
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_store_hifun_answers_identical(shards):
     """Partitioning the store must be invisible to both engines: every

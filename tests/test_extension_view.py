@@ -262,7 +262,6 @@ def test_run_and_every_engine_op_leave_the_store_alone(closed_products):
         lambda: engine.restrict_to_class(extension, EX.Laptop),
         lambda: engine.class_counts(extension),
         lambda: engine.facet(extension, path),
-        lambda: engine.applicable_properties(extension),
         lambda: engine.all_facets(extension),
     ):
         operation()

@@ -118,11 +118,12 @@ class TestAgreementWithNativeEngine:
         assert engine.facet(session.extension, path) == session.facet(path)
 
     def test_applicable_properties_match(self, engine, closed):
+        """The steps of the engine's listing are the session's
+        applicable properties, in the session's order."""
         session = FacetedSession(closed, closed=True)
         session.select_class(EX.Laptop)
-        assert set(engine.applicable_properties(session.extension)) == set(
-            session.applicable_properties()
-        )
+        assert [facet.prop for facet in engine.all_facets(
+            session.extension)] == session.applicable_properties()
 
 
 class TestTempHygiene:

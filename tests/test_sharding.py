@@ -292,18 +292,3 @@ class TestAnalyticInvariance:
             who.group_by((EX.manufacturer,))
             who.measure((EX.price,), "AVG")
         assert session.run("native").rows == flat.run("row").rows
-
-
-class TestCLI:
-    def test_shards_flag_builds_a_sharded_store(self):
-        from repro.app.cli import build_shell
-
-        shell = build_shell(["--shards", "3"])
-        assert isinstance(shell.graph, ShardedGraph)
-        assert shell.graph.num_shards == 3
-
-    def test_shards_flag_rejects_nonpositive(self, capsys):
-        from repro.app.cli import build_shell
-
-        with pytest.raises(SystemExit):
-            build_shell(["--shards", "0"])
