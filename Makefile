@@ -42,7 +42,8 @@ chaos:
 # rows), operators (each against a Term-level reference) and grouped
 # counts (the POS-row rule answers the pipeline's rows), star
 # aggregates (the step-at-a-time rule answers the pipeline's rows, in
-# its order), the store's access shapes under writes (every read
+# its order, and a view's kept columns answer a sequence of them as
+# fresh views do), the store's access shapes under writes (every read
 # against a set oracle, every SPO row in its one shape), native
 # presses interleaved with writes (each against a fresh session and,
 # inside HIFUN's prerequisites, the row engine) and the listing of
@@ -55,7 +56,7 @@ fuzz:
 		tests/test_property_graph.py tests/test_engine_equivalence.py \
 		tests/test_idspace_session.py tests/test_sparql_counts.py \
 		tests/test_sparql_star.py \
-		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule" \
+		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule or kept_column" \
 		--hypothesis-profile=fuzz -q
 
 examples:

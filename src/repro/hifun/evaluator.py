@@ -40,7 +40,7 @@ from repro.hifun.attributes import (
 from repro.hifun.query import HifunQuery, Restriction, ResultRestriction
 from repro.hifun.translator import translate
 from repro.sparql.errors import ExpressionError
-from repro.sparql.evaluator import evaluate, parse_query
+from repro.sparql.evaluator import parse_query, select_rows
 from repro.sparql.functions import BUILTINS, aggregate as reduce_values, compare
 
 
@@ -195,15 +195,17 @@ def evaluate_hifun(graph: Graph, query: HifunQuery,
         graph, root_class = ExtensionView(
             graph, TEMP, ids=graph.all_subject_ids()), TEMP
     translation = translate(query, root_class=root_class)
-    result = evaluate(parse_query(translation.text), graph)
-    answer = AnswerFunction(len(translation.group_aliases), query.operations)
-    for row in result:
-        values = {op: row.get(alias)
-                  for op, alias in translation.aggregate_aliases}
-        if translation.count_alias:
-            values[CARDINALITY] = row.get(translation.count_alias)
-        answer.set(tuple(row.get(alias)
-                         for alias in translation.group_aliases), values)
+    names, rows = select_rows(parse_query(translation.text), graph)
+    at = {name: n for n, name in enumerate(names)}
+    keys = [at[alias] for alias in translation.group_aliases]
+    operations = [(op, at[alias])
+                  for op, alias in translation.aggregate_aliases]
+    if translation.count_alias:
+        operations.append((CARDINALITY, at[translation.count_alias]))
+    answer = AnswerFunction(len(keys), query.operations)
+    for row in rows:
+        answer.set(tuple([row[n] for n in keys]),
+                   {op: row[n] for op, n in operations})
     return answer
 
 

@@ -60,6 +60,7 @@ from itertools import chain, repeat
 from typing import (
     AbstractSet,
     Any,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -183,6 +184,11 @@ class Graph:
         if set(map(type, rows)) <= {int}:  # every row a lone object
             return rows, None
         return _column(list(map(_objects, rows)))
+
+    def column(self, path: Tuple[int, ...], read: Callable[[], Any]) -> Any:
+        """``read()``: the star's column at its id ``path`` from the root
+        (``rdf:type``, the class, each step's predicate), kept nowhere."""
+        return read()
 
     def subjects_ids(self, pi, oi):
         """Ids of ``{s | (s, p, o) ∈ G}`` for encoded predicate/object."""

@@ -7,24 +7,24 @@ anything, so the store's generation, statistics and every cache stamped
 with them survive the read.  It answers the id protocol the SPARQL
 evaluator reads every store with (``triples_ids``, ``objects_ids``,
 ``subjects_ids``, ``count_ids``, ``len``, ``encode_term`` /
-``decode_id``) and nothing Term-level.  ``objects_ids`` answers a
+``decode_id``, ``column``) and nothing Term-level.  ``objects_ids`` answers a
 collection — a one-tuple for a lone object, as
 :class:`~repro.rdf.graph.Graph` does — which a caller iterates, sizes
 or tests with ``in``, and combines only through method forms
 (``.union``, ``.intersection``).
 
-A view keeps no answers: :func:`repro.sparql.query` caches only on the
-store, keyed by query text alone, which two extensions share.  An
-analytics session remembers each Answer Frame on the state it was
-computed for instead
+A view keeps the columns its star reads, and still no answers:
+:func:`repro.sparql.query` caches only on the store, keyed by query
+text alone, which two extensions share.  An analytics session
+remembers each Answer Frame on the state it was computed for instead
 (:meth:`repro.facets.analytics.FacetedAnalyticsSession.run`).
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import (AbstractSet, Collection, Dict, Iterable, Iterator, List,
-                    Optional, Tuple, Union)
+from typing import (AbstractSet, Callable, Collection, Dict, Iterable,
+                    Iterator, List, Optional, Tuple, Union)
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
@@ -62,12 +62,13 @@ class ExtensionView:
     """
 
     __slots__ = ("base", "cls", "members", "_decode", "_virtual",
-                 "_virtual_ids", "_type_id", "_cls_id")
+                 "_virtual_ids", "_type_id", "_cls_id", "_columns")
 
     def __init__(self, base: Graph, cls: IRI, extension: Iterable[Term] = (),
                  ids: Iterable[int] = ()):
         self.base = base
         self.cls = cls
+        self._columns: Dict[Tuple[int, ...], object] = {}
         self._virtual: List[Term] = []
         self._virtual_ids: Dict[Term, int] = {}
         self._type_id = self._intern(_RDF_TYPE)
@@ -164,6 +165,15 @@ class ExtensionView:
 
     def __len__(self) -> int:
         return len(self.base) + len(self.members)
+
+    def column(self, path: Tuple[int, ...], read: Callable[[], object]
+               ) -> object:
+        """:meth:`Graph.column`, read once and kept for the view's life:
+        the presses on a state share it, and none may mutate it."""
+        found = self._columns.get(path)
+        if found is None:
+            found = self._columns[path] = read()
+        return found
 
     # ------------------------------------------------------------------
     def add(self, s: Term, p: Term, o: Term) -> bool:

@@ -30,12 +30,15 @@ under constant predicates) is expanded a step at a time over the whole
 frontier: one ``triples_ids`` read for the root's column, one
 ``objects_column`` read of the distinct subjects a step, and the group
 dict filled from the columns in the pipeline's solution order
-(:meth:`_Compiler.star`).
+(:meth:`_Compiler.star`); an extension view keeps a column that holds
+one row per root member, so a state's presses read it once.  A GROUP
+BY key over one variable is mapped over its column's distinct
+bindings, and a group's aggregates are bound once.
 
 Terms are decoded through one seam, :meth:`_Compiler.term`: where an
 expression reads a variable, where a number or an aggregate needs the
-term, and at the query's edge (the projected rows, the CONSTRUCT
-template).
+term, and at the query's edge (:func:`select_rows`: the projected
+rows; the CONSTRUCT template).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import fields, is_dataclass
+from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -683,10 +687,12 @@ class _Compiler:
     def value(self, expr: ast.Expression,
               at: tuple) -> Callable[[SlotRow], Optional[Binding]]:
         """``expr``'s binding on a row, ``None`` on an error — read
-        straight off the row when ``expr`` is a plain variable, and once
-        per distinct binding when it reads one (``YEAR(?d)``)."""
+        straight off the row when ``expr`` is a variable or a group's
+        slot, and once per distinct binding when it reads one variable."""
         if isinstance(expr, ast.Var):
             return itemgetter(self.slot(expr.name))
+        if at[2] is not None and expr in at[2]:
+            return itemgetter(at[2][expr])
         compiled, bind, names = self.expression(expr, at), self.bind, _names(expr)
 
         def value(row):
@@ -714,10 +720,14 @@ class _Compiler:
         aggregates); and the hidden slot of each aggregate and computed
         key, for the group to read."""
         group: Dict[ast.Expression, int] = {}
-        keys, targets = [], []  # per GROUP BY condition
+        # Per GROUP BY condition: its binding on a row, the slot of the
+        # one variable it reads (if so), and the slots it binds.
+        keys, sources, targets = [], [], []
         aliases = query.group_aliases or (None,) * len(query.group_by)
         for n, (expr, alias) in enumerate(zip(query.group_by, aliases)):
             keys.append(self.value(expr, where))
+            names = _names(expr)
+            sources.append(self.slot(*names) if len(names) == 1 else None)
             slots = [self.slot(expr.name) if isinstance(expr, ast.Var) else
                      group.setdefault(expr, self.slot(f"{_HIDDEN}k{n}"))]
             targets.append(slots + ([self.slot(alias.name)] if alias else []))
@@ -725,10 +735,11 @@ class _Compiler:
         read += list(query.having) + [c.expr for c in query.order_by]
         aggregates = list(_found_in(read, ast.Aggregate, {}))
         arguments: Dict[ast.Expression, int] = {}
+        plan = []  # (hidden slot, aggregate, its argument's entry or None)
         for n, agg in enumerate(aggregates):
             group[agg] = self.slot(f"{_HIDDEN}a{n}")
-            if agg.expr is not None:
-                arguments.setdefault(agg.expr, len(arguments))
+            plan.append((group[agg], agg, None if agg.expr is None else
+                         arguments.setdefault(agg.expr, len(arguments))))
         # The lenient extras: a variable the group's expressions read,
         # bound alike in every member, is bound in the group's row.
         extras: List[int] = []
@@ -750,12 +761,10 @@ class _Compiler:
         entry = (itemgetter(*columns) if all(type(c) is int for c in columns)
                  else getters[0] if len(columns) == 1
                  else lambda row: tuple([g(row) for g in getters]))
-        scalar = len(keys) == 1 and isinstance(query.group_by[0], ast.Var)
-        named = [slots[0] for slots, e in zip(targets, query.group_by)
-                 if isinstance(e, ast.Var)]  # the slots of plain-variable keys
-        plain = len(named) == len(keys)
+        plain = [isinstance(e, ast.Var) for e in query.group_by]
+        scalar = plain == [True]
         keyof: Callable[[SlotRow], object] = (
-            itemgetter(*named) if keys and plain
+            itemgetter(*sources) if keys and all(plain)
             else lambda row: tuple([k(row) for k in keys]))
         groups: Dict[object, list] = defaultdict(list)
         buffer = groups[()] if not keys else []  # one group, also over no row
@@ -766,16 +775,26 @@ class _Compiler:
             else:
                 buffer.append(entry(row))
 
+        def column(n: int, found: List[list]) -> list:
+            """Key ``n``'s column, mapped from its variable's."""
+            i = sources[n]
+            if plain[n]:
+                return found[i]
+            row, table = self.row(), {}
+            for row[i] in set(found[i]):
+                table[row[i]] = keys[n](row)
+            return list(map(table.__getitem__, found[i]))
+
         def fill(found: List[list]) -> None:
             """:func:`fold` over solutions given as the columns of the
-            first slots, in arrival order: zipped when every key and
-            entry is one of them, else a row at a time."""
-            if plain and {*named, *columns} <= set(range(len(found))):
+            first slots, in arrival order: zipped when every entry and
+            every key's source is one of them, else a row at a time."""
+            if {*sources, *columns} <= set(range(len(found))):
                 entries = [found[c] for c in columns]
                 entries = entries[0] if len(entries) == 1 else zip(*entries)
                 if not keys:
                     return buffer.extend(entries)
-                keyed = [found[k] for k in named]
+                keyed = [column(n, found) for n in range(len(keys))]
                 for key, item in zip(keyed[0] if scalar else zip(*keyed),
                                      entries):
                     groups[key].append(item)
@@ -798,11 +817,11 @@ class _Compiler:
                     first = values[n][0] if rows else None
                     if set(values[n]) == {first}:
                         rep[i] = first
-                for agg in aggregates:
-                    rep[group[agg]] = (
-                        wrap_number(len(set(rows) if agg.distinct else rows))
-                        if agg.expr is None  # COUNT(*)
-                        else _reduce(agg, values[arguments[agg.expr]], self))
+                for i, agg, n in plan:  # each result bound once
+                    result = (_reduce(agg, values[n], self) if n is not None
+                              else wrap_number(len(set(rows) if agg.distinct
+                                                   else rows)))  # COUNT(*)
+                    rep[i] = None if result is None else self.bind(result)
                 out.append(rep)
             return out
         return fold, fill, finish, group
@@ -860,7 +879,8 @@ class _Compiler:
                 if keyed:
                     rep[key] = value
                 for i, of_distinct in counts:
-                    rep[i] = wrap_number(distinct if of_distinct else n)
+                    rep[i] = self.bind(wrap_number(distinct if of_distinct
+                                                   else n))
                 out.append(rep)
             return out
         return count
@@ -879,18 +899,27 @@ class _Compiler:
             root.p, root.o, *(tp.p for tp in steps))]
         if None in ids:  # a constant the store never saw matches nothing
             return lambda: None
-        plan = [(slot(tp.s.name), pi) for tp, pi in zip(steps, ids[2:])]
+        plan = [(slot(tp.s.name), graph.store_for(pi, None), pi)
+                for tp, pi in zip(steps, ids[2:])]
+        root = graph.store_for(*ids[:2])
 
         def run() -> None:
-            # Slot i's column: the star binds the first slots, in order.
-            columns = [list(map(itemgetter(0), graph.store_for(
-                *ids[:2]).triples_ids(None, *ids[:2])))]
-            unique = {0}  # the slots whose column holds no id twice
-            for a, pi in plan:
-                values, lengths = _objects_of(graph.store_for(pi, None),
-                                              columns[a], pi, a in unique)
+            # Slot i's column: the star binds the first slots, in order;
+            # the store's ``column`` at ``paths[i]`` while each holds one
+            # row per root member (a view keeps it).
+            paths = [tuple(ids[:2])]
+            columns = [graph.column(paths[0], lambda: list(map(
+                itemgetter(0), root.triples_ids(None, *ids[:2]))))]
+            for a, store, pi in plan:
+                read = partial(_objects_of, store, columns[a], pi,
+                               a == 0 and bool(paths))  # no id twice
+                if paths:
+                    paths.append(paths[a] + (pi,))
+                    values, lengths = graph.column(paths[-1], read)
+                else:
+                    values, lengths = read()
                 if lengths is not None and lengths.count(1) != len(lengths):
-                    unique.clear()  # none or many objects a row
+                    paths.clear()  # none or many objects a row
                     columns = [list(chain.from_iterable(map(
                         repeat, column, lengths))) for column in columns]
                 columns.append(values)
@@ -1125,13 +1154,23 @@ def _nullable(path: ast.Path) -> bool:
 
 
 # -- query forms ---------------------------------------------------------
-def _eval_select(query: ast.SelectQuery, ctx: _Compiler) -> SelectResult:
-    """The query's edge: each projected binding decoded, once."""
+def select_rows(query: ast.SelectQuery, graph: Graph
+                ) -> Tuple[List[str], List[Tuple[Optional[Term], ...]]]:
+    """A parsed SELECT's answer over ``graph`` at the query's edge: the
+    projected names and, per answer row, each projected binding decoded
+    once (``None``: unbound)."""
+    ctx = _Compiler(graph)
     names, answer = ctx.select(query)()
+    return names, [tuple([None if value is None else ctx.term(value)
+                          for value in values]) for values in answer]
+
+
+def _eval_select(query: ast.SelectQuery, graph: Graph) -> SelectResult:
+    """:func:`select_rows` as :class:`Row` mappings."""
+    names, rows = select_rows(query, graph)
     return SelectResult(names, [
-        Row({name: ctx.term(value) for name, value in zip(names, values)
-             if value is not None})
-        for values in answer])
+        Row({name: term for name, term in zip(names, terms)
+             if term is not None}) for terms in rows])
 
 
 def _eval_construct(query: ast.ConstructQuery, ctx: _Compiler) -> Graph:
@@ -1162,12 +1201,13 @@ def _eval_construct(query: ast.ConstructQuery, ctx: _Compiler) -> Graph:
 def evaluate(parsed: ast.Query, graph: Graph) -> QueryResult:
     """Evaluate a parsed query AST over a graph: compile it against the
     store, then run it."""
-    for form, run in ((ast.SelectQuery, _eval_select),
-                      (ast.AskQuery, lambda ask, ctx: _any(ctx.group(
-                          ask.where, set(), set())(_found), ctx.row())),
-                      (ast.ConstructQuery, _eval_construct)):
-        if isinstance(parsed, form):
-            return run(parsed, _Compiler(graph))
+    if isinstance(parsed, ast.SelectQuery):
+        return _eval_select(parsed, graph)
+    ctx = _Compiler(graph)
+    if isinstance(parsed, ast.AskQuery):
+        return _any(ctx.group(parsed.where, set(), set())(_found), ctx.row())
+    if isinstance(parsed, ast.ConstructQuery):
+        return _eval_construct(parsed, ctx)
     raise SparqlEvalError(f"cannot evaluate {type(parsed).__name__}")
 
 

@@ -7,9 +7,13 @@ over the whole frontier, one ``objects_column`` read a step, and
 folding the columns.  The property: on every such shape it answers the
 pipeline's rows *in the pipeline's order* — un-ORDERed groups and float
 SUM/AVG included — over a flat store, an extension view, a 3-shard
-store and a view of one.  Tier-1 runs it derandomized; ``make fuzz``
-runs it long.  The guard below pins what a path read costs: each
-distinct subject's row once.
+store and a view of one.  A view keeps the star's columns
+(``ExtensionView.column``): a second property draws a sequence of
+stars on one view, each answered as on a fresh view, and a session's
+press after a write reads the written value.  Tier-1 runs the
+properties derandomized; ``make fuzz`` runs them long.  The guards
+below pin what a path read costs — each distinct subject's row once —
+and what a state's ten presses read: each column once.
 """
 
 from collections import Counter
@@ -20,8 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.datasets import SyntheticConfig, synthetic_graph
+from repro.facets.analytics import FacetedAnalyticsSession
 from repro.facets.sparql_backend import TEMP
-from repro.hifun.attributes import Attribute
+from repro.hifun.attributes import Attribute, Derived
+from repro.hifun.evaluator import evaluate_hifun
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import translate
 from repro.rdf.graph import Graph
@@ -147,24 +153,88 @@ def test_the_star_rule_answers_the_pipeline_rows(kind, triples, members,
     assert answer == _rows(store, text, star=False)[0]
 
 
+@settings(derandomize=not _FUZZING, deadline=None)
+@given(kind=st.sampled_from(["view", "sharded view"]), triples=_triples,
+       members=_members, texts=st.lists(_stars(), min_size=2, max_size=6))
+@example(  # one value a member: every column kept; two roots, one path
+    kind="view", members={_NODES[0], _NODES[1]},
+    triples=[(_NODES[0], EX.p, _NODES[2]), (_NODES[1], EX.p, _NODES[3]),
+             (_NODES[2], EX.p, _NODES[4]), (_NODES[3], EX.p, _NODES[4]),
+             (_NODES[2], RDF.type, EX.C), (_NODES[3], RDF.type, EX.C)],
+    texts=[f"SELECT ?v0 (COUNT(*) AS ?a0) WHERE {{ ?x a <{cls.value}> . "
+           f"?x <{EX.p.value}> ?v0 }} GROUP BY ?v0" for cls in (EX.C, TEMP)]
+    + [f"SELECT ?v1 (COUNT(*) AS ?a0) WHERE {{ ?x a <{TEMP.value}> . "
+       f"?x <{EX.p.value}> ?v0 . ?v0 <{EX.p.value}> ?v1 }} GROUP BY ?v1"])
+def test_a_kept_column_answers_as_a_fresh_view(kind, triples, members,
+                                               texts):
+    """The stars pressed one after another on one view — each reading
+    the columns the earlier ones kept — answer what each answers on a
+    fresh view, in the same order."""
+    view = _store(kind, triples, members)
+    for text in texts:
+        assert _rows(view, text, star=True) == _rows(
+            _store(kind, triples, members), text, star=True)
+
+
+_PRICE = (EX.price,)
+_Q4 = ((((EX.manufacturer,), None),), "AVG")
+_Q8 = ((((EX.manufacturer,), None), ((EX.USBPorts,), None)),
+       ("AVG", "SUM", "MAX"))
+
+
+def _press(session, shape):
+    """The frame of one G/Σ press on the session's state."""
+    session.clear_analytics()
+    groups, operations = shape
+    for path, derived in groups:
+        session.group_by(path, derived)
+    session.measure(_PRICE, operations)
+    return session.run("native")
+
+
+@pytest.mark.parametrize("write", ["add", "remove"])
+def test_a_press_after_a_write_reads_the_written_price(write):
+    """Q4 keeps the state's price column on its view; a write of a
+    member's price makes Q8 on the same state answer a fresh session's
+    frame, not one over the kept column."""
+    graph = synthetic_graph(SyntheticConfig(
+        laptops=60, companies=4, countries=3, continents=2,
+        drives_per_laptop_pool=10, seed=3))
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Laptop)
+    _press(session, _Q4)
+    member = min(session.extension, key=lambda t: t.sort_key())
+    price, = session.graph.objects(member, EX.price)
+    if write == "add":  # a second price
+        session.graph.add(member, EX.price, Literal.of(price.to_python() + 1))
+    else:
+        session.graph.remove(member, EX.price, price)
+    fresh = FacetedAnalyticsSession(session.graph)
+    fresh.select_class(EX.Laptop)
+    assert _press(session, _Q8).rows == _press(fresh, _Q8).rows
+
+
 # -- the guard: a path step reads each distinct subject's row once ----------
 _LAPTOPS, _COMPANIES = 16_000, 100
 
 
 @pytest.fixture(scope="module")
 def laptops():
-    """The benchmark's 16 000-member Laptop class as the ``temp`` view."""
+    """The benchmark's graph and the ids of its 16 000-member Laptop
+    class, the ``temp`` class of the views below."""
     graph = synthetic_graph(SyntheticConfig(
         laptops=_LAPTOPS, companies=_COMPANIES, countries=30, continents=5,
         drives_per_laptop_pool=1000, seed=11))
     members = graph.subjects_ids(*map(graph.encode_term, (RDF.type,
                                                           EX.Laptop)))
-    return graph, ExtensionView(graph, TEMP, ids=members)
+    return graph, members
 
 
-def _q7_reads(graph, view):
-    """Q7 (average price by the manufacturer's origin's continent): the
+def _q7_reads(graph, members):
+    """Q7 (average price by the manufacturer's origin's continent) on a
+    fresh view of ``members`` (a view keeps the columns it read): the
     subjects each ``objects_column`` read hands in, per predicate."""
+    view = ExtensionView(graph, TEMP, ids=members)
     path = (Attribute(EX.manufacturer) >> Attribute(EX.origin)
             >> Attribute(EX.locatedAt))
     text = translate(HifunQuery(path, Attribute(EX.price), "AVG"),
@@ -201,3 +271,52 @@ def test_a_per_row_read_fails_the_guard(laptops):
     with per_row:
         reads, twice = _q7_reads(*laptops)
     assert twice and reads[EX.origin] == _LAPTOPS
+
+
+# -- the guard: a state's presses read each column once ----------------------
+def _shapes():
+    """The analytics benchmark's ten G/Σ presses on one state (Q1–Q10,
+    Q5's and Q10's refinements left out) as HIFUN queries."""
+    by, price = Attribute(EX.manufacturer), Attribute(EX.price)
+    country = by >> Attribute(EX.origin)
+    continent = country >> Attribute(EX.locatedAt)
+    return [HifunQuery(None, None), HifunQuery(None, price, "AVG"),
+            HifunQuery(by, None), HifunQuery(by, price, "AVG"),
+            HifunQuery(by, price, "AVG"), HifunQuery(country, price, "AVG"),
+            HifunQuery(continent, price, "AVG"),
+            HifunQuery(by & Attribute(EX.USBPorts), price,
+                       ("AVG", "SUM", "MAX")),
+            HifunQuery(continent, price, ("AVG", "MIN")),
+            HifunQuery(country & Derived("YEAR", Attribute(EX.releaseDate)),
+                       price, "AVG")]
+
+
+def _state_reads(graph, members):
+    """The ten presses on one view of ``members``, as ``run("native")``
+    evaluates them: the subjects each ``objects_column`` read hands in,
+    per predicate."""
+    view, reads = ExtensionView(graph, TEMP, ids=members), Counter()
+    read = graph.objects_column
+
+    def spy(subjects, pi):
+        reads[graph.decode_id(pi)] += len(subjects)
+        return read(subjects, pi)
+    with mock.patch.object(graph, "objects_column", spy):
+        for query in _shapes():
+            evaluate_hifun(view, query, root_class=TEMP)
+    return reads
+
+
+def test_a_states_presses_read_each_column_once(laptops):
+    reads = _state_reads(*laptops)
+    assert reads[EX.manufacturer] == reads[EX.price] == _LAPTOPS
+
+
+def test_a_view_that_keeps_nothing_fails_the_column_guard(laptops):
+    """The planted defect: a view reads every column anew, so each
+    press that reads a column reads all its members again."""
+    with mock.patch.object(ExtensionView, "column",
+                           lambda self, path, read: read()):
+        reads = _state_reads(*laptops)
+    assert reads[EX.manufacturer] == 7 * _LAPTOPS
+    assert reads[EX.price] == 8 * _LAPTOPS

@@ -250,7 +250,7 @@ DECODING = {"decode_id", "decode", "decode_ids", "decode_all", "_decode"}
 #: need the term (SAMPLE, GROUP_CONCAT, MIN/MAX over non-numbers), and
 #: the query's edge — the projected rows and the CONSTRUCT template.
 SEAM_READS = ["_Compiler.number", "_Compiler.variable.read",
-              "_eval_construct.resolve", "_eval_select", "_reduce"]
+              "_eval_construct.resolve", "_reduce", "select_rows"]
 
 
 def _evaluator_decoders(path=EVALUATOR):
