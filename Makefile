@@ -11,7 +11,7 @@ test:
 # Static analysis gates: the stdlib checker in tools/static_check.py,
 # with the arguments tests/test_static_gates.py runs it with in tier-1.
 lint:
-	python tools/static_check.py --lint src/repro tools benchmarks tests examples
+	python tools/static_check.py --lint src/repro tools benchmarks tests examples perf
 
 typecheck:
 	python tools/static_check.py --typecheck src/repro

@@ -485,7 +485,9 @@ class AnalyticsShell:
         return f"restored: {self.session.state.intention.describe()}"
 
     def _cmd_help(self, args: List[str]) -> str:
-        return __doc__.split("Commands", 1)[1]
+        # The module docstring's second and third paragraphs: the
+        # heading and the command table.
+        return "\n\n".join(__doc__.split("\n\n")[1:3])
 
     def _cmd_quit(self, args: List[str]) -> str:
         self._running = False

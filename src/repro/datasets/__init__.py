@@ -10,7 +10,7 @@ synthetic knowledge-graph generator.
 """
 
 from repro.datasets.products import products_graph, PRODUCTS_TTL
-from repro.datasets.invoices import invoices_graph, make_invoices
+from repro.datasets.invoices import invoices_graph
 from repro.datasets.synthetic import SyntheticConfig, synthetic_graph
 from repro.datasets.museum import museum_graph
 from repro.datasets.csv_import import graph_from_csv
@@ -19,7 +19,6 @@ __all__ = [
     "products_graph",
     "PRODUCTS_TTL",
     "invoices_graph",
-    "make_invoices",
     "SyntheticConfig",
     "synthetic_graph",
     "museum_graph",

@@ -7,19 +7,11 @@ Seven invoices (i1..i7), each with ``takesPlaceAt`` (branch),
 * branch1: 200 + 100 = 300
 * branch2: 200 + 400 = 600
 * branch3: 100 + 400 + 100 = 600
-
-:func:`make_invoices` generates larger invoice datasets with the same
-shape for benchmarks (deterministic, seeded).
 """
 
 from __future__ import annotations
 
-import random
-from datetime import date, timedelta
-
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import EX, RDF
-from repro.rdf.terms import Literal
 from repro.rdf.turtle import parse
 
 INVOICES_TTL = """
@@ -59,46 +51,3 @@ ex:i7 a ex:Invoice ; ex:takesPlaceAt ex:branch3 ; ex:delivers ex:prod3 ;
 def invoices_graph() -> Graph:
     """The seven-invoice dataset of the §2.5 worked example."""
     return parse(INVOICES_TTL)
-
-
-def make_invoices(
-    invoices: int,
-    branches: int = 10,
-    products: int = 20,
-    brands: int = 5,
-    seed: int = 42,
-) -> Graph:
-    """A larger invoices KG with the same schema, deterministic by seed."""
-    rng = random.Random(seed)
-    graph = parse(
-        """
-        @prefix ex: <http://www.ics.forth.gr/example#> .
-        ex:Invoice a rdfs:Class .
-        ex:Branch a rdfs:Class .
-        ex:DProduct a rdfs:Class .
-        ex:takesPlaceAt a rdf:Property ; rdfs:domain ex:Invoice ; rdfs:range ex:Branch .
-        ex:delivers a rdf:Property ; rdfs:domain ex:Invoice ; rdfs:range ex:DProduct .
-        ex:inQuantity a rdf:Property ; rdfs:domain ex:Invoice .
-        ex:hasDate a rdf:Property ; rdfs:domain ex:Invoice .
-        ex:brand a rdf:Property ; rdfs:domain ex:DProduct .
-        """
-    )
-    branch_nodes = [EX.term(f"branch{i + 1}") for i in range(branches)]
-    for node in branch_nodes:
-        graph.add(node, RDF.type, EX.Branch)
-    brand_nodes = [EX.term(f"brand{i + 1}") for i in range(brands)]
-    product_nodes = [EX.term(f"prod{i + 1}") for i in range(products)]
-    for node in product_nodes:
-        graph.add(node, RDF.type, EX.DProduct)
-        graph.add(node, EX.brand, rng.choice(brand_nodes))
-    start = date(2020, 1, 1)
-    for i in range(invoices):
-        node = EX.term(f"i{i + 1}")
-        graph.add(node, RDF.type, EX.Invoice)
-        graph.add(node, EX.takesPlaceAt, rng.choice(branch_nodes))
-        graph.add(node, EX.delivers, rng.choice(product_nodes))
-        graph.add(node, EX.inQuantity, Literal.of(rng.randrange(1, 500)))
-        graph.add(
-            node, EX.hasDate, Literal.of(start + timedelta(days=rng.randrange(0, 365)))
-        )
-    return graph

@@ -36,7 +36,7 @@ errors, and a run surfaces them typed: an answer has no stale stand-in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence,
     Tuple, Union,
@@ -55,11 +55,10 @@ from repro.hifun.attributes import (
     pair,
 )
 from repro.hifun.evaluator import (
-    CARDINALITY, evaluate_hifun, evaluate_hifun_row, row_sort_key,
+    evaluate_hifun, evaluate_hifun_row, row_sort_key,
 )
 from repro.hifun.query import HifunQuery
 from repro.hifun.translator import Translation, translate
-from repro.olap.rewrite import merge_blocker, merge_groups
 from repro.facets.model import AnyPath, PropertyRef
 from repro.facets.session import FacetedSession
 from repro.facets.sparql_backend import SparqlFacetEngine
@@ -123,7 +122,7 @@ def _path_to_attribute(path: Tuple[PropertyRef, ...],
 
 class AnswerFrame:
     """The Answer Frame of Fig. 5.1: the rows of ``query``'s answer under
-    its column names, re-aggregation and reload support."""
+    its column names, and reload support."""
 
     def __init__(
         self,
@@ -194,43 +193,15 @@ class AnswerFrame:
 
     # -- the "Extra Columns" actions of §5.1 ----------------------------
     def select_columns(self, columns: Sequence[str]) -> "AnswerFrame":
-        """Display-level projection: keep only the named columns."""
+        """Display-level projection: keep only the named columns.
+
+        Removing a *grouping* column changes the query, not the display:
+        press its G button again (:meth:`FacetedAnalyticsSession.group_by`
+        toggles) and run.
+        """
         indexes = [self.columns.index(name) for name in columns]
         rows = [tuple(row[i] for i in indexes) for row in self.rows]
         return AnswerFrame(columns, rows, self.query)
-
-    def drop_grouping_column(self, name: str) -> "AnswerFrame":
-        """Remove a grouping attribute and *re-aggregate* the answer.
-
-        The §5.1 "Extra Columns" remove action: dropping a grouping
-        column coarsens the groups, so those that fall together are
-        merged (:func:`repro.olap.rewrite.merge_groups`; it raises when
-        :func:`~repro.olap.rewrite.merge_blocker` objects).  The result
-        is the frame of the coarser query — what
-        :meth:`FacetedAnalyticsSession.run` answers with that G press
-        undone.
-        """
-        grouping = self.grouping_columns
-        if name not in grouping:
-            raise ValueError(f"{name!r} is not a grouping column")
-        blocker = merge_blocker(self.query.operations, self.query.with_count)
-        if blocker:
-            raise ValueError(blocker)
-        paths = [path for path, column in zip(self.query.grouping_paths, grouping)
-                 if column != name]
-        coarser = replace(self.query, grouping=pair(*paths) if paths else None)
-        cell = self.columns.index
-        kept = [cell(column) for column in grouping if column != name]
-        partial = [(op, cell(column)) for op, column in self.aggregate_columns]
-        if self.query.with_count:
-            partial.append((CARDINALITY, cell(self.count_column)))
-        merged = merge_groups(
-            (tuple(row[i] for i in kept), {part: row[i] for part, i in partial})
-            for row in self.rows)
-        rows = [key + tuple(values[part] for part, _ in partial)
-                for key, values in merged.items()]
-        rows.sort(key=row_sort_key)
-        return AnswerFrame(coarser.answer_columns(), rows, coarser)
 
     def __repr__(self):
         return f"<AnswerFrame {len(self.rows)}×{len(self.columns)} {list(self.columns)}>"

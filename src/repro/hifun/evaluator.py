@@ -155,11 +155,6 @@ class AnswerFunction:
         for key in self.keys():
             yield key, self._data[key]
 
-    def groups(self):
-        """The ``(key, values)`` pairs in the order they were set — for a
-        caller that re-groups them and sorts its own answer."""
-        return self._data.items()
-
     def rows(self) -> List[Tuple]:
         """Rows ``(g_1, ..., g_n, v_op1, ..., v_opk)`` sorted by key —
         directly comparable with the SPARQL translation's result rows."""

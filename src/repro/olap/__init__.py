@@ -14,12 +14,6 @@ executable:
 
 from repro.olap.cube import Cube, Dimension, Hierarchy
 from repro.olap.ops import drill_down, dice, pivot, roll_up, slice_
-from repro.olap.rewrite import (
-    RewriteError,
-    derived_mapping,
-    path_mapping,
-    roll_up_from_answer,
-)
 
 __all__ = [
     "Cube",
@@ -30,8 +24,4 @@ __all__ = [
     "slice_",
     "dice",
     "pivot",
-    "RewriteError",
-    "derived_mapping",
-    "path_mapping",
-    "roll_up_from_answer",
 ]

@@ -2,30 +2,19 @@
 
 import pytest
 
-from repro.rdf.namespace import EX
+from repro.rdf.graph import Graph
+from repro.rdf.namespace import EX, RDF, XSD
 from repro.rdf.terms import Literal
 from repro.datasets import invoices_graph
 from repro.facets import FacetedAnalyticsSession
 
 
-def build_frame(ops=("SUM",), with_count=False):
+def build_frame():
     session = FacetedAnalyticsSession(invoices_graph())
     session.select_class(EX.Invoice)
     session.group_by((EX.takesPlaceAt,))
     session.group_by((EX.delivers, EX.brand))
-    session.measure((EX.inQuantity,), ops)
-    if with_count:
-        session.with_count()
-    return session.run()
-
-
-def single_group_frame(ops=("SUM",), with_count=False):
-    session = FacetedAnalyticsSession(invoices_graph())
-    session.select_class(EX.Invoice)
-    session.group_by((EX.takesPlaceAt,))
-    session.measure((EX.inQuantity,), ops)
-    if with_count:
-        session.with_count()
+    session.measure((EX.inQuantity,), ("SUM",))
     return session.run()
 
 
@@ -42,127 +31,164 @@ class TestSelectColumns:
             frame.select_columns(["nope"])
 
 
-class TestDropGroupingColumn:
-    def test_sum_reaggregates_to_coarser_query(self):
-        fine = build_frame()
-        coarse = fine.drop_grouping_column("delivers_brand")
-        expected = single_group_frame()
-        assert coarse.columns == expected.columns
-        assert [tuple(r) for r in coarse.rows] == [tuple(r) for r in expected.rows]
-
-    def test_min_max_reaggregate(self):
-        fine = build_frame(("MIN", "MAX"))
-        coarse = fine.drop_grouping_column("delivers_brand")
-        expected = single_group_frame(("MIN", "MAX"))
-        assert [tuple(r) for r in coarse.rows] == [tuple(r) for r in expected.rows]
-
-    def test_count_column_merges(self):
-        fine = build_frame(("SUM",), with_count=True)
-        coarse = fine.drop_grouping_column("delivers_brand")
-        expected = single_group_frame(("SUM",), with_count=True)
-        assert [tuple(r) for r in coarse.rows] == [tuple(r) for r in expected.rows]
-
-    def test_avg_with_sum_and_count(self):
-        fine = build_frame(("AVG", "SUM", "COUNT"))
-        coarse = fine.drop_grouping_column("delivers_brand")
-        expected = single_group_frame(("AVG", "SUM", "COUNT"))
-        for got, want in zip(coarse.rows, expected.rows):
-            assert got[0] == want[0]
-            assert float(got[1].to_python()) == pytest.approx(
-                float(want[1].to_python())
-            )
-            assert got[2:] == want[2:]
-
-    def test_avg_alone_rejected(self):
-        fine = build_frame(("AVG",))
-        with pytest.raises(ValueError):
-            fine.drop_grouping_column("delivers_brand")
-
-    def test_avg_with_count_info_allowed(self):
-        fine = build_frame(("AVG", "SUM"), with_count=True)
-        coarse = fine.drop_grouping_column("delivers_brand")
-        expected = single_group_frame(("AVG", "SUM"), with_count=True)
-        for got, want in zip(coarse.rows, expected.rows):
-            assert float(got[1].to_python()) == pytest.approx(
-                float(want[1].to_python())
-            )
-
-    def test_non_grouping_column_rejected(self):
-        fine = build_frame()
-        with pytest.raises(ValueError):
-            fine.drop_grouping_column("sum_inQuantity")
-
-
 ENGINES = ("sparql", "native", "row", "restrictions")
 
 BRANCH, BRAND, MONTH = "takesPlaceAt", "delivers_brand", "month_hasDate"
 
 
-def engine_frame(engine, columns, ops=("SUM",), with_count=False):
-    """The frame ``engine`` answers with when the invoices of at least
-    100 items are grouped by the named ``columns`` — a state whose
-    intention holds a range filter, so the ``restrictions`` engine has
-    something to fold into the query."""
+def invoices_state(columns, ops=("SUM",), with_count=False):
+    """The invoices of at least 100 items grouped by the named
+    ``columns`` — a state whose intention holds a range filter, so the
+    ``restrictions`` engine has something to fold into the query."""
     session = FacetedAnalyticsSession(invoices_graph())
     session.select_class(EX.Invoice)
     session.select_range((EX.inQuantity,), ">=", Literal.of(100))
-    presses = {BRANCH: lambda: session.group_by((EX.takesPlaceAt,)),
-               BRAND: lambda: session.group_by((EX.delivers, EX.brand)),
-               MONTH: lambda: session.derive((EX.hasDate,), "MONTH")}
     for column in columns:
-        presses[column]()
+        press_g(session, column)
     session.measure((EX.inQuantity,), ops)
     session.with_count(with_count)
-    return session.run(engine)
+    return session
+
+
+def press_g(session, column):
+    """The G (or ⚙) button of the path behind ``column``; pressed again,
+    it removes that grouping."""
+    if column == MONTH:
+        session.derive((EX.hasDate,), "MONTH")
+    else:
+        session.group_by({BRANCH: (EX.takesPlaceAt,),
+                          BRAND: (EX.delivers, EX.brand)}[column])
+
+
+def colours_state():
+    """Three widgets, ``a`` both red and blue: SUM and COUNT of price
+    grouped by (maker, colour)."""
+    graph = Graph()
+    for item, maker, colours, price in (
+            (EX.a, EX.m, (EX.red, EX.blue), 10),
+            (EX.b, EX.m, (EX.red,), 20),
+            (EX.c, EX.n, (EX.red,), 5)):
+        graph.add(item, RDF.type, EX.Widget)
+        graph.add(item, EX.maker, maker)
+        graph.add(item, EX.price, Literal.of(price))
+        for colour in colours:
+            graph.add(item, EX.colour, colour)
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Widget)
+    session.group_by((EX.maker,))
+    session.group_by((EX.colour,))
+    session.measure((EX.price,), ("SUM", "COUNT"))
+    return session
+
+
+def readings_state():
+    """Eight readings by station and shift; a station's levels are all
+    integers, integers and doubles, or all doubles: MIN, MAX and SUM of
+    level grouped by (station, shift)."""
+    graph = Graph()
+    for index, (station, shift, level) in enumerate((
+            ("north", "day", 1), ("north", "day", 2), ("north", "night", 3),
+            ("south", "day", 1.5), ("south", "day", 2), ("south", "night", 4),
+            ("west", "day", 7), ("west", "night", 0.25))):
+        item = EX[f"reading{index}"]
+        graph.add(item, RDF.type, EX.Reading)
+        graph.add(item, EX.station, EX[station])
+        graph.add(item, EX.shift, EX[shift])
+        graph.add(item, EX.level, Literal.of(level))
+    session = FacetedAnalyticsSession(graph)
+    session.select_class(EX.Reading)
+    session.group_by((EX.station,))
+    session.group_by((EX.shift,))
+    session.measure((EX.level,), ("MIN", "MAX", "SUM"))
+    return session
 
 
 def assert_same_frame(got, want):
-    """Equal columns, query and rows — an AVG to rounding: a merged
-    average is SUM / COUNT, the engine's a running float sum."""
-    assert got.columns == want.columns
-    assert got.query == want.query
-    assert len(got.rows) == len(want.rows)
-    averages = [c for op, c in want.aggregate_columns if op == "AVG"]
-    for column in want.columns:
-        if column in averages:
-            assert [v.to_python() for v in got.column(column)] == pytest.approx(
-                [v.to_python() for v in want.column(column)])
-        else:
-            assert got.column(column) == want.column(column), column
+    assert (got.columns, got.query, got.rows) == (
+        want.columns, want.query, want.rows)
+
+
+AGGREGATE_MIXES = {"sum": (("SUM",), False), "min-max": (("MIN", "MAX"), False),
+                   "sum-counted": (("SUM",), True),
+                   "avg-sum-count": (("AVG", "SUM", "COUNT"), False),
+                   "avg-counted": (("AVG",), True)}
+
+
+@pytest.mark.parametrize("mix", AGGREGATE_MIXES)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_grouping_column_goes_by_its_g_press(engine, mix):
+    """The §5.1 remove action on an Answer Frame's grouping column is
+    its G button pressed again, then ``run``: on every engine and for
+    every kind of aggregate the answer is the coarser query's, what a
+    state pressed with the kept columns alone answers."""
+    ops, with_count = AGGREGATE_MIXES[mix]
+    session = invoices_state((BRANCH, BRAND), ops, with_count)
+    fine = session.run(engine)
+    press_g(session, BRAND)
+    coarse = session.run(engine)
+    assert len(coarse) < len(fine)
+    assert_same_frame(
+        coarse, invoices_state((BRANCH,), ops, with_count).run(engine))
+
+
+@pytest.mark.parametrize("first, second, kept", (
+    (BRAND, BRANCH, MONTH), (MONTH, BRAND, BRANCH), (BRANCH, MONTH, BRAND)))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_two_removals_in_a_row(engine, first, second, kept):
+    """Two G presses undone one after the other, in any order, leave
+    the frame of the state pressed with the third column alone."""
+    ops = ("AVG", "SUM", "MIN", "MAX")
+    session = invoices_state((BRANCH, BRAND, MONTH), ops, True)
+    session.run(engine)
+    press_g(session, first)
+    assert session.run(engine).grouping_columns == tuple(
+        c for c in (BRANCH, BRAND, MONTH) if c != first)
+    press_g(session, second)
+    assert_same_frame(session.run(engine),
+                      invoices_state((kept,), ops, True).run(engine))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_every_engines_frame_reaggregates(engine):
-    """Which engine filled a frame is nothing the frame depends on:
-    every expectation of ``TestDropGroupingColumn`` holds on each
-    engine's frame, the result is the frame of the coarser query — so
-    it can be dropped again — and two drops in a row give what ``run``
-    answers in the one-column state."""
-    for ops, with_count in (
-            (("SUM",), False), (("MIN", "MAX"), False), (("SUM",), True),
-            (("AVG", "SUM", "COUNT"), False), (("AVG", "SUM"), True)):
-        fine = engine_frame(engine, (BRANCH, BRAND), ops, with_count)
-        coarse = fine.drop_grouping_column(BRAND)
-        assert_same_frame(
-            coarse, engine_frame(engine, (BRANCH,), ops, with_count))
-        assert coarse.query.grouping_paths == fine.query.grouping_paths[:1]
-        assert coarse.query.grouping_restrictions == \
-            fine.query.grouping_restrictions
-    with pytest.raises(ValueError):
-        engine_frame(engine, (BRANCH, BRAND), ("AVG",)).drop_grouping_column(BRAND)
-    with pytest.raises(ValueError):
-        engine_frame(engine, (BRANCH, BRAND)).drop_grouping_column("sum_inQuantity")
-
+def test_removing_every_grouping_gives_the_total(engine):
+    """With all three G presses undone the answer is the ε grouping's:
+    one row of totals, what a state with no G press answers."""
     ops = ("AVG", "SUM", "MIN", "MAX")
-    finest = engine_frame(engine, (BRANCH, BRAND, MONTH), ops, True)
-    assert len(finest) > len(engine_frame(engine, (BRANCH, MONTH), ops, True))
-    for first, second, kept in ((BRAND, BRANCH, MONTH), (MONTH, BRAND, BRANCH),
-                                (BRANCH, MONTH, BRAND)):
-        once = finest.drop_grouping_column(first)
-        assert once.grouping_columns == tuple(
-            c for c in (BRANCH, BRAND, MONTH) if c != first)
-        assert_same_frame(once.drop_grouping_column(second),
-                          engine_frame(engine, (kept,), ops, True))
-    total = finest.drop_grouping_column(BRAND).drop_grouping_column(
-        MONTH).drop_grouping_column(BRANCH)
-    assert_same_frame(total, engine_frame(engine, (), ops, True))
+    session = invoices_state((BRANCH, BRAND, MONTH), ops, True)
+    session.run(engine)
+    for column in (BRAND, MONTH, BRANCH):
+        press_g(session, column)
+    total = session.run(engine)
+    assert total.grouping_columns == ()
+    assert len(total) == 1
+    assert_same_frame(total, invoices_state((), ops, True).run(engine))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_multivalued_grouping_goes_without_double_counting(engine):
+    """When the removed attribute is multi-valued the coarser answer
+    still counts each item once: ``a`` is red and blue, and maker ``m``
+    totals 30 over 2 items, not the 40 over 3 that adding up the finer
+    frame's rows gives."""
+    session = colours_state()
+    assert len(session.run(engine)) == 3
+    session.group_by((EX.colour,))
+    coarse = session.run(engine)
+    assert coarse.rows == [(EX.m, Literal.of(30), Literal.of(2)),
+                           (EX.n, Literal.of(5), Literal.of(1))]
+    assert coarse.rows == session.run("row").rows
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_removal_keeps_integer_and_double_parts_apart(engine):
+    """Over integer and double parts the coarser MIN, MAX and SUM are
+    the fresh query's, and a sum of integers stays an integer."""
+    session = readings_state()
+    assert len(session.run(engine)) == 6
+    session.group_by((EX.shift,))
+    coarse = session.run(engine)
+    assert [row[1:] for row in coarse.rows] == [
+        (Literal.of(1), Literal.of(3), Literal.of(6)),
+        (Literal.of(1.5), Literal.of(4), Literal.of(7.5)),
+        (Literal.of(0.25), Literal.of(7), Literal.of(7.25))]
+    assert coarse.rows[0][3].datatype == XSD.integer.value
+    assert coarse.rows[1][3].datatype == XSD.double.value

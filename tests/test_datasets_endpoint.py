@@ -1,10 +1,14 @@
 """Tests of the bundled datasets and the endpoint simulator."""
 
+import random
+from datetime import date, timedelta
+
+from repro.rdf.graph import Graph
 from repro.rdf.namespace import EX, RDF
+from repro.rdf.terms import Literal
 from repro.datasets import (
     SyntheticConfig,
     invoices_graph,
-    make_invoices,
     products_graph,
     synthetic_graph,
 )
@@ -12,6 +16,50 @@ from repro.datasets.products import PRODUCTS_SCHEMA_TTL
 from repro.endpoint import LocalEndpoint, NetworkModel, RemoteEndpointSimulator
 from repro.rdf.rdfs import SchemaView
 from repro.rdf.turtle import parse
+
+
+def make_invoices(
+    invoices: int,
+    branches: int = 10,
+    products: int = 20,
+    brands: int = 5,
+    seed: int = 42,
+) -> Graph:
+    """A larger invoices KG with the schema of ``invoices_graph``,
+    deterministic by seed: the input of the HIFUN equivalence tests."""
+    rng = random.Random(seed)
+    graph = parse(
+        """
+        @prefix ex: <http://www.ics.forth.gr/example#> .
+        ex:Invoice a rdfs:Class .
+        ex:Branch a rdfs:Class .
+        ex:DProduct a rdfs:Class .
+        ex:takesPlaceAt a rdf:Property ; rdfs:domain ex:Invoice ; rdfs:range ex:Branch .
+        ex:delivers a rdf:Property ; rdfs:domain ex:Invoice ; rdfs:range ex:DProduct .
+        ex:inQuantity a rdf:Property ; rdfs:domain ex:Invoice .
+        ex:hasDate a rdf:Property ; rdfs:domain ex:Invoice .
+        ex:brand a rdf:Property ; rdfs:domain ex:DProduct .
+        """
+    )
+    branch_nodes = [EX.term(f"branch{i + 1}") for i in range(branches)]
+    for node in branch_nodes:
+        graph.add(node, RDF.type, EX.Branch)
+    brand_nodes = [EX.term(f"brand{i + 1}") for i in range(brands)]
+    product_nodes = [EX.term(f"prod{i + 1}") for i in range(products)]
+    for node in product_nodes:
+        graph.add(node, RDF.type, EX.DProduct)
+        graph.add(node, EX.brand, rng.choice(brand_nodes))
+    start = date(2020, 1, 1)
+    for i in range(invoices):
+        node = EX.term(f"i{i + 1}")
+        graph.add(node, RDF.type, EX.Invoice)
+        graph.add(node, EX.takesPlaceAt, rng.choice(branch_nodes))
+        graph.add(node, EX.delivers, rng.choice(product_nodes))
+        graph.add(node, EX.inQuantity, Literal.of(rng.randrange(1, 500)))
+        graph.add(
+            node, EX.hasDate, Literal.of(start + timedelta(days=rng.randrange(0, 365)))
+        )
+    return graph
 
 
 class TestProductsDataset:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
-from repro.datasets import make_invoices
 from repro.hifun import (
     Attribute,
     HifunQuery,
@@ -23,6 +22,7 @@ from repro.hifun import (
 )
 from repro.hifun.attributes import Derived
 from repro.sparql import query as sparql
+from tests.test_datasets_endpoint import make_invoices
 
 takes = Attribute(EX.takesPlaceAt)
 qty = Attribute(EX.inQuantity)

@@ -344,7 +344,11 @@ class TestShell:
         assert "initial" in out
 
     def test_help_and_quit(self, shell):
-        assert "select" in shell.execute("help")
+        text = shell.execute("help")
+        assert "select" in text
+        assert text.startswith("Commands (one per line;")
+        assert text.endswith("=" * 52)  # the command table's closing rule
+        assert "AnalyticsShell.execute" not in text
         assert shell.running
         shell.execute("quit")
         assert not shell.running

@@ -23,7 +23,7 @@ def _run(*args):
 
 def test_lint_gate_passes_on_shipped_sources():
     result = _run("--lint", "src/repro", "tools", "benchmarks", "tests",
-                  "examples")
+                  "examples", "perf")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
