@@ -81,13 +81,10 @@ def _var_positions(text: str) -> Dict[str, Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Variable collection
 # ---------------------------------------------------------------------------
-def _slot_vars(*slots: object) -> Set[str]:
-    return {slot.name for slot in slots if isinstance(slot, ast.Var)}
-
-
 def _expr_vars(expr: ast.Expression) -> Set[str]:
     """Variables referenced by an expression (EXISTS blocks excluded —
-    they bind their own)."""
+    they bind their own; an aggregate's argument included — unlike the
+    variables the evaluator reads outside aggregates)."""
     if isinstance(expr, ast.Var):
         return {expr.name}
     if isinstance(expr, ast.Unary):
@@ -107,38 +104,6 @@ def _expr_vars(expr: ast.Expression) -> Set[str]:
             out |= _expr_vars(option)
         return out
     return set()
-
-
-def _child_bound(child: ast.Pattern) -> Set[str]:
-    """Variables a pattern can bind (visible to its siblings)."""
-    if isinstance(child, ast.TriplePattern):
-        return _slot_vars(child.s, child.p, child.o)
-    if isinstance(child, ast.PathPattern):
-        return _slot_vars(child.s, child.o)
-    if isinstance(child, ast.Bind):
-        return {child.var.name}
-    if isinstance(child, ast.InlineValues):
-        return {var.name for var in child.variables}
-    if isinstance(child, ast.GroupPattern):
-        return _group_bound(child)
-    if isinstance(child, ast.Optional_):
-        return _group_bound(child.pattern)
-    if isinstance(child, ast.Union):
-        return _group_bound(child.left) | _group_bound(child.right)
-    if isinstance(child, (ast.SubSelect, ast.SelectQuery)):
-        query = child.query if isinstance(child, ast.SubSelect) else child
-        if query.is_star:
-            return _group_bound(query.where)
-        return {projection.var.name for projection in query.projections}
-    # Filter and Minus bind nothing outward.
-    return set()
-
-
-def _group_bound(group: ast.GroupPattern) -> Set[str]:
-    out: Set[str] = set()
-    for child in group.children:
-        out |= _child_bound(child)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +210,7 @@ class _Linter:
         elif isinstance(query, ast.ConstructQuery):
             bound = self._lint_group(query.where, frozenset(), "query.where")
             for index, pattern in enumerate(query.template):
-                for name in sorted(_slot_vars(pattern.s, pattern.p, pattern.o)):
+                for name in sorted(ast.scope_of(pattern)):
                     if name not in bound:
                         self.out.error(
                             "S002",
@@ -317,7 +282,7 @@ class _Linter:
         outer: FrozenSet[str],
         locator: str,
     ) -> Set[str]:
-        bound = _group_bound(group) | outer
+        bound = ast.scope_of(group) | outer
         seen: Set[str] = set(outer)
         for index, child in enumerate(group.children):
             where = f"{locator}.children[{index}]"
@@ -338,24 +303,16 @@ class _Linter:
                         "before it",
                         **self._pos(name),
                     )
-                seen.add(child.var.name)
             elif isinstance(child, ast.GroupPattern):
                 self._lint_group(child, frozenset(bound), where)
-                seen |= _child_bound(child)
-            elif isinstance(child, ast.Optional_):
+            elif isinstance(child, (ast.Optional_, ast.Minus)):
                 self._lint_group(child.pattern, frozenset(bound), where)
-                seen |= _child_bound(child)
             elif isinstance(child, ast.Union):
                 self._lint_group(child.left, frozenset(bound), f"{where}.left")
                 self._lint_group(child.right, frozenset(bound), f"{where}.right")
-                seen |= _child_bound(child)
-            elif isinstance(child, ast.Minus):
-                self._lint_group(child.pattern, frozenset(bound), where)
             elif isinstance(child, ast.SubSelect):
                 self._lint_select(child.query, where)
-                seen |= _child_bound(child)
-            else:
-                seen |= _child_bound(child)
+            seen |= ast.scope_of(child)
         self._check_cartesian(group, locator)
         return bound
 
@@ -412,7 +369,7 @@ class _Linter:
         pattern_units: List[Set[str]] = []
         for child in group.children:
             if isinstance(child, (ast.TriplePattern, ast.PathPattern)):
-                names = _child_bound(child)
+                names = ast.scope_of(child)
                 if names:
                     pattern_units.append(names)
                     union(names)
@@ -424,7 +381,7 @@ class _Linter:
                 names = _expr_vars(child.expr) | {child.var.name}
                 union(names)
             else:
-                names = _child_bound(child)
+                names = ast.scope_of(child)
                 if len(names) > 1:
                     union(names)
         if len(pattern_units) < 2:

@@ -352,11 +352,6 @@ class AnalyticsShell:
         state = self.session.pivot_to(self._resolve_path(args[0]))
         return f"{state.description}: {len(state)} objects"
 
-    _FCO_FACTORIES = {
-        "value": 1, "exists": 1, "count": 1, "asfeatures": 1,
-        "degree": 0, "avgdegree": 0,
-    }
-
     def _cmd_transform(self, args: List[str]) -> str:
         """transform <fco> [property] — apply a feature operator (⚙)."""
         if not args:

@@ -62,7 +62,6 @@ from repro.hifun.translator import Translation, translate
 from repro.facets.model import AnyPath, PropertyRef
 from repro.facets.session import FacetedSession
 from repro.facets.sparql_backend import SparqlFacetEngine
-from repro.sparql import query as sparql_query
 
 if TYPE_CHECKING:
     from repro.analysis import AnalysisReport
@@ -378,10 +377,12 @@ class FacetedAnalyticsSession(FacetedSession):
         (Example 1–4 of §5.1 are written in exactly this form).
 
         Returns ``(query, root_class)``.  Raises
-        :class:`AnalyticsStateError` when a condition's
-        ``restriction()`` says it has no HIFUN form (multi-value
-        clicks, extra class conditions) or the session is seeded or
-        pivoted — callers then fall back to the temp-class evaluation.
+        :class:`AnalyticsStateError` when the intention has no class
+        click (the fold needs its analysis root, §4.1.2), when a
+        condition's ``restriction()`` says it has no HIFUN form
+        (multi-value clicks, extra class conditions) or the session is
+        seeded or pivoted — callers then fall back to the temp-class
+        evaluation.
         """
         intention = self.state.intention
         if intention.seeds is not None:
@@ -394,6 +395,11 @@ class FacetedAnalyticsSession(FacetedSession):
                 "a pivoted (entity-switched) state's intention is not "
                 "expressible as HIFUN restrictions; use the temp-class "
                 "evaluation (engine='sparql')"
+            )
+        if intention.root_class is None:
+            raise AnalyticsStateError(
+                "an intention without a class click has no analysis root "
+                "for HIFUN restrictions"
             )
         restrictions = []
         for condition in intention.conditions:
@@ -448,23 +454,22 @@ class FacetedAnalyticsSession(FacetedSession):
 
         ``engine``:
 
-        * ``"sparql"`` — translate + evaluate over the session's
-          extension view, in which the extension is the ``temp`` class
-          (Table 5.1; the default pipeline);
-        * ``"native"`` — :func:`~repro.hifun.evaluator.evaluate_hifun`
-          over the same view: the translation evaluated directly, never
-          through the SPARQL endpoint or a result cache;
+        * ``"sparql"`` — the translation rooted at the ``temp`` class
+          of the session's extension view (Table 5.1; the default);
+        * ``"native"`` — the same, always in process;
         * ``"row"`` — the item-at-a-time reference evaluator the
           translation is verified against (identical answers where
           HIFUN's prerequisites hold, §4.1);
         * ``"restrictions"`` — fold the intention into HIFUN
-          restrictions (§5.5) and run the self-contained translation.
+          restrictions (§5.5) and run the self-contained translation
+          over the graph, rooted at the intention's class.
 
-        ``endpoint`` routes the SPARQL evaluation of the ``"sparql"``
-        and ``"restrictions"`` engines through an endpoint object (e.g.
-        a :class:`~repro.endpoint.ResilientEndpoint`) instead of the
-        in-process engine — by default the session's own, if it has
-        one; its typed errors propagate to the caller.
+        In process, :func:`~repro.hifun.evaluator.evaluate_hifun`
+        evaluates the translation, never through a result cache.  Given
+        an ``endpoint`` — by default the session's own, if it has one —
+        ``"sparql"`` and ``"restrictions"`` send its text there instead
+        (e.g. a :class:`~repro.endpoint.ResilientEndpoint`); its typed
+        errors propagate to the caller.
         No engine writes to the graph: a run — failed or not — leaves
         its generation, and every cache stamped with it, as they were.
 
@@ -486,25 +491,20 @@ class FacetedAnalyticsSession(FacetedSession):
 
         def build():
             self._static_check(query, root_class)
-            if engine == "native":
-                answer = evaluate_hifun(self._extension_view(), query,
-                                        root_class=TEMP_CLASS)
-                return query.answer_columns(), answer.rows()
             if engine == "row":
                 answer = evaluate_hifun_row(self.graph, query,
                                             items=self.extension)
                 return query.answer_columns(), answer.rows()
-            if engine == "sparql":
-                translation = translate(query, root_class=TEMP_CLASS)
-                overlay = self._extension_view()
+            if engine == "restrictions":
+                store, root, overlay = self.graph, root_class, None
             else:
-                translation = translate(query, root_class=root_class)
-                overlay = None
-            if endpoint is not None:
-                result = endpoint.query(translation.text, overlay=overlay)
-            else:
-                result = sparql_query(
-                    self.graph if overlay is None else overlay, translation.text)
+                store = overlay = self._extension_view()
+                root = TEMP_CLASS
+            if endpoint is None or engine == "native":
+                answer = evaluate_hifun(store, query, root_class=root)
+                return query.answer_columns(), answer.rows()
+            translation = translate(query, root_class=root)
+            result = endpoint.query(translation.text, overlay=overlay)
             columns = translation.answer_columns  # the query's, named once
             rows = [tuple(row.get(c) for c in columns) for row in result]
             rows.sort(key=row_sort_key)
@@ -513,4 +513,3 @@ class FacetedAnalyticsSession(FacetedSession):
         columns, rows = self._per_state(
             ("answer", engine, query, endpoint), build, stat="answers")
         return AnswerFrame(columns, rows, query)
-

@@ -11,13 +11,14 @@ Two families of nodes:
   :class:`InExpr`, :class:`ExistsExpr`.
 
 All nodes are frozen dataclasses so ASTs hash and compare structurally,
-which the tests rely on.
+which the tests rely on.  :func:`scope_of` is the one rule for the
+variables a pattern binds, which the evaluator and the linter share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional as Opt, Tuple, Union as U
+from typing import Optional as Opt, Set, Tuple, Union as U
 
 from repro.rdf.terms import Term
 
@@ -293,3 +294,27 @@ class ConstructQuery:
 
 #: A parsed query of any form.
 Query = U[SelectQuery, AskQuery, ConstructQuery]
+
+
+def scope_of(node: Pattern) -> Set[str]:
+    """The variables a pattern can bind — its in-scope variables
+    (SPARQL 1.1 §18.2.1).  A ``SELECT *`` sub-select's are those its
+    WHERE's patterns bind; FILTER and MINUS bind nothing outward."""
+    if isinstance(node, GroupPattern):
+        return set().union(*map(scope_of, node.children))
+    if isinstance(node, Optional_):
+        return scope_of(node.pattern)
+    if isinstance(node, Union):
+        return scope_of(node.left) | scope_of(node.right)
+    if isinstance(node, TriplePattern):
+        return {x.name for x in (node.s, node.p, node.o) if isinstance(x, Var)}
+    if isinstance(node, PathPattern):
+        return {x.name for x in (node.s, node.o) if isinstance(x, Var)}
+    if isinstance(node, Bind):
+        return {node.var.name}
+    if isinstance(node, InlineValues):
+        return {var.name for var in node.variables}
+    if isinstance(node, SubSelect):
+        return ({p.var.name for p in node.query.projections}
+                or scope_of(node.query.where))
+    return set()

@@ -152,26 +152,6 @@ def _names(node: object) -> set:
     return {var.name for var in _found_in(node, ast.Var, {})}
 
 
-def _scope(node: ast.Pattern) -> set:
-    """The variables a pattern can bind (its in-scope variables)."""
-    if isinstance(node, ast.GroupPattern):
-        return set().union(*map(_scope, node.children))
-    if isinstance(node, ast.Optional_):
-        return _scope(node.pattern)
-    if isinstance(node, ast.Union):
-        return _scope(node.left) | _scope(node.right)
-    if isinstance(node, (ast.Filter, ast.Minus)):
-        return set()
-    if isinstance(node, ast.Bind):
-        return {node.var.name}
-    if isinstance(node, ast.InlineValues):
-        return {var.name for var in node.variables}
-    if isinstance(node, ast.SubSelect):
-        return ({p.var.name for p in node.query.projections}
-                or _names(node.query.where))
-    return _names(node)  # a triple or path pattern
-
-
 def _raising(message: str) -> Compiled:
     def fails(row):
         raise ExpressionError(message)
@@ -264,7 +244,7 @@ class _Compiler:
         own, then joined: what its FILTERs, OPTIONALs, MINUSes and BINDs
         keep must not depend on the outer row."""
         inner = self.group(node, set(), set())
-        self.introduce(_scope(node), bound, maybe)
+        self.introduce(ast.scope_of(node), bound, maybe)
         return self.join(lambda: self.entries(inner))
 
     def pattern(self, node: ast.Pattern, bound: set, maybe: set) -> Op:
@@ -302,8 +282,7 @@ class _Compiler:
                 slots = [self.slots[name] for name in names]
                 return [tuple((i, v) for i, v in zip(slots, values)
                               if v is not None) for values in rows]
-            self.introduce({p.var.name for p in node.query.projections}
-                           or _names(node.query.where), bound, maybe)
+            self.introduce(ast.scope_of(node), bound, maybe)
             return self.join(answer)
         raise SparqlEvalError(f"unknown pattern node {type(node).__name__}")
 

@@ -181,3 +181,17 @@ def test_subselect_star_exports_inner_bindings():
         "SELECT ?s ?o WHERE { { SELECT * WHERE { ?s <urn:p> ?o } } }"
     )
     assert report.clean, report.render()
+
+
+def test_subselect_star_exports_only_what_its_patterns_bind():
+    """A ``SELECT *`` sub-select's scope is what its patterns bind
+    (``ast.scope_of``): ``?w``, which only its FILTER reads, is unbound
+    there and never bound for the outer projection."""
+    report = lint_sparql(
+        "SELECT ?w WHERE { { SELECT * WHERE { ?a <urn:p> ?b "
+        "FILTER(!BOUND(?w)) } } }"
+    )
+    assert [(d.code, d.path) for d in report.diagnostics] == [
+        ("S001", "query.where.children[0].children[0].where.children[1]"),
+        ("S002", "query.projections[0]"),
+    ], report.render()

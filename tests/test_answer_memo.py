@@ -19,6 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from repro.analysis import StaticAnalysisError
 from repro.endpoint import LocalEndpoint
 from repro.facets import FacetedAnalyticsSession
+from repro.facets.analytics import AnalyticsStateError
 from repro.facets.model import State
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import Literal
@@ -193,6 +194,13 @@ class AnswerMemoMachine(RuleBasedStateMachine):
 
     @rule(engine=st.sampled_from(ENGINES))
     def run(self, engine):
+        if (engine == "restrictions"
+                and self.session.state.intention.root_class is None):
+            # *back* reaches the start state, where the §5.5 fold has
+            # no analysis root
+            with pytest.raises(AnalyticsStateError):
+                self.session.run(engine)
+            return
         frame = self.session.run(engine)
         expected = fresh_frame(self.session, engine)
         assert (frame.columns, frame.rows) == (expected.columns, expected.rows)

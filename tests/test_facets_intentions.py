@@ -204,6 +204,7 @@ class TestRestrictionCorrespondence:
             + list(zip(things, 3 * [EX.p],
                        (Literal.of(2), Literal.of(2.0), Literal.of(3)))))
         session = FacetedAnalyticsSession(graph)
+        session.select_class(EX.Thing)
         assert session.select_value(EX.p, Literal.of(2)).extension == {EX.a}
         session.count_items()
         for engine in ("native", "row", "sparql"):

@@ -6,6 +6,7 @@ import pytest
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Literal
 from repro.datasets import products_graph
+from repro.endpoint import LocalEndpoint
 from repro.facets import FacetedAnalyticsSession
 from repro.facets.analytics import AnalyticsStateError
 from repro.hifun import fco_count, fco_degree, fco_values_as_features
@@ -106,6 +107,19 @@ class TestIntentionAsRestrictions:
         session.measure((EX.price,), "AVG")
         with pytest.raises(AnalyticsStateError):
             session.run(engine="restrictions")
+
+    def test_an_intention_without_a_class_is_not_expressible(self):
+        """The §5.5 fold needs its analysis root (§4.1.2).  Without a
+        class click its translation's WHERE was empty, and a count of
+        items at the start state answered 0 — in process and through an
+        endpoint alike — where the other engines answer 18."""
+        graph = products_graph()
+        session = FacetedAnalyticsSession(graph)
+        session.count_items()
+        assert session.run("native").rows == [(Literal.of(18),)]
+        for endpoint in (None, LocalEndpoint(graph)):
+            with pytest.raises(AnalyticsStateError, match="class click"):
+                session.run("restrictions", endpoint)
 
     def test_value_set_condition_not_expressible(self):
         session = FacetedAnalyticsSession(products_graph())

@@ -163,6 +163,12 @@ def _rows(store, text, star):
     text=f"SELECT ?v0 (SUM(?v1) AS ?a0) (GROUP_CONCAT(?v1) AS ?a1) "
          f"WHERE {{ ?v0 ex:m ?v1 . ?x a <{TEMP.value}> . ?x ex:p ?v0 }} "
          f"GROUP BY ?v0")
+@example(  # functional steps, one predicate at two depths: two columns
+    kind="view", members={_NODES[0], _NODES[1]},
+    triples=[(_NODES[0], EX.p, _NODES[2]), (_NODES[1], EX.p, _NODES[3]),
+             (_NODES[2], EX.p, _NODES[4]), (_NODES[3], EX.p, _NODES[4])],
+    text=f"SELECT ?v1 (COUNT(*) AS ?a0) WHERE {{ ?x a <{TEMP.value}> . "
+         f"?x <{EX.p.value}> ?v0 . ?v0 <{EX.p.value}> ?v1 }} GROUP BY ?v1")
 @example(kind="flat", members=set(), triples=[], text=(  # no temp at all
     f"SELECT (AVG(?v0) AS ?a0) WHERE {{ ?x a <{TEMP.value}> . ?x ex:m ?v0 }}"))
 @example(kind="view", members={Literal.of(1)}, triples=[  # temp, no member

@@ -131,7 +131,59 @@ def test_only_the_graph_names_the_spo_map(tmp_path):
     assert _spo_readers([planted]) == ["planted.py:2"]
 
 
-FACETS_SRC = REPO / "src" / "repro" / "facets"
+SRC = REPO / "src" / "repro"
+
+#: What evaluates SPARQL in process, and the one module that may import
+#: it: the endpoint evaluates query text, the HIFUN evaluator a
+#: translation.  No module imports ``repro.sparql.evaluator`` whole.
+EVALUATORS = {"query": "endpoint/endpoint.py",
+              "evaluate": "endpoint/endpoint.py",
+              "select_rows": "hifun/evaluator.py",
+              "evaluator": None}
+
+
+def _evaluator_imports(root=SRC):
+    """Where a module under ``root`` — ``sparql/``, which defines them,
+    aside — imports an evaluator it may not."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        if where.startswith("sparql/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names
+                         if "sparql" in alias.name.split(".")]
+            elif (isinstance(node, ast.ImportFrom)
+                  and "sparql" in (node.module or "").split(".")):
+                names = [alias.name for alias in node.names
+                         if alias.name in EVALUATORS]
+            else:
+                continue
+            found += [f"{where}:{node.lineno} {name}" for name in names
+                      if EVALUATORS.get(name) != where]
+    return found
+
+
+def test_a_press_has_two_routes(tmp_path):
+    """In process, a press is evaluated by the HIFUN evaluator alone;
+    SPARQL text is evaluated by the endpoint alone — so no module under
+    ``facets/`` imports either evaluator.  A planted ``from repro.sparql
+    import query`` in the analytics session is caught."""
+    assert _evaluator_imports() == []
+    for where in ("facets/analytics.py", "endpoint/endpoint.py",
+                  "hifun/evaluator.py"):
+        (tmp_path / where).parent.mkdir(exist_ok=True)
+        (tmp_path / where).write_text(
+            (SRC / where).read_text(encoding="utf-8"), encoding="utf-8")
+    planted = tmp_path / "facets" / "analytics.py"
+    planted.write_text("from repro.sparql import query as sparql_query\n"
+                       + planted.read_text(encoding="utf-8"),
+                       encoding="utf-8")
+    assert _evaluator_imports(tmp_path) == ["facets/analytics.py:1 query"]
+
+
+FACETS_SRC = SRC / "facets"
 
 #: What turns a term into a key or a number: once per value, a cold
 #: listing's largest cost before the dictionary memoized both.
