@@ -44,7 +44,8 @@ chaos:
 # aggregates (the step-at-a-time rule answers the pipeline's rows, in
 # its order, and a view's kept columns answer a sequence of them as
 # fresh views do), the store's access shapes under writes (every read
-# against a set oracle, every SPO row in its one shape), native
+# against a set oracle, every SPO row in its one shape, the write path's
+# counts and generation), the term model's value semantics, native
 # presses interleaved with writes (each against a fresh session and,
 # inside HIFUN's prerequisites, the row engine) and the listing of
 # every state a click script reaches (against a fresh session's scan
@@ -55,8 +56,8 @@ fuzz:
 		tests/test_sparql_bindings.py tests/test_sparql_differential.py \
 		tests/test_property_graph.py tests/test_engine_equivalence.py \
 		tests/test_idspace_session.py tests/test_sparql_counts.py \
-		tests/test_sparql_star.py \
-		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule or kept_column" \
+		tests/test_sparql_star.py tests/test_rdf_terms.py \
+		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule or kept_column or term_values" \
 		--hypothesis-profile=fuzz -q
 
 examples:

@@ -168,17 +168,16 @@ class AnswerFrame:
         triples ``(t_i, A_j, t_ij)``; every ``t_i`` is typed under
         ``APP.AnswerRow`` so the new dataset is immediately facetable.
         """
-        graph = Graph()
+        rdf_type, answer_row = RDF.type, APP.AnswerRow
         column_props = [self.column_property(name) for name in self.columns]
-        for prop in column_props:
-            graph.add(prop, RDF.type, RDF.Property)
+        triples = [(prop, rdf_type, RDF.Property) for prop in column_props]
         for index, row in enumerate(self.rows, start=1):
             subject = APP.term(f"t{index}")
-            graph.add(subject, RDF.type, APP.AnswerRow)
-            for prop, value in zip(column_props, row):
-                if value is not None:
-                    graph.add(subject, prop, value)
-        return graph
+            triples.append((subject, rdf_type, answer_row))
+            triples += [(subject, prop, value)
+                        for prop, value in zip(column_props, row)
+                        if value is not None]
+        return Graph(triples)
 
     def explore(self) -> "FacetedAnalyticsSession":
         """*Explore with FS* (Fig. 5.2): a new analytics session over the

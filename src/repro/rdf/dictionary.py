@@ -22,7 +22,7 @@ slots themselves are pruned eagerly on removal.
 from __future__ import annotations
 
 from operator import methodcaller
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 from repro.rdf.terms import Term, native_number
 
@@ -46,14 +46,34 @@ class _Memo(dict):
         return value
 
 
+class _Ids(dict):
+    """term → id: reading a term it does not hold (with ``[]``) interns
+    the term, appending it to ``terms``."""
+
+    __slots__ = ("terms",)
+    terms: List[Term]
+
+    def __missing__(self, term: Term) -> int:
+        ident = self[term] = len(self.terms)
+        self.terms.append(term)
+        return ident
+
+
 class TermDictionary:
     """A bidirectional Term ↔ dense-int-id mapping (append-only)."""
 
-    __slots__ = ("_ids", "_terms", "decode", "numbers", "sort_keys")
+    __slots__ = ("_ids", "_terms", "encode", "lookup", "decode", "numbers",
+                 "sort_keys")
 
     def __init__(self):
-        self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
+        self._ids = _Ids()
+        self._ids.terms = self._terms
+        # The three crossings are bound C methods: a hit runs no Python.
+        #: ``encode(term) -> int`` — intern ``term``, a fresh id on first
+        #: sight; ``lookup(term)`` — its id, or ``None``: never interns.
+        self.encode: Callable[[Term], int] = self._ids.__getitem__
+        self.lookup: Callable[[Term], Optional[int]] = self._ids.get
         #: ``decode(id) -> Term`` — bound list indexing, the hottest call.
         self.decode = self._terms.__getitem__
         #: id → the native number of its term (``None``: no number),
@@ -61,19 +81,6 @@ class TermDictionary:
         self.numbers = _Memo(self._terms, native_number)
         #: id → ``Term.sort_key()``, the marker order of the facet listings.
         self.sort_keys = _Memo(self._terms, methodcaller("sort_key"))
-
-    def encode(self, term: Term) -> int:
-        """Intern ``term``, assigning a fresh id on first sight."""
-        ident = self._ids.get(term)
-        if ident is None:
-            ident = len(self._terms)
-            self._ids[term] = ident
-            self._terms.append(term)
-        return ident
-
-    def lookup(self, term: Term) -> Optional[int]:
-        """The id of ``term`` if it was ever interned, else ``None``."""
-        return self._ids.get(term)
 
     def decode_all(self, ids: Iterable[int]) -> Set[Term]:
         decode = self.decode
@@ -89,7 +96,7 @@ class TermDictionary:
         issued.
         """
         twin = TermDictionary()
-        twin._ids = dict(self._ids)
+        twin._ids.update(self._ids)
         twin._terms.extend(self._terms)
         return twin
 

@@ -79,6 +79,9 @@ from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, triple
 EMPTY_IDS: frozenset = frozenset()
 #: Shared empty index row (never written).
 _NO_ROW: Dict[int, Any] = {}
+#: The term kinds of a triple's subject and of its object (RDF 1.1).
+_SUBJECT_KINDS = frozenset({IRI, BNode})
+_OBJECT_KINDS = frozenset({IRI, BNode, Literal})
 
 
 def _objects(row) -> Collection[int]:
@@ -211,12 +214,11 @@ class Graph:
     # ------------------------------------------------------------------
     def add(self, s: Term, p: Term, o: Term) -> bool:
         """Add a triple; returns ``True`` if it was not already present."""
-        s, p, o = triple(s, p, o)
-        encode = self._dict.encode
-        return self._add_ids(encode(s), encode(p), encode(o))
+        return self.add_all(((s, p, o),)) == 1
 
     def _add_ids(self, si: int, pi: int, oi: int) -> bool:
-        """Insert one encoded triple into the two indexes."""
+        """Insert one encoded triple into the two indexes and account
+        for it: size, per-predicate count and generation."""
         po = self._spo.get(si)
         if po is None:
             self._spo[si] = {pi: oi}
@@ -242,16 +244,21 @@ class Graph:
             subjects = os_[oi] = set()
             self._unsorted.add(pi)
         subjects.add(si)
-        self._mutated(pi, 1)
+        self._size += 1
+        self._pred_count[pi] = self._pred_count.get(pi, 0) + 1
+        self.generation += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Add many triples; returns the number actually inserted."""
-        added = 0
+        """Add many triples, each validated, encoded and inserted in
+        turn; returns the number actually inserted."""
+        encode, insert, before = self._dict.encode, self._add_ids, len(self)
         for s, p, o in triples:
-            if self.add(s, p, o):
-                added += 1
-        return added
+            if (s.__class__ not in _SUBJECT_KINDS or p.__class__ is not IRI
+                    or o.__class__ not in _OBJECT_KINDS):
+                triple(s, p, o)  # raises on an ill-typed slot
+            insert(encode(s), encode(p), encode(o))
+        return len(self) - before
 
     def remove(self, s: Term, p: Term, o: Term) -> bool:
         """Remove one triple; returns ``True`` if it was present.
@@ -267,7 +274,9 @@ class Graph:
         return self._remove_ids(si, pi, oi)
 
     def _remove_ids(self, si: int, pi: int, oi: int) -> bool:
-        """Remove one encoded triple from the two indexes."""
+        """Remove one encoded triple from the two indexes and account
+        for it (the per-predicate count is pruned at zero, like the
+        index slots)."""
         spo, pos = self._spo, self._pos
         po = spo.get(si)
         if po is None:
@@ -289,22 +298,13 @@ class Graph:
         subjects.remove(si)
         if not subjects:
             del os_[oi]
-            if not os_:
-                del pos[pi]
-        self._mutated(pi, -1)
-        return True
-
-    def _mutated(self, pi: int, delta: int) -> None:
-        """Account for one triple of predicate ``pi`` added (+1) or
-        removed (-1): size, per-predicate count (pruned at zero, like
-        the index slots) and generation."""
-        self._size += delta
-        remaining = self._pred_count.get(pi, 0) + delta
-        if remaining:
-            self._pred_count[pi] = remaining
-        else:
-            del self._pred_count[pi]
+        if os_:
+            self._pred_count[pi] -= 1
+        else:  # the predicate's last triple
+            del pos[pi], self._pred_count[pi]
+        self._size -= 1
         self.generation += 1
+        return True
 
     # ------------------------------------------------------------------
     # Pattern matching

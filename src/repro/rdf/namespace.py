@@ -1,6 +1,7 @@
 """Namespace helpers and the standard vocabularies (RDF, RDFS, XSD, OWL).
 
-A :class:`Namespace` builds IRIs by attribute access or indexing::
+A :class:`Namespace` builds IRIs by attribute access (each kept after
+its first access) or indexing (a fresh IRI each call)::
 
     EX = Namespace("http://www.ics.forth.gr/example#")
     EX.Laptop            # IRI("http://www.ics.forth.gr/example#Laptop")
@@ -25,10 +26,11 @@ class Namespace:
     def term(self, name: str) -> IRI:
         return IRI(self._base + name)
 
-    def __getattr__(self, name: str) -> IRI:
+    def __getattr__(self, name: str) -> IRI:  # kept: the next read is plain
         if name.startswith("_"):
             raise AttributeError(name)
-        return self.term(name)
+        iri = self.__dict__[name] = self.term(name)
+        return iri
 
     def __getitem__(self, name: str) -> IRI:
         return self.term(name)

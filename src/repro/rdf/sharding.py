@@ -149,6 +149,16 @@ class ShardedGraph(Graph):
         self._mutated(pi, -1)
         return True
 
+    def _mutated(self, pi: int, delta: int) -> None:
+        """The roll-up's size, count of ``pi`` and generation."""
+        self._size += delta
+        remaining = self._pred_count.get(pi, 0) + delta
+        if remaining:
+            self._pred_count[pi] = remaining
+        else:
+            del self._pred_count[pi]
+        self.generation += 1
+
     # ------------------------------------------------------------------
     # Id-level accessors: route on bound subject, merge otherwise
     # ------------------------------------------------------------------

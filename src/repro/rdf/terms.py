@@ -3,7 +3,9 @@
 The three term kinds mirror the RDF 1.1 abstract syntax.  All terms are
 immutable, hashable and totally ordered (IRIs < blank nodes < literals),
 which lets them be used as dictionary keys, set members and sort keys
-throughout the engine.
+throughout the engine.  A term computes its hash once, when it is built,
+and equality tests identity before it compares fields (DESIGN.md *The
+term model and the write path*).
 
 Literals carry an optional datatype IRI and an optional language tag, and
 expose :meth:`Literal.to_python` which maps the common XSD datatypes onto
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Union
 
@@ -43,24 +44,54 @@ TEMPORAL_DATATYPES = _TEMPORAL_DATATYPES
 
 
 class Term:
-    """Base class for all RDF terms.  Only its subclasses are instantiated."""
+    """Base class for all RDF terms.  Only its subclasses are instantiated.
 
-    __slots__ = ()
+    A subclass keeps its hash and its fields (its ``__slots__``) in
+    slots, written once through the slot descriptors in ``__init__``;
+    assignment raises, and ``__reduce__`` rebuilds a term (pickle,
+    ``copy``) from its fields."""
+
+    __slots__ = ("_hash",)
 
     #: Sort rank used for the total order across term kinds.
     _rank = 0
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        cls = self.__class__
+        return cls, tuple(getattr(self, name) for name in cls.__slots__)
 
     def sort_key(self):
         """Key tuple giving a deterministic total order over mixed terms."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True, order=False)
+_set_hash = Term._hash.__set__
+
+
 class IRI(Term):
     """An IRI reference, e.g. ``IRI("http://example.org/Laptop")``."""
 
-    value: str
+    __slots__ = ("value",)
     _rank = 0
+
+    def __init__(self, value: str):
+        _set_value(self, value)
+        _set_hash(self, hash((value,)))
+
+    def __eq__(self, other):
+        return self is other or (self.value == other.value
+                                 if other.__class__ is IRI else NotImplemented)
+
+    __hash__ = Term.__hash__  # defining __eq__ alone unsets it
 
     def __str__(self):
         return self.value
@@ -86,12 +117,21 @@ class IRI(Term):
         return _term_lt(self, other)
 
 
-@dataclass(frozen=True, order=False)
 class BNode(Term):
     """A blank node with a local label, e.g. ``BNode("b0")``."""
 
-    label: str
+    __slots__ = ("label",)
     _rank = 1
+
+    def __init__(self, label: str):
+        _set_label(self, label)
+        _set_hash(self, hash((label,)))
+
+    def __eq__(self, other):
+        return self is other or (self.label == other.label
+                                 if other.__class__ is BNode else NotImplemented)
+
+    __hash__ = Term.__hash__  # defining __eq__ alone unsets it
 
     def __str__(self):
         return f"_:{self.label}"
@@ -109,7 +149,6 @@ class BNode(Term):
         return _term_lt(self, other)
 
 
-@dataclass(frozen=True, order=False)
 class Literal(Term):
     """A literal with lexical form, optional datatype IRI and language tag.
 
@@ -118,10 +157,23 @@ class Literal(Term):
     ``Literal.of(datetime.date(2021, 6, 10))`` is an ``xsd:date``.
     """
 
-    lexical: str
-    datatype: str = XSD_STRING
-    language: str = ""
+    __slots__ = ("lexical", "datatype", "language")
     _rank = 2
+
+    def __init__(self, lexical: str, datatype: str = XSD_STRING,
+                 language: str = ""):
+        _set_lexical(self, lexical)
+        _set_datatype(self, datatype)
+        _set_language(self, language)
+        _set_hash(self, hash((lexical, datatype, language)))
+
+    def __eq__(self, other):
+        return self is other or (
+            self.lexical == other.lexical and self.datatype == other.datatype
+            and self.language == other.language
+            if other.__class__ is Literal else NotImplemented)
+
+    __hash__ = Term.__hash__  # defining __eq__ alone unsets it
 
     @staticmethod
     def of(value: Union[str, int, float, bool, Decimal, _dt.date, _dt.datetime]) -> "Literal":
@@ -204,6 +256,14 @@ class Literal(Term):
 
     def __lt__(self, other):
         return _term_lt(self, other)
+
+
+#: The slot descriptors' setters, the one way a field is written.
+_set_value = IRI.value.__set__
+_set_label = BNode.label.__set__
+_set_lexical = Literal.lexical.__set__
+_set_datatype = Literal.datatype.__set__
+_set_language = Literal.language.__set__
 
 
 def native_number(term: Term) -> Union[int, float, Decimal, None]:

@@ -140,7 +140,7 @@ def _found_in(node: object, kind: type, into: dict) -> dict:
     elif isinstance(node, (tuple, list)):
         for item in node:
             _found_in(item, kind, into)
-    elif is_dataclass(node) and not isinstance(node, (ast.Aggregate, Term)):
+    elif is_dataclass(node) and not isinstance(node, ast.Aggregate):
         for field in fields(node):
             _found_in(getattr(node, field.name), kind, into)
     return into
@@ -728,7 +728,7 @@ class _Compiler:
                                     if p.expr is None]))
             extras = [i for n, i in self.slots.items()
                       if i not in taken and not n.startswith(_HIDDEN)
-                      and (query.is_star or n in wanted)]
+                      and n in wanted]
         # A group buffers one entry per row: the aggregates' arguments,
         # the extras and, for COUNT(DISTINCT *), the whole row.
         columns = [self.slot(e.name) if isinstance(e, ast.Var)
@@ -818,7 +818,7 @@ class _Compiler:
         having ``p`` ``COUNT(DISTINCT ?x)``.  It stops at one step:
         along a longer path SPARQL counts walks, the kernel counts
         nodes."""
-        if query.is_star or self.shape is None or len(self.shape) > 2:
+        if self.shape is None or len(self.shape) > 2:
             return None
         root, *steps = self.shape
         x = root.s

@@ -193,11 +193,16 @@ class _Parser:
             distinct = True
         elif self._at_name("REDUCED"):
             self._next()
+        star = self._peek()
         projections = self._projections()
         if self._at_name("WHERE"):
             self._next()
         where = self._group_graph_pattern()
         group_by, having, order_by, limit, offset = self._modifiers()
+        if not projections and (group_by or having):  # SPARQL 1.1 §18.2.4.1
+            raise SparqlParseError(
+                "SELECT * is not allowed with GROUP BY or HAVING",
+                star.line, star.column)
         return ast.SelectQuery(
             projections=tuple(projections),
             where=where,

@@ -5,6 +5,9 @@ serialization round-trips, closure monotonicity and idempotence.
 """
 
 import functools
+from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -174,30 +177,62 @@ def _assert_matches_oracle(g, oracle, probes):
     assert len(g) == len(oracle)
 
 
+def _assert_statistics(g, oracle, pool, generation):
+    """The write path's own counts against a set of triples:
+    ``predicate_counts()``, ``count_ids(None, p, None)`` of every
+    predicate in the pool, and the generation expected."""
+    counts = Counter(p for _, p, _ in oracle)
+    assert g.predicate_counts() == counts
+    for _, p, _ in pool:
+        pi = g.encode_term(p)  # None: never interned, never held
+        assert (0 if pi is None else g.count_ids(None, pi, None)) == counts[p]
+    assert g.generation == generation
+
+
 _SELF_LOOP = (EX.s0, EX.p0, EX.s0)  # s0 is interned first: id 0
 _ONE_TWO_ONE_NONE = ([(EX.s0, EX.p0, EX.s1), (EX.s0, EX.p0, EX.s2)],
                      [(True, 0), (True, 1), (False, 0), (False, 1)])
 
 
 class TestAccessShapesUnderWrites:
-    @given(_interleavings, st.sampled_from(_LAYOUTS))
-    @example(([_SELF_LOOP], [(True, 0), (False, 0)]), _LAYOUTS[0])
-    @example(([_SELF_LOOP], [(True, 0), (False, 0)]), _LAYOUTS[1])
-    @example(_ONE_TWO_ONE_NONE, _LAYOUTS[0])
-    @example(_ONE_TWO_ONE_NONE, _LAYOUTS[1])
+    @given(_interleavings, st.sampled_from(_LAYOUTS), st.booleans())
+    @example(([_SELF_LOOP], [(True, 0), (False, 0)]), _LAYOUTS[0], False)
+    @example(([_SELF_LOOP], [(True, 0), (False, 0)]), _LAYOUTS[1], False)
+    @example(_ONE_TWO_ONE_NONE, _LAYOUTS[0], False)
+    @example(_ONE_TWO_ONE_NONE, _LAYOUTS[1], False)
+    @example(_ONE_TWO_ONE_NONE, _LAYOUTS[0], True)
     @settings(derandomize=not _FUZZING, deadline=None,
               max_examples=10_000 if _FUZZING else 60)
-    def test_every_shape_matches_a_set_oracle(self, interleaving, layout):
+    def test_every_shape_matches_a_set_oracle(self, interleaving, layout,
+                                              batched):
+        """Every access shape after every write, against a set oracle,
+        the write path's statistics too: ``predicate_counts()`` and
+        ``count_ids(None, p, None)`` are the oracle's, and ``generation``
+        rose by exactly the number of triples a write inserted or
+        removed.  ``batched``, each run of adds is one ``add_all``."""
         pool, steps = interleaving
         g, oracle = layout(), set()
-        for is_add, index in steps:
-            t = pool[index]
-            if is_add:
-                assert g.add(*t) == (t not in oracle)
-                oracle.add(t)
+        writes = []  # (add?, the triples of one add/add_all/remove call)
+        for is_add, run in groupby(steps, key=itemgetter(0)):
+            triples = [pool[index] for _, index in run]
+            if is_add and batched:
+                writes.append((True, triples))
             else:
-                assert g.remove(*t) == (t in oracle)
+                writes += [(is_add, [t]) for t in triples]
+        for is_add, triples in writes:
+            generation = g.generation
+            if is_add:
+                fresh = set(triples) - oracle
+                assert (g.add_all(triples) if batched
+                        else int(g.add(*triples[0]))) == len(fresh)
+                oracle |= fresh
+                changed = len(fresh)
+            else:
+                (t,) = triples
+                changed = int(t in oracle)
+                assert g.remove(*t) == bool(changed)
                 oracle.discard(t)
+            _assert_statistics(g, oracle, pool, generation + changed)
             _assert_matches_oracle(g, oracle, pool)
             _assert_no_empty_slots(g)
             _assert_id_reads_match_oracle(g, oracle, pool)

@@ -2,6 +2,9 @@
 statistics, and the index-pruning regression (add → remove cycles must
 leave the index maps unchanged)."""
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.rdf import Graph, TermDictionary
 from repro.rdf.namespace import EX, RDF
 from repro.rdf.terms import BNode, IRI, Literal
@@ -44,6 +47,42 @@ class TestTermDictionary:
     def test_literals_distinct_by_datatype(self):
         d = TermDictionary()
         assert d.encode(Literal.of(5)) != d.encode(Literal("5"))
+
+
+#: (clone?, encode?, term): each term drawn fresh, so a probe meets an
+#: equal term, never the interned object.
+_dictionary_steps = st.lists(st.tuples(
+    st.booleans(), st.booleans(),
+    st.sampled_from(["a", "b", "1"]).flatmap(lambda text: st.sampled_from(
+        [IRI, BNode, Literal]).map(lambda kind: kind(text)))), max_size=30)
+
+
+@given(before=_dictionary_steps, after=_dictionary_steps)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_dictionary_interns_once_and_clones_apart(before, after):
+    """``lookup`` never interns and ``encode`` interns a term once, at
+    the next dense id; a ``clone`` answers every id its source issued
+    and then goes its own way: what either interns afterwards stays
+    unknown to the other."""
+    sides = [TermDictionary()]
+    oracles = [{}]
+    for steps in (before, after):
+        for on_clone, is_encode, term in steps:
+            d, oracle = sides[on_clone % len(sides)], oracles[on_clone % len(sides)]
+            if is_encode:
+                ident = d.encode(term)
+                assert ident == oracle.setdefault(term, len(oracle))
+                assert d.decode(ident) == term
+            else:
+                assert d.lookup(term) == oracle.get(term)
+            assert len(d) == len(oracle)
+            assert all(d.lookup(t) == i for t, i in oracle.items())
+        if len(sides) == 1:
+            sides.append(sides[0].clone())
+            oracles.append(dict(oracles[0]))
+    for d, oracle in zip(sides, oracles):
+        assert len(d) == len(oracle)
+        assert [d.decode(i) for i in range(len(d))] == list(oracle)
 
 
 TRIPLES = [

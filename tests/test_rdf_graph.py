@@ -2,6 +2,8 @@
 
 import datetime
 import math
+from itertools import groupby
+from operator import itemgetter
 
 import hypothesis.strategies as st
 import pytest
@@ -193,18 +195,31 @@ _row_writes = st.lists(st.tuples(
 
 def _row_store():
     """40 subjects with a value of each predicate (so one member walks
-    and the class scans), ``r2`` a sub-property of ``r0``."""
-    store = Graph()
+    and the class scans), ``r2`` a sub-property of ``r0``.  The values
+    are every other one of ``_ORDERED``, so a write can append a value
+    row that sorts between two rows the store holds."""
+    store, held = Graph(), _ORDERED[::2]
     for i, subject in enumerate(_SUBJECTS):
         for j, predicate in enumerate(_ROW_PREDICATES):
-            store.add(subject, predicate, _ORDERED[(i * (j + 1)) % len(_ORDERED)])
+            store.add(subject, predicate, held[(i * (j + 1)) % len(held)])
     store.add(_ROW_PREDICATES[2], RDFS.subPropertyOf, _ROW_PREDICATES[0])
     return store
 
 
-def _write(store, writes):
-    for is_add, *statement in writes:
-        (store.add if is_add else store.remove)(*statement)
+def _write(store, writes, batched=False):
+    """Each write through ``add`` / ``remove``; ``batched``, each run of
+    adds through one ``add_all`` instead."""
+    if not batched:
+        for is_add, *statement in writes:
+            (store.add if is_add else store.remove)(*statement)
+        return
+    for is_add, run in groupby(writes, key=itemgetter(0)):
+        statements = [tuple(statement) for _, *statement in run]
+        if is_add:
+            store.add_all(statements)
+        else:
+            for statement in statements:
+                store.remove(*statement)
 
 
 def _assert_marker_order(store, members):
@@ -227,20 +242,24 @@ def _assert_marker_order(store, members):
 
 
 @given(interleaved=_row_writes, pending=_row_writes,
-       members=st.lists(st.sampled_from(_SUBJECTS), max_size=6))
+       members=st.lists(st.sampled_from(_SUBJECTS), max_size=6),
+       batched=st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_forward_counters_come_in_marker_order(interleaved, pending, members):
+def test_forward_counters_come_in_marker_order(interleaved, pending, members,
+                                               batched):
     """Writes that create and empty value rows, each followed by a read,
-    then writes no read follows before the store is copied, closed and
-    sharded: every forward counter, walked or scanned, is the sorted
-    oracle's, on the store and on each derived store."""
+    then writes no read follows (``batched``: each run of adds one
+    ``add_all``) before the store is copied, closed and sharded: every
+    forward counter, walked or scanned, is the sorted oracle's, on the
+    store and on each derived store — new value rows are merged into
+    place however many a read finds."""
     store = _row_store()
     assert WALK * 1 < store.count(None, _ROW_PREDICATES[0], None) \
         <= WALK * len(_SUBJECTS)  # one member walks, every subject scans
     for write in interleaved:
         _write(store, [write])
         _assert_marker_order(store, members)
-    _write(store, pending)
+    _write(store, pending, batched)
     derived = [store.copy(), RDFSClosure(store).graph(),
                ShardedGraph.from_graph(store, shards=3)]
     for each in derived + [store]:

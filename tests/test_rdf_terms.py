@@ -1,9 +1,13 @@
 """Unit tests of the RDF term model."""
 
+import copy
 import datetime
+import pickle
 from decimal import Decimal
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.rdf.terms import (
     BNode,
@@ -18,6 +22,10 @@ from repro.rdf.terms import (
     XSD_STRING,
     triple,
 )
+
+#: Tier-1 runs the value property derandomized; ``make fuzz`` loads the
+#: ``fuzz`` profile (tests/conftest.py) for a long run at a random seed.
+_FUZZING = settings.get_current_profile_name() == "fuzz"
 
 
 class TestIRI:
@@ -156,3 +164,55 @@ class TestTripleValidation:
     def test_bad_object_rejected(self):
         with pytest.raises(TypeError):
             triple(IRI("http://s"), IRI("http://p"), "plain string")
+
+
+# ----------------------------------------------------------------------
+# Terms are values: a slotted class with its hash computed once behaves
+# as the frozen dataclass it replaced, down to the hash formula (so no
+# set or dict order moves).  Few texts, so the same text turns up
+# across kinds, datatypes and language tags.
+# ----------------------------------------------------------------------
+FIELDS = {IRI: ("value",), BNode: ("label",),
+          Literal: ("lexical", "datatype", "language")}
+_texts = st.sampled_from(["", "a", "1", "1.0", "01", "a b", "2021-06-10"])
+_terms = st.one_of(
+    st.builds(IRI, _texts),
+    st.builds(BNode, _texts),
+    st.builds(Literal, _texts,
+              st.sampled_from([XSD_STRING, XSD_INTEGER, XSD_DOUBLE,
+                               XSD_DECIMAL, XSD_DATE, "a"]),
+              st.sampled_from(["", "en", "fr"])))
+
+
+def _fields(term):
+    return tuple(getattr(term, name) for name in FIELDS[type(term)])
+
+
+@given(a=_terms, b=_terms)
+@settings(derandomize=not _FUZZING, deadline=None,
+          max_examples=10_000 if _FUZZING else 300)
+def test_term_values(a, b):
+    """``a == b`` exactly when the kinds and every field are equal; equal
+    terms hash equal, and every hash is the dataclass formula (the hash
+    of the field tuple); pickle, ``copy`` and ``deepcopy`` give an equal
+    term of the same kind and sort key; ``<`` is the sort-key order;
+    and a field cannot be assigned or deleted."""
+    same = type(a) is type(b) and _fields(a) == _fields(b)
+    assert (a == b) is same and (a != b) is not same
+    assert (b == a) is same
+    assert hash(a) == hash(_fields(a)) and hash(b) == hash(_fields(b))
+    assert len({a, b}) == (1 if same else 2)
+    assert a == a and a != _fields(a) and a != str(a)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                 copy.deepcopy(a)):
+        assert type(twin) is type(a) and twin == a
+        assert hash(twin) == hash(a) and twin.sort_key() == a.sort_key()
+    ka, kb = a.sort_key(), b.sort_key()
+    assert (a < b) == (ka[0] < kb[0] if ka[0] != kb[0] else ka[1:] < kb[1:])
+    before = _fields(a)
+    for name in FIELDS[type(a)] + ("_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert _fields(a) == before and hash(a) == hash(before)

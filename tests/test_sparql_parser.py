@@ -114,6 +114,22 @@ class TestSelectParsing:
                         "GROUP BY (?v + 1 AS 3)")
         assert (caught.value.line, caught.value.column) == (2, 21)
 
+    @pytest.mark.parametrize("text, at", [
+        ("SELECT * WHERE { ?a ex:p ?b } GROUP BY (?a AS ?k)", (1, 8)),
+        ("SELECT * WHERE { ?a ex:p ?b } GROUP BY ?a", (1, 8)),
+        ("SELECT * WHERE { ?a ex:p ?b } HAVING (COUNT(?b) > 1)", (1, 8)),
+        ("SELECT * WHERE {\n  { SELECT * WHERE { ?a ex:p ?b } "
+         "GROUP BY (?a AS ?k) } }", (2, 12)),
+    ], ids=["alias", "key", "having", "sub-select"])
+    def test_star_refused_in_an_aggregated_query(self, text, at):
+        """SPARQL 1.1 §18.2.4.1: ``SELECT *`` is not allowed with GROUP
+        BY (or HAVING), at top level or in a sub-select; the error points
+        at the ``*``.  The sub-select once reached the evaluator and
+        failed there with a bare ``KeyError: 'k'``."""
+        with pytest.raises(SparqlParseError, match="SELECT \\*") as caught:
+            parse_query(text)
+        assert (caught.value.line, caught.value.column) == at
+
     def test_order_limit_offset(self):
         q = parse_query(
             "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 5 OFFSET 2"
