@@ -49,15 +49,17 @@ chaos:
 # presses interleaved with writes (each against a fresh session and,
 # inside HIFUN's prerequisites, the row engine) and the listing of
 # every state a click script reaches (against a fresh session's scan
-# and the per-path facets), at 10 000 draws and a random seed; tier-1 runs them
-# derandomized and smaller.
+# and the per-path facets), and a facet's marker columns (against the
+# tuple of markers they replace), at 10 000 draws and a random seed;
+# tier-1 runs them derandomized and smaller.
 fuzz:
 	PYTHONPATH=src pytest tests/test_rdf_syntax.py tests/test_answer_memo.py \
 		tests/test_sparql_bindings.py tests/test_sparql_differential.py \
 		tests/test_property_graph.py tests/test_engine_equivalence.py \
 		tests/test_idspace_session.py tests/test_sparql_counts.py \
 		tests/test_sparql_star.py tests/test_rdf_terms.py \
-		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule or kept_column or term_values" \
+		tests/test_facet_markers.py \
+		-k "typed_errors or memo_machine or materialized_rows or operators_match or every_shape or follow_every_write or every_listing or count_rule or star_rule or kept_column or term_values or marker_columns" \
 		--hypothesis-profile=fuzz -q
 
 examples:

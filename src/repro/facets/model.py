@@ -19,8 +19,9 @@ Implements the formal machinery:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import (AbstractSet, Collection, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Set, Tuple, Union)
 
@@ -213,8 +214,9 @@ class ValueMarker(NamedTuple):
 
     ``count`` is ``|Restrict(M, p : value)|`` over the marker set M that
     precedes this path position — never zero, so a click never empties
-    the result set.  A marker is a tuple ``(value, count)``: a listing
-    builds thousands, and ``tuple.__new__`` builds one at C speed.
+    the result set.  A facet does not keep its markers: it keeps them
+    as :class:`Markers` columns and hands out a ``(value, count)`` tuple
+    each time one is read.
     """
 
     value: Term
@@ -226,6 +228,55 @@ class ValueMarker(NamedTuple):
 
     def __str__(self):
         return f"{self.label} ({self.count})"
+
+
+class Markers(Sequence):
+    """A facet's value markers as two columns: the value terms and
+    their counts, in marker order.
+
+    A listing holds thousands of markers; as columns they are two
+    tuples per facet instead of one tracked tuple per value, which the
+    cyclic collector would otherwise walk (DESIGN.md design choice 4).
+    Reading a marker (index, iteration) builds its :class:`ValueMarker`
+    and keeps none; a slice is a new ``Markers``.  Length, membership,
+    equality (with a plain tuple of markers too), hash, ``repr`` and
+    pickling are the tuple of markers'.
+    """
+
+    __slots__ = ("terms", "counts")
+
+    def __init__(self, terms: Tuple[Term, ...] = (),
+                 counts: Tuple[int, ...] = ()):
+        self.terms = terms
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Markers(self.terms[index], self.counts[index])
+        return ValueMarker(self.terms[index], self.counts[index])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(ValueMarker),
+                   zip(self.terms, self.counts))
+
+    def __eq__(self, other):
+        if isinstance(other, Markers):
+            return self.terms == other.terms and self.counts == other.counts
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return Markers, (self.terms, self.counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,11 +315,13 @@ class PropertyFacet:
     ``path`` locates the facet: length 1 for a direct facet of the
     extension, longer after path expansion (Fig. 5.5 b).  ``count`` is
     the number of extension objects having the (path) property.
+    ``values`` reads as a tuple of :class:`ValueMarker`; the sessions
+    keep it as :class:`Markers` columns.
     """
 
     path: Path
     count: int
-    values: Tuple[ValueMarker, ...]
+    values: Sequence[ValueMarker]
     approximate: bool = False
 
     @property

@@ -40,7 +40,6 @@ from.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import (
     AbstractSet,
     Any,
@@ -70,6 +69,7 @@ from repro.facets.intentions import (
 from repro.facets.model import (
     AnyPath,
     ClassMarker,
+    Markers,
     Path,
     PropertyFacet,
     PropertyRef,
@@ -257,23 +257,24 @@ class FacetedSession:
                 lambda cls: len(ids & _instance_ids(graph, cls)), expanded),
             stat="facets"))
 
-    def _class_tree(self, count_of: Callable[[IRI], int],
-                    expanded: bool) -> Tuple[ClassMarker, ...]:
-        """The markers of the maximal classes — with their subclass
-        trees when ``expanded`` — counted by ``count_of``; a class
-        without members is left out, its subclasses unvisited."""
-        def build(classes: Iterable[IRI]) -> Tuple[ClassMarker, ...]:
-            markers = []
-            for cls in classes:
-                count = count_of(cls)
-                if count > 0:
-                    children = build(sorted(
-                        self.schema.subclasses(cls, direct=True),
-                        key=lambda t: t.sort_key())) if expanded else ()
-                    markers.append(ClassMarker(cls, count, children))
-            return tuple(markers)
-
-        return build(self.schema.maximal_classes())
+    def _class_tree(self, count_of: Callable[[IRI], int], expanded: bool,
+                    classes: Optional[Iterable[IRI]] = None
+                    ) -> Tuple[ClassMarker, ...]:
+        """The markers of ``classes`` (the maximal ones by default) —
+        with their subclass trees when ``expanded`` — counted by
+        ``count_of``; a class without members is left out, its
+        subclasses unvisited.  It recurses as a method: a nested
+        function naming itself would be a cycle holding the session."""
+        markers = []
+        for cls in (self.schema.maximal_classes() if classes is None
+                    else classes):
+            count = count_of(cls)
+            if count > 0:
+                children = self._class_tree(count_of, expanded, sorted(
+                    self.schema.subclasses(cls, direct=True),
+                    key=lambda t: t.sort_key())) if expanded else ()
+                markers.append(ClassMarker(cls, count, children))
+        return tuple(markers)
 
     def select_class(self, cls: IRI) -> State:
         """Click a class marker: extension becomes ``Restrict(E, c)``."""
@@ -330,8 +331,8 @@ class FacetedSession:
 
     def _materialize(self, path: Path, counter: Dict[int, int],
                      having: int) -> PropertyFacet:
-        """The facet at ``path`` out of the kernel's counts, decoded and
-        zipped into tuple markers: a forward counter is in marker order,
+        """The facet at ``path`` out of the kernel's counts, decoded into
+        :class:`Markers` columns: a forward counter is in marker order,
         an inverse one is sorted on the dictionary's sort-key memo."""
         dictionary = self.graph.dictionary
         value_ids: Iterable[int] = counter
@@ -339,9 +340,8 @@ class FacetedSession:
         if path[-1].inverse:
             value_ids = sorted(counter, key=dictionary.sort_keys.__getitem__)
             counts = map(counter.__getitem__, value_ids)
-        return PropertyFacet(path=path, count=having, values=tuple(map(
-            tuple.__new__, repeat(ValueMarker),
-            zip(map(dictionary.decode, value_ids), counts))))
+        return PropertyFacet(path=path, count=having, values=Markers(
+            tuple(map(dictionary.decode, value_ids)), tuple(counts)))
 
     def facet(self, path: AnyPath) -> PropertyFacet:
         """The facet at ``path`` (a PropertyRef, IRI, or tuple thereof).

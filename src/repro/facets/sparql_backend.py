@@ -53,10 +53,10 @@ from repro.endpoint import EndpointError, LocalEndpoint
 from repro.hifun.translator import path_patterns
 from repro.facets.model import (
     ClassMarker,
+    Markers,
     Path,
     PropertyFacet,
     PropertyRef,
-    ValueMarker,
 )
 
 #: An operation's extension: the members, or a ready view of them (a
@@ -256,7 +256,8 @@ class SparqlFacetEngine:
             return self._remote(
                 key, "facet " + "/".join(step.name for step in arg),
                 lambda: self.facet(view, arg),
-                PropertyFacet(path=arg, count=0, values=(), approximate=True),
+                PropertyFacet(path=arg, count=0, values=Markers(),
+                              approximate=True),
                 lambda facet: replace(facet, approximate=True))
 
         def markers():
@@ -303,11 +304,11 @@ class SparqlFacetEngine:
         return report
 
 
-def _markers(rows: Iterable[Any], var: str) -> Tuple[ValueMarker, ...]:
+def _markers(rows: Iterable[Any], var: str) -> Markers:
     """The value markers of count rows binding ``var``, in value order."""
-    return tuple(sorted(
-        (ValueMarker(row[var], int(row.value("count"))) for row in rows),
-        key=lambda marker: marker.value.sort_key()))
+    rows = sorted(rows, key=lambda row: row[var].sort_key())
+    return Markers(tuple(row[var] for row in rows),
+                   tuple(int(row.value("count")) for row in rows))
 
 
 def _approximate(marker: ClassMarker) -> ClassMarker:
